@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -379,9 +379,9 @@ def simulated_state_feature(model: CoefficientModel, control,
 
     The sensitivity of X(t_j) to the increment at node i (and to an inserted
     jump) is measured by re-simulating on perturbed bundles, one pair of
-    simulations per node, cached. Cost is O(N) simulations of O(N^2 M) each;
-    intended for modest grids where the memory-state coupling of the driver
-    matters.
+    simulations per node, cached. Cost is O(N) simulations, each O(NM) when
+    the model declares its kernel decays (O(N^2 M) otherwise); intended for
+    modest grids where the memory-state coupling of the driver matters.
     """
     from .volterra import simulate_integral_form
 

@@ -14,7 +14,7 @@ import concurrent.futures
 import copy
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from .malliavin import (
     clark_ocone_reconstruct,
     d_brownian,
     d_jump,
-    export_check_csv,
     iterated_integral,
     state_feature,
 )
@@ -54,7 +53,6 @@ from .hamiltonian import (
 from .portfolio import (
     MarketModel,
     export_portfolio_csvs,
-    simulate_wealth_positive,
     solve_portfolio,
     verify_optimality,
 )
@@ -108,13 +106,17 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
 
     The result shares no dict or list with either argument, so writing into
     it (per-run overrides, callers editing ``ExperimentConfig.raw``) can
-    never reach the module-level defaults.
+    never reach the module-level defaults. A section with fields (e.g.
+    ``grid``) must be given as a mapping.
     """
     out = copy.deepcopy(defaults)
     for key, value in (overrides or {}).items():
         if key not in defaults:
             raise ConfigurationError(f"unknown config field {path + key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict) and defaults[key]:
+        if isinstance(defaults[key], dict) and defaults[key]:  # a section with fields
+            if not isinstance(value, dict):
+                raise ConfigurationError(
+                    f"config section {path + key!r} must be a mapping, got {value!r}")
             out[key] = _merge(defaults[key], value, path=f"{path}{key}.")
         else:  # leaf values and free-form sections (e.g. model parameters)
             out[key] = copy.deepcopy(value)

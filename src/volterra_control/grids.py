@@ -8,7 +8,7 @@ or smaller path count reproduces the shared paths bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -130,8 +130,9 @@ class PathBundle:
     @cached_property
     def compensated_counts(self) -> np.ndarray:
         """Jump counts minus their compensator, shape (N, M, K)."""
-        comp = self.jumps.compensator(self.grid)
-        return self.jump_counts.astype(float) - comp[None, None, :]
+        out = self.jump_counts.astype(float)
+        out -= self.jumps.compensator(self.grid)[None, None, :]  # in place: one (N, M, K) array
+        return out
 
     @cached_property
     def jump_sum(self) -> np.ndarray:

@@ -12,8 +12,8 @@ derivative identity dJ/d(lambda) = E[int dH/du beta dt] by brute force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .grids import PathBundle
 from .malliavin import Feature, NodeRegression, RegressionBasis, default_features
 from .models import CoefficientModel, ControlProcess, InfoMode, PerformanceSpec
 from .reporting import write_csv
-from .volterra import StateEnsemble, performance_paths, simulate_integral_form
+from .volterra import StateEnsemble, memory_sums, performance_paths, simulate_integral_form
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -214,7 +214,8 @@ def simulate_variation(model: CoefficientModel, control: ControlProcess,
 
     The recursion mirrors the differential form of the state equation with
     every kernel replaced by its state/control gradient, including the mixed
-    d/dt second partials in the memory drift.
+    d/dt second partials in the memory drift, whose history sums decay at
+    the kernels' declared rates (see `volterra.memory_sums`).
     """
     grid, jumps = paths.grid, paths.jumps
     n, m, dt = paths.n_steps, paths.n_paths, grid.dt
@@ -224,41 +225,25 @@ def simulate_variation(model: CoefficientModel, control: ControlProcess,
     k = jumps.n_marks
     marks = jumps.mark_array
     dNt = paths.compensated_counts if k else None
-    x_of = (lambda i: None) if model.x_independent else (lambda i: states.values[i])
-    u_of = lambda i: control.at(i, paths, x=states.values[i])  # noqa: E731
-    u_cache = [u_of(i) for i in range(n)]
+    x = None if model.x_independent else states.values
+    u = np.stack([np.broadcast_to(np.asarray(control.at(i, paths, x=states.values[i]),
+                                             dtype=float), (m,)) for i in range(n)])
 
     y = np.zeros((n + 1, m))
+    memory = memory_sums(model, paths, x, u, parts=(("_dtdx", y), ("_dtdv", beta_mat)))
     for i in range(n):
-        x_i, u_i = x_of(i), u_cache[i]
+        x_i, u_i = None if x is None else x[i], u[i]
         drift = model.drift_dx(t[i], t[i], x_i, u_i) * y[i] \
             + model.drift_dv(t[i], t[i], x_i, u_i) * beta_mat[i]
         if i > 0:
-            s_h = t[:i, None]
-            x_h = None if model.x_independent else states.values[:i]
-            u_h = np.broadcast_to(np.stack([np.broadcast_to(np.asarray(u_cache[j]), (m,))
-                                            for j in range(i)]), (i, m))
-            mem = (model.drift_dtdx(t[i], s_h, x_h, u_h) * y[:i]
-                   + model.drift_dtdv(t[i], s_h, x_h, u_h) * beta_mat[:i]) * dt
-            mem += (model.diffusion_dtdx(t[i], s_h, x_h, u_h) * y[:i]
-                    + model.diffusion_dtdv(t[i], s_h, x_h, u_h) * beta_mat[:i]) * paths.dW[:i]
-            drift = drift + np.asarray(mem).sum(axis=0)
-            if k and jumps.intensity > 0.0:
-                xh3 = None if x_h is None else x_h[:, :, None]
-                gx = model.jump_dtdx(t[i], s_h[:, :, None], xh3, u_h[:, :, None],
-                                     marks[None, None, :])
-                gv = model.jump_dtdv(t[i], s_h[:, :, None], xh3, u_h[:, :, None],
-                                     marks[None, None, :])
-                term = (np.broadcast_to(gx, (i, m, k)) * y[:i, :, None]
-                        + np.broadcast_to(gv, (i, m, k)) * beta_mat[:i, :, None])
-                drift = drift + np.einsum("jmk,jmk->m", term, dNt[:i])
+            drift = drift + memory(i)
         val = y[i] + drift * dt \
             + (model.diffusion_dx(t[i], t[i], x_i, u_i) * y[i]
                + model.diffusion_dv(t[i], t[i], x_i, u_i) * beta_mat[i]) * paths.dW[i]
         if k and jumps.intensity > 0.0:
             xi3 = None if x_i is None else np.asarray(x_i)[:, None]
-            gx = model.jump_dx(t[i], t[i], xi3, np.asarray(u_i)[..., None], marks[None, :])
-            gv = model.jump_dv(t[i], t[i], xi3, np.asarray(u_i)[..., None], marks[None, :])
+            gx = model.jump_dx(t[i], t[i], xi3, u_i[:, None], marks[None, :])
+            gv = model.jump_dv(t[i], t[i], xi3, u_i[:, None], marks[None, :])
             term = (np.broadcast_to(gx, (m, k)) * y[i][:, None]
                     + np.broadcast_to(gv, (m, k)) * beta_mat[i][:, None])
             val = val + np.einsum("mk,mk->m", term, dNt[i])

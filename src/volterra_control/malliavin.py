@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, RegressionError
-from .grids import PathBundle, compensated_jump_integral
+from .grids import PathBundle
 from .models import ControlProcess, InfoMode
 from .reporting import write_csv
 

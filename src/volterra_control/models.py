@@ -7,11 +7,17 @@ need (first time argument, state, control, and the mixed time-state /
 time-control partials that drive the memory terms). Missing partials are
 filled in by central finite differences; declared partials are verified
 against finite differences when the model is registered.
+
+A model may also declare that a kernel is exponential in the lag,
+k(t,s,x,v) = e^{-lambda (t-s)} k(s,s,x,v), by giving its decay rate lambda in
+`decays`. The simulators then update that kernel's history sums by a
+one-step recursion instead of re-summing the whole history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +27,7 @@ from .grids import TimeGrid
 
 _FD_SCALE = 1e-5
 _SELFTEST_RTOL = 1e-4
+_KERNELS = ("drift", "diffusion", "jump")
 
 
 def _central_difference(fn: Callable, arg_index: int) -> Callable:
@@ -50,6 +57,10 @@ class CoefficientModel:
     for the jump kernel -- and must broadcast over numpy arrays. Models with
     `x_independent=True` must ignore the x argument entirely (callers may
     pass None for it).
+
+    `decays` is None or a (drift, diffusion, jump) tuple of decay rates; an
+    entry lambda declares k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for that kernel
+    and for its d/dt partials, an entry None leaves the kernel generic.
     """
 
     name: str
@@ -78,9 +89,23 @@ class CoefficientModel:
     jump_dtdv: Optional[Callable] = None
     x_independent: bool = False
     time_invariant_kernels: bool = False
+    decays: Optional[tuple] = None
     declared: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.decays is not None:
+            if len(self.decays) != len(_KERNELS):
+                raise ConfigurationError(
+                    f"model {self.name!r}: decays needs one entry per kernel "
+                    f"{_KERNELS}, got {self.decays!r}"
+                )
+            self.decays = tuple(None if d is None else float(d) for d in self.decays)
+            for kernel, lam in zip(_KERNELS, self.decays):
+                if lam is not None and not math.isfinite(lam):
+                    raise ConfigurationError(
+                        f"model {self.name!r}: decay of the {kernel} kernel must be "
+                        f"finite, got {lam}"
+                    )
         self.declared = tuple(
             name for name in self._partial_names() if getattr(self, name) is not None
         )
@@ -117,6 +142,10 @@ class CoefficientModel:
             if getattr(self, f"{kernel}_dtdv") is None:
                 setattr(self, f"{kernel}_dtdv", _central_difference(ddt, 3))
 
+    def decay(self, kernel: str) -> float | None:
+        """Declared decay rate of the drift, diffusion or jump kernel, or None."""
+        return None if self.decays is None else self.decays[_KERNELS.index(kernel)]
+
     @property
     def memory_state_coupling(self) -> bool:
         """True when the mixed time-state partials can be non-zero."""
@@ -124,9 +153,12 @@ class CoefficientModel:
 
     def self_test(self, x_range=(0.5, 2.0), v_range=(-1.0, 2.0), mark_range=(-1.0, 1.0),
                   n_samples: int = 8) -> None:
-        """Check declared partials against central differences at random arguments.
+        """Check declared partials and decays at random arguments.
 
-        Raises RegistrationError naming the first failing partial.
+        Declared partials are compared with central differences. For each
+        declared decay lambda, the kernel and its d/dt partials must satisfy
+        k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for t >= s. Raises
+        RegistrationError naming the first failing partial or kernel.
         """
         rng = np.random.default_rng(1234)
         t = rng.uniform(0.0, 2.0, n_samples)
@@ -168,6 +200,28 @@ class CoefficientModel:
                     raise RegistrationError(
                         f"model {self.name!r} is flagged x-independent but "
                         f"{kernel}_dx is not identically zero"
+                    )
+        late, early = np.maximum(t, s), np.minimum(t, s)
+        for kernel in _KERNELS:
+            lam = self.decay(kernel)
+            if lam is None:
+                continue
+            factor = np.exp(-lam * (late - early))
+            tail = (x, v, z) if kernel == "jump" else (x, v)
+            for name in (kernel, f"{kernel}_dt", f"{kernel}_dtdx", f"{kernel}_dtdv"):
+                fn = getattr(self, name)
+                got, want = np.broadcast_arrays(
+                    np.asarray(fn(late, early, *tail), dtype=float),
+                    factor * np.asarray(fn(early, early, *tail), dtype=float),
+                )
+                tol = _SELFTEST_RTOL * np.maximum(np.abs(got), np.abs(want)) + 1e-12
+                if np.any(np.abs(got - want) > tol):
+                    worst = np.argmax(np.abs(got - want) - tol)
+                    raise RegistrationError(
+                        f"model {self.name!r}: {name} does not decay at the declared "
+                        f"rate {lam} of the {kernel} kernel (sample {worst}: "
+                        f"k(t,s) {got.flat[worst]:.6g}, "
+                        f"e^(-rate (t-s)) k(s,s) {want.flat[worst]:.6g})"
                     )
 
 
@@ -234,6 +288,7 @@ def _exp_kernel_model(name, b0, sigma0, jump0, decay_b, decay_s, decay_j, x0,
         jump_dtdv=jfun(jump0, decay_j, order_t=1, wrt="v"),
         x_independent=x_independent,
         time_invariant_kernels=(decay_b == 0.0 and decay_s == 0.0 and decay_j == 0.0),
+        decays=(decay_b, decay_s, decay_j),
     )
 
 

@@ -13,7 +13,7 @@ the diagonal of the BSVIE integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,8 +29,6 @@ from .malliavin import (
 from .models import CoefficientModel, ControlProcess, UtilitySpec
 from .reporting import write_csv
 from .volterra import StateEnsemble
-
-_FD_SCALE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -383,7 +381,7 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
     da = max(0.05 * c_star, b - a)
     g_a, _ = gap(max(c_star - da, 0.5 * c_star))
     g_b, _ = gap(c_star + da)
-    slope = (g_b - g_a) / (gap_width := (c_star + da) - max(c_star - da, 0.5 * c_star))
+    slope = (g_b - g_a) / ((c_star + da) - max(c_star - da, 0.5 * c_star))
     stderr = abs(se_star / slope) if slope != 0.0 else float("inf")
     return CalibrationResult(c=c_star, stderr=float(stderr), history=history)
 

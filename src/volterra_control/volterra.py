@@ -1,9 +1,14 @@
 """Forward simulation of the controlled Volterra state and the objective.
 
-Two Euler-type schemes are provided. The integral form re-evaluates the
-full kernel history at every node (cost O(N^2) per path); the differential
-form propagates the state with the expanded drift that carries the d/dt
-kernel derivatives. Both use left-point evaluation in all stochastic sums.
+Two Euler-type schemes are provided. The integral form evaluates the kernel
+history sums at every node; the differential form propagates the state with
+the expanded drift that carries the history sums of the d/dt kernel
+derivatives. Both use left-point evaluation in all stochastic sums.
+
+Every history sum goes through `history_sum`. For a kernel with a declared
+decay rate (`CoefficientModel.decays`, set by all registry models) the sum
+is updated by a one-step recursion, so a path costs O(N); a kernel without
+one is re-summed over the whole history at every node, O(N^2) per path.
 """
 
 from __future__ import annotations
@@ -37,11 +42,91 @@ def _check_finite(x: np.ndarray, node: int, what: str) -> None:
         raise SimulationError(f"{what} produced a non-finite value at path {bad}, node {node}")
 
 
-def _control_grid(control: ControlProcess, paths: PathBundle) -> np.ndarray | None:
-    """Open-loop (N, M) control values, or None for feedback rules."""
+def _control_grid(control: ControlProcess, paths: PathBundle) -> np.ndarray:
+    """(N, M) control values: the open-loop grid, or for a feedback rule an
+    empty array that the simulation fills node by node."""
     if control.kind == "feedback":
-        return None
+        return np.empty((paths.n_steps, paths.n_paths))
     return control.open_loop_grid(paths.n_steps, paths.n_paths)
+
+
+def history_sum(summands, decay: float | None, nodes: np.ndarray, i: int, previous):
+    """Memory sum S_i = sum_{j<i} k(t_i, t_j, X_j, u_j) inc_j at node i >= 1.
+
+    `summands(t, hist)` returns sum_{j in hist} k(t, t_j, X_j, u_j) inc_j,
+    shape (M,), over the nodes j in the slice `hist`. Without a decay the
+    whole history is summed. A declared decay lambda means k(t_i, t_j, .) =
+    e^{-lambda (t_i - t_{i-1})} k(t_{i-1}, t_j, .), so S_i follows from
+    `previous` = S_{i-1} (0.0 at i = 1) and the summand of node i-1 alone.
+    """
+    if decay is None:
+        return summands(nodes[i], slice(0, i))
+    newest = summands(nodes[i], slice(i - 1, i))
+    return np.exp(-decay * (nodes[i] - nodes[i - 1])) * previous + newest
+
+
+def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None):
+    """The `summands(t, hist)` of a history sum over weighted kernels.
+
+    Sums sum_p kernel_p(t, t_j, X_j, u_j) w_p[j] inc_j over j in hist and
+    over the (kernel_p, w_p) pairs, with w_p an array indexed by node or None
+    for weight 1. x (None for x-independent models) and u are read when
+    called, so rows a running simulation has filled are seen. inc is (N, M);
+    for a jump kernel (marks given) it is the (N, M, K) compensated counts
+    and the marks are summed out too.
+    """
+
+    def summands(t, hist):
+        s, x_h, u_h = nodes[hist, None], None if x is None else x[hist], u[hist]
+        if marks is None:
+            args = (t, s, x_h, u_h)
+        else:
+            args = (t, s[:, :, None], None if x_h is None else x_h[:, :, None],
+                    u_h[:, :, None], marks[None, None, :])
+        total = None
+        for kernel, weight in kernels:
+            value = kernel(*args)
+            if weight is not None:
+                value = value * (weight[hist] if marks is None else weight[hist][:, :, None])
+            total = value if total is None else total + value
+        increments = inc[hist]
+        subscripts = "jm,jm->m" if marks is None else "jmk,jmk->m"
+        return np.einsum(subscripts, np.broadcast_to(total, increments.shape), increments)
+
+    return summands
+
+
+def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
+                parts=(("", None),)):
+    """Total memory term at node i, as a function `memory(i)`.
+
+    memory(i) = sum_{j<i} [K_b(t_i,t_j) dt + K_sigma(t_i,t_j) dB_j
+    + sum_k K_gamma(t_i,t_j,z_k) dN~_{j,k}], where each kernel K is
+    sum_p model.<kernel><suffix_p>(t_i, t_j, X_j, u_j) w_p[j] over the
+    (suffix_p, w_p) pairs in `parts` (w_p None for weight 1). Each kernel's
+    sum runs through `history_sum` with the kernel's declared decay, so
+    memory must be called for i = 1, 2, ..., N in order. x (None for
+    x-independent models), u and the weights are read when memory is called.
+    """
+    n, m = paths.n_steps, paths.n_paths
+    nodes, jumps = paths.grid.nodes, paths.jumps
+    incs = {"drift": np.broadcast_to(paths.grid.dt, (n, m)), "diffusion": paths.dW}
+    if jumps.n_marks and jumps.intensity > 0.0:
+        incs["jump"] = paths.compensated_counts
+    sums = [
+        (_kernel_summands([(getattr(model, kernel + suffix), w) for suffix, w in parts],
+                          nodes, x, u, inc, jumps.mark_array if kernel == "jump" else None),
+         model.decay(kernel))
+        for kernel, inc in incs.items()
+    ]
+    values = [0.0] * len(sums)
+
+    def memory(i: int) -> np.ndarray:
+        values[:] = [history_sum(summands, decay, nodes, i, previous)
+                     for (summands, decay), previous in zip(sums, values)]
+        return sum(values)
+
+    return memory
 
 
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
@@ -52,32 +137,17 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
         + sum_{j<i} sigma(t_i,t_j,X_j,u_j) dB_j
         + sum_{j<i} sum_k gamma(t_i,t_j,X_j,u_j,z_k) dN~_{j,k}
     """
-    grid, jumps = paths.grid, paths.jumps
-    n, m, dt = paths.n_steps, paths.n_paths, grid.dt
-    t = grid.nodes
-    marks = jumps.mark_array
-    dW = paths.dW
-    dNt = paths.compensated_counts if jumps.n_marks else None
-    u_grid = _control_grid(control, paths)
+    n, m = paths.n_steps, paths.n_paths
+    t = paths.grid.nodes
+    u = _control_grid(control, paths)
 
     x = np.empty((n + 1, m))
     x[0] = model.initial_curve(t[0])
-    u_rows = np.empty((n, m))
+    memory = memory_sums(model, paths, None if model.x_independent else x, u)
     for i in range(1, n + 1):
-        hist = slice(0, i)
-        if u_grid is None:
-            u_rows[i - 1] = control.at(i - 1, paths, x=x[i - 1])
-        s_h = t[:i, None]
-        x_h = None if model.x_independent else x[hist]
-        u_h = u_grid[hist] if u_grid is not None else u_rows[hist]
-        acc = model.drift(t[i], s_h, x_h, u_h) * dt
-        acc += model.diffusion(t[i], s_h, x_h, u_h) * dW[hist]
-        val = np.asarray(acc).sum(axis=0) + model.initial_curve(t[i])
-        if jumps.n_marks:
-            g = model.jump(t[i], s_h[:, :, None], None if x_h is None else x_h[:, :, None],
-                           u_h[:, :, None], marks[None, None, :])
-            val += np.einsum("jmk,jmk->m", np.broadcast_to(g, (i, m, jumps.n_marks)),
-                             dNt[hist])
+        if control.kind == "feedback":
+            u[i - 1] = control.at(i - 1, paths, x=x[i - 1])
+        val = model.initial_curve(t[i]) + memory(i)
         _check_finite(val, i, "integral-form state")
         x[i] = val
     return StateEnsemble(values=x, control=control, paths=paths)
@@ -96,34 +166,23 @@ def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
     marks = jumps.mark_array
     dW = paths.dW
     dNt = paths.compensated_counts if jumps.n_marks else None
-    u_grid = _control_grid(control, paths)
+    u = _control_grid(control, paths)
 
     x = np.empty((n + 1, m))
     x[0] = model.initial_curve(t[0])
-    u_rows = np.empty((n, m))
+    memory = memory_sums(model, paths, None if model.x_independent else x, u,
+                         parts=(("_dt", None),))
     for i in range(n):
-        if u_grid is None:
-            u_rows[i] = control.at(i, paths, x=x[i])
-        u_i = u_grid[i] if u_grid is not None else u_rows[i]
+        if control.kind == "feedback":
+            u[i] = control.at(i, paths, x=x[i])
+        u_i = u[i]
         x_i = None if model.x_independent else x[i]
         drift = np.broadcast_to(
             np.asarray(model.initial_slope(t[i]) + model.drift(t[i], t[i], x_i, u_i), dtype=float),
             (m,),
         ).copy()
         if i > 0:
-            hist = slice(0, i)
-            s_h = t[:i, None]
-            x_h = None if model.x_independent else x[hist]
-            u_h = u_grid[hist] if u_grid is not None else u_rows[hist]
-            mem = model.drift_dt(t[i], s_h, x_h, u_h) * dt
-            mem += model.diffusion_dt(t[i], s_h, x_h, u_h) * dW[hist]
-            drift += np.asarray(mem).sum(axis=0)
-            if jumps.n_marks:
-                g = model.jump_dt(t[i], s_h[:, :, None],
-                                  None if x_h is None else x_h[:, :, None],
-                                  u_h[:, :, None], marks[None, None, :])
-                drift += np.einsum("jmk,jmk->m",
-                                   np.broadcast_to(g, (i, m, jumps.n_marks)), dNt[hist])
+            drift += memory(i)
         val = x[i] + drift * dt + model.diffusion(t[i], t[i], x_i, u_i) * dW[i]
         if jumps.n_marks:
             g = model.jump(t[i], t[i], None if x_i is None else x_i[:, None],

@@ -221,3 +221,17 @@ def test_module_error_surfaces_as_nonzero_exit(tmp_path, capsys):
     status = main(["solve-portfolio", "--config", path, "--out", str(tmp_path / "p")])
     assert status == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_section_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys):
+    # a bare `grid:` line loads as grid: None
+    path = tmp_path / "config.yaml"
+    path.write_text("grid:\nmonte_carlo: {paths: 100}\n")
+    with pytest.raises(ConfigurationError, match="'grid'"):
+        ExperimentConfig.load(str(path))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'grid'" in err
+    path.write_text("solver: [3, 1.0e-8]\n")
+    with pytest.raises(ConfigurationError, match="'solver'"):
+        ExperimentConfig.load(str(path))

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control import (
     ControlProcess,
@@ -348,3 +352,44 @@ def test_arrow_detects_convexity():
     rep = arrow_spotcheck(lambda x, v: (x ** 2) * (1.0 + 0.1 * v),
                           np.linspace(0.2, 2.0, 20), (0.0, 1.0))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("name,params", [
+    ("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15, decay_b=1.0,
+                               decay_sigma=0.8, decay_jump=0.5)),
+    ("x_independent_linear", dict(b0=0.1, sigma0=0.3, jump0=0.1, decay_b=2.0,
+                                  decay_sigma=0.5, decay_jump=0.25)),
+    ("constant", dict(b0=0.05, sigma0=0.2, jump0=0.1)),
+])
+def test_variation_lifted_history_sums_match_generic_path(name, params):
+    # the *_dtdx / *_dtdv history sums decay at the kernel rates; a copy of the
+    # model without declared decays re-sums the whole history at every node
+    marks = JumpModel(intensity=1.0, marks=(-0.5, 0.5), weights=(0.5, 0.5))
+    paths = sample_paths(TimeGrid(1.0, 48), marks, 2_000, seed=32)
+    model = registry_get(name, params)
+    control = ControlProcess.constant(0.9)
+    states = simulate_integral_form(model, control, paths)
+    beta = perturbation_window(48, 6, 20, alpha=1.0)
+    lifted = simulate_variation(model, control, beta, paths, states).values
+    generic = simulate_variation(dataclasses.replace(model, decays=None), control, beta,
+                                 paths, states).values
+    assert np.abs(lifted - generic).max() <= 1e-12 * np.abs(generic).max()
+    assert np.abs(generic).max() > 0.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(decays=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 6.0))] * 3),
+       steps=st.integers(2, 40))
+def test_variation_lifted_matches_generic_over_decays_and_steps(decays, steps):
+    marks = JumpModel(intensity=1.0, marks=(-0.5, 0.5), weights=(0.5, 0.5))
+    paths = sample_paths(TimeGrid(1.0, steps), marks, 200, seed=steps)
+    model = registry_get("exp_kernel_linear",
+                         dict(b0=0.2, sigma0=0.3, jump0=0.15, decay_b=decays[0],
+                              decay_sigma=decays[1], decay_jump=decays[2]))
+    control = ControlProcess.constant(0.9)
+    states = simulate_integral_form(model, control, paths)
+    beta = np.linspace(1.0, -1.0, steps)
+    lifted = simulate_variation(model, control, beta, paths, states).values
+    generic = simulate_variation(dataclasses.replace(model, decays=None), control, beta,
+                                 paths, states).values
+    assert np.abs(lifted - generic).max() <= 1e-12 * max(np.abs(generic).max(), 1e-300)

@@ -72,6 +72,66 @@ def test_self_test_catches_false_x_independent_flag():
         ))
 
 
+def _decaying_custom(decays, drift_rate=1.0):
+    """Custom model whose drift kernel decays at drift_rate, diffusion constant in the lag."""
+    return registry_get("custom", dict(
+        initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+        drift=lambda t, s, x, v: 0.1 * np.exp(-drift_rate * (np.asarray(t) - s)) * v * x,
+        diffusion=lambda t, s, x, v: 0.2 * v * x + 0.0 * np.asarray(t),
+        jump=lambda t, s, x, v, z: 0.0 * z,
+        drift_dt=lambda t, s, x, v: -0.1 * drift_rate * np.exp(
+            -drift_rate * (np.asarray(t) - s)) * v * x,
+        decays=decays,
+    ))
+
+
+def test_registry_models_declare_their_decays():
+    assert registry_get("constant").decays == (0.0, 0.0, 0.0)
+    model = registry_get("exp_kernel_linear",
+                         dict(decay_b=2.0, decay_sigma=0.5, decay_jump=0.25))
+    assert model.decays == (2.0, 0.5, 0.25)
+    assert model.decay("diffusion") == 0.5
+
+
+def test_custom_model_with_correct_decays_accepted():
+    m = _decaying_custom((1.0, 0.0, None))
+    assert m.decays == (1.0, 0.0, None)
+    assert m.decay("drift") == 1.0 and m.decay("jump") is None
+
+
+def test_custom_model_with_wrong_decay_rejected():
+    with pytest.raises(RegistrationError, match="drift"):
+        _decaying_custom((2.0, 0.0, None))
+    with pytest.raises(RegistrationError, match="diffusion"):
+        _decaying_custom((1.0, 0.5, None))
+
+
+def test_decay_must_follow_the_lag_alone():
+    # e^{-(t-s)} (1 + t) is not e^{-(t-s)} k(s, s): the recursion would be wrong
+    with pytest.raises(RegistrationError, match="drift"):
+        registry_get("custom", dict(
+            initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+            drift=lambda t, s, x, v: np.exp(-(np.asarray(t) - s)) * (1.0 + t) * v,
+            diffusion=lambda t, s, x, v: 0.0 * v,
+            jump=lambda t, s, x, v, z: 0.0 * z,
+            x_independent=True,
+            decays=(1.0, None, None),
+        ))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_decay_rejected(bad):
+    with pytest.raises(ConfigurationError, match="drift"):
+        _decaying_custom((bad, 0.0, None))
+    with pytest.raises(ConfigurationError, match="jump"):
+        registry_get("exp_kernel_linear", dict(decay_jump=bad))
+
+
+def test_decays_need_one_entry_per_kernel():
+    with pytest.raises(ConfigurationError, match="decays"):
+        _decaying_custom((1.0, 0.0))
+
+
 def test_missing_partials_filled_by_finite_difference():
     m = registry_get("custom", dict(
         initial_curve=lambda t: np.sin(np.asarray(t, dtype=float)),

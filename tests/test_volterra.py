@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control import (
     ControlProcess,
@@ -160,3 +164,63 @@ def test_trajectory_csv(tmp_path, paths64_small):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,mean_X,std_X,q05,q95"
     assert len(lines) == 66
+
+
+# --- lifted (declared-decay) history sums against the generic full-history sum ---
+
+def _generic(model):
+    """The same model with no declared decays: every history sum is re-summed."""
+    return dataclasses.replace(model, decays=None)
+
+
+def _rel_diff(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+_MARKS = JumpModel(intensity=1.0, marks=(-0.5, 0.5), weights=(0.5, 0.5))
+
+
+def _feedback():
+    return ControlProcess.feedback(
+        lambda i, t, paths, x: np.clip(0.5 + 0.2 * np.asarray(x), 0.0, 2.0), bounds=(0.0, 2.0))
+
+
+# Registry models with jumps: x-dependent under a feedback control, x-independent,
+# and constant kernels (decay 0).
+LIFT_CASES = [
+    pytest.param("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15, decay_b=1.0,
+                                           decay_sigma=0.8, decay_jump=0.5),
+                 _feedback(), id="exp_kernel_linear-feedback"),
+    pytest.param("x_independent_linear", dict(b0=0.1, sigma0=0.3, jump0=0.1, decay_b=2.0,
+                                              decay_sigma=0.5, decay_jump=0.25),
+                 ControlProcess.constant(0.8), id="x_independent_linear"),
+    pytest.param("constant", dict(b0=0.05, sigma0=0.2, jump0=0.1),
+                 ControlProcess.constant(1.0), id="constant"),
+]
+
+
+@pytest.mark.parametrize("simulate", [simulate_integral_form, simulate_differential_form],
+                         ids=["integral", "differential"])
+@pytest.mark.parametrize("name,params,control", LIFT_CASES)
+def test_lifted_history_sums_match_generic_path(simulate, name, params, control):
+    paths = sample_paths(TimeGrid(1.0, 48), _MARKS, 2_000, seed=31)
+    model = registry_get(name, params)
+    assert model.decays is not None
+    lifted = simulate(model, control, paths).values
+    generic = simulate(_generic(model), control, paths).values
+    assert _rel_diff(lifted, generic) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(decays=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 6.0))] * 3),
+       steps=st.integers(2, 40))
+def test_lifted_matches_generic_over_decays_and_steps(decays, steps):
+    model = registry_get("exp_kernel_linear",
+                         dict(b0=0.2, sigma0=0.3, jump0=0.15, decay_b=decays[0],
+                              decay_sigma=decays[1], decay_jump=decays[2]))
+    paths = sample_paths(TimeGrid(1.0, steps), _MARKS, 200, seed=steps)
+    control = ControlProcess.constant(0.9)
+    for simulate in (simulate_integral_form, simulate_differential_form):
+        lifted = simulate(model, control, paths).values
+        generic = simulate(_generic(model), control, paths).values
+        assert _rel_diff(lifted, generic) <= 1e-12
