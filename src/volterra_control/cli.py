@@ -287,7 +287,8 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
     m = rec_paths.n_paths
     iso_mean = float((i2 ** 2).mean())
     iso_se = float((i2 ** 2).std(ddof=1) / np.sqrt(m))
-    target = 2.0 * cfg.grid.horizon ** 2
+    # E[I_2^2] on the grid: I_2 = 2 sum_{i<j} dW_i dW_j has no diagonal terms
+    target = 2.0 * cfg.grid.horizon ** 2 * (1.0 - 1.0 / cfg.grid.steps)
     rows = [(name, rep.lhs, rep.rhs, rep.combined_stderr, rep.within())
             for name, rep in reports.items()]
     rows.append(("clark_ocone_relative_rms", rec.relative_rms, 0.0, 0.0,

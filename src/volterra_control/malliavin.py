@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ConfigurationError, RegressionError
 from .grids import PathBundle
 from .models import ControlProcess, InfoMode
-from .reporting import write_csv
 
 # A path functional maps a PathBundle to one scalar per path, and must be
 # re-evaluable on perturbed copies of the bundle.
@@ -212,9 +211,9 @@ class NodeRegression:
     The fitted object doubles as an explicit surrogate: `predict` evaluates
     the fitted polynomial at arbitrary raw-feature values and
     `gradient_raw` returns its gradient with respect to each raw feature.
-    Only the standardization metadata and the Cholesky factor of the ridge
-    Gram matrix are retained; the design matrix is rebuilt on demand so node
-    regressions stay cheap to keep around.
+    Only the standardization metadata, the ridge-free Gram matrix `gram` and
+    the Cholesky factor of its ridged version are retained; the design matrix
+    is rebuilt on demand so node regressions stay cheap to keep around.
     """
 
     def __init__(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
@@ -236,11 +235,11 @@ class NodeRegression:
         self.col_scale = phi.std(axis=0)
         self.col_mean[0], self.col_scale[0] = 0.0, 1.0
         self.col_scale[self.col_scale < 1e-300] = 1.0
-        phi = (phi - self.col_mean) / self.col_scale
-        gram = phi.T @ phi / self.n_paths
-        gram[np.diag_indices_from(gram)] += self.basis.ridge
+        phi -= self.col_mean
+        phi /= self.col_scale
+        self.gram = phi.T @ phi / self.n_paths  # ridge-free: RMS of a fit is a form in it
         try:
-            self._chol = np.linalg.cholesky(gram)
+            self._chol = np.linalg.cholesky(self.gram + self.basis.ridge * np.eye(len(self.gram)))
         except np.linalg.LinAlgError as exc:
             raise RegressionError(
                 "regression design is rank deficient even after ridge "
@@ -252,16 +251,16 @@ class NodeRegression:
         return np.column_stack([f.values[self.design_node] for f in self.features])
 
     def _expand_unscaled(self, raw: np.ndarray, select: bool = False) -> np.ndarray:
-        m = raw.shape[0]
         cols, keep = [], []
         indices = range(len(self.exponents)) if select else self.keep
         for idx in indices:
-            expo = self.exponents[idx]
-            col = np.ones(m)
-            for r, p in enumerate(expo):
+            col = None
+            for r, p in enumerate(self.exponents[idx]):
                 if p:
-                    col = col * raw[:, r] ** p
-            if select and idx > 0 and np.std(col) <= 1e-300:
+                    col = raw[:, r] ** p if col is None else col * raw[:, r] ** p
+            if col is None:
+                col = np.ones(raw.shape[0])
+            elif select and np.std(col) <= 1e-300:
                 continue
             cols.append(col)
             keep.append(idx)
@@ -334,6 +333,54 @@ class NodeRegression:
         raw = self.raw_values()
         coef = np.ravel(coef)
         return self.predict(raw + shift, coef) - self.predict(raw, coef)
+
+
+class BackwardProjector:
+    """Backward regression march on coefficients (LSMDP, Gobet, Lemor & Warin 2005).
+
+    v_N = F, v_j = E_j[v_{j+1}] - r_j Z_j dt, with Z_j = E_j[(v_{j+1} - E_j[v_{j+1}]) dW_j] / dt
+    and E_j the ridge projection on the node basis Phi_j (ridge Gram G_j), is linear in F.
+    With E_j[v_{j+1}] = Phi_j a_j, Z_j = Phi_j b_j, v_j = Phi_j c_j: a_j = G_j^{-1} A_j c_{j+1},
+    b_j = G_j^{-1} (B_j c_{j+1} - C_j a_j) / dt, c_j = a_j - r_j dt b_j, for the cross-moments
+    A_j = Phi_j^T Phi_{j+1} / M, B_j = Phi_j^T diag(dW_j) Phi_{j+1} / M, C_j = Phi_j^T diag(dW_j)
+    Phi_j / M, formed once and held premultiplied by G_j^{-1}. A march is two O(M p) products
+    at T, then one p x p update per node.
+    """
+
+    def __init__(self, features: Sequence[Feature], paths: PathBundle,
+                 basis: RegressionBasis | None = None):
+        n, m = paths.n_steps, paths.n_paths
+        self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
+        self.regs = [NodeRegression(features, j, self.basis, retain_design=True) for j in range(n)]
+        self.carry, self.carry_dw, self.centre_dw = [], [], []
+        for j, reg in enumerate(self.regs):
+            phi = reg.design()
+            weighted = phi * self.dW[j][:, None]  # per node only: no Phi o dW is kept
+            self.centre_dw.append(reg._solve(weighted.T @ phi / m))
+            if j + 1 < n:
+                nxt = self.regs[j + 1].design()
+                self.carry.append(reg._solve(phi.T @ nxt / m))
+                self.carry_dw.append(reg._solve(weighted.T @ nxt / m))
+
+    def march(self, terminal: np.ndarray, ratios: np.ndarray, stop: int = 0
+              ) -> tuple[list, list, list]:
+        """Per-node lists of a_j, b_j, c_j from T down to `stop` (None below); r_j = ratios[j]."""
+        n, m, f = len(self.regs), self.dW.shape[1], np.asarray(terminal, dtype=float)
+        a, b, c = [None] * n, [None] * n, [None] * n
+        for j in range(n - 1, stop - 1, -1):
+            if j == n - 1:
+                reg, phi = self.regs[j], self.regs[j].design()
+                a[j] = reg._solve(phi.T @ f / m)
+                carried_dw = reg._solve(phi.T @ (f * self.dW[j]) / m)
+            else:
+                a[j], carried_dw = self.carry[j] @ c[j + 1], self.carry_dw[j] @ c[j + 1]
+            b[j] = (carried_dw - self.centre_dw[j] @ a[j]) / self.dt
+            c[j] = a[j] - ratios[j] * self.dt * b[j]
+        return a, b, c
+
+    def rms(self, node: int, coef: np.ndarray) -> float:
+        """Root mean square over paths of Phi_node coef, from the ridge-free Gram."""
+        return math.sqrt(max(float(coef @ self.regs[node].gram @ coef), 0.0))
 
 
 def conditional_expectation(values: np.ndarray, node: int, paths: PathBundle,
@@ -564,11 +611,3 @@ def fubini_exchange(values: np.ndarray, dt: float) -> tuple[float, float]:
     cols = math.fsum(a[i, j] * dt * dt for j in range(n) for i in range(j + 1, n))
     return rows, cols
 
-
-def export_check_csv(path, reports: dict[str, DualityReport]) -> None:
-    """Write identity-check results: (check_name, lhs, rhs, stderr, pass)."""
-    rows = [
-        (name, rep.lhs, rep.rhs, rep.combined_stderr, rep.within())
-        for name, rep in reports.items()
-    ]
-    write_csv(path, ("check_name", "lhs", "rhs", "stderr", "pass"), rows)

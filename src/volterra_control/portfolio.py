@@ -7,25 +7,21 @@ is the inverse marginal utility of c times an exponential martingale whose
 loading is theta0(t) = -b0(T,t)/sigma0(T,t); the constant c is calibrated
 so that the backward stochastic Volterra equation closed by that terminal
 wealth reproduces the initial capital, and the optimal fraction is read off
-the diagonal of the BSVIE integrand.
+the diagonal of the BSVIE integrand. Every backward march runs on
+coefficients through `malliavin.BackwardProjector`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError, RegressionError, SimulationError
 from .grids import PathBundle, TimeGrid
-from .malliavin import (
-    Feature,
-    NodeRegression,
-    RegressionBasis,
-    weighted_brownian_feature,
-)
+from .malliavin import BackwardProjector, Feature, RegressionBasis, weighted_brownian_feature
 from .models import CoefficientModel, ControlProcess, UtilitySpec
 from .reporting import write_csv
 from .volterra import StateEnsemble
@@ -121,16 +117,17 @@ class MarketModel:
         )
 
 
+def _on_nodes(kernel: Callable, t, s: np.ndarray) -> np.ndarray:
+    """kernel(t, s) as a float array of the shape of the nodes s."""
+    return np.broadcast_to(np.asarray(kernel(t, s), dtype=float), s.shape)
+
+
 def theta0(market: MarketModel, grid: TimeGrid) -> np.ndarray:
     """Exponential-martingale loading theta0(t_i) = -b0(T,t_i)/sigma0(T,t_i)."""
-    t = grid.nodes
-    T = grid.horizon
-    vol = np.asarray(market.vol_kernel(T, t), dtype=float)
-    vol = np.broadcast_to(vol, t.shape)
+    vol = _on_nodes(market.vol_kernel, grid.horizon, grid.nodes)
     if float(vol.min()) < market.vol_floor:
         raise ConfigurationError("volatility kernel below floor at the horizon slice")
-    drift = np.broadcast_to(np.asarray(market.drift_kernel(T, t), dtype=float), t.shape)
-    return -drift / vol
+    return -_on_nodes(market.drift_kernel, grid.horizon, grid.nodes) / vol
 
 
 def _log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
@@ -153,9 +150,14 @@ def y_martingale(theta: np.ndarray, paths: PathBundle, c: float) -> np.ndarray:
 def terminal_wealth(c: float, paths: PathBundle, utility: UtilitySpec,
                     theta: np.ndarray) -> np.ndarray:
     """Candidate optimal terminal wealth: inverse marginal utility of c * martingale."""
+    return _inverse_marginal(c, np.exp(_log_martingale(theta, paths)[-1]), utility)
+
+
+def _inverse_marginal(c: float, martingale: np.ndarray, utility: UtilitySpec) -> np.ndarray:
+    """(u')^{-1}(c M_T) for the unit-start martingale's terminal values M_T."""
     if c <= 0.0:
         raise ConfigurationError("calibration constant must be positive")
-    arg = c * np.exp(_log_martingale(theta, paths)[-1])
+    arg = c * martingale
     if np.any(arg <= 0.0) or not np.all(np.isfinite(arg)):
         raise SimulationError("marginal-utility argument left the positive domain")
     return np.asarray(utility.u_prime_inverse(arg), dtype=float)
@@ -165,6 +167,16 @@ def _bsvie_features(theta: np.ndarray, paths: PathBundle) -> list[Feature]:
     # The running integral of theta0 against B is an exact sufficient
     # statistic for the terminal wealth, so it is the regression feature.
     return [weighted_brownian_feature(theta[:paths.n_steps], paths, name="theta_integral")]
+
+
+def _bsvie_projector(th: np.ndarray, paths: PathBundle, basis: RegressionBasis | None,
+                     projector: BackwardProjector | None) -> BackwardProjector:
+    """A new projector on the BSVIE feature, or the given one checked against the bundle."""
+    if projector is None:
+        return BackwardProjector(_bsvie_features(th, paths), paths, basis)
+    if basis is not None or projector.dW is not paths.dW:
+        raise ConfigurationError("a given projector must come from this bundle, with no basis")
+    return projector
 
 
 def martingale_feature(theta: np.ndarray, paths: PathBundle) -> Feature:
@@ -200,82 +212,44 @@ class BsvieSolution:
         return float(valid.max()) if len(valid) else 0.0
 
 
-def _row_recursion(row_t: int, market: MarketModel, terminal: np.ndarray,
-                   regs: list, paths: PathBundle, collect: Optional[list] = None
-                   ) -> tuple[np.ndarray, Optional[np.ndarray], float]:
-    """Backward recursion in s for one fixed first index t_{row_t}.
-
-    Returns V(t_row, s_row), the diagonal integrand, and the Monte Carlo
-    standard error of mean(V): the dispersion of the per-path estimator
-    contribution at the final backward step (the fitted values themselves
-    lose that dispersion once the features degenerate). When `collect` is a
-    list, (j, zhat_j) pairs are appended for consistency diagnostics.
-    """
-    grid = paths.grid
-    t = grid.nodes
-    dt = grid.dt
-    n = paths.n_steps
-    v = terminal.copy()
-    z_diag = None
-    stderr = float(terminal.std(ddof=1) / math.sqrt(len(terminal)))
-    for j in range(n - 1, row_t - 1, -1):
-        reg = regs[j]
-        phi = reg.design()
-        ve = phi @ reg.coefficients(v, phi=phi)
-        zhat = phi @ reg.coefficients((v - ve) * paths.dW[j], phi=phi) / dt
-        ratio = float(market.drift_kernel(t[row_t], t[j])) / float(
-            market.vol_kernel(t[row_t], t[j]))
-        if j == row_t:
-            z_diag = zhat
-            est_path = v - ratio * (v - ve) * paths.dW[j]
-            stderr = float(est_path.std(ddof=1) / math.sqrt(len(est_path)))
-        v = ve - ratio * zhat * dt
-        if collect is not None:
-            collect.append((j, zhat))
-    return v, z_diag, stderr
+def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarray:
+    """b0(t_row, s) / sigma0(t_row, s) over the nodes s."""
+    return _on_nodes(market.drift_kernel, t_row, s) / _on_nodes(market.vol_kernel, t_row, s)
 
 
 def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
                 paths: PathBundle, basis: RegressionBasis | None = None,
-                theta: np.ndarray | None = None) -> BsvieSolution:
+                theta: np.ndarray | None = None,
+                projector: BackwardProjector | None = None) -> BsvieSolution:
     """Solve the backward Volterra equation closed by the terminal wealth F(c).
 
     For each fixed t_i the recursion in s runs from T down to t_i with
     regression conditional expectations; the integrand is extracted from the
-    centered one-step products. Node regressions are shared across rows.
-    Rows run in descending i so the first-index consistency of
-    Z^(t_i, s_j)/sigma0(t_i, s_j) can be measured against the diagonal.
+    centered one-step products, one projector march per row. The consistency
+    of Z^(t_i, s_j)/sigma0(t_i, s_j) with the diagonal is a node-Gram RMS.
     """
-    basis = basis or RegressionBasis()
     market.validate(paths.grid)
-    grid = paths.grid
-    n, m = paths.n_steps, paths.n_paths
-    t = grid.nodes
-    th = theta0(market, grid) if theta is None else np.asarray(theta, dtype=float)
-    feats = _bsvie_features(th, paths)
-    regs = [NodeRegression(feats, j, basis, retain_design=True) for j in range(n)]
+    n, m, t = paths.n_steps, paths.n_paths, paths.grid.nodes
+    th = theta0(market, paths.grid) if theta is None else np.asarray(theta, dtype=float)
+    projector = _bsvie_projector(th, paths, basis, projector)
     f_c = terminal_wealth(c, paths, utility, th)
 
     xhat = np.empty((n + 1, m))
     xhat[n] = f_c
     zhat_diag = np.empty((n, m))
-    diag_ratio_rms = np.empty(n)
-    spread = np.zeros(n)
+    vol_diag = _on_nodes(market.vol_kernel, t[:n], t[:n])
+    diag_coef: list = [None] * n   # Z^(t_j, s_j) / sigma0(t_j, s_j) coefficients
+    diag_rms, spread = np.empty(n), np.zeros(n)
     for row in range(n - 1, -1, -1):
-        collected: list = []
-        v_row, z_diag, _ = _row_recursion(row, market, f_c, regs, paths, collect=collected)
-        xhat[row] = v_row
-        zhat_diag[row] = z_diag
-        sigma_rr = float(market.vol_kernel(t[row], t[row]))
-        diag_ratio_rms[row] = float(np.sqrt(np.mean((z_diag / sigma_rr) ** 2)))
-        for j, zhat in collected:
-            if j == row:
-                continue
-            ratio = zhat / float(market.vol_kernel(t[row], t[j]))
-            ref = zhat_diag[j] / float(market.vol_kernel(t[j], t[j]))
-            denom = max(diag_ratio_rms[j], 1e-300)
-            dev = float(np.sqrt(np.mean((ratio - ref) ** 2))) / denom
-            spread[j] = max(spread[j], dev)
+        _, z_coef, v_coef = projector.march(f_c, _kernel_ratios(market, t[row], t[:n]), row)
+        phi = projector.regs[row].design()
+        xhat[row], zhat_diag[row] = phi @ v_coef[row], phi @ z_coef[row]
+        diag_coef[row] = z_coef[row] / vol_diag[row]
+        diag_rms[row] = projector.rms(row, diag_coef[row])
+        vol_row = _on_nodes(market.vol_kernel, t[row], t[:n])
+        for j in range(row + 1, n):
+            dev = projector.rms(j, z_coef[j] / vol_row[j] - diag_coef[j])
+            spread[j] = max(spread[j], dev / max(diag_rms[j], 1e-300))
     return BsvieSolution(c=c, terminal=f_c, xhat=xhat, zhat_diag=zhat_diag,
                          ratio_spread=spread)
 
@@ -291,11 +265,16 @@ class CalibrationResult:
         return abs(self.c - other.c) <= tol
 
 
-def _initial_gap(c: float, market: MarketModel, utility: UtilitySpec,
-                 paths: PathBundle, regs: list, th: np.ndarray) -> tuple[float, float]:
-    f_c = terminal_wealth(c, paths, utility, th)
-    v0, _, stderr = _row_recursion(0, market, f_c, regs, paths)
-    return float(v0.mean()) - market.initial_wealth, stderr
+def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
+                   ratios: np.ndarray) -> tuple[float, float]:
+    """mean(X^(0)) of the row-0 march and its stderr, the dispersion of the
+    per-path estimator at the last step (fitted values lose it as features degenerate).
+    """
+    a, _, c = projector.march(terminal, ratios, 0)
+    phi0 = projector.regs[0].design()
+    v1 = terminal if len(projector.regs) == 1 else projector.regs[1].design() @ c[1]
+    est = v1 - ratios[0] * (v1 - phi0 @ a[0]) * projector.dW[0]
+    return float(phi0.mean(axis=0) @ c[0]), float(est.std(ddof=1) / math.sqrt(len(est)))
 
 
 def _batched_gap_stderr(c: float, market: MarketModel, utility: UtilitySpec,
@@ -307,37 +286,35 @@ def _batched_gap_stderr(c: float, market: MarketModel, utility: UtilitySpec,
     per-path dispersion at the last step understates the estimator noise;
     independent batch re-estimates capture the regression noise as well.
     """
-    m = paths.n_paths
-    width = m // n_batches
+    width = paths.n_paths // n_batches
+    ratios = _kernel_ratios(market, paths.grid.nodes[0], paths.grid.nodes[:paths.n_steps])
     gaps = []
     for b in range(n_batches):
         sub = paths.subset(b * width, (b + 1) * width)
-        feats = _bsvie_features(th, sub)
-        regs = [NodeRegression(feats, j, basis, retain_design=True)
-                for j in range(sub.n_steps)]
-        f_c = terminal_wealth(c, sub, utility, th)
-        v0, _, _ = _row_recursion(0, market, f_c, regs, sub)
-        gaps.append(float(v0.mean()) - market.initial_wealth)
+        v0, _ = _initial_value(BackwardProjector(_bsvie_features(th, sub), sub, basis),
+                               terminal_wealth(c, sub, utility, th), ratios)
+        gaps.append(v0 - market.initial_wealth)
     return float(np.std(gaps, ddof=1) / math.sqrt(n_batches))
 
 
 def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
             bracket: tuple[float, float] | None = None,
             rel_tol: float = 1e-3, max_iter: int = 80,
-            basis: RegressionBasis | None = None) -> CalibrationResult:
+            basis: RegressionBasis | None = None,
+            projector: BackwardProjector | None = None) -> CalibrationResult:
     """Bisection for the constant c with X^_c(0) = initial wealth.
 
     The map c -> X^_c(0) is evaluated on one fixed path bundle (common
     random numbers); the bracket must satisfy X^(c_lo)(0) > x > X^(c_hi)(0)
     and is additionally checked for monotonicity at its midpoint. The
     standard error of c combines the Monte Carlo error of the gap with the
-    empirical slope of the gap near the root.
+    empirical slope of the gap near the root. Each gap is a row-0 march.
     """
-    basis = basis or RegressionBasis()
     market.validate(paths.grid)
     th = theta0(market, paths.grid)
-    feats = _bsvie_features(th, paths)
-    regs = [NodeRegression(feats, j, basis, retain_design=True) for j in range(paths.n_steps)]
+    projector = _bsvie_projector(th, paths, basis, projector)
+    martingale = np.exp(_log_martingale(th, paths)[-1])
+    ratios = _kernel_ratios(market, paths.grid.nodes[0], paths.grid.nodes[:paths.n_steps])
     x = market.initial_wealth
     if bracket is None:
         mstar = float(utility.u_prime(x))
@@ -348,9 +325,9 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
     history: list = []
 
     def gap(c: float) -> tuple[float, float]:
-        g, se = _initial_gap(c, market, utility, paths, regs, th)
-        history.append((c, g, se))
-        return g, se
+        v0, se = _initial_value(projector, _inverse_marginal(c, martingale, utility), ratios)
+        history.append((c, v0 - x, se))
+        return v0 - x, se
 
     g_lo, _ = gap(lo)
     g_hi, _ = gap(hi)
@@ -376,7 +353,7 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
             break
     c_star = 0.5 * (a + b)
     gap(c_star)
-    se_star = _batched_gap_stderr(c_star, market, utility, paths, basis, th)
+    se_star = _batched_gap_stderr(c_star, market, utility, paths, projector.basis, th)
     # slope of the gap across a wide secant for the delta-method stderr
     da = max(0.05 * c_star, b - a)
     g_a, _ = gap(max(c_star - da, 0.5 * c_star))
@@ -415,7 +392,7 @@ def recover_pi(solution: BsvieSolution, market: MarketModel,
             "fitted wealth levels are not strictly positive; increase the path "
             "count or the basis degree"
         )
-    sigma_diag = np.array([float(market.vol_kernel(t[j], t[j])) for j in range(n)])
+    sigma_diag = _on_nodes(market.vol_kernel, t[:n], t[:n])
     return solution.zhat_diag / (sigma_diag[:, None] * solution.xhat[:n])
 
 
@@ -469,9 +446,11 @@ def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle
                     rel_tol: float = 1e-3) -> PortfolioSolution:
     """Full construction: loading, calibration, BSVIE fields, and fractions."""
     th = theta0(market, paths.grid)
+    projector = BackwardProjector(_bsvie_features(th, paths), paths, basis)
     calibration = solve_c(market, utility, paths, bracket=bracket, rel_tol=rel_tol,
-                          basis=basis)
-    fields = bsvie_solve(calibration.c, market, utility, paths, basis=basis, theta=th)
+                          projector=projector)
+    fields = bsvie_solve(calibration.c, market, utility, paths, theta=th, projector=projector)
+    del projector  # its node designs are the largest arrays held: free them first
     fractions = recover_pi(fields, market, paths.grid)
     return PortfolioSolution(market=market, utility=utility, theta=th,
                              calibration=calibration, bsvie=fields,
@@ -509,7 +488,6 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
     the first-order stationarity residual sigma0(T,t) q + b0(T,t) p against
     the conditional marginal utility of terminal wealth.
     """
-    basis = basis or RegressionBasis()
     m = paths.n_paths
     base_states = simulate_wealth_positive(market, control, paths)
     j_base_paths = np.asarray(utility.u(base_states.terminal), dtype=float)
@@ -525,37 +503,19 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
             float(gap_paths.mean()),
             float(gap_paths.std(ddof=1) / math.sqrt(m)),
         ))
-    # first-order condition along the candidate
-    grid = paths.grid
-    n = paths.n_steps
-    t = grid.nodes
-    T = grid.horizon
-    th = theta0(market, grid)
-    feats = [martingale_feature(th, paths)]
+    # first-order condition: march the conditional marginal utility backward so q comes
+    # from one-step centered products (lower variance than one projection per increment)
+    n, t, T = paths.n_steps, paths.grid.nodes, paths.grid.horizon
+    projector = BackwardProjector([martingale_feature(theta0(market, paths.grid), paths)],
+                                  paths, basis)
     marginal = np.asarray(utility.u_prime(base_states.terminal), dtype=float)
-    nodes = t[:n].copy()
+    p_coef, q_coef, _ = projector.march(marginal, np.zeros(n))
     normalized = np.zeros(n)
-    dt = grid.dt
-    # march the conditional marginal utility backward so the integrand comes
-    # from one-step centered products (far lower variance than projecting the
-    # terminal value against each increment directly)
-    p_next = marginal
-    p_rows = np.empty((n, len(marginal)))
-    q_rows = np.empty((n, len(marginal)))
-    for i in range(n - 1, -1, -1):
-        reg = NodeRegression(feats, i, basis)
-        phi = reg.design()
-        p_i = phi @ reg.coefficients(p_next, phi=phi)
-        q_rows[i] = phi @ reg.coefficients((p_next - p_i) * paths.dW[i], phi=phi) / dt
-        p_rows[i] = p_i
-        p_next = p_i
     for i in range(n):
-        b_T = float(market.drift_kernel(T, t[i]))
-        s_T = float(market.vol_kernel(T, t[i]))
-        residual = b_T * p_rows[i] + s_T * q_rows[i]
-        scale = np.sqrt((b_T * p_rows[i]) ** 2 + (s_T * q_rows[i]) ** 2)
-        normalized[i] = float(np.sqrt(np.mean(residual ** 2))
-                              / max(np.sqrt(np.mean(scale ** 2)), 1e-300))
+        b_T, s_T = float(market.drift_kernel(T, t[i])), float(market.vol_kernel(T, t[i]))
+        residual = projector.rms(i, b_T * p_coef[i] + s_T * q_coef[i])
+        scale = math.hypot(b_T * projector.rms(i, p_coef[i]), s_T * projector.rms(i, q_coef[i]))
+        normalized[i] = residual / max(scale, 1e-300)
     return OptimalityReport(
         j_candidate=float(j_base_paths.mean()),
         j_candidate_stderr=float(j_base_paths.std(ddof=1) / math.sqrt(m)),

@@ -149,7 +149,8 @@ def test_criterion_03_clark_ocone(paths64_desk):
 def test_criterion_04_second_chaos_isometry(paths64_desk):
     sq = iterated_integral(1.0, 2, paths64_desk) ** 2
     se = sq.std(ddof=1) / np.sqrt(len(sq))
-    target = 2.0 * DESK_T ** 2
+    # the grid value of E[I_2^2]: the diagonal terms are excluded from I_2
+    target = 2.0 * DESK_T ** 2 * (1.0 - 1.0 / paths64_desk.n_steps)
     ok = abs(sq.mean() - target) <= 3.0 * se
     _report(4, "second_chaos_isometry", ok,
             f"mean={sq.mean():.4f} target={target} 3se={3 * se:.4f}")

@@ -90,6 +90,18 @@ def test_check_malliavin_small_scale(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_check_malliavin_chaos_target_is_the_grid_value(tmp_path):
+    # E[I_2^2] = 2 T^2 (1 - 1/N) on the grid: 1.875 for T = 1, N = 16
+    path = _write_config(tmp_path, {"grid": {"steps": 16},
+                                    "monte_carlo": {"paths": 2000, "seed": 1}})
+    out = tmp_path / "chaos"
+    main(["check-malliavin", "--config", path, "--out", str(out)])
+    rows = [line.split(",") for line in
+            (out / "malliavin_checks.csv").read_text().splitlines()[1:]]
+    (chaos,) = [row for row in rows if row[0] == "second_chaos_isometry"]
+    assert float(chaos[2]) == 1.875
+
+
 def test_solve_adjoint_x_independent(tmp_path):
     path = _write_config(tmp_path, {
         "grid": {"steps": 16},

@@ -22,9 +22,12 @@ from volterra_control.errors import RegressionError
 from volterra_control.grids import compensated_jump_integral
 from volterra_control.malliavin import (
     NodeRegression,
+    _monomial_exponents,
     brownian_feature,
     default_features,
     fubini_exchange,
+    jump_sum_feature,
+    state_feature,
     weighted_brownian_feature,
 )
 from volterra_control.models import InfoMode
@@ -137,6 +140,59 @@ def test_regression_needs_enough_paths(grid32):
     paths = sample_paths(grid32, JumpModel.none(), 30, seed=1)
     with pytest.raises(RegressionError, match="paths"):
         NodeRegression(default_features(paths), 5, RegressionBasis(degree=3))
+
+
+def _reference_columns(raw, degree, keep=None):
+    """Column-by-column monomial expansion, the oracle for `NodeRegression`.
+
+    Without `keep`, non-intercept columns with zero spread are dropped.
+    """
+    cols, kept = [], []
+    for idx, expo in enumerate(_monomial_exponents(raw.shape[1], degree)):
+        if keep is not None and idx not in keep:
+            continue
+        col = np.ones(raw.shape[0])
+        for r, p in enumerate(expo):
+            if p:
+                col = col * raw[:, r] ** p
+        if keep is None and idx > 0 and np.std(col) <= 1e-300:
+            continue
+        cols.append(col)
+        kept.append(idx)
+    return np.column_stack(cols), kept
+
+
+def _reference_build(features, node, basis):
+    raw = np.column_stack([f.values[node] for f in features])
+    phi, keep = _reference_columns(raw, basis.degree)
+    mean, scale = phi.mean(axis=0), phi.std(axis=0)
+    mean[0], scale[0] = 0.0, 1.0
+    scale[scale < 1e-300] = 1.0
+    phi = (phi - mean) / scale
+    gram = phi.T @ phi / raw.shape[0]
+    gram[np.diag_indices_from(gram)] += basis.ridge
+    return keep, mean, scale, phi, np.linalg.cholesky(gram)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n_features", [1, 2, 3])
+def test_regression_build_is_bit_identical_to_column_build(jump_paths64_small, degree,
+                                                           n_features):
+    p = jump_paths64_small
+    # the constant third feature exercises the dropped-column branch
+    feats = [brownian_feature(p), jump_sum_feature(p),
+             state_feature(np.full((p.n_steps + 1, p.n_paths), 0.3), name="flat")]
+    basis = RegressionBasis(degree=degree)
+    for node in (0, 1, 40):
+        reg = NodeRegression(feats[:n_features], node, basis, retain_design=True)
+        keep, mean, scale, phi, chol = _reference_build(feats[:n_features], node, basis)
+        assert reg.keep == keep
+        for got, want in ((reg.col_mean, mean), (reg.col_scale, scale),
+                          (reg.design(), phi), (reg._chol, chol)):
+            assert np.array_equal(got, want)
+        shifted = reg.raw_values() + 0.25
+        cols, _ = _reference_columns(shifted, degree, keep)
+        assert np.array_equal(reg.design(shifted), (cols - mean) / scale)
 
 
 def test_surrogate_gradient_matches_finite_difference(paths64_small):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control import (
     CalibrationError,
@@ -13,9 +15,18 @@ from volterra_control import (
     simulate_integral_form,
 )
 from volterra_control.errors import RegressionError
-from volterra_control.malliavin import d_brownian
+from volterra_control.malliavin import (
+    BackwardProjector,
+    NodeRegression,
+    brownian_feature,
+    d_brownian,
+)
 from volterra_control.portfolio import (
     MarketModel,
+    _bsvie_features,
+    _initial_value,
+    _kernel_ratios,
+    martingale_feature,
     bsvie_solve,
     recover_pi,
     simulate_wealth_positive,
@@ -160,20 +171,194 @@ def test_bsvie_driverless_constant_terminal(grid64, paths64_small, log_utility):
 
 def test_bsvie_driverless_is_martingale_projection(grid64, paths64_small):
     # zero drift kernel with a random terminal: X^(t) = E[F | F_t]
-    market = MarketModel.constant(0.0, 0.2)
     util = UtilitySpec.log()
     th_fake = np.full(65, -0.25)  # loading used only to build F
     f = terminal_wealth(1.0, paths64_small, util, th_fake)
-    from volterra_control.portfolio import _bsvie_features, _row_recursion
-    from volterra_control.malliavin import NodeRegression
-
-    feats = _bsvie_features(th_fake, paths64_small)
-    basis = RegressionBasis()
-    regs = [NodeRegression(feats, j, basis, retain_design=True) for j in range(64)]
-    v_mid, _, _ = _row_recursion(32, market, f, regs, paths64_small)
-    direct = regs[32].fit(f)
+    projector = BackwardProjector(_bsvie_features(th_fake, paths64_small), paths64_small,
+                                  RegressionBasis())
+    _, _, coef = projector.march(f, np.zeros(64), 32)
+    v_mid = projector.regs[32].design() @ coef[32]
+    direct = projector.regs[32].fit(f)
     err = np.sqrt(np.mean((v_mid - direct) ** 2)) / np.sqrt(np.mean(direct ** 2))
     assert err <= 0.01
+
+
+# --- coefficient-space march against the per-path march --------------------------------
+
+def _reference_row(row, ratios, terminal, regs, dW, dt):
+    """The per-path march of one BSVIE row, the oracle for `BackwardProjector`.
+
+    Returns V(t_row, s_row), the per-node integrands {j: Z_j}, the standard
+    error of mean(V) from the estimator contribution at the last step, and
+    the per-node projections {j: E_j[v_{j+1}]}.
+    """
+    v = terminal.copy()
+    zhat, fitted, stderr = {}, {}, None
+    for j in range(len(regs) - 1, row - 1, -1):
+        phi = regs[j].design()
+        fitted[j] = phi @ regs[j].coefficients(v, phi=phi)
+        zhat[j] = phi @ regs[j].coefficients((v - fitted[j]) * dW[j], phi=phi) / dt
+        if j == row:
+            est = v - ratios[j] * (v - fitted[j]) * dW[j]
+            stderr = float(est.std(ddof=1) / np.sqrt(len(est)))
+        v = fitted[j] - ratios[j] * zhat[j] * dt
+    return v, zhat, stderr, fitted
+
+
+def _reference_regressions(features, paths):
+    return [NodeRegression(features, j, RegressionBasis(), retain_design=True)
+            for j in range(paths.n_steps)]
+
+
+def _reference_ratios(market, paths, row):
+    t = paths.grid.nodes
+    return [float(market.drift_kernel(t[row], t[j])) / float(market.vol_kernel(t[row], t[j]))
+            for j in range(paths.n_steps)]
+
+
+def _reference_bsvie(c, market, utility, paths):
+    n, t, vol = paths.n_steps, paths.grid.nodes, market.vol_kernel
+    th = theta0(market, paths.grid)
+    regs = _reference_regressions(_bsvie_features(th, paths), paths)
+    f_c = terminal_wealth(c, paths, utility, th)
+    xhat, zdiag = np.empty((n + 1, paths.n_paths)), np.empty((n, paths.n_paths))
+    xhat[n] = f_c
+    diag_rms, spread = np.empty(n), np.zeros(n)
+    for row in range(n - 1, -1, -1):
+        xhat[row], zhat, _, _ = _reference_row(row, _reference_ratios(market, paths, row), f_c,
+                                               regs, paths.dW, paths.grid.dt)
+        zdiag[row] = zhat[row]
+        diag_rms[row] = np.sqrt(np.mean((zhat[row] / float(vol(t[row], t[row]))) ** 2))
+        for j in range(row + 1, n):
+            ratio = zhat[j] / float(vol(t[row], t[j]))
+            ref = zdiag[j] / float(vol(t[j], t[j]))
+            dev = np.sqrt(np.mean((ratio - ref) ** 2)) / max(diag_rms[j], 1e-300)
+            spread[j] = max(spread[j], dev)
+    return xhat, zdiag, spread
+
+
+def _reference_gap(c, market, utility, paths):
+    th = theta0(market, paths.grid)
+    regs = _reference_regressions(_bsvie_features(th, paths), paths)
+    v0, _, stderr, _ = _reference_row(0, _reference_ratios(market, paths, 0),
+                                      terminal_wealth(c, paths, utility, th), regs,
+                                      paths.dW, paths.grid.dt)
+    return float(v0.mean()) - market.initial_wealth, stderr
+
+
+_ORACLE_MARKETS = [
+    pytest.param(MarketModel.constant(0.05, 0.2), id="no-decay"),
+    pytest.param(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.5, floor=0.05),
+                 id="decays"),
+]
+
+
+@pytest.fixture(scope="module")
+def oracle_paths():
+    return sample_paths(TimeGrid(1.0, 24), JumpModel.none(), 10_000, seed=17)
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("market", _ORACLE_MARKETS)
+def test_bsvie_matches_per_path_march(market, oracle_paths, log_utility):
+    sol = bsvie_solve(1.1, market, log_utility, oracle_paths)
+    xhat, zdiag, spread = _reference_bsvie(1.1, market, log_utility, oracle_paths)
+    assert _max_rel(sol.xhat, xhat) <= 1e-11
+    assert _max_rel(sol.zhat_diag, zdiag) <= 1e-10
+    assert np.max(np.abs(sol.ratio_spread - spread)) <= 1e-9
+    assert sol.ratio_spread[0] == 0.0
+
+
+@pytest.mark.parametrize("market", _ORACLE_MARKETS)
+def test_gap_matches_per_path_march(market, oracle_paths, log_utility):
+    projector = BackwardProjector(
+        _bsvie_features(theta0(market, oracle_paths.grid), oracle_paths), oracle_paths,
+        RegressionBasis())
+    t = oracle_paths.grid.nodes
+    ratios = _kernel_ratios(market, t[0], t[:-1])
+    for c in (0.3, 1.0, 1.05, 4.0):
+        g_ref, se_ref = _reference_gap(c, market, log_utility, oracle_paths)
+        f_c = terminal_wealth(c, oracle_paths, log_utility, theta0(market, oracle_paths.grid))
+        v0, se = _initial_value(projector, f_c, ratios)
+        assert abs((v0 - market.initial_wealth) - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
+        assert se == pytest.approx(se_ref, rel=1e-9)
+
+
+def test_solve_c_visits_the_oracle_sequence(oracle_paths, log_utility):
+    # Bisection moves on the sign of each gap alone, so equal signs at every
+    # visited c mean the per-path march would have visited the same sequence.
+    market = _ORACLE_MARKETS[1].values[0]
+    cal = solve_c(market, log_utility, oracle_paths)
+    assert len(cal.history) > 10
+    for c, g, se in cal.history:
+        g_ref, se_ref = _reference_gap(c, market, log_utility, oracle_paths)
+        assert np.sign(g) == np.sign(g_ref)
+        assert abs(g - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
+        assert se == pytest.approx(se_ref, rel=1e-9)
+
+
+def test_given_projector_must_match_the_bundle(oracle_paths, log_utility):
+    market = _ORACLE_MARKETS[0].values[0]
+    other = sample_paths(oracle_paths.grid, JumpModel.none(), oracle_paths.n_paths, seed=18)
+    foreign = BackwardProjector(_bsvie_features(theta0(market, other.grid), other), other)
+    with pytest.raises(ConfigurationError, match="projector"):
+        bsvie_solve(1.1, market, log_utility, oracle_paths, projector=foreign)
+    with pytest.raises(ConfigurationError, match="projector"):
+        solve_c(market, log_utility, oracle_paths, projector=foreign)
+    own = BackwardProjector(_bsvie_features(theta0(market, other.grid), oracle_paths),
+                            oracle_paths)
+    with pytest.raises(ConfigurationError, match="basis"):
+        bsvie_solve(1.1, market, log_utility, oracle_paths, basis=RegressionBasis(), projector=own)
+    with pytest.raises(ConfigurationError, match="basis"):
+        solve_c(market, log_utility, oracle_paths, basis=RegressionBasis(), projector=own)
+    sol = bsvie_solve(1.1, market, log_utility, oracle_paths, projector=own)
+    assert sol.xhat.shape == (oracle_paths.n_steps + 1, oracle_paths.n_paths)
+
+
+@pytest.mark.parametrize("market", _ORACLE_MARKETS)
+def test_stationarity_residual_matches_per_path_march(market, oracle_paths, log_utility):
+    control = ControlProcess.constant(1.25)
+    report = verify_optimality(market, log_utility, control, oracle_paths, shifts=(0.1,))
+    n, t, T = oracle_paths.n_steps, oracle_paths.grid.nodes, oracle_paths.grid.horizon
+    th = theta0(market, oracle_paths.grid)
+    regs = _reference_regressions([martingale_feature(th, oracle_paths)], oracle_paths)
+    wealth = simulate_wealth_positive(market, control, oracle_paths)
+    marginal = log_utility.u_prime(wealth.terminal)
+    _, q, _, p = _reference_row(0, np.zeros(n), marginal, regs, oracle_paths.dW,
+                                oracle_paths.grid.dt)
+    want = np.empty(n)
+    for i in range(n):
+        b_T, s_T = float(market.drift_kernel(T, t[i])), float(market.vol_kernel(T, t[i]))
+        residual = np.sqrt(np.mean((b_T * p[i] + s_T * q[i]) ** 2))
+        want[i] = residual / np.sqrt(np.mean((b_T * p[i]) ** 2 + (s_T * q[i]) ** 2))
+    assert np.max(np.abs(report.stationarity_normalized - want)) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def linearity_projector():
+    paths = sample_paths(TimeGrid(1.0, 12), JumpModel.none(), 2_000, seed=23)
+    return paths, BackwardProjector([brownian_feature(paths)], paths, RegressionBasis())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0), stop=st.integers(0, 11),
+       ratios=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12))
+def test_march_is_linear_in_the_terminal(linearity_projector, alpha, beta, stop, ratios):
+    paths, projector = linearity_projector
+    f = np.exp(0.3 * paths.brownian[-1])
+    g = paths.brownian[-1] ** 2 - paths.brownian[6]
+    r = np.asarray(ratios)
+    combined = projector.march(alpha * f + beta * g, r, stop)
+    parts_f, parts_g = projector.march(f, r, stop), projector.march(g, r, stop)
+    for whole, cf, cg in zip(combined, parts_f, parts_g):
+        for j in range(stop, 12):
+            want = alpha * cf[j] + beta * cg[j]
+            scale = abs(alpha) * np.abs(cf[j]).max() + abs(beta) * np.abs(cg[j]).max()
+            assert np.max(np.abs(whole[j] - want)) <= 1e-10 * max(scale, 1e-300)
+        assert all(whole[j] is None for j in range(stop))
 
 
 def test_bsvie_merton_initial_wealth(grid64, paths64_desk, merton_market, log_utility):
