@@ -9,16 +9,16 @@ Two solvers are provided. For x-independent coefficients the driver
 vanishes and the triple is the conditional-expectation solution: p is the
 martingale closed by g'(X(T)), q its Brownian Malliavin derivative and r
 its add-one-jump derivative, all realized by node regressions. The general
-solver marches backward with regression conditional expectations; because
-the driver's non-local terms only look forward in time, one backward sweep
-already resolves the coupling, and the fixed-point loop re-runs the sweep
-to verify convergence (the change sequence is reported).
+solver marches backward with regression conditional expectations in one
+sweep. That sweep is exact, not a first Picard iterate: the driver at node i
+reads p and the surrogates of nodes j > i only, which are final by the time
+node i is reached, so a second sweep reproduces the first bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,19 +42,14 @@ _MAX_STEPS = 256
 
 
 @dataclass
-class PicardOptions:
-    max_iter: int = 20
-    tol: float = 1e-4
-
-
-@dataclass
 class AdjointTriple:
     """Adjoint fields on the grid: p (N+1, M), q (N+1, M), r (N+1, M, K).
 
     q and r live on [0, T); their terminal rows are zero by convention.
     `surrogate_coefs[j]` are the regression coefficients that express p(t_j)
     as an explicit polynomial in the path features, which is what makes the
-    Malliavin fields computable in closed form.
+    Malliavin fields computable in closed form. `picard_iterations` counts
+    backward sweeps (always 1) and is kept for the `picard_iters` CSV column.
     """
 
     p: np.ndarray
@@ -64,7 +59,6 @@ class AdjointTriple:
     surrogate_coefs: list
     features: list
     picard_iterations: int = 1
-    picard_changes: list = dataclass_field(default_factory=list)
 
     @property
     def n_nodes(self) -> int:
@@ -86,12 +80,22 @@ class SurrogateMalliavinField:
     node-i information set. Rows j < i vanish identically (adaptedness); the
     diagonal uses the left-limit convention, i.e. the sensitivity of the
     node-i value to the increment just before t_i.
+
+    Invariant: the surrogates of nodes j > i are final when row i is first
+    requested (the backward sweep fits node j before it asks for row i < j).
+    So each node's gradient, each node's unshifted surrogate value and the
+    projected off-diagonal rows of each (i) and (i, mark) are computed once;
+    the rows are kept as node-i regression coefficients, p x (N - i), and
+    rebuilt per path as design_i @ coef. The diagonal rows read the node-i
+    surrogate itself and are computed on each request.
     """
 
     def __init__(self, triple: AdjointTriple, paths: PathBundle):
         self.triple = triple
         self.paths = paths
         self._grad_cache: dict[int, np.ndarray] = {}
+        self._value_cache: dict[int, np.ndarray] = {}
+        self._row_coefs: dict = {}   # i -> dp coefficients, (i, mark) -> djump
 
     def _gradient(self, j: int) -> np.ndarray:
         if j not in self._grad_cache:
@@ -112,14 +116,20 @@ class SurrogateMalliavinField:
                 out += grad[:, pos] * sens
         return out
 
+    def _projected(self, key, i: int, targets) -> np.ndarray:
+        """Node-i projection of the columns `targets()`, as (N - i, M) rows."""
+        phi = self.triple.regressions[i].design()
+        if key not in self._row_coefs:
+            self._row_coefs[key] = self.triple.regressions[i].coefficients(
+                np.column_stack(targets()), phi=phi)
+        return (phi @ self._row_coefs[key]).T
+
     def dp_rows(self, i: int, include_diagonal: bool = True) -> np.ndarray:
         n1 = self.triple.n_nodes
-        m = self.paths.n_paths
-        out = np.zeros((n1, m))
+        out = np.zeros((n1, self.paths.n_paths))
         if i + 1 < n1:
-            targets = np.column_stack([self._chain_brownian(i, j) for j in range(i + 1, n1)])
-            reg_i = self.triple.regressions[i]
-            out[i + 1:] = reg_i.fit(targets).T
+            out[i + 1:] = self._projected(
+                i, i, lambda: [self._chain_brownian(i, j) for j in range(i + 1, n1)])
         if include_diagonal and i > 0 and self.triple.surrogate_coefs[i] is not None:
             # left-limit diagonal: sensitivity to the increment entering node i;
             # already F_{t_i}-measurable, no projection needed
@@ -138,26 +148,24 @@ class SurrogateMalliavinField:
             shift[:, pos] = feat.jump_shift(i, j, kk)
         return shift
 
+    def _shifted_delta(self, i: int, j: int, kk: int) -> np.ndarray:
+        """P_j(raw_j + jump shift) - P_j(raw_j) of the node-j surrogate (exact)."""
+        reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
+        if j not in self._value_cache:
+            self._value_cache[j] = reg.predict(reg.raw_values(), coef)
+        return reg.predict(reg.raw_values() + self._shift_matrix(i, j, kk), coef) \
+            - self._value_cache[j]
+
     def djump_rows(self, i: int, include_diagonal: bool = True) -> np.ndarray:
         n1 = self.triple.n_nodes
-        m = self.paths.n_paths
         k = self.paths.jumps.n_marks
-        out = np.zeros((n1, m, k))
-        if k == 0:
-            return out
+        out = np.zeros((n1, self.paths.n_paths, k))
         for kk in range(k):
-            deltas = []
-            for j in range(i + 1, n1):
-                reg_j = self.triple.regressions[j]
-                deltas.append(reg_j.shifted_delta(
-                    self.triple.surrogate_coefs[j], self._shift_matrix(i, j, kk)))
-            if deltas:
-                reg_i = self.triple.regressions[i]
-                out[i + 1:, :, kk] = reg_i.fit(np.column_stack(deltas)).T
+            if i + 1 < n1:
+                out[i + 1:, :, kk] = self._projected(
+                    (i, kk), i, lambda: [self._shifted_delta(i, j, kk) for j in range(i + 1, n1)])
             if include_diagonal and i > 0 and self.triple.surrogate_coefs[i] is not None:
-                reg_i = self.triple.regressions[i]
-                out[i, :, kk] = reg_i.shifted_delta(
-                    self.triple.surrogate_coefs[i], self._shift_matrix(i - 1, i, kk))
+                out[i, :, kk] = self._shifted_delta(i - 1, i, kk)
         return out
 
 
@@ -235,7 +243,7 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     regs.append(reg_n)
     coefs.append(reg_n.coefficients(g_term))
     triple = AdjointTriple(p=p, q=q, r=r, regressions=regs, surrogate_coefs=coefs,
-                           features=features, picard_iterations=1, picard_changes=[])
+                           features=features)
     return triple, ExplicitXIndependentField(dp_term, dj_term)
 
 
@@ -285,91 +293,64 @@ def _hamiltonian_x_driver(model, spec, paths, i, x_state, u_i, p_est, q_i, r_i,
 
 def solve_general(model: CoefficientModel, spec: PerformanceSpec, control,
                   states: StateEnsemble, paths: PathBundle,
-                  picard: PicardOptions | None = None,
                   basis: RegressionBasis | None = None,
                   features: Sequence[Feature] | None = None
                   ) -> tuple[AdjointTriple, SurrogateMalliavinField]:
-    """Backward-regression adjoint solver for general coefficients.
+    """Backward-regression adjoint solver for general coefficients, one sweep.
 
     Per node: q_i and r_i are extracted from the centered one-step products
     E[(p_{i+1} - E[p_{i+1}|F_i]) dW_i | F_i] / dt (and the jump analogue),
-    then p_i = E[p_{i+1}|F_i] + dH/dx(t_i) dt. The driver's memory terms use
-    the surrogates of later nodes fitted in the same backward sweep, so the
-    sweep is a fixed point by construction; the loop re-runs it and records
-    the sup-node RMS change until it is below tolerance.
+    then p_i = E[p_{i+1}|F_i] + dH/dx(t_i) dt. The driver's memory terms
+    read p and the surrogates of nodes j > i only, all fitted earlier in the
+    same sweep, so the sweep is its own fixed point: a second sweep over the
+    result reproduces p, q and r bit for bit.
     """
-    picard = picard or PicardOptions()
     basis = basis or RegressionBasis()
-    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
+    n, m = paths.n_steps, paths.n_paths
     if n > _MAX_STEPS:
         raise ConfigurationError(f"general solver is cost-guarded to {_MAX_STEPS} steps")
-    jumps = paths.jumps
-    k = jumps.n_marks
     if features is None:
         if model.x_independent:
             features = [predicted_terminal_feature(model, control, paths)]
         else:
             features = default_features(paths, states=states.values)
     features = list(features)
-    regs = [NodeRegression(features, i, basis) for i in range(n + 1)]
-    g_term = np.asarray(spec.terminal_prime(states.terminal), dtype=float)
-    extract_r = bool(k) and jumps.intensity > 0.0
-    comp_w = jumps.intensity * jumps.weight_array * dt if extract_r else np.zeros(k)
-
-    p = np.empty((n + 1, m))
-    q = np.zeros((n + 1, m))
-    r = np.zeros((n + 1, m, k))
-    coefs: list = [None] * (n + 1)
-    triple = AdjointTriple(p=p, q=q, r=r, regressions=regs, surrogate_coefs=coefs,
-                           features=features)
+    triple = AdjointTriple(p=np.empty((n + 1, m)), q=np.zeros((n + 1, m)),
+                           r=np.zeros((n + 1, m, paths.jumps.n_marks)),
+                           regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],
+                           surrogate_coefs=[None] * (n + 1), features=features)
     field = SurrogateMalliavinField(triple, paths)
-    dNt = paths.compensated_counts if extract_r else None
-
-    p_prev = np.zeros_like(p)
-    changes: list[float] = []
-    iterations = 0
-    for iteration in range(picard.max_iter):
-        iterations = iteration + 1
-        field._grad_cache.clear()
-        p[n] = g_term
-        coefs[n] = regs[n].coefficients(g_term)
-        for i in range(n - 1, -1, -1):
-            reg = regs[i]
-            phi = reg.design()
-            pe = phi @ reg.coefficients(p[i + 1], phi=phi)
-            centered = p[i + 1] - pe
-            q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt
-            if extract_r:
-                for kk in range(k):
-                    r[i, :, kk] = phi @ reg.coefficients(
-                        centered * dNt[i, :, kk], phi=phi) / comp_w[kk]
-            u_i = control.at(i, paths, x=states.values[i])
-            driver = _hamiltonian_x_driver(model, spec, paths, i, states.values[i], u_i,
-                                           pe, q[i], r[i], p, field)
-            p[i] = pe + driver * dt
-            coefs[i] = reg.coefficients(p[i], phi=phi)
-        scale = max(float(np.sqrt(np.mean(p ** 2))), 1e-12)
-        change = float(
-            np.max(np.sqrt(np.mean((p - p_prev) ** 2, axis=1))) / scale
-        )
-        changes.append(change)
-        if change < picard.tol:
-            break
-        p_prev[:] = p
-    triple.picard_iterations = iterations
-    triple.picard_changes = changes
-    if changes and changes[-1] >= picard.tol:
-        raise RuntimeError(
-            "adjoint fixed-point sweep did not converge; per-iteration changes: "
-            + ", ".join(f"{c:.3e}" for c in changes)
-        )
+    _backward_sweep(model, spec, control, states, paths, triple, field)
     return triple, field
 
 
-def malliavin_field_from_surrogate(triple: AdjointTriple,
-                                   paths: PathBundle) -> SurrogateMalliavinField:
-    """Build the conditional Malliavin field of p from its node surrogates."""
-    return SurrogateMalliavinField(triple, paths)
+def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
+                    field: SurrogateMalliavinField) -> None:
+    """One backward regression sweep, writing p, q, r and the surrogates in place."""
+    n, dt = paths.n_steps, paths.grid.dt
+    jumps = paths.jumps
+    k = jumps.n_marks
+    p, q, r, regs, coefs = triple.p, triple.q, triple.r, triple.regressions, triple.surrogate_coefs
+    extract_r = bool(k) and jumps.intensity > 0.0
+    comp_w = jumps.intensity * jumps.weight_array * dt if extract_r else np.zeros(k)
+    dNt = paths.compensated_counts if extract_r else None
+    p[n] = np.asarray(spec.terminal_prime(states.terminal), dtype=float)
+    coefs[n] = regs[n].coefficients(p[n])
+    for i in range(n - 1, -1, -1):
+        reg = regs[i]
+        phi = reg.design()
+        pe = phi @ reg.coefficients(p[i + 1], phi=phi)
+        centered = p[i + 1] - pe
+        q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt
+        if extract_r:
+            for kk in range(k):
+                r[i, :, kk] = phi @ reg.coefficients(
+                    centered * dNt[i, :, kk], phi=phi) / comp_w[kk]
+        u_i = control.at(i, paths, x=states.values[i])
+        driver = _hamiltonian_x_driver(model, spec, paths, i, states.values[i], u_i,
+                                       pe, q[i], r[i], p, field)
+        p[i] = pe + driver * dt
+        coefs[i] = reg.coefficients(p[i], phi=phi)
 
 
 def simulated_state_feature(model: CoefficientModel, control,

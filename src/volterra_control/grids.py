@@ -208,6 +208,10 @@ class _BrownianPerturbedBundle(PathBundle):
         return out
 
     @cached_property
+    def compensated_counts(self) -> np.ndarray:  # type: ignore[override]
+        return self._parent.compensated_counts
+
+    @cached_property
     def jump_sum(self) -> np.ndarray:
         return self._parent.jump_sum
 
@@ -255,6 +259,15 @@ class _JumpPerturbedBundle(PathBundle):
     @cached_property
     def brownian(self) -> np.ndarray:
         return self._parent.brownian
+
+    @cached_property
+    def compensated_counts(self) -> np.ndarray:  # type: ignore[override]
+        # the parent's array with the touched slice redone by the base arithmetic
+        node, mark = self._node, self._mark
+        out = self._parent.compensated_counts.copy()
+        out[node, :, mark] = self.jump_counts[node, :, mark].astype(float)
+        out[node, :, mark] -= self.jumps.compensator(self.grid)[mark]
+        return out
 
     @cached_property
     def jump_sum(self) -> np.ndarray:

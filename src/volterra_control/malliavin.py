@@ -328,12 +328,6 @@ class NodeRegression:
                 grad[:, r] += col
         return grad
 
-    def shifted_delta(self, coef: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """phi(raw + shift) - phi(raw) of the fitted polynomial (exact)."""
-        raw = self.raw_values()
-        coef = np.ravel(coef)
-        return self.predict(raw + shift, coef) - self.predict(raw, coef)
-
 
 class BackwardProjector:
     """Backward regression march on coefficients (LSMDP, Gobet, Lemor & Warin 2005).
@@ -571,6 +565,10 @@ def iterated_integral(kernel, order: int, paths: PathBundle) -> np.ndarray:
 class ChaosDerivativeReport:
     max_abs_error: float
     per_node: np.ndarray
+    bounds: np.ndarray   # per node: diagonal term plus difference-quotient round-off
+
+    def within(self) -> bool:
+        return bool(np.all(self.per_node <= self.bounds))
 
 
 def check_chaos_derivative(kernel, paths: PathBundle,
@@ -578,8 +576,13 @@ def check_chaos_derivative(kernel, paths: PathBundle,
     """Compare D_t of a second-order iterated integral against its chaos identity.
 
     The derivative of I_2(f) at node i should equal 2 I_1(f(., t_i)); on the
-    grid the two differ by the diagonal term 2 f(t_i,t_i) dW_i, which the
-    report surfaces as the discrepancy.
+    grid the two differ by exactly the diagonal term 2 f(t_i,t_i) dW_i, which
+    the report surfaces as the discrepancy. Node i's bound is that term,
+    2 |f(t_i,t_i)| max|dW_i|, plus the round-off of the central difference:
+    each product in I_2 passes through at most 2N roundings, and their
+    absolute values add up to at most S = max|f| (sum_j |dW_j| + h)^2 per
+    path, so the quotient (I_2(+h) - I_2(-h)) / 2h is off by at most about
+    N eps S / h (the gamma_2N summation bound, eps = 2u).
     """
     n = paths.n_steps
     t = paths.grid.nodes[:-1]
@@ -590,13 +593,19 @@ def check_chaos_derivative(kernel, paths: PathBundle,
         kf = lambda *args: const + 0.0 * np.asarray(args[0], dtype=float)  # noqa: E731
     functional = lambda b: iterated_integral(kernel, 2, b)  # noqa: E731
     node_list = list(nodes) if nodes is not None else list(range(n))
+    h = fd_step(paths)
+    f_max = max(float(np.abs(kf(t, s)).max()) for s in t)
+    s_max = f_max * float(((np.abs(paths.dW).sum(axis=0) + h) ** 2).max())
+    slack = n * np.finfo(float).eps * s_max / h
     errs = np.zeros(len(node_list))
+    bounds = np.zeros(len(node_list))
     for pos, i in enumerate(node_list):
-        deriv = d_brownian(functional, paths, i)
+        deriv = d_brownian(functional, paths, i, step=h)
         w = np.broadcast_to(np.asarray(kf(t, t[i]), dtype=float), (n,))
         direct = 2.0 * np.einsum("i,im->m", w, paths.dW)
         errs[pos] = np.max(np.abs(deriv - direct))
-    return ChaosDerivativeReport(float(errs.max()), errs)
+        bounds[pos] = 2.0 * abs(w[i]) * float(np.abs(paths.dW[i]).max()) + slack
+    return ChaosDerivativeReport(float(errs.max()), errs, bounds)
 
 
 def fubini_exchange(values: np.ndarray, dt: float) -> tuple[float, float]:

@@ -13,9 +13,9 @@ from volterra_control import (
     simulate_integral_form,
 )
 from volterra_control.adjoint import (
-    PicardOptions,
+    SurrogateMalliavinField,
+    _backward_sweep,
     export_adjoint_csv,
-    malliavin_field_from_surrogate,
     solve_explicit_x_independent,
     solve_general,
 )
@@ -148,9 +148,7 @@ def test_general_matches_explicit_x_independent(xindep_setup):
     rel = np.sqrt(np.mean((t_gen.p - t_exp.p) ** 2, axis=1)) \
         / np.maximum(np.sqrt(np.mean(t_exp.p ** 2, axis=1)), 1e-12)
     assert rel.max() <= 0.02
-    # driverless config: converged on the verification sweep
-    assert t_gen.picard_iterations == 2
-    assert t_gen.picard_changes[-1] == 0.0
+    assert t_gen.picard_iterations == 1
 
 
 def test_general_linear_bsde_closed_form(grid32):
@@ -257,7 +255,7 @@ def test_malliavin_field_from_surrogate_roundtrip(xindep_setup):
     model, control, states, paths = xindep_setup
     spec = _square_terminal()
     triple, _ = solve_general(model, spec, control, states, paths)
-    field = malliavin_field_from_surrogate(triple, paths)
+    field = SurrogateMalliavinField(triple, paths)
     rows = field.dp_rows(8)
     assert rows.shape == (paths.n_steps + 1, paths.n_paths)
     assert np.all(rows[:8] == 0.0)
@@ -291,7 +289,6 @@ def test_memory_state_driver_satisfies_gateaux_identity():
         feats = [simulated_state_feature(model, control, states, paths)]
         triple, field = solve_general(model, spec, control, states, paths,
                                       features=feats)
-        assert triple.picard_changes[-1] == 0.0
         beta = perturbation_window(n, n // 4, n // 4, alpha=1.0)
         rep = gateaux_check(model, spec, control, beta, paths, triple, field,
                             states)
@@ -301,6 +298,109 @@ def test_memory_state_driver_satisfies_gateaux_identity():
             assert rep.within(3.0), (rep.finite_difference, rep.adjoint_form,
                                      rep.combined_stderr)
     assert gaps[32] <= gaps[16] / 1.2, gaps
+
+
+def _memory_setup(jumps, n, m, seed, model_params, control_value, spec):
+    """An x-dependent memory model solved with re-simulated state sensitivities."""
+    from volterra_control.adjoint import simulated_state_feature
+
+    model = registry_get("exp_kernel_linear", model_params)
+    control = ControlProcess.constant(control_value)
+    paths = sample_paths(TimeGrid(1.0, n), jumps, m, seed=seed)
+    states = simulate_integral_form(model, control, paths)
+    feats = [simulated_state_feature(model, control, states, paths)]
+    triple, field = solve_general(model, spec, control, states, paths, features=feats)
+    return model, spec, control, states, paths, triple, field
+
+
+@pytest.fixture(scope="module")
+def memory_setup():
+    # the setup of test_memory_state_driver_satisfies_gateaux_identity at N=16
+    return _memory_setup(JumpModel.none(), 16, 10_000, 97,
+                         dict(b0=0.25, sigma0=0.3, decay_b=1.5, decay_sigma=1.0),
+                         0.8, _square_terminal())
+
+
+@pytest.fixture(scope="module")
+def memory_jump_setup():
+    # the memory-with-jumps model of the desk benchmark, on a short grid
+    return _memory_setup(JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 8, 4_000, 31,
+                         dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0, decay_b=1.0,
+                              decay_sigma=0.8, decay_jump=0.5),
+                         0.5, PerformanceSpec.log_terminal())
+
+
+@pytest.mark.parametrize("setup", ["xindep", "memory", "memory_jump"])
+def test_single_sweep_is_a_fixed_point(setup, request, xindep_setup):
+    # the driver at node i reads nodes j > i only, so a second backward sweep
+    # over the solved triple, with a fresh field, reproduces it bit for bit
+    if setup == "xindep":
+        model, control, states, paths = xindep_setup
+        spec = _square_terminal()
+        triple, _ = solve_general(model, spec, control, states, paths)
+    else:
+        model, spec, control, states, paths, triple, _ = request.getfixturevalue(
+            f"{setup}_setup")
+    assert triple.picard_iterations == 1
+    before = [a.copy() for a in (triple.p, triple.q, triple.r)]
+    coefs = [c.copy() for c in triple.surrogate_coefs]
+    _backward_sweep(model, spec, control, states, paths, triple,
+                    SurrogateMalliavinField(triple, paths))
+    for old, new in zip(before, (triple.p, triple.q, triple.r)):
+        assert np.array_equal(old, new)
+    for old, new in zip(coefs, triple.surrogate_coefs):
+        assert np.array_equal(old, new)
+
+
+def _unmemoized_rows(triple, paths, i):
+    """Off-diagonal field rows of node i by the plain arithmetic: `fit` per request."""
+    regs, coefs, feats = triple.regressions, triple.surrogate_coefs, triple.features
+    n1, m, k = triple.n_nodes, paths.n_paths, paths.jumps.n_marks
+    dp, dj = np.zeros((n1, m)), np.zeros((n1, m, k))
+    later = range(i + 1, n1)
+    if not later:
+        return dp, dj
+    cols = []
+    for j in later:
+        grad, col = regs[j].gradient_raw(coefs[j]), np.zeros(m)
+        for pos, feat in enumerate(feats):
+            sens = feat.brownian_sensitivity(i, j)
+            if np.any(np.asarray(sens) != 0.0):
+                col += grad[:, pos] * sens
+        cols.append(col)
+    dp[i + 1:] = regs[i].fit(np.column_stack(cols)).T
+    for kk in range(k):
+        deltas = []
+        for j in later:
+            raw = regs[j].raw_values()
+            shift = np.column_stack([np.broadcast_to(f.jump_shift(i, j, kk), (m,))
+                                     for f in feats])
+            deltas.append(regs[j].predict(raw + shift, coefs[j])
+                          - regs[j].predict(raw, coefs[j]))
+        dj[i + 1:, :, kk] = regs[i].fit(np.column_stack(deltas)).T
+    return dp, dj
+
+
+@pytest.mark.parametrize("setup", ["memory", "memory_jump"])
+def test_reused_field_rows_equal_fresh_field_rows(setup, request):
+    # the field memoizes its projected rows as coefficients; a field that has
+    # served the sweep (and serves again) gives the rows of a fresh field and
+    # of the unmemoized projection, bit for bit
+    *_, paths, triple, field = request.getfixturevalue(f"{setup}_setup")
+    for i in range(triple.n_nodes):
+        want_dp, want_dj = _unmemoized_rows(triple, paths, i)
+        assert np.array_equal(field.dp_rows(i, include_diagonal=False), want_dp)
+        assert np.array_equal(field.djump_rows(i, include_diagonal=False), want_dj)
+        for diagonal in (False, True):
+            fresh = SurrogateMalliavinField(triple, paths)
+            assert np.array_equal(field.dp_rows(i, include_diagonal=diagonal),
+                                  fresh.dp_rows(i, include_diagonal=diagonal))
+            fresh = SurrogateMalliavinField(triple, paths)
+            assert np.array_equal(field.djump_rows(i, include_diagonal=diagonal),
+                                  fresh.djump_rows(i, include_diagonal=diagonal))
+    assert np.any(field.dp_rows(0) != 0.0)
+    if paths.jumps.n_marks:
+        assert np.any(field.djump_rows(0) != 0.0)
 
 
 def test_adjoint_csv_export(tmp_path, xindep_setup):

@@ -122,6 +122,32 @@ def test_perturbation_views(jump_paths64_small):
     assert np.array_equal(jp.jump_sum[:6], p.jump_sum[:6])
 
 
+@pytest.mark.parametrize("steps, jumps", [
+    (13, JumpModel(0.7, (-0.5, 0.5), (0.5, 0.5))),
+    (16, JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))),
+])
+def test_perturbed_views_share_compensated_counts(steps, jumps):
+    # each view's compensated counts equal the base-class recomputation from
+    # its own jump counts, bit for bit, before and after remark/rebump
+    p = sample_paths(TimeGrid(1.0, steps), jumps, 3_000, seed=41)
+
+    def recomputed(view):
+        return PathBundle(view.grid, view.jumps, view.dW, view.jump_counts,
+                          seed=view.seed).compensated_counts
+
+    pert = p.perturb_brownian(steps // 2, 1e-3)
+    assert pert.compensated_counts is p.compensated_counts
+    pert.rebump(-1e-3)
+    assert np.array_equal(pert.compensated_counts, recomputed(pert))
+    for node in (0, steps // 3, steps - 1):
+        for mark in range(jumps.n_marks):
+            view = p.with_extra_jump(node, mark)
+            assert np.array_equal(view.compensated_counts, recomputed(view))
+            view.remark((mark + 1) % jumps.n_marks)
+            assert np.array_equal(view.compensated_counts, recomputed(view))
+    assert np.array_equal(p.compensated_counts, recomputed(p))
+
+
 def test_coarsening(jump_paths64_small):
     p = jump_paths64_small
     c = p.coarsen(4)

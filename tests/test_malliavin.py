@@ -316,7 +316,8 @@ def test_second_order_isometry(paths64_desk):
     i2 = iterated_integral(1.0, 2, paths64_desk)
     sq = i2 ** 2
     se = sq.std(ddof=1) / np.sqrt(len(sq))
-    assert abs(sq.mean() - 2.0) <= 3.0 * se
+    # grid value: I_2 = 2 sum_{i<j} dW_i dW_j has no diagonal, E[I_2^2] = 2T^2 (1 - 1/N)
+    assert abs(sq.mean() - 2.0 * (1.0 - 1.0 / 64)) <= 3.0 * se
 
 
 def test_third_order_integral_moments(paths64_small):
@@ -355,6 +356,29 @@ def test_chaos_derivative_identity(paths64_small):
 def test_chaos_derivative_zero_kernel(paths64_small):
     rep = check_chaos_derivative(0.0, paths64_small, nodes=(3, 40))
     assert rep.max_abs_error <= 1e-12
+    assert rep.within()
+
+
+def test_chaos_derivative_check_holds_at_its_own_diagonal_on_seed_21():
+    # check-malliavin's defaults (N=64, M=1e5, its nodes) on seed 21: the
+    # largest increment sits on a checked node, where the error equals the
+    # diagonal term up to round-off (about 4e-12 above it)
+    paths = sample_paths(TimeGrid(1.0, 64), JumpModel.none(), 100_000, 21)
+    rep = check_chaos_derivative(1.0, paths, nodes=range(0, 64, 8))
+    diagonal = 2.0 * np.abs(paths.dW[::8]).max(axis=1)
+    assert rep.max_abs_error > 2.0 * np.abs(paths.dW).max()
+    assert np.all(rep.per_node - diagonal < 1e-9)
+    assert rep.within()
+
+
+def test_chaos_derivative_check_rejects_a_scaled_derivative(paths64_small, monkeypatch):
+    from volterra_control import malliavin
+
+    exact = malliavin.d_brownian
+    monkeypatch.setattr(malliavin, "d_brownian",
+                        lambda *args, **kwargs: 1.001 * exact(*args, **kwargs))
+    rep = check_chaos_derivative(1.0, paths64_small, nodes=range(0, 64, 8))
+    assert not rep.within()
 
 
 # --- Fubini exchange ------------------------------------------------------------
