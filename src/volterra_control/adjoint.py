@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import PathBundle
+from .hamiltonian import forward_terms
 from .malliavin import (
     Feature,
     NodeRegression,
@@ -255,7 +256,6 @@ def _hamiltonian_x_driver(model, spec, paths, i, x_state, u_i, p_est, q_i, r_i,
     for it when the model is x-independent.
     """
     t = paths.grid.nodes
-    dt = paths.grid.dt
     jumps = paths.jumps
     m = paths.n_paths
     x_i = None if model.x_independent else x_state
@@ -263,31 +263,15 @@ def _hamiltonian_x_driver(model, spec, paths, i, x_state, u_i, p_est, q_i, r_i,
         np.asarray(spec.running_dx(t[i], x_state, u_i), dtype=float), (m,)).astype(float)
     out += model.drift_dx(t[i], t[i], x_i, u_i) * p_est
     out += model.diffusion_dx(t[i], t[i], x_i, u_i) * q_i
-    active_jumps = jumps.n_marks and jumps.intensity > 0.0
-    if active_jumps:
+    if jumps.n_marks and jumps.intensity > 0.0:
         lw = jumps.intensity * jumps.weight_array
         g = model.jump_dx(t[i], t[i], None if x_i is None else np.asarray(x_i)[..., None],
                           np.asarray(u_i)[..., None], jumps.mark_array[None, :])
         out += np.einsum("mk,k,mk->m", np.broadcast_to(g, (m, jumps.n_marks)), lw, r_i)
     if model.memory_state_coupling and i < paths.n_steps:
-        s_f = t[i + 1:, None]
-        kb = np.asarray(model.drift_dtdx(s_f, t[i], x_i, u_i), dtype=float)
-        out += np.einsum("jm,jm->m", np.broadcast_to(kb, (paths.n_steps - i, m)),
-                         p_all[i + 1:]) * dt
-        dp_rows = field.dp_rows(i, include_diagonal=False)
-        ks = np.asarray(model.diffusion_dtdx(s_f, t[i], x_i, u_i), dtype=float)
-        out += np.einsum("jm,jm->m", np.broadcast_to(ks, (paths.n_steps - i, m)),
-                         dp_rows[i + 1:]) * dt
-        if active_jumps:
-            dj_rows = field.djump_rows(i, include_diagonal=False)
-            kg = np.asarray(model.jump_dtdx(s_f[:, :, None], t[i],
-                                            None if x_i is None else np.asarray(x_i)[None, :, None],
-                                            np.asarray(u_i)[None, ..., None],
-                                            jumps.mark_array[None, None, :]), dtype=float)
-            lw = jumps.intensity * jumps.weight_array
-            out += np.einsum("jmk,k,jmk->m",
-                             np.broadcast_to(kg, (paths.n_steps - i, m, jumps.n_marks)),
-                             lw, dj_rows[i + 1:]) * dt
+        for term in forward_terms(model, "_dtdx", paths, i, x_i, u_i, p_all, field,
+                                  include_diagonal=False):
+            out += term
     return out
 
 

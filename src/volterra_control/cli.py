@@ -25,6 +25,7 @@ from .errors import ConfigurationError
 from .grids import JumpModel, TimeGrid, sample_paths
 from .malliavin import (
     RegressionBasis,
+    brownian_square_grid_term,
     check_chaos_derivative,
     check_duality_brownian,
     check_duality_jump,
@@ -44,6 +45,7 @@ from .adjoint import (
     solve_general,
 )
 from .hamiltonian import (
+    GATEAUX_WINDOWS_SIGMA,
     check_stationarity,
     export_stationarity_csv,
     gateaux_check,
@@ -275,6 +277,10 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
     else:
         rec_paths = paths
     rec = clark_ocone_reconstruct(functional, rec_paths, basis=basis)
+    # the grid floor 1/sqrt(N) of the residual, and what the regressions leave: the
+    # sample mean and p coefficients per node, each off by O(1/sqrt(M))
+    grid_rms, rest_rms = rec.relative_split(brownian_square_grid_term(rec_paths))
+    rest_bound = 3.0 * np.sqrt((1 + basis.dimension(1)) / rec_paths.n_paths)
     i2 = iterated_integral(1.0, 2, rec_paths)
     m = rec_paths.n_paths
     iso_mean = float((i2 ** 2).mean())
@@ -285,6 +291,9 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
             for name, rep in reports.items()]
     rows.append(("clark_ocone_relative_rms", rec.relative_rms, 0.0, 0.0,
                  rec.relative_rms <= 3.0 / np.sqrt(cfg.grid.steps)))
+    rows.append(("clark_ocone_grid_term_rms", grid_rms, 1.0 / np.sqrt(cfg.grid.steps), 0.0,
+                 grid_rms <= 3.0 / np.sqrt(cfg.grid.steps)))
+    rows.append(("clark_ocone_remainder_rms", rest_rms, rest_bound, 0.0, rest_rms <= rest_bound))
     rows.append(("second_chaos_isometry", iso_mean, target, iso_se,
                  abs(iso_mean - target) <= 3.0 * iso_se))
     adapted = lambda p: p.brownian[cfg.grid.steps // 2]  # noqa: E731
@@ -300,7 +309,10 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
                  chaos.within()))
     write_csv(cfg.out_dir / "malliavin_checks.csv",
               ("check_name", "lhs", "rhs", "stderr", "pass"), rows)
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("check-malliavin"))
+    split = {"relative_rms": rec.relative_rms, "grid_term_rms": grid_rms,
+             "remainder_rms": rest_rms, "remainder_bound": float(rest_bound)}
+    write_manifest(cfg.out_dir / "manifest.json",
+                   {**cfg.manifest("check-malliavin"), "clark_ocone": split})
     n_pass = sum(1 for r in rows if r[-1])
     print(f"check-malliavin: {n_pass}/{len(rows)} checks passed; malliavin_checks.csv written")
     return 0 if n_pass == len(rows) else 1
@@ -358,8 +370,8 @@ def _cmd_gateaux(cfg: ExperimentConfig) -> int:
                         ("late", n - width - n // 16)):
         beta = perturbation_window(n, start, width, alpha=1.0)
         rep = gateaux_check(model, perf, control, beta, paths, triple, field, states)
-        rows.append((name, rep.finite_difference, rep.fd_stderr,
-                     rep.adjoint_form, rep.adjoint_stderr, rep.within()))
+        rows.append((name, rep.finite_difference, rep.fd_stderr, rep.adjoint_form,
+                     rep.adjoint_stderr, rep.within(GATEAUX_WINDOWS_SIGMA)))
     write_csv(cfg.out_dir / "gateaux.csv",
               ("window", "fd_derivative", "fd_stderr", "adjoint_form",
                "adjoint_stderr", "pass"), rows)

@@ -62,6 +62,33 @@ def eval_h0(model: CoefficientModel, spec: PerformanceSpec, jumps, t, x, v,
     return np.asarray(out, dtype=float)
 
 
+def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: int, x, v,
+                  p: np.ndarray, field, **rows) -> list:
+    """The forward kernel sums at node i, one (M,) array per kernel.
+
+    sum_{j>i} [k_b(t_j,t_i,x,v) p_j, k_sigma(t_j,t_i,x,v) Dp[i][j] and (with
+    jumps) intensity sum_k w_k k_gamma(t_j,t_i,x,v,z_k) Djp[i][j][k]] dt, with
+    k_* = model.<kernel><suffix> and the rows from field.dp_rows(i, **rows)
+    and field.djump_rows(i, **rows).
+    """
+    t, dt, jumps = paths.grid.nodes, paths.grid.dt, paths.jumps
+    n_j, m = paths.n_steps - i, paths.n_paths
+    s_f = t[i + 1:, None]
+    kb = np.asarray(getattr(model, "drift" + suffix)(s_f, t[i], x, v), dtype=float)
+    terms = [np.einsum("jm,jm->m", np.broadcast_to(kb, (n_j, m)), p[i + 1:]) * dt]
+    ks = np.asarray(getattr(model, "diffusion" + suffix)(s_f, t[i], x, v), dtype=float)
+    terms.append(np.einsum("jm,jm->m", np.broadcast_to(ks, (n_j, m)),
+                           field.dp_rows(i, **rows)[i + 1:]) * dt)
+    if jumps.n_marks and jumps.intensity > 0.0:
+        kg = np.asarray(getattr(model, "jump" + suffix)(
+            s_f[:, :, None], t[i], None if x is None else np.asarray(x)[None, :, None],
+            np.asarray(v)[None, ..., None], jumps.mark_array[None, None, :]), dtype=float)
+        terms.append(np.einsum("jmk,k,jmk->m", np.broadcast_to(kg, (n_j, m, jumps.n_marks)),
+                               jumps.intensity * jumps.weight_array,
+                               field.djump_rows(i, **rows)[i + 1:]) * dt)
+    return terms
+
+
 def eval_h1(model: CoefficientModel, paths: PathBundle, i: int, x, v,
             p: np.ndarray, field) -> np.ndarray:
     """Memory Hamiltonian at node i: forward sums of d/dt kernel partials.
@@ -70,32 +97,12 @@ def eval_h1(model: CoefficientModel, paths: PathBundle, i: int, x, v,
     + intensity sum_k w_k dgamma/dt(t_j,t_i,x,v,z_k) Djp[i][j][k]] dt,
     where Dp/Djp rows come from the Malliavin field of the adjoint.
     """
-    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
-    t = paths.grid.nodes
-    if i >= n or model.time_invariant_kernels:
-        return np.zeros(m)
-    jumps = paths.jumps
-    x_model = None if model.x_independent else x
-    s_f = t[i + 1:, None]
-    n_j = n - i
-    kb = np.asarray(model.drift_dt(s_f, t[i], x_model, v), dtype=float)
-    out = np.einsum("jm,jm->m", np.broadcast_to(kb, (n_j, m)), p[i + 1:]) * dt
-    ks = np.asarray(model.diffusion_dt(s_f, t[i], x_model, v), dtype=float)
-    dp_rows = field.dp_rows(i)
-    out += np.einsum("jm,jm->m", np.broadcast_to(ks, (n_j, m)), dp_rows[i + 1:]) * dt
-    if jumps.n_marks and jumps.intensity > 0.0:
-        kg = np.asarray(
-            model.jump_dt(s_f[:, :, None], t[i],
-                          None if x_model is None else np.asarray(x_model)[None, :, None],
-                          np.asarray(v)[None, ..., None],
-                          jumps.mark_array[None, None, :]),
-            dtype=float,
-        )
-        lw = jumps.intensity * jumps.weight_array
-        dj_rows = field.djump_rows(i)
-        out += np.einsum("jmk,k,jmk->m",
-                         np.broadcast_to(kg, (n_j, m, jumps.n_marks)), lw,
-                         dj_rows[i + 1:]) * dt
+    if i >= paths.n_steps or model.time_invariant_kernels:
+        return np.zeros(paths.n_paths)
+    out, *rest = forward_terms(model, "_dt", paths, i, None if model.x_independent else x,
+                               v, p, field)
+    for term in rest:
+        out += term
     return out
 
 
@@ -259,7 +266,6 @@ def control_gradient(model: CoefficientModel, spec: PerformanceSpec, paths: Path
     terms, used as the cancellation scale for stationarity statistics.
     """
     t = paths.grid.nodes
-    dt = paths.grid.dt
     n, m = paths.n_steps, paths.n_paths
     jumps = paths.jumps
     x_model = None if model.x_independent else x
@@ -275,26 +281,7 @@ def control_gradient(model: CoefficientModel, spec: PerformanceSpec, paths: Path
         terms.append(np.einsum("mk,k,mk->m", np.broadcast_to(g, (m, jumps.n_marks)),
                                lw, triple.r[i]))
     if not model.time_invariant_kernels and i < n:
-        s_f = t[i + 1:, None]
-        n_j = n - i
-        kb = np.asarray(model.drift_dtdv(s_f, t[i], x_model, v), dtype=float)
-        terms.append(np.einsum("jm,jm->m", np.broadcast_to(kb, (n_j, m)),
-                               triple.p[i + 1:]) * dt)
-        ks = np.asarray(model.diffusion_dtdv(s_f, t[i], x_model, v), dtype=float)
-        dp_rows = field.dp_rows(i)
-        terms.append(np.einsum("jm,jm->m", np.broadcast_to(ks, (n_j, m)),
-                               dp_rows[i + 1:]) * dt)
-        if jumps.n_marks and jumps.intensity > 0.0:
-            kg = np.asarray(
-                model.jump_dtdv(s_f[:, :, None], t[i],
-                                None if x_model is None else np.asarray(x_model)[None, :, None],
-                                np.asarray(v)[None, ..., None],
-                                jumps.mark_array[None, None, :]), dtype=float)
-            lw = jumps.intensity * jumps.weight_array
-            dj_rows = field.djump_rows(i)
-            terms.append(np.einsum("jmk,k,jmk->m",
-                                   np.broadcast_to(kg, (n_j, m, jumps.n_marks)), lw,
-                                   dj_rows[i + 1:]) * dt)
+        terms += forward_terms(model, "_dtdv", paths, i, x_model, v, triple.p, field)
     stacked = np.vstack([np.asarray(tm, dtype=float) for tm in terms])
     return stacked.sum(axis=0), np.sqrt((stacked ** 2).sum(axis=0))
 
@@ -402,6 +389,11 @@ def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
             margin=margin,
         ))
     return rows
+
+
+# Bonferroni threshold for three windows tested together: Phi^-1(1 - Phi(-3) / 3). Each
+# window runs at a third of the 3-sigma false-alarm rate, so the three together keep 0.27 %.
+GATEAUX_WINDOWS_SIGMA = 3.3200752035216
 
 
 @dataclass

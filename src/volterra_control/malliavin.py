@@ -208,12 +208,19 @@ def _monomial_exponents(n_raw: int, degree: int) -> list[tuple[int, ...]]:
 class NodeRegression:
     """Ridge projection onto polynomial features observable at one node.
 
+    The standardized design is kept feature-major: one C-contiguous (p, M)
+    array, one row per kept monomial, and `design()` returns its (M, p)
+    transposed view. Every monomial is its parent (one power fewer of its
+    last raw feature) times that raw feature, so no power function touches a
+    column; results differ from power-built designs by round-off only. The
+    means and spreads are one pass of contiguous row reductions, and the
+    same spreads decide which zero-spread monomials are dropped.
+
     The fitted object doubles as an explicit surrogate: `predict` evaluates
-    the fitted polynomial at arbitrary raw-feature values and
-    `gradient_raw` returns its gradient with respect to each raw feature.
-    Only the standardization metadata, the ridge-free Gram matrix `gram` and
-    the Cholesky factor of its ridged version are retained; the design matrix
-    is rebuilt on demand so node regressions stay cheap to keep around.
+    the fitted polynomial at any raw-feature values and `gradient_raw` its
+    gradient in each raw feature. Only the standardization, the ridge-free
+    Gram `gram` and the Cholesky factor of its ridged version are kept; the
+    design is rebuilt on demand unless `retain_design`.
     """
 
     def __init__(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
@@ -225,19 +232,22 @@ class NodeRegression:
         raw = self.raw_values()
         self.n_paths = raw.shape[0]
         self.exponents = _monomial_exponents(len(self.features), basis.degree)
+        self._index = {e: k for k, e in enumerate(self.exponents)}
         if self.n_paths < 10 * len(self.exponents):
             raise RegressionError(
                 f"need at least {10 * len(self.exponents)} paths for a basis of "
                 f"dimension {len(self.exponents)}, got {self.n_paths}"
             )
-        phi = self._expand_unscaled(raw, select=True)
-        self.col_mean = phi.mean(axis=0)
-        self.col_scale = phi.std(axis=0)
-        self.col_mean[0], self.col_scale[0] = 0.0, 1.0
-        self.col_scale[self.col_scale < 1e-300] = 1.0
-        phi -= self.col_mean
-        phi /= self.col_scale
-        self.gram = phi.T @ phi / self.n_paths  # ridge-free: RMS of a fit is a form in it
+        rows = self._monomial_rows(raw)
+        mean = rows.mean(axis=1)
+        mean[0] = 0.0
+        rows -= mean[:, None]
+        spread = np.sqrt(np.einsum("ij,ij->i", rows, rows) / self.n_paths)
+        self.keep = [0] + [k for k in range(1, len(rows)) if spread[k] > 1e-300]
+        self.col_mean, self.col_scale = mean[self.keep], spread[self.keep]
+        rows = self._kept(rows)
+        rows /= self.col_scale[:, None]
+        self.gram = rows @ rows.T / self.n_paths  # ridge-free: RMS of a fit is a form in it
         try:
             self._chol = np.linalg.cholesky(self.gram + self.basis.ridge * np.eye(len(self.gram)))
         except np.linalg.LinAlgError as exc:
@@ -245,38 +255,38 @@ class NodeRegression:
                 "regression design is rank deficient even after ridge "
                 "regularization; reduce the basis degree"
             ) from exc
-        self._phi = phi if retain_design else None
+        self._rows = rows if retain_design else None
 
     def raw_values(self) -> np.ndarray:
-        return np.column_stack([f.values[self.design_node] for f in self.features])
+        """Raw features at the design node, (M, n_raw) over feature-major storage."""
+        return np.stack([f.values[self.design_node] for f in self.features]).T
 
-    def _expand_unscaled(self, raw: np.ndarray, select: bool = False) -> np.ndarray:
-        cols, keep = [], []
-        indices = range(len(self.exponents)) if select else self.keep
-        for idx in indices:
-            col = None
-            for r, p in enumerate(self.exponents[idx]):
-                if p:
-                    col = raw[:, r] ** p if col is None else col * raw[:, r] ** p
-            if col is None:
-                col = np.ones(raw.shape[0])
-            elif select and np.std(col) <= 1e-300:
-                continue
-            cols.append(col)
-            keep.append(idx)
-        if select:
-            self.keep = keep
-        return np.column_stack(cols)
+    def _lowered(self, e: tuple[int, ...], r: int) -> int:
+        """Index of the monomial e with one power fewer of raw feature r."""
+        return self._index[e[:r] + (e[r] - 1,) + e[r + 1:]]
+
+    def _monomial_rows(self, raw: np.ndarray) -> np.ndarray:
+        """Every unscaled monomial as a row, (len(exponents), M), by the product tree."""
+        x = np.ascontiguousarray(np.asarray(raw, dtype=float).T)
+        rows = np.empty((len(self.exponents), x.shape[1]))
+        rows[0] = 1.0
+        for k, e in enumerate(self.exponents[1:], 1):
+            r = max(i for i, p in enumerate(e) if p)
+            np.multiply(rows[self._lowered(e, r)], x[r], out=rows[k])
+        return rows
+
+    def _kept(self, rows: np.ndarray) -> np.ndarray:
+        """The kept monomial rows (a copy only when a monomial was dropped)."""
+        return rows if len(self.keep) == len(rows) else rows[self.keep]
 
     def design(self, raw: np.ndarray | None = None) -> np.ndarray:
-        """Standardized design matrix at the node (or at given raw values)."""
-        if raw is None:
-            if self._phi is not None:
-                return self._phi
-            raw = self.raw_values()
-        else:
-            raw = np.asarray(raw, dtype=float)
-        return (self._expand_unscaled(raw) - self.col_mean) / self.col_scale
+        """Standardized design (M, p) at the node (or at given raw values)."""
+        if raw is None and self._rows is not None:
+            return self._rows.T
+        rows = self._kept(self._monomial_rows(self.raw_values() if raw is None else raw))
+        rows -= self.col_mean[:, None]
+        rows /= self.col_scale[:, None]
+        return rows.T
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         y = np.linalg.solve(self._chol, rhs)
@@ -284,13 +294,8 @@ class NodeRegression:
 
     def coefficients(self, targets: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
         """Standardized-column coefficients for the given targets, (p,) or (p, q)."""
-        t = np.asarray(targets, dtype=float)
-        squeeze = t.ndim == 1
-        if squeeze:
-            t = t[:, None]
         phi = self.design() if phi is None else phi
-        coef = self._solve(phi.T @ t / self.n_paths)
-        return coef[:, 0] if squeeze else coef
+        return self._solve(phi.T @ np.asarray(targets, dtype=float) / self.n_paths)
 
     def fit(self, targets: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
         """Fitted values of the ridge projection; targets (M,) or (M, q)."""
@@ -306,27 +311,18 @@ class NodeRegression:
     def gradient_raw(self, coef: np.ndarray, raw: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the fitted polynomial with respect to each raw feature.
 
-        Returns (M, n_raw) evaluated at the node's own raw values by default.
+        d(x^e)/dx_r = e_r x^(e - 1_r), read off the product tree. Returns
+        (M, n_raw) evaluated at the node's own raw values by default.
         """
-        raw = self.raw_values() if raw is None else np.asarray(raw, dtype=float)
-        m, n_raw = raw.shape
+        rows = self._monomial_rows(self.raw_values() if raw is None else raw)
         coef = np.ravel(coef)
-        grad = np.zeros((m, n_raw))
-        for pos, idx in enumerate(self.keep):
-            expo = self.exponents[idx]
-            c = coef[pos] / self.col_scale[pos]
-            if c == 0.0 or idx == 0:
-                continue
-            for r, p in enumerate(expo):
-                if not p:
-                    continue
-                col = c * p * np.ones(m)
-                for r2, p2 in enumerate(expo):
-                    q = p2 - (r2 == r)
-                    if q:
-                        col = col * raw[:, r2] ** q
-                grad[:, r] += col
-        return grad
+        grad = np.zeros((len(self.features), rows.shape[1]))
+        for pos, k in enumerate(self.keep[1:], 1):
+            e, c = self.exponents[k], coef[pos] / self.col_scale[pos]
+            for r, p in enumerate(e):
+                if p and c != 0.0:
+                    grad[r] += (c * p) * rows[self._lowered(e, r)]
+        return grad.T
 
 
 class BackwardProjector:
@@ -348,13 +344,13 @@ class BackwardProjector:
         self.regs = [NodeRegression(features, j, self.basis, retain_design=True) for j in range(n)]
         self.carry, self.carry_dw, self.centre_dw = [], [], []
         for j, reg in enumerate(self.regs):
-            phi = reg.design()
-            weighted = phi * self.dW[j][:, None]  # per node only: no Phi o dW is kept
-            self.centre_dw.append(reg._solve(weighted.T @ phi / m))
+            rows = reg._rows  # feature-major (p, M)
+            weighted = rows * self.dW[j]  # per node only: no Phi o dW is kept
+            self.centre_dw.append(reg._solve(weighted @ rows.T / m))
             if j + 1 < n:
-                nxt = self.regs[j + 1].design()
-                self.carry.append(reg._solve(phi.T @ nxt / m))
-                self.carry_dw.append(reg._solve(weighted.T @ nxt / m))
+                nxt = self.regs[j + 1]._rows
+                self.carry.append(reg._solve(rows @ nxt.T / m))
+                self.carry_dw.append(reg._solve(weighted @ nxt.T / m))
 
     def march(self, terminal: np.ndarray, ratios: np.ndarray, stop: int = 0
               ) -> tuple[list, list, list]:
@@ -495,6 +491,23 @@ class ReconstructionReport:
     residuals: np.ndarray
     relative_rms: float
     degenerate: bool = False
+    scale: float = 0.0  # std(F), the unit of relative_rms
+
+    def relative_split(self, known: np.ndarray) -> tuple[float, float]:
+        """Relative RMS of a known part of the residuals and of the remainder."""
+        if self.degenerate:
+            return 0.0, 0.0
+        rel = lambda x: float(np.sqrt(np.mean(x * x)) / self.scale)  # noqa: E731
+        return rel(known), rel(self.residuals - known)
+
+
+def brownian_square_grid_term(paths: PathBundle) -> np.ndarray:
+    """sum_i (dW_i^2 - dt) per path: B_T^2 - T - sum_i 2 B_{t_i} dW_i on the grid.
+
+    It is orthogonal to every adapted sum_i H_i dW_i, so it is the floor of
+    the Clark-Ocone residual of B_T^2, of RMS 1/sqrt(N) times std(B_T^2).
+    """
+    return np.einsum("im,im->m", paths.dW, paths.dW) - paths.n_steps * paths.grid.dt
 
 
 def clark_ocone_reconstruct(functional: PathFunctional, paths: PathBundle,
@@ -521,8 +534,13 @@ def clark_ocone_reconstruct(functional: PathFunctional, paths: PathBundle,
     sd = f_vals.std()
     if sd == 0.0:
         return ReconstructionReport(resid, 0.0, degenerate=True)
-    rms = float(np.sqrt(np.mean(resid ** 2)) / sd)
-    return ReconstructionReport(resid, rms)
+    return ReconstructionReport(resid, float(np.sqrt(np.mean(resid ** 2)) / sd), scale=float(sd))
+
+
+def _kernel_function(kernel):
+    if callable(kernel):
+        return kernel
+    return lambda *args: float(kernel) + 0.0 * np.asarray(args[0], dtype=float)
 
 
 def iterated_integral(kernel, order: int, paths: PathBundle) -> np.ndarray:
@@ -535,11 +553,7 @@ def iterated_integral(kernel, order: int, paths: PathBundle) -> np.ndarray:
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes[:-1]
     dW = paths.dW
-    if callable(kernel):
-        kf = kernel
-    else:
-        const = float(kernel)
-        kf = lambda *args: const + 0.0 * np.asarray(args[0], dtype=float)  # noqa: E731
+    kf = _kernel_function(kernel)
     if order == 1:
         w = np.broadcast_to(np.asarray(kf(t), dtype=float), (n,))
         return np.einsum("i,im->m", w, dW)
@@ -586,11 +600,7 @@ def check_chaos_derivative(kernel, paths: PathBundle,
     """
     n = paths.n_steps
     t = paths.grid.nodes[:-1]
-    if callable(kernel):
-        kf = kernel
-    else:
-        const = float(kernel)
-        kf = lambda *args: const + 0.0 * np.asarray(args[0], dtype=float)  # noqa: E731
+    kf = _kernel_function(kernel)
     functional = lambda b: iterated_integral(kernel, 2, b)  # noqa: E731
     node_list = list(nodes) if nodes is not None else list(range(n))
     h = fd_step(paths)

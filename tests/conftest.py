@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from volterra_control import JumpModel, TimeGrid, sample_paths
+
+# Every property test draws the same examples on every run and writes no
+# example database.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 DESK_SEED = 20240811
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control import (
     ConfigurationError,
@@ -24,6 +26,7 @@ from volterra_control.malliavin import (
     NodeRegression,
     _monomial_exponents,
     brownian_feature,
+    brownian_square_grid_term,
     default_features,
     fubini_exchange,
     jump_sum_feature,
@@ -142,57 +145,224 @@ def test_regression_needs_enough_paths(grid32):
         NodeRegression(default_features(paths), 5, RegressionBasis(degree=3))
 
 
-def _reference_columns(raw, degree, keep=None):
-    """Column-by-column monomial expansion, the oracle for `NodeRegression`.
+# --- property tests of the node regression ----------------------------------
 
-    Without `keep`, non-intercept columns with zero spread are dropped.
+def _random_regression(n_raw, degree, extra, seed, ridge=1e-8):
+    basis = RegressionBasis(degree=degree, ridge=ridge)
+    m = 10 * basis.dimension(n_raw) + extra
+    rng = np.random.default_rng(seed)
+    feats = [state_feature(rng.standard_normal((1, m)), name=f"f{r}") for r in range(n_raw)]
+    return NodeRegression(feats, 0, basis), rng
+
+
+def _fit_roundoff(reg, y):
+    """Elementwise bound on the round-off of `reg.fit(y)`.
+
+    Phi^T y / M is off by at most M eps |Phi| |y| per entry; the Cholesky
+    solves are backward stable (3p eps relative on the ridged Gram G), which
+    ||G^-1|| turns into a coefficient error; Phi c adds p eps |Phi| |c|.
     """
-    cols, kept = [], []
-    for idx, expo in enumerate(_monomial_exponents(raw.shape[1], degree)):
-        if keep is not None and idx not in keep:
-            continue
-        col = np.ones(raw.shape[0])
-        for r, p in enumerate(expo):
-            if p:
-                col = col * raw[:, r] ** p
-        if keep is None and idx > 0 and np.std(col) <= 1e-300:
-            continue
-        cols.append(col)
-        kept.append(idx)
-    return np.column_stack(cols), kept
+    eps = np.finfo(float).eps
+    phi = reg.design()
+    m, p = phi.shape
+    g = reg.gram + reg.basis.ridge * np.eye(p)
+    eig = np.linalg.eigvalsh(g)
+    c = reg.coefficients(y)
+    phi_max = np.abs(phi).max()
+    d_r = m * eps * np.sqrt(p) * phi_max * np.abs(y).max()
+    d_c = (d_r + 3 * p * eps * eig[-1] * np.linalg.norm(c)) / eig[0]
+    return phi_max * (np.sqrt(p) * d_c + p * eps * np.abs(c).sum())
+
+
+@settings(max_examples=30)
+@given(n_raw=st.integers(1, 3), degree=st.integers(1, 3), extra=st.integers(0, 200),
+       seed=st.integers(0, 2 ** 32 - 1), a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0))
+def test_fit_is_linear_in_the_targets(n_raw, degree, extra, seed, a, b):
+    reg, rng = _random_regression(n_raw, degree, extra, seed)
+    raw = reg.raw_values()
+    y1 = np.sin(raw.sum(axis=1)) + rng.standard_normal(reg.n_paths)
+    y2 = raw[:, 0] ** 3 + 0.5 * rng.standard_normal(reg.n_paths)
+    y = a * y1 + b * y2
+    f1, f2 = reg.fit(y1), reg.fit(y2)
+    eps = np.finfo(float).eps
+    phi = reg.design()
+    # the exact fit maps |dy| <= d to at most p max|Phi|^2 d / lambda_min(G + ridge I)
+    gain = phi.shape[1] * np.abs(phi).max() ** 2 \
+        / np.linalg.eigvalsh(reg.gram + reg.basis.ridge * np.eye(phi.shape[1]))[0]
+    # the three fits' round-off, plus the rounding of a y1 + b y2 and of a f1 + b f2
+    tol = _fit_roundoff(reg, y) + abs(a) * _fit_roundoff(reg, y1) \
+        + abs(b) * _fit_roundoff(reg, y2) \
+        + 2 * eps * (np.abs(a * f1) + np.abs(b * f2)) \
+        + gain * 2 * eps * np.max(np.abs(a * y1) + np.abs(b * y2))
+    assert np.all(np.abs(reg.fit(y) - (a * f1 + b * f2)) <= tol)
+
+
+@settings(max_examples=30)
+@given(n_raw=st.integers(1, 3), degree=st.integers(1, 3), extra=st.integers(0, 200),
+       seed=st.integers(0, 2 ** 32 - 1), ridge=st.sampled_from([1e-8, 1e-4, 1e-2]))
+def test_fit_is_idempotent_up_to_the_ridge(n_raw, degree, extra, seed, ridge):
+    """fit(fit(y)) - fit(y) = -ridge Phi (G + ridge I)^-1 c for c = coefficients(y).
+
+    A ridge projection shrinks what it refits, so it is idempotent only up
+    to that term; round-off adds the two fits' own bounds.
+    """
+    reg, rng = _random_regression(n_raw, degree, extra, seed, ridge)
+    y = np.cos(2.0 * reg.raw_values().sum(axis=1)) + rng.standard_normal(reg.n_paths)
+    once = reg.fit(y)
+    shrink = reg.design() @ (ridge * reg._solve(reg.coefficients(y)))
+    roundoff = _fit_roundoff(reg, y) + _fit_roundoff(reg, once)
+    assert np.all(np.abs(reg.fit(once) - once) <= np.abs(shrink) + roundoff)
+
+
+def _lowered(e, r):
+    return e[:r] + (e[r] - 1,) + e[r + 1:]
+
+
+def _reference_rows(raw, degree):
+    """Monomial rows by the product tree, the oracle for `NodeRegression`.
+
+    Monomial e is its parent e - 1_r times raw feature r, where r is the last
+    feature that e contains; parents come first in exponent order.
+    """
+    expos = _monomial_exponents(raw.shape[1], degree)
+    index = {e: k for k, e in enumerate(expos)}
+    rows = [np.ones(raw.shape[0])]
+    for e in expos[1:]:
+        r = max(i for i, p in enumerate(e) if p)
+        rows.append(rows[index[_lowered(e, r)]] * raw[:, r])
+    return np.array(rows), expos, index
 
 
 def _reference_build(features, node, basis):
+    """Row reductions on the (p, M) monomial rows: one mean, one spread, one drop."""
     raw = np.column_stack([f.values[node] for f in features])
-    phi, keep = _reference_columns(raw, basis.degree)
-    mean, scale = phi.mean(axis=0), phi.std(axis=0)
-    mean[0], scale[0] = 0.0, 1.0
-    scale[scale < 1e-300] = 1.0
-    phi = (phi - mean) / scale
-    gram = phi.T @ phi / raw.shape[0]
+    rows, _, _ = _reference_rows(raw, basis.degree)
+    mean = rows.mean(axis=1)
+    mean[0] = 0.0
+    dev = rows - mean[:, None]
+    spread = np.sqrt(np.einsum("ij,ij->i", dev, dev) / raw.shape[0])
+    keep = [0] + [k for k in range(1, len(rows)) if spread[k] > 1e-300]
+    mean, scale = mean[keep], spread[keep]
+    kept = dev[keep] / scale[:, None]
+    gram = kept @ kept.T / raw.shape[0]
     gram[np.diag_indices_from(gram)] += basis.ridge
-    return keep, mean, scale, phi, np.linalg.cholesky(gram)
+    return keep, mean, scale, kept.T, np.linalg.cholesky(gram)
+
+
+def _build_cases(p, degree, n_features):
+    # the constant third feature exercises the dropped-column branch
+    feats = [brownian_feature(p), jump_sum_feature(p),
+             state_feature(np.full((p.n_steps + 1, p.n_paths), 0.3), name="flat")]
+    basis = RegressionBasis(degree=degree)
+    for node in (0, 1, 40):
+        yield feats[:n_features], node, basis
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("n_features", [1, 2, 3])
 def test_regression_build_is_bit_identical_to_column_build(jump_paths64_small, degree,
                                                            n_features):
-    p = jump_paths64_small
-    # the constant third feature exercises the dropped-column branch
-    feats = [brownian_feature(p), jump_sum_feature(p),
-             state_feature(np.full((p.n_steps + 1, p.n_paths), 0.3), name="flat")]
-    basis = RegressionBasis(degree=degree)
-    for node in (0, 1, 40):
-        reg = NodeRegression(feats[:n_features], node, basis, retain_design=True)
-        keep, mean, scale, phi, chol = _reference_build(feats[:n_features], node, basis)
+    for feats, node, basis in _build_cases(jump_paths64_small, degree, n_features):
+        reg = NodeRegression(feats, node, basis, retain_design=True)
+        keep, mean, scale, phi, chol = _reference_build(feats, node, basis)
         assert reg.keep == keep
         for got, want in ((reg.col_mean, mean), (reg.col_scale, scale),
                           (reg.design(), phi), (reg._chol, chol)):
             assert np.array_equal(got, want)
         shifted = reg.raw_values() + 0.25
-        cols, _ = _reference_columns(shifted, degree, keep)
-        assert np.array_equal(reg.design(shifted), (cols - mean) / scale)
+        rows, _, _ = _reference_rows(shifted, degree)
+        assert np.array_equal(reg.design(shifted), ((rows[keep].T - mean) / scale))
+
+
+def _power_build(features, node, degree):
+    """The column-major build with `**` powers and axis-0 moments."""
+    raw = np.column_stack([f.values[node] for f in features])
+    cols, kept = [], []
+    for idx, expo in enumerate(_monomial_exponents(raw.shape[1], degree)):
+        col = np.ones(raw.shape[0])
+        for r, p in enumerate(expo):
+            if p:
+                col = col * raw[:, r] ** p
+        if idx > 0 and np.std(col) <= 1e-300:
+            continue
+        cols.append(col)
+        kept.append(idx)
+    x = np.column_stack(cols)
+    mean, scale = x.mean(axis=0), x.std(axis=0)
+    mean[0], scale[0] = 0.0, 1.0
+    return kept, mean, scale, (x - mean) / scale
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n_features", [1, 2, 3])
+def test_regression_build_matches_power_build_to_round_off(jump_paths64_small, degree,
+                                                           n_features):
+    """Product-tree rows against `**` columns, within a bound from eps and magnitudes.
+
+    Per element, a degree-d monomial x carries at most d roundings either
+    way (pow is within one ulp), so the two builds differ by at most
+    2 d eps X, X = max|x| = prod_r max|raw_r|^e_r. Each mean and each
+    variance is a sum of M terms, off by at most M eps times the sum of
+    magnitudes, so the means differ by at most (2d + 2M) eps X. Propagating
+    these through x - mean and the division by the spread bounds the
+    spreads, the design and the Gram matrix column by column. A constant
+    monomial whose computed mean is inexact keeps a spread of round-off size,
+    at most that same mean bound, and either build may keep or drop it: such
+    columns may differ in `keep`, and the design and Gram bounds skip every
+    column whose spread is not resolved above its own bound.
+    """
+    eps = np.finfo(float).eps
+    for feats, node, basis in _build_cases(jump_paths64_small, degree, n_features):
+        reg = NodeRegression(feats, node, basis, retain_design=True)
+        keep, mean, scale, phi = _power_build(feats, node, degree)
+        raw_max, m = np.abs(reg.raw_values()).max(axis=0), phi.shape[0]
+
+        def noise(idx):
+            e = reg.exponents[idx]
+            return (2 * sum(e) + 2 * m) * eps * float(np.prod(raw_max ** np.array(e)))
+
+        for got, spread in ((reg.keep, reg.col_scale), (keep, scale)):
+            for pos, idx in enumerate(got):
+                if idx not in reg.keep or idx not in keep:
+                    assert spread[pos] <= noise(idx)
+        common = [idx for idx in reg.keep if idx in keep]
+        new, old = [reg.keep.index(i) for i in common], [keep.index(i) for i in common]
+        mean, scale, phi = mean[old], scale[old], phi[:, old]
+        d_mean = np.array([noise(i) if i else 0.0 for i in common])
+        assert np.all(np.abs(reg.col_mean[new] - mean) <= d_mean)
+        # |x_new - x_old| <= 2 d eps X <= d_mean; the subtraction rounds once more
+        d_dev = 2.0 * d_mean + eps * np.abs(phi * scale).max(axis=0)
+        d_scale = d_dev + (m + 2) * eps * scale
+        d_dev[0] = d_scale[0] = 0.0
+        assert np.all(np.abs(reg.col_scale[new] - scale) <= d_scale)
+        ok = scale > 2.0 * d_scale
+        phi, scale, d_dev, d_scale = phi[:, ok], scale[ok], d_dev[ok], d_scale[ok]
+        d_phi = (d_dev + np.abs(phi) * d_scale) / (scale - d_scale) + eps * np.abs(phi)
+        design = reg.design()[:, new][:, ok]
+        assert np.all(np.abs(design - phi) <= d_phi)
+        gram = phi.T @ phi / m
+        d_gram = (d_phi.T @ (np.abs(phi) + d_phi) + np.abs(phi).T @ d_phi) / m \
+            + eps * np.abs(phi).T @ np.abs(phi)
+        got = reg.gram[np.ix_(new, new)][np.ix_(ok, ok)]
+        assert np.all(np.abs(got - gram) <= d_gram)
+
+
+@pytest.mark.parametrize("n_features", [1, 2, 3])
+def test_gradient_raw_is_the_per_monomial_derivative(jump_paths64_small, n_features):
+    p = jump_paths64_small
+    feats = [brownian_feature(p), jump_sum_feature(p),
+             weighted_brownian_feature(np.linspace(0.5, 1.5, 64), p)][:n_features]
+    reg = NodeRegression(feats, 40, RegressionBasis(degree=3))
+    coef = reg.coefficients(p.brownian[-1] ** 2 + p.jump_sum[-1])
+    for raw in (reg.raw_values(), reg.raw_values() - 0.75):
+        rows, expos, index = _reference_rows(raw, 3)
+        want = np.zeros((n_features, p.n_paths))
+        for pos, k in enumerate(reg.keep):
+            e, c = expos[k], coef[pos] / reg.col_scale[pos]
+            for r in range(n_features):
+                if k and e[r] and c != 0.0:
+                    want[r] += (c * e[r]) * rows[index[_lowered(e, r)]]
+        assert np.array_equal(reg.gradient_raw(coef, raw), want.T)
 
 
 def test_surrogate_gradient_matches_finite_difference(paths64_small):
@@ -265,6 +435,20 @@ def test_duality_jump_degenerate_without_jumps(paths64_small):
 
 
 # --- reconstruction -----------------------------------------------------------
+
+def test_reconstruction_residual_is_the_grid_term_plus_a_small_remainder(paths64_small):
+    """Criterion 03's residual is the grid floor: the rest is regression sampling error.
+
+    For B_T^2 the adapted integrand 2 B_{t_i} lies in the node basis, so
+    what remains beyond sum_i (dW_i^2 - dt) is the sample mean of F and p
+    coefficients per node, together of relative size sqrt((1 + p) / M).
+    """
+    p = paths64_small
+    rep = clark_ocone_reconstruct(lambda b: b.brownian[-1] ** 2, p)
+    grid_rms, rest_rms = rep.relative_split(brownian_square_grid_term(p))
+    assert rest_rms <= 3.0 * math.sqrt((1 + RegressionBasis().dimension(1)) / p.n_paths)
+    assert rest_rms < 0.05 < grid_rms  # the 5 % bound of criterion 03 fails on the floor
+
 
 def test_reconstruction_of_constant_is_exact(paths64_small):
     rep = clark_ocone_reconstruct(lambda p: np.full(p.n_paths, 7.0), paths64_small)

@@ -343,7 +343,7 @@ def linearity_projector():
     return paths, BackwardProjector([brownian_feature(paths)], paths, RegressionBasis())
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0), stop=st.integers(0, 11),
        ratios=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12))
 def test_march_is_linear_in_the_terminal(linearity_projector, alpha, beta, stop, ratios):

@@ -211,7 +211,7 @@ def test_lifted_history_sums_match_generic_path(simulate, name, params, control)
     assert _rel_diff(lifted, generic) <= 1e-12
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(decays=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 6.0))] * 3),
        steps=st.integers(2, 40))
 def test_lifted_matches_generic_over_decays_and_steps(decays, steps):
