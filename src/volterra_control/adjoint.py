@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import PathBundle
-from .hamiltonian import forward_terms
+from .hamiltonian import forward_terms, local_jump_term
 from .malliavin import (
     Feature,
     NodeRegression,
@@ -264,10 +264,7 @@ def _hamiltonian_x_driver(model, spec, paths, i, x_state, u_i, p_est, q_i, r_i,
     out += model.drift_dx(t[i], t[i], x_i, u_i) * p_est
     out += model.diffusion_dx(t[i], t[i], x_i, u_i) * q_i
     if jumps.n_marks and jumps.intensity > 0.0:
-        lw = jumps.intensity * jumps.weight_array
-        g = model.jump_dx(t[i], t[i], None if x_i is None else np.asarray(x_i)[..., None],
-                          np.asarray(u_i)[..., None], jumps.mark_array[None, :])
-        out += np.einsum("mk,k,mk->m", np.broadcast_to(g, (m, jumps.n_marks)), lw, r_i)
+        out += local_jump_term(model.jump_dx, paths, i, x_i, u_i, r_i)
     if model.memory_state_coupling and i < paths.n_steps:
         for term in forward_terms(model, "_dtdx", paths, i, x_i, u_i, p_all, field,
                                   include_diagonal=False):
@@ -338,43 +335,46 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
 
 
 def simulated_state_feature(model: CoefficientModel, control,
-                            states: StateEnsemble, paths: PathBundle,
-                            simulate=None) -> Feature:
+                            states: StateEnsemble, paths: PathBundle) -> Feature:
     """State feature whose noise sensitivities run through the simulator.
 
     The sensitivity of X(t_j) to the increment at node i (and to an inserted
     jump) is measured by re-simulating on perturbed bundles, one pair of
-    simulations per node, cached. Cost is O(N) simulations, each O(NM) when
-    the model declares its kernel decays (O(N^2 M) otherwise); intended for
-    modest grids where the memory-state coupling of the driver matters.
+    simulations per node, cached. Each restarts at node i from a recorded
+    base run, since rows 0..i do not move, and keeps rows i+1..N only. Cost
+    is O(N) simulations of O((N - i) M) each with declared kernel decays
+    (O(N^2 M) otherwise); intended for modest grids.
     """
     from .volterra import simulate_integral_form
 
-    sim = simulate or simulate_integral_form
     h = 1e-4 * math.sqrt(paths.grid.dt)
+    record: list = []
+    base = simulate_integral_form(model, control, paths, record=record).values
     brownian_cache: dict[int, np.ndarray] = {}
     jump_cache: dict[tuple[int, int], np.ndarray] = {}
+
+    def suffix(bundle: PathBundle, i: int) -> np.ndarray:  # rows i+1..N, bumped at i
+        return simulate_integral_form(model, control, bundle,
+                                      restart=(i, base, record[i])).values[i + 1:]
 
     def d_brownian_block(i: int) -> np.ndarray:
         if i not in brownian_cache:
             pert = paths.perturb_brownian(i, +h)
-            up = sim(model, control, pert).values.copy()
+            up = suffix(pert, i)
             pert.rebump(-h)
-            dn = sim(model, control, pert).values
-            brownian_cache[i] = (up - dn) / (2.0 * h)
+            brownian_cache[i] = (up - suffix(pert, i)) / (2.0 * h)
         return brownian_cache[i]
 
     def d_jump_block(i: int, k: int) -> np.ndarray:
         if (i, k) not in jump_cache:
-            bumped = sim(model, control, paths.with_extra_jump(i, k)).values
-            jump_cache[(i, k)] = bumped - states.values
+            jump_cache[(i, k)] = suffix(paths.with_extra_jump(i, k), i) - states.values[i + 1:]
         return jump_cache[(i, k)]
 
     return Feature(
         name="simulated_state",
         values=states.values,
-        brownian_sensitivity=lambda i, j: d_brownian_block(i)[j] if i < j else 0.0,
-        jump_shift=lambda i, j, k: d_jump_block(i, k)[j] if i < j else 0.0,
+        brownian_sensitivity=lambda i, j: d_brownian_block(i)[j - i - 1] if i < j else 0.0,
+        jump_shift=lambda i, j, k: d_jump_block(i, k)[j - i - 1] if i < j else 0.0,
     )
 
 

@@ -329,8 +329,8 @@ def _adjoint_pipeline(cfg: ExperimentConfig):
                                                      basis=cfg.basis)
     else:
         if model.memory_state_coupling:
-            # the driver needs state sensitivities; measured by re-simulation
-            # (O(N) extra simulations -- choose grid/paths accordingly)
+            # the driver needs state sensitivities; measured by re-simulations
+            # restarted at the perturbed node (O(N) of them, O(N^2 M) in all)
             feats = [simulated_state_feature(model, control, states, paths)]
         else:
             feats = [state_feature(states.values)]

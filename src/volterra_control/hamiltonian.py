@@ -89,6 +89,15 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
     return terms
 
 
+def local_jump_term(kernel, paths: PathBundle, i: int, x, v, r) -> np.ndarray:
+    """Local mark-measure term intensity sum_k w_k kernel(t_i,t_i,x,v,z_k) r_k, (M,)."""
+    t, jumps = paths.grid.nodes[i], paths.jumps
+    g = kernel(t, t, None if x is None else np.asarray(x)[..., None],
+               np.asarray(v)[..., None], jumps.mark_array[None, :])
+    return np.einsum("mk,k,mk->m", np.broadcast_to(g, (paths.n_paths, jumps.n_marks)),
+                     jumps.intensity * jumps.weight_array, r)
+
+
 def eval_h1(model: CoefficientModel, paths: PathBundle, i: int, x, v,
             p: np.ndarray, field) -> np.ndarray:
     """Memory Hamiltonian at node i: forward sums of d/dt kernel partials.
@@ -275,11 +284,7 @@ def control_gradient(model: CoefficientModel, spec: PerformanceSpec, paths: Path
         np.broadcast_to(model.diffusion_dv(t[i], t[i], x_model, v) * triple.q[i], (m,)),
     ]
     if jumps.n_marks and jumps.intensity > 0.0:
-        lw = jumps.intensity * jumps.weight_array
-        g = model.jump_dv(t[i], t[i], None if x_model is None else np.asarray(x_model)[..., None],
-                          np.asarray(v)[..., None], jumps.mark_array[None, :])
-        terms.append(np.einsum("mk,k,mk->m", np.broadcast_to(g, (m, jumps.n_marks)),
-                               lw, triple.r[i]))
+        terms.append(local_jump_term(model.jump_dv, paths, i, x_model, v, triple.r[i]))
     if not model.time_invariant_kernels and i < n:
         terms += forward_terms(model, "_dtdv", paths, i, x_model, v, triple.p, field)
     stacked = np.vstack([np.asarray(tm, dtype=float) for tm in terms])

@@ -72,32 +72,29 @@ def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None):
     over the (kernel_p, w_p) pairs, with w_p an array indexed by node or None
     for weight 1. x (None for x-independent models) and u are read when
     called, so rows a running simulation has filled are seen. inc is (N, M);
-    for a jump kernel (marks given) it is the (N, M, K) compensated counts
-    and the marks are summed out too.
+    for a jump kernel (marks given) it is a mark-major (K, N, M) view of the
+    compensated counts, the kernel is evaluated as (K, j, M) with its inner
+    loop over M, and the marks are summed out too.
     """
 
     def summands(t, hist):
         s, x_h, u_h = nodes[hist, None], None if x is None else x[hist], u[hist]
-        if marks is None:
-            args = (t, s, x_h, u_h)
-        else:
-            args = (t, s[:, :, None], None if x_h is None else x_h[:, :, None],
-                    u_h[:, :, None], marks[None, None, :])
+        args = (t, s, x_h, u_h) + (() if marks is None else (marks[:, None, None],))
         total = None
         for kernel, weight in kernels:
             value = kernel(*args)
             if weight is not None:
-                value = value * (weight[hist] if marks is None else weight[hist][:, :, None])
+                value = value * weight[hist]
             total = value if total is None else total + value
-        increments = inc[hist]
-        subscripts = "jm,jm->m" if marks is None else "jmk,jmk->m"
+        increments = inc[..., hist, :]
+        subscripts = "jm,jm->m" if marks is None else "kjm,kjm->m"
         return np.einsum(subscripts, np.broadcast_to(total, increments.shape), increments)
 
     return summands
 
 
 def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
-                parts=(("", None),)):
+                parts=(("", None),), sums: list | None = None):
     """Total memory term at node i, as a function `memory(i)`.
 
     memory(i) = sum_{j<i} [K_b(t_i,t_j) dt + K_sigma(t_i,t_j) dB_j
@@ -107,46 +104,62 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
     sum runs through `history_sum` with the kernel's declared decay, so
     memory must be called for i = 1, 2, ..., N in order. x (None for
     x-independent models), u and the weights are read when memory is called.
+    `sums`, the per-kernel sums (zeros when empty), is replaced in place by
+    every call; seeded with the S_i of another run, memory restarts at i + 1.
     """
     n, m = paths.n_steps, paths.n_paths
     nodes, jumps = paths.grid.nodes, paths.jumps
     incs = {"drift": np.broadcast_to(paths.grid.dt, (n, m)), "diffusion": paths.dW}
     if jumps.n_marks and jumps.intensity > 0.0:
-        incs["jump"] = paths.compensated_counts
-    sums = [
+        incs["jump"] = np.moveaxis(paths.compensated_counts, 2, 0)
+    kernels = [
         (_kernel_summands([(getattr(model, kernel + suffix), w) for suffix, w in parts],
                           nodes, x, u, inc, jumps.mark_array if kernel == "jump" else None),
          model.decay(kernel))
         for kernel, inc in incs.items()
     ]
-    values = [0.0] * len(sums)
+    values = [] if sums is None else sums
+    values[:] = values or [0.0] * len(kernels)
 
     def memory(i: int) -> np.ndarray:
         values[:] = [history_sum(summands, decay, nodes, i, previous)
-                     for (summands, decay), previous in zip(sums, values)]
+                     for (summands, decay), previous in zip(kernels, values)]
         return sum(values)
 
     return memory
 
 
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
-                           paths: PathBundle) -> StateEnsemble:
+                           paths: PathBundle, restart: tuple | None = None,
+                           record: list | None = None
+                           ) -> StateEnsemble:
     """Simulate the state from its integral representation.
 
     X_i = xi(t_i) + sum_{j<i} b(t_i,t_j,X_j,u_j) dt
         + sum_{j<i} sigma(t_i,t_j,X_j,u_j) dB_j
         + sum_{j<i} sum_k gamma(t_i,t_j,X_j,u_j,z_k) dN~_{j,k}
+
+    `restart` = (i, rows, S_i) continues a base run whose bundle agrees with
+    `paths` before node i: rows 0..i of its state are copied (a feedback
+    control is re-evaluated on them) and the memory recursion resumes from
+    its per-kernel sums S_i. `record` receives S_i for i = start..N-1.
     """
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes
     u = _control_grid(control, paths)
+    start, rows, sums = restart or (0, [model.initial_curve(t[0])], [])
 
     x = np.empty((n + 1, m))
-    x[0] = model.initial_curve(t[0])
-    memory = memory_sums(model, paths, None if model.x_independent else x, u)
+    x[:start + 1] = rows[:start + 1]
+    sums = list(sums)
+    memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums)
     for i in range(1, n + 1):
         if control.kind == "feedback":
             u[i - 1] = control.at(i - 1, paths, x=x[i - 1])
+        if i <= start:
+            continue
+        if record is not None:
+            record.append(list(sums))
         val = model.initial_curve(t[i]) + memory(i)
         _check_finite(val, i, "integral-form state")
         x[i] = val

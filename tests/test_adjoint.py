@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control import (
     ConfigurationError,
@@ -401,6 +403,80 @@ def test_reused_field_rows_equal_fresh_field_rows(setup, request):
     assert np.any(field.dp_rows(0) != 0.0)
     if paths.jumps.n_marks:
         assert np.any(field.djump_rows(0) != 0.0)
+
+
+# --- restarted state re-simulations against full re-simulations from node 0 ---
+
+_RESTART_JUMPS = JumpModel(1.0, (-0.5, 0.5), (0.5, 0.5))
+_EXP_PARAMS = dict(b0=0.2, sigma0=0.3, jump0=0.15, decay_b=1.0, decay_sigma=0.8,
+                   decay_jump=0.5)
+
+
+def _power_law_model():
+    """x-dependent model with power-law kernels: no declared decays."""
+    def kernel(amp):
+        return lambda t, s, x, v: amp * v * x / (1.0 + np.asarray(t, dtype=float) - s)
+    return registry_get("custom", dict(
+        initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+        drift=kernel(0.2), diffusion=kernel(0.3),
+        jump=lambda t, s, x, v, z: 0.15 * v * x * z / (1.0 + np.asarray(t, dtype=float) - s),
+    ))
+
+
+def _exp_model():
+    return registry_get("exp_kernel_linear", _EXP_PARAMS)
+
+
+_FEEDBACK = ControlProcess.feedback(
+    lambda i, t, paths, x: np.clip(0.5 + 0.2 * np.asarray(x), 0.0, 2.0), bounds=(0.0, 2.0))
+
+# The generic path re-sums the history from the copied rows, so a feedback
+# control there also needs its prefix values recomputed.
+RESTART_CASES = [
+    pytest.param(_exp_model, ControlProcess.constant(0.7), id="lifted-jumps"),
+    pytest.param(_power_law_model, ControlProcess.constant(0.7), id="generic-custom"),
+    pytest.param(_power_law_model, _FEEDBACK, id="feedback-generic"),
+    pytest.param(_exp_model, _FEEDBACK, id="feedback-lifted"),
+]
+
+
+@pytest.mark.parametrize("make_model,control", RESTART_CASES)
+def test_restarted_sensitivities_equal_full_resimulation(make_model, control):
+    from volterra_control.adjoint import simulated_state_feature
+
+    model = make_model()
+    paths = sample_paths(TimeGrid(1.0, 8), _RESTART_JUMPS, 600, seed=41)
+    states = simulate_integral_form(model, control, paths)
+    feat = simulated_state_feature(model, control, states, paths)
+    h = 1e-4 * np.sqrt(paths.grid.dt)
+    for i in range(paths.n_steps):
+        pert = paths.perturb_brownian(i, +h)
+        up = simulate_integral_form(model, control, pert).values
+        pert.rebump(-h)
+        full = (up - simulate_integral_form(model, control, pert).values) / (2.0 * h)
+        shifts = [simulate_integral_form(model, control, paths.with_extra_jump(i, k)).values
+                  - states.values for k in range(paths.jumps.n_marks)]
+        for j in range(i + 1, paths.n_steps + 1):
+            assert np.array_equal(feat.brownian_sensitivity(i, j), full[j])
+            for k, shift in enumerate(shifts):
+                assert np.array_equal(feat.jump_shift(i, j, k), shift[j])
+    assert np.any(feat.brownian_sensitivity(0, paths.n_steps) != 0.0)
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_state_sensitivities_and_field_rows_are_adapted(memory_jump_setup, data):
+    # D_{t_i} X(t_j) = 0 for j <= i, and the field rows j < i vanish exactly
+    *_, paths, triple, field = memory_jump_setup
+    n = paths.n_steps
+    i = data.draw(st.integers(0, n), label="i")
+    j = data.draw(st.integers(0, i), label="j")
+    feat = triple.features[0]
+    assert np.all(np.asarray(feat.brownian_sensitivity(i, j)) == 0.0)
+    for k in range(paths.jumps.n_marks):
+        assert np.all(np.asarray(feat.jump_shift(i, j, k)) == 0.0)
+    assert np.all(field.dp_rows(i)[:i] == 0.0)
+    assert np.all(field.djump_rows(i)[:i] == 0.0)
 
 
 def test_adjoint_csv_export(tmp_path, xindep_setup):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from volterra_control import (
@@ -157,6 +159,30 @@ def test_coarsening(jump_paths64_small):
     assert np.allclose(c.brownian[-1], p.brownian[-1])
     with pytest.raises(ConfigurationError):
         p.coarsen(5)
+
+
+# Path counts on both sides of the 4096-path generation block boundary.
+_PATH_COUNTS = st.one_of(st.integers(1, 2 * 4096 + 64),
+                          st.sampled_from([4095, 4096, 4097, 8192, 8193]))
+
+
+@settings(max_examples=25)
+@given(sizes=st.lists(_PATH_COUNTS, min_size=2, max_size=2).map(sorted),
+       steps_factor=st.sampled_from([(2, 1), (4, 2), (6, 3), (8, 4), (12, 4)]),
+       seed=st.integers(0, 2**16))
+def test_subset_reproduces_smaller_runs_and_commutes_with_coarsen(sizes, steps_factor, seed):
+    (m1, m2), (steps, factor) = sizes, steps_factor
+    jumps = JumpModel(3.0, (-0.5, 0.5, 1.0), (0.25, 0.25, 0.5))
+    grid = TimeGrid(1.0, steps)
+    small = sample_paths(grid, jumps, m1, seed=seed)
+    big = sample_paths(grid, jumps, m2, seed=seed)
+    sub = big.subset(0, m1)
+    assert np.array_equal(small.dW, sub.dW)
+    assert np.array_equal(small.jump_counts, sub.jump_counts)
+    one, other = big.coarsen(factor).subset(0, m1), sub.coarsen(factor)
+    assert one.n_steps == other.n_steps == steps // factor
+    assert np.array_equal(one.dW, other.dW)
+    assert np.array_equal(one.jump_counts, other.jump_counts)
 
 
 # --- compensated jump integral ------------------------------------------------

@@ -224,3 +224,59 @@ def test_lifted_matches_generic_over_decays_and_steps(decays, steps):
         lifted = simulate(model, control, paths).values
         generic = simulate(_generic(model), control, paths).values
         assert _rel_diff(lifted, generic) <= 1e-12
+
+
+# --- restarts and the mark-major jump summand ---
+
+@pytest.mark.parametrize("generic", [False, True], ids=["lifted", "generic"])
+def test_restart_from_recorded_sums_reproduces_the_base_run(generic):
+    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15))
+    model = _generic(model) if generic else model
+    paths = sample_paths(TimeGrid(1.0, 12), _MARKS, 300, seed=8)
+    record = []
+    base = simulate_integral_form(model, _feedback(), paths, record=record).values
+    assert len(record) == paths.n_steps and len(record[0]) == 3
+    for i in range(paths.n_steps):
+        again = simulate_integral_form(model, _feedback(), paths, restart=(i, base, record[i]))
+        assert np.array_equal(again.values, base)
+
+
+def _mark_last_summand(model, paths, x, u, t, hist):
+    """The jump history summand with the marks on the last axis, (j, M, K),
+    and the per-path sum of the absolute products it adds up."""
+    s, marks = paths.grid.nodes[hist, None], paths.jumps.mark_array
+    g = model.jump(t, s[:, :, None], x[hist][:, :, None], u[hist][:, :, None],
+                   marks[None, None, :])
+    inc = paths.compensated_counts[hist]
+    summand = np.einsum("jmk,jmk->m", np.broadcast_to(g, inc.shape), inc)
+    return summand, np.abs(g * inc).sum(axis=(0, 2))
+
+
+@pytest.mark.parametrize("marks,weights", [((0.5,), (1.0,)),
+                                           ((0.5, -0.5), (0.5, 0.5)),
+                                           ((0.5, -0.5, 0.25), (0.25, 0.25, 0.5))],
+                         ids=["K1", "K2", "K3"])
+def test_mark_major_jump_summand_matches_mark_last(marks, weights):
+    from volterra_control.volterra import _kernel_summands
+
+    jumps = JumpModel(2.0, marks, weights)
+    paths = sample_paths(TimeGrid(1.0, 32), jumps, 500, seed=12)
+    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15))
+    x = simulate_integral_form(model, ControlProcess.constant(0.7), paths).values
+    u = np.full((paths.n_steps, paths.n_paths), 0.7)
+    summands = _kernel_summands([(model.jump, None)], paths.grid.nodes, x, u,
+                                np.moveaxis(paths.compensated_counts, 2, 0), jumps.mark_array)
+    eps = np.finfo(float).eps
+    for i in range(1, paths.n_steps + 1):
+        t = paths.grid.nodes[i]
+        for hist in (slice(i - 1, i), slice(0, i)):   # lifted, generic
+            new = summands(t, hist)
+            old, scale = _mark_last_summand(model, paths, x, u, t, hist)
+            if len(marks) <= 2:
+                # with one or two marks the sums come out bit for bit, on both paths
+                assert np.array_equal(new, old)
+            else:
+                # both add the same n = j K products in some order, so each is
+                # within gamma_n sum|g inc| of the exact sum, gamma_n <= n eps
+                n = (hist.stop - hist.start) * len(marks)
+                assert np.all(np.abs(new - old) <= 2.0 * n * eps * scale)
