@@ -335,46 +335,52 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
 
 
 def simulated_state_feature(model: CoefficientModel, control,
-                            states: StateEnsemble, paths: PathBundle) -> Feature:
+                            states: StateEnsemble, paths: PathBundle,
+                            record: list | None = None) -> Feature:
     """State feature whose noise sensitivities run through the simulator.
 
-    The sensitivity of X(t_j) to the increment at node i (and to an inserted
-    jump) is measured by re-simulating on perturbed bundles, one pair of
-    simulations per node, cached. Each restarts at node i from a recorded
-    base run, since rows 0..i do not move, and keeps rows i+1..N only. Cost
-    is O(N) simulations of O((N - i) M) each with declared kernel decays
+    The sensitivity of X(t_j) to the increment at node i, and to a jump of
+    each mark inserted there, is measured by one re-simulation per node,
+    cached. It restarts at node i from the base run, since rows 0..i do not
+    move, and carries the 2 + K perturbations on a variant axis: dW_i + h,
+    then (dW_i + h) - 2h (a central difference), and per mark k the node-i
+    compensated count with one more jump. Those rows are the only increments
+    that differ, so no noise array is copied. `record` holds the base run's
+    memory sums (`simulate_integral_form(..., record=record)` on `states`'
+    run); without it the base run is simulated again to record them. Cost is
+    N simulations of O((2 + K)(N - i) M) each with declared kernel decays
     (O(N^2 M) otherwise); intended for modest grids.
     """
     from .volterra import simulate_integral_form
 
     h = 1e-4 * math.sqrt(paths.grid.dt)
-    record: list = []
-    base = simulate_integral_form(model, control, paths, record=record).values
-    brownian_cache: dict[int, np.ndarray] = {}
-    jump_cache: dict[tuple[int, int], np.ndarray] = {}
+    base = states.values
+    if record is None:
+        record = []
+        simulate_integral_form(model, control, paths, record=record)
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def suffix(bundle: PathBundle, i: int) -> np.ndarray:  # rows i+1..N, bumped at i
-        return simulate_integral_form(model, control, bundle,
-                                      restart=(i, base, record[i])).values[i + 1:]
-
-    def d_brownian_block(i: int) -> np.ndarray:
-        if i not in brownian_cache:
-            pert = paths.perturb_brownian(i, +h)
-            up = suffix(pert, i)
-            pert.rebump(-h)
-            brownian_cache[i] = (up - suffix(pert, i)) / (2.0 * h)
-        return brownian_cache[i]
-
-    def d_jump_block(i: int, k: int) -> np.ndarray:
-        if (i, k) not in jump_cache:
-            jump_cache[(i, k)] = suffix(paths.with_extra_jump(i, k), i) - states.values[i + 1:]
-        return jump_cache[(i, k)]
+    def node_blocks(i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows i+1..N of dX/dW_i, (N - i, M), and of the jump shifts, (K, N - i, M)."""
+        if i not in blocks:
+            k = paths.jumps.n_marks
+            up = paths.dW[i] + h
+            dw = np.stack([up, up - 2.0 * h] + [paths.dW[i]] * k)
+            # mark-k rows: the arithmetic of `PathBundle.with_extra_jump`'s compensated counts
+            jump = np.stack([paths.compensated_counts[i]] * (2 + k))
+            for kk in range(k):
+                jump[2 + kk, :, kk] = (paths.jump_counts[i, :, kk] + 1).astype(float)
+                jump[2 + kk, :, kk] -= paths.jumps.compensator(paths.grid)[kk]
+            x = simulate_integral_form(model, control, paths, restart=(i, base, record[i]),
+                                       variants={"diffusion": dw, "jump": jump}).values
+            blocks[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h), x[2:, i + 1:] - base[i + 1:])
+        return blocks[i]
 
     return Feature(
         name="simulated_state",
         values=states.values,
-        brownian_sensitivity=lambda i, j: d_brownian_block(i)[j - i - 1] if i < j else 0.0,
-        jump_shift=lambda i, j, k: d_jump_block(i, k)[j - i - 1] if i < j else 0.0,
+        brownian_sensitivity=lambda i, j: node_blocks(i)[0][j - i - 1] if i < j else 0.0,
+        jump_shift=lambda i, j, k: node_blocks(i)[1][k, j - i - 1] if i < j else 0.0,
     )
 
 

@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import copy
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,17 @@ from .portfolio import (
 )
 
 _WORKERS_ENV = "VOLTERRA_CONTROL_WORKERS"
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML loader that also reads an exponent float without a dot,
+    such as the 1e-08 that JSON writes, so a manifest's config block loads
+    back as the numbers it echoes rather than as strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
 
 _DEFAULTS = {
     "grid": {"horizon": 1.0, "steps": 64},
@@ -150,7 +162,7 @@ class ExperimentConfig:
         data = {}
         if path is not None:
             with open(path, "r", encoding="utf-8") as handle:
-                data = yaml.safe_load(handle) or {}
+                data = yaml.load(handle, Loader=_ConfigLoader) or {}
             if not isinstance(data, dict):
                 raise ConfigurationError(f"config root must be a mapping, got {type(data)}")
         raw = _merge(_DEFAULTS, data)
@@ -177,6 +189,9 @@ class ExperimentConfig:
         mc = raw["monte_carlo"]
         if int(mc["paths"]) < 1:
             raise ConfigurationError("monte_carlo.paths must be positive")
+        if not isinstance(raw["output"]["directory"], str):
+            raise ConfigurationError(
+                f"output.directory must be a string, got {raw['output']['directory']!r}")
         return cls(
             raw=raw,
             grid=grid,
@@ -323,15 +338,17 @@ def _adjoint_pipeline(cfg: ExperimentConfig):
     model = cfg.model()
     control = cfg.control()
     perf = cfg.performance()
-    states = simulate_integral_form(model, control, paths)
+    record = [] if model.memory_state_coupling else None
+    states = simulate_integral_form(model, control, paths, record=record)
     if model.x_independent:
         triple, field = solve_explicit_x_independent(model, perf, states, paths,
                                                      basis=cfg.basis)
     else:
         if model.memory_state_coupling:
-            # the driver needs state sensitivities; measured by re-simulations
-            # restarted at the perturbed node (O(N) of them, O(N^2 M) in all)
-            feats = [simulated_state_feature(model, control, states, paths)]
+            # the driver needs state sensitivities; measured by one re-simulation
+            # per node (N of them, O((2 + K) N^2 M) in all), restarted there from
+            # this run's recorded sums with the 2 + K perturbations on a variant axis
+            feats = [simulated_state_feature(model, control, states, paths, record)]
         else:
             feats = [state_feature(states.values)]
         triple, field = solve_general(model, perf, control, states, paths,

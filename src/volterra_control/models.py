@@ -469,15 +469,16 @@ class ControlProcess:
         return out
 
     def open_loop_grid(self, n_steps: int, n_paths: int) -> np.ndarray:
-        """Materialize an open-loop control as a (steps, paths) array."""
+        """An open-loop control as a (steps, paths) grid for reading only;
+        constant and deterministic controls are read-only broadcast views."""
         if self.kind == "constant":
-            return np.full((n_steps, n_paths), self.values)
+            return np.broadcast_to(self.values, (n_steps, n_paths))
         if self.kind == "deterministic":
             if len(self.values) != n_steps:
                 raise ConfigurationError(
                     f"deterministic control has {len(self.values)} values, grid needs {n_steps}"
                 )
-            return np.broadcast_to(self.values[:, None], (n_steps, n_paths)).copy()
+            return np.broadcast_to(self.values[:, None], (n_steps, n_paths))
         if self.kind == "per_path":
             if self.values.shape != (n_steps, n_paths):
                 raise ConfigurationError(

@@ -25,7 +25,8 @@ from .reporting import write_csv
 
 @dataclass
 class StateEnsemble:
-    """Simulated state values X(t_i) per node and path, shape (N+1, M)."""
+    """Simulated state values X(t_i) per node and path, shape (N+1, M), or
+    (V, N+1, M) for a restart with variants."""
 
     values: np.ndarray
     control: ControlProcess
@@ -38,15 +39,16 @@ class StateEnsemble:
 
 def _check_finite(x: np.ndarray, node: int, what: str) -> None:
     if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(x)))[0])
+        bad = int(np.argwhere(~np.isfinite(np.atleast_1d(x)))[0][-1])
         raise SimulationError(f"{what} produced a non-finite value at path {bad}, node {node}")
 
 
-def _control_grid(control: ControlProcess, paths: PathBundle) -> np.ndarray:
-    """(N, M) control values: the open-loop grid, or for a feedback rule an
-    empty array that the simulation fills node by node."""
+def _control_grid(control: ControlProcess, paths: PathBundle, lead: tuple = ()) -> np.ndarray:
+    """(N, M) control values: the open-loop grid, for reading only, or for a
+    feedback rule a writable (*lead, N, M) array that the simulation fills
+    node by node."""
     if control.kind == "feedback":
-        return np.empty((paths.n_steps, paths.n_paths))
+        return np.empty(lead + (paths.n_steps, paths.n_paths))
     return control.open_loop_grid(paths.n_steps, paths.n_paths)
 
 
@@ -65,7 +67,17 @@ def history_sum(summands, decay: float | None, nodes: np.ndarray, i: int, previo
     return np.exp(-decay * (nodes[i] - nodes[i - 1])) * previous + newest
 
 
-def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None):
+def _vary_row(increments: np.ndarray, offset: int, values: np.ndarray) -> np.ndarray:
+    """A new (V, j, ...) copy of the rows `increments` (j, ...) in which row
+    `offset` holds the per-variant `values` (V, ...)."""
+    lead = values.shape[:values.ndim - increments.ndim + 1]
+    varied = np.empty(lead + increments.shape)
+    varied[...] = increments
+    varied[(slice(None),) * len(lead) + (offset,)] = values
+    return varied
+
+
+def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None, row=None):
     """The `summands(t, hist)` of a history sum over weighted kernels.
 
     Sums sum_p kernel_p(t, t_j, X_j, u_j) w_p[j] inc_j over j in hist and
@@ -75,10 +87,18 @@ def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None):
     for a jump kernel (marks given) it is a mark-major (K, N, M) view of the
     compensated counts, the kernel is evaluated as (K, j, M) with its inner
     loop over M, and the marks are summed out too.
+
+    `row` = (i, values) replaces the node-i increments by per-variant values
+    on a leading variant axis: (V, M), or for a jump kernel (V, M, K), the
+    layout of the bundle's compensated counts; x, and u for a feedback
+    control, then carry the same leading axis, and so does the sum. The
+    other rows of inc are read as they are.
     """
 
     def summands(t, hist):
-        s, x_h, u_h = nodes[hist, None], None if x is None else x[hist], u[hist]
+        index = (Ellipsis, hist, slice(None)) if marks is None else \
+            (Ellipsis, None, hist, slice(None))
+        s, x_h, u_h = nodes[hist, None], None if x is None else x[index], u[index]
         args = (t, s, x_h, u_h) + (() if marks is None else (marks[:, None, None],))
         total = None
         for kernel, weight in kernels:
@@ -87,14 +107,22 @@ def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None):
                 value = value * weight[hist]
             total = value if total is None else total + value
         increments = inc[..., hist, :]
-        subscripts = "jm,jm->m" if marks is None else "kjm,kjm->m"
-        return np.einsum(subscripts, np.broadcast_to(total, increments.shape), increments)
+        if row is not None and hist.start <= row[0] < hist.stop:
+            if marks is None:
+                increments = _vary_row(increments, row[0] - hist.start, row[1])
+            else:
+                # built mark-last, as the bundle lays out its counts, so that
+                # einsum adds the products in the order of a plain run
+                increments = np.moveaxis(_vary_row(np.moveaxis(increments, 0, -1),
+                                                   row[0] - hist.start, row[1]), -1, -3)
+        subscripts = "...jm,...jm->...m" if marks is None else "...kjm,...kjm->...m"
+        return np.einsum(subscripts, *np.broadcast_arrays(total, increments))
 
     return summands
 
 
 def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
-                parts=(("", None),), sums: list | None = None):
+                parts=(("", None),), sums: list | None = None, row: tuple | None = None):
     """Total memory term at node i, as a function `memory(i)`.
 
     memory(i) = sum_{j<i} [K_b(t_i,t_j) dt + K_sigma(t_i,t_j) dB_j
@@ -106,15 +134,20 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
     x-independent models), u and the weights are read when memory is called.
     `sums`, the per-kernel sums (zeros when empty), is replaced in place by
     every call; seeded with the S_i of another run, memory restarts at i + 1.
+    `row` = (i, {kernel: values}) gives the node-i increments of the named
+    kernels per variant, "diffusion" (V, M) and "jump" (V, M, K), on the
+    leading variant axis that x (and a feedback u) then carry too.
     """
     n, m = paths.n_steps, paths.n_paths
     nodes, jumps = paths.grid.nodes, paths.jumps
     incs = {"drift": np.broadcast_to(paths.grid.dt, (n, m)), "diffusion": paths.dW}
     if jumps.n_marks and jumps.intensity > 0.0:
         incs["jump"] = np.moveaxis(paths.compensated_counts, 2, 0)
+    node, varied = row or (None, {})
     kernels = [
         (_kernel_summands([(getattr(model, kernel + suffix), w) for suffix, w in parts],
-                          nodes, x, u, inc, jumps.mark_array if kernel == "jump" else None),
+                          nodes, x, u, inc, jumps.mark_array if kernel == "jump" else None,
+                          (node, varied[kernel]) if kernel in varied else None),
          model.decay(kernel))
         for kernel, inc in incs.items()
     ]
@@ -131,7 +164,7 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
 
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
                            paths: PathBundle, restart: tuple | None = None,
-                           record: list | None = None
+                           record: list | None = None, variants: dict | None = None
                            ) -> StateEnsemble:
     """Simulate the state from its integral representation.
 
@@ -143,26 +176,36 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
     `paths` before node i: rows 0..i of its state are copied (a feedback
     control is re-evaluated on them) and the memory recursion resumes from
     its per-kernel sums S_i. `record` receives S_i for i = start..N-1.
+
+    `variants` runs V copies of a restart at once, which differ only in the
+    increments of the restart row i: {"diffusion": (V, M), "jump": (V, M, K)}
+    replace dW_i and the compensated counts of node i (a kernel left out
+    reads the bundle's row in every variant). The state then has a leading
+    variant axis, (V, N+1, M), rows 0..i equal in every variant, and a
+    feedback control is evaluated once per variant.
     """
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes
-    u = _control_grid(control, paths)
     start, rows, sums = restart or (0, [model.initial_curve(t[0])], [])
+    lead = (len(next(iter(variants.values()))),) if variants else ()
+    u = _control_grid(control, paths, lead)
 
-    x = np.empty((n + 1, m))
-    x[:start + 1] = rows[:start + 1]
+    x = np.empty(lead + (n + 1, m))
+    x[..., :start + 1, :] = rows[:start + 1]
     sums = list(sums)
-    memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums)
+    memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums,
+                         row=(start, variants) if variants else None)
     for i in range(1, n + 1):
         if control.kind == "feedback":
-            u[i - 1] = control.at(i - 1, paths, x=x[i - 1])
+            for v in np.ndindex(lead):
+                u[v + (i - 1,)] = control.at(i - 1, paths, x=x[v + (i - 1,)])
         if i <= start:
             continue
         if record is not None:
             record.append(list(sums))
         val = model.initial_curve(t[i]) + memory(i)
         _check_finite(val, i, "integral-form state")
-        x[i] = val
+        x[..., i, :] = val
     return StateEnsemble(values=x, control=control, paths=paths)
 
 

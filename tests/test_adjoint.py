@@ -430,22 +430,30 @@ def _exp_model():
 _FEEDBACK = ControlProcess.feedback(
     lambda i, t, paths, x: np.clip(0.5 + 0.2 * np.asarray(x), 0.0, 2.0), bounds=(0.0, 2.0))
 
+# With three marks too, the restarted run's mark sum adds the same products
+# in the same order as a full re-simulation, so these cases are bit for bit.
+_THREE_MARKS = JumpModel(1.5, (-0.5, 0.25, 0.5), (0.25, 0.5, 0.25))
+
 # The generic path re-sums the history from the copied rows, so a feedback
 # control there also needs its prefix values recomputed.
 RESTART_CASES = [
-    pytest.param(_exp_model, ControlProcess.constant(0.7), id="lifted-jumps"),
-    pytest.param(_power_law_model, ControlProcess.constant(0.7), id="generic-custom"),
-    pytest.param(_power_law_model, _FEEDBACK, id="feedback-generic"),
-    pytest.param(_exp_model, _FEEDBACK, id="feedback-lifted"),
+    pytest.param(_exp_model, ControlProcess.constant(0.7), _RESTART_JUMPS, id="lifted-jumps"),
+    pytest.param(_power_law_model, ControlProcess.constant(0.7), _RESTART_JUMPS,
+                 id="generic-custom"),
+    pytest.param(_power_law_model, _FEEDBACK, _RESTART_JUMPS, id="feedback-generic"),
+    pytest.param(_exp_model, _FEEDBACK, _RESTART_JUMPS, id="feedback-lifted"),
+    pytest.param(_exp_model, ControlProcess.constant(0.7), _THREE_MARKS,
+                 id="lifted-three-marks"),
+    pytest.param(_power_law_model, _FEEDBACK, _THREE_MARKS, id="feedback-generic-three-marks"),
 ]
 
 
-@pytest.mark.parametrize("make_model,control", RESTART_CASES)
-def test_restarted_sensitivities_equal_full_resimulation(make_model, control):
+@pytest.mark.parametrize("make_model,control,jumps", RESTART_CASES)
+def test_restarted_sensitivities_equal_full_resimulation(make_model, control, jumps):
     from volterra_control.adjoint import simulated_state_feature
 
     model = make_model()
-    paths = sample_paths(TimeGrid(1.0, 8), _RESTART_JUMPS, 600, seed=41)
+    paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
     states = simulate_integral_form(model, control, paths)
     feat = simulated_state_feature(model, control, states, paths)
     h = 1e-4 * np.sqrt(paths.grid.dt)
@@ -461,6 +469,39 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control):
             for k, shift in enumerate(shifts):
                 assert np.array_equal(feat.jump_shift(i, j, k), shift[j])
     assert np.any(feat.brownian_sensitivity(0, paths.n_steps) != 0.0)
+
+
+def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
+    # every node's 2 + K perturbations ride one restarted run; with the base
+    # run's record passed in, nothing else is simulated
+    from volterra_control import volterra
+    from volterra_control.adjoint import simulated_state_feature
+
+    model, control = _exp_model(), ControlProcess.constant(0.7)
+    paths = sample_paths(TimeGrid(1.0, 8), _THREE_MARKS, 300, seed=41)
+    n, marks = paths.n_steps, range(paths.jumps.n_marks)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+
+    def blocks(feat):
+        return [(feat.brownian_sensitivity(i, j), [feat.jump_shift(i, j, k) for k in marks])
+                for i, j in pairs]
+
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    want = blocks(simulated_state_feature(model, control, states, paths))
+    starts = []
+    simulate = volterra.simulate_integral_form
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs["restart"][0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(volterra, "simulate_integral_form", counted)
+    got = blocks(simulated_state_feature(model, control, states, paths, record))
+    assert sorted(starts) == list(range(n))
+    for (dw_got, jumps_got), (dw_want, jumps_want) in zip(got, want):
+        assert np.array_equal(dw_got, dw_want)
+        assert all(np.array_equal(a, b) for a, b in zip(jumps_got, jumps_want))
 
 
 @settings(max_examples=30)

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control.cli import _DEFAULTS, ExperimentConfig, main
 from volterra_control.errors import ConfigurationError
+from volterra_control.reporting import write_manifest
 
 
 def _write_config(tmp_path, payload):
@@ -36,6 +39,8 @@ def test_bad_values_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         ExperimentConfig.load(_write_config(
             tmp_path, {"noise": {"intensity": 1.0, "marks": [], "weights": []}}))
+    with pytest.raises(ConfigurationError, match="output.directory"):
+        ExperimentConfig.load(_write_config(tmp_path, {"output": {"directory": 1e5}}))
 
 
 def test_overrides_apply(tmp_path):
@@ -247,3 +252,51 @@ def test_section_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys):
     path.write_text("solver: [3, 1.0e-8]\n")
     with pytest.raises(ConfigurationError, match="'solver'"):
         ExperimentConfig.load(str(path))
+
+
+_NUMBERS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                     st.sampled_from([1e-8, -2.5e-12, 3e20, 1e16, 0.0]))
+_NOISE = st.sampled_from([
+    {"intensity": 0.0, "marks": [], "weights": []},
+    {"intensity": 0.5, "marks": [-0.5, 0.5], "weights": [0.5, 0.5]},
+    {"intensity": 2e-3, "marks": [0.25, -1e-6, 3.0], "weights": [0.25, 0.5, 0.25]},
+])
+_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "grid": st.fixed_dictionaries({"horizon": st.floats(1e-3, 50.0),
+                                   "steps": st.integers(2, 4096)}),
+    "noise": _NOISE,
+    "model": st.fixed_dictionaries({"name": st.sampled_from(["constant", "exp_kernel_linear"]),
+                                    "params": st.dictionaries(st.sampled_from(["b0", "sigma0"]),
+                                                              _NUMBERS)}),
+    "solver": st.fixed_dictionaries({}, optional={
+        "degree": st.integers(1, 4), "ridge": st.floats(1e-14, 1e-2),
+        "bracket": st.one_of(st.none(), st.tuples(_NUMBERS, _NUMBERS).map(list)),
+        "bisection_rel_tol": st.floats(1e-9, 0.1)}),
+    "control": st.fixed_dictionaries({"value": _NUMBERS, "lower": _NUMBERS}),
+    "info": st.sampled_from([{"mode": "full"}, {"mode": "delayed", "delay": 0.125}]),
+    "market": st.fixed_dictionaries({"b0": _NUMBERS, "floor": st.one_of(st.none(), _NUMBERS)}),
+    "monte_carlo": st.fixed_dictionaries({"paths": st.integers(1, 10**6),
+                                          "seed": st.integers(0, 2**32)}),
+})
+_FLAGS = st.fixed_dictionaries({
+    "seed": st.one_of(st.none(), st.integers(0, 2**32)),
+    "n_paths": st.one_of(st.none(), st.integers(1, 10**6)),
+    "out_dir": st.one_of(st.none(), st.text("abc_-./", min_size=1, max_size=12)),
+})
+
+
+@settings(max_examples=40)
+@given(overrides=_OVERRIDES, flags=_FLAGS)
+def test_manifest_config_block_reloads_to_the_same_config(tmp_path_factory, overrides, flags):
+    # the manifest's config block, written verbatim (JSON is YAML flow
+    # style) and loaded again, resolves to the run's own configuration
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    first = ExperimentConfig.load(_write_config(tmp, overrides), **flags)
+    write_manifest(tmp / "manifest.json", first.manifest("simulate"))
+    echoed = tmp / "echoed.yaml"
+    echoed.write_text(json.dumps(json.loads((tmp / "manifest.json").read_text())["config"]))
+    again = ExperimentConfig.load(str(echoed))
+    assert again.raw == first.raw
+    assert (again.grid, again.jumps, again.seed, again.n_paths, again.out_dir) == \
+        (first.grid, first.jumps, first.seed, first.n_paths, first.out_dir)
+    assert again.basis == first.basis and again.info == first.info
