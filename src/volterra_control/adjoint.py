@@ -336,43 +336,34 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
 
 def simulated_state_feature(model: CoefficientModel, control,
                             states: StateEnsemble, paths: PathBundle,
-                            record: list | None = None) -> Feature:
+                            record: list) -> Feature:
     """State feature whose noise sensitivities run through the simulator.
 
     The sensitivity of X(t_j) to the increment at node i, and to a jump of
     each mark inserted there, is measured by one re-simulation per node,
-    cached. It restarts at node i from the base run, since rows 0..i do not
-    move, and carries the 2 + K perturbations on a variant axis: dW_i + h,
-    then (dW_i + h) - 2h (a central difference), and per mark k the node-i
-    compensated count with one more jump. Those rows are the only increments
-    that differ, so no noise array is copied. `record` holds the base run's
-    memory sums (`simulate_integral_form(..., record=record)` on `states`'
-    run); without it the base run is simulated again to record them. Cost is
-    N simulations of O((2 + K)(N - i) M) each with declared kernel decays
-    (O(N^2 M) otherwise); intended for modest grids.
+    cached. It restarts at node i from the base run `states`, whose memory
+    sums `record` holds (`simulate_integral_form(..., record=record)`),
+    since rows 0..i do not move. The 2 + K perturbed bundles ride it on a
+    variant axis: dW_i + h, then (dW_i + h) - 2h (a central difference), and
+    one inserted jump per mark k. They are lazy views that differ only in
+    row i, so no noise array is copied unless a feedback rule reads the
+    noise. Cost is N simulations of O((2 + K)(N - i) M) each with declared
+    kernel decays (O(N^2 M) otherwise); intended for modest grids.
     """
     from .volterra import simulate_integral_form
 
     h = 1e-4 * math.sqrt(paths.grid.dt)
     base = states.values
-    if record is None:
-        record = []
-        simulate_integral_form(model, control, paths, record=record)
     blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def node_blocks(i: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows i+1..N of dX/dW_i, (N - i, M), and of the jump shifts, (K, N - i, M)."""
         if i not in blocks:
-            k = paths.jumps.n_marks
-            up = paths.dW[i] + h
-            dw = np.stack([up, up - 2.0 * h] + [paths.dW[i]] * k)
-            # mark-k rows: the arithmetic of `PathBundle.with_extra_jump`'s compensated counts
-            jump = np.stack([paths.compensated_counts[i]] * (2 + k))
-            for kk in range(k):
-                jump[2 + kk, :, kk] = (paths.jump_counts[i, :, kk] + 1).astype(float)
-                jump[2 + kk, :, kk] -= paths.jumps.compensator(paths.grid)[kk]
+            up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
+            down.rebump(-h)
+            jumps = [paths.with_extra_jump(i, k) for k in range(paths.jumps.n_marks)]
             x = simulate_integral_form(model, control, paths, restart=(i, base, record[i]),
-                                       variants={"diffusion": dw, "jump": jump}).values
+                                       variants=[up, down] + jumps)
             blocks[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h), x[2:, i + 1:] - base[i + 1:])
         return blocks[i]
 

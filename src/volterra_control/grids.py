@@ -143,6 +143,14 @@ class PathBundle:
             np.cumsum(inc, axis=0, out=out[1:])
         return out
 
+    def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row `node` of dW, (M,), and of the compensated counts, (M, K).
+
+        A perturbed view builds a perturbed row by itself, without
+        materializing its whole arrays.
+        """
+        return self.dW[node], self.compensated_counts[node]
+
     def perturb_brownian(self, node: int, bump: float) -> "PathBundle":
         """View of the bundle with the node-th Brownian increment shifted by `bump`.
 
@@ -194,17 +202,21 @@ class _BrownianPerturbedBundle(PathBundle):
         self._parent = parent
         self._node = node
         self._bump = bump
+        # every shift applied, in order: an array materialized after a rebump
+        # holds the bits of one materialized before it and adjusted in place
+        self._shifts = [bump]
 
     @cached_property
     def dW(self) -> np.ndarray:  # type: ignore[override]
         out = self._parent.dW.copy()
-        out[self._node] += self._bump
+        out[self._node] = self.increments_at(self._node)[0]
         return out
 
     @cached_property
     def brownian(self) -> np.ndarray:
         out = self._parent.brownian.copy()
-        out[self._node + 1:] += self._bump
+        for shift in self._shifts:
+            out[self._node + 1:] += shift
         return out
 
     @cached_property
@@ -214,6 +226,14 @@ class _BrownianPerturbedBundle(PathBundle):
     @cached_property
     def jump_sum(self) -> np.ndarray:
         return self._parent.jump_sum
+
+    def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        dw, counts = self._parent.increments_at(node)
+        if node == self._node:
+            dw = dw.copy()
+            for shift in self._shifts:
+                dw += shift
+        return dw, counts
 
     def rebump(self, new_bump: float) -> None:
         """Move the shift to `new_bump`, adjusting materialized arrays in place.
@@ -228,6 +248,7 @@ class _BrownianPerturbedBundle(PathBundle):
         if "brownian" in caches:
             caches["brownian"][self._node + 1:] += delta
         self._bump = new_bump
+        self._shifts.append(delta)
 
 
 class _JumpPerturbedBundle(PathBundle):
@@ -262,11 +283,8 @@ class _JumpPerturbedBundle(PathBundle):
 
     @cached_property
     def compensated_counts(self) -> np.ndarray:  # type: ignore[override]
-        # the parent's array with the touched slice redone by the base arithmetic
-        node, mark = self._node, self._mark
         out = self._parent.compensated_counts.copy()
-        out[node, :, mark] = self.jump_counts[node, :, mark].astype(float)
-        out[node, :, mark] -= self.jumps.compensator(self.grid)[mark]
+        out[self._node] = self.increments_at(self._node)[1]
         return out
 
     @cached_property
@@ -274,6 +292,16 @@ class _JumpPerturbedBundle(PathBundle):
         out = self._parent.jump_sum.copy()
         out[self._node + 1:] += self.jumps.marks[self._mark]
         return out
+
+    def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        dw, counts = self._parent.increments_at(node)
+        if node == self._node:
+            # the parent's row with the touched slice redone by the base arithmetic
+            mark = self._mark
+            counts = counts.copy()
+            counts[:, mark] = (self._parent.jump_counts[node, :, mark] + 1).astype(float)
+            counts[:, mark] -= self.jumps.compensator(self.grid)[mark]
+        return dw, counts
 
     def remark(self, new_mark: int) -> None:
         """Swap the inserted jump's mark, adjusting materialized arrays in place."""

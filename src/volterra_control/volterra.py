@@ -25,8 +25,7 @@ from .reporting import write_csv
 
 @dataclass
 class StateEnsemble:
-    """Simulated state values X(t_i) per node and path, shape (N+1, M), or
-    (V, N+1, M) for a restart with variants."""
+    """Simulated state values X(t_i) per node and path, shape (N+1, M)."""
 
     values: np.ndarray
     control: ControlProcess
@@ -164,8 +163,8 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
 
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
                            paths: PathBundle, restart: tuple | None = None,
-                           record: list | None = None, variants: dict | None = None
-                           ) -> StateEnsemble:
+                           record: list | None = None, variants: list | None = None
+                           ) -> StateEnsemble | np.ndarray:
     """Simulate the state from its integral representation.
 
     X_i = xi(t_i) + sum_{j<i} b(t_i,t_j,X_j,u_j) dt
@@ -177,28 +176,31 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
     control is re-evaluated on them) and the memory recursion resumes from
     its per-kernel sums S_i. `record` receives S_i for i = start..N-1.
 
-    `variants` runs V copies of a restart at once, which differ only in the
-    increments of the restart row i: {"diffusion": (V, M), "jump": (V, M, K)}
-    replace dW_i and the compensated counts of node i (a kernel left out
-    reads the bundle's row in every variant). The state then has a leading
-    variant axis, (V, N+1, M), rows 0..i equal in every variant, and a
-    feedback control is evaluated once per variant.
+    `variants`, V bundles that agree with `paths` except in the increments
+    of the restart row i (perturbed views of it), runs V restarts at once.
+    The memory sums take the variants' row-i increments on a leading variant
+    axis and read every other row from `paths`; a feedback control is
+    evaluated once per variant, on that variant's bundle. Such a run returns
+    the bare (V, N+1, M) state array, rows 0..i equal in every variant.
     """
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes
     start, rows, sums = restart or (0, [model.initial_curve(t[0])], [])
-    lead = (len(next(iter(variants.values()))),) if variants else ()
+    lead, row = (), None
+    if variants:
+        lead = (len(variants),)
+        dw, counts = zip(*(bundle.increments_at(start) for bundle in variants))
+        row = (start, {"diffusion": np.stack(dw), "jump": np.stack(counts)})
     u = _control_grid(control, paths, lead)
 
     x = np.empty(lead + (n + 1, m))
     x[..., :start + 1, :] = rows[:start + 1]
     sums = list(sums)
-    memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums,
-                         row=(start, variants) if variants else None)
+    memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums, row=row)
     for i in range(1, n + 1):
         if control.kind == "feedback":
-            for v in np.ndindex(lead):
-                u[v + (i - 1,)] = control.at(i - 1, paths, x=x[v + (i - 1,)])
+            for v, bundle in zip(np.ndindex(lead), variants or [paths]):
+                u[v + (i - 1,)] = control.at(i - 1, bundle, x=x[v + (i - 1,)])
         if i <= start:
             continue
         if record is not None:
@@ -206,7 +208,7 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
         val = model.initial_curve(t[i]) + memory(i)
         _check_finite(val, i, "integral-form state")
         x[..., i, :] = val
-    return StateEnsemble(values=x, control=control, paths=paths)
+    return x if variants else StateEnsemble(values=x, control=control, paths=paths)
 
 
 def simulate_differential_form(model: CoefficientModel, control: ControlProcess,

@@ -287,8 +287,9 @@ def test_memory_state_driver_satisfies_gateaux_identity():
     gaps = {}
     for n in (16, 32):
         paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), 10_000, seed=97)
-        states = simulate_integral_form(model, control, paths)
-        feats = [simulated_state_feature(model, control, states, paths)]
+        record = []
+        states = simulate_integral_form(model, control, paths, record=record)
+        feats = [simulated_state_feature(model, control, states, paths, record)]
         triple, field = solve_general(model, spec, control, states, paths,
                                       features=feats)
         beta = perturbation_window(n, n // 4, n // 4, alpha=1.0)
@@ -309,8 +310,9 @@ def _memory_setup(jumps, n, m, seed, model_params, control_value, spec):
     model = registry_get("exp_kernel_linear", model_params)
     control = ControlProcess.constant(control_value)
     paths = sample_paths(TimeGrid(1.0, n), jumps, m, seed=seed)
-    states = simulate_integral_form(model, control, paths)
-    feats = [simulated_state_feature(model, control, states, paths)]
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    feats = [simulated_state_feature(model, control, states, paths, record)]
     triple, field = solve_general(model, spec, control, states, paths, features=feats)
     return model, spec, control, states, paths, triple, field
 
@@ -430,6 +432,11 @@ def _exp_model():
 _FEEDBACK = ControlProcess.feedback(
     lambda i, t, paths, x: np.clip(0.5 + 0.2 * np.asarray(x), 0.0, 2.0), bounds=(0.0, 2.0))
 
+# A rule that reads the noise too: each perturbation moves the control itself.
+_NOISE_FEEDBACK = ControlProcess.feedback(
+    lambda i, t, paths, x: np.clip(0.5 + 0.2 * np.asarray(x) + 0.3 * paths.brownian[i]
+                                   + 0.3 * paths.jump_sum[i], 0.0, 2.0), bounds=(0.0, 2.0))
+
 # With three marks too, the restarted run's mark sum adds the same products
 # in the same order as a full re-simulation, so these cases are bit for bit.
 _THREE_MARKS = JumpModel(1.5, (-0.5, 0.25, 0.5), (0.25, 0.5, 0.25))
@@ -445,6 +452,9 @@ RESTART_CASES = [
     pytest.param(_exp_model, ControlProcess.constant(0.7), _THREE_MARKS,
                  id="lifted-three-marks"),
     pytest.param(_power_law_model, _FEEDBACK, _THREE_MARKS, id="feedback-generic-three-marks"),
+    pytest.param(_exp_model, _NOISE_FEEDBACK, _RESTART_JUMPS, id="noise-feedback-lifted"),
+    pytest.param(_power_law_model, _NOISE_FEEDBACK, _THREE_MARKS,
+                 id="noise-feedback-generic-three-marks"),
 ]
 
 
@@ -454,8 +464,9 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
 
     model = make_model()
     paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
-    states = simulate_integral_form(model, control, paths)
-    feat = simulated_state_feature(model, control, states, paths)
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    feat = simulated_state_feature(model, control, states, paths, record)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     for i in range(paths.n_steps):
         pert = paths.perturb_brownian(i, +h)
@@ -472,23 +483,16 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
 
 
 def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
-    # every node's 2 + K perturbations ride one restarted run; with the base
-    # run's record passed in, nothing else is simulated
+    # every node's 2 + K perturbations ride one restarted run, and the base
+    # run is the caller's: building every block simulates N times, not (2 + K) N
     from volterra_control import volterra
     from volterra_control.adjoint import simulated_state_feature
 
     model, control = _exp_model(), ControlProcess.constant(0.7)
     paths = sample_paths(TimeGrid(1.0, 8), _THREE_MARKS, 300, seed=41)
     n, marks = paths.n_steps, range(paths.jumps.n_marks)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
-
-    def blocks(feat):
-        return [(feat.brownian_sensitivity(i, j), [feat.jump_shift(i, j, k) for k in marks])
-                for i, j in pairs]
-
     record = []
     states = simulate_integral_form(model, control, paths, record=record)
-    want = blocks(simulated_state_feature(model, control, states, paths))
     starts = []
     simulate = volterra.simulate_integral_form
 
@@ -497,11 +501,13 @@ def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(volterra, "simulate_integral_form", counted)
-    got = blocks(simulated_state_feature(model, control, states, paths, record))
+    feat = simulated_state_feature(model, control, states, paths, record)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            feat.brownian_sensitivity(i, j)
+            for k in marks:
+                feat.jump_shift(i, j, k)
     assert sorted(starts) == list(range(n))
-    for (dw_got, jumps_got), (dw_want, jumps_want) in zip(got, want):
-        assert np.array_equal(dw_got, dw_want)
-        assert all(np.array_equal(a, b) for a, b in zip(jumps_got, jumps_want))
 
 
 @settings(max_examples=30)

@@ -150,6 +150,32 @@ def test_perturbed_views_share_compensated_counts(steps, jumps):
     assert np.array_equal(p.compensated_counts, recomputed(p))
 
 
+def test_view_rows_match_materialized_arrays_in_any_order():
+    # a view's row increments and its arrays hold the same bits whether they
+    # are built before or after a rebump/remark, without materializing
+    jumps = JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))
+    p = sample_paths(TimeGrid(1.0, 16), jumps, 2_000, seed=43)
+    h, node = 1e-5, 7
+    eager = p.perturb_brownian(node, +h)
+    eager.dW, eager.brownian
+    eager.rebump(-h)
+    lazy = p.perturb_brownian(node, +h)
+    lazy.rebump(-h)
+    dw, counts = lazy.increments_at(node)
+    assert "dW" not in vars(lazy) and "brownian" not in vars(lazy)
+    assert np.array_equal(dw, eager.dW[node])
+    assert np.array_equal(counts, p.compensated_counts[node])
+    assert np.array_equal(lazy.dW, eager.dW)
+    assert np.array_equal(lazy.brownian, eager.brownian)
+    for mark in range(jumps.n_marks):
+        view = p.with_extra_jump(node, mark)
+        dw, counts = view.increments_at(node)
+        assert "compensated_counts" not in vars(view)
+        assert np.array_equal(dw, p.dW[node])
+        assert np.array_equal(counts, view.compensated_counts[node])
+        assert np.array_equal(view.increments_at(node + 1)[1], p.compensated_counts[node + 1])
+
+
 def test_coarsening(jump_paths64_small):
     p = jump_paths64_small
     c = p.coarsen(4)
