@@ -205,6 +205,10 @@ def _monomial_exponents(n_raw: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+# A node regression needs at least this many paths per basis monomial.
+MIN_PATHS_PER_COLUMN = 10
+
+
 class NodeRegression:
     """Ridge projection onto polynomial features observable at one node.
 
@@ -214,13 +218,16 @@ class NodeRegression:
     last raw feature) times that raw feature, so no power function touches a
     column; results differ from power-built designs by round-off only. The
     means and spreads are one pass of contiguous row reductions, and the
-    same spreads decide which zero-spread monomials are dropped.
+    same spreads drop every monomial that is constant up to the round-off of
+    its mean (spread at most M eps |mean|).
 
     The fitted object doubles as an explicit surrogate: `predict` evaluates
     the fitted polynomial at any raw-feature values and `gradient_raw` its
     gradient in each raw feature. Only the standardization, the ridge-free
-    Gram `gram` and the Cholesky factor of its ridged version are kept; the
-    design is rebuilt on demand unless `retain_design`.
+    Gram `gram` and the Cholesky factor of its ridged version are kept. With
+    `retain_design` the (p, M) design rows are kept too, and `design()`
+    returns them; otherwise `design()` rebuilds them from the raw features
+    with the same arithmetic, so the two are bit-identical.
     """
 
     def __init__(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
@@ -233,9 +240,9 @@ class NodeRegression:
         self.n_paths = raw.shape[0]
         self.exponents = _monomial_exponents(len(self.features), basis.degree)
         self._index = {e: k for k, e in enumerate(self.exponents)}
-        if self.n_paths < 10 * len(self.exponents):
+        if self.n_paths < MIN_PATHS_PER_COLUMN * len(self.exponents):
             raise RegressionError(
-                f"need at least {10 * len(self.exponents)} paths for a basis of "
+                f"need at least {MIN_PATHS_PER_COLUMN * len(self.exponents)} paths for a basis of "
                 f"dimension {len(self.exponents)}, got {self.n_paths}"
             )
         rows = self._monomial_rows(raw)
@@ -243,7 +250,12 @@ class NodeRegression:
         mean[0] = 0.0
         rows -= mean[:, None]
         spread = np.sqrt(np.einsum("ij,ij->i", rows, rows) / self.n_paths)
-        self.keep = [0] + [k for k in range(1, len(rows)) if spread[k] > 1e-300]
+        # A monomial equal to c on every path has spread |c - mean|, the error of the
+        # computed mean: about M u |c| at worst (u = eps / 2) for any summation order,
+        # so within M eps |mean|. Such a spread is round-off, and the standardized
+        # column would repeat the intercept; no varying monomial is that flat.
+        noise = self.n_paths * np.finfo(float).eps * np.abs(mean)
+        self.keep = [0] + [k for k in range(1, len(rows)) if spread[k] > noise[k]]
         self.col_mean, self.col_scale = mean[self.keep], spread[self.keep]
         rows = self._kept(rows)
         rows /= self.col_scale[:, None]
@@ -335,22 +347,32 @@ class BackwardProjector:
     A_j = Phi_j^T Phi_{j+1} / M, B_j = Phi_j^T diag(dW_j) Phi_{j+1} / M, C_j = Phi_j^T diag(dW_j)
     Phi_j / M, formed once and held premultiplied by G_j^{-1}. A march is two O(M p) products
     at T, then one p x p update per node.
+
+    The nodes are built in order, and node j's design rows are dropped as soon as its
+    cross-moments with node j+1 are formed, so the build holds two designs at a time.
+    Only the designs that every march and every initial value read are kept: nodes N-1,
+    0 and 1, O(p M) memory in all. `regs[j].design()` of any other node is rebuilt on
+    request, bit-identical to the dropped one.
     """
 
     def __init__(self, features: Sequence[Feature], paths: PathBundle,
                  basis: RegressionBasis | None = None):
         n, m = paths.n_steps, paths.n_paths
         self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
-        self.regs = [NodeRegression(features, j, self.basis, retain_design=True) for j in range(n)]
-        self.carry, self.carry_dw, self.centre_dw = [], [], []
-        for j, reg in enumerate(self.regs):
+        kept = {0, 1, n - 1}
+        self.regs, self.carry, self.carry_dw, self.centre_dw = [], [], [], []
+        for j in range(n):
+            reg = NodeRegression(features, j, self.basis, retain_design=True)
             rows = reg._rows  # feature-major (p, M)
+            if j:
+                prev = self.regs[-1]
+                self.carry.append(prev._solve(prev._rows @ rows.T / m))
+                self.carry_dw.append(prev._solve(weighted @ rows.T / m))
+                if j - 1 not in kept:
+                    prev._rows = None
             weighted = rows * self.dW[j]  # per node only: no Phi o dW is kept
             self.centre_dw.append(reg._solve(weighted @ rows.T / m))
-            if j + 1 < n:
-                nxt = self.regs[j + 1]._rows
-                self.carry.append(reg._solve(rows @ nxt.T / m))
-                self.carry_dw.append(reg._solve(weighted @ nxt.T / m))
+            self.regs.append(reg)
 
     def march(self, terminal: np.ndarray, ratios: np.ndarray, stop: int = 0
               ) -> tuple[list, list, list]:

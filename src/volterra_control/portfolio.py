@@ -14,14 +14,21 @@ coefficients through `malliavin.BackwardProjector`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError, RegressionError, SimulationError
 from .grids import PathBundle, TimeGrid
-from .malliavin import BackwardProjector, Feature, RegressionBasis, weighted_brownian_feature
+from .malliavin import (
+    MIN_PATHS_PER_COLUMN,
+    BackwardProjector,
+    Feature,
+    RegressionBasis,
+    weighted_brownian_feature,
+)
 from .models import CoefficientModel, ControlProcess, UtilitySpec
 from .reporting import write_csv
 from .volterra import StateEnsemble
@@ -140,6 +147,21 @@ def _log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
     return out
 
 
+def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
+    """The last row of `_log_martingale`, (M,), summed row by row in its cumsum's order."""
+    th = np.asarray(theta, dtype=float)[:paths.n_steps]
+    drift = 0.5 * th ** 2 * paths.grid.dt
+    out = th[0] * paths.dW[0] - drift[0]
+    for i in range(1, paths.n_steps):
+        out += th[i] * paths.dW[i] - drift[i]
+    return out
+
+
+def _terminal_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
+    """Terminal values of the exponential martingale with unit initial value, (M,)."""
+    return np.exp(_terminal_log_martingale(theta, paths))
+
+
 def y_martingale(theta: np.ndarray, paths: PathBundle, c: float) -> np.ndarray:
     """Exponential martingale Y(t_i) = c exp(int theta dB - 1/2 int theta^2 ds)."""
     if c <= 0.0:
@@ -150,7 +172,7 @@ def y_martingale(theta: np.ndarray, paths: PathBundle, c: float) -> np.ndarray:
 def terminal_wealth(c: float, paths: PathBundle, utility: UtilitySpec,
                     theta: np.ndarray) -> np.ndarray:
     """Candidate optimal terminal wealth: inverse marginal utility of c * martingale."""
-    return _inverse_marginal(c, np.exp(_log_martingale(theta, paths)[-1]), utility)
+    return _inverse_marginal(c, _terminal_martingale(theta, paths), utility)
 
 
 def _inverse_marginal(c: float, martingale: np.ndarray, utility: UtilitySpec) -> np.ndarray:
@@ -220,19 +242,25 @@ def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarr
 def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
                 paths: PathBundle, basis: RegressionBasis | None = None,
                 theta: np.ndarray | None = None,
-                projector: BackwardProjector | None = None) -> BsvieSolution:
+                projector: BackwardProjector | None = None,
+                martingale: np.ndarray | None = None) -> BsvieSolution:
     """Solve the backward Volterra equation closed by the terminal wealth F(c).
 
     For each fixed t_i the recursion in s runs from T down to t_i with
     regression conditional expectations; the integrand is extracted from the
-    centered one-step products, one projector march per row. The consistency
-    of Z^(t_i, s_j)/sigma0(t_i, s_j) with the diagonal is a node-Gram RMS.
+    centered one-step products, one projector march per row, and each row's
+    design is read once. The consistency of Z^(t_i, s_j)/sigma0(t_i, s_j)
+    with the diagonal is a node-Gram RMS. `martingale`, the terminal values
+    of the unit-start exponential martingale of the loading, is summed here
+    unless given.
     """
     market.validate(paths.grid)
     n, m, t = paths.n_steps, paths.n_paths, paths.grid.nodes
     th = theta0(market, paths.grid) if theta is None else np.asarray(theta, dtype=float)
     projector = _bsvie_projector(th, paths, basis, projector)
-    f_c = terminal_wealth(c, paths, utility, th)
+    if martingale is None:
+        martingale = _terminal_martingale(th, paths)
+    f_c = _inverse_marginal(c, martingale, utility)
 
     xhat = np.empty((n + 1, m))
     xhat[n] = f_c
@@ -256,9 +284,23 @@ def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
 
 @dataclass
 class CalibrationResult:
+    """The calibrated constant c and every evaluated gap, with the error of c on demand.
+
+    `stderr` is the delta-method standard error |se / gap_slope| of c, where se is the
+    standard error of the gap at c from disjoint path batches. It is computed the first
+    time it is read, by `batch_gap_stderr` (8 more projector builds), and then cached.
+    """
+
     c: float
-    stderr: float
     history: list  # (c, gap, gap_stderr) per evaluation
+    gap_slope: float  # secant slope of the gap across c
+    batch_gap_stderr: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def stderr(self) -> float:
+        if self.gap_slope == 0.0:
+            return float("inf")
+        return abs(self.batch_gap_stderr() / self.gap_slope)
 
     def reproducible_within(self, other: "CalibrationResult", n_sigma: float = 2.0) -> bool:
         tol = n_sigma * math.hypot(self.stderr, other.stderr)
@@ -277,43 +319,69 @@ def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
     return float(phi0.mean(axis=0) @ c[0]), float(est.std(ddof=1) / math.sqrt(len(est)))
 
 
+_N_BATCHES = 8  # disjoint path batches of the calibration stderr
+
+
+def _check_batch_width(paths: PathBundle, basis: RegressionBasis) -> None:
+    """Fail before any fit when a path batch of the calibration stderr is too small."""
+    need = _N_BATCHES * MIN_PATHS_PER_COLUMN * basis.dimension(1)
+    if paths.n_paths < need:
+        raise RegressionError(
+            f"the calibration needs monte_carlo.paths >= {need} ({_N_BATCHES} path batches of "
+            f"{MIN_PATHS_PER_COLUMN} paths per basis function, basis dimension "
+            f"{basis.dimension(1)}), got {paths.n_paths}"
+        )
+
+
 def _batched_gap_stderr(c: float, market: MarketModel, utility: UtilitySpec,
                         paths: PathBundle, basis: RegressionBasis, th: np.ndarray,
-                        n_batches: int = 8) -> float:
+                        martingale: np.ndarray) -> float:
     """Standard error of the initial-wealth gap from disjoint path batches.
 
     The backward recursion feeds fitted values into later fits, so the
     per-path dispersion at the last step understates the estimator noise;
     independent batch re-estimates capture the regression noise as well.
+    Each batch's feature and terminal martingale are column slices of the
+    full ones, bit-identical to rebuilds on the batch's paths.
     """
-    width = paths.n_paths // n_batches
+    width = paths.n_paths // _N_BATCHES
     ratios = _kernel_ratios(market, paths.grid.nodes[0], paths.grid.nodes[:paths.n_steps])
+    (feature,) = _bsvie_features(th, paths)
     gaps = []
-    for b in range(n_batches):
-        sub = paths.subset(b * width, (b + 1) * width)
-        v0, _ = _initial_value(BackwardProjector(_bsvie_features(th, sub), sub, basis),
-                               terminal_wealth(c, sub, utility, th), ratios)
+    for b in range(_N_BATCHES):
+        cols = slice(b * width, (b + 1) * width)
+        batch = replace(feature, values=feature.values[:, cols])
+        v0, _ = _initial_value(
+            BackwardProjector([batch], paths.subset(cols.start, cols.stop), basis),
+            _inverse_marginal(c, martingale[cols], utility), ratios)
         gaps.append(v0 - market.initial_wealth)
-    return float(np.std(gaps, ddof=1) / math.sqrt(n_batches))
+    return float(np.std(gaps, ddof=1) / math.sqrt(_N_BATCHES))
 
 
 def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
             bracket: tuple[float, float] | None = None,
             rel_tol: float = 1e-3, max_iter: int = 80,
             basis: RegressionBasis | None = None,
-            projector: BackwardProjector | None = None) -> CalibrationResult:
+            projector: BackwardProjector | None = None,
+            martingale: np.ndarray | None = None) -> CalibrationResult:
     """Bisection for the constant c with X^_c(0) = initial wealth.
 
     The map c -> X^_c(0) is evaluated on one fixed path bundle (common
     random numbers); the bracket must satisfy X^(c_lo)(0) > x > X^(c_hi)(0)
-    and is additionally checked for monotonicity at its midpoint. The
-    standard error of c combines the Monte Carlo error of the gap with the
-    empirical slope of the gap near the root. Each gap is a row-0 march.
+    and is additionally checked for monotonicity at its midpoint. Each gap
+    is a row-0 march. The standard error of c combines the batch Monte Carlo
+    error of the gap with the empirical slope of the gap near the root; it
+    is computed when first read (see `CalibrationResult`), but a bundle too
+    small for its 8 path batches is rejected here, before any fit.
+    `martingale` is as in `bsvie_solve`.
     """
     market.validate(paths.grid)
+    _check_batch_width(paths, projector.basis if projector is not None
+                       else basis or RegressionBasis())
     th = theta0(market, paths.grid)
     projector = _bsvie_projector(th, paths, basis, projector)
-    martingale = np.exp(_log_martingale(th, paths)[-1])
+    if martingale is None:
+        martingale = _terminal_martingale(th, paths)
     ratios = _kernel_ratios(market, paths.grid.nodes[0], paths.grid.nodes[:paths.n_steps])
     x = market.initial_wealth
     if bracket is None:
@@ -353,14 +421,15 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
             break
     c_star = 0.5 * (a + b)
     gap(c_star)
-    se_star = _batched_gap_stderr(c_star, market, utility, paths, projector.basis, th)
     # slope of the gap across a wide secant for the delta-method stderr
     da = max(0.05 * c_star, b - a)
     g_a, _ = gap(max(c_star - da, 0.5 * c_star))
     g_b, _ = gap(c_star + da)
     slope = (g_b - g_a) / ((c_star + da) - max(c_star - da, 0.5 * c_star))
-    stderr = abs(se_star / slope) if slope != 0.0 else float("inf")
-    return CalibrationResult(c=c_star, stderr=float(stderr), history=history)
+    return CalibrationResult(
+        c=c_star, history=history, gap_slope=slope,
+        batch_gap_stderr=partial(_batched_gap_stderr, c_star, market, utility, paths,
+                                 projector.basis, th, martingale))
 
 
 @dataclass
@@ -444,13 +513,19 @@ def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle
                     basis: RegressionBasis | None = None,
                     bracket: tuple[float, float] | None = None,
                     rel_tol: float = 1e-3) -> PortfolioSolution:
-    """Full construction: loading, calibration, BSVIE fields, and fractions."""
+    """Full construction: loading, calibration, BSVIE fields, and fractions.
+
+    One projector and one terminal martingale serve the calibration and the BSVIE.
+    """
+    _check_batch_width(paths, basis or RegressionBasis())
     th = theta0(market, paths.grid)
     projector = BackwardProjector(_bsvie_features(th, paths), paths, basis)
+    martingale = _terminal_martingale(th, paths)
     calibration = solve_c(market, utility, paths, bracket=bracket, rel_tol=rel_tol,
-                          projector=projector)
-    fields = bsvie_solve(calibration.c, market, utility, paths, theta=th, projector=projector)
-    del projector  # its node designs are the largest arrays held: free them first
+                          projector=projector, martingale=martingale)
+    fields = bsvie_solve(calibration.c, market, utility, paths, theta=th, projector=projector,
+                         martingale=martingale)
+    del projector  # free its kept node designs before the fractions are formed
     fractions = recover_pi(fields, market, paths.grid)
     return PortfolioSolution(market=market, utility=utility, theta=th,
                              calibration=calibration, bsvie=fields,

@@ -23,6 +23,7 @@ from volterra_control import (
 from volterra_control.errors import RegressionError
 from volterra_control.grids import compensated_jump_integral
 from volterra_control.malliavin import (
+    BackwardProjector,
     NodeRegression,
     _monomial_exponents,
     brownian_feature,
@@ -241,7 +242,8 @@ def _reference_build(features, node, basis):
     mean[0] = 0.0
     dev = rows - mean[:, None]
     spread = np.sqrt(np.einsum("ij,ij->i", dev, dev) / raw.shape[0])
-    keep = [0] + [k for k in range(1, len(rows)) if spread[k] > 1e-300]
+    noise = raw.shape[0] * np.finfo(float).eps * np.abs(mean)
+    keep = [0] + [k for k in range(1, len(rows)) if spread[k] > noise[k]]
     mean, scale = mean[keep], spread[keep]
     kept = dev[keep] / scale[:, None]
     gram = kept @ kept.T / raw.shape[0]
@@ -272,6 +274,33 @@ def test_regression_build_is_bit_identical_to_column_build(jump_paths64_small, d
         shifted = reg.raw_values() + 0.25
         rows, _, _ = _reference_rows(shifted, degree)
         assert np.array_equal(reg.design(shifted), ((rows[keep].T - mean) / scale))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("n_features", [1, 3])
+def test_constant_monomials_are_dropped_at_their_round_off(jump_paths64_small, degree,
+                                                           n_features):
+    # At node 0 every fixture feature is constant; the mean of 0.3**2 is inexact,
+    # so its spread is round-off, not zero, and must not keep a second intercept.
+    feats = next(f for f, node, _ in _build_cases(jump_paths64_small, degree, 3) if node == 0)
+    if n_features == 1:
+        feats = feats[2:]  # the constant 0.3 alone
+    reg = NodeRegression(feats, 0, RegressionBasis(degree=degree, ridge=0.0))
+    assert reg.keep == [0]
+    assert np.array_equal(reg.gram, np.ones((1, 1)))
+    assert np.all(np.linalg.eigvalsh(reg.gram) > 0.0)
+
+
+def test_projector_keeps_three_designs_and_rebuilds_the_rest_bit_for_bit(jump_paths64_small):
+    paths = jump_paths64_small.subset(0, 4_000)
+    feats = [brownian_feature(paths), jump_sum_feature(paths)]
+    projector = BackwardProjector(feats, paths, RegressionBasis(degree=2))
+    n = paths.n_steps
+    held = [j for j, reg in enumerate(projector.regs) if reg._rows is not None]
+    assert held == [0, 1, n - 1]
+    for j, reg in enumerate(projector.regs):
+        want = NodeRegression(feats, j, projector.basis, retain_design=True).design()
+        assert np.array_equal(reg.design(), want)
 
 
 def _power_build(features, node, degree):

@@ -21,11 +21,15 @@ from volterra_control.malliavin import (
     brownian_feature,
     d_brownian,
 )
+from volterra_control import portfolio
 from volterra_control.portfolio import (
     MarketModel,
+    _batched_gap_stderr,
     _bsvie_features,
     _initial_value,
     _kernel_ratios,
+    _log_martingale,
+    _terminal_log_martingale,
     martingale_feature,
     bsvie_solve,
     recover_pi,
@@ -497,3 +501,63 @@ def test_calibration_reproducibility(grid64, merton_market, log_utility):
     b = solve_c(merton_market, log_utility,
                 sample_paths(grid64, JumpModel.none(), 40_000, seed=2))
     assert a.reproducible_within(b)
+
+
+# --- work done on demand -----------------------------------------------------------------
+
+@pytest.fixture
+def projector_builds(monkeypatch):
+    """Counts the `BackwardProjector`s the portfolio module builds."""
+    built = []
+
+    class Counted(BackwardProjector):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(portfolio, "BackwardProjector", Counted)
+    return built
+
+
+def test_calibration_stderr_is_computed_once_on_first_read(oracle_paths, log_utility,
+                                                           projector_builds):
+    market = _ORACLE_MARKETS[1].values[0]
+    sol = solve_portfolio(market, log_utility, oracle_paths)
+    assert len(projector_builds) == 1
+    first = sol.calibration.stderr
+    assert len(projector_builds) == 9
+    assert sol.calibration.stderr == first
+    assert len(projector_builds) == 9
+    th = theta0(market, oracle_paths.grid)
+    direct = _batched_gap_stderr(sol.c, market, log_utility, oracle_paths, RegressionBasis(), th,
+                                 np.exp(_terminal_log_martingale(th, oracle_paths)))
+    assert first == abs(direct / sol.calibration.gap_slope)
+    assert 0.0 < first < np.inf
+
+
+def test_too_few_paths_for_the_batches_fail_before_any_fit(log_utility, projector_builds):
+    paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 200, seed=5)
+    market = _ORACLE_MARKETS[1].values[0]
+    for solve in (solve_portfolio, solve_c):
+        with pytest.raises(RegressionError, match=r"monte_carlo\.paths >= 320 .* got 200"):
+            solve(market, log_utility, paths)
+    assert projector_builds == []
+    enough = sample_paths(paths.grid, JumpModel.none(), 320, seed=5)
+    assert np.isfinite(solve_portfolio(market, log_utility, enough).calibration.stderr)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(2, 12), m=st.integers(16, 90), seed=st.integers(0, 2**16))
+def test_terminal_martingale_and_batch_slices_match_rebuilds(n, m, seed):
+    paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), m, seed=seed)
+    th = np.linspace(-0.4, 0.3, n + 1)
+    terminal = _terminal_log_martingale(th, paths)
+    assert np.array_equal(terminal, _log_martingale(th, paths)[-1])
+    (feature,) = _bsvie_features(th, paths)
+    width = m // 8
+    for b in range(8):
+        cols = slice(b * width, (b + 1) * width)
+        sub = paths.subset(cols.start, cols.stop)
+        assert np.array_equal(feature.values[:, cols], _bsvie_features(th, sub)[0].values)
+        assert np.array_equal(terminal[cols], _log_martingale(th, sub)[-1])
+        assert np.array_equal(np.exp(terminal)[cols], np.exp(_log_martingale(th, sub)[-1]))
