@@ -137,9 +137,6 @@ class SurrogateMalliavinField:
             out[i] = self._chain_brownian(i - 1, i)
         return out
 
-    def dp(self, i: int, j: int) -> np.ndarray:
-        return self.dp_rows(i)[j]
-
     def _shift_matrix(self, i: int, j: int, kk: int) -> np.ndarray:
         feats = self.triple.features
         shift = np.zeros((self.paths.n_paths, len(feats)))
@@ -187,9 +184,6 @@ class ExplicitXIndependentField:
         out[i:] = self._dp[i]
         return out
 
-    def dp(self, i: int, j: int) -> np.ndarray:
-        return self._dp[i] if j >= i else np.zeros_like(self._dp[i])
-
     def djump_rows(self, i: int) -> np.ndarray:
         out = np.zeros_like(self._dj)
         out[i:] = self._dj[i]
@@ -226,18 +220,14 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     r = np.zeros((n + 1, m, k))
     regs, coefs = [], []
     p[n] = g_term
-    dp_term = np.zeros((n + 1, m))
-    dj_term = np.zeros((n + 1, m, k))
     for i in range(n):
         reg = NodeRegression(features, i, basis)
         phi = reg.design()
         c = reg.coefficients(g_term, phi=phi)
         p[i] = phi @ c
         q[i] = reg.fit(d_brownian(functional, paths, i), phi=phi)
-        dp_term[i] = q[i]
         for kk in range(k):
             r[i, :, kk] = reg.fit(d_jump(functional, paths, i, kk, base=g_term), phi=phi)
-            dj_term[i, :, kk] = r[i, :, kk]
         regs.append(reg)
         coefs.append(c)
     reg_n = NodeRegression(features, n, basis)
@@ -245,7 +235,7 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     coefs.append(reg_n.coefficients(g_term))
     triple = AdjointTriple(p=p, q=q, r=r, regressions=regs, surrogate_coefs=coefs,
                            features=features)
-    return triple, ExplicitXIndependentField(dp_term, dj_term)
+    return triple, ExplicitXIndependentField(q, r)
 
 
 def _hamiltonian_x_driver(model, spec, paths, i, x_state, u_i, p_est, q_i, r_i,

@@ -237,13 +237,6 @@ def _exp_kernel_model(name, b0, sigma0, jump0, decay_b, decay_s, decay_j, x0,
     def xf(x):
         return 1.0 if x_independent else x
 
-    def make(kind, amp, lam):
-        if kind == "value":
-            if x_independent:
-                return lambda t, s, x, v: amp * np.exp(-lam * (np.asarray(t) - s)) * v
-            return lambda t, s, x, v: amp * np.exp(-lam * (np.asarray(t) - s)) * v * x
-        raise AssertionError(kind)
-
     def kfun(amp, lam, order_t=0, wrt=None):
         # order_t: number of d/dt applications; wrt: None, "x" or "v"
         c = amp * (-lam) ** order_t

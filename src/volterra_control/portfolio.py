@@ -1,13 +1,16 @@
 """Optimal investment in a linear wealth market with memory kernels.
 
-The market carries deterministic drift and volatility kernels b0(t,s),
-sigma0(t,s); investing the fraction pi(s) of wealth produces a linear
-Volterra wealth equation. The optimal terminal wealth for a concave utility
-is the inverse marginal utility of c times an exponential martingale whose
-loading is theta0(t) = -b0(T,t)/sigma0(T,t); the constant c is calibrated
-so that the backward stochastic Volterra equation closed by that terminal
-wealth reproduces the initial capital, and the optimal fraction is read off
-the diagonal of the BSVIE integrand. Every backward march runs on
+The market carries exponential-memory drift and volatility kernels
+b0(t,s) = b0 e^{-decay_b (t-s)}, sigma0(t,s) = sigma0 e^{-decay_sigma (t-s)},
+with the decays declared; investing the fraction pi(s) of wealth produces a
+linear Volterra wealth equation, whose memory sums the wealth simulator
+carries as one-step recursions (`volterra.memory_sums`). The optimal
+terminal wealth for a concave utility is the inverse marginal utility of c
+times an exponential martingale whose loading is
+theta0(t) = -b0(T,t)/sigma0(T,t); the constant c is calibrated so that the
+backward stochastic Volterra equation closed by that terminal wealth
+reproduces the initial capital, and the optimal fraction is read off the
+diagonal of the BSVIE integrand. Every backward march runs on
 coefficients through `malliavin.BackwardProjector`.
 """
 
@@ -29,22 +32,25 @@ from .malliavin import (
     RegressionBasis,
     weighted_brownian_feature,
 )
-from .models import CoefficientModel, ControlProcess, UtilitySpec
+from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
 from .reporting import write_csv
-from .volterra import StateEnsemble
+from .volterra import StateEnsemble, memory_sums
 
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Deterministic-kernel market: drift b0(t,s), volatility sigma0(t,s) >= floor."""
+    """Exponential-memory market with declared decays.
 
-    drift_kernel: Callable
-    vol_kernel: Callable
-    drift_kernel_dt: Callable
-    vol_kernel_dt: Callable
+    Drift b0(t,s) = b0 e^{-decay_b (t-s)} and volatility
+    sigma0(t,s) = sigma0 e^{-decay_sigma (t-s)} >= vol_floor on the grid.
+    """
+
+    b0: float
+    sigma0: float
+    decay_b: float
+    decay_sigma: float
     vol_floor: float
     initial_wealth: float
-    time_invariant: bool = False
 
     def __post_init__(self):
         if self.vol_floor <= 0.0:
@@ -55,38 +61,24 @@ class MarketModel:
     @classmethod
     def constant(cls, b0: float, sigma0: float, wealth: float = 1.0,
                  floor: float | None = None) -> "MarketModel":
-        floor = 0.5 * sigma0 if floor is None else floor
-        return cls(
-            drift_kernel=lambda t, s: b0 + 0.0 * np.asarray(t, dtype=float),
-            vol_kernel=lambda t, s: sigma0 + 0.0 * np.asarray(t, dtype=float),
-            drift_kernel_dt=lambda t, s: 0.0 * np.asarray(t, dtype=float),
-            vol_kernel_dt=lambda t, s: 0.0 * np.asarray(t, dtype=float),
-            vol_floor=floor,
-            initial_wealth=wealth,
-            time_invariant=True,
-        )
+        return cls.exponential(b0, sigma0, 0.0, 0.0, wealth, floor)
 
     @classmethod
     def exponential(cls, b0: float, sigma0: float, decay_b: float = 1.0,
                     decay_sigma: float = 0.0, wealth: float = 1.0,
                     floor: float | None = None, horizon: float = 1.0) -> "MarketModel":
         floor = 0.5 * sigma0 * math.exp(-decay_sigma * horizon) if floor is None else floor
-        return cls(
-            drift_kernel=lambda t, s: b0 * np.exp(-decay_b * (np.asarray(t, dtype=float) - s)),
-            vol_kernel=lambda t, s: sigma0 * np.exp(-decay_sigma * (np.asarray(t, dtype=float) - s)),
-            drift_kernel_dt=lambda t, s: -decay_b * b0
-            * np.exp(-decay_b * (np.asarray(t, dtype=float) - s)),
-            vol_kernel_dt=lambda t, s: -decay_sigma * sigma0
-            * np.exp(-decay_sigma * (np.asarray(t, dtype=float) - s)),
-            vol_floor=floor,
-            initial_wealth=wealth,
-            time_invariant=(decay_b == 0.0 and decay_sigma == 0.0),
-        )
+        return cls(b0, sigma0, decay_b, decay_sigma, floor, wealth)
+
+    def drift_kernel(self, t, s):
+        return self.b0 * np.exp(-self.decay_b * (np.asarray(t, dtype=float) - s))
+
+    def vol_kernel(self, t, s):
+        return self.sigma0 * np.exp(-self.decay_sigma * (np.asarray(t, dtype=float) - s))
 
     def validate(self, grid: TimeGrid) -> None:
         t = grid.nodes
-        vols = np.asarray(self.vol_kernel(t[:, None], t[None, :]), dtype=float)
-        vols = np.broadcast_to(vols, (len(t), len(t)))
+        vols = self.vol_kernel(t[:, None], t[None, :])
         if float(vols.min()) < self.vol_floor:
             raise ConfigurationError(
                 f"volatility kernel falls below its floor {self.vol_floor} on the grid "
@@ -94,47 +86,19 @@ class MarketModel:
             )
 
     def to_coefficient_model(self) -> CoefficientModel:
-        """Equivalent controlled Volterra model: drift b0(t,s) v x, vol sigma0(t,s) v x."""
-        b0, s0 = self.drift_kernel, self.vol_kernel
-        b0t, s0t = self.drift_kernel_dt, self.vol_kernel_dt
-        x0 = self.initial_wealth
-        return CoefficientModel(
-            name="wealth_market",
-            initial_curve=lambda t: x0 + 0.0 * np.asarray(t, dtype=float),
-            initial_slope=lambda t: 0.0 * np.asarray(t, dtype=float),
-            drift=lambda t, s, x, v: b0(t, s) * v * x,
-            diffusion=lambda t, s, x, v: s0(t, s) * v * x,
-            jump=lambda t, s, x, v, z: 0.0 * z * v,
-            drift_dt=lambda t, s, x, v: b0t(t, s) * v * x,
-            diffusion_dt=lambda t, s, x, v: s0t(t, s) * v * x,
-            jump_dt=lambda t, s, x, v, z: 0.0 * z * v,
-            drift_dx=lambda t, s, x, v: b0(t, s) * v,
-            diffusion_dx=lambda t, s, x, v: s0(t, s) * v,
-            jump_dx=lambda t, s, x, v, z: 0.0 * z * v,
-            drift_dv=lambda t, s, x, v: b0(t, s) * x,
-            diffusion_dv=lambda t, s, x, v: s0(t, s) * x,
-            jump_dv=lambda t, s, x, v, z: 0.0 * z * v,
-            drift_dtdx=lambda t, s, x, v: b0t(t, s) * v,
-            diffusion_dtdx=lambda t, s, x, v: s0t(t, s) * v,
-            jump_dtdx=lambda t, s, x, v, z: 0.0 * z * v,
-            drift_dtdv=lambda t, s, x, v: b0t(t, s) * x,
-            diffusion_dtdv=lambda t, s, x, v: s0t(t, s) * x,
-            jump_dtdv=lambda t, s, x, v, z: 0.0 * z * v,
-            time_invariant_kernels=self.time_invariant,
-        )
-
-
-def _on_nodes(kernel: Callable, t, s: np.ndarray) -> np.ndarray:
-    """kernel(t, s) as a float array of the shape of the nodes s."""
-    return np.broadcast_to(np.asarray(kernel(t, s), dtype=float), s.shape)
+        """Equivalent controlled Volterra model: drift b0(t,s) v x, vol sigma0(t,s) v x,
+        with the decays declared, so its memory sums are one-step recursions."""
+        return _exp_kernel_model("wealth_market", self.b0, self.sigma0, 0.0, self.decay_b,
+                                 self.decay_sigma, 0.0, self.initial_wealth,
+                                 x_independent=False)
 
 
 def theta0(market: MarketModel, grid: TimeGrid) -> np.ndarray:
     """Exponential-martingale loading theta0(t_i) = -b0(T,t_i)/sigma0(T,t_i)."""
-    vol = _on_nodes(market.vol_kernel, grid.horizon, grid.nodes)
+    vol = market.vol_kernel(grid.horizon, grid.nodes)
     if float(vol.min()) < market.vol_floor:
         raise ConfigurationError("volatility kernel below floor at the horizon slice")
-    return -_on_nodes(market.drift_kernel, grid.horizon, grid.nodes) / vol
+    return -market.drift_kernel(grid.horizon, grid.nodes) / vol
 
 
 def _log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
@@ -236,7 +200,7 @@ class BsvieSolution:
 
 def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarray:
     """b0(t_row, s) / sigma0(t_row, s) over the nodes s."""
-    return _on_nodes(market.drift_kernel, t_row, s) / _on_nodes(market.vol_kernel, t_row, s)
+    return market.drift_kernel(t_row, s) / market.vol_kernel(t_row, s)
 
 
 def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
@@ -265,7 +229,7 @@ def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
     xhat = np.empty((n + 1, m))
     xhat[n] = f_c
     zhat_diag = np.empty((n, m))
-    vol_diag = _on_nodes(market.vol_kernel, t[:n], t[:n])
+    vol_diag = market.vol_kernel(t[:n], t[:n])
     diag_coef: list = [None] * n   # Z^(t_j, s_j) / sigma0(t_j, s_j) coefficients
     diag_rms, spread = np.empty(n), np.zeros(n)
     for row in range(n - 1, -1, -1):
@@ -274,7 +238,7 @@ def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
         xhat[row], zhat_diag[row] = phi @ v_coef[row], phi @ z_coef[row]
         diag_coef[row] = z_coef[row] / vol_diag[row]
         diag_rms[row] = projector.rms(row, diag_coef[row])
-        vol_row = _on_nodes(market.vol_kernel, t[row], t[:n])
+        vol_row = market.vol_kernel(t[row], t[:n])
         for j in range(row + 1, n):
             dev = projector.rms(j, z_coef[j] / vol_row[j] - diag_coef[j])
             spread[j] = max(spread[j], dev / max(diag_rms[j], 1e-300))
@@ -461,8 +425,9 @@ def recover_pi(solution: BsvieSolution, market: MarketModel,
             "fitted wealth levels are not strictly positive; increase the path "
             "count or the basis degree"
         )
-    sigma_diag = _on_nodes(market.vol_kernel, t[:n], t[:n])
-    return solution.zhat_diag / (sigma_diag[:, None] * solution.xhat[:n])
+    sigma_diag = market.vol_kernel(t[:n], t[:n])
+    out = np.multiply(sigma_diag[:, None], solution.xhat[:n])
+    return np.divide(solution.zhat_diag, out, out=out)
 
 
 def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
@@ -470,36 +435,25 @@ def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
     """Positivity-preserving wealth simulation in log space.
 
     The log increments carry the diagonal drift/volatility terms plus the
-    memory correction: the running kernel-derivative integrals of pi X,
-    normalized by current wealth.
+    memory correction normalized by current wealth: the history sums of the
+    d/dt kernels against pi X, the memory term of the differential form.
+    They come from `volterra.memory_sums` on the market's declared decays,
+    one O(M) recursion step per node, so a run costs O(N M).
     """
-    grid = paths.grid
-    n, m, dt = paths.n_steps, paths.n_paths, grid.dt
-    t = grid.nodes
+    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
+    b_ii, s_ii = market.b0, market.sigma0  # the kernels on the diagonal t = s
     x = np.empty((n + 1, m))
     x[0] = market.initial_wealth
     log_x = np.empty((n + 1, m))
     log_x[0] = math.log(market.initial_wealth)
     u_rows = np.empty((n, m))
+    memory = memory_sums(market.to_coefficient_model(), paths, x, u_rows, parts=(("_dt", None),))
     for i in range(n):
         u_rows[i] = np.broadcast_to(
             np.asarray(control.at(i, paths, x=x[i]), dtype=float), (m,))
-        alpha = np.zeros(m)
-        if i > 0:
-            s_h = t[:i, None]
-            px = u_rows[:i] * x[:i]
-            alpha = np.einsum(
-                "jm,jm->m",
-                np.broadcast_to(np.asarray(market.drift_kernel_dt(t[i], s_h), dtype=float),
-                                (i, m)), px) * dt
-            alpha += np.einsum(
-                "jm,jm->m",
-                np.broadcast_to(np.asarray(market.vol_kernel_dt(t[i], s_h), dtype=float),
-                                (i, m)), px * paths.dW[:i])
+        alpha = memory(i) if i > 0 else np.zeros(m)
         if not np.all(np.isfinite(alpha)):
             raise SimulationError(f"memory correction is non-finite at node {i}")
-        b_ii = float(market.drift_kernel(t[i], t[i]))
-        s_ii = float(market.vol_kernel(t[i], t[i]))
         log_x[i + 1] = log_x[i] + s_ii * u_rows[i] * paths.dW[i] + (
             b_ii * u_rows[i] - 0.5 * (s_ii * u_rows[i]) ** 2 + alpha / x[i]
         ) * dt

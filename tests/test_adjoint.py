@@ -69,6 +69,10 @@ def test_explicit_constant_terminal_slope(xindep_setup):
     assert np.allclose(triple.q, 0.0, atol=1e-7)
     assert np.allclose(triple.r, 0.0, atol=1e-12)
     assert np.allclose(field.dp_rows(5), 0.0, atol=1e-7)
+    assert [reg.node for reg in triple.regressions] == list(range(paths.n_steps + 1))
+    # the field reads q itself: every row from i on is q_i, row N included
+    for i in range(paths.n_steps + 1):
+        assert all(np.array_equal(row, triple.q[i]) for row in field.dp_rows(i)[i:])
 
 
 def test_explicit_matches_martingale_projection(xindep_setup):
@@ -121,6 +125,8 @@ def test_explicit_jump_derivative_field(grid32):
         for i in (4, 20):
             err = np.abs(triple.r[i, :, k] - 2.0 * mark).max()
             assert err <= 0.05 * abs(2.0 * mark)
+    for i in range(paths.n_steps + 1):
+        assert all(np.array_equal(row, triple.r[i]) for row in field.djump_rows(i)[i:])
 
 
 def test_explicit_requires_x_independent(paths64_small):

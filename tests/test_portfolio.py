@@ -474,6 +474,73 @@ def test_wealth_agrees_with_integral_form(grid64):
     assert gaps[-1] <= 0.05
 
 
+def _wealth_full_history(market, control, paths):
+    """Reference wealth run: the memory correction re-summed over the whole
+    history at every node, with the d/dt kernels written out."""
+    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
+    t = paths.grid.nodes
+
+    def drift_dt(t, s):
+        return -market.decay_b * market.b0 * np.exp(
+            -market.decay_b * (np.asarray(t, dtype=float) - s))
+
+    def vol_dt(t, s):
+        return -market.decay_sigma * market.sigma0 * np.exp(
+            -market.decay_sigma * (np.asarray(t, dtype=float) - s))
+
+    x = np.empty((n + 1, m))
+    x[0] = market.initial_wealth
+    log_x = np.empty((n + 1, m))
+    log_x[0] = np.log(market.initial_wealth)
+    u_rows = np.empty((n, m))
+    for i in range(n):
+        u_rows[i] = np.broadcast_to(
+            np.asarray(control.at(i, paths, x=x[i]), dtype=float), (m,))
+        alpha = np.zeros(m)
+        if i > 0:
+            s_h = t[:i, None]
+            px = u_rows[:i] * x[:i]
+            alpha = np.einsum("jm,jm->m", np.broadcast_to(drift_dt(t[i], s_h), (i, m)), px) * dt
+            alpha += np.einsum("jm,jm->m", np.broadcast_to(vol_dt(t[i], s_h), (i, m)),
+                               px * paths.dW[:i])
+        b_ii = float(market.drift_kernel(t[i], t[i]))
+        s_ii = float(market.vol_kernel(t[i], t[i]))
+        log_x[i + 1] = log_x[i] + s_ii * u_rows[i] * paths.dW[i] + (
+            b_ii * u_rows[i] - 0.5 * (s_ii * u_rows[i]) ** 2 + alpha / x[i]
+        ) * dt
+        x[i + 1] = np.exp(log_x[i + 1])
+    return x
+
+
+@pytest.mark.parametrize("market,rtol", [
+    pytest.param(MarketModel.constant(0.05, 0.2), 0.0, id="constant"),
+    pytest.param(MarketModel.exponential(0.05, 0.2, 1.0, 0.5), 1e-14, id="exponential"),
+])
+def test_wealth_memory_matches_the_full_history_sum(market, rtol):
+    paths = sample_paths(TimeGrid(1.0, 32), JumpModel.none(), 2_000, seed=41)
+    fractions = np.random.default_rng(5).uniform(0.2, 1.8, (32, 2_000))
+    for control in (ControlProcess.constant(1.0), ControlProcess.per_path(fractions),
+                    ControlProcess.feedback(lambda i, t, paths, x: 0.5 + 0.4 * np.tanh(x - 1.0))):
+        got = simulate_wealth_positive(market, control, paths).values
+        want = _wealth_full_history(market, control, paths)
+        if rtol == 0.0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want) / np.abs(want)) <= rtol
+
+
+@pytest.mark.parametrize("market,time_invariant", [
+    pytest.param(MarketModel.constant(0.05, 0.2), True, id="constant"),
+    pytest.param(MarketModel.exponential(0.05, 0.2, 1.0, 0.5), False, id="exponential"),
+])
+def test_market_coefficient_model_declares_its_decays(market, time_invariant):
+    model = market.to_coefficient_model()
+    model.self_test()
+    assert model.decays == (market.decay_b, market.decay_sigma, 0.0)
+    assert model.time_invariant_kernels is time_invariant
+    assert model.memory_state_coupling is not time_invariant
+
+
 # --- optimality -------------------------------------------------------------------------------
 
 def test_verify_optimality_interface(paths64_small, merton_market, log_utility):
