@@ -88,7 +88,8 @@ class SurrogateMalliavinField:
     projected off-diagonal rows of each (i) and (i, mark) are computed once;
     the rows are kept as node-i regression coefficients, p x (N - i), and
     rebuilt per path as design_i @ coef. The diagonal rows read the node-i
-    surrogate itself and are computed on each request.
+    surrogate itself and are computed on each request. The design of the
+    node last asked for is held, so a sweep builds each node's design once.
     """
 
     def __init__(self, triple: AdjointTriple, paths: PathBundle):
@@ -97,6 +98,13 @@ class SurrogateMalliavinField:
         self._grad_cache: dict[int, np.ndarray] = {}
         self._value_cache: dict[int, np.ndarray] = {}
         self._row_coefs: dict = {}   # i -> dp coefficients, (i, mark) -> djump
+        self._node_design: tuple = (None, None)   # (i, design of node i)
+
+    def design(self, i: int) -> np.ndarray:
+        """The node-i regression design (M, p), held until another node's is asked for."""
+        if self._node_design[0] != i:
+            self._node_design = (i, self.triple.regressions[i].design())
+        return self._node_design[1]
 
     def _gradient(self, j: int) -> np.ndarray:
         if j not in self._grad_cache:
@@ -117,20 +125,36 @@ class SurrogateMalliavinField:
                 out += grad[:, pos] * sens
         return out
 
-    def _projected(self, key, i: int, targets) -> np.ndarray:
-        """Node-i projection of the columns `targets()`, as (N - i, M) rows."""
-        phi = self.triple.regressions[i].design()
+    def _coefs(self, i: int, mark: int | None = None) -> np.ndarray:
+        """Node-i coefficients, p x (N - i), of the rows j > i of dp_rows(i)
+        (mark None) or of one mark of djump_rows(i)."""
+        key = i if mark is None else (i, mark)
         if key not in self._row_coefs:
+            later = range(i + 1, self.triple.n_nodes)
+            targets = [self._chain_brownian(i, j) if mark is None
+                       else self._shifted_delta(i, j, mark) for j in later]
             self._row_coefs[key] = self.triple.regressions[i].coefficients(
-                np.column_stack(targets()), phi=phi)
-        return (phi @ self._row_coefs[key]).T
+                np.column_stack(targets), phi=self.design(i))
+        return self._row_coefs[key]
+
+    def weighted_rows(self, i: int, weights: np.ndarray, jump: bool = False) -> np.ndarray:
+        """sum_{j>i} weights[j - i - 1] * dp_rows(i)[j], (M,), or of djump_rows(i), (M, K).
+
+        Each row is design_i @ coef, so the sum is design_i @ (coef @ weights):
+        one product with the held design, no (N - i, M) rows.
+        """
+        if jump:
+            coef = np.stack([self._coefs(i, kk) @ weights
+                             for kk in range(self.paths.jumps.n_marks)], axis=1)
+        else:
+            coef = self._coefs(i) @ weights
+        return self.design(i) @ coef
 
     def dp_rows(self, i: int, include_diagonal: bool = True) -> np.ndarray:
         n1 = self.triple.n_nodes
         out = np.zeros((n1, self.paths.n_paths))
         if i + 1 < n1:
-            out[i + 1:] = self._projected(
-                i, i, lambda: [self._chain_brownian(i, j) for j in range(i + 1, n1)])
+            out[i + 1:] = (self.design(i) @ self._coefs(i)).T
         if include_diagonal and i > 0 and self.triple.surrogate_coefs[i] is not None:
             # left-limit diagonal: sensitivity to the increment entering node i;
             # already F_{t_i}-measurable, no projection needed
@@ -160,8 +184,7 @@ class SurrogateMalliavinField:
         out = np.zeros((n1, self.paths.n_paths, k))
         for kk in range(k):
             if i + 1 < n1:
-                out[i + 1:, :, kk] = self._projected(
-                    (i, kk), i, lambda: [self._shifted_delta(i, j, kk) for j in range(i + 1, n1)])
+                out[i + 1:, :, kk] = (self.design(i) @ self._coefs(i, kk)).T
             if include_diagonal and i > 0 and self.triple.surrogate_coefs[i] is not None:
                 out[i, :, kk] = self._shifted_delta(i - 1, i, kk)
         return out
@@ -188,6 +211,10 @@ class ExplicitXIndependentField:
         out = np.zeros_like(self._dj)
         out[i:] = self._dj[i]
         return out
+
+    def weighted_rows(self, i: int, weights: np.ndarray, jump: bool = False) -> np.ndarray:
+        """sum_{j>i} weights[j - i - 1] * dp_rows(i)[j] (or djump_rows): (sum w) * row i."""
+        return weights.sum() * (self._dj[i] if jump else self._dp[i])
 
 
 def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
@@ -309,7 +336,7 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
     coefs[n] = regs[n].coefficients(p[n])
     for i in range(n - 1, -1, -1):
         reg = regs[i]
-        phi = reg.design()
+        phi = field.design(i)
         pe = phi @ reg.coefficients(p[i + 1], phi=phi)
         centered = p[i + 1] - pe
         q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt

@@ -70,22 +70,43 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
     jumps) intensity sum_k w_k k_gamma(t_j,t_i,x,v,z_k) Djp[i][j][k]] dt, with
     k_* = model.<kernel><suffix> and the rows from field.dp_rows(i, **rows)
     and field.djump_rows(i, **rows).
+
+    A kernel with a declared decay lambda has k(t_j,t_i,.) = e^{-lambda (t_j -
+    t_i)} k(t_i,t_i,.), so its sum is k(t_i,t_i,.) times the rows weighted by
+    e^{-lambda (t_j - t_i)}, which the field sums without building them
+    (`field.weighted_rows`). A kernel without one sums its rows.
     """
     t, dt, jumps = paths.grid.nodes, paths.grid.dt, paths.jumps
     n_j, m = paths.n_steps - i, paths.n_paths
     s_f = t[i + 1:, None]
-    kb = np.asarray(getattr(model, "drift" + suffix)(s_f, t[i], x, v), dtype=float)
-    terms = [np.einsum("jm,jm->m", np.broadcast_to(kb, (n_j, m)), p[i + 1:]) * dt]
-    ks = np.asarray(getattr(model, "diffusion" + suffix)(s_f, t[i], x, v), dtype=float)
-    terms.append(np.einsum("jm,jm->m", np.broadcast_to(ks, (n_j, m)),
-                           field.dp_rows(i, **rows)[i + 1:]) * dt)
+
+    def kernel(name):
+        lam = model.decay(name)
+        weights = None if lam is None else np.exp(-lam * (t[i + 1:] - t[i]))
+        return getattr(model, name + suffix), weights
+
+    def row_sum(k, later_rows):
+        return np.einsum("jm,jm->m", np.broadcast_to(
+            np.asarray(k(s_f, t[i], x, v), dtype=float), (n_j, m)), later_rows) * dt
+
+    kb, w = kernel("drift")
+    terms = [row_sum(kb, p[i + 1:]) if w is None else kb(t[i], t[i], x, v) * (w @ p[i + 1:]) * dt]
+    ks, w = kernel("diffusion")
+    terms.append(row_sum(ks, field.dp_rows(i, **rows)[i + 1:]) if w is None
+                 else ks(t[i], t[i], x, v) * field.weighted_rows(i, w) * dt)
     if jumps.n_marks and jumps.intensity > 0.0:
-        kg = np.asarray(getattr(model, "jump" + suffix)(
-            s_f[:, :, None], t[i], None if x is None else np.asarray(x)[None, :, None],
-            np.asarray(v)[None, ..., None], jumps.mark_array[None, None, :]), dtype=float)
-        terms.append(np.einsum("jmk,k,jmk->m", np.broadcast_to(kg, (n_j, m, jumps.n_marks)),
-                               jumps.intensity * jumps.weight_array,
-                               field.djump_rows(i, **rows)[i + 1:]) * dt)
+        kg, w = kernel("jump")
+        if w is None:
+            g = np.asarray(kg(s_f[:, :, None], t[i],
+                              None if x is None else np.asarray(x)[None, :, None],
+                              np.asarray(v)[None, ..., None], jumps.mark_array[None, None, :]),
+                           dtype=float)
+            terms.append(np.einsum("jmk,k,jmk->m", np.broadcast_to(g, (n_j, m, jumps.n_marks)),
+                                   jumps.intensity * jumps.weight_array,
+                                   field.djump_rows(i, **rows)[i + 1:]) * dt)
+        else:
+            terms.append(local_jump_term(kg, paths, i, x, v,
+                                         field.weighted_rows(i, w, jump=True)) * dt)
     return terms
 
 

@@ -63,7 +63,11 @@ def history_sum(summands, decay: float | None, nodes: np.ndarray, i: int, previo
     if decay is None:
         return summands(nodes[i], slice(0, i))
     newest = summands(nodes[i], slice(i - 1, i))
-    return np.exp(-decay * (nodes[i] - nodes[i - 1])) * previous + newest
+    carried = np.exp(-decay * (nodes[i] - nodes[i - 1])) * previous
+    if np.ndim(carried) > newest.ndim:  # only the carried sum has a variant axis
+        return carried + newest
+    newest += carried
+    return newest
 
 
 def _vary_row(increments: np.ndarray, offset: int, values: np.ndarray) -> np.ndarray:
@@ -114,6 +118,16 @@ def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None, row=None
                 # einsum adds the products in the order of a plain run
                 increments = np.moveaxis(_vary_row(np.moveaxis(increments, 0, -1),
                                                    row[0] - hist.start, row[1]), -1, -3)
+        if hist.stop - hist.start == 1:
+            # one row: a product, and the marks added in mark order as einsum
+            # adds them; + 0.0 turns a -0.0 into einsum's +0.0
+            product = total * increments
+            if marks is None:
+                return product[..., 0, :] + 0.0
+            out = product[..., 0, 0, :] + 0.0
+            for k in range(1, product.shape[-3]):
+                out += product[..., k, 0, :]
+            return out
         subscripts = "...jm,...jm->...m" if marks is None else "...kjm,...kjm->...m"
         return np.einsum(subscripts, *np.broadcast_arrays(total, increments))
 
@@ -304,13 +318,25 @@ def evaluate_performance(spec: PerformanceSpec, states: StateEnsemble,
     return est, stderr
 
 
+# Values per block of rows in `export_trajectory_csv`: about 1 MB of float64.
+_STATS_BLOCK = 1 << 17
+
+
 def export_trajectory_csv(path, states: StateEnsemble) -> None:
-    """Write per-node summary statistics (t, mean_X, std_X, q05, q95)."""
+    """Write per-node summary statistics (t, mean_X, std_X, q05, q95).
+
+    Each statistic is one axis-1 call per block of whole rows. Over all rows
+    at once, `std` and `quantile` would each make an (N+1, M) temporary,
+    which raises the peak memory of a simulation by the size of its state.
+    """
     t = states.paths.grid.nodes
     x = states.values
-    rows = [
-        (t[i], x[i].mean(), x[i].std(ddof=1) if x.shape[1] > 1 else 0.0,
-         np.quantile(x[i], 0.05), np.quantile(x[i], 0.95))
-        for i in range(len(t))
-    ]
+    m = x.shape[1]
+    step = max(1, _STATS_BLOCK // m)
+    rows = []
+    for a in range(0, len(t), step):
+        block = x[a:a + step]
+        std = block.std(axis=1, ddof=1) if m > 1 else np.zeros(len(block))
+        rows += zip(t[a:a + step], block.mean(axis=1), std,
+                    *np.quantile(block, [0.05, 0.95], axis=1))
     write_csv(path, ("t", "mean_X", "std_X", "q05", "q95"), rows)

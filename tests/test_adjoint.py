@@ -435,6 +435,10 @@ def _exp_model():
     return registry_get("exp_kernel_linear", _EXP_PARAMS)
 
 
+def _x_independent_model():
+    return registry_get("x_independent_linear", _EXP_PARAMS)
+
+
 _FEEDBACK = ControlProcess.feedback(
     lambda i, t, paths, x: np.clip(0.5 + 0.2 * np.asarray(x), 0.0, 2.0), bounds=(0.0, 2.0))
 
@@ -461,6 +465,9 @@ RESTART_CASES = [
     pytest.param(_exp_model, _NOISE_FEEDBACK, _RESTART_JUMPS, id="noise-feedback-lifted"),
     pytest.param(_power_law_model, _NOISE_FEEDBACK, _THREE_MARKS,
                  id="noise-feedback-generic-three-marks"),
+    # no state axis: after the restart row only the carried sums vary
+    pytest.param(_x_independent_model, ControlProcess.constant(0.7), _RESTART_JUMPS,
+                 id="lifted-x-independent"),
 ]
 
 

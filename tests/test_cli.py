@@ -168,6 +168,26 @@ def test_adjoint_subcommand_memory_market(tmp_path):
     assert main(["solve-adjoint", "--config", path, "--out", str(out)]) == 0
 
 
+def test_memory_jump_adjoint_runs_are_byte_identical(tmp_path):
+    # the memory Hamiltonian with jumps (lifted forward sums, restarted state
+    # runs) writes the same bytes on a repeated run
+    path = _write_config(tmp_path, {
+        "grid": {"steps": 8},
+        "noise": {"intensity": 0.5, "marks": [-0.5, 0.5], "weights": [0.5, 0.5]},
+        "model": {"name": "exp_kernel_linear",
+                  "params": {"b0": 0.1, "sigma0": 0.3, "jump0": 0.1, "decay_b": 1.0,
+                             "decay_sigma": 0.8, "decay_jump": 0.5}},
+        "performance": {"terminal": "log"},
+        "control": {"kind": "constant", "value": 0.5},
+        "monte_carlo": {"paths": 3000, "seed": 13},
+    })
+    for tag in ("a", "b"):
+        for command in ("solve-adjoint", "check-stationarity"):
+            assert main([command, "--config", path, "--out", str(tmp_path / tag)]) == 0
+    for name in ("adjoint.csv", "stationarity.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_report_runs_all_stages(tmp_path, monkeypatch):
     monkeypatch.setenv("VOLTERRA_CONTROL_WORKERS", "2")
     # the merton stage carries a 5% accuracy gate, so give it a real sample

@@ -17,7 +17,11 @@ from volterra_control import (
     simulate_differential_form,
     simulate_integral_form,
 )
-from volterra_control.adjoint import solve_explicit_x_independent, solve_general
+from volterra_control.adjoint import (
+    ExplicitXIndependentField,
+    solve_explicit_x_independent,
+    solve_general,
+)
 from volterra_control.hamiltonian import (
     GATEAUX_WINDOWS_SIGMA,
     arrow_spotcheck,
@@ -26,13 +30,14 @@ from volterra_control.hamiltonian import (
     eval_h0,
     eval_h0_reduced,
     eval_h1,
+    forward_terms,
     gateaux_check,
     maximize_control,
     maximum_condition_check,
     perturbation_window,
     simulate_variation,
 )
-from volterra_control.malliavin import state_feature
+from volterra_control.malliavin import default_features, state_feature
 from volterra_control.portfolio import MarketModel, simulate_wealth_positive
 
 
@@ -94,6 +99,9 @@ class _ZeroField:
     def djump_rows(self, i):
         return np.zeros(self._shape)
 
+    def weighted_rows(self, i, weights, jump=False):
+        return np.zeros(self._shape[1:] if jump else self._shape[1])
+
 
 def test_h1_vanishes_for_constant_kernels(paths64_small):
     model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
@@ -128,6 +136,124 @@ def test_h1_fundamental_theorem_oracle(paths64_small):
     dt = paths64_small.grid.dt
     deriv_scale = abs(2.0 * 0.4 * v * 1.3)
     assert np.allclose(out, want, atol=deriv_scale * dt)
+
+
+# --- forward kernel sums lifted through declared decays ---------------------------
+
+_LIFT_JUMPS = [
+    JumpModel.none(),
+    JumpModel(1.0, (0.5,), (1.0,)),
+    JumpModel(1.0, (-0.5, 0.5), (0.5, 0.5)),
+    JumpModel(1.5, (-0.5, 0.25, 0.75), (0.3, 0.3, 0.4)),
+]
+
+
+@pytest.fixture(scope="module")
+def lift_setups():
+    """Per mark count K = 0..3: paths, states, p and both kinds of Malliavin field."""
+    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15,
+                                                   decay_b=1.0, decay_sigma=0.8,
+                                                   decay_jump=0.5))
+    control = ControlProcess.constant(0.7)
+    rng = np.random.default_rng(3)
+    setups = []
+    for k, jumps in enumerate(_LIFT_JUMPS):
+        paths = sample_paths(TimeGrid(1.0, 8), jumps, 1500, seed=60 + k)
+        states = simulate_integral_form(model, control, paths)
+        triple, field = solve_general(model, _square_terminal(), control, states, paths,
+                                      features=default_features(paths))
+        n1, m = triple.n_nodes, paths.n_paths
+        explicit = ExplicitXIndependentField(rng.normal(size=(n1, m)),
+                                             rng.normal(size=(n1, m, k)))
+        setups.append((paths, states.values, triple.p, (field, explicit)))
+    return setups
+
+
+def _mixed_decay_model(lam):
+    """Drift decaying at rate lam, diffusion without memory (rate 0), and a
+    Cauchy-type jump kernel a v x z / (1 + (t - s)^2) with no declared decay."""
+    b0, s0, a = 0.2, 0.3, 0.15
+
+    def decay_b(t, s):
+        return np.exp(-lam * (np.asarray(t, dtype=float) - s))
+
+    def cauchy(t, s):
+        return 1.0 / (1.0 + (np.asarray(t, dtype=float) - s) ** 2)
+
+    def cauchy_dt(t, s):
+        return -2.0 * (np.asarray(t, dtype=float) - s) * cauchy(t, s) ** 2
+
+    def still(t, s):
+        return 0.0 * np.asarray(t, dtype=float)
+
+    return registry_get("custom", dict(
+        initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+        initial_slope=lambda t: 0.0 * np.asarray(t, dtype=float),
+        drift=lambda t, s, x, v: b0 * decay_b(t, s) * v * x,
+        drift_dt=lambda t, s, x, v: -lam * b0 * decay_b(t, s) * v * x,
+        drift_dtdx=lambda t, s, x, v: -lam * b0 * decay_b(t, s) * v,
+        drift_dtdv=lambda t, s, x, v: -lam * b0 * decay_b(t, s) * x,
+        diffusion=lambda t, s, x, v: s0 * v * x + still(t, s),
+        diffusion_dt=lambda t, s, x, v: still(t, s) * v * x,
+        diffusion_dtdx=lambda t, s, x, v: still(t, s) * v,
+        diffusion_dtdv=lambda t, s, x, v: still(t, s) * x,
+        jump=lambda t, s, x, v, z: a * cauchy(t, s) * v * x * z,
+        jump_dt=lambda t, s, x, v, z: a * cauchy_dt(t, s) * v * x * z,
+        jump_dtdx=lambda t, s, x, v, z: a * cauchy_dt(t, s) * v * z,
+        jump_dtdv=lambda t, s, x, v, z: a * cauchy_dt(t, s) * x * z,
+        decays=(lam, 0.0, None),
+    ))
+
+
+def _row_sum_magnitudes(model, suffix, paths, i, x, v, p, field):
+    """Per-path sum_j |k(t_j, t_i) row_j| dt of each forward term (the row sums'
+    terms in absolute value), the scale of their round-off."""
+    t, dt, jumps = paths.grid.nodes, paths.grid.dt, paths.jumps
+    s_f = t[i + 1:, None]
+    kb = getattr(model, "drift" + suffix)(s_f, t[i], x, v)
+    ks = getattr(model, "diffusion" + suffix)(s_f, t[i], x, v)
+    out = [np.abs(kb * p[i + 1:]).sum(axis=0) * dt,
+           np.abs(ks * field.dp_rows(i)[i + 1:]).sum(axis=0) * dt]
+    if jumps.n_marks:
+        kg = getattr(model, "jump" + suffix)(s_f[:, :, None], t[i], x[None, :, None],
+                                             v[None, :, None], jumps.mark_array)
+        lw = jumps.intensity * jumps.weight_array
+        out.append(np.abs(kg * lw * field.djump_rows(i)[i + 1:]).sum(axis=(0, 2)) * dt)
+    return out
+
+
+_DECAY = st.one_of(st.just(0.0), st.floats(0.0, 6.0, exclude_min=True))
+
+
+@settings(max_examples=20)
+@given(decays=st.tuples(_DECAY, _DECAY, _DECAY), k=st.integers(0, 3), mixed=st.booleans())
+def test_lifted_forward_terms_equal_row_sums(lift_setups, decays, k, mixed):
+    # a declared decay evaluates each kernel once, at (t_i, t_i), against the
+    # decay-weighted row sum; the same model without decays sums the rows.
+    # They agree to round-off: within 64 rounding errors of the sum of the
+    # terms' sizes, each eps relative plus the subnormal spacing (a decay near
+    # 0 makes the d/dt kernels underflow).
+    paths, x_all, p, fields = lift_setups[k]
+    if mixed:
+        model = _mixed_decay_model(decays[0])
+    else:
+        model = registry_get("exp_kernel_linear", dict(
+            b0=0.2, sigma0=0.3, jump0=0.15, decay_b=decays[0], decay_sigma=decays[1],
+            decay_jump=decays[2]))
+    generic = dataclasses.replace(model, decays=None)
+    v = np.linspace(0.4, 1.1, paths.n_paths)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    for field in fields:
+        for suffix in ("_dt", "_dtdx", "_dtdv"):
+            for i in range(paths.n_steps):
+                x = x_all[i]
+                lifted = forward_terms(model, suffix, paths, i, x, v, p, field)
+                rows = forward_terms(generic, suffix, paths, i, x, v, p, field)
+                scale = _row_sum_magnitudes(model, suffix, paths, i, x, v, p, field)
+                assert len(lifted) == len(rows) == len(scale) == 2 + bool(k)
+                for a, b, size in zip(lifted, rows, scale):
+                    assert a.shape == (paths.n_paths,)
+                    assert np.all(np.abs(a - b) <= 64 * (eps * size + tiny))
 
 
 def test_h0_reduced_trivial_cases(jump_paths64_small):
