@@ -90,6 +90,14 @@ class SurrogateMalliavinField:
     rebuilt per path as design_i @ coef. The diagonal rows read the node-i
     surrogate itself and are computed on each request. The design of the
     node last asked for is held, so a sweep builds each node's design once.
+
+    One read per block: the state sensitivities of node i, D_{t_i} X(t_j) and
+    the jump shifts for all j > i, are read only when the coefficients of
+    (i) and (i, mark) are first built, at node i of the sweep, one node after
+    another; later requests hit the coefficients. The diagonal of row i
+    reads only the first row (j = i) of node i - 1. So a feature may hold one
+    node's block at a time plus each node's first row
+    (`simulated_state_feature` does) without any node being simulated twice.
     """
 
     def __init__(self, triple: AdjointTriple, paths: PathBundle):
@@ -357,38 +365,57 @@ def simulated_state_feature(model: CoefficientModel, control,
     """State feature whose noise sensitivities run through the simulator.
 
     The sensitivity of X(t_j) to the increment at node i, and to a jump of
-    each mark inserted there, is measured by one re-simulation per node,
-    cached. It restarts at node i from the base run `states`, whose memory
-    sums `record` holds (`simulate_integral_form(..., record=record)`),
-    since rows 0..i do not move. The 2 + K perturbed bundles ride it on a
-    variant axis: dW_i + h, then (dW_i + h) - 2h (a central difference), and
-    one inserted jump per mark k. They are lazy views that differ only in
-    row i, so no noise array is copied unless a feedback rule reads the
-    noise. Cost is N simulations of O((2 + K)(N - i) M) each with declared
-    kernel decays (O(N^2 M) otherwise); intended for modest grids.
+    each mark inserted there, is measured by one re-simulation per node. It
+    restarts at node i from the base run `states`, whose memory sums
+    `record` holds (`simulate_integral_form(..., record=record)`), since
+    rows 0..i do not move. The 2 + K perturbed bundles ride it on a variant
+    axis: dW_i + h, then (dW_i + h) - 2h (a central difference), and one
+    inserted jump per mark k. They are lazy views that differ only in row
+    i, so no noise array is copied unless a feedback rule reads the noise.
+
+    Only the block of the node last asked for is held, rows i+1..N of dX/dW_i
+    and of the K jump shifts; the restarted (2 + K, N + 1, M) run is dropped
+    once the block is cut from it. Row i+1 of each block, the one the
+    left-limit diagonal of the Malliavin field reads, is kept for every node.
+    The adjoint reads each block at one node of its sweep (see
+    `SurrogateMalliavinField`), so no node is simulated twice there. A block
+    asked for again after another node's is simulated again, bit for bit.
+    Time: N simulations, of O((2 + K)(N - i) M) each with declared kernel
+    decays (O((2 + K) N^2 M) in all) and of O((2 + K) N^2 M) each otherwise.
+    Memory held: O((1 + K) N M).
     """
     from .volterra import simulate_integral_form
 
     h = 1e-4 * math.sqrt(paths.grid.dt)
     base = states.values
-    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    held: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # the block of one node
+    first_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # i -> row i+1 of each
 
     def node_blocks(i: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows i+1..N of dX/dW_i, (N - i, M), and of the jump shifts, (K, N - i, M)."""
-        if i not in blocks:
+        if i not in held:
+            held.clear()   # the old block goes before the new run is made
             up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
             down.rebump(-h)
             jumps = [paths.with_extra_jump(i, k) for k in range(paths.jumps.n_marks)]
             x = simulate_integral_form(model, control, paths, restart=(i, base, record[i]),
                                        variants=[up, down] + jumps)
-            blocks[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h), x[2:, i + 1:] - base[i + 1:])
-        return blocks[i]
+            held[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h), x[2:, i + 1:] - base[i + 1:])
+            first_rows[i] = (held[i][0][0].copy(), held[i][1][:, 0].copy())
+        return held[i]
+
+    def rows(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row j > i of dX/dW_i, (M,), and of the jump shifts, (K, M)."""
+        if j == i + 1 and i in first_rows:
+            return first_rows[i]
+        dx, shifts = node_blocks(i)
+        return dx[j - i - 1], shifts[:, j - i - 1]
 
     return Feature(
         name="simulated_state",
         values=states.values,
-        brownian_sensitivity=lambda i, j: node_blocks(i)[0][j - i - 1] if i < j else 0.0,
-        jump_shift=lambda i, j, k: node_blocks(i)[1][k, j - i - 1] if i < j else 0.0,
+        brownian_sensitivity=lambda i, j: rows(i, j)[0] if i < j else 0.0,
+        jump_shift=lambda i, j, k: rows(i, j)[1][k] if i < j else 0.0,
     )
 
 

@@ -25,6 +25,7 @@ from . import __version__
 from .errors import ConfigurationError
 from .grids import JumpModel, TimeGrid, sample_paths
 from .malliavin import (
+    MIN_PATHS_PER_COLUMN,
     RegressionBasis,
     brownian_square_grid_term,
     check_chaos_derivative,
@@ -40,6 +41,7 @@ from .models import ControlProcess, InfoMode, PerformanceSpec, UtilitySpec, regi
 from .reporting import write_csv, write_manifest
 from .volterra import evaluate_performance, export_trajectory_csv, simulate_integral_form
 from .adjoint import (
+    _MAX_STEPS,
     export_adjoint_csv,
     simulated_state_feature,
     solve_explicit_x_independent,
@@ -333,9 +335,33 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
     return 0 if n_pass == len(rows) else 1
 
 
-def _adjoint_pipeline(cfg: ExperimentConfig):
-    paths = cfg.sample()
+def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> None:
+    """Refuse, before any sampling, a grid or sample the adjoint stages cannot run.
+
+    The general solver (x-dependent models) is cost-guarded in grid.steps.
+    The adjoint fits one raw feature per node; the stationarity check of an
+    x-dependent model fits the default features (Brownian level, state, and
+    the jump sum when jumps are active), and every fit needs
+    MIN_PATHS_PER_COLUMN paths per basis column.
+    """
+    if not model.x_independent and cfg.grid.steps > _MAX_STEPS:
+        raise ConfigurationError(
+            f"grid.steps is {cfg.grid.steps}, but the general adjoint solver for the "
+            f"x-dependent model {model.name!r} is cost-guarded to {_MAX_STEPS} steps")
+    n_raw = 1
+    if stationarity and not model.x_independent:
+        n_raw = 3 if cfg.jumps.n_marks and cfg.jumps.intensity > 0.0 else 2
+    dimension = cfg.basis.dimension(n_raw)
+    if cfg.n_paths < MIN_PATHS_PER_COLUMN * dimension:
+        raise ConfigurationError(
+            f"monte_carlo.paths is {cfg.n_paths}, but a regression basis of dimension "
+            f"{dimension} needs at least {MIN_PATHS_PER_COLUMN * dimension} paths")
+
+
+def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
     model = cfg.model()
+    _check_adjoint_scale(cfg, model, stationarity)
+    paths = cfg.sample()
     control = cfg.control()
     perf = cfg.performance()
     record = [] if model.memory_state_coupling else None
@@ -345,9 +371,11 @@ def _adjoint_pipeline(cfg: ExperimentConfig):
                                                      basis=cfg.basis)
     else:
         if model.memory_state_coupling:
-            # the driver needs state sensitivities; measured by one re-simulation
-            # per node (N of them, O((2 + K) N^2 M) in all), restarted there from
-            # this run's recorded sums with the 2 + K perturbations on a variant axis
+            # the driver needs state sensitivities, measured by one re-simulation
+            # per node restarted there from this run's recorded sums, with the
+            # 2 + K perturbations on a variant axis. Cost: N runs, O((2 + K) N^2 M)
+            # in all. Memory: one node's (1 + K)(N - i) M block at a time plus the
+            # (1 + K) M first row of each, O((1 + K) N M)
             feats = [simulated_state_feature(model, control, states, paths, record)]
         else:
             feats = [state_feature(states.values)]
@@ -365,7 +393,8 @@ def _cmd_solve_adjoint(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_check_stationarity(cfg: ExperimentConfig) -> int:
-    paths, model, control, perf, states, triple, field = _adjoint_pipeline(cfg)
+    paths, model, control, perf, states, triple, field = _adjoint_pipeline(
+        cfg, stationarity=True)
     feats = None if not model.x_independent else triple.features
     report = check_stationarity(model, perf, control, triple, field, states, paths,
                                 info=cfg.info, basis=cfg.basis, features=feats)
@@ -503,6 +532,9 @@ def main(argv=None) -> int:
     handler = _cmd_report if args.command == "report" else _SUBCOMMANDS[args.command]
     try:
         return handler(cfg)
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # surface module errors with a non-zero status
         print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -331,13 +331,16 @@ def memory_setup():
                          0.8, _square_terminal())
 
 
+# the memory-with-jumps model of the desk benchmark
+_MEMORY_JUMP_PARAMS = dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0, decay_b=1.0,
+                           decay_sigma=0.8, decay_jump=0.5)
+
+
 @pytest.fixture(scope="module")
 def memory_jump_setup():
     # the memory-with-jumps model of the desk benchmark, on a short grid
     return _memory_setup(JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 8, 4_000, 31,
-                         dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0, decay_b=1.0,
-                              decay_sigma=0.8, decay_jump=0.5),
-                         0.5, PerformanceSpec.log_terminal())
+                         _MEMORY_JUMP_PARAMS, 0.5, PerformanceSpec.log_terminal())
 
 
 @pytest.mark.parametrize("setup", ["xindep", "memory", "memory_jump"])
@@ -521,6 +524,126 @@ def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
             for k in marks:
                 feat.jump_shift(i, j, k)
     assert sorted(starts) == list(range(n))
+
+
+def _counted_restarts(monkeypatch) -> list:
+    """Patch the simulator so that the node of every restarted run is recorded."""
+    from volterra_control import volterra
+
+    starts = []
+    simulate = volterra.simulate_integral_form
+
+    def counted(*args, **kwargs):
+        if kwargs.get("restart") is not None:
+            starts.append(kwargs["restart"][0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(volterra, "simulate_integral_form", counted)
+    return starts
+
+
+@pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
+def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
+    # the feature holds one node's block at a time: the sweep reads each node's
+    # block once, and the stationarity and Gateaux checks read only the kept
+    # first rows (the diagonals of the generic path) and memoized coefficients
+    import dataclasses
+
+    from volterra_control.adjoint import simulated_state_feature
+    from volterra_control.hamiltonian import (
+        check_stationarity,
+        gateaux_check,
+        perturbation_window,
+    )
+
+    model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
+    if not lifted:
+        model = dataclasses.replace(model, decays=None)
+    spec, control = PerformanceSpec.log_terminal(), ControlProcess.constant(0.5)
+    paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)),
+                         600, seed=43)
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    starts = _counted_restarts(monkeypatch)
+    feats = [simulated_state_feature(model, control, states, paths, record)]
+    triple, field = solve_general(model, spec, control, states, paths, features=feats)
+    check_stationarity(model, spec, control, triple, field, states, paths)
+    gateaux_check(model, spec, control, perturbation_window(8, 2, 2), paths, triple,
+                  field, states)
+    assert sorted(starts) == list(range(paths.n_steps))
+
+
+@pytest.fixture(scope="module")
+def restart_reads():
+    """A memory-with-jumps run and its sensitivities read node by node, in order."""
+    from volterra_control.adjoint import simulated_state_feature
+
+    model, control = _exp_model(), ControlProcess.constant(0.7)
+    paths = sample_paths(TimeGrid(1.0, 8), _RESTART_JUMPS, 300, seed=47)
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    feat = simulated_state_feature(model, control, states, paths, record)
+    n, marks = paths.n_steps, paths.jumps.n_marks
+    want = {}
+    for i in range(n + 1):
+        for j in range(n + 1):
+            want[i, j] = (np.array(feat.brownian_sensitivity(i, j)),
+                          [np.array(feat.jump_shift(i, j, k)) for k in range(marks)])
+    return model, control, states, paths, record, want
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
+    # reads in any (i, j, k) order, each evicting the held block of another
+    # node, give the in-order values bit for bit; the last reads go back to a
+    # node whose block was evicted, so it is simulated again
+    from volterra_control.adjoint import simulated_state_feature
+
+    model, control, states, paths, record, want = restart_reads
+    n, marks = paths.n_steps, paths.jumps.n_marks
+    read = st.tuples(st.integers(0, n), st.integers(0, n), st.integers(0, marks - 1))
+    reads = data.draw(st.lists(read, min_size=1, max_size=12), label="reads")
+    first = data.draw(st.integers(0, n - 2), label="evicted node")
+    other = data.draw(st.sampled_from([i for i in range(n - 1) if i != first]),
+                      label="other node")
+    reads += [(first, n, 0), (other, n, 0), (first, n, marks - 1), (first, first + 2, 0)]
+    with pytest.MonkeyPatch.context() as patch:
+        starts = _counted_restarts(patch)
+        feat = simulated_state_feature(model, control, states, paths, record)
+        for i, j, k in reads:
+            assert np.array_equal(feat.brownian_sensitivity(i, j), want[i, j][0])
+            assert np.array_equal(feat.jump_shift(i, j, k), want[i, j][1][k])
+    assert starts.count(first) >= 2
+
+
+def test_state_sensitivity_memory_is_linear_in_the_grid():
+    # building the feature, the sweep and the stationarity check together
+    # allocate O((1 + K) N M) doubles at peak: one node's block is held at a
+    # time, not the (N - i, M) blocks of every node (35.6 units at N = 64)
+    import tracemalloc
+
+    from volterra_control.adjoint import simulated_state_feature
+    from volterra_control.hamiltonian import check_stationarity
+
+    n, m = 64, 1000
+    model, spec = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
+        PerformanceSpec.log_terminal()
+    control = ControlProcess.constant(0.5)
+    paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
+                         seed=31)
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    tracemalloc.start()
+    try:
+        feats = [simulated_state_feature(model, control, states, paths, record)]
+        triple, field = solve_general(model, spec, control, states, paths, features=feats)
+        check_stationarity(model, spec, control, triple, field, states, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = 8 * (1 + paths.jumps.n_marks) * (n + 1) * m
+    assert peak < 8 * unit, f"peak {peak / unit:.1f} x (1 + K)(N + 1)M doubles"
 
 
 @settings(max_examples=30)

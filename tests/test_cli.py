@@ -188,6 +188,59 @@ def test_memory_jump_adjoint_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+_MEMORY_JUMP_CONFIG = {
+    "grid": {"steps": 8},
+    "noise": {"intensity": 0.5, "marks": [-0.5, 0.5], "weights": [0.5, 0.5]},
+    "model": {"name": "exp_kernel_linear",
+              "params": {"b0": 0.1, "sigma0": 0.3, "jump0": 0.1, "decay_b": 1.0,
+                         "decay_sigma": 0.8, "decay_jump": 0.5}},
+    "performance": {"terminal": "log"},
+    "control": {"kind": "constant", "value": 0.5},
+    "monte_carlo": {"paths": 3000, "seed": 13},
+}
+
+
+def _refuse_sampling(monkeypatch):
+    from volterra_control import cli
+
+    def sample(*args, **kwargs):
+        raise AssertionError("paths were sampled")
+
+    monkeypatch.setattr(cli, "sample_paths", sample)
+
+
+@pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])
+def test_adjoint_grid_beyond_the_cost_guard_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                               command):
+    from volterra_control.adjoint import _MAX_STEPS
+
+    _refuse_sampling(monkeypatch)
+    path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "grid": {"steps": _MAX_STEPS + 44}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid.steps" in err and str(_MAX_STEPS) in err
+
+
+@pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])
+def test_adjoint_sample_below_the_basis_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # the adjoint fits 1 raw feature (basis dimension 4 at degree 3, so 40
+    # paths); the stationarity check fits 3 with jumps (dimension 20, 200 paths)
+    _refuse_sampling(monkeypatch)
+    paths = 100 if command == "check-stationarity" else 39
+    path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "monte_carlo": {"paths": paths}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "monte_carlo.paths" in err
+
+
+def test_adjoint_sample_at_the_basis_floor_runs(tmp_path):
+    # the smallest samples the pre-check lets through are the ones the fits accept
+    for command, paths in (("solve-adjoint", 40), ("check-stationarity", 200)):
+        path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "monte_carlo": {"paths": paths}})
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+
+
 def test_report_runs_all_stages(tmp_path, monkeypatch):
     monkeypatch.setenv("VOLTERRA_CONTROL_WORKERS", "2")
     # the merton stage carries a 5% accuracy gate, so give it a real sample
