@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grids import PathBundle
-from .hamiltonian import forward_terms, local_jump_term
+from .hamiltonian import hamiltonian_terms
 from .malliavin import (
     Feature,
     NodeRegression,
@@ -49,8 +49,8 @@ class AdjointTriple:
     q and r live on [0, T); their terminal rows are zero by convention.
     `surrogate_coefs[j]` are the regression coefficients that express p(t_j)
     as an explicit polynomial in the path features, which is what makes the
-    Malliavin fields computable in closed form. `picard_iterations` counts
-    backward sweeps (always 1) and is kept for the `picard_iters` CSV column.
+    Malliavin fields computable in closed form. `picard_iterations` is the
+    number of backward sweeps, always 1, read by the `picard_iters` CSV column.
     """
 
     p: np.ndarray
@@ -59,7 +59,7 @@ class AdjointTriple:
     regressions: list
     surrogate_coefs: list
     features: list
-    picard_iterations: int = 1
+    picard_iterations: ClassVar[int] = 1
 
     @property
     def n_nodes(self) -> int:
@@ -78,26 +78,23 @@ class SurrogateMalliavinField:
 
     dp_rows(i)[j] approximates E[D_{t_i} p(t_j) | F_{t_i}] by differentiating
     the node-j surrogate through the feature map and projecting onto the
-    node-i information set. Rows j < i vanish identically (adaptedness); the
-    diagonal uses the left-limit convention, i.e. the sensitivity of the
-    node-i value to the increment just before t_i.
+    node-i information set. Rows j <= i are zero: the forward sums read only
+    the rows j > i.
 
     Invariant: the surrogates of nodes j > i are final when row i is first
     requested (the backward sweep fits node j before it asks for row i < j).
     So each node's gradient, each node's unshifted surrogate value and the
     projected off-diagonal rows of each (i) and (i, mark) are computed once;
     the rows are kept as node-i regression coefficients, p x (N - i), and
-    rebuilt per path as design_i @ coef. The diagonal rows read the node-i
-    surrogate itself and are computed on each request. The design of the
-    node last asked for is held, so a sweep builds each node's design once.
+    rebuilt per path as design_i @ coef. The design of the node last asked
+    for is held, so a sweep builds each node's design once.
 
     One read per block: the state sensitivities of node i, D_{t_i} X(t_j) and
     the jump shifts for all j > i, are read only when the coefficients of
     (i) and (i, mark) are first built, at node i of the sweep, one node after
-    another; later requests hit the coefficients. The diagonal of row i
-    reads only the first row (j = i) of node i - 1. So a feature may hold one
-    node's block at a time plus each node's first row
-    (`simulated_state_feature` does) without any node being simulated twice.
+    another; later requests hit the coefficients. So a feature may hold one
+    node's block at a time (`simulated_state_feature` does) without any node
+    being simulated twice.
     """
 
     def __init__(self, triple: AdjointTriple, paths: PathBundle):
@@ -158,15 +155,11 @@ class SurrogateMalliavinField:
             coef = self._coefs(i) @ weights
         return self.design(i) @ coef
 
-    def dp_rows(self, i: int, include_diagonal: bool = True) -> np.ndarray:
+    def dp_rows(self, i: int) -> np.ndarray:
         n1 = self.triple.n_nodes
         out = np.zeros((n1, self.paths.n_paths))
         if i + 1 < n1:
             out[i + 1:] = (self.design(i) @ self._coefs(i)).T
-        if include_diagonal and i > 0 and self.triple.surrogate_coefs[i] is not None:
-            # left-limit diagonal: sensitivity to the increment entering node i;
-            # already F_{t_i}-measurable, no projection needed
-            out[i] = self._chain_brownian(i - 1, i)
         return out
 
     def _shift_matrix(self, i: int, j: int, kk: int) -> np.ndarray:
@@ -186,15 +179,13 @@ class SurrogateMalliavinField:
         return reg.predict(reg.raw_values() + self._shift_matrix(i, j, kk), coef) \
             - self._value_cache[j]
 
-    def djump_rows(self, i: int, include_diagonal: bool = True) -> np.ndarray:
+    def djump_rows(self, i: int) -> np.ndarray:
         n1 = self.triple.n_nodes
         k = self.paths.jumps.n_marks
         out = np.zeros((n1, self.paths.n_paths, k))
-        for kk in range(k):
-            if i + 1 < n1:
+        if i + 1 < n1:
+            for kk in range(k):
                 out[i + 1:, :, kk] = (self.design(i) @ self._coefs(i, kk)).T
-            if include_diagonal and i > 0 and self.triple.surrogate_coefs[i] is not None:
-                out[i, :, kk] = self._shifted_delta(i - 1, i, kk)
         return out
 
 
@@ -273,30 +264,6 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     return triple, ExplicitXIndependentField(q, r)
 
 
-def _hamiltonian_x_driver(model, spec, paths, i, x_state, u_i, p_est, q_i, r_i,
-                          p_all, field) -> np.ndarray:
-    """State-gradient of the Hamiltonian at node i (per path).
-
-    `x_state` is the simulated state at node i; model kernels receive None
-    for it when the model is x-independent.
-    """
-    t = paths.grid.nodes
-    jumps = paths.jumps
-    m = paths.n_paths
-    x_i = None if model.x_independent else x_state
-    out = np.broadcast_to(
-        np.asarray(spec.running_dx(t[i], x_state, u_i), dtype=float), (m,)).astype(float)
-    out += model.drift_dx(t[i], t[i], x_i, u_i) * p_est
-    out += model.diffusion_dx(t[i], t[i], x_i, u_i) * q_i
-    if jumps.n_marks and jumps.intensity > 0.0:
-        out += local_jump_term(model.jump_dx, paths, i, x_i, u_i, r_i)
-    if model.memory_state_coupling and i < paths.n_steps:
-        for term in forward_terms(model, "_dtdx", paths, i, x_i, u_i, p_all, field,
-                                  include_diagonal=False):
-            out += term
-    return out
-
-
 def solve_general(model: CoefficientModel, spec: PerformanceSpec, control,
                   states: StateEnsemble, paths: PathBundle,
                   basis: RegressionBasis | None = None,
@@ -333,7 +300,7 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, control,
 def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
                     field: SurrogateMalliavinField) -> None:
     """One backward regression sweep, writing p, q, r and the surrogates in place."""
-    n, dt = paths.n_steps, paths.grid.dt
+    n, t, dt = paths.n_steps, paths.grid.nodes, paths.grid.dt
     jumps = paths.jumps
     k = jumps.n_marks
     p, q, r, regs, coefs = triple.p, triple.q, triple.r, triple.regressions, triple.surrogate_coefs
@@ -352,9 +319,10 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
             for kk in range(k):
                 r[i, :, kk] = phi @ reg.coefficients(
                     centered * dNt[i, :, kk], phi=phi) / comp_w[kk]
-        u_i = control.at(i, paths, x=states.values[i])
-        driver = _hamiltonian_x_driver(model, spec, paths, i, states.values[i], u_i,
-                                       pe, q[i], r[i], p, field)
+        x_i = states.values[i]
+        driver = sum(hamiltonian_terms(model, spec, jumps, t[i], x_i,
+                                       control.at(i, paths, x=x_i), pe, q[i], r[i], "_dx",
+                                       memory=(paths, i, p, field)))
         p[i] = pe + driver * dt
         coefs[i] = reg.coefficients(p[i], phi=phi)
 
@@ -375,21 +343,19 @@ def simulated_state_feature(model: CoefficientModel, control,
 
     Only the block of the node last asked for is held, rows i+1..N of dX/dW_i
     and of the K jump shifts; the restarted (2 + K, N + 1, M) run is dropped
-    once the block is cut from it. Row i+1 of each block, the one the
-    left-limit diagonal of the Malliavin field reads, is kept for every node.
-    The adjoint reads each block at one node of its sweep (see
-    `SurrogateMalliavinField`), so no node is simulated twice there. A block
-    asked for again after another node's is simulated again, bit for bit.
+    once the block is cut from it. The adjoint reads each block at one node
+    of its sweep (see `SurrogateMalliavinField`), so no node is simulated
+    twice there. A block asked for again after another node's is simulated
+    again, bit for bit.
     Time: N simulations, of O((2 + K)(N - i) M) each with declared kernel
     decays (O((2 + K) N^2 M) in all) and of O((2 + K) N^2 M) each otherwise.
-    Memory held: O((1 + K) N M).
+    Memory held: one block, O((1 + K) N M).
     """
     from .volterra import simulate_integral_form
 
     h = 1e-4 * math.sqrt(paths.grid.dt)
     base = states.values
     held: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # the block of one node
-    first_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # i -> row i+1 of each
 
     def node_blocks(i: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows i+1..N of dX/dW_i, (N - i, M), and of the jump shifts, (K, N - i, M)."""
@@ -401,13 +367,10 @@ def simulated_state_feature(model: CoefficientModel, control,
             x = simulate_integral_form(model, control, paths, restart=(i, base, record[i]),
                                        variants=[up, down] + jumps)
             held[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h), x[2:, i + 1:] - base[i + 1:])
-            first_rows[i] = (held[i][0][0].copy(), held[i][1][:, 0].copy())
         return held[i]
 
     def rows(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Row j > i of dX/dW_i, (M,), and of the jump shifts, (K, M)."""
-        if j == i + 1 and i in first_rows:
-            return first_rows[i]
         dx, shifts = node_blocks(i)
         return dx[j - i - 1], shifts[:, j - i - 1]
 

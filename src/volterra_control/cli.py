@@ -10,12 +10,10 @@ produce byte-identical numeric CSV content.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
-import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +58,6 @@ from .portfolio import (
     solve_portfolio,
     verify_optimality,
 )
-
-_WORKERS_ENV = "VOLTERRA_CONTROL_WORKERS"
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -136,6 +132,28 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return out
 
 
+def _field(raw: dict, name: str, convert, need: str, ok=lambda value: True):
+    """The config value at ``name`` ("section.key") passed through ``convert``.
+
+    A value that ``convert`` cannot read, or that ``ok`` refuses, is a
+    ConfigurationError naming the field and what it must be.
+    """
+    section, key = name.split(".")
+    value = raw[section][key]
+    try:
+        out = convert(value)
+        valid = ok(out)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ConfigurationError(f"{name} must be {need}, got {value!r}")
+    return out
+
+
+def _numbers(values) -> tuple:
+    return tuple(float(value) for value in values)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment configuration with constructed domain objects."""
@@ -174,35 +192,29 @@ class ExperimentConfig:
             raw["monte_carlo"]["paths"] = int(n_paths)
         if out_dir is not None:
             raw["output"]["directory"] = out_dir
-        g = raw["grid"]
-        grid = TimeGrid(float(g["horizon"]), int(g["steps"]))
-        nz = raw["noise"]
-        if float(nz["intensity"]) > 0.0 and not nz["marks"]:
+        grid = TimeGrid(_field(raw, "grid.horizon", float, "a positive number", lambda h: h > 0.0),
+                        _field(raw, "grid.steps", int, "an integer >= 2", lambda n: n >= 2))
+        intensity = _field(raw, "noise.intensity", float, "a number >= 0", lambda x: x >= 0.0)
+        marks = _field(raw, "noise.marks", _numbers, "a list of numbers")
+        weights = _field(raw, "noise.weights", _numbers, "a list of numbers")
+        if intensity > 0.0 and not marks:
             raise ConfigurationError("noise.intensity > 0 requires noise.marks")
-        jumps = JumpModel(float(nz["intensity"]), tuple(nz["marks"]), tuple(nz["weights"])) \
-            if nz["marks"] else JumpModel.none()
-        sv = raw["solver"]
-        basis = RegressionBasis(degree=int(sv["degree"]), ridge=float(sv["ridge"]))
-        info_cfg = raw["info"]
-        if info_cfg["mode"] not in ("full", "delayed"):
-            raise ConfigurationError(f"info.mode must be full or delayed, got {info_cfg['mode']!r}")
-        info = InfoMode.full() if info_cfg["mode"] == "full" \
-            else InfoMode.delayed(float(info_cfg["delay"]))
-        mc = raw["monte_carlo"]
-        if int(mc["paths"]) < 1:
-            raise ConfigurationError("monte_carlo.paths must be positive")
-        if not isinstance(raw["output"]["directory"], str):
-            raise ConfigurationError(
-                f"output.directory must be a string, got {raw['output']['directory']!r}")
+        jumps = JumpModel(intensity, marks, weights) if marks else JumpModel.none()
+        basis = RegressionBasis(
+            degree=_field(raw, "solver.degree", int, "an integer >= 1", lambda d: d >= 1),
+            ridge=_field(raw, "solver.ridge", float, "a number >= 0", lambda r: r >= 0.0))
+        mode = _field(raw, "info.mode", str, "full or delayed", lambda m: m in ("full", "delayed"))
+        info = InfoMode.full() if mode == "full" \
+            else InfoMode.delayed(_field(raw, "info.delay", float, "a number"))
         return cls(
             raw=raw,
             grid=grid,
             jumps=jumps,
-            seed=int(mc["seed"]),
-            n_paths=int(mc["paths"]),
+            seed=_field(raw, "monte_carlo.seed", int, "an integer >= 0", lambda s: s >= 0),
+            n_paths=_field(raw, "monte_carlo.paths", int, "a positive integer", lambda m: m >= 1),
             basis=basis,
             info=info,
-            out_dir=Path(raw["output"]["directory"]),
+            out_dir=_field(raw, "output.directory", Path, "a string"),
         )
 
     def sample(self):
@@ -374,8 +386,8 @@ def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
             # the driver needs state sensitivities, measured by one re-simulation
             # per node restarted there from this run's recorded sums, with the
             # 2 + K perturbations on a variant axis. Cost: N runs, O((2 + K) N^2 M)
-            # in all. Memory: one node's (1 + K)(N - i) M block at a time plus the
-            # (1 + K) M first row of each, O((1 + K) N M)
+            # in all. Memory: one node's (1 + K)(N - i) M block at a time,
+            # O((1 + K) N M)
             feats = [simulated_state_feature(model, control, states, paths, record)]
         else:
             feats = [state_feature(states.values)]
@@ -481,30 +493,11 @@ _SUBCOMMANDS = {
 
 
 def _cmd_report(cfg: ExperimentConfig) -> int:
-    """Run every subcommand into per-stage subdirectories.
-
-    Stages are independent; the worker-count environment variable enables
-    running them concurrently (each stage draws its own seeded paths, so the
-    schedule cannot affect any numeric output).
-    """
-    workers = int(os.environ.get(_WORKERS_ENV, "1"))
-    stages = list(_SUBCOMMANDS.items())
-
-    def run(item):
-        name, fn = item
-        sub = ExperimentConfig(raw=cfg.raw, grid=cfg.grid, jumps=cfg.jumps,
-                               seed=cfg.seed, n_paths=cfg.n_paths, basis=cfg.basis,
-                               info=cfg.info, out_dir=cfg.out_dir / name.replace("-", "_"))
-        return name, fn(sub)
-
+    """Run every subcommand, one after another, into per-stage subdirectories."""
     results = []
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, stages))
-    else:
-        results = [run(item) for item in stages]
-    write_csv(cfg.out_dir / "report_summary.csv", ("stage", "exit_status"),
-              [(name, status) for name, status in results])
+    for name, fn in _SUBCOMMANDS.items():
+        results.append((name, fn(replace(cfg, out_dir=cfg.out_dir / name.replace("-", "_")))))
+    write_csv(cfg.out_dir / "report_summary.csv", ("stage", "exit_status"), results)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("report"))
     bad = [name for name, status in results if status != 0]
     print("report: all stages passed" if not bad else f"report: failing stages: {bad}")

@@ -3,7 +3,8 @@
 The Hamiltonian of the control problem splits into a local part h0
 (diagonal kernel values weighted by the adjoint triple) and a memory part
 h1 (forward integrals of the d/dt kernel partials weighted by the future
-adjoint values and the conditional Malliavin fields). Stationarity of the
+adjoint values and the conditional Malliavin fields). `hamiltonian_terms`
+builds the additive terms of H, dH/dx and dH/du alike. Stationarity of the
 conditional control-gradient E[dH/du | G_t] at a candidate control is the
 necessary optimality condition; the Gateaux check verifies the underlying
 derivative identity dJ/d(lambda) = E[int dH/du beta dt] by brute force.
@@ -27,49 +28,73 @@ from .volterra import StateEnsemble, memory_sums, performance_paths, simulate_in
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass
-class HamiltonianEval:
-    """Per-path Hamiltonian values at one node: local, memory, and their sum."""
+def mark_measure_sum(kernel, jumps, t, s, x, v, r) -> np.ndarray:
+    """intensity sum_k w_k kernel(t, s, x, v, z_k) r_k, per path: a jump kernel
+    integrated against the mark measure, with r the per-mark values, (..., K)."""
+    g = kernel(t, s, None if x is None else np.asarray(x)[..., None],
+               np.asarray(v)[..., None], jumps.mark_array[None, :])
+    g, r = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(r, dtype=float))
+    return np.einsum("...k,k,...k->...", g, jumps.intensity * jumps.weight_array, r)
 
-    local: np.ndarray
-    memory: np.ndarray
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.local + self.memory
+def hamiltonian_terms(model: CoefficientModel, spec: PerformanceSpec, jumps, t, x, v,
+                      p, q, r, partial: str = "", memory=None) -> list:
+    """The additive terms of H (partial ""), dH/dx ("_dx") or dH/du ("_dv") at time t.
+
+    The local terms put every kernel on the diagonal (t, t):
+    running<partial>(t, x, v), drift<partial> p, diffusion<partial> q and,
+    with active jumps, intensity sum_k w_k jump<partial>(t, t, x, v, z_k) r_k.
+    `memory = (paths, i, p_all, field)`, with t node i of paths, appends the
+    memory terms (`memory_terms`). The kernels get None for the state x when
+    the model is x-independent.
+    """
+    kx = None if model.x_independent else x
+    terms = [np.asarray(getattr(spec, "running" + partial)(t, x, v), dtype=float),
+             getattr(model, "drift" + partial)(t, t, kx, v) * p,
+             getattr(model, "diffusion" + partial)(t, t, kx, v) * q]
+    if jumps.n_marks and jumps.intensity > 0.0:
+        terms.append(mark_measure_sum(getattr(model, "jump" + partial), jumps, t, t, kx, v, r))
+    if memory is not None:
+        paths, i, p_all, field = memory
+        terms += memory_terms(model, partial, paths, i, x, v, p_all, field)
+    return terms
+
+
+def memory_terms(model: CoefficientModel, partial: str, paths: PathBundle, i: int, x, v,
+                 p: np.ndarray, field) -> list:
+    """The memory terms of H<partial> at node i: `forward_terms` of the d/dt kernel
+    partials ("_dt", "_dtdx" or "_dtdv"), weighted by p and the Malliavin field.
+
+    There are none at i = N, for time-invariant kernels, and for "_dx" on an
+    x-independent model, where every such term is zero.
+    """
+    if i >= paths.n_steps or model.time_invariant_kernels \
+            or (partial == "_dx" and model.x_independent):
+        return []
+    return forward_terms(model, "_dt" + partial[1:], paths, i,
+                         None if model.x_independent else x, v, p, field)
 
 
 def eval_h0(model: CoefficientModel, spec: PerformanceSpec, jumps, t, x, v,
             p, q, r) -> np.ndarray:
-    """Local Hamiltonian f + b(t,t,x,v) p + sigma(t,t,x,v) q + jump term.
+    """Local Hamiltonian f + b(t,t,x,v) p + sigma(t,t,x,v) q + jump term."""
+    return np.asarray(sum(hamiltonian_terms(model, spec, jumps, t, x, v, p, q, r)), dtype=float)
 
-    The jump term integrates gamma(t,t,x,v,z) r(z) against the mark measure:
-    intensity * sum_k w_k gamma(...,z_k) r_k.
-    """
-    x_model = None if model.x_independent else x
-    out = np.asarray(spec.running(t, x, v), dtype=float) \
-        + model.drift(t, t, x_model, v) * p \
-        + model.diffusion(t, t, x_model, v) * q
-    if jumps.n_marks and jumps.intensity > 0.0:
-        lw = jumps.intensity * jumps.weight_array
-        g = model.jump(t, t, None if x_model is None else np.asarray(x_model)[..., None],
-                       np.asarray(v)[..., None], jumps.mark_array[None, :])
-        r_arr = np.asarray(r, dtype=float)
-        if r_arr.ndim == 1:
-            r_arr = r_arr[None, :]
-        g2, r2 = np.broadcast_arrays(g, r_arr)
-        out = out + np.einsum("...k,k->...", g2 * r2, lw)
-    return np.asarray(out, dtype=float)
+
+def eval_h1(model: CoefficientModel, paths: PathBundle, i: int, x, v,
+            p: np.ndarray, field) -> np.ndarray:
+    """Memory Hamiltonian at node i: forward sums of the d/dt kernel partials."""
+    return sum(memory_terms(model, "", paths, i, x, v, p, field), np.zeros(paths.n_paths))
 
 
 def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: int, x, v,
-                  p: np.ndarray, field, **rows) -> list:
+                  p: np.ndarray, field) -> list:
     """The forward kernel sums at node i, one (M,) array per kernel.
 
     sum_{j>i} [k_b(t_j,t_i,x,v) p_j, k_sigma(t_j,t_i,x,v) Dp[i][j] and (with
     jumps) intensity sum_k w_k k_gamma(t_j,t_i,x,v,z_k) Djp[i][j][k]] dt, with
-    k_* = model.<kernel><suffix> and the rows from field.dp_rows(i, **rows)
-    and field.djump_rows(i, **rows).
+    k_* = model.<kernel><suffix> and the rows from field.dp_rows(i) and
+    field.djump_rows(i).
 
     A kernel with a declared decay lambda has k(t_j,t_i,.) = e^{-lambda (t_j -
     t_i)} k(t_i,t_i,.), so its sum is k(t_i,t_i,.) times the rows weighted by
@@ -92,7 +117,7 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
     kb, w = kernel("drift")
     terms = [row_sum(kb, p[i + 1:]) if w is None else kb(t[i], t[i], x, v) * (w @ p[i + 1:]) * dt]
     ks, w = kernel("diffusion")
-    terms.append(row_sum(ks, field.dp_rows(i, **rows)[i + 1:]) if w is None
+    terms.append(row_sum(ks, field.dp_rows(i)[i + 1:]) if w is None
                  else ks(t[i], t[i], x, v) * field.weighted_rows(i, w) * dt)
     if jumps.n_marks and jumps.intensity > 0.0:
         kg, w = kernel("jump")
@@ -103,47 +128,11 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
                            dtype=float)
             terms.append(np.einsum("jmk,k,jmk->m", np.broadcast_to(g, (n_j, m, jumps.n_marks)),
                                    jumps.intensity * jumps.weight_array,
-                                   field.djump_rows(i, **rows)[i + 1:]) * dt)
+                                   field.djump_rows(i)[i + 1:]) * dt)
         else:
-            terms.append(local_jump_term(kg, paths, i, x, v,
-                                         field.weighted_rows(i, w, jump=True)) * dt)
+            terms.append(mark_measure_sum(kg, jumps, t[i], t[i], x, v,
+                                          field.weighted_rows(i, w, jump=True)) * dt)
     return terms
-
-
-def local_jump_term(kernel, paths: PathBundle, i: int, x, v, r) -> np.ndarray:
-    """Local mark-measure term intensity sum_k w_k kernel(t_i,t_i,x,v,z_k) r_k, (M,)."""
-    t, jumps = paths.grid.nodes[i], paths.jumps
-    g = kernel(t, t, None if x is None else np.asarray(x)[..., None],
-               np.asarray(v)[..., None], jumps.mark_array[None, :])
-    return np.einsum("mk,k,mk->m", np.broadcast_to(g, (paths.n_paths, jumps.n_marks)),
-                     jumps.intensity * jumps.weight_array, r)
-
-
-def eval_h1(model: CoefficientModel, paths: PathBundle, i: int, x, v,
-            p: np.ndarray, field) -> np.ndarray:
-    """Memory Hamiltonian at node i: forward sums of d/dt kernel partials.
-
-    sum_{j>i} [db/dt(t_j,t_i,x,v) p_j + dsigma/dt(t_j,t_i,x,v) Dp[i][j]
-    + intensity sum_k w_k dgamma/dt(t_j,t_i,x,v,z_k) Djp[i][j][k]] dt,
-    where Dp/Djp rows come from the Malliavin field of the adjoint.
-    """
-    if i >= paths.n_steps or model.time_invariant_kernels:
-        return np.zeros(paths.n_paths)
-    out, *rest = forward_terms(model, "_dt", paths, i, None if model.x_independent else x,
-                               v, p, field)
-    for term in rest:
-        out += term
-    return out
-
-
-def eval_hamiltonian(model, spec, paths, i, x, v, triple, field) -> HamiltonianEval:
-    """Local and memory Hamiltonian parts at node i, per path."""
-    t = paths.grid.nodes[i]
-    r_i = triple.r[i] if triple.r.shape[2] else np.zeros((paths.n_paths, 0))
-    local = eval_h0(model, spec, paths.jumps, t, x, v, triple.p[i], triple.q[i], r_i)
-    memory = eval_h1(model, paths, i, x, v, triple.p, field)
-    return HamiltonianEval(local=np.broadcast_to(local, (paths.n_paths,)).astype(float),
-                           memory=memory)
 
 
 def eval_h0_reduced(model: CoefficientModel, spec: PerformanceSpec, paths: PathBundle,
@@ -165,11 +154,7 @@ def eval_h0_reduced(model: CoefficientModel, spec: PerformanceSpec, paths: PathB
         + model.drift(T, t[i], None, v) * terminal_prime \
         + model.diffusion(T, t[i], None, v) * d_terminal
     if jumps.n_marks and jumps.intensity > 0.0:
-        lw = jumps.intensity * jumps.weight_array
-        g = np.asarray(model.jump(T, t[i], None, np.asarray(v)[..., None],
-                                  jumps.mark_array[None, :]), dtype=float)
-        g2, d2 = np.broadcast_arrays(g, np.asarray(d_terminal_jump, dtype=float))
-        out = out + np.einsum("...k,k->...", g2 * d2, lw)
+        out = out + mark_measure_sum(model.jump, jumps, T, t[i], None, v, d_terminal_jump)
     return np.asarray(out, dtype=float)
 
 
@@ -295,20 +280,9 @@ def control_gradient(model: CoefficientModel, spec: PerformanceSpec, paths: Path
     The second array is the path-wise root-sum-square of the individual
     terms, used as the cancellation scale for stationarity statistics.
     """
-    t = paths.grid.nodes
-    n, m = paths.n_steps, paths.n_paths
-    jumps = paths.jumps
-    x_model = None if model.x_independent else x
-    terms = [
-        np.broadcast_to(np.asarray(spec.running_dv(t[i], x, v), dtype=float), (m,)),
-        np.broadcast_to(model.drift_dv(t[i], t[i], x_model, v) * triple.p[i], (m,)),
-        np.broadcast_to(model.diffusion_dv(t[i], t[i], x_model, v) * triple.q[i], (m,)),
-    ]
-    if jumps.n_marks and jumps.intensity > 0.0:
-        terms.append(local_jump_term(model.jump_dv, paths, i, x_model, v, triple.r[i]))
-    if not model.time_invariant_kernels and i < n:
-        terms += forward_terms(model, "_dtdv", paths, i, x_model, v, triple.p, field)
-    stacked = np.vstack([np.asarray(tm, dtype=float) for tm in terms])
+    terms = hamiltonian_terms(model, spec, paths.jumps, paths.grid.nodes[i], x, v, triple.p[i],
+                              triple.q[i], triple.r[i], "_dv", memory=(paths, i, triple.p, field))
+    stacked = np.vstack([np.broadcast_to(tm, (paths.n_paths,)) for tm in terms])
     return stacked.sum(axis=0), np.sqrt((stacked ** 2).sum(axis=0))
 
 
@@ -398,8 +372,9 @@ def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
                               (paths.n_paths,))
         surface = np.empty((len(v_grid), paths.n_paths))
         for pos, v in enumerate(v_grid):
-            h = eval_hamiltonian(model, spec, paths, i, x_i, v, triple, field)
-            surface[pos] = h.total
+            surface[pos] = sum(hamiltonian_terms(
+                model, spec, paths.jumps, paths.grid.nodes[i], x_i, v, triple.p[i], triple.q[i],
+                triple.r[i], memory=(paths, i, triple.p, field)))
         reg = NodeRegression(feats, i, basis,
                              design_node=info.observable_node(i, paths.grid))
         conditioned = reg.fit(surface.T).T

@@ -229,8 +229,6 @@ def test_field_of_identity_surrogate_counts_increments(paths64_small):
     rows = field.dp_rows(i)
     # B(t_j) responds one-for-one to any earlier increment
     assert np.allclose(rows[i + 1:], 1.0, atol=1e-6)
-    # left-limit diagonal: B(t_i) responds to the increment entering node i
-    assert np.allclose(rows[i], 1.0, atol=1e-6)
     assert np.allclose(rows[:i], 0.0, atol=0.0)
     # adaptedness rows are exactly zero
     assert np.all(field.dp_rows(40)[:40] == 0.0)
@@ -402,15 +400,12 @@ def test_reused_field_rows_equal_fresh_field_rows(setup, request):
     *_, paths, triple, field = request.getfixturevalue(f"{setup}_setup")
     for i in range(triple.n_nodes):
         want_dp, want_dj = _unmemoized_rows(triple, paths, i)
-        assert np.array_equal(field.dp_rows(i, include_diagonal=False), want_dp)
-        assert np.array_equal(field.djump_rows(i, include_diagonal=False), want_dj)
-        for diagonal in (False, True):
-            fresh = SurrogateMalliavinField(triple, paths)
-            assert np.array_equal(field.dp_rows(i, include_diagonal=diagonal),
-                                  fresh.dp_rows(i, include_diagonal=diagonal))
-            fresh = SurrogateMalliavinField(triple, paths)
-            assert np.array_equal(field.djump_rows(i, include_diagonal=diagonal),
-                                  fresh.djump_rows(i, include_diagonal=diagonal))
+        assert np.array_equal(field.dp_rows(i), want_dp)
+        assert np.array_equal(field.djump_rows(i), want_dj)
+        fresh = SurrogateMalliavinField(triple, paths)
+        assert np.array_equal(field.dp_rows(i), fresh.dp_rows(i))
+        fresh = SurrogateMalliavinField(triple, paths)
+        assert np.array_equal(field.djump_rows(i), fresh.djump_rows(i))
     assert np.any(field.dp_rows(0) != 0.0)
     if paths.jumps.n_marks:
         assert np.any(field.djump_rows(0) != 0.0)

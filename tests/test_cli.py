@@ -56,6 +56,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, values, field", [
+    ("grid", {"steps": "abc"}, "grid.steps"),
+    ("grid", {"steps": 1}, "grid.steps"),
+    ("grid", {"horizon": -1.0}, "grid.horizon"),
+    ("noise", {"marks": 0.5, "weights": [1.0]}, "noise.marks"),
+    ("noise", {"intensity": "often"}, "noise.intensity"),
+    ("solver", {"degree": 0}, "solver.degree"),
+    ("solver", {"ridge": [1e-8]}, "solver.ridge"),
+    ("info", {"mode": "delayed", "delay": "soon"}, "info.delay"),
+    ("monte_carlo", {"seed": "x"}, "monte_carlo.seed"),
+])
+def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, section, values, field):
+    # a value of the wrong type or outside its domain exits 2 without a traceback
+    path = _write_config(tmp_path, {section: values})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+
+
 def test_simulate_writes_artifacts_and_manifest(tmp_path):
     out = tmp_path / "run"
     status = main(["simulate", "--paths", "2000", "--seed", "5", "--out", str(out)])
@@ -241,8 +260,7 @@ def test_adjoint_sample_at_the_basis_floor_runs(tmp_path):
         assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
 
 
-def test_report_runs_all_stages(tmp_path, monkeypatch):
-    monkeypatch.setenv("VOLTERRA_CONTROL_WORKERS", "2")
+def test_report_runs_all_stages(tmp_path):
     # the merton stage carries a 5% accuracy gate, so give it a real sample
     path = _write_config(tmp_path, {
         "grid": {"steps": 32},

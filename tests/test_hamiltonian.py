@@ -32,6 +32,7 @@ from volterra_control.hamiltonian import (
     eval_h1,
     forward_terms,
     gateaux_check,
+    hamiltonian_terms,
     maximize_control,
     maximum_condition_check,
     perturbation_window,
@@ -254,6 +255,46 @@ def test_lifted_forward_terms_equal_row_sums(lift_setups, decays, k, mixed):
                 for a, b, size in zip(lifted, rows, scale):
                     assert a.shape == (paths.n_paths,)
                     assert np.all(np.abs(a - b) <= 64 * (eps * size + tiny))
+
+
+@pytest.mark.parametrize("declared", [True, False])
+def test_hamiltonian_partials_are_derivatives_of_its_terms(lift_setups, declared):
+    # with p, q, r and the Malliavin field held fixed, the "_dx" and "_dv" terms
+    # sum to the central differences in x and in v of the "" terms. The kernels
+    # are bilinear in (x, v) and the running reward quadratic, so a central
+    # difference is exact at any step h and only round-off remains: at most 64
+    # rounding errors of the terms' sizes (local terms, and the forward sums'
+    # summands in absolute value), over h for the difference quotient.
+    paths, x_all, p, fields = lift_setups[2]   # two marks
+    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15,
+                                                   decay_b=1.0, decay_sigma=0.8,
+                                                   decay_jump=0.5))
+    if not declared:
+        model = dataclasses.replace(model, decays=None)
+    spec = PerformanceSpec(running=lambda t, x, v: -0.5 * v ** 2 + 0.3 * x * v,
+                           running_dx=lambda t, x, v: 0.3 * v,
+                           running_dv=lambda t, x, v: 0.3 * x - v)
+    rng = np.random.default_rng(17)
+    m, t = paths.n_paths, paths.grid.nodes
+    q, r = rng.normal(size=m), rng.normal(size=(m, 2))
+    v = np.linspace(0.4, 1.1, m)
+    h, eps = 1.0 / 16.0, np.finfo(float).eps
+
+    def sum_and_size(i, x, v, field, partial=""):
+        terms = hamiltonian_terms(model, spec, paths.jumps, t[i], x, v, p[i], q, r, partial,
+                                  memory=(paths, i, p, field))
+        rows = _row_sum_magnitudes(model, "_dt" + partial[1:], paths, i, x, v, p, field)
+        return sum(terms), sum(np.abs(term) for term in terms) + sum(rows)
+
+    for field in fields:
+        for i in range(paths.n_steps + 1):
+            x = x_all[i]
+            for partial, dx, dv in (("_dx", h, 0.0), ("_dv", 0.0, h)):
+                up, size_up = sum_and_size(i, x + dx, v + dv, field)
+                down, size_down = sum_and_size(i, x - dx, v - dv, field)
+                want, size = sum_and_size(i, x, v, field, partial)
+                bound = 64 * eps * ((size_up + size_down) / (2.0 * h) + size)
+                assert np.all(np.abs((up - down) / (2.0 * h) - want) <= bound), (partial, i)
 
 
 def test_h0_reduced_trivial_cases(jump_paths64_small):
