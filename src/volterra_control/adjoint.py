@@ -37,7 +37,7 @@ from .malliavin import (
 )
 from .models import CoefficientModel, PerformanceSpec
 from .reporting import write_csv
-from .volterra import StateEnsemble, terminal_state
+from .volterra import StateEnsemble, simulate_integral_form, terminal_state
 
 _MAX_STEPS = 256
 
@@ -351,8 +351,6 @@ def simulated_state_feature(model: CoefficientModel, control,
     decays (O((2 + K) N^2 M) in all) and of O((2 + K) N^2 M) each otherwise.
     Memory held: one block, O((1 + K) N M).
     """
-    from .volterra import simulate_integral_form
-
     h = 1e-4 * math.sqrt(paths.grid.dt)
     base = states.values
     held: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # the block of one node

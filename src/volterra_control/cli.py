@@ -205,7 +205,8 @@ class ExperimentConfig:
             ridge=_field(raw, "solver.ridge", float, "a number >= 0", lambda r: r >= 0.0))
         mode = _field(raw, "info.mode", str, "full or delayed", lambda m: m in ("full", "delayed"))
         info = InfoMode.full() if mode == "full" \
-            else InfoMode.delayed(_field(raw, "info.delay", float, "a number"))
+            else InfoMode.delayed(_field(raw, "info.delay", float, "a number >= 0",
+                                         lambda d: d >= 0.0))
         return cls(
             raw=raw,
             grid=grid,
@@ -242,26 +243,35 @@ class ExperimentConfig:
         if u["kind"] == "log":
             return UtilitySpec.log()
         if u["kind"] == "power":
-            return UtilitySpec.power(float(u["exponent"]))
+            return UtilitySpec.power(_field(self.raw, "utility.exponent", float,
+                                            "a number < 1 and != 0", lambda g: g < 1.0 and g != 0.0))
         raise ConfigurationError(f"unknown utility {u['kind']!r}")
 
     def control(self) -> ControlProcess:
         c = self.raw["control"]
-        bounds = (float(c["lower"]), float(c["upper"]))
+        lower = _field(self.raw, "control.lower", float, "a number")
+        upper = _field(self.raw, "control.upper", float, "a number above control.lower",
+                       lambda hi: hi > lower)
         if c["kind"] == "constant":
-            return ControlProcess.constant(float(c["value"]), bounds)
+            value = _field(self.raw, "control.value", float,
+                           "a number in [control.lower, control.upper]",
+                           lambda v: lower <= v <= upper)
+            return ControlProcess.constant(value, (lower, upper))
         raise ConfigurationError(f"unsupported control kind {c['kind']!r} in config")
 
+    def market_fields(self) -> dict:
+        """The market section, every field read through ``_field``."""
+        fields = {key: _field(self.raw, f"market.{key}", float, "a number")
+                  for key in ("b0", "decay_b", "decay_sigma")}
+        for key in ("sigma0", "wealth"):
+            fields[key] = _field(self.raw, f"market.{key}", float, "a positive number",
+                                 lambda x: x > 0.0)
+        fields["floor"] = _field(self.raw, "market.floor", lambda f: f if f is None else float(f),
+                                 "a positive number or null", lambda f: f is None or f > 0.0)
+        return fields
+
     def market(self) -> MarketModel:
-        m = self.raw["market"]
-        floor = m["floor"]
-        return MarketModel.exponential(
-            b0=float(m["b0"]), sigma0=float(m["sigma0"]),
-            decay_b=float(m["decay_b"]), decay_sigma=float(m["decay_sigma"]),
-            wealth=float(m["wealth"]),
-            floor=None if floor is None else float(floor),
-            horizon=self.grid.horizon,
-        )
+        return MarketModel.exponential(**self.market_fields(), horizon=self.grid.horizon)
 
     def manifest(self, command: str) -> dict:
         return {
@@ -278,9 +288,9 @@ class ExperimentConfig:
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    paths = cfg.sample()
     model = cfg.model()
     control = cfg.control()
+    paths = cfg.sample()
     states = simulate_integral_form(model, control, paths)
     export_trajectory_csv(cfg.out_dir / "trajectory.csv", states)
     est, se = evaluate_performance(cfg.performance(), states, control)
@@ -354,8 +364,13 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
     The adjoint fits one raw feature per node; the stationarity check of an
     x-dependent model fits the default features (Brownian level, state, and
     the jump sum when jumps are active), and every fit needs
-    MIN_PATHS_PER_COLUMN paths per basis column.
+    MIN_PATHS_PER_COLUMN paths per basis column. The stationarity check's
+    information delay must lie within the horizon.
     """
+    if stationarity and cfg.info.delay > cfg.grid.horizon:
+        raise ConfigurationError(
+            f"info.delay must be a number in [0, grid.horizon = {cfg.grid.horizon}], "
+            f"got {cfg.info.delay!r}")
     if not model.x_independent and cfg.grid.steps > _MAX_STEPS:
         raise ConfigurationError(
             f"grid.steps is {cfg.grid.steps}, but the general adjoint solver for the "
@@ -440,15 +455,16 @@ def _cmd_gateaux(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
-    paths = cfg.sample()
     market = cfg.market()
     utility = cfg.utility()
-    sv = cfg.raw["solver"]
-    bracket = sv["bracket"]
-    solution = solve_portfolio(market, utility, paths,
-                               basis=cfg.basis,
-                               bracket=None if bracket is None else tuple(bracket),
-                               rel_tol=float(sv["bisection_rel_tol"]))
+    bracket = _field(cfg.raw, "solver.bracket", lambda b: b if b is None else _numbers(b),
+                     "null or a pair [low, high] with 0 < low < high",
+                     lambda b: b is None or (len(b) == 2 and 0.0 < b[0] < b[1]))
+    rel_tol = _field(cfg.raw, "solver.bisection_rel_tol", float, "a positive number",
+                     lambda r: r > 0.0)
+    paths = cfg.sample()
+    solution = solve_portfolio(market, utility, paths, basis=cfg.basis, bracket=bracket,
+                               rel_tol=rel_tol)
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("solve-portfolio"))
     print(f"solve-portfolio: c = {solution.c:.6g}, "
@@ -458,14 +474,13 @@ def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_merton_test(cfg: ExperimentConfig) -> int:
+    m = cfg.market_fields()
+    market = MarketModel.constant(m["b0"], m["sigma0"], wealth=m["wealth"])
     paths = cfg.sample()
-    m = cfg.raw["market"]
-    market = MarketModel.constant(float(m["b0"]), float(m["sigma0"]),
-                                  wealth=float(m["wealth"]))
     utility = UtilitySpec.log()
     solution = solve_portfolio(market, utility, paths, basis=cfg.basis)
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
-    pi_ref = float(m["b0"]) / float(m["sigma0"]) ** 2
+    pi_ref = m["b0"] / m["sigma0"] ** 2
     n = cfg.grid.steps
     interior = solution.fractions[n // 4:(3 * n) // 4].mean(axis=1)
     worst = float(np.max(np.abs(interior - pi_ref) / pi_ref))
@@ -475,7 +490,7 @@ def _cmd_merton_test(cfg: ExperimentConfig) -> int:
     rows += [(f"shift{delta:+g}", j, se) for delta, j, _gap, se in report.comparisons]
     write_csv(cfg.out_dir / "objective.csv", ("strategy", "J_estimate", "stderr"), rows)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("merton-test"))
-    print(f"merton-test: c = {solution.c:.4f} (closed form {1.0 / float(m['wealth']):.4f}), "
+    print(f"merton-test: c = {solution.c:.4f} (closed form {1.0 / m['wealth']:.4f}), "
           f"interior fraction within {100 * worst:.2f}% of {pi_ref}; "
           f"dominates shifts: {report.dominates()}")
     return 0 if (worst <= 0.05 and report.dominates()) else 1

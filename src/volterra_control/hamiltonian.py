@@ -23,7 +23,13 @@ from .grids import PathBundle
 from .malliavin import Feature, NodeRegression, RegressionBasis, default_features
 from .models import CoefficientModel, ControlProcess, InfoMode, PerformanceSpec
 from .reporting import write_csv
-from .volterra import StateEnsemble, memory_sums, performance_paths, simulate_integral_form
+from .volterra import (
+    StateEnsemble,
+    memory_sums,
+    noise_sums,
+    performance_paths,
+    simulate_integral_form,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -235,41 +241,26 @@ def simulate_variation(model: CoefficientModel, control: ControlProcess,
     """Forward Euler of the linear variation dynamics along direction beta.
 
     The recursion mirrors the differential form of the state equation with
-    every kernel replaced by its state/control gradient, including the mixed
-    d/dt second partials in the memory drift, whose history sums decay at
-    the kernels' declared rates (see `volterra.memory_sums`).
+    every kernel replaced by its state/control gradient: each step adds the
+    one-row noise sums of the _dx and _dv partials, weighted by y and beta,
+    and dt times the memory sums of the mixed d/dt second partials, whose
+    history sums decay at the kernels' declared rates (see
+    `volterra.memory_sums`).
     """
-    grid, jumps = paths.grid, paths.jumps
-    n, m, dt = paths.n_steps, paths.n_paths, grid.dt
-    t = grid.nodes
+    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
+    t = paths.grid.nodes
     beta = np.asarray(beta, dtype=float)
     beta_mat = np.broadcast_to(beta if beta.ndim == 2 else beta[:, None], (n, m))
-    k = jumps.n_marks
-    marks = jumps.mark_array
-    dNt = paths.compensated_counts if k else None
     x = None if model.x_independent else states.values
     u = np.stack([np.broadcast_to(np.asarray(control.at(i, paths, x=states.values[i]),
                                              dtype=float), (m,)) for i in range(n)])
 
     y = np.zeros((n + 1, m))
     memory = memory_sums(model, paths, x, u, parts=(("_dtdx", y), ("_dtdv", beta_mat)))
+    local = noise_sums(model, paths, x, u, parts=(("_dx", y), ("_dv", beta_mat))).values()
     for i in range(n):
-        x_i, u_i = None if x is None else x[i], u[i]
-        drift = model.drift_dx(t[i], t[i], x_i, u_i) * y[i] \
-            + model.drift_dv(t[i], t[i], x_i, u_i) * beta_mat[i]
-        if i > 0:
-            drift = drift + memory(i)
-        val = y[i] + drift * dt \
-            + (model.diffusion_dx(t[i], t[i], x_i, u_i) * y[i]
-               + model.diffusion_dv(t[i], t[i], x_i, u_i) * beta_mat[i]) * paths.dW[i]
-        if k and jumps.intensity > 0.0:
-            xi3 = None if x_i is None else np.asarray(x_i)[:, None]
-            gx = model.jump_dx(t[i], t[i], xi3, u_i[:, None], marks[None, :])
-            gv = model.jump_dv(t[i], t[i], xi3, u_i[:, None], marks[None, :])
-            term = (np.broadcast_to(gx, (m, k)) * y[i][:, None]
-                    + np.broadcast_to(gv, (m, k)) * beta_mat[i][:, None])
-            val = val + np.einsum("mk,mk->m", term, dNt[i])
-        y[i + 1] = val
+        y[i + 1] = y[i] + (memory(i) * dt if i > 0 else 0.0) \
+            + sum(step(t[i], slice(i, i + 1)) for step in local)
     return VariationEnsemble(values=y, beta=beta_mat)
 
 

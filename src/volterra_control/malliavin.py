@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, RegressionError
 from .grids import PathBundle
 from .models import ControlProcess, InfoMode
+from .volterra import noise_sums
 
 # A path functional maps a PathBundle to one scalar per path, and must be
 # re-evaluable on perturbed copies of the bundle.
@@ -131,23 +132,14 @@ def predicted_terminal_feature(model, control: ControlProcess,
     """
     if not model.x_independent:
         raise ConfigurationError("predicted terminal feature needs an x-independent model")
-    grid, jumps = paths.grid, paths.jumps
-    n, m, dt = paths.n_steps, paths.n_paths, grid.dt
-    t = grid.nodes
+    n, m, jumps = paths.n_steps, paths.n_paths, paths.jumps
+    t = paths.grid.nodes
     u = control.open_loop_grid(n, m)
-    s_h = t[:n, None]
-    inc = model.drift(t[n], s_h, None, u) * dt + model.diffusion(t[n], s_h, None, u) * paths.dW
-    inc = np.asarray(np.broadcast_to(inc, (n, m)), dtype=float).copy()
-    if jumps.n_marks:
-        g = model.jump(t[n], s_h[:, :, None], None, u[:, :, None],
-                       jumps.mark_array[None, None, :])
-        inc += np.einsum("jmk,jmk->jm", np.broadcast_to(g, (n, m, jumps.n_marks)),
-                         paths.compensated_counts)
-    vals = np.empty((n + 1, m))
-    xi_T = np.broadcast_to(np.asarray(model.initial_curve(t[n]), dtype=float), (m,))
-    vals[0] = xi_T
-    np.cumsum(inc, axis=0, out=vals[1:])
-    vals[1:] += xi_T
+    sums = noise_sums(model, paths, None, u).values()
+    vals = np.zeros((n + 1, m))
+    np.cumsum([sum(s(t[n], slice(j, j + 1)) for s in sums) for j in range(n)],
+              axis=0, out=vals[1:])
+    vals += model.initial_curve(t[n])
 
     def b_sens(i, j):
         if i >= j:

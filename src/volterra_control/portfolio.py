@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -556,8 +557,6 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
 
 def export_portfolio_csvs(out_dir, solution: PortfolioSolution, grid: TimeGrid) -> None:
     """Write the strategy and calibration tables for a solved portfolio."""
-    from pathlib import Path
-
     out = Path(out_dir)
     t = grid.nodes
     n = solution.fractions.shape[0]

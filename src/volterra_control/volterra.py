@@ -5,10 +5,12 @@ history sums at every node; the differential form propagates the state with
 the expanded drift that carries the history sums of the d/dt kernel
 derivatives. Both use left-point evaluation in all stochastic sums.
 
-Every history sum goes through `history_sum`. For a kernel with a declared
-decay rate (`CoefficientModel.decays`, set by all registry models) the sum
-is updated by a one-step recursion, so a path costs O(N); a kernel without
-one is re-summed over the whole history at every node, O(N^2) per path.
+Every kernel x noise sum, a memory sum or a local Euler step, is a summand
+of `noise_sums`, and every history sum goes through `history_sum`. For a
+kernel with a declared decay rate (`CoefficientModel.decays`, set by all
+registry models) the sum is updated by a one-step recursion, so a path
+costs O(N); a kernel without one is re-summed over the whole history at
+every node, O(N^2) per path.
 """
 
 from __future__ import annotations
@@ -80,58 +82,74 @@ def _vary_row(increments: np.ndarray, offset: int, values: np.ndarray) -> np.nda
     return varied
 
 
-def _kernel_summands(kernels, nodes: np.ndarray, x, u, inc, marks=None, row=None):
-    """The `summands(t, hist)` of a history sum over weighted kernels.
+def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
+               parts=(("", None),), row: tuple | None = None) -> dict:
+    """The kernel x noise sums of the state equation, `{kernel: summands}`.
 
-    Sums sum_p kernel_p(t, t_j, X_j, u_j) w_p[j] inc_j over j in hist and
-    over the (kernel_p, w_p) pairs, with w_p an array indexed by node or None
-    for weight 1. x (None for x-independent models) and u are read when
-    called, so rows a running simulation has filled are seen. inc is (N, M);
-    for a jump kernel (marks given) it is a mark-major (K, N, M) view of the
-    compensated counts, the kernel is evaluated as (K, j, M) with its inner
-    loop over M, and the marks are summed out too.
+    summands(t, hist) = sum_{j in hist} sum_p model.<kernel><suffix_p>(t, t_j,
+    X_j, u_j) w_p[j] inc_j, shape (M,), over the (suffix_p, w_p) pairs in
+    `parts` (w_p an array indexed by node, or None for weight 1), for the
+    kernels "drift" (inc dt), "diffusion" (inc dB) and, when jumps are
+    active, "jump" (inc the compensated counts dN~_{j,k}, evaluated as
+    (K, j, M) with the inner loop over M, the marks summed out too). A full
+    history slice gives a memory sum, the one-row slice(i, i + 1) at t = t_i
+    a local Euler step. x (None for x-independent models), u and the weights
+    are read when a summand is called, so rows a running simulation has
+    filled are seen.
 
-    `row` = (i, values) replaces the node-i increments by per-variant values
-    on a leading variant axis: (V, M), or for a jump kernel (V, M, K), the
-    layout of the bundle's compensated counts; x, and u for a feedback
-    control, then carry the same leading axis, and so does the sum. The
-    other rows of inc are read as they are.
+    `row` = (i, {kernel: values}) replaces the node-i increments of the named
+    kernels by per-variant values on a leading variant axis, "diffusion"
+    (V, M) and "jump" (V, M, K), the layout of the bundle's compensated
+    counts; x, and u for a feedback control, then carry the same axis, and
+    so does the sum.
     """
+    nodes, jumps = paths.grid.nodes, paths.jumps
+    incs = {"drift": np.broadcast_to(paths.grid.dt, (paths.n_steps, paths.n_paths)),
+            "diffusion": paths.dW}
+    if jumps.n_marks and jumps.intensity > 0.0:
+        incs["jump"] = np.moveaxis(paths.compensated_counts, 2, 0)
+    node, varied = row or (None, {})
 
-    def summands(t, hist):
-        index = (Ellipsis, hist, slice(None)) if marks is None else \
-            (Ellipsis, None, hist, slice(None))
-        s, x_h, u_h = nodes[hist, None], None if x is None else x[index], u[index]
-        args = (t, s, x_h, u_h) + (() if marks is None else (marks[:, None, None],))
-        total = None
-        for kernel, weight in kernels:
-            value = kernel(*args)
-            if weight is not None:
-                value = value * weight[hist]
-            total = value if total is None else total + value
-        increments = inc[..., hist, :]
-        if row is not None and hist.start <= row[0] < hist.stop:
-            if marks is None:
-                increments = _vary_row(increments, row[0] - hist.start, row[1])
-            else:
-                # built mark-last, as the bundle lays out its counts, so that
-                # einsum adds the products in the order of a plain run
-                increments = np.moveaxis(_vary_row(np.moveaxis(increments, 0, -1),
-                                                   row[0] - hist.start, row[1]), -1, -3)
-        if hist.stop - hist.start == 1:
-            # one row: a product, and the marks added in mark order as einsum
-            # adds them; + 0.0 turns a -0.0 into einsum's +0.0
-            product = total * increments
-            if marks is None:
-                return product[..., 0, :] + 0.0
-            out = product[..., 0, 0, :] + 0.0
-            for k in range(1, product.shape[-3]):
-                out += product[..., k, 0, :]
-            return out
-        subscripts = "...jm,...jm->...m" if marks is None else "...kjm,...kjm->...m"
-        return np.einsum(subscripts, *np.broadcast_arrays(total, increments))
+    def summands_of(name, inc):
+        kernels = [(getattr(model, name + suffix), w) for suffix, w in parts]
+        marks = jumps.mark_array if name == "jump" else None
 
-    return summands
+        def summands(t, hist):
+            index = (Ellipsis, hist, slice(None)) if marks is None else \
+                (Ellipsis, None, hist, slice(None))
+            s, x_h, u_h = nodes[hist, None], None if x is None else x[index], u[index]
+            args = (t, s, x_h, u_h) + (() if marks is None else (marks[:, None, None],))
+            total = None
+            for kernel, weight in kernels:
+                value = kernel(*args)
+                if weight is not None:
+                    value = value * weight[hist]
+                total = value if total is None else total + value
+            increments = inc[..., hist, :]
+            if name in varied and hist.start <= node < hist.stop:
+                if marks is None:
+                    increments = _vary_row(increments, node - hist.start, varied[name])
+                else:
+                    # built mark-last, as the bundle lays out its counts, so that
+                    # einsum adds the products in the order of a plain run
+                    increments = np.moveaxis(_vary_row(np.moveaxis(increments, 0, -1),
+                                                       node - hist.start, varied[name]), -1, -3)
+            if hist.stop - hist.start == 1:
+                # one row: a product, and the marks added in mark order as einsum
+                # adds them; + 0.0 turns a -0.0 into einsum's +0.0
+                product = total * increments
+                if marks is None:
+                    return product[..., 0, :] + 0.0
+                out = product[..., 0, 0, :] + 0.0
+                for k in range(1, product.shape[-3]):
+                    out += product[..., k, 0, :]
+                return out
+            subscripts = "...jm,...jm->...m" if marks is None else "...kjm,...kjm->...m"
+            return np.einsum(subscripts, *np.broadcast_arrays(total, increments))
+
+        return summands
+
+    return {name: summands_of(name, inc) for name, inc in incs.items()}
 
 
 def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
@@ -139,31 +157,16 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
     """Total memory term at node i, as a function `memory(i)`.
 
     memory(i) = sum_{j<i} [K_b(t_i,t_j) dt + K_sigma(t_i,t_j) dB_j
-    + sum_k K_gamma(t_i,t_j,z_k) dN~_{j,k}], where each kernel K is
-    sum_p model.<kernel><suffix_p>(t_i, t_j, X_j, u_j) w_p[j] over the
-    (suffix_p, w_p) pairs in `parts` (w_p None for weight 1). Each kernel's
-    sum runs through `history_sum` with the kernel's declared decay, so
-    memory must be called for i = 1, 2, ..., N in order. x (None for
-    x-independent models), u and the weights are read when memory is called.
-    `sums`, the per-kernel sums (zeros when empty), is replaced in place by
-    every call; seeded with the S_i of another run, memory restarts at i + 1.
-    `row` = (i, {kernel: values}) gives the node-i increments of the named
-    kernels per variant, "diffusion" (V, M) and "jump" (V, M, K), on the
-    leading variant axis that x (and a feedback u) then carry too.
+    + sum_k K_gamma(t_i,t_j,z_k) dN~_{j,k}], the `noise_sums` of `parts`
+    over the history. Each kernel's sum runs through `history_sum` with the
+    kernel's declared decay, so memory must be called for i = 1, 2, ..., N
+    in order. `sums`, the per-kernel sums (zeros when empty), is replaced in
+    place by every call; seeded with the S_i of another run, memory
+    restarts at i + 1. `row` is passed on to `noise_sums`.
     """
-    n, m = paths.n_steps, paths.n_paths
-    nodes, jumps = paths.grid.nodes, paths.jumps
-    incs = {"drift": np.broadcast_to(paths.grid.dt, (n, m)), "diffusion": paths.dW}
-    if jumps.n_marks and jumps.intensity > 0.0:
-        incs["jump"] = np.moveaxis(paths.compensated_counts, 2, 0)
-    node, varied = row or (None, {})
-    kernels = [
-        (_kernel_summands([(getattr(model, kernel + suffix), w) for suffix, w in parts],
-                          nodes, x, u, inc, jumps.mark_array if kernel == "jump" else None,
-                          (node, varied[kernel]) if kernel in varied else None),
-         model.decay(kernel))
-        for kernel, inc in incs.items()
-    ]
+    nodes = paths.grid.nodes
+    kernels = [(summands, model.decay(kernel))
+               for kernel, summands in noise_sums(model, paths, x, u, parts, row).items()]
     values = [] if sums is None else sums
     values[:] = values or [0.0] * len(kernels)
 
@@ -229,38 +232,24 @@ def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
                                paths: PathBundle) -> StateEnsemble:
     """Simulate the state from its differential representation.
 
-    The drift carries the expanded memory terms: xi'(t_i), the diagonal
-    kernels, and the history sums of the d/dt kernel partials.
+    X_{i+1} = X_i + [xi'(t_i) + memory_dt(i)] dt + the one-row noise sums
+    at the diagonal t = t_i, where memory_dt carries the history sums of the
+    d/dt kernel partials.
     """
-    grid, jumps = paths.grid, paths.jumps
-    n, m, dt = paths.n_steps, paths.n_paths, grid.dt
-    t = grid.nodes
-    marks = jumps.mark_array
-    dW = paths.dW
-    dNt = paths.compensated_counts if jumps.n_marks else None
+    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
+    t = paths.grid.nodes
     u = _control_grid(control, paths)
 
     x = np.empty((n + 1, m))
     x[0] = model.initial_curve(t[0])
-    memory = memory_sums(model, paths, None if model.x_independent else x, u,
-                         parts=(("_dt", None),))
+    x_read = None if model.x_independent else x
+    memory = memory_sums(model, paths, x_read, u, parts=(("_dt", None),))
+    local = noise_sums(model, paths, x_read, u).values()
     for i in range(n):
         if control.kind == "feedback":
             u[i] = control.at(i, paths, x=x[i])
-        u_i = u[i]
-        x_i = None if model.x_independent else x[i]
-        drift = np.broadcast_to(
-            np.asarray(model.initial_slope(t[i]) + model.drift(t[i], t[i], x_i, u_i), dtype=float),
-            (m,),
-        ).copy()
-        if i > 0:
-            drift += memory(i)
-        val = x[i] + drift * dt + model.diffusion(t[i], t[i], x_i, u_i) * dW[i]
-        if jumps.n_marks:
-            g = model.jump(t[i], t[i], None if x_i is None else x_i[:, None],
-                           np.asarray(u_i)[..., None], marks[None, :])
-            val = val + np.einsum("mk,mk->m",
-                                  np.broadcast_to(g, (m, jumps.n_marks)), dNt[i])
+        slope = model.initial_slope(t[i]) + (memory(i) if i > 0 else 0.0)
+        val = x[i] + slope * dt + sum(step(t[i], slice(i, i + 1)) for step in local)
         _check_finite(val, i + 1, "differential-form state")
         x[i + 1] = val
     return StateEnsemble(values=x, control=control, paths=paths)
@@ -270,24 +259,15 @@ def terminal_state(model: CoefficientModel, control: ControlProcess,
                    paths: PathBundle) -> np.ndarray:
     """Terminal state X(T) per path.
 
-    For x-independent models this is a single O(N) kernel sum; otherwise it
-    falls back to the full integral-form recursion.
+    For x-independent models this is xi(T) plus the full-history noise sums
+    at T; otherwise it falls back to the full integral-form recursion.
     """
     if not model.x_independent:
         return simulate_integral_form(model, control, paths).terminal
-    grid, jumps = paths.grid, paths.jumps
-    n, m, dt = paths.n_steps, paths.n_paths, grid.dt
-    t = grid.nodes
-    u = control.open_loop_grid(n, m)
-    s_h = t[:n, None]
-    acc = model.drift(t[n], s_h, None, u) * dt + model.diffusion(t[n], s_h, None, u) * paths.dW
-    val = np.asarray(acc).sum(axis=0) + model.initial_curve(t[n])
-    if jumps.n_marks:
-        g = model.jump(t[n], s_h[:, :, None], None, u[:, :, None],
-                       jumps.mark_array[None, None, :])
-        val += np.einsum("jmk,jmk->m", np.broadcast_to(g, (n, m, jumps.n_marks)),
-                         paths.compensated_counts)
-    return val
+    n, t = paths.n_steps, paths.grid.nodes
+    u = control.open_loop_grid(n, paths.n_paths)
+    total = sum(s(t[n], slice(0, n)) for s in noise_sums(model, paths, None, u).values())
+    return total + model.initial_curve(t[n])
 
 
 def performance_paths(spec: PerformanceSpec, states: StateEnsemble,

@@ -496,7 +496,7 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
 def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
     # every node's 2 + K perturbations ride one restarted run, and the base
     # run is the caller's: building every block simulates N times, not (2 + K) N
-    from volterra_control import volterra
+    from volterra_control import adjoint
     from volterra_control.adjoint import simulated_state_feature
 
     model, control = _exp_model(), ControlProcess.constant(0.7)
@@ -505,13 +505,13 @@ def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
     record = []
     states = simulate_integral_form(model, control, paths, record=record)
     starts = []
-    simulate = volterra.simulate_integral_form
+    simulate = adjoint.simulate_integral_form
 
     def counted(*args, **kwargs):
         starts.append(kwargs["restart"][0])
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(volterra, "simulate_integral_form", counted)
+    monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
     feat = simulated_state_feature(model, control, states, paths, record)
     for i in range(n):
         for j in range(i + 1, n + 1):
@@ -522,18 +522,18 @@ def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
 
 
 def _counted_restarts(monkeypatch) -> list:
-    """Patch the simulator so that the node of every restarted run is recorded."""
-    from volterra_control import volterra
+    """Patch the adjoint's simulator so that the node of every restarted run is recorded."""
+    from volterra_control import adjoint
 
     starts = []
-    simulate = volterra.simulate_integral_form
+    simulate = adjoint.simulate_integral_form
 
     def counted(*args, **kwargs):
         if kwargs.get("restart") is not None:
             starts.append(kwargs["restart"][0])
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(volterra, "simulate_integral_form", counted)
+    monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
     return starts
 
 

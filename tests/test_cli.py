@@ -56,6 +56,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# the stage a malformed field is given to, by field or by section: a field
+# the loader reads fails in any stage
+_STAGE_READING = {
+    "utility": "solve-portfolio",
+    "market": "solve-portfolio",
+    "market.sigma0": "merton-test",
+    "solver.bracket": "solve-portfolio",
+    "solver.bisection_rel_tol": "solve-portfolio",
+    "info.delay": "check-stationarity",
+}
+
+
 @pytest.mark.parametrize("section, values, field", [
     ("grid", {"steps": "abc"}, "grid.steps"),
     ("grid", {"steps": 1}, "grid.steps"),
@@ -66,11 +78,30 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("solver", {"ridge": [1e-8]}, "solver.ridge"),
     ("info", {"mode": "delayed", "delay": "soon"}, "info.delay"),
     ("monte_carlo", {"seed": "x"}, "monte_carlo.seed"),
+    ("control", {"value": "abc"}, "control.value"),
+    ("control", {"value": 12.0}, "control.value"),
+    ("control", {"lower": [0.0]}, "control.lower"),
+    ("control", {"upper": -20.0}, "control.upper"),
+    ("utility", {"kind": "power", "exponent": "half"}, "utility.exponent"),
+    ("utility", {"kind": "power", "exponent": 1.5}, "utility.exponent"),
+    ("market", {"b0": "x"}, "market.b0"),
+    ("market", {"decay_sigma": [1.0]}, "market.decay_sigma"),
+    ("market", {"sigma0": "vol"}, "market.sigma0"),
+    ("market", {"sigma0": -0.2}, "market.sigma0"),
+    ("market", {"wealth": "rich"}, "market.wealth"),
+    ("market", {"floor": "low"}, "market.floor"),
+    ("solver", {"bracket": 3}, "solver.bracket"),
+    ("solver", {"bracket": [50.0, 5.0]}, "solver.bracket"),
+    ("solver", {"bisection_rel_tol": "tight"}, "solver.bisection_rel_tol"),
+    ("info", {"mode": "delayed", "delay": -0.1}, "info.delay"),
+    ("info", {"mode": "delayed", "delay": 2.0}, "info.delay"),
 ])
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, section, values, field):
-    # a value of the wrong type or outside its domain exits 2 without a traceback
+    # a value of the wrong type or outside its domain exits 2 without a
+    # traceback, in a stage that reads the field
+    stage = _STAGE_READING.get(field, _STAGE_READING.get(section, "simulate"))
     path = _write_config(tmp_path, {section: values})
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert main([stage, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
 

@@ -19,7 +19,7 @@ from volterra_control import (
     simulate_integral_form,
     terminal_state,
 )
-from volterra_control.volterra import export_trajectory_csv, performance_paths
+from volterra_control.volterra import export_trajectory_csv, noise_sums
 
 
 def _zero_model(xi):
@@ -257,15 +257,12 @@ def _mark_last_summand(model, paths, x, u, t, hist):
                                            ((0.5, -0.5, 0.25), (0.25, 0.25, 0.5))],
                          ids=["K1", "K2", "K3"])
 def test_mark_major_jump_summand_matches_mark_last(marks, weights):
-    from volterra_control.volterra import _kernel_summands
-
     jumps = JumpModel(2.0, marks, weights)
     paths = sample_paths(TimeGrid(1.0, 32), jumps, 500, seed=12)
     model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15))
     x = simulate_integral_form(model, ControlProcess.constant(0.7), paths).values
     u = np.full((paths.n_steps, paths.n_paths), 0.7)
-    summands = _kernel_summands([(model.jump, None)], paths.grid.nodes, x, u,
-                                np.moveaxis(paths.compensated_counts, 2, 0), jumps.mark_array)
+    summands = noise_sums(model, paths, x, u)["jump"]
     eps = np.finfo(float).eps
     for i in range(1, paths.n_steps + 1):
         t = paths.grid.nodes[i]
