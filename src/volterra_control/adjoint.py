@@ -66,13 +66,6 @@ class AdjointTriple:
         return self.p.shape[0]
 
 
-def _missing_sensitivity(feature: Feature, what: str):
-    raise ConfigurationError(
-        f"feature {feature.name!r} has no {what}; supply one (for simulated states, "
-        "a finite-difference pass through the simulator) to build Malliavin fields"
-    )
-
-
 class SurrogateMalliavinField:
     """Conditional Malliavin derivatives of p built from its node surrogates.
 
@@ -84,17 +77,16 @@ class SurrogateMalliavinField:
     Invariant: the surrogates of nodes j > i are final when row i is first
     requested (the backward sweep fits node j before it asks for row i < j).
     So each node's gradient, each node's unshifted surrogate value and the
-    projected off-diagonal rows of each (i) and (i, mark) are computed once;
-    the rows are kept as node-i regression coefficients, p x (N - i), and
-    rebuilt per path as design_i @ coef. The design of the node last asked
-    for is held, so a sweep builds each node's design once.
+    projected rows j > i of each node, Brownian and per mark, are computed
+    once; the rows are kept as node-i regression coefficients, p x (N - i),
+    and rebuilt per path as design_i @ coef. The design of the node last
+    asked for is held, so a sweep builds each node's design once.
 
-    One read per block: the state sensitivities of node i, D_{t_i} X(t_j) and
-    the jump shifts for all j > i, are read only when the coefficients of
-    (i) and (i, mark) are first built, at node i of the sweep, one node after
-    another; later requests hit the coefficients. So a feature may hold one
-    node's block at a time (`simulated_state_feature` does) without any node
-    being simulated twice.
+    One read per block: the features' node-i blocks (see `Feature`) are read
+    once, when node i's coefficients are first built, at node i of the sweep,
+    and before its (M, N - i) targets are allocated. So a feature may hold
+    one node's blocks at a time (`simulated_state_feature` does) without any
+    node being simulated twice.
     """
 
     def __init__(self, triple: AdjointTriple, paths: PathBundle):
@@ -102,7 +94,7 @@ class SurrogateMalliavinField:
         self.paths = paths
         self._grad_cache: dict[int, np.ndarray] = {}
         self._value_cache: dict[int, np.ndarray] = {}
-        self._row_coefs: dict = {}   # i -> dp coefficients, (i, mark) -> djump
+        self._row_coefs: dict = {}   # (i, False) -> dp coefficients, (i, True) -> djump's K
         self._node_design: tuple = (None, None)   # (i, design of node i)
 
     def design(self, i: int) -> np.ndarray:
@@ -117,30 +109,53 @@ class SurrogateMalliavinField:
             self._grad_cache[j] = reg.gradient_raw(self.triple.surrogate_coefs[j])
         return self._grad_cache[j]
 
-    def _chain_brownian(self, i: int, j: int) -> np.ndarray:
+    def _blocks(self, i: int, attr: str, *lead: int) -> list:
+        """Every feature's node-i `attr` block, broadcast to (*lead, N - i, M)."""
         feats = self.triple.features
-        grad = self._gradient(j)
-        m = grad.shape[0]
-        out = np.zeros(m)
-        for pos, feat in enumerate(feats):
-            if feat.brownian_sensitivity is None:
-                _missing_sensitivity(feat, "Brownian sensitivity")
-            sens = feat.brownian_sensitivity(i, j)
-            if np.any(np.asarray(sens) != 0.0):
-                out += grad[:, pos] * sens
+        for feat in feats:
+            if getattr(feat, attr) is None:
+                raise ConfigurationError(
+                    f"feature {feat.name!r} has no {attr}; supply one (for simulated states, "
+                    "a finite-difference pass through the simulator) to build Malliavin fields")
+        shape = (*lead, self.triple.n_nodes - i - 1, self.paths.n_paths)
+        return [np.broadcast_to(getattr(feat, attr)(i), shape) for feat in feats]
+
+    def _coefs(self, i: int, jump: bool = False):
+        """Node-i coefficients, p x (N - i), of the rows j > i of dp_rows(i), or with
+        `jump` a list of them, one per mark of djump_rows(i)."""
+        if (i, jump) not in self._row_coefs:
+            later, fit = range(i + 1, self.triple.n_nodes), self.triple.regressions[i].coefficients
+            if jump:
+                k = self.paths.jumps.n_marks
+                blocks = self._blocks(i, "jump_shift", k)
+                coefs = [fit(self._shifted_deltas(later, [b[kk] for b in blocks]),
+                             phi=self.design(i)) for kk in range(k)]
+            else:
+                coefs = fit(self._chain_rule(later, self._blocks(i, "brownian_sensitivity")),
+                            phi=self.design(i))
+            self._row_coefs[i, jump] = coefs
+        return self._row_coefs[i, jump]
+
+    def _chain_rule(self, later: range, blocks: list) -> np.ndarray:
+        """(M, N - i) targets: column c is sum_f dP_j/dx_f times row c of f's block,
+        j = later[c]."""
+        out = np.zeros((self.paths.n_paths, len(later)))
+        for c, j in enumerate(later):
+            for pos, block in enumerate(blocks):
+                out[:, c] += self._gradient(j)[:, pos] * block[c]
         return out
 
-    def _coefs(self, i: int, mark: int | None = None) -> np.ndarray:
-        """Node-i coefficients, p x (N - i), of the rows j > i of dp_rows(i)
-        (mark None) or of one mark of djump_rows(i)."""
-        key = i if mark is None else (i, mark)
-        if key not in self._row_coefs:
-            later = range(i + 1, self.triple.n_nodes)
-            targets = [self._chain_brownian(i, j) if mark is None
-                       else self._shifted_delta(i, j, mark) for j in later]
-            self._row_coefs[key] = self.triple.regressions[i].coefficients(
-                np.column_stack(targets), phi=self.design(i))
-        return self._row_coefs[key]
+    def _shifted_deltas(self, later: range, shifts: list) -> np.ndarray:
+        """(M, N - i) targets: column c is P_j(raw_j + the shifts' rows c) - P_j(raw_j)
+        of the node-j surrogate (exact), j = later[c]."""
+        out = np.empty((self.paths.n_paths, len(later)))
+        for c, j in enumerate(later):
+            reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
+            if j not in self._value_cache:
+                self._value_cache[j] = reg.predict(reg.raw_values(), coef)
+            out[:, c] = reg.predict(reg.raw_values() + np.column_stack([s[c] for s in shifts]),
+                                    coef) - self._value_cache[j]
+        return out
 
     def weighted_rows(self, i: int, weights: np.ndarray, jump: bool = False) -> np.ndarray:
         """sum_{j>i} weights[j - i - 1] * dp_rows(i)[j], (M,), or of djump_rows(i), (M, K).
@@ -149,43 +164,20 @@ class SurrogateMalliavinField:
         one product with the held design, no (N - i, M) rows.
         """
         if jump:
-            coef = np.stack([self._coefs(i, kk) @ weights
-                             for kk in range(self.paths.jumps.n_marks)], axis=1)
+            coef = np.stack([c @ weights for c in self._coefs(i, jump=True)], axis=1)
         else:
             coef = self._coefs(i) @ weights
         return self.design(i) @ coef
 
     def dp_rows(self, i: int) -> np.ndarray:
-        n1 = self.triple.n_nodes
-        out = np.zeros((n1, self.paths.n_paths))
-        if i + 1 < n1:
-            out[i + 1:] = (self.design(i) @ self._coefs(i)).T
+        out = np.zeros((self.triple.n_nodes, self.paths.n_paths))
+        out[i + 1:] = (self.design(i) @ self._coefs(i)).T
         return out
 
-    def _shift_matrix(self, i: int, j: int, kk: int) -> np.ndarray:
-        feats = self.triple.features
-        shift = np.zeros((self.paths.n_paths, len(feats)))
-        for pos, feat in enumerate(feats):
-            if feat.jump_shift is None:
-                _missing_sensitivity(feat, "jump shift")
-            shift[:, pos] = feat.jump_shift(i, j, kk)
-        return shift
-
-    def _shifted_delta(self, i: int, j: int, kk: int) -> np.ndarray:
-        """P_j(raw_j + jump shift) - P_j(raw_j) of the node-j surrogate (exact)."""
-        reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
-        if j not in self._value_cache:
-            self._value_cache[j] = reg.predict(reg.raw_values(), coef)
-        return reg.predict(reg.raw_values() + self._shift_matrix(i, j, kk), coef) \
-            - self._value_cache[j]
-
     def djump_rows(self, i: int) -> np.ndarray:
-        n1 = self.triple.n_nodes
-        k = self.paths.jumps.n_marks
-        out = np.zeros((n1, self.paths.n_paths, k))
-        if i + 1 < n1:
-            for kk in range(k):
-                out[i + 1:, :, kk] = (self.design(i) @ self._coefs(i, kk)).T
+        out = np.zeros((self.triple.n_nodes, self.paths.n_paths, self.paths.jumps.n_marks))
+        for kk, coef in enumerate(self._coefs(i, jump=True)):
+            out[i + 1:, :, kk] = (self.design(i) @ coef).T
         return out
 
 
@@ -341,42 +333,40 @@ def simulated_state_feature(model: CoefficientModel, control,
     inserted jump per mark k. They are lazy views that differ only in row
     i, so no noise array is copied unless a feedback rule reads the noise.
 
-    Only the block of the node last asked for is held, rows i+1..N of dX/dW_i
-    and of the K jump shifts; the restarted (2 + K, N + 1, M) run is dropped
-    once the block is cut from it. The adjoint reads each block at one node
-    of its sweep (see `SurrogateMalliavinField`), so no node is simulated
-    twice there. A block asked for again after another node's is simulated
-    again, bit for bit.
+    Only the blocks of the node last asked for are held, rows i+1..N of
+    dX/dW_i and of the K jump shifts, and handed out as they are; the
+    restarted (2 + K, N + 1, M) run is dropped once they are cut from it.
+    The adjoint reads each node's blocks at one node of its sweep (see
+    `SurrogateMalliavinField`), so no node is simulated twice there. Blocks
+    asked for again after another node's are simulated again, bit for bit;
+    node N's are empty, with no run.
     Time: N simulations, of O((2 + K)(N - i) M) each with declared kernel
     decays (O((2 + K) N^2 M) in all) and of O((2 + K) N^2 M) each otherwise.
-    Memory held: one block, O((1 + K) N M).
+    Memory held: one node's blocks, O((1 + K) N M).
     """
     h = 1e-4 * math.sqrt(paths.grid.dt)
-    base = states.values
-    held: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # the block of one node
+    n, base, k = paths.n_steps, states.values, paths.jumps.n_marks
+    held: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # the blocks of one node
 
     def node_blocks(i: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows i+1..N of dX/dW_i, (N - i, M), and of the jump shifts, (K, N - i, M)."""
+        if i == n:
+            return base[n + 1:], np.empty((k, 0, paths.n_paths))
         if i not in held:
-            held.clear()   # the old block goes before the new run is made
+            held.clear()   # the old blocks go before the new run is made
             up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
             down.rebump(-h)
-            jumps = [paths.with_extra_jump(i, k) for k in range(paths.jumps.n_marks)]
+            jumps = [paths.with_extra_jump(i, kk) for kk in range(k)]
             x = simulate_integral_form(model, control, paths, restart=(i, base, record[i]),
                                        variants=[up, down] + jumps)
             held[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h), x[2:, i + 1:] - base[i + 1:])
         return held[i]
 
-    def rows(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row j > i of dX/dW_i, (M,), and of the jump shifts, (K, M)."""
-        dx, shifts = node_blocks(i)
-        return dx[j - i - 1], shifts[:, j - i - 1]
-
     return Feature(
         name="simulated_state",
         values=states.values,
-        brownian_sensitivity=lambda i, j: rows(i, j)[0] if i < j else 0.0,
-        jump_shift=lambda i, j, k: rows(i, j)[1][k] if i < j else 0.0,
+        brownian_sensitivity=lambda i: node_blocks(i)[0],
+        jump_shift=lambda i: node_blocks(i)[1],
     )
 
 

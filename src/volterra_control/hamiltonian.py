@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import PathBundle
-from .malliavin import Feature, NodeRegression, RegressionBasis, default_features
+from .malliavin import Feature, RegressionBasis, conditional_expectation, default_features
 from .models import CoefficientModel, ControlProcess, InfoMode, PerformanceSpec
 from .reporting import write_csv
 from .volterra import (
@@ -304,8 +304,6 @@ def check_stationarity(model: CoefficientModel, spec: PerformanceSpec,
                        basis: RegressionBasis | None = None,
                        features: Sequence[Feature] | None = None) -> StationarityReport:
     """Conditional stationarity check E[dH/du | G_t] = 0 along the control."""
-    info = info or InfoMode.full()
-    basis = basis or RegressionBasis()
     feats = list(features) if features is not None else default_features(
         paths, states=states.values)
     n = paths.n_steps
@@ -315,9 +313,7 @@ def check_stationarity(model: CoefficientModel, spec: PerformanceSpec,
         u_i = control.at(i, paths, x=states.values[i])
         grad, rss = control_gradient(model, spec, paths, i, states.values[i], u_i,
                                      triple, field)
-        design_node = info.observable_node(i, paths.grid)
-        reg = NodeRegression(feats, i, basis, design_node=design_node)
-        fitted = reg.fit(grad)
+        fitted = conditional_expectation(grad, i, paths, basis, features=feats, info=info)
         cond[i] = float(np.sqrt(np.mean(fitted ** 2)))
         scale[i] = float(np.sqrt(np.mean(rss ** 2)))
     normalized = cond / np.maximum(scale, 1e-300)
@@ -351,8 +347,6 @@ def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
     reported alongside as a diagnostic; whether the two orders agree in the
     discretization is an open numerical question, so both are surfaced.
     """
-    info = info or InfoMode.full()
-    basis = basis or RegressionBasis()
     feats = list(features) if features is not None else default_features(
         paths, states=states.values)
     v_grid = np.asarray(v_grid, dtype=float)
@@ -366,9 +360,8 @@ def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
             surface[pos] = sum(hamiltonian_terms(
                 model, spec, paths.jumps, paths.grid.nodes[i], x_i, v, triple.p[i], triple.q[i],
                 triple.r[i], memory=(paths, i, triple.p, field)))
-        reg = NodeRegression(feats, i, basis,
-                             design_node=info.observable_node(i, paths.grid))
-        conditioned = reg.fit(surface.T).T
+        conditioned = conditional_expectation(surface.T, i, paths, basis, features=feats,
+                                              info=info).T
         argmax_cond = v_grid[np.argmax(conditioned, axis=0)]
         argmax_path = v_grid[np.argmax(surface, axis=0)]
         control_cell = int(np.clip(np.searchsorted(v_grid, float(np.median(u_i))),

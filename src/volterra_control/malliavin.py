@@ -68,37 +68,38 @@ def d_jump(functional: PathFunctional, paths: PathBundle, node: int, mark: int,
 
 @dataclass
 class Feature:
-    """A per-node path feature with optional noise sensitivities.
+    """A per-node path feature with optional noise sensitivities, one block per node.
 
-    values[j] must be F_{t_j}-measurable. brownian_sensitivity(i, j) is the
-    partial derivative of values[j] with respect to dW_i (i < j); jump_shift
-    (i, j, k) is the change of values[j] when one jump of mark k is added at
-    node i. Either may be None when unknown; the Malliavin field builder
-    raises if it needs a missing sensitivity.
+    values[j] must be F_{t_j}-measurable, so only rows j > i move with the
+    noise at node i. brownian_sensitivity(i) is rows i+1..N of d values/dW_i,
+    broadcastable to (N - i, M); jump_shift(i) is the change of those rows when
+    one jump of mark k is added at node i, broadcastable to (K, N - i, M).
+    Node N's blocks are empty. Either may be None when unknown; the Malliavin
+    field builder raises if it needs a missing sensitivity.
     """
 
     name: str
     values: np.ndarray  # (N+1, M)
-    brownian_sensitivity: Optional[Callable[[int, int], np.ndarray | float]] = None
-    jump_shift: Optional[Callable[[int, int, int], np.ndarray | float]] = None
+    brownian_sensitivity: Optional[Callable[[int], np.ndarray | float]] = None
+    jump_shift: Optional[Callable[[int], np.ndarray | float]] = None
 
 
 def brownian_feature(paths: PathBundle) -> Feature:
     return Feature(
         name="brownian",
         values=paths.brownian,
-        brownian_sensitivity=lambda i, j: 1.0 if i < j else 0.0,
-        jump_shift=lambda i, j, k: 0.0,
+        brownian_sensitivity=lambda i: 1.0,
+        jump_shift=lambda i: 0.0,
     )
 
 
 def jump_sum_feature(paths: PathBundle) -> Feature:
-    marks = paths.jumps.mark_array
+    marks = paths.jumps.mark_array[:, None, None]
     return Feature(
         name="jump_sum",
         values=paths.jump_sum,
-        brownian_sensitivity=lambda i, j: 0.0,
-        jump_shift=lambda i, j, k: float(marks[k]) if i < j else 0.0,
+        brownian_sensitivity=lambda i: 0.0,
+        jump_shift=lambda i: marks,
     )
 
 
@@ -117,8 +118,8 @@ def weighted_brownian_feature(weights: np.ndarray, paths: PathBundle,
     return Feature(
         name=name,
         values=vals,
-        brownian_sensitivity=lambda i, j: float(w[i]) if i < j else 0.0,
-        jump_shift=lambda i, j, k: 0.0,
+        brownian_sensitivity=lambda i: w[i:i + 1, None],   # (1, 1); (0, 1) at node N
+        jump_shift=lambda i: 0.0,
     )
 
 
@@ -141,20 +142,11 @@ def predicted_terminal_feature(model, control: ControlProcess,
               axis=0, out=vals[1:])
     vals += model.initial_curve(t[n])
 
-    def b_sens(i, j):
-        if i >= j:
-            return 0.0
-        return np.broadcast_to(
-            np.asarray(model.diffusion(t[n], t[i], None, u[i]), dtype=float), (m,))
-
-    def j_shift(i, j, k):
-        if i >= j or not jumps.n_marks:
-            return 0.0
-        return np.broadcast_to(
-            np.asarray(model.jump(t[n], t[i], None, u[i], jumps.marks[k]), dtype=float), (m,))
-
+    marks = jumps.mark_array[:, None, None]
+    # u[i:i + 1] is node i's (1, M) control row, and empty at node N
     return Feature(name="predicted_terminal", values=vals,
-                   brownian_sensitivity=b_sens, jump_shift=j_shift)
+                   brownian_sensitivity=lambda i: model.diffusion(t[n], t[i], None, u[i:i + 1]),
+                   jump_shift=lambda i: model.jump(t[n], t[i], None, u[i:i + 1], marks))
 
 
 def default_features(paths: PathBundle, states=None) -> list[Feature]:

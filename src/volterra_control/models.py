@@ -493,6 +493,8 @@ class ControlProcess:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 1 and beta.ndim == 2:
             vals = vals[:, None]
+        if vals.ndim == 2 and beta.ndim == 1:   # a per-node window moves every path of its node
+            beta = beta[:, None]
         out = vals + lam * beta
         return ControlProcess("per_path" if out.ndim == 2 else "deterministic",
                               out, self.bounds)

@@ -178,8 +178,8 @@ def martingale_feature(theta: np.ndarray, paths: PathBundle) -> Feature:
     return Feature(
         name="exp_martingale",
         values=vals,
-        brownian_sensitivity=lambda i, j: th[i] * vals[j] if i < j else 0.0,
-        jump_shift=lambda i, j, k: 0.0,
+        brownian_sensitivity=lambda i: th[i:i + 1, None] * vals[i + 1:],
+        jump_shift=lambda i: 0.0,
     )
 
 

@@ -24,8 +24,12 @@ from volterra_control.adjoint import (
 from volterra_control.malliavin import (
     NodeRegression,
     brownian_feature,
+    jump_sum_feature,
+    predicted_terminal_feature,
     state_feature,
+    weighted_brownian_feature,
 )
+from volterra_control.portfolio import martingale_feature
 
 
 def _time_varying_linear_model():
@@ -375,7 +379,7 @@ def _unmemoized_rows(triple, paths, i):
     for j in later:
         grad, col = regs[j].gradient_raw(coefs[j]), np.zeros(m)
         for pos, feat in enumerate(feats):
-            sens = feat.brownian_sensitivity(i, j)
+            sens = feat.brownian_sensitivity(i)[j - i - 1]
             if np.any(np.asarray(sens) != 0.0):
                 col += grad[:, pos] * sens
         cols.append(col)
@@ -384,7 +388,7 @@ def _unmemoized_rows(triple, paths, i):
         deltas = []
         for j in later:
             raw = regs[j].raw_values()
-            shift = np.column_stack([np.broadcast_to(f.jump_shift(i, j, kk), (m,))
+            shift = np.column_stack([np.broadcast_to(f.jump_shift(i)[kk, j - i - 1], (m,))
                                      for f in feats])
             deltas.append(regs[j].predict(raw + shift, coefs[j])
                           - regs[j].predict(raw, coefs[j]))
@@ -487,10 +491,10 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
         shifts = [simulate_integral_form(model, control, paths.with_extra_jump(i, k)).values
                   - states.values for k in range(paths.jumps.n_marks)]
         for j in range(i + 1, paths.n_steps + 1):
-            assert np.array_equal(feat.brownian_sensitivity(i, j), full[j])
+            assert np.array_equal(feat.brownian_sensitivity(i)[j - i - 1], full[j])
             for k, shift in enumerate(shifts):
-                assert np.array_equal(feat.jump_shift(i, j, k), shift[j])
-    assert np.any(feat.brownian_sensitivity(0, paths.n_steps) != 0.0)
+                assert np.array_equal(feat.jump_shift(i)[k, j - i - 1], shift[j])
+    assert np.any(feat.brownian_sensitivity(0)[paths.n_steps - 1] != 0.0)
 
 
 def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
@@ -515,9 +519,9 @@ def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
     feat = simulated_state_feature(model, control, states, paths, record)
     for i in range(n):
         for j in range(i + 1, n + 1):
-            feat.brownian_sensitivity(i, j)
+            feat.brownian_sensitivity(i)[j - i - 1]
             for k in marks:
-                feat.jump_shift(i, j, k)
+                feat.jump_shift(i)[k, j - i - 1]
     assert sorted(starts) == list(range(n))
 
 
@@ -535,6 +539,83 @@ def _counted_restarts(monkeypatch) -> list:
 
     monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
     return starts
+
+
+# --- every feature constructor's node blocks against per-pair oracles --------
+
+_BLOCK_CONTROL = ControlProcess.deterministic([0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+
+
+def _brownian_blocks(paths):
+    return brownian_feature(paths), lambda i, j: 1.0, lambda i, j, k: 0.0
+
+
+def _jump_sum_blocks(paths):
+    marks = paths.jumps.mark_array
+    return jump_sum_feature(paths), lambda i, j: 0.0, lambda i, j, k: marks[k]
+
+
+def _weighted_brownian_blocks(paths):
+    w = np.linspace(0.5, 1.5, paths.n_steps)
+    return weighted_brownian_feature(w, paths), lambda i, j: w[i], lambda i, j, k: 0.0
+
+
+def _predicted_terminal_blocks(paths):
+    model = _x_independent_model()
+    t, u, marks = paths.grid.nodes, _BLOCK_CONTROL.values, paths.jumps.marks
+    return (predicted_terminal_feature(model, _BLOCK_CONTROL, paths),
+            lambda i, j: model.diffusion(t[-1], t[i], None, u[i]),
+            lambda i, j, k: model.jump(t[-1], t[i], None, u[i], marks[k]))
+
+
+def _martingale_blocks(paths):
+    th = np.linspace(0.3, 0.8, paths.n_steps)
+    feat = martingale_feature(th, paths)
+    vals = feat.values
+    return feat, lambda i, j: th[i] * vals[j], lambda i, j, k: 0.0
+
+
+def _simulated_state_blocks(paths):
+    """The state's rows from full re-simulations perturbed at node i."""
+    from volterra_control.adjoint import simulated_state_feature
+
+    model, control = _exp_model(), _BLOCK_CONTROL
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    h = 1e-4 * np.sqrt(paths.grid.dt)
+    full, shifts = {}, {}
+    for i in range(paths.n_steps):
+        pert = paths.perturb_brownian(i, +h)
+        up = simulate_integral_form(model, control, pert).values
+        pert.rebump(-h)
+        full[i] = (up - simulate_integral_form(model, control, pert).values) / (2.0 * h)
+        shifts[i] = [simulate_integral_form(model, control, paths.with_extra_jump(i, k)).values
+                     - states.values for k in range(paths.jumps.n_marks)]
+    return (simulated_state_feature(model, control, states, paths, record),
+            lambda i, j: full[i][j], lambda i, j, k: shifts[i][k][j])
+
+
+@pytest.mark.parametrize("build", [
+    _brownian_blocks, _jump_sum_blocks, _weighted_brownian_blocks, _predicted_terminal_blocks,
+    _martingale_blocks, _simulated_state_blocks], ids=lambda f: f.__name__[1:-len("_blocks")])
+def test_node_blocks_equal_the_per_pair_sensitivities(build, monkeypatch):
+    # row j - i - 1 of node i's blocks is the sensitivity of values[j] alone,
+    # for every j > i and mark k; the blocks broadcast to (N - i, M) and
+    # (K, N - i, M), and node N's are empty, with no restarted run
+    paths = sample_paths(TimeGrid(1.0, 6), _RESTART_JUMPS, 300, seed=53)
+    n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
+    feat, brownian, jump = build(paths)
+    starts = _counted_restarts(monkeypatch)
+    for i in range(n + 1):
+        dx = np.broadcast_to(feat.brownian_sensitivity(i), (n - i, m))
+        shift = np.broadcast_to(feat.jump_shift(i), (k, n - i, m))
+        for j in range(i + 1, n + 1):
+            assert np.array_equal(dx[j - i - 1], np.broadcast_to(brownian(i, j), (m,)))
+            for kk in range(k):
+                assert np.array_equal(shift[kk, j - i - 1],
+                                      np.broadcast_to(jump(i, j, kk), (m,)))
+    assert dx.size == 0 and shift.size == 0
+    assert starts == (list(range(n)) if feat.name == "simulated_state" else [])
 
 
 @pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
@@ -580,24 +661,25 @@ def restart_reads():
     feat = simulated_state_feature(model, control, states, paths, record)
     n, marks = paths.n_steps, paths.jumps.n_marks
     want = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            want[i, j] = (np.array(feat.brownian_sensitivity(i, j)),
-                          [np.array(feat.jump_shift(i, j, k)) for k in range(marks)])
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            want[i, j] = (np.array(feat.brownian_sensitivity(i)[j - i - 1]),
+                          [np.array(feat.jump_shift(i)[k, j - i - 1]) for k in range(marks)])
     return model, control, states, paths, record, want
 
 
 @settings(max_examples=25)
 @given(data=st.data())
 def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
-    # reads in any (i, j, k) order, each evicting the held block of another
+    # reads in any (i, j > i, k) order, each evicting the held block of another
     # node, give the in-order values bit for bit; the last reads go back to a
     # node whose block was evicted, so it is simulated again
     from volterra_control.adjoint import simulated_state_feature
 
     model, control, states, paths, record, want = restart_reads
     n, marks = paths.n_steps, paths.jumps.n_marks
-    read = st.tuples(st.integers(0, n), st.integers(0, n), st.integers(0, marks - 1))
+    read = st.integers(0, n - 1).flatmap(lambda i: st.tuples(
+        st.just(i), st.integers(i + 1, n), st.integers(0, marks - 1)))
     reads = data.draw(st.lists(read, min_size=1, max_size=12), label="reads")
     first = data.draw(st.integers(0, n - 2), label="evicted node")
     other = data.draw(st.sampled_from([i for i in range(n - 1) if i != first]),
@@ -607,8 +689,8 @@ def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
         starts = _counted_restarts(patch)
         feat = simulated_state_feature(model, control, states, paths, record)
         for i, j, k in reads:
-            assert np.array_equal(feat.brownian_sensitivity(i, j), want[i, j][0])
-            assert np.array_equal(feat.jump_shift(i, j, k), want[i, j][1][k])
+            assert np.array_equal(feat.brownian_sensitivity(i)[j - i - 1], want[i, j][0])
+            assert np.array_equal(feat.jump_shift(i)[k, j - i - 1], want[i, j][1][k])
     assert starts.count(first) >= 2
 
 
@@ -644,15 +726,14 @@ def test_state_sensitivity_memory_is_linear_in_the_grid():
 @settings(max_examples=30)
 @given(data=st.data())
 def test_state_sensitivities_and_field_rows_are_adapted(memory_jump_setup, data):
-    # D_{t_i} X(t_j) = 0 for j <= i, and the field rows j < i vanish exactly
+    # D_{t_i} X(t_j) = 0 for j <= i, so node i's blocks hold the N - i rows
+    # j > i only, and the field rows j < i vanish exactly
     *_, paths, triple, field = memory_jump_setup
-    n = paths.n_steps
+    n, m, marks = paths.n_steps, paths.n_paths, paths.jumps.n_marks
     i = data.draw(st.integers(0, n), label="i")
-    j = data.draw(st.integers(0, i), label="j")
     feat = triple.features[0]
-    assert np.all(np.asarray(feat.brownian_sensitivity(i, j)) == 0.0)
-    for k in range(paths.jumps.n_marks):
-        assert np.all(np.asarray(feat.jump_shift(i, j, k)) == 0.0)
+    assert feat.brownian_sensitivity(i).shape == (n - i, m)
+    assert feat.jump_shift(i).shape == (marks, n - i, m)
     assert np.all(field.dp_rows(i)[:i] == 0.0)
     assert np.all(field.djump_rows(i)[:i] == 0.0)
 

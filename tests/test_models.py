@@ -197,6 +197,32 @@ def test_control_perturbation_and_shift():
     assert s.at(0) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("n_paths", [3, 4], ids=["paths-ne-steps", "paths-eq-steps"])
+def test_window_perturbs_a_per_path_control_along_its_nodes(n_paths):
+    # a (steps,) window moves node i on every path; with as many paths as
+    # steps, aligning it on the path axis would move path i at every node
+    vals = np.random.default_rng(5).uniform(0.2, 0.8, (4, n_paths))
+    beta = np.array([0.0, 1.0, 1.0, 0.0])
+    p = ControlProcess.per_path(vals).perturbed(beta, 0.5)
+    assert p.kind == "per_path"
+    assert np.array_equal(p.open_loop_grid(4, n_paths), vals + 0.5 * beta[:, None])
+
+
+def test_constant_and_deterministic_perturbations_keep_their_alignment():
+    beta = np.array([0.0, 1.0, 1.0, 0.0])
+    beta_paths = np.random.default_rng(6).normal(size=(4, 3))
+    grid = np.array([0.1, 0.2, 0.3, 0.4])
+    cases = [(ControlProcess.constant(1.0), beta, "deterministic", 1.0 + 0.5 * beta),
+             (ControlProcess.constant(1.0), beta_paths, "per_path", 1.0 + 0.5 * beta_paths),
+             (ControlProcess.deterministic(grid), beta, "deterministic", grid + 0.5 * beta),
+             (ControlProcess.deterministic(grid), beta_paths, "per_path",
+              grid[:, None] + 0.5 * beta_paths)]
+    for control, direction, kind, want in cases:
+        p = control.perturbed(direction, 0.5)
+        assert p.kind == kind
+        assert np.array_equal(p.values, want)
+
+
 def test_per_path_control_validation():
     vals = np.full((4, 3), 0.5)
     c = ControlProcess.per_path(vals, bounds=(0.0, 1.0))
