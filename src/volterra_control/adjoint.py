@@ -296,9 +296,7 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
     jumps = paths.jumps
     k = jumps.n_marks
     p, q, r, regs, coefs = triple.p, triple.q, triple.r, triple.regressions, triple.surrogate_coefs
-    extract_r = bool(k) and jumps.intensity > 0.0
-    comp_w = jumps.intensity * jumps.weight_array * dt if extract_r else np.zeros(k)
-    dNt = paths.compensated_counts if extract_r else None
+    comp_w = jumps.compensator(paths.grid)
     p[n] = np.asarray(spec.terminal_prime(states.terminal), dtype=float)
     coefs[n] = regs[n].coefficients(p[n])
     for i in range(n - 1, -1, -1):
@@ -307,10 +305,10 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
         pe = phi @ reg.coefficients(p[i + 1], phi=phi)
         centered = p[i + 1] - pe
         q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt
-        if extract_r:
+        if jumps.active:
             for kk in range(k):
                 r[i, :, kk] = phi @ reg.coefficients(
-                    centered * dNt[i, :, kk], phi=phi) / comp_w[kk]
+                    centered * paths.compensated_counts[i, :, kk], phi=phi) / comp_w[kk]
         x_i = states.values[i]
         driver = sum(hamiltonian_terms(model, spec, jumps, t[i], x_i,
                                        control.at(i, paths, x=x_i), pe, q[i], r[i], "_dx",

@@ -14,6 +14,7 @@ import copy
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -133,13 +134,12 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
 
 
 def _field(raw: dict, name: str, convert, need: str, ok=lambda value: True):
-    """The config value at ``name`` ("section.key") passed through ``convert``.
+    """The config value at ``name`` ("section.key[.key]") passed through ``convert``.
 
     A value that ``convert`` cannot read, or that ``ok`` refuses, is a
     ConfigurationError naming the field and what it must be.
     """
-    section, key = name.split(".")
-    value = raw[section][key]
+    value = reduce(dict.__getitem__, name.split("."), raw)
     try:
         out = convert(value)
         valid = ok(out)
@@ -222,8 +222,13 @@ class ExperimentConfig:
         return sample_paths(self.grid, self.jumps, self.n_paths, self.seed)
 
     def model(self):
-        m = self.raw["model"]
-        return registry_get(m["name"], dict(m.get("params") or {}))
+        names = ("constant", "exp_kernel_linear", "x_independent_linear")  # custom needs callables
+        name = _field(self.raw, "model.name", str, f"one of {names}", lambda n: n in names)
+        params = _field(self.raw, "model.params", lambda p: p or {}, "a mapping of parameter names",
+                        lambda p: isinstance(p, dict)
+                        and all(isinstance(k, str) and "." not in k for k in p))
+        return registry_get(name, {key: _field(self.raw, f"model.params.{key}", float, "a number")
+                                   for key in params})
 
     def performance(self) -> PerformanceSpec:
         p = self.raw["performance"]
@@ -308,7 +313,7 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
     functional = lambda p: p.brownian[-1] ** 2  # noqa: E731
     reports["duality_brownian"] = check_duality_brownian(
         functional, lambda p: p.brownian[:-1], paths, basis=basis)
-    if cfg.jumps.intensity > 0.0:
+    if cfg.jumps.active:
         jump_sq = lambda p: p.jump_sum[-1] ** 2  # noqa: E731
         reports["duality_jump"] = check_duality_jump(
             jump_sq, np.ones((cfg.grid.steps, cfg.jumps.n_marks)), paths, basis=basis)
@@ -337,7 +342,7 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
                  abs(iso_mean - target) <= 3.0 * iso_se))
     adapted = lambda p: p.brownian[cfg.grid.steps // 2]  # noqa: E731
     probe = float(np.abs(d_brownian(adapted, paths, cfg.grid.steps // 2 + 1)).max())
-    if cfg.jumps.intensity > 0.0:
+    if cfg.jumps.active:
         probe = max(probe, float(np.abs(
             d_jump(adapted, paths, cfg.grid.steps // 2 + 1, 0)).max()))
     rows.append(("adaptedness_max_abs", probe, 0.0, 0.0, probe == 0.0))
@@ -377,7 +382,7 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
             f"x-dependent model {model.name!r} is cost-guarded to {_MAX_STEPS} steps")
     n_raw = 1
     if stationarity and not model.x_independent:
-        n_raw = 3 if cfg.jumps.n_marks and cfg.jumps.intensity > 0.0 else 2
+        n_raw = 3 if cfg.jumps.active else 2
     dimension = cfg.basis.dimension(n_raw)
     if cfg.n_paths < MIN_PATHS_PER_COLUMN * dimension:
         raise ConfigurationError(

@@ -78,6 +78,11 @@ class JumpModel:
         return cls(intensity=0.0)
 
     @property
+    def active(self) -> bool:
+        """True when jumps occur; a positive intensity always comes with marks."""
+        return self.intensity > 0.0
+
+    @property
     def n_marks(self) -> int:
         return len(self.marks)
 
@@ -91,8 +96,6 @@ class JumpModel:
 
     def compensator(self, grid: TimeGrid) -> np.ndarray:
         """Expected jump count per interval and mark: intensity * w_k * dt, shape (K,)."""
-        if not self.marks:
-            return np.zeros(0)
         return self.intensity * self.weight_array * grid.dt
 
 
@@ -337,7 +340,7 @@ def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> P
         # Draw order is fixed: normals, Poisson counts, jump times, jump marks.
         z = rng.standard_normal((_BLOCK, n))
         dW[:, start:start + width] = sqrt_dt * z[:width].T
-        if k and jumps.intensity > 0.0:
+        if jumps.active:
             # Jump times and marks are drawn for the whole block regardless of
             # how many of its paths are kept, so trimming preserves streams.
             per_path = rng.poisson(jumps.intensity * grid.horizon, _BLOCK)

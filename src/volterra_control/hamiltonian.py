@@ -25,6 +25,7 @@ from .models import CoefficientModel, ControlProcess, InfoMode, PerformanceSpec
 from .reporting import write_csv
 from .volterra import (
     StateEnsemble,
+    _control_grid,
     memory_sums,
     noise_sums,
     performance_paths,
@@ -58,7 +59,7 @@ def hamiltonian_terms(model: CoefficientModel, spec: PerformanceSpec, jumps, t, 
     terms = [np.asarray(getattr(spec, "running" + partial)(t, x, v), dtype=float),
              getattr(model, "drift" + partial)(t, t, kx, v) * p,
              getattr(model, "diffusion" + partial)(t, t, kx, v) * q]
-    if jumps.n_marks and jumps.intensity > 0.0:
+    if jumps.active:
         terms.append(mark_measure_sum(getattr(model, "jump" + partial), jumps, t, t, kx, v, r))
     if memory is not None:
         paths, i, p_all, field = memory
@@ -125,7 +126,7 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
     ks, w = kernel("diffusion")
     terms.append(row_sum(ks, field.dp_rows(i)[i + 1:]) if w is None
                  else ks(t[i], t[i], x, v) * field.weighted_rows(i, w) * dt)
-    if jumps.n_marks and jumps.intensity > 0.0:
+    if jumps.active:
         kg, w = kernel("jump")
         if w is None:
             g = np.asarray(kg(s_f[:, :, None], t[i],
@@ -159,7 +160,7 @@ def eval_h0_reduced(model: CoefficientModel, spec: PerformanceSpec, paths: PathB
     out = np.asarray(spec.running(t[i], None, v), dtype=float) \
         + model.drift(T, t[i], None, v) * terminal_prime \
         + model.diffusion(T, t[i], None, v) * d_terminal
-    if jumps.n_marks and jumps.intensity > 0.0:
+    if jumps.active:
         out = out + mark_measure_sum(model.jump, jumps, T, t[i], None, v, d_terminal_jump)
     return np.asarray(out, dtype=float)
 
@@ -252,8 +253,10 @@ def simulate_variation(model: CoefficientModel, control: ControlProcess,
     beta = np.asarray(beta, dtype=float)
     beta_mat = np.broadcast_to(beta if beta.ndim == 2 else beta[:, None], (n, m))
     x = None if model.x_independent else states.values
-    u = np.stack([np.broadcast_to(np.asarray(control.at(i, paths, x=states.values[i]),
-                                             dtype=float), (m,)) for i in range(n)])
+    u = _control_grid(control, paths)
+    if control.rule is not None:
+        for i in range(n):
+            u[i] = control.at(i, paths, x=states.values[i])
 
     y = np.zeros((n + 1, m))
     memory = memory_sums(model, paths, x, u, parts=(("_dtdx", y), ("_dtdv", beta_mat)))
@@ -353,8 +356,7 @@ def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
     rows = []
     for i in nodes:
         x_i = states.values[i]
-        u_i = np.broadcast_to(np.asarray(control.at(i, paths, x=x_i), dtype=float),
-                              (paths.n_paths,))
+        u_i = control.at(i, paths, x=x_i)
         surface = np.empty((len(v_grid), paths.n_paths))
         for pos, v in enumerate(v_grid):
             surface[pos] = sum(hamiltonian_terms(

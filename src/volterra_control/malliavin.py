@@ -154,7 +154,7 @@ def default_features(paths: PathBundle, states=None) -> list[Feature]:
     feats = [brownian_feature(paths)]
     if states is not None:
         feats.append(state_feature(np.asarray(states, dtype=float)))
-    if paths.jumps.n_marks and paths.jumps.intensity > 0.0:
+    if paths.jumps.active:
         feats.append(jump_sum_feature(paths))
     return feats
 
@@ -394,8 +394,8 @@ def conditional_expectation(values: np.ndarray, node: int, paths: PathBundle,
     design_node = node
     if info is not None and not info.is_full:
         design_node = info.observable_node(node, paths.grid)
-    reg = NodeRegression(feats, node, basis, design_node=design_node)
-    return reg.fit(values)
+    return NodeRegression(feats, node, basis, design_node=design_node,
+                          retain_design=True).fit(values)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def check_duality_jump(functional: PathFunctional, psi, paths: PathBundle,
     """
     jumps = paths.jumps
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
-    if jumps.intensity == 0.0 or jumps.n_marks == 0:
+    if not jumps.active:
         return DualityReport(0.0, 0.0, 0.0, 0.0, degenerate=True)
     k = jumps.n_marks
     psi_arr = np.asarray(psi(paths) if callable(psi) else psi, dtype=float)
@@ -526,7 +526,7 @@ def clark_ocone_reconstruct(functional: PathFunctional, paths: PathBundle,
     the relative RMS reported against std(F). Configured for Brownian-only
     bundles.
     """
-    if paths.jumps.intensity > 0.0:
+    if paths.jumps.active:
         raise ConfigurationError("reconstruction check requires a Brownian-only bundle")
     n, m = paths.n_steps, paths.n_paths
     f_vals = np.asarray(functional(paths), dtype=float)

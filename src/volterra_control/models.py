@@ -405,108 +405,85 @@ class UtilitySpec:
 
 
 class ControlProcess:
-    """Admissible control: constant, deterministic grid, per-path grid or feedback.
+    """Admissible control u(t_i) on each grid interval [t_i, t_{i+1}).
 
-    Open-loop values (anything but feedback rules) are validated against the
-    admissible interval at construction.
+    An open-loop control is one float array `values` whose shape says what
+    varies: 0-d for a constant, (steps,) for one value per node, (steps,
+    paths) for one value per node and path; axis 0 is always the node axis.
+    A feedback control has `rule(i, t_i, paths, x_i)` instead and no values.
+    Values, open-loop or produced by the rule, must lie in `bounds`.
     """
 
-    def __init__(self, kind: str, values, bounds: tuple[float, float]):
+    def __init__(self, values, bounds: tuple[float, float], rule: Callable | None = None):
         lo, hi = float(bounds[0]), float(bounds[1])
         if not lo < hi:
             raise ConfigurationError(f"empty admissible interval {bounds}")
-        self.kind = kind
-        self.bounds = (lo, hi)
-        self.values = values
-        if kind in ("constant", "deterministic", "per_path"):
-            arr = np.asarray(values, dtype=float)
-            if np.any(arr < lo - 1e-12) or np.any(arr > hi + 1e-12):
-                raise ConfigurationError(
-                    f"control values leave the admissible interval [{lo}, {hi}]"
-                )
-            self.values = arr
+        self.bounds, self.rule = (lo, hi), rule
+        self.values = None if rule is not None else self._admissible(values)
+
+    def _admissible(self, values) -> np.ndarray:
+        out = np.asarray(values, dtype=float)
+        lo, hi = self.bounds
+        if np.any(out < lo - 1e-12) or np.any(out > hi + 1e-12):
+            what = "control" if self.rule is None else "feedback rule"
+            raise ConfigurationError(f"{what} values leave the admissible interval [{lo}, {hi}]")
+        return out
 
     @classmethod
     def constant(cls, value: float, bounds=(-10.0, 10.0)) -> "ControlProcess":
-        return cls("constant", float(value), bounds)
+        return cls(float(value), bounds)
 
     @classmethod
     def deterministic(cls, grid_values, bounds=(-10.0, 10.0)) -> "ControlProcess":
-        return cls("deterministic", np.asarray(grid_values, dtype=float), bounds)
+        if np.ndim(grid_values) != 1:
+            raise ConfigurationError("deterministic control needs a (steps,) array")
+        return cls(grid_values, bounds)
 
     @classmethod
     def per_path(cls, values, bounds=(-10.0, 10.0)) -> "ControlProcess":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
+        if np.ndim(values) != 2:
             raise ConfigurationError("per-path control needs a (steps, paths) array")
-        return cls("per_path", values, bounds)
+        return cls(values, bounds)
 
     @classmethod
     def feedback(cls, rule: Callable, bounds=(-10.0, 10.0)) -> "ControlProcess":
         """rule(i, t_i, paths, x_i) -> per-path control values at node i."""
-        return cls("feedback", rule, bounds)
+        return cls(None, bounds, rule)
 
     def at(self, i: int, paths=None, x=None):
         """Control value on [t_i, t_{i+1}): scalar or (paths,) array."""
-        if self.kind == "constant":
-            return self.values
-        if self.kind == "deterministic":
-            return self.values[i]
-        if self.kind == "per_path":
-            return self.values[i]
+        if self.rule is None:
+            return self.values if self.values.ndim == 0 else self.values[i]
         t_i = paths.grid.nodes[i] if paths is not None else None
-        out = np.asarray(self.values(i, t_i, paths, x), dtype=float)
-        lo, hi = self.bounds
-        if np.any(out < lo - 1e-12) or np.any(out > hi + 1e-12):
-            raise ConfigurationError("feedback rule left the admissible interval")
-        return out
+        return self._admissible(self.rule(i, t_i, paths, x))
 
     def open_loop_grid(self, n_steps: int, n_paths: int) -> np.ndarray:
-        """An open-loop control as a (steps, paths) grid for reading only;
-        constant and deterministic controls are read-only broadcast views."""
-        if self.kind == "constant":
-            return np.broadcast_to(self.values, (n_steps, n_paths))
-        if self.kind == "deterministic":
-            if len(self.values) != n_steps:
-                raise ConfigurationError(
-                    f"deterministic control has {len(self.values)} values, grid needs {n_steps}"
-                )
-            return np.broadcast_to(self.values[:, None], (n_steps, n_paths))
-        if self.kind == "per_path":
-            if self.values.shape != (n_steps, n_paths):
-                raise ConfigurationError(
-                    f"per-path control shape {self.values.shape} does not match "
-                    f"({n_steps}, {n_paths})"
-                )
-            return self.values
-        raise ConfigurationError("feedback controls have no open-loop grid")
+        """The open-loop values as a (steps, paths) grid for reading only; 0-d
+        and (steps,) values are read-only broadcast views."""
+        if self.rule is not None:
+            raise ConfigurationError("feedback controls have no open-loop grid")
+        v = self.values
+        if v.shape not in ((), (n_steps,), (n_steps, n_paths)):
+            raise ConfigurationError(
+                f"control values of shape {v.shape} do not fit a ({n_steps}, {n_paths}) grid")
+        return v if v.ndim == 2 else np.broadcast_to(v.reshape(-1, 1), (n_steps, n_paths))
 
     def perturbed(self, beta: np.ndarray, lam: float) -> "ControlProcess":
-        """Open-loop control shifted by lam * beta (beta: (steps,) or (steps, paths))."""
-        if self.kind == "feedback":
+        """Open-loop control shifted by lam * beta (beta: (steps,) or (steps, paths)).
+
+        When either array is per-path, a (steps,) one lies on the node axis."""
+        if self.rule is not None:
             raise ConfigurationError("cannot perturb a feedback control")
-        beta = np.asarray(beta, dtype=float)
-        if self.kind == "constant":
-            vals = self.values + lam * beta
-            kind = "deterministic" if beta.ndim == 1 else "per_path"
-            return ControlProcess(kind, vals, self.bounds)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1 and beta.ndim == 2:
-            vals = vals[:, None]
-        if vals.ndim == 2 and beta.ndim == 1:   # a per-node window moves every path of its node
-            beta = beta[:, None]
-        out = vals + lam * beta
-        return ControlProcess("per_path" if out.ndim == 2 else "deterministic",
-                              out, self.bounds)
+        vals, beta = self.values, np.asarray(beta, dtype=float)
+        if max(vals.ndim, beta.ndim) == 2:
+            vals, beta = (a[:, None] if a.ndim == 1 else a for a in (vals, beta))
+        return ControlProcess(vals + lam * beta, self.bounds)
 
     def shifted(self, delta: float) -> "ControlProcess":
-        if self.kind == "feedback":
-            rule = self.values
-            return ControlProcess.feedback(
-                lambda i, t, paths, x: np.asarray(rule(i, t, paths, x)) + delta,
-                self.bounds,
-            )
-        return ControlProcess(self.kind, np.asarray(self.values) + delta, self.bounds)
+        if self.rule is None:
+            return ControlProcess(self.values + delta, self.bounds)
+        return ControlProcess(None, self.bounds,
+                              lambda i, t, paths, x: np.asarray(self.rule(i, t, paths, x)) + delta)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .malliavin import (
 )
 from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
 from .reporting import write_csv
-from .volterra import StateEnsemble, memory_sums
+from .volterra import StateEnsemble, _control_grid, memory_sums
 
 
 @dataclass(frozen=True)
@@ -445,20 +445,19 @@ def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
     b_ii, s_ii = market.b0, market.sigma0  # the kernels on the diagonal t = s
     x = np.empty((n + 1, m))
     x[0] = market.initial_wealth
-    log_x = np.empty((n + 1, m))
-    log_x[0] = math.log(market.initial_wealth)
-    u_rows = np.empty((n, m))
-    memory = memory_sums(market.to_coefficient_model(), paths, x, u_rows, parts=(("_dt", None),))
+    log_x = np.full(m, math.log(market.initial_wealth))  # log X(t_i), one node at a time
+    u = _control_grid(control, paths)
+    memory = memory_sums(market.to_coefficient_model(), paths, x, u, parts=(("_dt", None),))
     for i in range(n):
-        u_rows[i] = np.broadcast_to(
-            np.asarray(control.at(i, paths, x=x[i]), dtype=float), (m,))
+        if control.rule is not None:
+            u[i] = control.at(i, paths, x=x[i])
         alpha = memory(i) if i > 0 else np.zeros(m)
         if not np.all(np.isfinite(alpha)):
             raise SimulationError(f"memory correction is non-finite at node {i}")
-        log_x[i + 1] = log_x[i] + s_ii * u_rows[i] * paths.dW[i] + (
-            b_ii * u_rows[i] - 0.5 * (s_ii * u_rows[i]) ** 2 + alpha / x[i]
+        log_x = log_x + s_ii * u[i] * paths.dW[i] + (
+            b_ii * u[i] - 0.5 * (s_ii * u[i]) ** 2 + alpha / x[i]
         ) * dt
-        x[i + 1] = np.exp(log_x[i + 1])
+        x[i + 1] = np.exp(log_x)
         if not np.all(np.isfinite(x[i + 1])):
             raise SimulationError(f"wealth is non-finite at node {i + 1}")
     return StateEnsemble(values=x, control=control, paths=paths)

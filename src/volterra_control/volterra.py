@@ -48,7 +48,7 @@ def _control_grid(control: ControlProcess, paths: PathBundle, lead: tuple = ()) 
     """(N, M) control values: the open-loop grid, for reading only, or for a
     feedback rule a writable (*lead, N, M) array that the simulation fills
     node by node."""
-    if control.kind == "feedback":
+    if control.rule is not None:
         return np.empty(lead + (paths.n_steps, paths.n_paths))
     return control.open_loop_grid(paths.n_steps, paths.n_paths)
 
@@ -106,7 +106,7 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
     nodes, jumps = paths.grid.nodes, paths.jumps
     incs = {"drift": np.broadcast_to(paths.grid.dt, (paths.n_steps, paths.n_paths)),
             "diffusion": paths.dW}
-    if jumps.n_marks and jumps.intensity > 0.0:
+    if jumps.active:
         incs["jump"] = np.moveaxis(paths.compensated_counts, 2, 0)
     node, varied = row or (None, {})
 
@@ -215,7 +215,7 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
     sums = list(sums)
     memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums, row=row)
     for i in range(1, n + 1):
-        if control.kind == "feedback":
+        if control.rule is not None:
             for v, bundle in zip(np.ndindex(lead), variants or [paths]):
                 u[v + (i - 1,)] = control.at(i - 1, bundle, x=x[v + (i - 1,)])
         if i <= start:
@@ -246,7 +246,7 @@ def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
     memory = memory_sums(model, paths, x_read, u, parts=(("_dt", None),))
     local = noise_sums(model, paths, x_read, u).values()
     for i in range(n):
-        if control.kind == "feedback":
+        if control.rule is not None:
             u[i] = control.at(i, paths, x=x[i])
         slope = model.initial_slope(t[i]) + (memory(i) if i > 0 else 0.0)
         val = x[i] + slope * dt + sum(step(t[i], slice(i, i + 1)) for step in local)

@@ -95,6 +95,9 @@ _STAGE_READING = {
     ("solver", {"bisection_rel_tol": "tight"}, "solver.bisection_rel_tol"),
     ("info", {"mode": "delayed", "delay": -0.1}, "info.delay"),
     ("info", {"mode": "delayed", "delay": 2.0}, "info.delay"),
+    ("model", {"name": "custom"}, "model.name"),
+    ("model", {"params": {"b0": "abc"}}, "model.params.b0"),
+    ("model", {"params": [1, 2]}, "model.params"),
 ])
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, section, values, field):
     # a value of the wrong type or outside its domain exits 2 without a

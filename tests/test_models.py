@@ -204,7 +204,7 @@ def test_window_perturbs_a_per_path_control_along_its_nodes(n_paths):
     vals = np.random.default_rng(5).uniform(0.2, 0.8, (4, n_paths))
     beta = np.array([0.0, 1.0, 1.0, 0.0])
     p = ControlProcess.per_path(vals).perturbed(beta, 0.5)
-    assert p.kind == "per_path"
+    assert p.values.ndim == 2
     assert np.array_equal(p.open_loop_grid(4, n_paths), vals + 0.5 * beta[:, None])
 
 
@@ -212,14 +212,14 @@ def test_constant_and_deterministic_perturbations_keep_their_alignment():
     beta = np.array([0.0, 1.0, 1.0, 0.0])
     beta_paths = np.random.default_rng(6).normal(size=(4, 3))
     grid = np.array([0.1, 0.2, 0.3, 0.4])
-    cases = [(ControlProcess.constant(1.0), beta, "deterministic", 1.0 + 0.5 * beta),
-             (ControlProcess.constant(1.0), beta_paths, "per_path", 1.0 + 0.5 * beta_paths),
-             (ControlProcess.deterministic(grid), beta, "deterministic", grid + 0.5 * beta),
-             (ControlProcess.deterministic(grid), beta_paths, "per_path",
+    cases = [(ControlProcess.constant(1.0), beta, 1, 1.0 + 0.5 * beta),
+             (ControlProcess.constant(1.0), beta_paths, 2, 1.0 + 0.5 * beta_paths),
+             (ControlProcess.deterministic(grid), beta, 1, grid + 0.5 * beta),
+             (ControlProcess.deterministic(grid), beta_paths, 2,
               grid[:, None] + 0.5 * beta_paths)]
-    for control, direction, kind, want in cases:
+    for control, direction, ndim, want in cases:
         p = control.perturbed(direction, 0.5)
-        assert p.kind == kind
+        assert p.values.ndim == ndim
         assert np.array_equal(p.values, want)
 
 
@@ -229,6 +229,97 @@ def test_per_path_control_validation():
     assert np.allclose(c.at(2), 0.5)
     with pytest.raises(ConfigurationError):
         ControlProcess.per_path(np.full((4, 3), 2.0), bounds=(0.0, 1.0))
+
+
+class _KindOracle:
+    """The control as four kinds (constant, deterministic, per_path, feedback),
+    each read its own way: the semantics the one control array keeps."""
+
+    def __init__(self, kind, values):
+        self.kind, self.values = kind, values
+
+    def at(self, i, x=None):
+        if self.kind == "feedback":
+            return np.asarray(self.values(i, None, None, x), dtype=float)
+        return self.values if self.kind == "constant" else self.values[i]
+
+    def open_loop_grid(self, n_steps, n_paths):
+        if self.kind == "constant":
+            return np.broadcast_to(self.values, (n_steps, n_paths))
+        if self.kind == "deterministic":
+            return np.broadcast_to(self.values[:, None], (n_steps, n_paths))
+        return self.values
+
+    def perturbed(self, beta, lam):
+        if self.kind == "constant":
+            return _KindOracle("deterministic" if beta.ndim == 1 else "per_path",
+                               self.values + lam * beta)
+        vals = self.values[:, None] if self.values.ndim == 1 and beta.ndim == 2 else self.values
+        beta = beta[:, None] if vals.ndim == 2 and beta.ndim == 1 else beta
+        out = vals + lam * beta
+        return _KindOracle("per_path" if out.ndim == 2 else "deterministic", out)
+
+    def shifted(self, delta):
+        if self.kind == "feedback":
+            rule = self.values
+            return _KindOracle("feedback",
+                               lambda i, t, paths, x: np.asarray(rule(i, t, paths, x)) + delta)
+        return _KindOracle(self.kind, np.asarray(self.values) + delta)
+
+
+@pytest.mark.parametrize("n_paths", [3, 4], ids=["paths-ne-steps", "paths-eq-steps"])
+@pytest.mark.parametrize("kind", ["constant", "deterministic", "per_path", "feedback"])
+def test_control_array_reads_as_the_four_kinds_did(kind, n_paths):
+    n = 4
+    rng = np.random.default_rng(17)
+    raw = {"constant": 0.5,
+           "deterministic": rng.uniform(0.2, 0.8, n),
+           "per_path": rng.uniform(0.2, 0.8, (n, n_paths)),
+           "feedback": lambda i, t, paths, x: 0.5 + 0.1 * np.tanh(x) + 0.01 * i}[kind]
+    control = getattr(ControlProcess, kind)(raw)
+    oracle = _KindOracle(kind, raw if kind == "feedback" else np.asarray(raw, dtype=float))
+    x = rng.normal(size=(n, n_paths))
+    for got, want in ((control, oracle), (control.shifted(-0.25), oracle.shifted(-0.25))):
+        for i in range(n):
+            assert np.array_equal(got.at(i, x=x[i]), want.at(i, x=x[i]))
+    if kind == "feedback":
+        with pytest.raises(ConfigurationError):
+            control.open_loop_grid(n, n_paths)
+        with pytest.raises(ConfigurationError):
+            control.perturbed(np.ones(n), 0.5)
+        return
+    grid, want = control.open_loop_grid(n, n_paths), oracle.open_loop_grid(n, n_paths)
+    assert np.array_equal(grid, want) and grid.flags.writeable == want.flags.writeable
+    shifted = control.shifted(-0.25).open_loop_grid(n, n_paths)
+    assert np.array_equal(shifted, oracle.shifted(-0.25).open_loop_grid(n, n_paths))
+    for beta in (np.array([0.0, 1.0, 1.0, 0.0]), rng.normal(size=(n, n_paths))):
+        got, want = control.perturbed(beta, 0.5), oracle.perturbed(beta, 0.5)
+        assert np.array_equal(got.open_loop_grid(n, n_paths), want.open_loop_grid(n, n_paths))
+        for i in range(n):
+            assert np.array_equal(got.at(i), want.at(i))
+
+
+@pytest.mark.parametrize("control", [
+    pytest.param(ControlProcess.deterministic(np.full(5, 0.5)), id="deterministic-too-long"),
+    pytest.param(ControlProcess.per_path(np.full((4, 2), 0.5)), id="per-path-too-few-paths"),
+    pytest.param(ControlProcess.per_path(np.full((3, 4), 0.5)), id="per-path-transposed"),
+    pytest.param(ControlProcess.deterministic([0.5]), id="one-value"),
+    pytest.param(ControlProcess.per_path(np.full((1, 3), 0.5)), id="one-node-row"),
+    pytest.param(ControlProcess.per_path(np.full((4, 1), 0.5)), id="one-path-column"),
+])
+def test_open_loop_grid_refuses_values_that_do_not_fit(control):
+    # only (), (steps,) and (steps, paths) fit: no other shape is broadcast
+    with pytest.raises(ConfigurationError):
+        control.open_loop_grid(4, 3)
+
+
+def test_feedback_value_outside_the_bounds_raises():
+    control = ControlProcess.feedback(lambda i, t, paths, x: 2.0 * x, bounds=(0.0, 1.0))
+    assert np.array_equal(control.at(0, x=np.array([0.1, 0.4])), [0.2, 0.8])
+    with pytest.raises(ConfigurationError):
+        control.at(1, x=np.array([0.1, 0.6]))
+    with pytest.raises(ConfigurationError):
+        control.shifted(0.5).at(0, x=np.array([0.1, 0.4]))
 
 
 def test_info_mode_lags():

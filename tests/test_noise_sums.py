@@ -69,7 +69,7 @@ def _old_differential_form(model, control, paths):
     memory = memory_sums(model, paths, None if model.x_independent else x, u,
                          parts=(("_dt", None),))
     for i in range(n):
-        if control.kind == "feedback":
+        if control.rule is not None:
             u[i] = control.at(i, paths, x=x[i])
         u_i = u[i]
         x_i = None if model.x_independent else x[i]
