@@ -37,7 +37,13 @@ from .malliavin import (
 )
 from .models import CoefficientModel, PerformanceSpec
 from .reporting import write_csv
-from .volterra import StateEnsemble, simulate_integral_form, terminal_state
+from .volterra import (
+    StateEnsemble,
+    decay_weights,
+    reverse_memory_sums,
+    simulate_integral_form,
+    terminal_state,
+)
 
 _MAX_STEPS = 256
 
@@ -84,9 +90,20 @@ class SurrogateMalliavinField:
 
     One read per block: the features' node-i blocks (see `Feature`) are read
     once, when node i's coefficients are first built, at node i of the sweep,
-    and before its (M, N - i) targets are allocated. So a feature may hold
-    one node's blocks at a time (`simulated_state_feature` does) without any
-    node being simulated twice.
+    and before its targets are allocated. So a feature may hold one node's
+    blocks at a time (`simulated_state_feature` does) without any node being
+    simulated twice.
+
+    The reverse path: when the surrogates read one feature and it has a
+    `reverse_sweep` (the simulated state of an open-loop control on a model
+    whose kernels all declare their decays), `weighted_rows` projects one
+    target column per node and decay, Brownian or per mark, and reads no
+    Brownian block. The Brownian column is the reverse sweep's, fed the
+    surrogate gradients g_l for l = N, N - 1, ... as far as node i, and the
+    coefficients of every node it passes are kept. The jump column is
+    sum_{j>i} e^{-decay (t_j - t_i)} [P_j(X_j + delta) - P_j(X_j)], with delta
+    the node-i jump shift of X_j, summed before projection from the Taylor
+    rows P_j^(d)/d! of each node j (`NodeRegression.taylor_rows`).
     """
 
     def __init__(self, triple: AdjointTriple, paths: PathBundle):
@@ -96,6 +113,11 @@ class SurrogateMalliavinField:
         self._value_cache: dict[int, np.ndarray] = {}
         self._row_coefs: dict = {}   # (i, False) -> dp coefficients, (i, True) -> djump's K
         self._node_design: tuple = (None, None)   # (i, design of node i)
+        feats = triple.features
+        self._reverse = len(feats) == 1 and feats[0].reverse_sweep is not None
+        self._weighted: dict = {}    # (i, decay, jump) -> weighted_rows coefficients
+        self._sweeps: dict = {}      # decay -> (next node to feed, the sweep's step)
+        self._taylor_cache: dict[int, np.ndarray] = {}
 
     def design(self, i: int) -> np.ndarray:
         """The node-i regression design (M, p), held until another node's is asked for."""
@@ -108,6 +130,16 @@ class SurrogateMalliavinField:
             reg = self.triple.regressions[j]
             self._grad_cache[j] = reg.gradient_raw(self.triple.surrogate_coefs[j])
         return self._grad_cache[j]
+
+    def _taylor(self, j: int) -> np.ndarray:
+        """The node-j surrogate's Taylor rows in its one raw feature, (degree, M); kept
+        when jumps are active, since every node i < j reads them."""
+        if j in self._taylor_cache:
+            return self._taylor_cache[j]
+        rows = self.triple.regressions[j].taylor_rows(self.triple.surrogate_coefs[j])
+        if self.paths.jumps.active:
+            self._taylor_cache[j] = rows
+        return rows
 
     def _blocks(self, i: int, attr: str, *lead: int) -> list:
         """Every feature's node-i `attr` block, broadcast to (*lead, N - i, M)."""
@@ -157,17 +189,55 @@ class SurrogateMalliavinField:
                                     coef) - self._value_cache[j]
         return out
 
-    def weighted_rows(self, i: int, weights: np.ndarray, jump: bool = False) -> np.ndarray:
-        """sum_{j>i} weights[j - i - 1] * dp_rows(i)[j], (M,), or of djump_rows(i), (M, K).
+    def _reverse_to(self, i: int, decay: float) -> None:
+        """Run the reverse sweep of `decay` down to node i, keeping the coefficients
+        of the Brownian column of every node it passes."""
+        node, step = self._sweeps.get(decay) or (
+            self.triple.n_nodes - 1, self.triple.features[0].reverse_sweep(decay))
+        while node > i:
+            target = step(self._taylor(node)[0])
+            node -= 1
+            self._weighted[node, decay, False] = self.triple.regressions[node].coefficients(
+                target, phi=self.design(node))
+        self._sweeps[decay] = (node, step)
+
+    def _jump_target(self, i: int, decay: float) -> np.ndarray:
+        """(M, K) targets: column k is sum_{j>i} e^{-decay (t_j - t_i)} [P_j(X_j + delta)
+        - P_j(X_j)], delta the node-i shift of X_j by a jump of mark k, from the Taylor
+        rows: delta (a_1 + delta (a_2 + delta a_3)) for degree 3."""
+        shifts = self._blocks(i, "jump_shift", self.paths.jumps.n_marks)[0]
+        weights = decay_weights(self.paths.grid.nodes, i, decay)
+        out = np.zeros(shifts.shape[::2])
+        for c, j in enumerate(range(i + 1, self.triple.n_nodes)):
+            rows, delta = self._taylor(j), shifts[:, c]
+            poly = rows[-1]
+            for row in rows[-2::-1]:
+                poly = row + delta * poly
+            out += weights[c] * (delta * poly)
+        return out.T
+
+    def weighted_rows(self, i: int, decay: float, jump: bool = False) -> np.ndarray:
+        """sum_{j>i} e^{-decay (t_j - t_i)} dp_rows(i)[j], (M,), or of djump_rows(i),
+        (M, K), for node i < N.
 
         Each row is design_i @ coef, so the sum is design_i @ (coef @ weights):
-        one product with the held design, no (N - i, M) rows.
+        one product with the held design, no (N - i, M) rows. On the reverse path
+        (see the class) the coefficients are those of the one projected column.
         """
-        if jump:
-            coef = np.stack([c @ weights for c in self._coefs(i, jump=True)], axis=1)
-        else:
-            coef = self._coefs(i) @ weights
-        return self.design(i) @ coef
+        if not self._reverse:
+            weights = decay_weights(self.paths.grid.nodes, i, decay)
+            if jump:
+                coef = np.stack([c @ weights for c in self._coefs(i, jump=True)], axis=1)
+            else:
+                coef = self._coefs(i) @ weights
+            return self.design(i) @ coef
+        if (i, decay, jump) not in self._weighted:
+            if jump:
+                self._weighted[i, decay, True] = self.triple.regressions[i].coefficients(
+                    self._jump_target(i, decay), phi=self.design(i))
+            else:
+                self._reverse_to(i, decay)
+        return self.design(i) @ self._weighted[i, decay, jump]
 
     def dp_rows(self, i: int) -> np.ndarray:
         out = np.zeros((self.triple.n_nodes, self.paths.n_paths))
@@ -189,9 +259,10 @@ class ExplicitXIndependentField:
     F_{t_i}] for every j >= i, so one projected derivative per node suffices.
     """
 
-    def __init__(self, dp_terminal: np.ndarray, dj_terminal: np.ndarray):
+    def __init__(self, dp_terminal: np.ndarray, dj_terminal: np.ndarray, nodes: np.ndarray):
         self._dp = dp_terminal    # (N+1, M): projected D_{t_i} g'(X_T)
         self._dj = dj_terminal    # (N+1, M, K)
+        self._nodes = nodes
 
     def dp_rows(self, i: int) -> np.ndarray:
         out = np.zeros_like(self._dp)
@@ -203,8 +274,10 @@ class ExplicitXIndependentField:
         out[i:] = self._dj[i]
         return out
 
-    def weighted_rows(self, i: int, weights: np.ndarray, jump: bool = False) -> np.ndarray:
-        """sum_{j>i} weights[j - i - 1] * dp_rows(i)[j] (or djump_rows): (sum w) * row i."""
+    def weighted_rows(self, i: int, decay: float, jump: bool = False) -> np.ndarray:
+        """sum_{j>i} e^{-decay (t_j - t_i)} dp_rows(i)[j] (or djump_rows): (sum of the
+        weights) * row i."""
+        weights = decay_weights(self._nodes, i, decay)
         return weights.sum() * (self._dj[i] if jump else self._dp[i])
 
 
@@ -253,7 +326,7 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     coefs.append(reg_n.coefficients(g_term))
     triple = AdjointTriple(p=p, q=q, r=r, regressions=regs, surrogate_coefs=coefs,
                            features=features)
-    return triple, ExplicitXIndependentField(q, r)
+    return triple, ExplicitXIndependentField(q, r, paths.grid.nodes)
 
 
 def solve_general(model: CoefficientModel, spec: PerformanceSpec, control,
@@ -326,45 +399,74 @@ def simulated_state_feature(model: CoefficientModel, control,
     each mark inserted there, is measured by one re-simulation per node. It
     restarts at node i from the base run `states`, whose memory sums
     `record` holds (`simulate_integral_form(..., record=record)`), since
-    rows 0..i do not move. The 2 + K perturbed bundles ride it on a variant
-    axis: dW_i + h, then (dW_i + h) - 2h (a central difference), and one
-    inserted jump per mark k. They are lazy views that differ only in row
-    i, so no noise array is copied unless a feedback rule reads the noise.
+    rows 0..i do not move. The perturbed bundles ride it on a variant axis:
+    for the Brownian blocks dW_i + h, then (dW_i + h) - 2h (a central
+    difference), and one inserted jump per mark k. A `jump_shift(i)` read
+    made before node i's Brownian blocks are asked for runs the K jump
+    variants only. The variants are lazy views that differ only in row i,
+    so no noise array is copied unless a feedback rule reads the noise.
 
     Only the blocks of the node last asked for are held, rows i+1..N of
     dX/dW_i and of the K jump shifts, and handed out as they are; the
-    restarted (2 + K, N + 1, M) run is dropped once they are cut from it.
+    restarted (V, N + 1, M) run is dropped once they are cut from it.
     The adjoint reads each node's blocks at one node of its sweep (see
     `SurrogateMalliavinField`), so no node is simulated twice there. Blocks
     asked for again after another node's are simulated again, bit for bit;
     node N's are empty, with no run.
-    Time: N simulations, of O((2 + K)(N - i) M) each with declared kernel
-    decays (O((2 + K) N^2 M) in all) and of O((2 + K) N^2 M) each otherwise.
-    Memory held: one node's blocks, O((1 + K) N M).
+    Time: N simulations, of O(V (N - i) M) each with declared kernel decays
+    (O(V N^2 M) in all) and of O(V N^2 M) each otherwise, V = 2 + K with the
+    Brownian blocks and K without. Memory held: one node's blocks, O((1 + K) N M).
+
+    For an open-loop control on a model whose kernels all declare their
+    decays, the feature also has a `reverse_sweep` (`volterra.reverse_memory_sums`):
+    node i's column is diffusion(t_i, t_i, X_i, u_i) R^diffusion_i, O(M) per
+    node, with no run. A feedback rule would need du/dx, which `ControlProcess`
+    does not declare, so it keeps the restarted Brownian blocks.
     """
     h = 1e-4 * math.sqrt(paths.grid.dt)
     n, base, k = paths.n_steps, states.values, paths.jumps.n_marks
-    held: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # the blocks of one node
+    held: dict[int, tuple] = {}   # the blocks of one node; None for blocks not simulated
 
-    def node_blocks(i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows i+1..N of dX/dW_i, (N - i, M), and of the jump shifts, (K, N - i, M)."""
-        if i == n:
-            return base[n + 1:], np.empty((k, 0, paths.n_paths))
-        if i not in held:
+    def node_blocks(i: int, brownian: bool) -> tuple:
+        """Rows i+1..N of dX/dW_i, (N - i, M), with `brownian`, and of the jump
+        shifts, (K, N - i, M)."""
+        if i == n or not (brownian or k):   # nothing moves, or no variant to run
+            return base[n + 1:], np.empty((k, n - i, paths.n_paths))
+        if i not in held or (brownian and held[i][0] is None):
             held.clear()   # the old blocks go before the new run is made
-            up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
-            down.rebump(-h)
-            jumps = [paths.with_extra_jump(i, kk) for kk in range(k)]
+            variants = [paths.with_extra_jump(i, kk) for kk in range(k)]
+            if brownian:
+                up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
+                down.rebump(-h)
+                variants = [up, down] + variants
             x = simulate_integral_form(model, control, paths, restart=(i, base, record[i]),
-                                       variants=[up, down] + jumps)
-            held[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h), x[2:, i + 1:] - base[i + 1:])
+                                       variants=variants)
+            lead = 2 if brownian else 0
+            held[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h) if brownian else None,
+                       x[lead:, i + 1:] - base[i + 1:])
         return held[i]
+
+    reverse_sweep = None
+    if control.rule is None and model.decays is not None and None not in model.decays:
+        t, x = paths.grid.nodes, None if model.x_independent else base
+        u = control.open_loop_grid(n, paths.n_paths)
+
+        def reverse_sweep(decay: float):
+            step = reverse_memory_sums(model, paths, x, u, decay)
+
+            def column(g: np.ndarray) -> np.ndarray:
+                i, sums = step(g)
+                return model.diffusion(t[i], t[i], None if x is None else x[i], u[i]) \
+                    * sums["diffusion"]
+
+            return column
 
     return Feature(
         name="simulated_state",
         values=states.values,
-        brownian_sensitivity=lambda i: node_blocks(i)[0],
-        jump_shift=lambda i: node_blocks(i)[1],
+        brownian_sensitivity=lambda i: node_blocks(i, True)[0],
+        jump_shift=lambda i: node_blocks(i, False)[1],
+        reverse_sweep=reverse_sweep,
     )
 
 

@@ -403,11 +403,12 @@ def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
                                                      basis=cfg.basis)
     else:
         if model.memory_state_coupling:
-            # the driver needs state sensitivities, measured by one re-simulation
-            # per node restarted there from this run's recorded sums, with the
-            # 2 + K perturbations on a variant axis. Cost: N runs, O((2 + K) N^2 M)
-            # in all. Memory: one node's (1 + K)(N - i) M block at a time,
-            # O((1 + K) N M)
+            # the driver needs state sensitivities. The open-loop control here and
+            # the registry's declared decays give the Brownian ones by one reverse
+            # sweep, O(N M); the jump shifts take one re-simulation per node,
+            # restarted there from this run's recorded sums with the K jump
+            # variants on a variant axis, O(K N^2 M) in all and none without
+            # jumps. Memory: one node's K (N - i) M block at a time, O(K N M)
             feats = [simulated_state_feature(model, control, states, paths, record)]
         else:
             feats = [state_feature(states.values)]

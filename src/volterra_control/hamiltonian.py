@@ -26,6 +26,7 @@ from .reporting import write_csv
 from .volterra import (
     StateEnsemble,
     _control_grid,
+    decay_weights,
     memory_sums,
     noise_sums,
     performance_paths,
@@ -106,29 +107,28 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
     A kernel with a declared decay lambda has k(t_j,t_i,.) = e^{-lambda (t_j -
     t_i)} k(t_i,t_i,.), so its sum is k(t_i,t_i,.) times the rows weighted by
     e^{-lambda (t_j - t_i)}, which the field sums without building them
-    (`field.weighted_rows`). A kernel without one sums its rows.
+    (`field.weighted_rows(i, lambda)`). A kernel without one sums its rows.
     """
     t, dt, jumps = paths.grid.nodes, paths.grid.dt, paths.jumps
     n_j, m = paths.n_steps - i, paths.n_paths
     s_f = t[i + 1:, None]
 
     def kernel(name):
-        lam = model.decay(name)
-        weights = None if lam is None else np.exp(-lam * (t[i + 1:] - t[i]))
-        return getattr(model, name + suffix), weights
+        return getattr(model, name + suffix), model.decay(name)
 
     def row_sum(k, later_rows):
         return np.einsum("jm,jm->m", np.broadcast_to(
             np.asarray(k(s_f, t[i], x, v), dtype=float), (n_j, m)), later_rows) * dt
 
-    kb, w = kernel("drift")
-    terms = [row_sum(kb, p[i + 1:]) if w is None else kb(t[i], t[i], x, v) * (w @ p[i + 1:]) * dt]
-    ks, w = kernel("diffusion")
-    terms.append(row_sum(ks, field.dp_rows(i)[i + 1:]) if w is None
-                 else ks(t[i], t[i], x, v) * field.weighted_rows(i, w) * dt)
+    kb, lam = kernel("drift")
+    terms = [row_sum(kb, p[i + 1:]) if lam is None
+             else kb(t[i], t[i], x, v) * (decay_weights(t, i, lam) @ p[i + 1:]) * dt]
+    ks, lam = kernel("diffusion")
+    terms.append(row_sum(ks, field.dp_rows(i)[i + 1:]) if lam is None
+                 else ks(t[i], t[i], x, v) * field.weighted_rows(i, lam) * dt)
     if jumps.active:
-        kg, w = kernel("jump")
-        if w is None:
+        kg, lam = kernel("jump")
+        if lam is None:
             g = np.asarray(kg(s_f[:, :, None], t[i],
                               None if x is None else np.asarray(x)[None, :, None],
                               np.asarray(v)[None, ..., None], jumps.mark_array[None, None, :]),
@@ -138,7 +138,7 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
                                    field.djump_rows(i)[i + 1:]) * dt)
         else:
             terms.append(mark_measure_sum(kg, jumps, t[i], t[i], x, v,
-                                          field.weighted_rows(i, w, jump=True)) * dt)
+                                          field.weighted_rows(i, lam, jump=True)) * dt)
     return terms
 
 

@@ -76,12 +76,18 @@ class Feature:
     one jump of mark k is added at node i, broadcastable to (K, N - i, M).
     Node N's blocks are empty. Either may be None when unknown; the Malliavin
     field builder raises if it needs a missing sensitivity.
+
+    reverse_sweep(decay), when given, starts a reverse pass over the Brownian
+    sensitivities: a function that takes per-path weights g_N, g_{N-1}, ...,
+    g_1 in turn, and whose call with g_l returns node l - 1's (M,) column
+    sum_{j >= l} e^{-decay (t_j - t_{l-1})} g_j d values[j]/dW_{l-1}, in O(M).
     """
 
     name: str
     values: np.ndarray  # (N+1, M)
     brownian_sensitivity: Optional[Callable[[int], np.ndarray | float]] = None
     jump_shift: Optional[Callable[[int], np.ndarray | float]] = None
+    reverse_sweep: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
 
 
 def brownian_feature(paths: PathBundle) -> Feature:
@@ -304,6 +310,22 @@ class NodeRegression:
     def predict(self, raw: np.ndarray, coef: np.ndarray) -> np.ndarray:
         return self.design(raw) @ np.ravel(coef)
 
+    def _derivative_rows(self, coef: np.ndarray, rows: np.ndarray, r: int,
+                         degree: int) -> np.ndarray:
+        """P^(d)/d! in raw feature r, d = 1..degree, of the fitted polynomial P, as
+        (degree, M) rows: d^d(x^e)/dx_r^d / d! = C(e_r, d) x^(e - d 1_r), with the
+        monomial rows `rows` of the product tree."""
+        coef = np.ravel(coef)
+        out = np.zeros((degree, rows.shape[1]))
+        for pos, k in enumerate(self.keep[1:], 1):
+            e, c = self.exponents[k], coef[pos] / self.col_scale[pos]
+            if c == 0.0:
+                continue
+            for d in range(1, min(e[r], degree) + 1):
+                lowered = self._index[e[:r] + (e[r] - d,) + e[r + 1:]]
+                out[d - 1] += (c * math.comb(e[r], d)) * rows[lowered]
+        return out
+
     def gradient_raw(self, coef: np.ndarray, raw: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the fitted polynomial with respect to each raw feature.
 
@@ -311,14 +333,15 @@ class NodeRegression:
         (M, n_raw) evaluated at the node's own raw values by default.
         """
         rows = self._monomial_rows(self.raw_values() if raw is None else raw)
-        coef = np.ravel(coef)
-        grad = np.zeros((len(self.features), rows.shape[1]))
-        for pos, k in enumerate(self.keep[1:], 1):
-            e, c = self.exponents[k], coef[pos] / self.col_scale[pos]
-            for r, p in enumerate(e):
-                if p and c != 0.0:
-                    grad[r] += (c * p) * rows[self._lowered(e, r)]
-        return grad.T
+        return np.stack([self._derivative_rows(coef, rows, r, 1)[0]
+                         for r in range(len(self.features))], axis=1)
+
+    def taylor_rows(self, coef: np.ndarray, r: int = 0) -> np.ndarray:
+        """(degree, M) rows P^(d)/d!, d = 1..degree, of the fitted polynomial P in raw
+        feature r at the node's raw values, so that P(x + delta e_r) - P(x) =
+        sum_d rows[d - 1] delta^d exactly: the polynomial has no higher terms."""
+        rows = self._monomial_rows(self.raw_values())
+        return self._derivative_rows(coef, rows, r, self.basis.degree)
 
 
 class BackwardProjector:
@@ -555,6 +578,7 @@ def iterated_integral(kernel, order: int, paths: PathBundle) -> np.ndarray:
     Returns n! * sum over strictly increasing node tuples of
     kernel(t_{j_1}, ..., t_{j_n}) dW_{j_1} ... dW_{j_n}, per path. The kernel
     may be a constant or a symmetric callable; orders 1..3 are supported.
+    Order 2 costs O(N M) for a constant kernel and O(N^2 M) for a callable.
     """
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes[:-1]
@@ -563,6 +587,14 @@ def iterated_integral(kernel, order: int, paths: PathBundle) -> np.ndarray:
     if order == 1:
         w = np.broadcast_to(np.asarray(kf(t), dtype=float), (n,))
         return np.einsum("i,im->m", w, dW)
+    if order == 2 and not callable(kernel):
+        # the inner sums of a constant kernel are the Brownian path, 2 k sum_j dW_j B(t_j),
+        # kept as one running row
+        acc, path = np.zeros(m), np.zeros(m)
+        for j in range(n):
+            acc += dW[j] * path
+            path += dW[j]
+        return 2.0 * float(kernel) * acc
     if order == 2:
         acc = np.zeros(m)
         for j2 in range(1, n):

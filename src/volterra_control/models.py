@@ -156,8 +156,9 @@ class CoefficientModel:
         """Check declared partials and decays at random arguments.
 
         Declared partials are compared with central differences. For each
-        declared decay lambda, the kernel and its d/dt partials must satisfy
-        k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for t >= s. Raises
+        declared decay lambda, the kernel and its d/dt, x and v partials must
+        satisfy k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for t >= s (the reverse
+        sweep of the adjoint reads the x partials at (s, s) only). Raises
         RegistrationError naming the first failing partial or kernel.
         """
         rng = np.random.default_rng(1234)
@@ -208,7 +209,8 @@ class CoefficientModel:
                 continue
             factor = np.exp(-lam * (late - early))
             tail = (x, v, z) if kernel == "jump" else (x, v)
-            for name in (kernel, f"{kernel}_dt", f"{kernel}_dtdx", f"{kernel}_dtdv"):
+            for name in (kernel, f"{kernel}_dt", f"{kernel}_dx", f"{kernel}_dv",
+                         f"{kernel}_dtdx", f"{kernel}_dtdv"):
                 fn = getattr(self, name)
                 got, want = np.broadcast_arrays(
                     np.asarray(fn(late, early, *tail), dtype=float),

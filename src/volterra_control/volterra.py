@@ -178,6 +178,47 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
     return memory
 
 
+def decay_weights(nodes: np.ndarray, i: int, decay: float) -> np.ndarray:
+    """e^{-decay (t_j - t_i)} for the nodes j > i: a kernel with this declared
+    decay, read at (t_j, t_i), over its value at (t_i, t_i)."""
+    return np.exp(-decay * (nodes[i + 1:] - nodes[i]))
+
+
+def reverse_memory_sums(model: CoefficientModel, paths: PathBundle, x, u, decay: float):
+    """The reverse (cotangent) sweep of `memory_sums`, as a function `step(g)`.
+
+    The sweep differentiates F = sum_j e^{-decay t_j} g_j X_j, with the
+    weights g frozen, through the integral scheme of a model whose kernels
+    all declare their decays lambda_k, for an open-loop control u. The calls
+    take g_N, g_{N-1}, ..., g_1 in turn; the call that takes g_l returns
+    (l - 1, {kernel: R^k_{l-1}}), where
+
+        abar_l = g_l + sum_k k_x(t_l, t_l, X_l, u_l) inc^k_l R^k_l,
+        R^k_{l-1} = e^{-(lambda_k + decay)(t_l - t_{l-1})} (abar_l + R^k_l),  R^k_N = 0,
+
+    with inc^k_l the `noise_sums` increments (dt, dW_l, and dN~_{l,k} with the
+    marks summed). abar_l is e^{decay t_l} dF/dX_l, so e^{decay t_i} dF/dinc^k_i
+    = k(t_i, t_i, X_i, u_i) R^k_i (for a jump of mark z, gamma at z). Scaled so,
+    every factor is a decay over some t_j - t_i, and nothing underflows. x is
+    None for an x-independent model. One step is O(M).
+    """
+    nodes, n = paths.grid.nodes, paths.n_steps
+    local = noise_sums(model, paths, x, u, parts=(("_dx", None),))
+    sums = dict.fromkeys(local, 0.0)
+    node = [n]
+
+    def step(g: np.ndarray) -> tuple[int, dict]:
+        l = node[0]
+        abar = g if l == n else \
+            g + sum(sums[k] * summands(nodes[l], slice(l, l + 1)) for k, summands in local.items())
+        for k in sums:
+            sums[k] = np.exp(-(model.decay(k) + decay) * (nodes[l] - nodes[l - 1])) * (abar + sums[k])
+        node[0] = l - 1
+        return l - 1, dict(sums)
+
+    return step
+
+
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
                            paths: PathBundle, restart: tuple | None = None,
                            record: list | None = None, variants: list | None = None

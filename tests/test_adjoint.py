@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -647,6 +649,101 @@ def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
     gateaux_check(model, spec, control, perturbation_window(8, 2, 2), paths, triple,
                   field, states)
     assert sorted(starts) == list(range(paths.n_steps))
+
+
+def _without_reverse_hook(triple):
+    """The same surrogates read through features without a reverse sweep: the
+    field then sums the rows of the restarted blocks."""
+    feats = [dataclasses.replace(f, reverse_sweep=None) for f in triple.features]
+    return dataclasses.replace(triple, features=feats)
+
+
+@pytest.mark.parametrize("jumps,n,m", [
+    pytest.param(JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 16, 4_000, id="memory-jumps-16"),
+    pytest.param(JumpModel.none(), 128, 2_000, id="jump-free-128"),
+])
+def test_reverse_rows_equal_the_restart_block_weighted_sums(jumps, n, m):
+    # an open-loop control on a declared-decay model: the field projects one
+    # reverse-swept Brownian column and one Taylor-row jump column per node and
+    # decay; the decay-weighted sums of the projected rows of the restarted
+    # blocks agree up to the round-off of their difference quotient
+    model, _, _, _, paths, triple, field = _memory_setup(
+        jumps, n, m, 11, _MEMORY_JUMP_PARAMS, 0.5, PerformanceSpec.log_terminal())
+    oracle = SurrogateMalliavinField(_without_reverse_hook(triple), paths)
+    kernels = [("diffusion", False)] + ([("jump", True)] if jumps.active else [])
+    for i in range(n - 1, -1, -1):
+        for name, jump in kernels:
+            lam = model.decay(name)
+            want = oracle.weighted_rows(i, lam, jump)
+            got = field.weighted_rows(i, lam, jump)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (i, name)
+
+
+@pytest.mark.parametrize("control", [
+    ControlProcess.constant(0.5), ControlProcess.deterministic(np.linspace(0.3, 0.7, 16))],
+    ids=["constant", "deterministic"])
+def test_jump_free_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control):
+    # the reverse sweep gives every Brownian column, and without jumps no
+    # jump shift is read: the adjoint and both checks never restart the simulator
+    from volterra_control.adjoint import simulated_state_feature
+    from volterra_control.hamiltonian import (
+        check_stationarity,
+        gateaux_check,
+        perturbation_window,
+    )
+
+    model, spec = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
+        PerformanceSpec.log_terminal()
+    paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 600, seed=43)
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    starts = _counted_restarts(monkeypatch)
+    feats = [simulated_state_feature(model, control, states, paths, record)]
+    triple, field = solve_general(model, spec, control, states, paths, features=feats)
+    check_stationarity(model, spec, control, triple, field, states, paths)
+    gateaux_check(model, spec, control, perturbation_window(16, 4, 4), paths, triple,
+                  field, states)
+    assert starts == []
+
+
+@pytest.mark.parametrize("make_model,control,jumps", RESTART_CASES)
+def test_jump_shift_read_first_runs_the_jump_variants_only(make_model, control, jumps,
+                                                           monkeypatch):
+    # a jump_shift(i) read before node i's Brownian blocks restarts with the K
+    # jump variants only, and its blocks equal full re-simulation bit for bit;
+    # a Brownian read after it makes the 2 + K run, bit for bit too
+    from volterra_control import adjoint
+    from volterra_control.adjoint import simulated_state_feature
+
+    model = make_model()
+    paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
+    n, k = paths.n_steps, paths.jumps.n_marks
+    record = []
+    states = simulate_integral_form(model, control, paths, record=record)
+    runs = []
+    simulate = adjoint.simulate_integral_form
+
+    def counted(*args, **kwargs):
+        runs.append((kwargs["restart"][0], len(kwargs["variants"])))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
+    feat = simulated_state_feature(model, control, states, paths, record)
+    h = 1e-4 * np.sqrt(paths.grid.dt)
+    for i in range(n):
+        shift = feat.jump_shift(i)
+        assert runs[-1] == (i, k)
+        for kk in range(k):
+            full = simulate_integral_form(model, control, paths.with_extra_jump(i, kk)).values
+            assert np.array_equal(shift[kk], (full - states.values)[i + 1:])
+        pert = paths.perturb_brownian(i, +h)
+        up = simulate_integral_form(model, control, pert).values
+        pert.rebump(-h)
+        full = (up - simulate_integral_form(model, control, pert).values) / (2.0 * h)
+        assert np.array_equal(feat.brownian_sensitivity(i), full[i + 1:])
+        assert runs[-1] == (i, 2 + k)
+    assert len(runs) == 2 * n
 
 
 @pytest.fixture(scope="module")

@@ -100,7 +100,7 @@ class _ZeroField:
     def djump_rows(self, i):
         return np.zeros(self._shape)
 
-    def weighted_rows(self, i, weights, jump=False):
+    def weighted_rows(self, i, decay, jump=False):
         return np.zeros(self._shape[1:] if jump else self._shape[1])
 
 
@@ -165,7 +165,7 @@ def lift_setups():
                                       features=default_features(paths))
         n1, m = triple.n_nodes, paths.n_paths
         explicit = ExplicitXIndependentField(rng.normal(size=(n1, m)),
-                                             rng.normal(size=(n1, m, k)))
+                                             rng.normal(size=(n1, m, k)), paths.grid.nodes)
         setups.append((paths, states.values, triple.p, (field, explicit)))
     return setups
 

@@ -411,6 +411,29 @@ def test_surrogate_gradient_matches_finite_difference(paths64_small):
         assert np.allclose(grad[:, col], fd, atol=1e-5)
 
 
+@pytest.mark.parametrize("degree", [1, 3, 4])
+def test_taylor_rows_give_the_exact_shifted_difference(jump_paths64_small, degree):
+    # P(x + delta e_r) - P(x) = sum_d rows[d - 1] delta^d: the polynomial has no
+    # terms beyond its degree, so the rows give the predict difference up to
+    # round-off; row 1 is the gradient column, bit for bit
+    p = jump_paths64_small
+    feats = [brownian_feature(p), jump_sum_feature(p),
+             weighted_brownian_feature(np.linspace(0.5, 1.5, 64), p)]
+    reg = NodeRegression(feats, 40, RegressionBasis(degree=degree))
+    coef = reg.coefficients(np.sin(p.brownian[-1]) * p.jump_sum[-1] + p.brownian[-1] ** 3)
+    raw = reg.raw_values()
+    delta = np.random.default_rng(5).normal(scale=0.5, size=p.n_paths)
+    for r in range(len(feats)):
+        rows = reg.taylor_rows(coef, r)
+        assert rows.shape == (degree, p.n_paths)
+        assert np.array_equal(rows[0], reg.gradient_raw(coef)[:, r])
+        shifted = raw.copy()
+        shifted[:, r] += delta
+        want = reg.predict(shifted, coef) - reg.predict(raw, coef)
+        got = sum(row * delta ** d for d, row in enumerate(rows, 1))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # --- duality ------------------------------------------------------------------
 
 def test_duality_brownian_odd_moments(paths64_small):

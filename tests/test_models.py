@@ -119,6 +119,27 @@ def test_decay_must_follow_the_lag_alone():
         ))
 
 
+@pytest.mark.parametrize("kernel,partial", [("diffusion", "dx"), ("drift", "dv")])
+def test_partial_decaying_at_another_rate_rejected(kernel, partial):
+    # the kernel decays at the declared rate 1 and its declared partial at rate 2;
+    # at amplitude 1e-7 the partial passes the finite-difference check, whose
+    # tolerance is absolute below 1, but not the relative decay check
+    def scaled(rate, factor):
+        return lambda t, s, x, v: 1e-7 * np.exp(-rate * (np.asarray(t) - s)) * factor(x, v)
+
+    params = dict(
+        initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+        drift=lambda t, s, x, v: 0.0 * v, diffusion=lambda t, s, x, v: 0.0 * v,
+        jump=lambda t, s, x, v, z: 0.0 * z,
+        decays=tuple(1.0 if name == kernel else None for name in ("drift", "diffusion", "jump")))
+    params[kernel] = scaled(1.0, lambda x, v: v * x)
+    params[f"{kernel}_{partial}"] = scaled(2.0, lambda x, v: v if partial == "dx" else x)
+    with pytest.raises(RegistrationError, match=f"{kernel}_{partial} does not decay"):
+        registry_get("custom", params)
+    params[f"{kernel}_{partial}"] = scaled(1.0, lambda x, v: v if partial == "dx" else x)
+    assert registry_get("custom", params).decay(kernel) == 1.0
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_decay_rejected(bad):
     with pytest.raises(ConfigurationError, match="drift"):
