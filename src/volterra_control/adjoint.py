@@ -282,7 +282,7 @@ class ExplicitXIndependentField:
 
 
 def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
-                                 states: StateEnsemble, paths: PathBundle,
+                                 states: StateEnsemble,
                                  basis: RegressionBasis | None = None,
                                  features: Sequence[Feature] | None = None
                                  ) -> tuple[AdjointTriple, ExplicitXIndependentField]:
@@ -295,7 +295,7 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     if not model.x_independent:
         raise ConfigurationError("explicit adjoint solver requires an x-independent model")
     basis = basis or RegressionBasis()
-    control = states.control
+    control, paths = states.control, states.paths
     if features is None:
         features = [predicted_terminal_feature(model, control, paths)]
     features = list(features)
@@ -329,8 +329,7 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     return triple, ExplicitXIndependentField(q, r, paths.grid.nodes)
 
 
-def solve_general(model: CoefficientModel, spec: PerformanceSpec, control,
-                  states: StateEnsemble, paths: PathBundle,
+def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateEnsemble,
                   basis: RegressionBasis | None = None,
                   features: Sequence[Feature] | None = None
                   ) -> tuple[AdjointTriple, SurrogateMalliavinField]:
@@ -344,12 +343,13 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, control,
     result reproduces p, q and r bit for bit.
     """
     basis = basis or RegressionBasis()
+    paths = states.paths
     n, m = paths.n_steps, paths.n_paths
     if n > _MAX_STEPS:
         raise ConfigurationError(f"general solver is cost-guarded to {_MAX_STEPS} steps")
     if features is None:
         if model.x_independent:
-            features = [predicted_terminal_feature(model, control, paths)]
+            features = [predicted_terminal_feature(model, states.control, paths)]
         else:
             features = default_features(paths, states=states.values)
     features = list(features)
@@ -358,13 +358,14 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, control,
                            regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],
                            surrogate_coefs=[None] * (n + 1), features=features)
     field = SurrogateMalliavinField(triple, paths)
-    _backward_sweep(model, spec, control, states, paths, triple, field)
+    _backward_sweep(model, spec, states, triple, field)
     return triple, field
 
 
-def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
+def _backward_sweep(model, spec, states: StateEnsemble, triple: AdjointTriple,
                     field: SurrogateMalliavinField) -> None:
     """One backward regression sweep, writing p, q, r and the surrogates in place."""
+    paths = states.paths
     n, t, dt = paths.n_steps, paths.grid.nodes, paths.grid.dt
     jumps = paths.jumps
     k = jumps.n_marks
@@ -382,29 +383,26 @@ def _backward_sweep(model, spec, control, states, paths, triple: AdjointTriple,
             for kk in range(k):
                 r[i, :, kk] = phi @ reg.coefficients(
                     centered * paths.compensated_counts[i, :, kk], phi=phi) / comp_w[kk]
-        x_i = states.values[i]
-        driver = sum(hamiltonian_terms(model, spec, jumps, t[i], x_i,
-                                       control.at(i, paths, x=x_i), pe, q[i], r[i], "_dx",
+        driver = sum(hamiltonian_terms(model, spec, jumps, t[i], states.values[i],
+                                       states.controls[i], pe, q[i], r[i], "_dx",
                                        memory=(paths, i, p, field)))
         p[i] = pe + driver * dt
         coefs[i] = reg.coefficients(p[i], phi=phi)
 
 
-def simulated_state_feature(model: CoefficientModel, control,
-                            states: StateEnsemble, paths: PathBundle,
-                            record: list) -> Feature:
-    """State feature whose noise sensitivities run through the simulator.
+def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> Feature:
+    """State feature of the run `states`, its noise sensitivities run through the simulator.
 
     The sensitivity of X(t_j) to the increment at node i, and to a jump of
     each mark inserted there, is measured by one re-simulation per node. It
-    restarts at node i from the base run `states`, whose memory sums
-    `record` holds (`simulate_integral_form(..., record=record)`), since
-    rows 0..i do not move. The perturbed bundles ride it on a variant axis:
-    for the Brownian blocks dW_i + h, then (dW_i + h) - 2h (a central
-    difference), and one inserted jump per mark k. A `jump_shift(i)` read
-    made before node i's Brownian blocks are asked for runs the K jump
-    variants only. The variants are lazy views that differ only in row i,
-    so no noise array is copied unless a feedback rule reads the noise.
+    restarts at node i from `states`, made with `simulate_integral_form(...,
+    record=True)`, since rows 0..i do not move. The perturbed bundles ride it
+    on a variant axis: for the Brownian blocks dW_i + h, then (dW_i + h) - 2h
+    (a central difference), and one inserted jump per mark k. A
+    `jump_shift(i)` read made before node i's Brownian blocks are asked for
+    runs the K jump variants only. The variants are lazy views that differ
+    only in row i, so no noise array is copied unless a feedback rule reads
+    the noise.
 
     Only the blocks of the node last asked for are held, rows i+1..N of
     dX/dW_i and of the K jump shifts, and handed out as they are; the
@@ -423,6 +421,9 @@ def simulated_state_feature(model: CoefficientModel, control,
     node, with no run. A feedback rule would need du/dx, which `ControlProcess`
     does not declare, so it keeps the restarted Brownian blocks.
     """
+    if states.record is None:
+        raise ConfigurationError("simulated_state_feature needs a run made with record=True")
+    control, paths = states.control, states.paths
     h = 1e-4 * math.sqrt(paths.grid.dt)
     n, base, k = paths.n_steps, states.values, paths.jumps.n_marks
     held: dict[int, tuple] = {}   # the blocks of one node; None for blocks not simulated
@@ -439,7 +440,7 @@ def simulated_state_feature(model: CoefficientModel, control,
                 up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
                 down.rebump(-h)
                 variants = [up, down] + variants
-            x = simulate_integral_form(model, control, paths, restart=(i, base, record[i]),
+            x = simulate_integral_form(model, control, paths, restart=(i, states),
                                        variants=variants)
             lead = 2 if brownian else 0
             held[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h) if brownian else None,
@@ -448,8 +449,7 @@ def simulated_state_feature(model: CoefficientModel, control,
 
     reverse_sweep = None
     if control.rule is None and model.decays is not None and None not in model.decays:
-        t, x = paths.grid.nodes, None if model.x_independent else base
-        u = control.open_loop_grid(n, paths.n_paths)
+        t, x, u = paths.grid.nodes, None if model.x_independent else base, states.controls
 
         def reverse_sweep(decay: float):
             step = reverse_memory_sums(model, paths, x, u, decay)

@@ -54,6 +54,7 @@ from .hamiltonian import (
     perturbation_window,
 )
 from .portfolio import (
+    _N_BATCHES,
     MarketModel,
     export_portfolio_csvs,
     solve_portfolio,
@@ -192,14 +193,17 @@ class ExperimentConfig:
             raw["monte_carlo"]["paths"] = int(n_paths)
         if out_dir is not None:
             raw["output"]["directory"] = out_dir
-        grid = TimeGrid(_field(raw, "grid.horizon", float, "a positive number", lambda h: h > 0.0),
-                        _field(raw, "grid.steps", int, "an integer >= 2", lambda n: n >= 2))
+        # TimeGrid and JumpModel refuse what they cannot take, and _field names the field
+        steps = _field(raw, "grid.steps", int, "an integer >= 2", lambda n: n >= 2)
+        grid = _field(raw, "grid.horizon", lambda h: TimeGrid(float(h), steps),
+                      "a finite positive number")
         intensity = _field(raw, "noise.intensity", float, "a number >= 0", lambda x: x >= 0.0)
-        marks = _field(raw, "noise.marks", _numbers, "a list of numbers")
-        weights = _field(raw, "noise.weights", _numbers, "a list of numbers")
+        marks = _field(raw, "noise.marks", _numbers, "a list of non-zero numbers",
+                       lambda z: 0.0 not in z)
         if intensity > 0.0 and not marks:
             raise ConfigurationError("noise.intensity > 0 requires noise.marks")
-        jumps = JumpModel(intensity, marks, weights) if marks else JumpModel.none()
+        jumps = _field(raw, "noise.weights", lambda w: JumpModel(intensity, marks, _numbers(w)),
+                       "a list of positive numbers summing to 1, one per noise.marks entry")
         basis = RegressionBasis(
             degree=_field(raw, "solver.degree", int, "an integer >= 1", lambda d: d >= 1),
             ridge=_field(raw, "solver.ridge", float, "a number >= 0", lambda r: r >= 0.0))
@@ -230,39 +234,33 @@ class ExperimentConfig:
         return registry_get(name, {key: _field(self.raw, f"model.params.{key}", float, "a number")
                                    for key in params})
 
+    def _kind(self, name: str, table) -> str:
+        """The config value at ``name``, one of the keys of ``table``."""
+        return _field(self.raw, name, lambda k: k, f"one of {sorted(table)}", lambda k: k in table)
+
     def performance(self) -> PerformanceSpec:
-        p = self.raw["performance"]
-        if p["terminal"] not in _TERMINALS:
-            raise ConfigurationError(
-                f"unknown terminal reward {p['terminal']!r}; options {sorted(_TERMINALS)}")
-        if p["running"] not in _RUNNINGS:
-            raise ConfigurationError(
-                f"unknown running reward {p['running']!r}; options {sorted(_RUNNINGS)}")
-        g, gp = _TERMINALS[p["terminal"]]
-        domain = (0.25, 4.0) if p["terminal"] == "log" else (-3.0, 3.0)
-        return PerformanceSpec(running=_RUNNINGS[p["running"]], terminal=g,
+        running = self._kind("performance.running", _RUNNINGS)
+        terminal = self._kind("performance.terminal", _TERMINALS)
+        g, gp = _TERMINALS[terminal]
+        domain = (0.25, 4.0) if terminal == "log" else (-3.0, 3.0)
+        return PerformanceSpec(running=_RUNNINGS[running], terminal=g,
                                terminal_prime=gp, terminal_domain=domain)
 
     def utility(self) -> UtilitySpec:
-        u = self.raw["utility"]
-        if u["kind"] == "log":
+        if self._kind("utility.kind", ("log", "power")) == "log":
             return UtilitySpec.log()
-        if u["kind"] == "power":
-            return UtilitySpec.power(_field(self.raw, "utility.exponent", float,
-                                            "a number < 1 and != 0", lambda g: g < 1.0 and g != 0.0))
-        raise ConfigurationError(f"unknown utility {u['kind']!r}")
+        return UtilitySpec.power(_field(self.raw, "utility.exponent", float,
+                                        "a number < 1 and != 0", lambda g: g < 1.0 and g != 0.0))
 
     def control(self) -> ControlProcess:
-        c = self.raw["control"]
+        self._kind("control.kind", ("constant",))   # config files give constant controls only
         lower = _field(self.raw, "control.lower", float, "a number")
         upper = _field(self.raw, "control.upper", float, "a number above control.lower",
                        lambda hi: hi > lower)
-        if c["kind"] == "constant":
-            value = _field(self.raw, "control.value", float,
-                           "a number in [control.lower, control.upper]",
-                           lambda v: lower <= v <= upper)
-            return ControlProcess.constant(value, (lower, upper))
-        raise ConfigurationError(f"unsupported control kind {c['kind']!r} in config")
+        value = _field(self.raw, "control.value", float,
+                       "a number in [control.lower, control.upper]",
+                       lambda v: lower <= v <= upper)
+        return ControlProcess.constant(value, (lower, upper))
 
     def market_fields(self) -> dict:
         """The market section, every field read through ``_field``."""
@@ -293,12 +291,10 @@ class ExperimentConfig:
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    control = cfg.control()
-    paths = cfg.sample()
-    states = simulate_integral_form(model, control, paths)
+    model, control, perf = cfg.model(), cfg.control(), cfg.performance()
+    states = simulate_integral_form(model, control, cfg.sample())
     export_trajectory_csv(cfg.out_dir / "trajectory.csv", states)
-    est, se = evaluate_performance(cfg.performance(), states, control)
+    est, se = evaluate_performance(perf, states)
     write_csv(cfg.out_dir / "performance.csv",
               ("quantity", "estimate", "stderr"), [("J", est, se)])
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("simulate"))
@@ -390,46 +386,52 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
             f"{dimension} needs at least {MIN_PATHS_PER_COLUMN * dimension} paths")
 
 
+def _portfolio_paths(cfg: ExperimentConfig):
+    """The sampled bundle, refused before sampling where `portfolio._check_batch_width`
+    would refuse it."""
+    need = _N_BATCHES * MIN_PATHS_PER_COLUMN * cfg.basis.dimension(1)
+    if cfg.n_paths < need:
+        raise ConfigurationError(
+            f"monte_carlo.paths is {cfg.n_paths}, but the calibration's {_N_BATCHES} path "
+            f"batches need at least {need} paths")
+    return cfg.sample()
+
+
 def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
     model = cfg.model()
     _check_adjoint_scale(cfg, model, stationarity)
-    paths = cfg.sample()
-    control = cfg.control()
     perf = cfg.performance()
-    record = [] if model.memory_state_coupling else None
-    states = simulate_integral_form(model, control, paths, record=record)
+    states = simulate_integral_form(model, cfg.control(), cfg.sample(),
+                                    record=model.memory_state_coupling)
     if model.x_independent:
-        triple, field = solve_explicit_x_independent(model, perf, states, paths,
-                                                     basis=cfg.basis)
+        triple, field = solve_explicit_x_independent(model, perf, states, basis=cfg.basis)
     else:
         if model.memory_state_coupling:
             # the driver needs state sensitivities. The open-loop control here and
             # the registry's declared decays give the Brownian ones by one reverse
             # sweep, O(N M); the jump shifts take one re-simulation per node,
-            # restarted there from this run's recorded sums with the K jump
-            # variants on a variant axis, O(K N^2 M) in all and none without
-            # jumps. Memory: one node's K (N - i) M block at a time, O(K N M)
-            feats = [simulated_state_feature(model, control, states, paths, record)]
+            # restarted there from the run's recorded sums (states.record) with
+            # the K jump variants on a variant axis, O(K N^2 M) in all and none
+            # without jumps. Memory: one node's K (N - i) M block at a time, O(K N M)
+            feats = [simulated_state_feature(model, states)]
         else:
             feats = [state_feature(states.values)]
-        triple, field = solve_general(model, perf, control, states, paths,
-                                      basis=cfg.basis, features=feats)
-    return paths, model, control, perf, states, triple, field
+        triple, field = solve_general(model, perf, states, basis=cfg.basis, features=feats)
+    return model, perf, states, triple, field
 
 
 def _cmd_solve_adjoint(cfg: ExperimentConfig) -> int:
-    paths, _, _, _, _, triple, _ = _adjoint_pipeline(cfg)
-    export_adjoint_csv(cfg.out_dir / "adjoint.csv", triple, paths.grid.nodes)
+    _, _, states, triple, _ = _adjoint_pipeline(cfg)
+    export_adjoint_csv(cfg.out_dir / "adjoint.csv", triple, states.paths.grid.nodes)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("solve-adjoint"))
     print(f"solve-adjoint: {triple.picard_iterations} sweeps; adjoint.csv written")
     return 0
 
 
 def _cmd_check_stationarity(cfg: ExperimentConfig) -> int:
-    paths, model, control, perf, states, triple, field = _adjoint_pipeline(
-        cfg, stationarity=True)
+    model, perf, states, triple, field = _adjoint_pipeline(cfg, stationarity=True)
     feats = None if not model.x_independent else triple.features
-    report = check_stationarity(model, perf, control, triple, field, states, paths,
+    report = check_stationarity(model, perf, triple, field, states,
                                 info=cfg.info, basis=cfg.basis, features=feats)
     threshold = 0.05
     export_stationarity_csv(cfg.out_dir / "stationarity.csv", report, threshold)
@@ -441,14 +443,14 @@ def _cmd_check_stationarity(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_gateaux(cfg: ExperimentConfig) -> int:
-    paths, model, control, perf, states, triple, field = _adjoint_pipeline(cfg)
+    model, perf, states, triple, field = _adjoint_pipeline(cfg)
     n = cfg.grid.steps
     width = max(n // 8, 1)
     rows = []
     for name, start in (("early", n // 16), ("middle", (n - width) // 2),
                         ("late", n - width - n // 16)):
         beta = perturbation_window(n, start, width, alpha=1.0)
-        rep = gateaux_check(model, perf, control, beta, paths, triple, field, states)
+        rep = gateaux_check(model, perf, beta, triple, field, states)
         rows.append((name, rep.finite_difference, rep.fd_stderr, rep.adjoint_form,
                      rep.adjoint_stderr, rep.within(GATEAUX_WINDOWS_SIGMA)))
     write_csv(cfg.out_dir / "gateaux.csv",
@@ -468,7 +470,7 @@ def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
                      lambda b: b is None or (len(b) == 2 and 0.0 < b[0] < b[1]))
     rel_tol = _field(cfg.raw, "solver.bisection_rel_tol", float, "a positive number",
                      lambda r: r > 0.0)
-    paths = cfg.sample()
+    paths = _portfolio_paths(cfg)
     solution = solve_portfolio(market, utility, paths, basis=cfg.basis, bracket=bracket,
                                rel_tol=rel_tol)
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
@@ -482,7 +484,7 @@ def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
 def _cmd_merton_test(cfg: ExperimentConfig) -> int:
     m = cfg.market_fields()
     market = MarketModel.constant(m["b0"], m["sigma0"], wealth=m["wealth"])
-    paths = cfg.sample()
+    paths = _portfolio_paths(cfg)
     utility = UtilitySpec.log()
     solution = solve_portfolio(market, utility, paths, basis=cfg.basis)
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)

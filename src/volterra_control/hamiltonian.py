@@ -21,11 +21,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .grids import PathBundle
 from .malliavin import Feature, RegressionBasis, conditional_expectation, default_features
-from .models import CoefficientModel, ControlProcess, InfoMode, PerformanceSpec
+from .models import CoefficientModel, InfoMode, PerformanceSpec
 from .reporting import write_csv
 from .volterra import (
     StateEnsemble,
-    _control_grid,
     decay_weights,
     memory_sums,
     noise_sums,
@@ -237,9 +236,8 @@ def perturbation_window(grid_steps: int, start: int, width: int,
     return beta * alpha
 
 
-def simulate_variation(model: CoefficientModel, control: ControlProcess,
-                       beta, paths: PathBundle, states: StateEnsemble) -> VariationEnsemble:
-    """Forward Euler of the linear variation dynamics along direction beta.
+def simulate_variation(model: CoefficientModel, beta, states: StateEnsemble) -> VariationEnsemble:
+    """Forward Euler of the linear variation dynamics of the run `states` along beta.
 
     The recursion mirrors the differential form of the state equation with
     every kernel replaced by its state/control gradient: each step adds the
@@ -248,15 +246,12 @@ def simulate_variation(model: CoefficientModel, control: ControlProcess,
     history sums decay at the kernels' declared rates (see
     `volterra.memory_sums`).
     """
+    paths = states.paths
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
     t = paths.grid.nodes
     beta = np.asarray(beta, dtype=float)
     beta_mat = np.broadcast_to(beta if beta.ndim == 2 else beta[:, None], (n, m))
-    x = None if model.x_independent else states.values
-    u = _control_grid(control, paths)
-    if control.rule is not None:
-        for i in range(n):
-            u[i] = control.at(i, paths, x=states.values[i])
+    x, u = None if model.x_independent else states.values, states.controls
 
     y = np.zeros((n + 1, m))
     memory = memory_sums(model, paths, x, u, parts=(("_dtdx", y), ("_dtdv", beta_mat)))
@@ -267,15 +262,17 @@ def simulate_variation(model: CoefficientModel, control: ControlProcess,
     return VariationEnsemble(values=y, beta=beta_mat)
 
 
-def control_gradient(model: CoefficientModel, spec: PerformanceSpec, paths: PathBundle,
-                     i: int, x, v, triple, field) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path dH/du at node i and the RSS magnitude of its additive terms.
+def control_gradient(model: CoefficientModel, spec: PerformanceSpec, states: StateEnsemble,
+                     i: int, triple, field) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path dH/du at node i of the run and the RSS magnitude of its additive terms.
 
     The second array is the path-wise root-sum-square of the individual
     terms, used as the cancellation scale for stationarity statistics.
     """
-    terms = hamiltonian_terms(model, spec, paths.jumps, paths.grid.nodes[i], x, v, triple.p[i],
-                              triple.q[i], triple.r[i], "_dv", memory=(paths, i, triple.p, field))
+    paths = states.paths
+    terms = hamiltonian_terms(model, spec, paths.jumps, paths.grid.nodes[i], states.values[i],
+                              states.controls[i], triple.p[i], triple.q[i], triple.r[i], "_dv",
+                              memory=(paths, i, triple.p, field))
     stacked = np.vstack([np.broadcast_to(tm, (paths.n_paths,)) for tm in terms])
     return stacked.sum(axis=0), np.sqrt((stacked ** 2).sum(axis=0))
 
@@ -300,22 +297,19 @@ class StationarityReport:
         return float(np.max(self.normalized[lo:hi + 1]))
 
 
-def check_stationarity(model: CoefficientModel, spec: PerformanceSpec,
-                       control: ControlProcess, triple, field,
-                       states: StateEnsemble, paths: PathBundle,
-                       info: InfoMode | None = None,
+def check_stationarity(model: CoefficientModel, spec: PerformanceSpec, triple, field,
+                       states: StateEnsemble, info: InfoMode | None = None,
                        basis: RegressionBasis | None = None,
                        features: Sequence[Feature] | None = None) -> StationarityReport:
-    """Conditional stationarity check E[dH/du | G_t] = 0 along the control."""
+    """Conditional stationarity check E[dH/du | G_t] = 0 along the run `states`."""
+    paths = states.paths
     feats = list(features) if features is not None else default_features(
         paths, states=states.values)
     n = paths.n_steps
     cond = np.zeros(n)
     scale = np.zeros(n)
     for i in range(n):
-        u_i = control.at(i, paths, x=states.values[i])
-        grad, rss = control_gradient(model, spec, paths, i, states.values[i], u_i,
-                                     triple, field)
+        grad, rss = control_gradient(model, spec, states, i, triple, field)
         fitted = conditional_expectation(grad, i, paths, basis, features=feats, info=info)
         cond[i] = float(np.sqrt(np.mean(fitted ** 2)))
         scale[i] = float(np.sqrt(np.mean(rss ** 2)))
@@ -333,10 +327,8 @@ class MaximumConditionRow:
     margin: float
 
 
-def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
-                            control: ControlProcess, triple, field,
-                            states: StateEnsemble, paths: PathBundle,
-                            nodes: Sequence[int], v_grid,
+def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec, triple, field,
+                            states: StateEnsemble, nodes: Sequence[int], v_grid,
                             info: InfoMode | None = None,
                             basis: RegressionBasis | None = None,
                             features: Sequence[Feature] | None = None
@@ -350,13 +342,13 @@ def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
     reported alongside as a diagnostic; whether the two orders agree in the
     discretization is an open numerical question, so both are surfaced.
     """
+    paths = states.paths
     feats = list(features) if features is not None else default_features(
         paths, states=states.values)
     v_grid = np.asarray(v_grid, dtype=float)
     rows = []
     for i in nodes:
         x_i = states.values[i]
-        u_i = control.at(i, paths, x=x_i)
         surface = np.empty((len(v_grid), paths.n_paths))
         for pos, v in enumerate(v_grid):
             surface[pos] = sum(hamiltonian_terms(
@@ -366,7 +358,7 @@ def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec,
                                               info=info).T
         argmax_cond = v_grid[np.argmax(conditioned, axis=0)]
         argmax_path = v_grid[np.argmax(surface, axis=0)]
-        control_cell = int(np.clip(np.searchsorted(v_grid, float(np.median(u_i))),
+        control_cell = int(np.clip(np.searchsorted(v_grid, float(np.median(states.controls[i]))),
                                    0, len(v_grid) - 1))
         margin = float(np.mean(conditioned.max(axis=0) - conditioned[control_cell]))
         rows.append(MaximumConditionRow(
@@ -404,29 +396,25 @@ class GateauxReport:
         return abs(self.gap) <= n_sigma * max(self.combined_stderr, 1e-300)
 
 
-def gateaux_check(model: CoefficientModel, spec: PerformanceSpec,
-                  control: ControlProcess, beta, paths: PathBundle,
+def gateaux_check(model: CoefficientModel, spec: PerformanceSpec, beta,
                   triple, field, states: StateEnsemble,
                   lam: float = 1e-3,
                   simulate=simulate_integral_form) -> GateauxReport:
     """Compare dJ/d(lambda) by finite differences against E[int dH/du beta dt].
 
-    Both sides run on the same path bundle (common random numbers); the
-    adjoint form uses the supplied triple/field solved at the base control.
+    Both sides run on the run's path bundle (common random numbers); the
+    adjoint form uses the supplied triple/field solved along the run.
     """
+    paths = states.paths
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
     beta = np.asarray(beta, dtype=float)
     beta_mat = np.broadcast_to(beta if beta.ndim == 2 else beta[:, None], (n, m))
-    up = control.perturbed(beta, +lam)
-    dn = control.perturbed(beta, -lam)
-    j_up = performance_paths(spec, simulate(model, up, paths), up)
-    j_dn = performance_paths(spec, simulate(model, dn, paths), dn)
+    j_up = performance_paths(spec, simulate(model, states.control.perturbed(beta, +lam), paths))
+    j_dn = performance_paths(spec, simulate(model, states.control.perturbed(beta, -lam), paths))
     fd_paths = (j_up - j_dn) / (2.0 * lam)
     adj_paths = np.zeros(m)
     for i in range(n):
-        u_i = control.at(i, paths, x=states.values[i])
-        grad, _ = control_gradient(model, spec, paths, i, states.values[i], u_i,
-                                   triple, field)
+        grad, _ = control_gradient(model, spec, states, i, triple, field)
         adj_paths += grad * beta_mat[i] * dt
     return GateauxReport(
         finite_difference=float(fd_paths.mean()),

@@ -460,7 +460,7 @@ def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
         x[i + 1] = np.exp(log_x)
         if not np.all(np.isfinite(x[i + 1])):
             raise SimulationError(f"wealth is non-finite at node {i + 1}")
-    return StateEnsemble(values=x, control=control, paths=paths)
+    return StateEnsemble(values=x, control=control, paths=paths, controls=u)
 
 
 def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle,

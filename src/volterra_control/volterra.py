@@ -27,11 +27,19 @@ from .reporting import write_csv
 
 @dataclass
 class StateEnsemble:
-    """Simulated state values X(t_i) per node and path, shape (N+1, M)."""
+    """One simulated run: X(t_i) per node and path, `values` (N+1, M), of `control` on `paths`.
+
+    `controls` is the (N, M) control grid the run read (`_control_grid`);
+    readers take u_i = controls[i], so only a simulation evaluates a rule.
+    `record` holds the per-kernel memory sums S_i, i = 0..N-1, when
+    `simulate_integral_form(record=True)` kept them.
+    """
 
     values: np.ndarray
     control: ControlProcess
     paths: PathBundle
+    controls: np.ndarray
+    record: list | None = None
 
     @property
     def terminal(self) -> np.ndarray:
@@ -221,7 +229,7 @@ def reverse_memory_sums(model: CoefficientModel, paths: PathBundle, x, u, decay:
 
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
                            paths: PathBundle, restart: tuple | None = None,
-                           record: list | None = None, variants: list | None = None
+                           record: bool = False, variants: list | None = None
                            ) -> StateEnsemble | np.ndarray:
     """Simulate the state from its integral representation.
 
@@ -229,10 +237,13 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
         + sum_{j<i} sigma(t_i,t_j,X_j,u_j) dB_j
         + sum_{j<i} sum_k gamma(t_i,t_j,X_j,u_j,z_k) dN~_{j,k}
 
-    `restart` = (i, rows, S_i) continues a base run whose bundle agrees with
-    `paths` before node i: rows 0..i of its state are copied (a feedback
-    control is re-evaluated on them) and the memory recursion resumes from
-    its per-kernel sums S_i. `record` receives S_i for i = start..N-1.
+    `restart` = (i, base) continues the run `base`, made with `record=True`
+    on a bundle that agrees with `paths` before node i: rows 0..i of its
+    state, and of its control grid for a feedback rule, are copied, and the
+    memory recursion resumes from its per-kernel sums `base.record[i]`. A
+    rule is evaluated on rows i+1..N-1 only: an adapted rule gives the same
+    values on the rows the restart does not move. `record=True` keeps the
+    run's S_i on `StateEnsemble.record`.
 
     `variants`, V bundles that agree with `paths` except in the increments
     of the restart row i (perturbed views of it), runs V restarts at once.
@@ -243,7 +254,7 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
     """
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes
-    start, rows, sums = restart or (0, [model.initial_curve(t[0])], [])
+    start, base = restart or (0, None)
     lead, row = (), None
     if variants:
         lead = (len(variants),)
@@ -252,21 +263,22 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
     u = _control_grid(control, paths, lead)
 
     x = np.empty(lead + (n + 1, m))
-    x[..., :start + 1, :] = rows[:start + 1]
-    sums = list(sums)
+    x[..., :start + 1, :] = model.initial_curve(t[0]) if base is None else base.values[:start + 1]
+    sums, kept = ([], []) if base is None else (list(base.record[start]), base.record[:start])
+    if base is not None and control.rule is not None:
+        u[..., :start + 1, :] = base.controls[:start + 1]
     memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums, row=row)
-    for i in range(1, n + 1):
-        if control.rule is not None:
+    for i in range(start + 1, n + 1):
+        if control.rule is not None and (base is None or i > start + 1):
             for v, bundle in zip(np.ndindex(lead), variants or [paths]):
                 u[v + (i - 1,)] = control.at(i - 1, bundle, x=x[v + (i - 1,)])
-        if i <= start:
-            continue
-        if record is not None:
-            record.append(list(sums))
+        if record:
+            kept.append(list(sums))
         val = model.initial_curve(t[i]) + memory(i)
         _check_finite(val, i, "integral-form state")
         x[..., i, :] = val
-    return x if variants else StateEnsemble(values=x, control=control, paths=paths)
+    return x if variants else StateEnsemble(values=x, control=control, paths=paths, controls=u,
+                                            record=kept if record else None)
 
 
 def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
@@ -293,7 +305,7 @@ def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
         val = x[i] + slope * dt + sum(step(t[i], slice(i, i + 1)) for step in local)
         _check_finite(val, i + 1, "differential-form state")
         x[i + 1] = val
-    return StateEnsemble(values=x, control=control, paths=paths)
+    return StateEnsemble(values=x, control=control, paths=paths, controls=u)
 
 
 def terminal_state(model: CoefficientModel, control: ControlProcess,
@@ -311,16 +323,14 @@ def terminal_state(model: CoefficientModel, control: ControlProcess,
     return total + model.initial_curve(t[n])
 
 
-def performance_paths(spec: PerformanceSpec, states: StateEnsemble,
-                      control: ControlProcess) -> np.ndarray:
+def performance_paths(spec: PerformanceSpec, states: StateEnsemble) -> np.ndarray:
     """Per-path objective totals sum_i f(t_i, X_i, u_i) dt + g(X_N), shape (M,)."""
     paths = states.paths
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
     t = paths.grid.nodes
     total = np.zeros(m)
     for i in range(n):
-        u_i = control.at(i, paths, x=states.values[i])
-        fi = np.asarray(spec.running(t[i], states.values[i], u_i), dtype=float)
+        fi = np.asarray(spec.running(t[i], states.values[i], states.controls[i]), dtype=float)
         total += np.broadcast_to(fi, (m,)) * dt
     total += np.asarray(spec.terminal(states.terminal), dtype=float)
     if not np.all(np.isfinite(total)):
@@ -329,10 +339,9 @@ def performance_paths(spec: PerformanceSpec, states: StateEnsemble,
     return total
 
 
-def evaluate_performance(spec: PerformanceSpec, states: StateEnsemble,
-                         control: ControlProcess) -> tuple[float, float]:
+def evaluate_performance(spec: PerformanceSpec, states: StateEnsemble) -> tuple[float, float]:
     """Monte Carlo objective estimate and its standard error."""
-    total = performance_paths(spec, states, control)
+    total = performance_paths(spec, states)
     m = len(total)
     est = float(total.mean())
     stderr = float(total.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0

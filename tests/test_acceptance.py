@@ -106,7 +106,7 @@ def xindep_run(grid32):
         lambda x: 2.0 * np.asarray(x, dtype=float),
         domain=(-2.0, 4.0),
     )
-    explicit, field = solve_explicit_x_independent(model, spec, states, paths)
+    explicit, field = solve_explicit_x_independent(model, spec, states)
     return dict(paths=paths, model=model, control=control, states=states,
                 spec=spec, explicit=explicit, field=field)
 
@@ -180,8 +180,7 @@ def test_criterion_05_adaptedness(jump_paths64_desk):
 
 def test_criterion_06_adjoint_consistency(xindep_run):
     r = xindep_run
-    general, _ = solve_general(r["model"], r["spec"], r["control"], r["states"],
-                               r["paths"])
+    general, _ = solve_general(r["model"], r["spec"], r["states"])
     rel = np.sqrt(np.mean((general.p - r["explicit"].p) ** 2, axis=1)) \
         / np.maximum(np.sqrt(np.mean(r["explicit"].p ** 2, axis=1)), 1e-12)
     ok = float(rel.max()) <= 0.02
@@ -246,10 +245,8 @@ def test_criterion_10_necessary_condition(paths64_desk):
         states = simulate_wealth_positive(market, control, paths64_desk)
         feats = [state_feature(utility.u_prime(states.values),
                                name="marginal_wealth")]
-        triple, field = solve_general(model, spec, control, states, paths64_desk,
-                                      features=feats)
-        rep = check_stationarity(model, spec, control, triple, field, states,
-                                 paths64_desk, features=feats)
+        triple, field = solve_general(model, spec, states, features=feats)
+        rep = check_stationarity(model, spec, triple, field, states, features=feats)
         stats[pi] = rep.max_interior()
     ok = stats[1.25] <= 0.05 and stats[1.75] > 0.2
     _report(10, "necessary_condition", ok,
@@ -265,8 +262,7 @@ def test_criterion_11_gateaux_identity(paths64_desk):
     control = ControlProcess.constant(1.75)
     states = simulate_wealth_positive(market, control, paths64_desk)
     feats = [state_feature(utility.u_prime(states.values), name="marginal_wealth")]
-    triple, field = solve_general(model, spec, control, states, paths64_desk,
-                                  features=feats)
+    triple, field = solve_general(model, spec, states, features=feats)
     simulate = lambda _model, ctrl, paths: simulate_wealth_positive(  # noqa: E731
         market, ctrl, paths)
     details = []
@@ -275,8 +271,7 @@ def test_criterion_11_gateaux_identity(paths64_desk):
     for name, start in (("early", 4), ("middle", (DESK_N - width) // 2),
                         ("late", DESK_N - width - 4)):
         beta = perturbation_window(DESK_N, start, width, alpha=-1.0)
-        rep = gateaux_check(model, spec, control, beta, paths64_desk, triple,
-                            field, states, simulate=simulate)
+        rep = gateaux_check(model, spec, beta, triple, field, states, simulate=simulate)
         ok = ok and rep.within(3.0)
         details.append(f"{name}: fd={rep.finite_difference:.5f} "
                        f"adj={rep.adjoint_form:.5f} 3se={3 * rep.combined_stderr:.5f}")

@@ -70,7 +70,7 @@ def test_explicit_constant_terminal_slope(xindep_setup):
         lambda x: 1.0 + 0.0 * np.asarray(x, dtype=float),
         domain=(-2.0, 4.0),
     )
-    triple, field = solve_explicit_x_independent(model, spec, states, paths)
+    triple, field = solve_explicit_x_independent(model, spec, states)
     assert np.allclose(triple.p, 1.0, atol=1e-7)
     assert np.allclose(triple.q, 0.0, atol=1e-7)
     assert np.allclose(triple.r, 0.0, atol=1e-12)
@@ -83,7 +83,7 @@ def test_explicit_constant_terminal_slope(xindep_setup):
 
 def test_explicit_matches_martingale_projection(xindep_setup):
     model, control, states, paths = xindep_setup
-    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states, paths)
+    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states)
     # oracle: p(t) = E[2 X_T | F_t] = 2 (1 + int_0^t (1 + s/2) dB)
     t = paths.grid.nodes
     u = 1.0 + 0.5 * t[:-1]
@@ -102,7 +102,7 @@ def test_explicit_matches_martingale_projection(xindep_setup):
 
 def test_explicit_martingale_residual(xindep_setup):
     model, control, states, paths = xindep_setup
-    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states, paths)
+    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states)
     basis = RegressionBasis()
     sd = np.sqrt(np.mean((triple.p - triple.p.mean()) ** 2))
     for i in (5, 16, 27):
@@ -125,7 +125,7 @@ def test_explicit_jump_derivative_field(grid32):
     ))
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths)
-    triple, field = solve_explicit_x_independent(model, _square_terminal(), states, paths)
+    triple, field = solve_explicit_x_independent(model, _square_terminal(), states)
     # add-one-jump difference of the conditional mean 2 eta(t): r(t, z) = 2 z
     for k, mark in enumerate(jumps.marks):
         for i in (4, 20):
@@ -140,7 +140,7 @@ def test_explicit_requires_x_independent(paths64_small):
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths64_small)
     with pytest.raises(ConfigurationError):
-        solve_explicit_x_independent(model, _square_terminal(), states, paths64_small)
+        solve_explicit_x_independent(model, _square_terminal(), states)
 
 
 # --- general solver ------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_explicit_requires_x_independent(paths64_small):
 def test_general_zero_data_gives_zero_triple(xindep_setup):
     model, control, states, paths = xindep_setup
     spec = PerformanceSpec()  # zero running and terminal rewards
-    triple, _ = solve_general(model, spec, control, states, paths)
+    triple, _ = solve_general(model, spec, states)
     assert np.allclose(triple.p, 0.0, atol=1e-12)
     assert np.allclose(triple.q, 0.0, atol=1e-12)
     assert np.allclose(triple.r, 0.0, atol=1e-12)
@@ -157,8 +157,8 @@ def test_general_zero_data_gives_zero_triple(xindep_setup):
 def test_general_matches_explicit_x_independent(xindep_setup):
     model, control, states, paths = xindep_setup
     spec = _square_terminal()
-    t_exp, _ = solve_explicit_x_independent(model, spec, states, paths)
-    t_gen, _ = solve_general(model, spec, control, states, paths)
+    t_exp, _ = solve_explicit_x_independent(model, spec, states)
+    t_gen, _ = solve_general(model, spec, states)
     rel = np.sqrt(np.mean((t_gen.p - t_exp.p) ** 2, axis=1)) \
         / np.maximum(np.sqrt(np.mean(t_exp.p ** 2, axis=1)), 1e-12)
     assert rel.max() <= 0.02
@@ -183,7 +183,7 @@ def test_general_linear_bsde_closed_form(grid32):
     states = simulate_integral_form(model, control, paths)
     spec = _square_terminal()
     feats = [state_feature(states.values)]
-    triple, _ = solve_general(model, spec, control, states, paths, features=feats)
+    triple, _ = solve_general(model, spec, states, features=feats)
     t = paths.grid.nodes
     p_oracle = 2.0 * np.exp(sigma0 ** 2 * (1.0 - t))[:, None] * states.values
     rel = np.sqrt(np.mean((triple.p - p_oracle) ** 2)) / np.sqrt(np.mean(p_oracle ** 2))
@@ -197,7 +197,7 @@ def test_general_cost_guard():
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths)
     with pytest.raises(ConfigurationError, match="cost"):
-        solve_general(model, _square_terminal(), control, states, paths)
+        solve_general(model, _square_terminal(), states)
 
 
 # --- Malliavin field of the adjoint ---------------------------------------------
@@ -257,8 +257,7 @@ def test_field_requires_sensitivities(paths64_small):
     spec = PerformanceSpec.log_terminal()
     # state feature without declared sensitivities cannot support field rows
     feats = [state_feature(states.values)]
-    triple, field = solve_general(model, spec, control, states, paths64_small,
-                                  features=feats)
+    triple, field = solve_general(model, spec, states, features=feats)
     with pytest.raises(ConfigurationError, match="sensitivity"):
         field.dp_rows(4)
 
@@ -266,7 +265,7 @@ def test_field_requires_sensitivities(paths64_small):
 def test_malliavin_field_from_surrogate_roundtrip(xindep_setup):
     model, control, states, paths = xindep_setup
     spec = _square_terminal()
-    triple, _ = solve_general(model, spec, control, states, paths)
+    triple, _ = solve_general(model, spec, states)
     field = SurrogateMalliavinField(triple, paths)
     rows = field.dp_rows(8)
     assert rows.shape == (paths.n_steps + 1, paths.n_paths)
@@ -297,14 +296,11 @@ def test_memory_state_driver_satisfies_gateaux_identity():
     gaps = {}
     for n in (16, 32):
         paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), 10_000, seed=97)
-        record = []
-        states = simulate_integral_form(model, control, paths, record=record)
-        feats = [simulated_state_feature(model, control, states, paths, record)]
-        triple, field = solve_general(model, spec, control, states, paths,
-                                      features=feats)
+        states = simulate_integral_form(model, control, paths, record=True)
+        feats = [simulated_state_feature(model, states)]
+        triple, field = solve_general(model, spec, states, features=feats)
         beta = perturbation_window(n, n // 4, n // 4, alpha=1.0)
-        rep = gateaux_check(model, spec, control, beta, paths, triple, field,
-                            states)
+        rep = gateaux_check(model, spec, beta, triple, field, states)
         gaps[n] = abs(rep.gap / rep.finite_difference)
         if n == 32:
             assert abs(rep.finite_difference) > 5.0 * rep.fd_stderr
@@ -320,10 +316,9 @@ def _memory_setup(jumps, n, m, seed, model_params, control_value, spec):
     model = registry_get("exp_kernel_linear", model_params)
     control = ControlProcess.constant(control_value)
     paths = sample_paths(TimeGrid(1.0, n), jumps, m, seed=seed)
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
-    feats = [simulated_state_feature(model, control, states, paths, record)]
-    triple, field = solve_general(model, spec, control, states, paths, features=feats)
+    states = simulate_integral_form(model, control, paths, record=True)
+    feats = [simulated_state_feature(model, states)]
+    triple, field = solve_general(model, spec, states, features=feats)
     return model, spec, control, states, paths, triple, field
 
 
@@ -354,15 +349,14 @@ def test_single_sweep_is_a_fixed_point(setup, request, xindep_setup):
     if setup == "xindep":
         model, control, states, paths = xindep_setup
         spec = _square_terminal()
-        triple, _ = solve_general(model, spec, control, states, paths)
+        triple, _ = solve_general(model, spec, states)
     else:
         model, spec, control, states, paths, triple, _ = request.getfixturevalue(
             f"{setup}_setup")
     assert triple.picard_iterations == 1
     before = [a.copy() for a in (triple.p, triple.q, triple.r)]
     coefs = [c.copy() for c in triple.surrogate_coefs]
-    _backward_sweep(model, spec, control, states, paths, triple,
-                    SurrogateMalliavinField(triple, paths))
+    _backward_sweep(model, spec, states, triple, SurrogateMalliavinField(triple, paths))
     for old, new in zip(before, (triple.p, triple.q, triple.r)):
         assert np.array_equal(old, new)
     for old, new in zip(coefs, triple.surrogate_coefs):
@@ -456,7 +450,7 @@ _NOISE_FEEDBACK = ControlProcess.feedback(
 _THREE_MARKS = JumpModel(1.5, (-0.5, 0.25, 0.5), (0.25, 0.5, 0.25))
 
 # The generic path re-sums the history from the copied rows, so a feedback
-# control there also needs its prefix values recomputed.
+# control there also needs its prefix values, copied from the base run.
 RESTART_CASES = [
     pytest.param(_exp_model, ControlProcess.constant(0.7), _RESTART_JUMPS, id="lifted-jumps"),
     pytest.param(_power_law_model, ControlProcess.constant(0.7), _RESTART_JUMPS,
@@ -481,9 +475,8 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
 
     model = make_model()
     paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
-    feat = simulated_state_feature(model, control, states, paths, record)
+    states = simulate_integral_form(model, control, paths, record=True)
+    feat = simulated_state_feature(model, states)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     for i in range(paths.n_steps):
         pert = paths.perturb_brownian(i, +h)
@@ -499,6 +492,51 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
     assert np.any(feat.brownian_sensitivity(0)[paths.n_steps - 1] != 0.0)
 
 
+def test_a_feedback_rule_is_evaluated_by_the_simulations_only():
+    # the run's readers take u from states.controls; a restart at node i copies
+    # rows 0..i and evaluates the rule once per variant on rows i+1..N-1, so the
+    # sweep's 2 + K = 4 variant runs make 4 sum_i (15 - i) = 480 calls at N = 16
+    from volterra_control.adjoint import simulated_state_feature
+    from volterra_control.hamiltonian import check_stationarity, simulate_variation
+    from volterra_control.volterra import evaluate_performance
+
+    calls = []
+
+    def rule(i, t, paths, x):
+        calls.append(i)
+        return np.clip(0.5 + 0.2 * np.asarray(x) + 0.3 * paths.brownian[i]
+                       + 0.3 * paths.jump_sum[i], 0.0, 2.0)
+
+    model, spec = _exp_model(), PerformanceSpec.log_terminal()
+    control = ControlProcess.feedback(rule, bounds=(0.0, 2.0))
+    paths = sample_paths(TimeGrid(1.0, 16), _RESTART_JUMPS, 2000, seed=43)
+    counts = {}
+
+    def counted(name, fn, *args, **kwargs):
+        before = len(calls)
+        out = fn(*args, **kwargs)
+        counts[name] = len(calls) - before
+        return out
+
+    states = counted("simulate", simulate_integral_form, model, control, paths, record=True)
+    counted("evaluate_performance", evaluate_performance, spec, states)
+    triple, field = counted("solve_general", solve_general, model, spec, states,
+                            features=[simulated_state_feature(model, states)])
+    counted("check_stationarity", check_stationarity, model, spec, triple, field, states)
+    counted("simulate_variation", simulate_variation, model, np.ones(16), states)
+    assert counts == {"simulate": 16, "evaluate_performance": 0, "solve_general": 480,
+                      "check_stationarity": 0, "simulate_variation": 0}
+
+
+def test_simulated_state_feature_needs_a_recorded_run():
+    from volterra_control.adjoint import simulated_state_feature
+
+    paths = sample_paths(TimeGrid(1.0, 4), _RESTART_JUMPS, 100, seed=3)
+    states = simulate_integral_form(_exp_model(), ControlProcess.constant(0.7), paths)
+    with pytest.raises(ConfigurationError, match="record=True"):
+        simulated_state_feature(_exp_model(), states)
+
+
 def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
     # every node's 2 + K perturbations ride one restarted run, and the base
     # run is the caller's: building every block simulates N times, not (2 + K) N
@@ -508,8 +546,7 @@ def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
     model, control = _exp_model(), ControlProcess.constant(0.7)
     paths = sample_paths(TimeGrid(1.0, 8), _THREE_MARKS, 300, seed=41)
     n, marks = paths.n_steps, range(paths.jumps.n_marks)
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
+    states = simulate_integral_form(model, control, paths, record=True)
     starts = []
     simulate = adjoint.simulate_integral_form
 
@@ -518,7 +555,7 @@ def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
-    feat = simulated_state_feature(model, control, states, paths, record)
+    feat = simulated_state_feature(model, states)
     for i in range(n):
         for j in range(i + 1, n + 1):
             feat.brownian_sensitivity(i)[j - i - 1]
@@ -582,8 +619,7 @@ def _simulated_state_blocks(paths):
     from volterra_control.adjoint import simulated_state_feature
 
     model, control = _exp_model(), _BLOCK_CONTROL
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
+    states = simulate_integral_form(model, control, paths, record=True)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     full, shifts = {}, {}
     for i in range(paths.n_steps):
@@ -593,7 +629,7 @@ def _simulated_state_blocks(paths):
         full[i] = (up - simulate_integral_form(model, control, pert).values) / (2.0 * h)
         shifts[i] = [simulate_integral_form(model, control, paths.with_extra_jump(i, k)).values
                      - states.values for k in range(paths.jumps.n_marks)]
-    return (simulated_state_feature(model, control, states, paths, record),
+    return (simulated_state_feature(model, states),
             lambda i, j: full[i][j], lambda i, j, k: shifts[i][k][j])
 
 
@@ -640,14 +676,12 @@ def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
     spec, control = PerformanceSpec.log_terminal(), ControlProcess.constant(0.5)
     paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)),
                          600, seed=43)
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
+    states = simulate_integral_form(model, control, paths, record=True)
     starts = _counted_restarts(monkeypatch)
-    feats = [simulated_state_feature(model, control, states, paths, record)]
-    triple, field = solve_general(model, spec, control, states, paths, features=feats)
-    check_stationarity(model, spec, control, triple, field, states, paths)
-    gateaux_check(model, spec, control, perturbation_window(8, 2, 2), paths, triple,
-                  field, states)
+    feats = [simulated_state_feature(model, states)]
+    triple, field = solve_general(model, spec, states, features=feats)
+    check_stationarity(model, spec, triple, field, states)
+    gateaux_check(model, spec, perturbation_window(8, 2, 2), triple, field, states)
     assert sorted(starts) == list(range(paths.n_steps))
 
 
@@ -696,14 +730,12 @@ def test_jump_free_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control
     model, spec = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
         PerformanceSpec.log_terminal()
     paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 600, seed=43)
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
+    states = simulate_integral_form(model, control, paths, record=True)
     starts = _counted_restarts(monkeypatch)
-    feats = [simulated_state_feature(model, control, states, paths, record)]
-    triple, field = solve_general(model, spec, control, states, paths, features=feats)
-    check_stationarity(model, spec, control, triple, field, states, paths)
-    gateaux_check(model, spec, control, perturbation_window(16, 4, 4), paths, triple,
-                  field, states)
+    feats = [simulated_state_feature(model, states)]
+    triple, field = solve_general(model, spec, states, features=feats)
+    check_stationarity(model, spec, triple, field, states)
+    gateaux_check(model, spec, perturbation_window(16, 4, 4), triple, field, states)
     assert starts == []
 
 
@@ -719,8 +751,7 @@ def test_jump_shift_read_first_runs_the_jump_variants_only(make_model, control, 
     model = make_model()
     paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
     n, k = paths.n_steps, paths.jumps.n_marks
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
+    states = simulate_integral_form(model, control, paths, record=True)
     runs = []
     simulate = adjoint.simulate_integral_form
 
@@ -729,7 +760,7 @@ def test_jump_shift_read_first_runs_the_jump_variants_only(make_model, control, 
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
-    feat = simulated_state_feature(model, control, states, paths, record)
+    feat = simulated_state_feature(model, states)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     for i in range(n):
         shift = feat.jump_shift(i)
@@ -753,16 +784,15 @@ def restart_reads():
 
     model, control = _exp_model(), ControlProcess.constant(0.7)
     paths = sample_paths(TimeGrid(1.0, 8), _RESTART_JUMPS, 300, seed=47)
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
-    feat = simulated_state_feature(model, control, states, paths, record)
+    states = simulate_integral_form(model, control, paths, record=True)
+    feat = simulated_state_feature(model, states)
     n, marks = paths.n_steps, paths.jumps.n_marks
     want = {}
     for i in range(n):
         for j in range(i + 1, n + 1):
             want[i, j] = (np.array(feat.brownian_sensitivity(i)[j - i - 1]),
                           [np.array(feat.jump_shift(i)[k, j - i - 1]) for k in range(marks)])
-    return model, control, states, paths, record, want
+    return model, control, states, paths, want
 
 
 @settings(max_examples=25)
@@ -773,7 +803,7 @@ def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
     # node whose block was evicted, so it is simulated again
     from volterra_control.adjoint import simulated_state_feature
 
-    model, control, states, paths, record, want = restart_reads
+    model, control, states, paths, want = restart_reads
     n, marks = paths.n_steps, paths.jumps.n_marks
     read = st.integers(0, n - 1).flatmap(lambda i: st.tuples(
         st.just(i), st.integers(i + 1, n), st.integers(0, marks - 1)))
@@ -784,7 +814,7 @@ def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
     reads += [(first, n, 0), (other, n, 0), (first, n, marks - 1), (first, first + 2, 0)]
     with pytest.MonkeyPatch.context() as patch:
         starts = _counted_restarts(patch)
-        feat = simulated_state_feature(model, control, states, paths, record)
+        feat = simulated_state_feature(model, states)
         for i, j, k in reads:
             assert np.array_equal(feat.brownian_sensitivity(i)[j - i - 1], want[i, j][0])
             assert np.array_equal(feat.jump_shift(i)[k, j - i - 1], want[i, j][1][k])
@@ -806,13 +836,12 @@ def test_state_sensitivity_memory_is_linear_in_the_grid():
     control = ControlProcess.constant(0.5)
     paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
                          seed=31)
-    record = []
-    states = simulate_integral_form(model, control, paths, record=record)
+    states = simulate_integral_form(model, control, paths, record=True)
     tracemalloc.start()
     try:
-        feats = [simulated_state_feature(model, control, states, paths, record)]
-        triple, field = solve_general(model, spec, control, states, paths, features=feats)
-        check_stationarity(model, spec, control, triple, field, states, paths)
+        feats = [simulated_state_feature(model, states)]
+        triple, field = solve_general(model, spec, states, features=feats)
+        check_stationarity(model, spec, triple, field, states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -837,7 +866,7 @@ def test_state_sensitivities_and_field_rows_are_adapted(memory_jump_setup, data)
 
 def test_adjoint_csv_export(tmp_path, xindep_setup):
     model, control, states, paths = xindep_setup
-    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states, paths)
+    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states)
     out = tmp_path / "adjoint.csv"
     export_adjoint_csv(out, triple, paths.grid.nodes)
     lines = out.read_text().splitlines()

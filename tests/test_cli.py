@@ -98,6 +98,16 @@ _STAGE_READING = {
     ("model", {"name": "custom"}, "model.name"),
     ("model", {"params": {"b0": "abc"}}, "model.params.b0"),
     ("model", {"params": [1, 2]}, "model.params"),
+    ("performance", {"terminal": [1]}, "performance.terminal"),
+    ("performance", {"terminal": "cube"}, "performance.terminal"),
+    ("performance", {"running": "cube"}, "performance.running"),
+    ("utility", {"kind": [1]}, "utility.kind"),
+    ("control", {"kind": "ramp"}, "control.kind"),
+    ("noise", {"intensity": 1.0, "marks": [-1.0, 1.0], "weights": [1.0]}, "noise.weights"),
+    ("noise", {"intensity": 1.0, "marks": [-1.0, 1.0], "weights": [0.5, 0.6]}, "noise.weights"),
+    ("noise", {"intensity": 1.0, "marks": [-1.0, 1.0], "weights": [1.5, -0.5]}, "noise.weights"),
+    ("noise", {"intensity": 1.0, "marks": [-1.0, 0.0], "weights": [0.5, 0.5]}, "noise.marks"),
+    ("grid", {"horizon": float("inf")}, "grid.horizon"),
 ])
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, section, values, field):
     # a value of the wrong type or outside its domain exits 2 without a
@@ -292,6 +302,19 @@ def test_adjoint_sample_at_the_basis_floor_runs(tmp_path):
     for command, paths in (("solve-adjoint", 40), ("check-stationarity", 200)):
         path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "monte_carlo": {"paths": paths}})
         assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+
+
+def test_portfolio_sample_below_the_batches_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the calibration's 8 path batches each fit a one-feature basis (dimension
+    # 4 at degree 3, 10 paths per column): 320 paths; merton-test at 320 fails
+    # its 5 % gate, so the floor runs solve-portfolio only
+    with monkeypatch.context() as patch:
+        _refuse_sampling(patch)
+        for command in ("solve-portfolio", "merton-test"):
+            assert main([command, "--paths", "319", "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "monte_carlo.paths" in err
+    assert main(["solve-portfolio", "--paths", "320", "--out", str(tmp_path / "floor")]) == 0
 
 
 def test_report_runs_all_stages(tmp_path):

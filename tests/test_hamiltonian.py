@@ -161,7 +161,7 @@ def lift_setups():
     for k, jumps in enumerate(_LIFT_JUMPS):
         paths = sample_paths(TimeGrid(1.0, 8), jumps, 1500, seed=60 + k)
         states = simulate_integral_form(model, control, paths)
-        triple, field = solve_general(model, _square_terminal(), control, states, paths,
+        triple, field = solve_general(model, _square_terminal(), states,
                                       features=default_features(paths))
         n1, m = triple.n_nodes, paths.n_paths
         explicit = ExplicitXIndependentField(rng.normal(size=(n1, m)),
@@ -350,7 +350,7 @@ def test_variation_zero_direction(paths64_small):
     model = registry_get("exp_kernel_linear", dict(b0=0.05, sigma0=0.2))
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths64_small)
-    y = simulate_variation(model, control, np.zeros(64), paths64_small, states)
+    y = simulate_variation(model, np.zeros(64), states)
     assert np.all(y.values == 0.0)
 
 
@@ -363,7 +363,7 @@ def test_variation_matches_differential_form_derivative(grid32):
     control = ControlProcess.constant(1.0)
     states = simulate_differential_form(model, control, paths)
     beta = perturbation_window(32, 8, 4, alpha=1.0)
-    y = simulate_variation(model, control, beta, paths, states)
+    y = simulate_variation(model, beta, states)
     lam = 1e-5
     up = simulate_differential_form(model, control.perturbed(beta, +lam), paths)
     dn = simulate_differential_form(model, control.perturbed(beta, -lam), paths)
@@ -381,7 +381,7 @@ def test_variation_constant_kernel_closed_form(grid32):
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths)
     beta = np.ones(32)
-    y = simulate_variation(model, control, beta, paths, states)
+    y = simulate_variation(model, beta, states)
     t = paths.grid.nodes
     bx, sx = b0, s0  # state partials at v = 1
     phi = np.exp((bx - 0.5 * sx ** 2) * t[:, None] + sx * paths.brownian)
@@ -412,9 +412,8 @@ def test_stationarity_zero_when_control_absent(paths64_small):
     spec = PerformanceSpec.log_terminal()
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths64_small)
-    triple, field = solve_general(model, spec, control, states, paths64_small)
-    rep = check_stationarity(model, spec, control, triple, field, states,
-                             paths64_small)
+    triple, field = solve_general(model, spec, states)
+    rep = check_stationarity(model, spec, triple, field, states)
     assert np.allclose(rep.conditional_rms, 0.0, atol=1e-10)
 
 
@@ -423,10 +422,8 @@ def test_gateaux_zero_direction(paths64_small):
     spec = PerformanceSpec.log_terminal()
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths64_small)
-    triple, field = solve_general(model, spec, control, states, paths64_small,
-                                  features=[state_feature(states.values)])
-    rep = gateaux_check(model, spec, control, np.zeros(64), paths64_small,
-                        triple, field, states)
+    triple, field = solve_general(model, spec, states, features=[state_feature(states.values)])
+    rep = gateaux_check(model, spec, np.zeros(64), triple, field, states)
     assert rep.finite_difference == pytest.approx(0.0, abs=1e-12)
     assert rep.adjoint_form == pytest.approx(0.0, abs=1e-12)
 
@@ -439,9 +436,9 @@ def test_gateaux_memory_kernel_agreement(grid32):
     spec = _square_terminal()
     control = ControlProcess.constant(0.5)
     states = simulate_integral_form(model, control, paths)
-    triple, field = solve_explicit_x_independent(model, spec, states, paths)
+    triple, field = solve_explicit_x_independent(model, spec, states)
     beta = perturbation_window(32, 10, 6, alpha=1.0)
-    rep = gateaux_check(model, spec, control, beta, paths, triple, field, states)
+    rep = gateaux_check(model, spec, beta, triple, field, states)
     assert rep.within(3.0), (rep.finite_difference, rep.adjoint_form,
                              rep.combined_stderr)
     assert abs(rep.finite_difference) > 5.0 * rep.fd_stderr  # informative signal
@@ -460,11 +457,11 @@ def test_gateaux_window_moved_by_six_standard_errors_fails(grid32):
     spec = _square_terminal()
     control = ControlProcess.constant(0.5)
     states = simulate_integral_form(model, control, paths)
-    triple, field = solve_explicit_x_independent(model, spec, states, paths)
+    triple, field = solve_explicit_x_independent(model, spec, states)
     n_sigma = GATEAUX_WINDOWS_SIGMA
     for start in (2, 13, 26):
-        rep = gateaux_check(model, spec, control, perturbation_window(32, start, 4, alpha=1.0),
-                            paths, triple, field, states)
+        rep = gateaux_check(model, spec, perturbation_window(32, start, 4, alpha=1.0),
+                            triple, field, states)
         assert rep.within(n_sigma)
         for sign in (1.0, -1.0):
             moved = dataclasses.replace(
@@ -484,10 +481,8 @@ def test_stationarity_delayed_information(paths64_small):
     control = ControlProcess.constant(1.25)
     states = simulate_wealth_positive(market, control, paths64_small)
     feats = [state_feature(util.u_prime(states.values), name="marginal_wealth")]
-    triple, field = solve_general(model, spec, control, states, paths64_small,
-                                  features=feats)
-    rep = check_stationarity(model, spec, control, triple, field, states,
-                             paths64_small, info=InfoMode.delayed(0.25),
+    triple, field = solve_general(model, spec, states, features=feats)
+    rep = check_stationarity(model, spec, triple, field, states, info=InfoMode.delayed(0.25),
                              features=feats)
     assert rep.max_interior() <= 0.06
 
@@ -505,10 +500,8 @@ def test_maximum_condition_margin_discriminates_at_merton(paths64_small):
         control = ControlProcess.constant(pi)
         states = simulate_wealth_positive(market, control, paths64_small)
         feats = [state_feature(util.u_prime(states.values), name="marginal_wealth")]
-        triple, field = solve_general(model, spec, control, states, paths64_small,
-                                      features=feats)
-        rows = maximum_condition_check(model, spec, control, triple, field, states,
-                                       paths64_small, nodes=(16, 32, 48),
+        triple, field = solve_general(model, spec, states, features=feats)
+        rows = maximum_condition_check(model, spec, triple, field, states, nodes=(16, 32, 48),
                                        v_grid=np.linspace(0.0, 2.5, 26),
                                        features=feats)
         margins[pi] = max(row.margin for row in rows)
@@ -563,9 +556,8 @@ def test_variation_lifted_history_sums_match_generic_path(name, params):
     control = ControlProcess.constant(0.9)
     states = simulate_integral_form(model, control, paths)
     beta = perturbation_window(48, 6, 20, alpha=1.0)
-    lifted = simulate_variation(model, control, beta, paths, states).values
-    generic = simulate_variation(dataclasses.replace(model, decays=None), control, beta,
-                                 paths, states).values
+    lifted = simulate_variation(model, beta, states).values
+    generic = simulate_variation(dataclasses.replace(model, decays=None), beta, states).values
     assert np.abs(lifted - generic).max() <= 1e-12 * np.abs(generic).max()
     assert np.abs(generic).max() > 0.0
 
@@ -582,7 +574,6 @@ def test_variation_lifted_matches_generic_over_decays_and_steps(decays, steps):
     control = ControlProcess.constant(0.9)
     states = simulate_integral_form(model, control, paths)
     beta = np.linspace(1.0, -1.0, steps)
-    lifted = simulate_variation(model, control, beta, paths, states).values
-    generic = simulate_variation(dataclasses.replace(model, decays=None), control, beta,
-                                 paths, states).values
+    lifted = simulate_variation(model, beta, states).values
+    generic = simulate_variation(dataclasses.replace(model, decays=None), beta, states).values
     assert np.abs(lifted - generic).max() <= 1e-12 * max(np.abs(generic).max(), 1e-300)

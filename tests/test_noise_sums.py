@@ -176,7 +176,7 @@ def test_variation_matches_hand_written_step(name, noise, control):
     model, paths = registry_get(name, dict(_MODELS[name])), _paths(noise)
     states = simulate_integral_form(model, _CONTROLS[control], paths)
     beta = perturbation_window(paths.n_steps, 4, 12, alpha=np.linspace(1.0, -0.5, 24))
-    new = simulate_variation(model, _CONTROLS[control], beta, paths, states).values
+    new = simulate_variation(model, beta, states).values
     old = _old_variation(model, _CONTROLS[control], beta, paths, states)
     assert np.abs(old).max() > 0.0
     assert _relative(new, old) <= _REL

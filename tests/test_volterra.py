@@ -94,11 +94,11 @@ def test_performance_trivial_cases(paths64_small):
         PerformanceSpec.terminal_only(lambda x: np.asarray(x, dtype=float),
                                       lambda x: 1.0 + 0.0 * np.asarray(x, dtype=float),
                                       domain=(1.0, 3.0)),
-        st, ctrl)
+        st)
     assert est == pytest.approx(2.0, abs=1e-12) and se == pytest.approx(0.0, abs=1e-12)
     est, se = evaluate_performance(
         PerformanceSpec(running=lambda t, x, v: 1.0 + 0.0 * np.asarray(v, dtype=float)),
-        st, ctrl)
+        st)
     assert est == pytest.approx(1.0, abs=1e-12)  # Riemann sum of 1 over [0, T]
     assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -108,7 +108,7 @@ def test_log_gbm_performance_oracle(paths64_desk):
     model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
     ctrl = ControlProcess.constant(1.0)
     st = simulate_integral_form(model, ctrl, paths64_desk)
-    est, se = evaluate_performance(PerformanceSpec.log_terminal(), st, ctrl)
+    est, se = evaluate_performance(PerformanceSpec.log_terminal(), st)
     assert abs(est - 0.03) <= 3.0 * se + 5e-4
 
 
@@ -120,7 +120,7 @@ def test_stderr_scales_with_path_count(grid64):
     for m in (1_000, 10_000, 100_000):
         paths = sample_paths(grid64, JumpModel.none(), m, seed=2)
         st = simulate_integral_form(model, ctrl, paths)
-        ses.append(evaluate_performance(spec, st, ctrl)[1])
+        ses.append(evaluate_performance(spec, st)[1])
     for a, b in zip(ses, ses[1:]):
         ratio = a / b
         assert np.sqrt(10.0) / 1.5 <= ratio <= np.sqrt(10.0) * 1.5
@@ -226,6 +226,39 @@ def test_lifted_matches_generic_over_decays_and_steps(decays, steps):
         assert _rel_diff(lifted, generic) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["constant", "deterministic", "per_path", "feedback"])
+@pytest.mark.parametrize("simulator", ["integral", "differential", "wealth"])
+def test_a_run_carries_the_control_grid_it_read(simulator, kind):
+    # open-loop values are read in place, with no (N, M) copy; a rule's grid
+    # holds the values the rule gave at the run's states
+    from volterra_control.portfolio import MarketModel, simulate_wealth_positive
+
+    paths = sample_paths(TimeGrid(1.0, 8), JumpModel.none(), 50, seed=3)
+    n, m = paths.n_steps, paths.n_paths
+    control = {
+        "constant": lambda: ControlProcess.constant(0.7),
+        "deterministic": lambda: ControlProcess.deterministic(np.linspace(0.4, 0.9, n)),
+        "per_path": lambda: ControlProcess.per_path(
+            np.random.default_rng(1).uniform(0.4, 0.9, (n, m))),
+        "feedback": _feedback,
+    }[kind]()
+    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3))
+    simulate = {
+        "integral": lambda: simulate_integral_form(model, control, paths),
+        "differential": lambda: simulate_differential_form(model, control, paths),
+        "wealth": lambda: simulate_wealth_positive(MarketModel.constant(0.05, 0.2),
+                                                   control, paths),
+    }[simulator]
+    states = simulate()
+    assert states.controls.shape == (n, m)
+    if control.rule is None:
+        assert np.shares_memory(states.controls, control.values)
+        assert np.array_equal(states.controls, control.open_loop_grid(n, m))
+    else:
+        assert np.array_equal(states.controls,
+                              [control.at(i, paths, x=states.values[i]) for i in range(n)])
+
+
 # --- restarts and the mark-major jump summand ---
 
 @pytest.mark.parametrize("generic", [False, True], ids=["lifted", "generic"])
@@ -233,12 +266,11 @@ def test_restart_from_recorded_sums_reproduces_the_base_run(generic):
     model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15))
     model = _generic(model) if generic else model
     paths = sample_paths(TimeGrid(1.0, 12), _MARKS, 300, seed=8)
-    record = []
-    base = simulate_integral_form(model, _feedback(), paths, record=record).values
-    assert len(record) == paths.n_steps and len(record[0]) == 3
+    base = simulate_integral_form(model, _feedback(), paths, record=True)
+    assert len(base.record) == paths.n_steps and len(base.record[0]) == 3
     for i in range(paths.n_steps):
-        again = simulate_integral_form(model, _feedback(), paths, restart=(i, base, record[i]))
-        assert np.array_equal(again.values, base)
+        again = simulate_integral_form(model, _feedback(), paths, restart=(i, base))
+        assert np.array_equal(again.values, base.values)
 
 
 def _mark_last_summand(model, paths, x, u, t, hist):
