@@ -13,6 +13,9 @@ solver marches backward with regression conditional expectations in one
 sweep. That sweep is exact, not a first Picard iterate: the driver at node i
 reads p and the surrogates of nodes j > i only, which are final by the time
 node i is reached, so a second sweep reproduces the first bit for bit.
+
+A solve is one object: the triple carries the run, model and performance
+functional it was solved for, and every reader takes the triple and its field.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import PathBundle
 from .hamiltonian import hamiltonian_terms
 from .malliavin import (
     Feature,
@@ -57,8 +59,13 @@ class AdjointTriple:
     as an explicit polynomial in the path features, which is what makes the
     Malliavin fields computable in closed form. `picard_iterations` is the
     number of backward sweeps, always 1, read by the `picard_iters` CSV column.
+    `states`, `model` and `spec` are the run, the coefficients and the
+    performance functional the triple was solved for.
     """
 
+    states: StateEnsemble
+    model: CoefficientModel
+    spec: PerformanceSpec
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
@@ -70,6 +77,13 @@ class AdjointTriple:
     @property
     def n_nodes(self) -> int:
         return self.p.shape[0]
+
+    def terms(self, field, i: int, v, partial: str = "") -> list:
+        """`hamiltonian_terms` of H<partial> at node i of the run for the control value v."""
+        paths = self.states.paths
+        return hamiltonian_terms(self.model, self.spec, paths.jumps, paths.grid.nodes[i],
+                                 self.states.values[i], v, self.p[i], self.q[i], self.r[i],
+                                 partial, memory=(paths, i, self.p, field))
 
 
 class SurrogateMalliavinField:
@@ -92,7 +106,9 @@ class SurrogateMalliavinField:
     once, when node i's coefficients are first built, at node i of the sweep,
     and before its targets are allocated. So a feature may hold one node's
     blocks at a time (`simulated_state_feature` does) without any node being
-    simulated twice.
+    simulated twice. When the sweep ends (`end_sweep`), the surrogate rows
+    kept for earlier nodes and the blocks the features hold are dropped:
+    every later reader takes the memoized coefficients.
 
     The reverse path: when the surrogates read one feature and it has a
     `reverse_sweep` (the simulated state of an open-loop control on a model
@@ -106,18 +122,16 @@ class SurrogateMalliavinField:
     rows P_j^(d)/d! of each node j (`NodeRegression.taylor_rows`).
     """
 
-    def __init__(self, triple: AdjointTriple, paths: PathBundle):
+    def __init__(self, triple: AdjointTriple):
         self.triple = triple
-        self.paths = paths
-        self._grad_cache: dict[int, np.ndarray] = {}
-        self._value_cache: dict[int, np.ndarray] = {}
+        self.paths = triple.states.paths
+        self._node_rows: dict = {}   # (kind, j) -> a `_surrogate` of node j
         self._row_coefs: dict = {}   # (i, False) -> dp coefficients, (i, True) -> djump's K
         self._node_design: tuple = (None, None)   # (i, design of node i)
         feats = triple.features
         self._reverse = len(feats) == 1 and feats[0].reverse_sweep is not None
         self._weighted: dict = {}    # (i, decay, jump) -> weighted_rows coefficients
         self._sweeps: dict = {}      # decay -> (next node to feed, the sweep's step)
-        self._taylor_cache: dict[int, np.ndarray] = {}
 
     def design(self, i: int) -> np.ndarray:
         """The node-i regression design (M, p), held until another node's is asked for."""
@@ -125,21 +139,29 @@ class SurrogateMalliavinField:
             self._node_design = (i, self.triple.regressions[i].design())
         return self._node_design[1]
 
-    def _gradient(self, j: int) -> np.ndarray:
-        if j not in self._grad_cache:
-            reg = self.triple.regressions[j]
-            self._grad_cache[j] = reg.gradient_raw(self.triple.surrogate_coefs[j])
-        return self._grad_cache[j]
-
-    def _taylor(self, j: int) -> np.ndarray:
-        """The node-j surrogate's Taylor rows in its one raw feature, (degree, M); kept
-        when jumps are active, since every node i < j reads them."""
-        if j in self._taylor_cache:
-            return self._taylor_cache[j]
-        rows = self.triple.regressions[j].taylor_rows(self.triple.surrogate_coefs[j])
-        if self.paths.jumps.active:
-            self._taylor_cache[j] = rows
+    def _surrogate(self, kind: str, j: int) -> np.ndarray:
+        """Node j's surrogate `gradient` (M, F), unshifted `value` (M,) or `taylor` rows
+        (degree, M), kept for the nodes i < j (without jumps, one node reads Taylor rows)."""
+        if (kind, j) in self._node_rows:
+            return self._node_rows[kind, j]
+        reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
+        if kind == "gradient":
+            rows = reg.gradient_raw(coef)
+        elif kind == "value":
+            rows = reg.predict(reg.raw_values(), coef)
+        else:
+            rows = reg.taylor_rows(coef)
+        if kind != "taylor" or self.paths.jumps.active:
+            self._node_rows[kind, j] = rows
         return rows
+
+    def end_sweep(self) -> None:
+        """Drop what only the backward sweep reads: the kept surrogate rows of every node,
+        and the node blocks the features hold, by asking for node N's (empty) blocks."""
+        self._node_rows.clear()
+        for feat in self.triple.features:
+            if feat.jump_shift is not None:
+                feat.jump_shift(self.triple.n_nodes - 1)
 
     def _blocks(self, i: int, attr: str, *lead: int) -> list:
         """Every feature's node-i `attr` block, broadcast to (*lead, N - i, M)."""
@@ -174,7 +196,7 @@ class SurrogateMalliavinField:
         out = np.zeros((self.paths.n_paths, len(later)))
         for c, j in enumerate(later):
             for pos, block in enumerate(blocks):
-                out[:, c] += self._gradient(j)[:, pos] * block[c]
+                out[:, c] += self._surrogate("gradient", j)[:, pos] * block[c]
         return out
 
     def _shifted_deltas(self, later: range, shifts: list) -> np.ndarray:
@@ -183,10 +205,8 @@ class SurrogateMalliavinField:
         out = np.empty((self.paths.n_paths, len(later)))
         for c, j in enumerate(later):
             reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
-            if j not in self._value_cache:
-                self._value_cache[j] = reg.predict(reg.raw_values(), coef)
             out[:, c] = reg.predict(reg.raw_values() + np.column_stack([s[c] for s in shifts]),
-                                    coef) - self._value_cache[j]
+                                    coef) - self._surrogate("value", j)
         return out
 
     def _reverse_to(self, i: int, decay: float) -> None:
@@ -195,7 +215,7 @@ class SurrogateMalliavinField:
         node, step = self._sweeps.get(decay) or (
             self.triple.n_nodes - 1, self.triple.features[0].reverse_sweep(decay))
         while node > i:
-            target = step(self._taylor(node)[0])
+            target = step(self._surrogate("taylor", node)[0])
             node -= 1
             self._weighted[node, decay, False] = self.triple.regressions[node].coefficients(
                 target, phi=self.design(node))
@@ -209,7 +229,7 @@ class SurrogateMalliavinField:
         weights = decay_weights(self.paths.grid.nodes, i, decay)
         out = np.zeros(shifts.shape[::2])
         for c, j in enumerate(range(i + 1, self.triple.n_nodes)):
-            rows, delta = self._taylor(j), shifts[:, c]
+            rows, delta = self._surrogate("taylor", j), shifts[:, c]
             poly = rows[-1]
             for row in rows[-2::-1]:
                 poly = row + delta * poly
@@ -324,8 +344,8 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     reg_n = NodeRegression(features, n, basis)
     regs.append(reg_n)
     coefs.append(reg_n.coefficients(g_term))
-    triple = AdjointTriple(p=p, q=q, r=r, regressions=regs, surrogate_coefs=coefs,
-                           features=features)
+    triple = AdjointTriple(states=states, model=model, spec=spec, p=p, q=q, r=r,
+                           regressions=regs, surrogate_coefs=coefs, features=features)
     return triple, ExplicitXIndependentField(q, r, paths.grid.nodes)
 
 
@@ -353,41 +373,37 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
         else:
             features = default_features(paths, states=states.values)
     features = list(features)
-    triple = AdjointTriple(p=np.empty((n + 1, m)), q=np.zeros((n + 1, m)),
-                           r=np.zeros((n + 1, m, paths.jumps.n_marks)),
+    triple = AdjointTriple(states=states, model=model, spec=spec, p=np.empty((n + 1, m)),
+                           q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, paths.jumps.n_marks)),
                            regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],
                            surrogate_coefs=[None] * (n + 1), features=features)
-    field = SurrogateMalliavinField(triple, paths)
-    _backward_sweep(model, spec, states, triple, field)
+    field = SurrogateMalliavinField(triple)
+    _backward_sweep(triple, field)
     return triple, field
 
 
-def _backward_sweep(model, spec, states: StateEnsemble, triple: AdjointTriple,
-                    field: SurrogateMalliavinField) -> None:
-    """One backward regression sweep, writing p, q, r and the surrogates in place."""
-    paths = states.paths
-    n, t, dt = paths.n_steps, paths.grid.nodes, paths.grid.dt
-    jumps = paths.jumps
-    k = jumps.n_marks
+def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> None:
+    """One backward regression sweep over the triple's run, writing p, q, r and the
+    surrogates in place. Row p_i holds E[p_{i+1} | F_i] while the node-i driver reads it."""
+    states, paths = triple.states, triple.states.paths
+    n, dt, jumps = paths.n_steps, paths.grid.dt, paths.jumps
     p, q, r, regs, coefs = triple.p, triple.q, triple.r, triple.regressions, triple.surrogate_coefs
     comp_w = jumps.compensator(paths.grid)
-    p[n] = np.asarray(spec.terminal_prime(states.terminal), dtype=float)
+    p[n] = np.asarray(triple.spec.terminal_prime(states.terminal), dtype=float)
     coefs[n] = regs[n].coefficients(p[n])
     for i in range(n - 1, -1, -1):
         reg = regs[i]
         phi = field.design(i)
-        pe = phi @ reg.coefficients(p[i + 1], phi=phi)
-        centered = p[i + 1] - pe
+        p[i] = phi @ reg.coefficients(p[i + 1], phi=phi)
+        centered = p[i + 1] - p[i]
         q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt
         if jumps.active:
-            for kk in range(k):
+            for kk in range(jumps.n_marks):
                 r[i, :, kk] = phi @ reg.coefficients(
                     centered * paths.compensated_counts[i, :, kk], phi=phi) / comp_w[kk]
-        driver = sum(hamiltonian_terms(model, spec, jumps, t[i], states.values[i],
-                                       states.controls[i], pe, q[i], r[i], "_dx",
-                                       memory=(paths, i, p, field)))
-        p[i] = pe + driver * dt
+        p[i] += sum(triple.terms(field, i, states.controls[i], "_dx")) * dt
         coefs[i] = reg.coefficients(p[i], phi=phi)
+    field.end_sweep()
 
 
 def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> Feature:
@@ -410,7 +426,8 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
     The adjoint reads each node's blocks at one node of its sweep (see
     `SurrogateMalliavinField`), so no node is simulated twice there. Blocks
     asked for again after another node's are simulated again, bit for bit;
-    node N's are empty, with no run.
+    node N's are empty, with no run, and asking for them drops the held ones
+    (the sweep does so when it ends).
     Time: N simulations, of O(V (N - i) M) each with declared kernel decays
     (O(V N^2 M) in all) and of O(V N^2 M) each otherwise, V = 2 + K with the
     Brownian blocks and K without. Memory held: one node's blocks, O((1 + K) N M).
@@ -431,6 +448,8 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
     def node_blocks(i: int, brownian: bool) -> tuple:
         """Rows i+1..N of dX/dW_i, (N - i, M), with `brownian`, and of the jump
         shifts, (K, N - i, M)."""
+        if i == n:
+            held.clear()
         if i == n or not (brownian or k):   # nothing moves, or no variant to run
             return base[n + 1:], np.empty((k, n - i, paths.n_paths))
         if i not in held or (brownian and held[i][0] is None):
@@ -470,12 +489,12 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
     )
 
 
-def export_adjoint_csv(path, triple: AdjointTriple, grid_nodes: np.ndarray) -> None:
-    """Per-node summary: (t, mean_p, mean_q, mean_r_k..., picard_iters)."""
+def export_adjoint_csv(path, triple: AdjointTriple) -> None:
+    """Per-node summary on the run's grid: (t, mean_p, mean_q, mean_r_k..., picard_iters)."""
     k = triple.r.shape[2]
     header = ["t", "mean_p", "mean_q"] + [f"mean_r_{kk}" for kk in range(k)] + ["picard_iters"]
     rows = []
-    for i, t in enumerate(grid_nodes):
+    for i, t in enumerate(triple.states.paths.grid.nodes):
         row = [t, triple.p[i].mean(), triple.q[i].mean()]
         row += [triple.r[i, :, kk].mean() for kk in range(k)]
         row.append(triple.picard_iterations)

@@ -398,41 +398,33 @@ def _portfolio_paths(cfg: ExperimentConfig):
 
 
 def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
+    """The solved adjoint (triple, field) of the configured run."""
     model = cfg.model()
     _check_adjoint_scale(cfg, model, stationarity)
     perf = cfg.performance()
     states = simulate_integral_form(model, cfg.control(), cfg.sample(),
                                     record=model.memory_state_coupling)
     if model.x_independent:
-        triple, field = solve_explicit_x_independent(model, perf, states, basis=cfg.basis)
-    else:
-        if model.memory_state_coupling:
-            # the driver needs state sensitivities. The open-loop control here and
-            # the registry's declared decays give the Brownian ones by one reverse
-            # sweep, O(N M); the jump shifts take one re-simulation per node,
-            # restarted there from the run's recorded sums (states.record) with
-            # the K jump variants on a variant axis, O(K N^2 M) in all and none
-            # without jumps. Memory: one node's K (N - i) M block at a time, O(K N M)
-            feats = [simulated_state_feature(model, states)]
-        else:
-            feats = [state_feature(states.values)]
-        triple, field = solve_general(model, perf, states, basis=cfg.basis, features=feats)
-    return model, perf, states, triple, field
+        return solve_explicit_x_independent(model, perf, states, basis=cfg.basis)
+    # a memory-coupled driver reads the state's noise sensitivities: one reverse sweep
+    # for the Brownian ones, one restarted run per node for the jump shifts
+    feats = [simulated_state_feature(model, states) if model.memory_state_coupling
+             else state_feature(states.values)]
+    return solve_general(model, perf, states, basis=cfg.basis, features=feats)
 
 
 def _cmd_solve_adjoint(cfg: ExperimentConfig) -> int:
-    _, _, states, triple, _ = _adjoint_pipeline(cfg)
-    export_adjoint_csv(cfg.out_dir / "adjoint.csv", triple, states.paths.grid.nodes)
+    triple, _ = _adjoint_pipeline(cfg)
+    export_adjoint_csv(cfg.out_dir / "adjoint.csv", triple)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("solve-adjoint"))
     print(f"solve-adjoint: {triple.picard_iterations} sweeps; adjoint.csv written")
     return 0
 
 
 def _cmd_check_stationarity(cfg: ExperimentConfig) -> int:
-    model, perf, states, triple, field = _adjoint_pipeline(cfg, stationarity=True)
-    feats = None if not model.x_independent else triple.features
-    report = check_stationarity(model, perf, triple, field, states,
-                                info=cfg.info, basis=cfg.basis, features=feats)
+    triple, field = _adjoint_pipeline(cfg, stationarity=True)
+    feats = triple.features if triple.model.x_independent else None
+    report = check_stationarity(triple, field, info=cfg.info, basis=cfg.basis, features=feats)
     threshold = 0.05
     export_stationarity_csv(cfg.out_dir / "stationarity.csv", report, threshold)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("check-stationarity"))
@@ -443,16 +435,14 @@ def _cmd_check_stationarity(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_gateaux(cfg: ExperimentConfig) -> int:
-    model, perf, states, triple, field = _adjoint_pipeline(cfg)
+    triple, field = _adjoint_pipeline(cfg)
     n = cfg.grid.steps
     width = max(n // 8, 1)
-    rows = []
-    for name, start in (("early", n // 16), ("middle", (n - width) // 2),
-                        ("late", n - width - n // 16)):
-        beta = perturbation_window(n, start, width, alpha=1.0)
-        rep = gateaux_check(model, perf, beta, triple, field, states)
-        rows.append((name, rep.finite_difference, rep.fd_stderr, rep.adjoint_form,
-                     rep.adjoint_stderr, rep.within(GATEAUX_WINDOWS_SIGMA)))
+    windows = (("early", n // 16), ("middle", (n - width) // 2), ("late", n - width - n // 16))
+    reports = gateaux_check(triple, field, [perturbation_window(n, start, width, alpha=1.0)
+                                            for _, start in windows])
+    rows = [(name, rep.finite_difference, rep.fd_stderr, rep.adjoint_form, rep.adjoint_stderr,
+             rep.within(GATEAUX_WINDOWS_SIGMA)) for (name, _), rep in zip(windows, reports)]
     write_csv(cfg.out_dir / "gateaux.csv",
               ("window", "fd_derivative", "fd_stderr", "adjoint_form",
                "adjoint_stderr", "pass"), rows)

@@ -8,6 +8,10 @@ builds the additive terms of H, dH/dx and dH/du alike. Stationarity of the
 conditional control-gradient E[dH/du | G_t] at a candidate control is the
 necessary optimality condition; the Gateaux check verifies the underlying
 derivative identity dJ/d(lambda) = E[int dH/du beta dt] by brute force.
+
+The checks take one solved adjoint (triple, field): the triple carries the
+run, model and performance functional it was solved for, so no check can pair
+it with another run's states.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import PathBundle
-from .malliavin import Feature, RegressionBasis, conditional_expectation, default_features
+from .malliavin import Feature, RegressionBasis, conditional_expectation
 from .models import CoefficientModel, InfoMode, PerformanceSpec
 from .reporting import write_csv
 from .volterra import (
@@ -262,18 +266,14 @@ def simulate_variation(model: CoefficientModel, beta, states: StateEnsemble) -> 
     return VariationEnsemble(values=y, beta=beta_mat)
 
 
-def control_gradient(model: CoefficientModel, spec: PerformanceSpec, states: StateEnsemble,
-                     i: int, triple, field) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path dH/du at node i of the run and the RSS magnitude of its additive terms.
+def control_gradient(triple, field, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path dH/du at node i of the triple's run and the RSS magnitude of its additive terms.
 
     The second array is the path-wise root-sum-square of the individual
     terms, used as the cancellation scale for stationarity statistics.
     """
-    paths = states.paths
-    terms = hamiltonian_terms(model, spec, paths.jumps, paths.grid.nodes[i], states.values[i],
-                              states.controls[i], triple.p[i], triple.q[i], triple.r[i], "_dv",
-                              memory=(paths, i, triple.p, field))
-    stacked = np.vstack([np.broadcast_to(tm, (paths.n_paths,)) for tm in terms])
+    terms = triple.terms(field, i, triple.states.controls[i], "_dv")
+    stacked = np.vstack([np.broadcast_to(tm, (triple.states.paths.n_paths,)) for tm in terms])
     return stacked.sum(axis=0), np.sqrt((stacked ** 2).sum(axis=0))
 
 
@@ -297,20 +297,17 @@ class StationarityReport:
         return float(np.max(self.normalized[lo:hi + 1]))
 
 
-def check_stationarity(model: CoefficientModel, spec: PerformanceSpec, triple, field,
-                       states: StateEnsemble, info: InfoMode | None = None,
+def check_stationarity(triple, field, info: InfoMode | None = None,
                        basis: RegressionBasis | None = None,
                        features: Sequence[Feature] | None = None) -> StationarityReport:
-    """Conditional stationarity check E[dH/du | G_t] = 0 along the run `states`."""
-    paths = states.paths
-    feats = list(features) if features is not None else default_features(
-        paths, states=states.values)
+    """Conditional stationarity check E[dH/du | G_t] = 0 along the triple's run."""
+    paths = triple.states.paths
     n = paths.n_steps
-    cond = np.zeros(n)
-    scale = np.zeros(n)
+    cond, scale = np.zeros(n), np.zeros(n)
     for i in range(n):
-        grad, rss = control_gradient(model, spec, states, i, triple, field)
-        fitted = conditional_expectation(grad, i, paths, basis, features=feats, info=info)
+        grad, rss = control_gradient(triple, field, i)
+        fitted = conditional_expectation(grad, i, paths, basis, features=features, info=info,
+                                         states=triple.states.values)
         cond[i] = float(np.sqrt(np.mean(fitted ** 2)))
         scale[i] = float(np.sqrt(np.mean(rss ** 2)))
     normalized = cond / np.maximum(scale, 1e-300)
@@ -327,46 +324,37 @@ class MaximumConditionRow:
     margin: float
 
 
-def maximum_condition_check(model: CoefficientModel, spec: PerformanceSpec, triple, field,
-                            states: StateEnsemble, nodes: Sequence[int], v_grid,
+def maximum_condition_check(triple, field, nodes: Sequence[int], v_grid,
                             info: InfoMode | None = None,
                             basis: RegressionBasis | None = None,
                             features: Sequence[Feature] | None = None
                             ) -> list[MaximumConditionRow]:
-    """Check the conditional maximum condition on a control grid.
+    """Check the conditional maximum condition on a control grid along the triple's run.
 
     For each requested node the Hamiltonian is evaluated on a grid of
-    control values, conditioned on the observable information (condition
-    first, then maximize), and the per-path argmax is compared with the
-    control in force. The pathwise variant (maximize before conditioning) is
-    reported alongside as a diagnostic; whether the two orders agree in the
-    discretization is an open numerical question, so both are surfaced.
+    control values and at the control in force, conditioned on the
+    observable information (condition first, then maximize); the margin is
+    how far the conditional sup beats the control in force. The pathwise
+    variant (maximize before conditioning) is reported alongside as a
+    diagnostic; whether the two orders agree in the discretization is an
+    open numerical question, so both are surfaced.
     """
+    states = triple.states
     paths = states.paths
-    feats = list(features) if features is not None else default_features(
-        paths, states=states.values)
     v_grid = np.asarray(v_grid, dtype=float)
     rows = []
     for i in nodes:
-        x_i = states.values[i]
-        surface = np.empty((len(v_grid), paths.n_paths))
-        for pos, v in enumerate(v_grid):
-            surface[pos] = sum(hamiltonian_terms(
-                model, spec, paths.jumps, paths.grid.nodes[i], x_i, v, triple.p[i], triple.q[i],
-                triple.r[i], memory=(paths, i, triple.p, field)))
-        conditioned = conditional_expectation(surface.T, i, paths, basis, features=feats,
-                                              info=info).T
-        argmax_cond = v_grid[np.argmax(conditioned, axis=0)]
-        argmax_path = v_grid[np.argmax(surface, axis=0)]
-        control_cell = int(np.clip(np.searchsorted(v_grid, float(np.median(states.controls[i]))),
-                                   0, len(v_grid) - 1))
-        margin = float(np.mean(conditioned.max(axis=0) - conditioned[control_cell]))
+        surface = np.empty((len(v_grid) + 1, paths.n_paths))   # the last row: at the control
+        for pos, v in enumerate((*v_grid, states.controls[i])):
+            surface[pos] = sum(triple.terms(field, i, v))
+        conditioned = conditional_expectation(surface.T, i, paths, basis, features=features,
+                                              info=info, states=states.values).T
+        argmax_cond = v_grid[np.argmax(conditioned[:-1], axis=0)]
+        argmax_path = v_grid[np.argmax(surface[:-1], axis=0)]
         rows.append(MaximumConditionRow(
-            node=i, t=float(paths.grid.nodes[i]),
-            argmax_conditional=float(argmax_cond.mean()),
+            node=i, t=float(paths.grid.nodes[i]), argmax_conditional=float(argmax_cond.mean()),
             argmax_pathwise=float(argmax_path.mean()),
-            margin=margin,
-        ))
+            margin=float(np.mean(conditioned.max(axis=0) - conditioned[-1]))))
     return rows
 
 
@@ -396,32 +384,34 @@ class GateauxReport:
         return abs(self.gap) <= n_sigma * max(self.combined_stderr, 1e-300)
 
 
-def gateaux_check(model: CoefficientModel, spec: PerformanceSpec, beta,
-                  triple, field, states: StateEnsemble,
-                  lam: float = 1e-3,
-                  simulate=simulate_integral_form) -> GateauxReport:
-    """Compare dJ/d(lambda) by finite differences against E[int dH/du beta dt].
+def gateaux_check(triple, field, betas: Sequence, lam: float = 1e-3,
+                  simulate=simulate_integral_form) -> list[GateauxReport]:
+    """Compare dJ/d(lambda) by finite differences against E[int dH/du beta dt], one
+    report per direction beta in `betas`.
 
-    Both sides run on the run's path bundle (common random numbers); the
-    adjoint form uses the supplied triple/field solved along the run.
+    Both sides run on the triple's path bundle (common random numbers). The
+    adjoint form reads each node's dH/du once, for every direction.
     """
-    paths = states.paths
+    states, paths = triple.states, triple.states.paths
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
-    beta = np.asarray(beta, dtype=float)
-    beta_mat = np.broadcast_to(beta if beta.ndim == 2 else beta[:, None], (n, m))
-    j_up = performance_paths(spec, simulate(model, states.control.perturbed(beta, +lam), paths))
-    j_dn = performance_paths(spec, simulate(model, states.control.perturbed(beta, -lam), paths))
-    fd_paths = (j_up - j_dn) / (2.0 * lam)
-    adj_paths = np.zeros(m)
+
+    def performance(beta, step):
+        run = simulate(triple.model, states.control.perturbed(beta, step), paths)
+        return performance_paths(triple.spec, run)
+
+    betas = [np.asarray(beta, dtype=float) for beta in betas]   # (N,) or per path (N, M)
+    fd_paths = [(performance(b, +lam) - performance(b, -lam)) / (2.0 * lam) for b in betas]
+    adj_paths = [np.zeros(m) for _ in betas]
     for i in range(n):
-        grad, _ = control_gradient(model, spec, states, i, triple, field)
-        adj_paths += grad * beta_mat[i] * dt
-    return GateauxReport(
-        finite_difference=float(fd_paths.mean()),
-        fd_stderr=float(fd_paths.std(ddof=1) / math.sqrt(m)),
-        adjoint_form=float(adj_paths.mean()),
-        adjoint_stderr=float(adj_paths.std(ddof=1) / math.sqrt(m)),
-    )
+        grad, _ = control_gradient(triple, field, i)
+        for adj, beta in zip(adj_paths, betas):
+            adj += grad * beta[i] * dt
+    return [GateauxReport(
+        finite_difference=float(fd.mean()),
+        fd_stderr=float(fd.std(ddof=1) / math.sqrt(m)),
+        adjoint_form=float(adj.mean()),
+        adjoint_stderr=float(adj.std(ddof=1) / math.sqrt(m)),
+    ) for fd, adj in zip(fd_paths, adj_paths)]
 
 
 @dataclass

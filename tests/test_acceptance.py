@@ -246,7 +246,7 @@ def test_criterion_10_necessary_condition(paths64_desk):
         feats = [state_feature(utility.u_prime(states.values),
                                name="marginal_wealth")]
         triple, field = solve_general(model, spec, states, features=feats)
-        rep = check_stationarity(model, spec, triple, field, states, features=feats)
+        rep = check_stationarity(triple, field, features=feats)
         stats[pi] = rep.max_interior()
     ok = stats[1.25] <= 0.05 and stats[1.75] > 0.2
     _report(10, "necessary_condition", ok,
@@ -271,7 +271,7 @@ def test_criterion_11_gateaux_identity(paths64_desk):
     for name, start in (("early", 4), ("middle", (DESK_N - width) // 2),
                         ("late", DESK_N - width - 4)):
         beta = perturbation_window(DESK_N, start, width, alpha=-1.0)
-        rep = gateaux_check(model, spec, beta, triple, field, states, simulate=simulate)
+        (rep,) = gateaux_check(triple, field, [beta], simulate=simulate)
         ok = ok and rep.within(3.0)
         details.append(f"{name}: fd={rep.finite_difference:.5f} "
                        f"adj={rep.adjoint_form:.5f} 3se={3 * rep.combined_stderr:.5f}")

@@ -215,10 +215,12 @@ def _field_with_manual_surrogates(paths, coefs_builder):
         regs.append(reg)
         coefs.append(coefs_builder(reg, j))
     m = paths.n_paths
-    triple = AdjointTriple(p=np.zeros((n + 1, m)), q=np.zeros((n + 1, m)),
-                           r=np.zeros((n + 1, m, 0)), regressions=regs,
+    model, control = registry_get("constant", {}), ControlProcess.constant(1.0)
+    triple = AdjointTriple(states=simulate_integral_form(model, control, paths), model=model,
+                           spec=PerformanceSpec.log_terminal(), p=np.zeros((n + 1, m)),
+                           q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, 0)), regressions=regs,
                            surrogate_coefs=coefs, features=feats)
-    return SurrogateMalliavinField(triple, paths)
+    return SurrogateMalliavinField(triple)
 
 
 def test_field_of_constant_surrogate_vanishes(paths64_small):
@@ -266,7 +268,7 @@ def test_malliavin_field_from_surrogate_roundtrip(xindep_setup):
     model, control, states, paths = xindep_setup
     spec = _square_terminal()
     triple, _ = solve_general(model, spec, states)
-    field = SurrogateMalliavinField(triple, paths)
+    field = SurrogateMalliavinField(triple)
     rows = field.dp_rows(8)
     assert rows.shape == (paths.n_steps + 1, paths.n_paths)
     assert np.all(rows[:8] == 0.0)
@@ -300,7 +302,7 @@ def test_memory_state_driver_satisfies_gateaux_identity():
         feats = [simulated_state_feature(model, states)]
         triple, field = solve_general(model, spec, states, features=feats)
         beta = perturbation_window(n, n // 4, n // 4, alpha=1.0)
-        rep = gateaux_check(model, spec, beta, triple, field, states)
+        (rep,) = gateaux_check(triple, field, [beta])
         gaps[n] = abs(rep.gap / rep.finite_difference)
         if n == 32:
             assert abs(rep.finite_difference) > 5.0 * rep.fd_stderr
@@ -356,7 +358,7 @@ def test_single_sweep_is_a_fixed_point(setup, request, xindep_setup):
     assert triple.picard_iterations == 1
     before = [a.copy() for a in (triple.p, triple.q, triple.r)]
     coefs = [c.copy() for c in triple.surrogate_coefs]
-    _backward_sweep(model, spec, states, triple, SurrogateMalliavinField(triple, paths))
+    _backward_sweep(triple, SurrogateMalliavinField(triple))
     for old, new in zip(before, (triple.p, triple.q, triple.r)):
         assert np.array_equal(old, new)
     for old, new in zip(coefs, triple.surrogate_coefs):
@@ -402,9 +404,9 @@ def test_reused_field_rows_equal_fresh_field_rows(setup, request):
         want_dp, want_dj = _unmemoized_rows(triple, paths, i)
         assert np.array_equal(field.dp_rows(i), want_dp)
         assert np.array_equal(field.djump_rows(i), want_dj)
-        fresh = SurrogateMalliavinField(triple, paths)
+        fresh = SurrogateMalliavinField(triple)
         assert np.array_equal(field.dp_rows(i), fresh.dp_rows(i))
-        fresh = SurrogateMalliavinField(triple, paths)
+        fresh = SurrogateMalliavinField(triple)
         assert np.array_equal(field.djump_rows(i), fresh.djump_rows(i))
     assert np.any(field.dp_rows(0) != 0.0)
     if paths.jumps.n_marks:
@@ -522,7 +524,7 @@ def test_a_feedback_rule_is_evaluated_by_the_simulations_only():
     counted("evaluate_performance", evaluate_performance, spec, states)
     triple, field = counted("solve_general", solve_general, model, spec, states,
                             features=[simulated_state_feature(model, states)])
-    counted("check_stationarity", check_stationarity, model, spec, triple, field, states)
+    counted("check_stationarity", check_stationarity, triple, field)
     counted("simulate_variation", simulate_variation, model, np.ones(16), states)
     assert counts == {"simulate": 16, "evaluate_performance": 0, "solve_general": 480,
                       "check_stationarity": 0, "simulate_variation": 0}
@@ -680,9 +682,46 @@ def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
     starts = _counted_restarts(monkeypatch)
     feats = [simulated_state_feature(model, states)]
     triple, field = solve_general(model, spec, states, features=feats)
-    check_stationarity(model, spec, triple, field, states)
-    gateaux_check(model, spec, perturbation_window(8, 2, 2), triple, field, states)
+    check_stationarity(triple, field)
+    gateaux_check(triple, field, [perturbation_window(8, 2, 2)])
     assert sorted(starts) == list(range(paths.n_steps))
+
+
+@pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
+def test_the_solve_keeps_no_node_block(monkeypatch, lifted):
+    # the feature's node blocks and the field's per-node surrogate rows (Taylor
+    # rows, gradients, unshifted values) are read by the sweep only: once
+    # solve_general returns, none that was made during it is still alive
+    import gc
+    import weakref
+
+    from volterra_control.adjoint import simulated_state_feature
+
+    made = []
+
+    def recorded(read):
+        def wrapper(*args, **kwargs):
+            out = read(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+        return wrapper
+
+    for name in ("taylor_rows", "gradient_raw", "predict"):
+        monkeypatch.setattr(NodeRegression, name, recorded(getattr(NodeRegression, name)))
+    model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
+    if not lifted:
+        model = dataclasses.replace(model, decays=None)
+    paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)),
+                         600, seed=43)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    feat = simulated_state_feature(model, states)
+    feat.brownian_sensitivity = recorded(feat.brownian_sensitivity)
+    feat.jump_shift = recorded(feat.jump_shift)
+    solve = solve_general(model, PerformanceSpec.log_terminal(), states, features=[feat])
+    gc.collect()
+    assert len(made) > paths.n_steps
+    assert [ref for ref in made if ref() is not None] == [], "kept alive by the solve"
+    del solve
 
 
 def _without_reverse_hook(triple):
@@ -703,7 +742,7 @@ def test_reverse_rows_equal_the_restart_block_weighted_sums(jumps, n, m):
     # blocks agree up to the round-off of their difference quotient
     model, _, _, _, paths, triple, field = _memory_setup(
         jumps, n, m, 11, _MEMORY_JUMP_PARAMS, 0.5, PerformanceSpec.log_terminal())
-    oracle = SurrogateMalliavinField(_without_reverse_hook(triple), paths)
+    oracle = SurrogateMalliavinField(_without_reverse_hook(triple))
     kernels = [("diffusion", False)] + ([("jump", True)] if jumps.active else [])
     for i in range(n - 1, -1, -1):
         for name, jump in kernels:
@@ -734,8 +773,8 @@ def test_jump_free_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control
     starts = _counted_restarts(monkeypatch)
     feats = [simulated_state_feature(model, states)]
     triple, field = solve_general(model, spec, states, features=feats)
-    check_stationarity(model, spec, triple, field, states)
-    gateaux_check(model, spec, perturbation_window(16, 4, 4), triple, field, states)
+    check_stationarity(triple, field)
+    gateaux_check(triple, field, [perturbation_window(16, 4, 4)])
     assert starts == []
 
 
@@ -841,7 +880,7 @@ def test_state_sensitivity_memory_is_linear_in_the_grid():
     try:
         feats = [simulated_state_feature(model, states)]
         triple, field = solve_general(model, spec, states, features=feats)
-        check_stationarity(model, spec, triple, field, states)
+        check_stationarity(triple, field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -868,7 +907,7 @@ def test_adjoint_csv_export(tmp_path, xindep_setup):
     model, control, states, paths = xindep_setup
     triple, _ = solve_explicit_x_independent(model, _square_terminal(), states)
     out = tmp_path / "adjoint.csv"
-    export_adjoint_csv(out, triple, paths.grid.nodes)
+    export_adjoint_csv(out, triple)
     lines = out.read_text().splitlines()
     assert lines[0].startswith("t,mean_p,mean_q")
     assert len(lines) == paths.n_steps + 2

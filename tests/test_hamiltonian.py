@@ -413,7 +413,7 @@ def test_stationarity_zero_when_control_absent(paths64_small):
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths64_small)
     triple, field = solve_general(model, spec, states)
-    rep = check_stationarity(model, spec, triple, field, states)
+    rep = check_stationarity(triple, field)
     assert np.allclose(rep.conditional_rms, 0.0, atol=1e-10)
 
 
@@ -423,7 +423,7 @@ def test_gateaux_zero_direction(paths64_small):
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths64_small)
     triple, field = solve_general(model, spec, states, features=[state_feature(states.values)])
-    rep = gateaux_check(model, spec, np.zeros(64), triple, field, states)
+    (rep,) = gateaux_check(triple, field, [np.zeros(64)])
     assert rep.finite_difference == pytest.approx(0.0, abs=1e-12)
     assert rep.adjoint_form == pytest.approx(0.0, abs=1e-12)
 
@@ -438,10 +438,37 @@ def test_gateaux_memory_kernel_agreement(grid32):
     states = simulate_integral_form(model, control, paths)
     triple, field = solve_explicit_x_independent(model, spec, states)
     beta = perturbation_window(32, 10, 6, alpha=1.0)
-    rep = gateaux_check(model, spec, beta, triple, field, states)
+    (rep,) = gateaux_check(triple, field, [beta])
     assert rep.within(3.0), (rep.finite_difference, rep.adjoint_form,
                              rep.combined_stderr)
     assert abs(rep.finite_difference) > 5.0 * rep.fd_stderr  # informative signal
+
+
+def test_gateaux_windows_share_each_node_gradient(monkeypatch):
+    # one call for three windows reads each node's dH/du once (N calls, not 3N),
+    # and its reports equal those of three one-window calls bit for bit
+    from volterra_control import hamiltonian
+    from volterra_control.adjoint import simulated_state_feature
+
+    model = registry_get("exp_kernel_linear", dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0,
+                                                   decay_b=1.0, decay_sigma=0.8, decay_jump=0.5))
+    paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 2_000, seed=5)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    triple, field = solve_general(model, PerformanceSpec.log_terminal(), states,
+                                  features=[simulated_state_feature(model, states)])
+    betas = [perturbation_window(8, start, 2, alpha=1.0) for start in (0, 3, 6)]
+    singles = [gateaux_check(triple, field, [beta])[0] for beta in betas]
+    nodes = []
+    gradient = hamiltonian.control_gradient
+
+    def counted(triple, field, i):
+        nodes.append(i)
+        return gradient(triple, field, i)
+
+    monkeypatch.setattr(hamiltonian, "control_gradient", counted)
+    shared = gateaux_check(triple, field, betas)
+    assert nodes == list(range(paths.n_steps))
+    assert shared == singles
 
 
 def test_gateaux_windows_sigma_is_the_bonferroni_quantile():
@@ -460,8 +487,7 @@ def test_gateaux_window_moved_by_six_standard_errors_fails(grid32):
     triple, field = solve_explicit_x_independent(model, spec, states)
     n_sigma = GATEAUX_WINDOWS_SIGMA
     for start in (2, 13, 26):
-        rep = gateaux_check(model, spec, perturbation_window(32, start, 4, alpha=1.0),
-                            triple, field, states)
+        (rep,) = gateaux_check(triple, field, [perturbation_window(32, start, 4, alpha=1.0)])
         assert rep.within(n_sigma)
         for sign in (1.0, -1.0):
             moved = dataclasses.replace(
@@ -482,8 +508,7 @@ def test_stationarity_delayed_information(paths64_small):
     states = simulate_wealth_positive(market, control, paths64_small)
     feats = [state_feature(util.u_prime(states.values), name="marginal_wealth")]
     triple, field = solve_general(model, spec, states, features=feats)
-    rep = check_stationarity(model, spec, triple, field, states, info=InfoMode.delayed(0.25),
-                             features=feats)
+    rep = check_stationarity(triple, field, info=InfoMode.delayed(0.25), features=feats)
     assert rep.max_interior() <= 0.06
 
 
@@ -501,14 +526,31 @@ def test_maximum_condition_margin_discriminates_at_merton(paths64_small):
         states = simulate_wealth_positive(market, control, paths64_small)
         feats = [state_feature(util.u_prime(states.values), name="marginal_wealth")]
         triple, field = solve_general(model, spec, states, features=feats)
-        rows = maximum_condition_check(model, spec, triple, field, states, nodes=(16, 32, 48),
-                                       v_grid=np.linspace(0.0, 2.5, 26),
-                                       features=feats)
+        rows = maximum_condition_check(triple, field, nodes=(16, 32, 48),
+                                       v_grid=np.linspace(0.0, 2.5, 26), features=feats)
         margins[pi] = max(row.margin for row in rows)
         for row in rows:
             assert row.margin >= -1e-9
     assert margins[1.25] <= 0.002
     assert margins[2.25] >= 5.0 * max(margins[1.25], 1e-9)
+
+
+def test_maximum_condition_margin_is_taken_at_the_control(paths64_small):
+    # H is conditioned at the control in force itself, so on the tilted surface
+    # (pi = 2.25) the margin does not move when the grid gains the point 2.25
+    market = MarketModel.constant(0.05, 0.2)
+    model = market.to_coefficient_model()
+    util = UtilitySpec.log()
+    states = simulate_wealth_positive(market, ControlProcess.constant(2.25), paths64_small)
+    feats = [state_feature(util.u_prime(states.values), name="marginal_wealth")]
+    triple, field = solve_general(model, PerformanceSpec.log_terminal(), states, features=feats)
+    margins = {}
+    for n_grid in (26, 11):   # steps of 0.1 (2.2, 2.3) and of 0.25 (2.25)
+        rows = maximum_condition_check(triple, field, nodes=(16, 32, 48),
+                                       v_grid=np.linspace(0.0, 2.5, n_grid), features=feats)
+        margins[n_grid] = np.array([row.margin for row in rows])
+    assert np.all(margins[26] > 0.0)
+    assert np.allclose(margins[26], margins[11], rtol=1e-9, atol=0.0)
 
 
 # --- Arrow spot check ---------------------------------------------------------------
