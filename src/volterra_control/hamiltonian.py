@@ -49,15 +49,15 @@ def mark_measure_sum(kernel, jumps, t, s, x, v, r) -> np.ndarray:
 
 
 def hamiltonian_terms(model: CoefficientModel, spec: PerformanceSpec, jumps, t, x, v,
-                      p, q, r, partial: str = "", memory=None) -> list:
+                      p, q, r, partial: str = "", memory=None, p_sums=None) -> list:
     """The additive terms of H (partial ""), dH/dx ("_dx") or dH/du ("_dv") at time t.
 
     The local terms put every kernel on the diagonal (t, t):
     running<partial>(t, x, v), drift<partial> p, diffusion<partial> q and,
     with active jumps, intensity sum_k w_k jump<partial>(t, t, x, v, z_k) r_k.
     `memory = (paths, i, p_all, field)`, with t node i of paths, appends the
-    memory terms (`memory_terms`). The kernels get None for the state x when
-    the model is x-independent.
+    memory terms (`memory_terms`, which takes `p_sums`). The kernels get None
+    for the state x when the model is x-independent.
     """
     kx = None if model.x_independent else x
     terms = [np.asarray(getattr(spec, "running" + partial)(t, x, v), dtype=float),
@@ -67,12 +67,12 @@ def hamiltonian_terms(model: CoefficientModel, spec: PerformanceSpec, jumps, t, 
         terms.append(mark_measure_sum(getattr(model, "jump" + partial), jumps, t, t, kx, v, r))
     if memory is not None:
         paths, i, p_all, field = memory
-        terms += memory_terms(model, partial, paths, i, x, v, p_all, field)
+        terms += memory_terms(model, partial, paths, i, x, v, p_all, field, p_sums)
     return terms
 
 
 def memory_terms(model: CoefficientModel, partial: str, paths: PathBundle, i: int, x, v,
-                 p: np.ndarray, field) -> list:
+                 p: np.ndarray, field, p_sums=None) -> list:
     """The memory terms of H<partial> at node i: `forward_terms` of the d/dt kernel
     partials ("_dt", "_dtdx" or "_dtdv"), weighted by p and the Malliavin field.
 
@@ -83,7 +83,7 @@ def memory_terms(model: CoefficientModel, partial: str, paths: PathBundle, i: in
             or (partial == "_dx" and model.x_independent):
         return []
     return forward_terms(model, "_dt" + partial[1:], paths, i,
-                         None if model.x_independent else x, v, p, field)
+                         None if model.x_independent else x, v, p, field, p_sums)
 
 
 def eval_h0(model: CoefficientModel, spec: PerformanceSpec, jumps, t, x, v,
@@ -99,7 +99,7 @@ def eval_h1(model: CoefficientModel, paths: PathBundle, i: int, x, v,
 
 
 def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: int, x, v,
-                  p: np.ndarray, field) -> list:
+                  p: np.ndarray, field, p_sums=None) -> list:
     """The forward kernel sums at node i, one (M,) array per kernel.
 
     sum_{j>i} [k_b(t_j,t_i,x,v) p_j, k_sigma(t_j,t_i,x,v) Dp[i][j] and (with
@@ -110,7 +110,10 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
     A kernel with a declared decay lambda has k(t_j,t_i,.) = e^{-lambda (t_j -
     t_i)} k(t_i,t_i,.), so its sum is k(t_i,t_i,.) times the rows weighted by
     e^{-lambda (t_j - t_i)}, which the field sums without building them
-    (`field.weighted_rows(i, lambda)`). A kernel without one sums its rows.
+    (`field.weighted_rows(i, lambda)`), and the drift's sum is k(t_i,t_i,.)
+    times p_sums(i, lambda) = sum_{j>i} e^{-lambda (t_j - t_i)} p_j, kept by
+    the solved adjoint (`AdjointTriple.p_sums`), or the weighted product over
+    the rows of p without `p_sums`. A kernel without one sums its rows.
     """
     t, dt, jumps = paths.grid.nodes, paths.grid.dt, paths.jumps
     n_j, m = paths.n_steps - i, paths.n_paths
@@ -124,8 +127,11 @@ def forward_terms(model: CoefficientModel, suffix: str, paths: PathBundle, i: in
             np.asarray(k(s_f, t[i], x, v), dtype=float), (n_j, m)), later_rows) * dt
 
     kb, lam = kernel("drift")
-    terms = [row_sum(kb, p[i + 1:]) if lam is None
-             else kb(t[i], t[i], x, v) * (decay_weights(t, i, lam) @ p[i + 1:]) * dt]
+    if lam is None:
+        terms = [row_sum(kb, p[i + 1:])]
+    else:
+        later = decay_weights(t, i, lam) @ p[i + 1:] if p_sums is None else p_sums(i, lam)
+        terms = [kb(t[i], t[i], x, v) * later * dt]
     ks, lam = kernel("diffusion")
     terms.append(row_sum(ks, field.dp_rows(i)[i + 1:]) if lam is None
                  else ks(t[i], t[i], x, v) * field.weighted_rows(i, lam) * dt)

@@ -103,7 +103,10 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
     history slice gives a memory sum, the one-row slice(i, i + 1) at t = t_i
     a local Euler step. x (None for x-independent models), u and the weights
     are read when a summand is called, so rows a running simulation has
-    filled are seen.
+    filled are seen. A one-row slice reads node j's jump increments alone,
+    `paths.increments_at(j)`; only a longer slice (a kernel without a
+    declared decay, or the x-independent `terminal_state`) reads the
+    bundle's whole (N, M, K) `compensated_counts`.
 
     `row` = (i, {kernel: values}) replaces the node-i increments of the named
     kernels by per-variant values on a leading variant axis, "diffusion"
@@ -112,10 +115,16 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
     so does the sum.
     """
     nodes, jumps = paths.grid.nodes, paths.jumps
-    incs = {"drift": np.broadcast_to(paths.grid.dt, (paths.n_steps, paths.n_paths)),
-            "diffusion": paths.dW}
+    drift = np.broadcast_to(paths.grid.dt, (paths.n_steps, paths.n_paths))
+
+    def jump_increments(hist):
+        if hist.stop - hist.start == 1:
+            return paths.increments_at(hist.start)[1].T[:, None, :]
+        return np.moveaxis(paths.compensated_counts, 2, 0)[:, hist]
+
+    incs = {"drift": lambda hist: drift[hist], "diffusion": lambda hist: paths.dW[hist]}
     if jumps.active:
-        incs["jump"] = np.moveaxis(paths.compensated_counts, 2, 0)
+        incs["jump"] = jump_increments
     node, varied = row or (None, {})
 
     def summands_of(name, inc):
@@ -133,7 +142,7 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
                 if weight is not None:
                     value = value * weight[hist]
                 total = value if total is None else total + value
-            increments = inc[..., hist, :]
+            increments = inc(hist)
             if name in varied and hist.start <= node < hist.stop:
                 if marks is None:
                     increments = _vary_row(increments, node - hist.start, varied[name])

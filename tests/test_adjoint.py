@@ -911,3 +911,54 @@ def test_adjoint_csv_export(tmp_path, xindep_setup):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("t,mean_p,mean_q")
     assert len(lines) == paths.n_steps + 2
+
+
+def test_no_surrogate_row_outlives_the_sweep():
+    # the x-independent sweep reads no field row; the rows a later reader builds
+    # (every node's gradient for the stationarity check) are not kept after it
+    from volterra_control.hamiltonian import check_stationarity
+
+    model = registry_get("x_independent_linear", _MEMORY_JUMP_PARAMS)
+    paths = sample_paths(TimeGrid(1.0, 16), JumpModel(0.5, (-0.4, 0.6), (0.35, 0.65)),
+                         4_000, seed=3)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths)
+    triple, field = solve_general(model, PerformanceSpec.log_terminal(), states)
+    check_stationarity(triple, field, features=triple.features)
+    assert field._node_rows == {}
+
+
+@pytest.mark.parametrize("jumps", [JumpModel.none(), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))],
+                         ids=["jump-free", "jumps"])
+def test_the_step_guard_holds_where_restarts_run(jumps):
+    # a jump-free open-loop memory model takes one reverse sweep and no restarted
+    # run, so neither the guard nor the restart record applies; jumps restart
+    from volterra_control.adjoint import _MAX_STEPS, simulated_state_feature
+
+    model, control = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
+        ControlProcess.constant(0.5)
+    paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 8), jumps, 400, seed=5)
+    states = simulate_integral_form(model, control, paths)
+    if jumps.active:
+        with pytest.raises(ConfigurationError, match="record=True"):
+            simulated_state_feature(model, states)
+        states = simulate_integral_form(model, control, paths, record=True)
+        with pytest.raises(ConfigurationError, match="cost"):
+            solve_general(model, PerformanceSpec.log_terminal(), states,
+                          features=[simulated_state_feature(model, states)])
+    else:
+        triple, _ = solve_general(model, PerformanceSpec.log_terminal(), states,
+                                  features=[simulated_state_feature(model, states)])
+        assert np.all(np.isfinite(triple.p))
+
+
+def test_drift_forward_sums_follow_the_recursion(memory_jump_setup):
+    # P_i = sum_{j>i} e^{-lambda (t_j - t_i)} p_j, built downward by one O(M) step per
+    # node, agrees with the weighted product over the later rows to round-off
+    from volterra_control.volterra import decay_weights
+
+    model, *_, paths, triple, _ = memory_jump_setup
+    t, lam = paths.grid.nodes, model.decay("drift")
+    for i in range(paths.n_steps, -1, -1):
+        want = decay_weights(t, i, lam) @ triple.p[i + 1:]
+        got = triple.p_sums(i, lam)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(triple.p).max() * (paths.n_steps - i))

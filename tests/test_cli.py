@@ -284,6 +284,19 @@ def test_adjoint_grid_beyond_the_cost_guard_is_a_config_error(tmp_path, capsys, 
     assert "config error" in err and "grid.steps" in err and str(_MAX_STEPS) in err
 
 
+def test_jump_free_memory_adjoint_runs_beyond_the_cost_guard(tmp_path):
+    # without jumps the state feature of an open-loop memory model is one reverse
+    # sweep, with no restarted run, so the step guard does not apply
+    from volterra_control.adjoint import _MAX_STEPS
+
+    path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "noise": {"intensity": 0.0},
+                                    "grid": {"steps": _MAX_STEPS + 44},
+                                    "monte_carlo": {"paths": 400, "seed": 13}})
+    assert main(["solve-adjoint", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "adjoint.csv").read_text().splitlines()
+    assert len(lines) == _MAX_STEPS + 46
+
+
 @pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])
 def test_adjoint_sample_below_the_basis_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                            command):

@@ -176,6 +176,47 @@ def test_view_rows_match_materialized_arrays_in_any_order():
         assert np.array_equal(view.increments_at(node + 1)[1], p.compensated_counts[node + 1])
 
 
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("whole_first", [False, True], ids=["rows_first", "whole_first"])
+@pytest.mark.parametrize("view", ["base", "brownian", "jump"])
+def test_row_increments_hold_the_bits_of_the_whole_array(view, whole_first):
+    # a node's compensated jump row is built from its int16 counts by the arithmetic of
+    # the whole (N, M, K) array, so it holds the same bits whether that array exists or not
+    jumps = JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))
+    p = sample_paths(TimeGrid(1.0, 12), jumps, 2_000, seed=47)
+    bundle = {"base": p, "brownian": p.perturb_brownian(5, 1e-3),
+              "jump": p.with_extra_jump(5, 1)}[view]
+    whole = bundle.compensated_counts if whole_first else None
+    rows = [bundle.increments_at(i)[1] for i in range(p.n_steps)]
+    if not whole_first:
+        assert "compensated_counts" not in vars(p)
+        assert "compensated_counts" not in vars(bundle)
+        whole = bundle.compensated_counts
+    for i, row in enumerate(rows):
+        assert _same_bits(row, whole[i])
+
+
+@pytest.mark.parametrize("steps, n_paths, jumps", [
+    (7, 300, JumpModel(0.9, (0.5,), (1.0,))),
+    (16, 2_000, JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))),
+    (33, 4_100, JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))),
+])
+def test_jump_sum_is_the_cumsum_of_the_whole_array_bit_for_bit(steps, n_paths, jumps):
+    # the running row sum adds the node increments in the order of the cumsum over
+    # the whole array, and builds no (N, M, K) float array
+    grid = TimeGrid(1.0, steps)
+    p = sample_paths(grid, jumps, n_paths, seed=53)
+    got = p.jump_sum
+    assert "compensated_counts" not in vars(p)
+    ref = np.zeros((steps + 1, n_paths))
+    np.cumsum(sample_paths(grid, jumps, n_paths, seed=53).compensated_counts @ jumps.mark_array,
+              axis=0, out=ref[1:])
+    assert _same_bits(got, ref)
+
+
 def test_coarsening(jump_paths64_small):
     p = jump_paths64_small
     c = p.coarsen(4)

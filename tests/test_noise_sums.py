@@ -3,9 +3,12 @@
 Every local Euler step, X(T) and E[X(T) | F_t] read `volterra.noise_sums`.
 The references below are the formulas they replace, each with its own mark
 sum: the local step of the differential form and of the variation, the
-full-history terminal sum of an x-independent model, and the running
-prediction of the terminal state.
+full-history terminal sum of an x-independent model, the running
+prediction of the terminal state, and the whole-history integral form of a
+model without declared decays.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -157,6 +160,41 @@ def _old_predicted_terminal(model, control, paths):
     np.cumsum(inc, axis=0, out=vals[1:])
     vals[1:] += xi_T
     return vals
+
+
+def _old_generic_integral_form(model, control, paths):
+    """The integral form of a model without declared decays: every node re-sums the
+    whole history, the jumps against the whole (N, M, K) compensated counts."""
+    jumps = paths.jumps
+    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
+    t = paths.grid.nodes
+    u = control.open_loop_grid(n, m)
+    x = np.empty((n + 1, m))
+    x[0] = model.initial_curve(t[0])
+    for i in range(1, n + 1):
+        h, s = slice(0, i), t[:i, None]
+        x_h = None if model.x_independent else x[h]
+        sums = [np.einsum("jm,jm->m", *np.broadcast_arrays(model.drift(t[i], s, x_h, u[h]),
+                                                           np.broadcast_to(dt, (i, m)))),
+                np.einsum("jm,jm->m", *np.broadcast_arrays(model.diffusion(t[i], s, x_h, u[h]),
+                                                           paths.dW[h]))]
+        if jumps.active:
+            g = model.jump(t[i], s[:, :, None], None if x_h is None else x_h[:, :, None],
+                           u[h][:, :, None], jumps.mark_array[None, None, :])
+            inc = paths.compensated_counts[h]
+            sums.append(np.einsum("jmk,jmk->m", np.broadcast_to(g, inc.shape), inc))
+        x[i] = model.initial_curve(t[i]) + sum(sums)
+    return x
+
+
+@pytest.mark.parametrize("control", sorted(_OPEN_LOOP))
+@pytest.mark.parametrize("noise", sorted(_NOISES))
+def test_generic_integral_form_keeps_the_whole_history_sums_bit_for_bit(noise, control):
+    # a kernel without a declared decay still reads the whole history of increments
+    model = dataclasses.replace(registry_get("exp_kernel_linear", dict(_PARAMS)), decays=None)
+    paths = _paths(noise)
+    new = simulate_integral_form(model, _OPEN_LOOP[control], paths).values
+    assert np.array_equal(new, _old_generic_integral_form(model, _OPEN_LOOP[control], paths))
 
 
 @pytest.mark.parametrize("control", sorted(_CONTROLS))

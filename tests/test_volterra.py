@@ -309,3 +309,33 @@ def test_mark_major_jump_summand_matches_mark_last(marks, weights):
                 # within gamma_n sum|g inc| of the exact sum, gamma_n <= n eps
                 n = (hist.stop - hist.start) * len(marks)
                 assert np.all(np.abs(new - old) <= 2.0 * n * eps * scale)
+
+
+# --- jump increments by row ---
+
+_MEMORY_JUMP_PARAMS = dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0, decay_b=1.0,
+                           decay_sigma=0.8, decay_jump=0.5)
+
+
+@pytest.mark.parametrize("reader", ["integral_form", "differential_form", "jump_sum",
+                                    "solve_general"])
+def test_row_readers_build_no_whole_jump_array(reader):
+    # with declared decays every step reads one node's jump increments, so none of
+    # these readers builds the bundle's (N, M, K) float array of compensated counts
+    from volterra_control.adjoint import simulated_state_feature, solve_general
+
+    model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
+    control = ControlProcess.constant(0.5)
+    paths = sample_paths(TimeGrid(1.0, 16), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 2_000,
+                         seed=11)
+    if reader == "integral_form":
+        simulate_integral_form(model, control, paths)
+    elif reader == "differential_form":
+        simulate_differential_form(model, control, paths)
+    elif reader == "jump_sum":
+        paths.jump_sum
+    else:
+        states = simulate_integral_form(model, control, paths, record=True)
+        solve_general(model, PerformanceSpec.log_terminal(), states,
+                      features=[simulated_state_feature(model, states)])
+    assert "compensated_counts" not in vars(paths)
