@@ -28,7 +28,6 @@ from .volterra import (
     evaluate_performance,
     simulate_differential_form,
     simulate_integral_form,
-    terminal_state,
 )
 from .malliavin import (
     Feature,

@@ -20,7 +20,6 @@ functional it was solved for, and every reader takes the triple and its field.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -33,9 +32,8 @@ from .malliavin import (
     Feature,
     NodeRegression,
     RegressionBasis,
-    d_brownian,
-    d_jump,
     default_features,
+    fd_step,
     predicted_terminal_feature,
 )
 from .models import CoefficientModel, PerformanceSpec
@@ -45,7 +43,6 @@ from .volterra import (
     decay_weights,
     reverse_memory_sums,
     simulate_integral_form,
-    terminal_state,
 )
 
 _MAX_STEPS = 256
@@ -345,29 +342,37 @@ class ExplicitXIndependentField:
 
 
 def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
-                                 states: StateEnsemble,
-                                 basis: RegressionBasis | None = None,
-                                 features: Sequence[Feature] | None = None
+                                 states: StateEnsemble, basis: RegressionBasis | None = None
                                  ) -> tuple[AdjointTriple, ExplicitXIndependentField]:
     """Conditional-expectation adjoint for x-independent coefficients.
 
     p_i projects g'(X_T) onto the node-i information, q_i projects its
     Brownian derivative, r_i its add-one-jump derivative. The returned field
     carries E[D_{t_i} p(t_j)|F_{t_i}], constant in j >= i.
+
+    Under an open-loop control X_T is affine in every increment: dW_i moves it
+    by sigma(T, t_i, u_i) and a jump of mark z_k by gamma(T, t_i, u_i, z_k),
+    the node-i blocks of the predicted-terminal feature. So both derivatives
+    are differences of g' at shifted X_T, O(M) per node with no re-simulation.
+    A feedback control has no such feature and is refused.
     """
     if not model.x_independent:
         raise ConfigurationError("explicit adjoint solver requires an x-independent model")
     basis = basis or RegressionBasis()
-    control, paths = states.control, states.paths
-    if features is None:
-        features = [predicted_terminal_feature(model, control, paths)]
-    features = list(features)
-    n, m = paths.n_steps, paths.n_paths
-    k = paths.jumps.n_marks
-    g_term = np.asarray(spec.terminal_prime(states.terminal), dtype=float)
+    paths = states.paths
+    feature = predicted_terminal_feature(model, states.control, paths)
+    n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
+    h, x_t = fd_step(paths), states.terminal
 
-    def functional(bundle):
-        return spec.terminal_prime(terminal_state(model, control, bundle))
+    def g_prime(x: np.ndarray) -> np.ndarray:
+        return np.asarray(spec.terminal_prime(x), dtype=float)
+
+    def finite(diff: np.ndarray, i: int, how: str) -> np.ndarray:
+        if not np.all(np.isfinite(diff)):
+            raise ValueError(f"terminal derivative is not finite {how} at node {i}")
+        return diff
+
+    g_term = g_prime(x_t)
 
     p = np.empty((n + 1, m))
     q = np.zeros((n + 1, m))
@@ -375,20 +380,24 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     regs, coefs = [], []
     p[n] = g_term
     for i in range(n):
-        reg = NodeRegression(features, i, basis)
+        reg = NodeRegression([feature], i, basis)
         phi = reg.design()
         c = reg.coefficients(g_term, phi=phi)
         p[i] = phi @ c
-        q[i] = reg.fit(d_brownian(functional, paths, i), phi=phi)
+        shift = h * np.broadcast_to(feature.brownian_sensitivity(i), (1, m))[0]
+        central = (g_prime(x_t + shift) - g_prime(x_t - shift)) / (2.0 * h)
+        q[i] = reg.fit(finite(central, i, "under perturbation"), phi=phi)
+        jumps = np.broadcast_to(feature.jump_shift(i), (k, 1, m))
         for kk in range(k):
-            r[i, :, kk] = reg.fit(d_jump(functional, paths, i, kk, base=g_term), phi=phi)
+            bumped = g_prime(x_t + jumps[kk, 0]) - g_term
+            r[i, :, kk] = reg.fit(finite(bumped, i, "with an extra jump"), phi=phi)
         regs.append(reg)
         coefs.append(c)
-    reg_n = NodeRegression(features, n, basis)
+    reg_n = NodeRegression([feature], n, basis)
     regs.append(reg_n)
     coefs.append(reg_n.coefficients(g_term))
     triple = AdjointTriple(states=states, model=model, spec=spec, p=p, q=q, r=r,
-                           regressions=regs, surrogate_coefs=coefs, features=features)
+                           regressions=regs, surrogate_coefs=coefs, features=[feature])
     return triple, ExplicitXIndependentField(q, r, paths.grid.nodes)
 
 
@@ -492,7 +501,7 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
         "record=True"
     if states.record is None and _restarts(model, control, paths.jumps):
         raise ConfigurationError(unrecorded)
-    h = 1e-4 * math.sqrt(paths.grid.dt)
+    h = fd_step(paths)
     n, base, k = paths.n_steps, states.values, paths.jumps.n_marks
     held: dict[int, tuple] = {}   # the blocks of one node; None for blocks not simulated
 

@@ -342,7 +342,8 @@ def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> P
     """Draw a PathBundle of `n_paths` Brownian/compound-Poisson paths.
 
     Generation runs block-by-block with one RNG stream per (seed, block),
-    so path m depends only on (seed, m) and subsets are reproducible.
+    so path m depends only on (seed, m) and subsets are reproducible. Each
+    block draws its normals first, so dW does not depend on the jump model.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")

@@ -50,11 +50,9 @@ def d_brownian(functional: PathFunctional, paths: PathBundle, node: int,
     return out
 
 
-def d_jump(functional: PathFunctional, paths: PathBundle, node: int, mark: int,
-           base: np.ndarray | None = None) -> np.ndarray:
+def d_jump(functional: PathFunctional, paths: PathBundle, node: int, mark: int) -> np.ndarray:
     """Add-one-jump difference of the functional at (node, mark index)."""
-    if base is None:
-        base = np.asarray(functional(paths), dtype=float)
+    base = np.asarray(functional(paths), dtype=float)
     bumped = np.asarray(functional(paths.with_extra_jump(node, mark)), dtype=float)
     out = bumped - base
     if not np.all(np.isfinite(out)):

@@ -413,7 +413,7 @@ class ControlProcess:
     varies: 0-d for a constant, (steps,) for one value per node, (steps,
     paths) for one value per node and path; axis 0 is always the node axis.
     A feedback control has `rule(i, t_i, paths, x_i)` instead and no values.
-    Values, open-loop or produced by the rule, must lie in `bounds`.
+    Values, open-loop or produced by the rule, must be finite and lie in `bounds`.
     """
 
     def __init__(self, values, bounds: tuple[float, float], rule: Callable | None = None):
@@ -426,9 +426,11 @@ class ControlProcess:
     def _admissible(self, values) -> np.ndarray:
         out = np.asarray(values, dtype=float)
         lo, hi = self.bounds
-        if np.any(out < lo - 1e-12) or np.any(out > hi + 1e-12):
+        # a NaN passes both comparisons, so finiteness is asked for on its own
+        if not np.all(np.isfinite(out)) or np.any(out < lo - 1e-12) or np.any(out > hi + 1e-12):
             what = "control" if self.rule is None else "feedback rule"
-            raise ConfigurationError(f"{what} values leave the admissible interval [{lo}, {hi}]")
+            raise ConfigurationError(
+                f"{what} values are not finite or leave the admissible interval [{lo}, {hi}]")
         return out
 
     @classmethod

@@ -105,8 +105,7 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
     are read when a summand is called, so rows a running simulation has
     filled are seen. A one-row slice reads node j's jump increments alone,
     `paths.increments_at(j)`; only a longer slice (a kernel without a
-    declared decay, or the x-independent `terminal_state`) reads the
-    bundle's whole (N, M, K) `compensated_counts`.
+    declared decay) reads the bundle's whole (N, M, K) `compensated_counts`.
 
     `row` = (i, {kernel: values}) replaces the node-i increments of the named
     kernels by per-variant values on a leading variant axis, "diffusion"
@@ -315,21 +314,6 @@ def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
         _check_finite(val, i + 1, "differential-form state")
         x[i + 1] = val
     return StateEnsemble(values=x, control=control, paths=paths, controls=u)
-
-
-def terminal_state(model: CoefficientModel, control: ControlProcess,
-                   paths: PathBundle) -> np.ndarray:
-    """Terminal state X(T) per path.
-
-    For x-independent models this is xi(T) plus the full-history noise sums
-    at T; otherwise it falls back to the full integral-form recursion.
-    """
-    if not model.x_independent:
-        return simulate_integral_form(model, control, paths).terminal
-    n, t = paths.n_steps, paths.grid.nodes
-    u = control.open_loop_grid(n, paths.n_paths)
-    total = sum(s(t[n], slice(0, n)) for s in noise_sums(model, paths, None, u).values())
-    return total + model.initial_curve(t[n])
 
 
 def performance_paths(spec: PerformanceSpec, states: StateEnsemble) -> np.ndarray:

@@ -9,6 +9,7 @@ from volterra_control import (
     ConfigurationError,
     ControlProcess,
     JumpModel,
+    PathBundle,
     PerformanceSpec,
     RegressionBasis,
     TimeGrid,
@@ -26,6 +27,8 @@ from volterra_control.adjoint import (
 from volterra_control.malliavin import (
     NodeRegression,
     brownian_feature,
+    d_brownian,
+    d_jump,
     jump_sum_feature,
     predicted_terminal_feature,
     state_feature,
@@ -141,6 +144,81 @@ def test_explicit_requires_x_independent(paths64_small):
     states = simulate_integral_form(model, control, paths64_small)
     with pytest.raises(ConfigurationError):
         solve_explicit_x_independent(model, _square_terminal(), states)
+
+
+def _generic_x_independent_model():
+    """x-independent model with power-law kernels: no declared decays."""
+    def kernel(amp):
+        return lambda t, s, x, v: amp * v / (1.0 + np.asarray(t, dtype=float) - s)
+    return registry_get("custom", dict(
+        initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+        drift=kernel(0.2), diffusion=kernel(0.3),
+        jump=lambda t, s, x, v, z: 0.15 * v * z / (1.0 + np.asarray(t, dtype=float) - s),
+        x_independent=True,
+    ))
+
+
+def _explicit_setup(decays: str):
+    """A small x-independent run with two marks and a control that varies by node."""
+    paths = sample_paths(TimeGrid(1.0, 6), _RESTART_JUMPS, 400, seed=57)
+    model = _x_independent_model() if decays == "declared" else _generic_x_independent_model()
+    return model, simulate_integral_form(model, _BLOCK_CONTROL, paths)
+
+
+@pytest.mark.parametrize("decays", ["declared", "none"])
+def test_explicit_derivatives_equal_finite_differences_through_the_simulator(decays):
+    # q_i and r_i project the central and add-one-jump differences of g'(X(T)),
+    # with X(T) simulated again on every perturbed bundle
+    model, states = _explicit_setup(decays)
+    paths, spec = states.paths, PerformanceSpec.log_terminal()
+    triple, _ = solve_explicit_x_independent(model, spec, states)
+
+    def functional(bundle):
+        return spec.terminal_prime(simulate_integral_form(model, _BLOCK_CONTROL, bundle).terminal)
+
+    def relative(new, oracle):
+        return np.abs(new - oracle).max() / np.abs(oracle).max()
+
+    for i in range(paths.n_steps):
+        fit = triple.regressions[i].fit
+        assert relative(triple.q[i], fit(d_brownian(functional, paths, i))) <= 1e-9
+        for k in range(paths.jumps.n_marks):
+            assert relative(triple.r[i, :, k], fit(d_jump(functional, paths, i, k))) <= 1e-9
+
+
+def test_the_explicit_solve_makes_no_perturbed_bundle(monkeypatch):
+    calls = []
+    for name in ("perturb_brownian", "with_extra_jump"):
+        method = getattr(PathBundle, name)
+        monkeypatch.setattr(PathBundle, name,
+                            lambda self, *args, _m=method: calls.append(args) or _m(self, *args))
+    model, states = _explicit_setup("declared")
+    solve_explicit_x_independent(model, _square_terminal(), states)
+    assert calls == []
+
+
+def test_explicit_refuses_a_feedback_control():
+    # X(T) is affine in the increments only when the control does not read them
+    model, states = _explicit_setup("declared")
+    states = simulate_integral_form(model, _FEEDBACK, states.paths)
+    with pytest.raises(ConfigurationError):
+        solve_explicit_x_independent(model, _square_terminal(), states)
+
+
+@pytest.mark.parametrize("noise, how", [("brownian", "under perturbation"),
+                                        ("jump", "with an extra jump")])
+def test_explicit_names_the_node_where_the_shifted_derivative_is_not_finite(noise, how):
+    # g' is NaN above the largest X(T), plus a margin that every Brownian shift
+    # stays within and a jump of the positive mark does not: finite at X(T), not
+    # finite at a shifted X(T) from node 0 on
+    model, states = _explicit_setup("declared")
+    top = states.terminal.max() + (0.0 if noise == "brownian" else 1e-3)
+    spec = PerformanceSpec.terminal_only(
+        lambda x: np.asarray(x, dtype=float) ** 2,
+        lambda x: np.where(np.asarray(x) > top, np.nan, 2.0 * np.asarray(x, dtype=float)),
+        domain=(-1.0, 0.5))
+    with pytest.raises(ValueError, match=f"not finite {how} at node 0$"):
+        solve_explicit_x_independent(model, spec, states)
 
 
 # --- general solver ------------------------------------------------------------

@@ -158,6 +158,22 @@ def test_check_malliavin_small_scale(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_check_malliavin_with_jumps_samples_once(tmp_path, monkeypatch):
+    # the jump-free bundle behind Clark-Ocone is the sampled dW with no marks
+    from volterra_control import cli
+
+    calls = []
+    sample = cli.sample_paths
+    monkeypatch.setattr(cli, "sample_paths", lambda *args: calls.append(args) or sample(*args))
+    path = _write_config(tmp_path, {
+        "grid": {"steps": 16},
+        "noise": {"intensity": 1.0, "marks": [-1.0, 1.0], "weights": [0.5, 0.5]},
+        "monte_carlo": {"paths": 2000, "seed": 2},
+    })
+    main(["check-malliavin", "--config", path, "--out", str(tmp_path / "mall")])
+    assert len(calls) == 1
+
+
 def test_check_malliavin_chaos_target_is_the_grid_value(tmp_path):
     # E[I_2^2] = 2 T^2 (1 - 1/N) on the grid: 1.875 for T = 1, N = 16
     path = _write_config(tmp_path, {"grid": {"steps": 16},

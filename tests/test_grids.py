@@ -53,6 +53,15 @@ def test_seed_determinism(grid64, marks_pm1):
     assert not np.array_equal(a.dW, c.dW)
 
 
+def test_brownian_increments_do_not_depend_on_the_jump_model(grid32):
+    # every block draws its normals first: the jump-free bundle of a seed is the
+    # Brownian part of the jump bundle, bit for bit, across several blocks
+    jumps = JumpModel(intensity=0.5, marks=(-0.4, 0.6), weights=(0.35, 0.65))
+    with_jumps = sample_paths(grid32, jumps, 9000, seed=3)
+    assert with_jumps.jump_counts.any()
+    assert np.array_equal(with_jumps.dW, sample_paths(grid32, JumpModel.none(), 9000, seed=3).dW)
+
+
 def test_single_path_two_steps_reproducible():
     g = TimeGrid(1.0, 2)
     a = sample_paths(g, JumpModel.none(), 1, seed=42)

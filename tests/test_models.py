@@ -252,6 +252,20 @@ def test_per_path_control_validation():
         ControlProcess.per_path(np.full((4, 3), 2.0), bounds=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ControlProcess.constant(np.nan),
+    lambda: ControlProcess.deterministic([0.5, np.nan, 0.5]),
+    lambda: ControlProcess.per_path(np.where(np.eye(3) == 1.0, np.nan, 0.5)),
+    lambda: ControlProcess.feedback(lambda i, t, paths, x: np.where(x > 0.2, np.nan, x)).at(
+        0, x=np.array([0.1, 0.3])),
+], ids=["constant", "deterministic", "per-path", "feedback"])
+def test_non_finite_control_values_are_refused(make):
+    # a NaN passes both bound comparisons; it is refused where the value is made,
+    # not later as a non-finite state
+    with pytest.raises(ConfigurationError, match="not finite"):
+        make()
+
+
 class _KindOracle:
     """The control as four kinds (constant, deterministic, per_path, feedback),
     each read its own way: the semantics the one control array keeps."""

@@ -1,9 +1,8 @@
 """The forward schemes against their hand-written kernel x increment sums.
 
-Every local Euler step, X(T) and E[X(T) | F_t] read `volterra.noise_sums`.
-The references below are the formulas they replace, each with its own mark
-sum: the local step of the differential form and of the variation, the
-full-history terminal sum of an x-independent model, the running
+Every local Euler step and E[X(T) | F_t] read `volterra.noise_sums`. The
+references below are the formulas they replace, each with its own mark sum:
+the local step of the differential form and of the variation, the running
 prediction of the terminal state, and the whole-history integral form of a
 model without declared decays.
 """
@@ -21,7 +20,6 @@ from volterra_control import (
     sample_paths,
     simulate_differential_form,
     simulate_integral_form,
-    terminal_state,
 )
 from volterra_control.hamiltonian import perturbation_window, simulate_variation
 from volterra_control.malliavin import predicted_terminal_feature
@@ -125,22 +123,6 @@ def _old_variation(model, control, beta, paths, states):
     return y
 
 
-def _old_terminal_state(model, control, paths):
-    grid, jumps = paths.grid, paths.jumps
-    n, m, dt = paths.n_steps, paths.n_paths, grid.dt
-    t = grid.nodes
-    u = control.open_loop_grid(n, m)
-    s_h = t[:n, None]
-    acc = model.drift(t[n], s_h, None, u) * dt + model.diffusion(t[n], s_h, None, u) * paths.dW
-    val = np.asarray(acc).sum(axis=0) + model.initial_curve(t[n])
-    if jumps.n_marks:
-        g = model.jump(t[n], s_h[:, :, None], None, u[:, :, None],
-                       jumps.mark_array[None, None, :])
-        val += np.einsum("jmk,jmk->m", np.broadcast_to(g, (n, m, jumps.n_marks)),
-                         paths.compensated_counts)
-    return val
-
-
 def _old_predicted_terminal(model, control, paths):
     grid, jumps = paths.grid, paths.jumps
     n, m, dt = paths.n_steps, paths.n_paths, grid.dt
@@ -218,19 +200,6 @@ def test_variation_matches_hand_written_step(name, noise, control):
     old = _old_variation(model, _CONTROLS[control], beta, paths, states)
     assert np.abs(old).max() > 0.0
     assert _relative(new, old) <= _REL
-
-
-@pytest.mark.parametrize("control", sorted(_OPEN_LOOP))
-@pytest.mark.parametrize("noise", sorted(_NOISES))
-def test_terminal_state_matches_hand_written_sum(noise, control):
-    model, paths = registry_get("x_independent_linear", dict(_PARAMS)), _paths(noise)
-    control = _OPEN_LOOP[control]
-    new = terminal_state(model, control, paths)
-    old = _old_terminal_state(model, control, paths)
-    assert _relative(new, old) <= _REL
-    # the fast path is X(T) of the integral form
-    full = simulate_integral_form(model, control, paths).terminal
-    assert _relative(new, full) <= 1e-13
 
 
 @pytest.mark.parametrize("control", sorted(_OPEN_LOOP))

@@ -17,7 +17,6 @@ from volterra_control import (
     sample_paths,
     simulate_differential_form,
     simulate_integral_form,
-    terminal_state,
 )
 from volterra_control.volterra import export_trajectory_csv, noise_sums
 
@@ -136,16 +135,6 @@ def test_non_finite_state_aborts_with_location(paths64_small):
     ))
     with pytest.raises(SimulationError, match="node"):
         simulate_integral_form(model, ControlProcess.constant(1.0), paths64_small)
-
-
-def test_terminal_state_fast_path_matches_simulation(jump_paths64_small):
-    model = registry_get("x_independent_linear",
-                         dict(b0=0.1, sigma0=0.3, jump0=0.1, decay_b=1.0,
-                              decay_sigma=0.5, decay_jump=0.25))
-    ctrl = ControlProcess.constant(0.8)
-    direct = terminal_state(model, ctrl, jump_paths64_small)
-    full = simulate_integral_form(model, ctrl, jump_paths64_small).terminal
-    assert np.allclose(direct, full, atol=1e-12)
 
 
 def test_feedback_control_enters_simulation(paths64_small):
