@@ -489,9 +489,9 @@ def _cmd_merton_test(cfg: ExperimentConfig) -> int:
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
     pi_ref = m["b0"] / m["sigma0"] ** 2
     n = cfg.grid.steps
-    interior = solution.fractions[n // 4:(3 * n) // 4].mean(axis=1)
+    interior = solution.mean_pi[n // 4:(3 * n) // 4]
     worst = float(np.max(np.abs(interior - pi_ref) / pi_ref))
-    control = ControlProcess.per_path(solution.fractions, bounds=(-10.0, 10.0))
+    control = ControlProcess.per_path(solution.fractions(), bounds=(-10.0, 10.0))
     report = verify_optimality(market, utility, control, paths, basis=cfg.basis)
     rows = [("candidate", report.j_candidate, report.j_candidate_stderr)]
     rows += [(f"shift{delta:+g}", j, se) for delta, j, _gap, se in report.comparisons]

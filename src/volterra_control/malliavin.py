@@ -115,10 +115,18 @@ def state_feature(values: np.ndarray, name: str = "state",
 
 def weighted_brownian_feature(weights: np.ndarray, paths: PathBundle,
                               name: str = "weighted_brownian") -> Feature:
-    """Running integral sum_{j<i} w_j dW_j of a deterministic weight grid."""
+    """Running integral sum_{j<i} w_j dW_j of a deterministic weight grid.
+
+    The sum is built row by row in the order of `np.cumsum` along the nodes, so the
+    values are bit-identical to it, with no (N, M) array of the products w_j dW_j.
+    """
     w = np.asarray(weights, dtype=float)
-    vals = np.zeros((paths.n_steps + 1, paths.n_paths))
-    np.cumsum(w[:, None] * paths.dW, axis=0, out=vals[1:])
+    vals = np.empty((paths.n_steps + 1, paths.n_paths))
+    vals[0] = 0.0
+    for j in range(paths.n_steps):
+        np.multiply(w[j], paths.dW[j], out=vals[j + 1])
+        if j:
+            vals[j + 1] += vals[j]
     return Feature(
         name=name,
         values=vals,

@@ -103,17 +103,22 @@ def theta0(market: MarketModel, grid: TimeGrid) -> np.ndarray:
 
 
 def _log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """log of the exponential martingale with unit initial value, (N+1, M)."""
-    dt = paths.grid.dt
+    """log of the exponential martingale with unit initial value, (N+1, M), summed row by
+    row in the order of `_terminal_log_martingale` (that of a cumsum along the nodes)."""
     th = np.asarray(theta, dtype=float)[:paths.n_steps]
-    inc = th[:, None] * paths.dW - 0.5 * th[:, None] ** 2 * dt
-    out = np.zeros((paths.n_steps + 1, paths.n_paths))
-    np.cumsum(inc, axis=0, out=out[1:])
+    drift = 0.5 * th ** 2 * paths.grid.dt
+    out = np.empty((paths.n_steps + 1, paths.n_paths))
+    out[0] = 0.0
+    for i in range(paths.n_steps):
+        np.multiply(th[i], paths.dW[i], out=out[i + 1])
+        out[i + 1] -= drift[i]
+        if i:
+            out[i + 1] += out[i]
     return out
 
 
 def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """The last row of `_log_martingale`, (M,), summed row by row in its cumsum's order."""
+    """The last row of `_log_martingale`, (M,), with no (N+1, M) array."""
     th = np.asarray(theta, dtype=float)[:paths.n_steps]
     drift = 0.5 * th ** 2 * paths.grid.dt
     out = th[0] * paths.dW[0] - drift[0]
@@ -125,19 +130,6 @@ def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray
 def _terminal_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
     """Terminal values of the exponential martingale with unit initial value, (M,)."""
     return np.exp(_terminal_log_martingale(theta, paths))
-
-
-def y_martingale(theta: np.ndarray, paths: PathBundle, c: float) -> np.ndarray:
-    """Exponential martingale Y(t_i) = c exp(int theta dB - 1/2 int theta^2 ds)."""
-    if c <= 0.0:
-        raise ConfigurationError("martingale initial value must be positive")
-    return c * np.exp(_log_martingale(theta, paths))
-
-
-def terminal_wealth(c: float, paths: PathBundle, utility: UtilitySpec,
-                    theta: np.ndarray) -> np.ndarray:
-    """Candidate optimal terminal wealth: inverse marginal utility of c * martingale."""
-    return _inverse_marginal(c, _terminal_martingale(theta, paths), utility)
 
 
 def _inverse_marginal(c: float, martingale: np.ndarray, utility: UtilitySpec) -> np.ndarray:
@@ -173,7 +165,8 @@ def martingale_feature(theta: np.ndarray, paths: PathBundle) -> Feature:
     linear in this feature (for every utility), so projections of U'(X_T)
     and of its increment products are exact in its polynomial span.
     """
-    vals = np.exp(_log_martingale(theta, paths))
+    vals = _log_martingale(theta, paths)
+    np.exp(vals, out=vals)
     th = np.asarray(theta, dtype=float)
     return Feature(
         name="exp_martingale",
@@ -185,18 +178,47 @@ def martingale_feature(theta: np.ndarray, paths: PathBundle) -> Feature:
 
 @dataclass
 class BsvieSolution:
-    """Backward solution fields: wealth levels and the diagonal integrand."""
+    """Backward solution fields as coefficients on the node designs.
+
+    For j < N, X^(t_j) = V(t_j, s_j) = Phi_j x_coef[j] and Z^(t_j, s_j) = Phi_j z_coef[j],
+    with Phi_j the standardized design of `regs[j]`, which `design()` rebuilds bit for bit;
+    X^(T) is `terminal`. A field's path values are formed one node at a time, by `node`
+    and `fraction`, so no (N+1, M) or (N, M) array of a field is held.
+    """
 
     c: float
     terminal: np.ndarray          # F(c), (M,)
-    xhat: np.ndarray              # (N+1, M): X^(t_i) = V(t_i, s_i)
-    zhat_diag: np.ndarray         # (N, M): Z^(t_j, s_j)
+    regs: list                    # (N,) node regressions of the march
+    x_coef: list                  # (N,) coefficients of X^(t_j)
+    z_coef: list                  # (N,) coefficients of Z^(t_j, s_j)
+    vol_diag: np.ndarray          # (N,): sigma0(t_j, t_j)
     ratio_spread: np.ndarray      # (N,): max_i RMS(ratio_ij - ratio_jj)/RMS(ratio_jj)
 
     @property
     def max_ratio_spread(self) -> float:
         valid = self.ratio_spread[np.isfinite(self.ratio_spread)]
         return float(valid.max()) if len(valid) else 0.0
+
+    def node(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """X^(t_j) and Z^(t_j, s_j) on the paths, (M,) each, for j < N."""
+        phi = self.regs[j].design()
+        return phi @ self.x_coef[j], phi @ self.z_coef[j]
+
+    def fraction(self, j: int) -> np.ndarray:
+        """Investment fraction Z^(t_j, s_j) / (sigma0(t_j, t_j) X^(t_j)) on the paths, (M,).
+
+        Raises when the wealth levels are not strictly positive (the inverse
+        marginal utility has positive range; non-positive fits signal too few
+        paths or too low a basis degree).
+        """
+        xhat, zhat = self.node(j)
+        if np.any(xhat <= 0.0):
+            raise RegressionError(
+                f"fitted wealth levels are not strictly positive at node {j}; increase the "
+                "path count or the basis degree"
+            )
+        xhat *= self.vol_diag[j]
+        return np.divide(zhat, xhat, out=xhat)
 
 
 def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarray:
@@ -213,38 +235,36 @@ def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
 
     For each fixed t_i the recursion in s runs from T down to t_i with
     regression conditional expectations; the integrand is extracted from the
-    centered one-step products, one projector march per row, and each row's
-    design is read once. The consistency of Z^(t_i, s_j)/sigma0(t_i, s_j)
-    with the diagonal is a node-Gram RMS. `martingale`, the terminal values
-    of the unit-start exponential martingale of the loading, is summed here
-    unless given.
+    centered one-step products, one projector march per row, and row i keeps
+    its node-i coefficients of X^ and Z^ (see `BsvieSolution`). The consistency
+    of Z^(t_i, s_j)/sigma0(t_i, s_j) with the diagonal is a node-Gram RMS.
+    `martingale`, the terminal values of the unit-start exponential martingale
+    of the loading, is summed here unless given.
     """
     market.validate(paths.grid)
-    n, m, t = paths.n_steps, paths.n_paths, paths.grid.nodes
+    n, t = paths.n_steps, paths.grid.nodes
     th = theta0(market, paths.grid) if theta is None else np.asarray(theta, dtype=float)
     projector = _bsvie_projector(th, paths, basis, projector)
     if martingale is None:
         martingale = _terminal_martingale(th, paths)
     f_c = _inverse_marginal(c, martingale, utility)
 
-    xhat = np.empty((n + 1, m))
-    xhat[n] = f_c
-    zhat_diag = np.empty((n, m))
     vol_diag = market.vol_kernel(t[:n], t[:n])
+    x_diag: list = [None] * n      # X^(t_j) coefficients
+    z_diag: list = [None] * n      # Z^(t_j, s_j) coefficients
     diag_coef: list = [None] * n   # Z^(t_j, s_j) / sigma0(t_j, s_j) coefficients
     diag_rms, spread = np.empty(n), np.zeros(n)
     for row in range(n - 1, -1, -1):
         _, z_coef, v_coef = projector.march(f_c, _kernel_ratios(market, t[row], t[:n]), row)
-        phi = projector.regs[row].design()
-        xhat[row], zhat_diag[row] = phi @ v_coef[row], phi @ z_coef[row]
+        x_diag[row], z_diag[row] = v_coef[row], z_coef[row]
         diag_coef[row] = z_coef[row] / vol_diag[row]
         diag_rms[row] = projector.rms(row, diag_coef[row])
         vol_row = market.vol_kernel(t[row], t[:n])
         for j in range(row + 1, n):
             dev = projector.rms(j, z_coef[j] / vol_row[j] - diag_coef[j])
             spread[j] = max(spread[j], dev / max(diag_rms[j], 1e-300))
-    return BsvieSolution(c=c, terminal=f_c, xhat=xhat, zhat_diag=zhat_diag,
-                         ratio_spread=spread)
+    return BsvieSolution(c=c, terminal=f_c, regs=projector.regs, x_coef=x_diag, z_coef=z_diag,
+                         vol_diag=vol_diag, ratio_spread=spread)
 
 
 @dataclass
@@ -266,10 +286,6 @@ class CalibrationResult:
         if self.gap_slope == 0.0:
             return float("inf")
         return abs(self.batch_gap_stderr() / self.gap_slope)
-
-    def reproducible_within(self, other: "CalibrationResult", n_sigma: float = 2.0) -> bool:
-        tol = n_sigma * math.hypot(self.stderr, other.stderr)
-        return abs(self.c - other.c) <= tol
 
 
 def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
@@ -399,36 +415,31 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
 
 @dataclass
 class PortfolioSolution:
+    """The calibrated BSVIE and the per-node statistics of the investment fractions.
+
+    `mean_pi` and `std_pi` are the mean and std(ddof=1) over paths of each node's
+    fraction row, read once by `solve_portfolio`; `fractions()` forms the (N, M)
+    per-path fractions, for a per-path control.
+    """
+
     market: MarketModel
     utility: UtilitySpec
     theta: np.ndarray
     calibration: CalibrationResult
     bsvie: BsvieSolution
-    fractions: np.ndarray  # (N, M) recovered investment fractions
+    mean_pi: np.ndarray  # (N,)
+    std_pi: np.ndarray   # (N,)
 
     @property
     def c(self) -> float:
         return self.calibration.c
 
-
-def recover_pi(solution: BsvieSolution, market: MarketModel,
-               grid: TimeGrid) -> np.ndarray:
-    """Investment fractions from the BSVIE diagonal: Z^(j,j)/(sigma0(j,j) X^_j).
-
-    Raises when the wealth levels are not strictly positive (the inverse
-    marginal utility has positive range; non-positive fits signal too few
-    paths or too low a basis degree).
-    """
-    n = solution.zhat_diag.shape[0]
-    t = grid.nodes
-    if np.any(solution.xhat[:n] <= 0.0):
-        raise RegressionError(
-            "fitted wealth levels are not strictly positive; increase the path "
-            "count or the basis degree"
-        )
-    sigma_diag = market.vol_kernel(t[:n], t[:n])
-    out = np.multiply(sigma_diag[:, None], solution.xhat[:n])
-    return np.divide(solution.zhat_diag, out, out=out)
+    def fractions(self) -> np.ndarray:
+        """Per-path investment fractions, (N, M)."""
+        out = np.empty((len(self.mean_pi), len(self.bsvie.terminal)))
+        for j, row in enumerate(out):
+            row[:] = self.bsvie.fraction(j)
+        return out
 
 
 def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
@@ -467,9 +478,10 @@ def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle
                     basis: RegressionBasis | None = None,
                     bracket: tuple[float, float] | None = None,
                     rel_tol: float = 1e-3) -> PortfolioSolution:
-    """Full construction: loading, calibration, BSVIE fields, and fractions.
+    """Full construction: loading, calibration, BSVIE fields, and fraction statistics.
 
     One projector and one terminal martingale serve the calibration and the BSVIE.
+    Each node's fractions are formed once, for their mean and spread, and dropped.
     """
     _check_batch_width(paths, basis or RegressionBasis())
     th = theta0(market, paths.grid)
@@ -479,11 +491,11 @@ def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle
                           projector=projector, martingale=martingale)
     fields = bsvie_solve(calibration.c, market, utility, paths, theta=th, projector=projector,
                          martingale=martingale)
-    del projector  # free its kept node designs before the fractions are formed
-    fractions = recover_pi(fields, market, paths.grid)
+    stats = np.array([(pi.mean(), pi.std(ddof=1))
+                      for pi in map(fields.fraction, range(paths.n_steps))])
     return PortfolioSolution(market=market, utility=utility, theta=th,
                              calibration=calibration, bsvie=fields,
-                             fractions=fractions)
+                             mean_pi=stats[:, 0], std_pi=stats[:, 1])
 
 
 @dataclass
@@ -500,11 +512,6 @@ class OptimalityReport:
         return all(gap >= -n_sigma * max(se, 1e-300)
                    for _, _, gap, se in self.comparisons)
 
-    def max_interior_stationarity(self) -> float:
-        n = len(self.stationarity_normalized)
-        lo, hi = n // 4, (3 * n) // 4
-        return float(np.max(self.stationarity_normalized[lo:hi + 1]))
-
 
 def verify_optimality(market: MarketModel, utility: UtilitySpec,
                       control: ControlProcess, paths: PathBundle,
@@ -515,16 +522,19 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
     Re-simulates wealth under the candidate and under constant shifts of it
     with common random numbers and compares expected utilities; also runs
     the first-order stationarity residual sigma0(T,t) q + b0(T,t) p against
-    the conditional marginal utility of terminal wealth.
+    the conditional marginal utility of terminal wealth. Only the terminal
+    wealth of each run is kept, so one run and one shifted control are held at a time.
     """
     m = paths.n_paths
-    base_states = simulate_wealth_positive(market, control, paths)
-    j_base_paths = np.asarray(utility.u(base_states.terminal), dtype=float)
+
+    def terminal(ctrl: ControlProcess) -> np.ndarray:
+        return simulate_wealth_positive(market, ctrl, paths).terminal.copy()
+
+    base_terminal = terminal(control)
+    j_base_paths = np.asarray(utility.u(base_terminal), dtype=float)
     comparisons = []
     for delta in sorted({s for mag in shifts for s in (+abs(mag), -abs(mag))}):
-        shifted = control.shifted(delta)
-        states = simulate_wealth_positive(market, shifted, paths)
-        j_paths = np.asarray(utility.u(states.terminal), dtype=float)
+        j_paths = np.asarray(utility.u(terminal(control.shifted(delta))), dtype=float)
         gap_paths = j_base_paths - j_paths
         comparisons.append((
             float(delta),
@@ -537,7 +547,7 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
     n, t, T = paths.n_steps, paths.grid.nodes, paths.grid.horizon
     projector = BackwardProjector([martingale_feature(theta0(market, paths.grid), paths)],
                                   paths, basis)
-    marginal = np.asarray(utility.u_prime(base_states.terminal), dtype=float)
+    marginal = np.asarray(utility.u_prime(base_terminal), dtype=float)
     p_coef, q_coef, _ = projector.march(marginal, np.zeros(n))
     normalized = np.zeros(n)
     for i in range(n):
@@ -558,12 +568,8 @@ def export_portfolio_csvs(out_dir, solution: PortfolioSolution, grid: TimeGrid) 
     """Write the strategy and calibration tables for a solved portfolio."""
     out = Path(out_dir)
     t = grid.nodes
-    n = solution.fractions.shape[0]
-    rows = [
-        (t[j], solution.theta[j], solution.fractions[j].mean(),
-         solution.fractions[j].std(ddof=1))
-        for j in range(n)
-    ]
+    rows = [(t[j], solution.theta[j], solution.mean_pi[j], solution.std_pi[j])
+            for j in range(len(solution.mean_pi))]
     write_csv(out / "strategy.csv", ("t", "theta0", "mean_pi", "std_pi"), rows)
     cal_rows = [
         (idx, c, gap) for idx, (c, gap, _se) in enumerate(solution.calibration.history)

@@ -69,7 +69,7 @@ def merton_run(paths64_desk):
     utility = UtilitySpec.log()
     start = time.perf_counter()
     solution = solve_portfolio(market, utility, paths64_desk)
-    control = ControlProcess.per_path(solution.fractions, bounds=(-10.0, 10.0))
+    control = ControlProcess.per_path(solution.fractions(), bounds=(-10.0, 10.0))
     report = verify_optimality(market, utility, control, paths64_desk,
                                shifts=(0.1, 0.25))
     elapsed = time.perf_counter() - start
@@ -84,7 +84,7 @@ def memory_market_run(paths64_desk):
                                      wealth=1.0)
     utility = UtilitySpec.log()
     solution = solve_portfolio(market, utility, paths64_desk)
-    control = ControlProcess.per_path(solution.fractions, bounds=(-10.0, 10.0))
+    control = ControlProcess.per_path(solution.fractions(), bounds=(-10.0, 10.0))
     report = verify_optimality(market, utility, control, paths64_desk,
                                shifts=(0.25,))
     return dict(market=market, utility=utility, solution=solution,
@@ -218,7 +218,7 @@ def test_criterion_07_reduced_hamiltonian(xindep_run):
 def test_criterion_08_merton_reproduction(merton_run):
     sol = merton_run["solution"]
     c_ok = abs(sol.c - 1.0) <= 0.02
-    interior = sol.fractions[DESK_N // 4:(3 * DESK_N) // 4].mean(axis=1)
+    interior = sol.mean_pi[DESK_N // 4:(3 * DESK_N) // 4]
     pi_err = float(np.max(np.abs(interior - 1.25) / 1.25))
     ok = c_ok and pi_err <= 0.05 and merton_run["elapsed"] <= 120.0
     _report(8, "merton_reproduction", ok,

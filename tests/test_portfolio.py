@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from volterra_control import (
     ConfigurationError,
     ControlProcess,
     JumpModel,
+    PathBundle,
     RegressionBasis,
     TimeGrid,
     UtilitySpec,
@@ -20,6 +23,7 @@ from volterra_control.malliavin import (
     NodeRegression,
     brownian_feature,
     d_brownian,
+    weighted_brownian_feature,
 )
 from volterra_control import portfolio
 from volterra_control.portfolio import (
@@ -32,15 +36,15 @@ from volterra_control.portfolio import (
     _terminal_log_martingale,
     martingale_feature,
     bsvie_solve,
-    recover_pi,
+    export_portfolio_csvs,
     simulate_wealth_positive,
     solve_c,
     solve_portfolio,
-    terminal_wealth,
     theta0,
     verify_optimality,
-    y_martingale,
 )
+
+from oracles import max_interior_stationarity, reproducible_within, terminal_wealth, y_martingale
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,16 @@ def merton_market():
 @pytest.fixture(scope="module")
 def log_utility():
     return UtilitySpec.log()
+
+
+def _fields(sol):
+    """X^ as (N+1, M) and the diagonal Z^ as (N, M), stacked from the node reader."""
+    n = len(sol.x_coef)
+    xhat, zdiag = np.empty((n + 1, len(sol.terminal))), np.empty((n, len(sol.terminal)))
+    xhat[n] = sol.terminal
+    for j in range(n):
+        xhat[j], zdiag[j] = sol.node(j)
+    return xhat, zdiag
 
 
 # --- market validation ----------------------------------------------------------
@@ -169,8 +183,9 @@ def test_bsvie_driverless_constant_terminal(grid64, paths64_small, log_utility):
     sol = bsvie_solve(0.5, market, log_utility, paths64_small)
     # zero drift kernel and deterministic terminal: X^ == F(c), Z^ == 0
     assert np.allclose(sol.terminal, 2.0, atol=1e-12)
-    assert np.allclose(sol.xhat, 2.0, atol=1e-7)
-    assert np.allclose(sol.zhat_diag, 0.0, atol=1e-7)
+    xhat, zdiag = _fields(sol)
+    assert np.allclose(xhat, 2.0, atol=1e-7)
+    assert np.allclose(zdiag, 0.0, atol=1e-7)
 
 
 def test_bsvie_driverless_is_martingale_projection(grid64, paths64_small):
@@ -270,8 +285,9 @@ def _max_rel(a, b):
 def test_bsvie_matches_per_path_march(market, oracle_paths, log_utility):
     sol = bsvie_solve(1.1, market, log_utility, oracle_paths)
     xhat, zdiag, spread = _reference_bsvie(1.1, market, log_utility, oracle_paths)
-    assert _max_rel(sol.xhat, xhat) <= 1e-11
-    assert _max_rel(sol.zhat_diag, zdiag) <= 1e-10
+    got_x, got_z = _fields(sol)
+    assert _max_rel(got_x, xhat) <= 1e-11
+    assert _max_rel(got_z, zdiag) <= 1e-10
     assert np.max(np.abs(sol.ratio_spread - spread)) <= 1e-9
     assert sol.ratio_spread[0] == 0.0
 
@@ -319,7 +335,7 @@ def test_given_projector_must_match_the_bundle(oracle_paths, log_utility):
     with pytest.raises(ConfigurationError, match="basis"):
         solve_c(market, log_utility, oracle_paths, basis=RegressionBasis(), projector=own)
     sol = bsvie_solve(1.1, market, log_utility, oracle_paths, projector=own)
-    assert sol.xhat.shape == (oracle_paths.n_steps + 1, oracle_paths.n_paths)
+    assert _fields(sol)[0].shape == (oracle_paths.n_steps + 1, oracle_paths.n_paths)
 
 
 @pytest.mark.parametrize("market", _ORACLE_MARKETS)
@@ -367,10 +383,11 @@ def test_march_is_linear_in_the_terminal(linearity_projector, alpha, beta, stop,
 
 def test_bsvie_merton_initial_wealth(grid64, paths64_desk, merton_market, log_utility):
     sol = bsvie_solve(1.0, merton_market, log_utility, paths64_desk)
-    assert abs(sol.xhat[0].mean() - 1.0) <= 0.02
+    xhat, _ = _fields(sol)
+    assert abs(xhat[0].mean() - 1.0) <= 0.02
     # trivial time-zero information: fitted values are path independent
-    assert sol.xhat[0].std() <= 0.01 * abs(sol.xhat[0].mean())
-    assert np.all(sol.xhat > 0.0)
+    assert xhat[0].std() <= 0.01 * abs(xhat[0].mean())
+    assert np.all(xhat > 0.0)
 
 
 def test_bsvie_positivity_diagnostic(grid64, merton_market):
@@ -380,7 +397,8 @@ def test_bsvie_positivity_diagnostic(grid64, merton_market):
     with pytest.raises(RegressionError):
         sol = bsvie_solve(1.0, merton_market, util, paths,
                           basis=RegressionBasis(degree=1))
-        recover_pi(sol, merton_market, grid64)
+        for j in range(grid64.steps):
+            sol.fraction(j)
         raise RegressionError("wealth stayed positive at this seed")
 
 
@@ -425,19 +443,22 @@ def test_solve_c_invalid_bracket(grid64, paths64_small, merton_market, log_utili
 
 # --- recovered fractions ----------------------------------------------------------------
 
-def test_recover_pi_zero_integrand(grid64, paths64_small, log_utility):
+def test_fractions_zero_integrand(grid64, paths64_small, log_utility):
     market = MarketModel.constant(0.0, 0.2)
     sol = bsvie_solve(0.5, market, log_utility, paths64_small)
-    pi = recover_pi(sol, market, grid64)
+    pi = np.array([sol.fraction(j) for j in range(grid64.steps)])
     assert np.allclose(pi, 0.0, atol=1e-8)
 
 
-def test_recover_pi_rejects_nonpositive_wealth(grid64, paths64_small, merton_market,
-                                               log_utility):
+def test_fractions_reject_nonpositive_wealth(grid64, paths64_small, merton_market,
+                                             log_utility):
     sol = bsvie_solve(1.0, merton_market, log_utility, paths64_small)
-    sol.xhat[5, 0] = -1e-9
+    # shift node 5's intercept (a column of ones) so that its lowest wealth is -1e-9
+    sol.x_coef[5] = sol.x_coef[5].copy()
+    sol.x_coef[5][0] -= sol.node(5)[0].min() + 1e-9
+    assert np.sum(sol.node(5)[0] <= 0.0) >= 1
     with pytest.raises(RegressionError):
-        recover_pi(sol, merton_market, grid64)
+        sol.fraction(5)
 
 
 # --- positivity-preserving wealth simulation ----------------------------------------------
@@ -550,14 +571,14 @@ def test_verify_optimality_interface(paths64_small, merton_market, log_utility):
     deltas = sorted(d for d, _, _, _ in report.comparisons)
     assert deltas == [-0.1, 0.1]
     assert report.dominates()
-    assert report.max_interior_stationarity() <= 0.06
+    assert max_interior_stationarity(report) <= 0.06
 
 
 def test_full_pipeline_merton_small_scale(grid64, paths64_small, merton_market,
                                           log_utility):
     sol = solve_portfolio(merton_market, log_utility, paths64_small)
     assert abs(sol.c - 1.0) <= 0.02
-    interior = sol.fractions[16:48].mean(axis=1)
+    interior = sol.mean_pi[16:48]
     assert np.max(np.abs(interior - 1.25) / 1.25) <= 0.05
     assert sol.bsvie.max_ratio_spread <= 0.05
 
@@ -567,7 +588,7 @@ def test_calibration_reproducibility(grid64, merton_market, log_utility):
                 sample_paths(grid64, JumpModel.none(), 40_000, seed=1))
     b = solve_c(merton_market, log_utility,
                 sample_paths(grid64, JumpModel.none(), 40_000, seed=2))
-    assert a.reproducible_within(b)
+    assert reproducible_within(a, b)
 
 
 # --- work done on demand -----------------------------------------------------------------
@@ -628,3 +649,68 @@ def test_terminal_martingale_and_batch_slices_match_rebuilds(n, m, seed):
         assert np.array_equal(feature.values[:, cols], _bsvie_features(th, sub)[0].values)
         assert np.array_equal(terminal[cols], _log_martingale(th, sub)[-1])
         assert np.array_equal(np.exp(terminal)[cols], np.exp(_log_martingale(th, sub)[-1]))
+
+
+# --- running sums row by row, and fields read one node at a time ----------------------------
+
+def _bundle(dW):
+    n, m = dW.shape
+    return PathBundle(TimeGrid(1.0, n), JumpModel.none(), dW, np.zeros((n, m, 0), np.int16), None)
+
+
+def _cumsum_rows(increments):
+    """The running sum as `np.cumsum` along the nodes forms it, with a zero first row."""
+    out = np.zeros((increments.shape[0] + 1, increments.shape[1]))
+    np.cumsum(increments, axis=0, out=out[1:])
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 7), (5, 33), (17, 260)])
+def test_running_sums_equal_the_cumsum_bit_for_bit(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    dW = rng.normal(0.0, 0.3, (n, m))
+    w = rng.uniform(-1.5, 1.5, n)
+    th = rng.uniform(-0.5, 0.5, n + 1)
+    # row 0 holds -0.0 in both sums: (-1) * 0.0, and 0 * (-x) - 0.0
+    dW[0, :] = -np.abs(dW[0, :])
+    dW[0, 0] = 0.0
+    w[0], th[0] = -1.0, 0.0
+    paths = _bundle(dW)
+    got = weighted_brownian_feature(w, paths).values
+    want = _cumsum_rows(w[:, None] * dW)
+    assert np.signbit(want[1]).any() and got.tobytes() == want.tobytes()
+    got = _log_martingale(th, paths)
+    want = _cumsum_rows(th[:n, None] * dW - 0.5 * th[:n, None] ** 2 * paths.grid.dt)
+    assert np.signbit(want[1]).any() and got.tobytes() == want.tobytes()
+    assert _terminal_log_martingale(th, paths).tobytes() == want[-1].tobytes()
+    feature = martingale_feature(th, paths)
+    assert feature.values.tobytes() == np.exp(want).tobytes()
+
+
+def test_strategy_statistics_are_those_of_the_fraction_rows(oracle_paths, log_utility, tmp_path):
+    market = _ORACLE_MARKETS[1].values[0]
+    sol = solve_portfolio(market, log_utility, oracle_paths)
+    export_portfolio_csvs(tmp_path, sol, oracle_paths.grid)
+    table = np.genfromtxt(tmp_path / "strategy.csv", delimiter=",", names=True)
+    fractions = sol.fractions()
+    assert fractions.shape == (oracle_paths.n_steps, oracle_paths.n_paths)
+    for j, row in enumerate(fractions):
+        assert sol.mean_pi[j] == row.mean() and sol.std_pi[j] == row.std(ddof=1)
+        assert table["mean_pi"][j] == row.mean() and table["std_pi"][j] == row.std(ddof=1)
+
+
+def test_solve_portfolio_forms_no_per_path_field_array():
+    # With the sampling traced, the peak holds dW, the BSVIE feature and a few node
+    # designs; one (N, M) array of X^, Z^ or the fractions would exceed the bound.
+    n, m = 64, 20_000
+    market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0)
+    p = RegressionBasis().dimension(1)
+    tracemalloc.start()
+    try:
+        paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), m, seed=7)
+        solve_portfolio(market, UtilitySpec.log(), paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = paths.dW.nbytes + (n + 1) * m * 8 + 8 * p * m * 8
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
