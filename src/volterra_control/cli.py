@@ -55,9 +55,9 @@ from .hamiltonian import (
     perturbation_window,
 )
 from .portfolio import (
-    _N_BATCHES,
     MarketModel,
     export_portfolio_csvs,
+    path_floor,
     solve_portfolio,
     verify_optimality,
 )
@@ -394,13 +394,12 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
 
 
 def _portfolio_paths(cfg: ExperimentConfig):
-    """The sampled bundle, refused before sampling where `portfolio._check_batch_width`
-    would refuse it."""
-    need = _N_BATCHES * MIN_PATHS_PER_COLUMN * cfg.basis.dimension(1)
+    """The sampled bundle, refused before sampling below the portfolio's `path_floor`."""
+    need = path_floor(cfg.basis)
     if cfg.n_paths < need:
         raise ConfigurationError(
-            f"monte_carlo.paths is {cfg.n_paths}, but the calibration's {_N_BATCHES} path "
-            f"batches need at least {need} paths")
+            f"monte_carlo.paths is {cfg.n_paths}, but the calibration's path batches need "
+            f"at least {need} paths")
     return cfg.sample()
 
 
@@ -492,12 +491,15 @@ def _cmd_merton_test(cfg: ExperimentConfig) -> int:
     interior = solution.mean_pi[n // 4:(3 * n) // 4]
     worst = float(np.max(np.abs(interior - pi_ref) / pi_ref))
     control = ControlProcess.per_path(solution.fractions(), bounds=(-10.0, 10.0))
+    # only c is read from here on: drop the problem, its regressions and its feature
+    c = solution.c
+    del solution
     report = verify_optimality(market, utility, control, paths, basis=cfg.basis)
     rows = [("candidate", report.j_candidate, report.j_candidate_stderr)]
     rows += [(f"shift{delta:+g}", j, se) for delta, j, _gap, se in report.comparisons]
     write_csv(cfg.out_dir / "objective.csv", ("strategy", "J_estimate", "stderr"), rows)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("merton-test"))
-    print(f"merton-test: c = {solution.c:.4f} (closed form {1.0 / m['wealth']:.4f}), "
+    print(f"merton-test: c = {c:.4f} (closed form {1.0 / m['wealth']:.4f}), "
           f"interior fraction within {100 * worst:.2f}% of {pi_ref}; "
           f"dominates shifts: {report.dominates()}")
     return 0 if (worst <= 0.05 and report.dominates()) else 1

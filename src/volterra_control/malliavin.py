@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -113,23 +113,40 @@ def state_feature(values: np.ndarray, name: str = "state",
                    brownian_sensitivity=brownian_sensitivity, jump_shift=jump_shift)
 
 
+def running_sums(weights: np.ndarray, paths: PathBundle, drift: np.ndarray | None = None,
+                 rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Yield S_1, ..., S_N of S_i = sum_{j<i} (w_j dW_j - d_j) (d = 0 without `drift`), each
+    formed as (w_j dW_j - d_j) + S_j: bit-identical to `np.cumsum` along the nodes, with no
+    (N, M) array of the summands. S_{j+1} is formed in rows[j] when `rows` (N, M) is given,
+    else in a new (M,) array, so a reader of the last row alone holds O(M)."""
+    total = None
+    for j in range(paths.n_steps):
+        step = np.multiply(weights[j], paths.dW[j], out=None if rows is None else rows[j])
+        if drift is not None:
+            step -= drift[j]
+        if total is not None:
+            step += total
+        total = step
+        yield total
+
+
+def running_sum_rows(weights: np.ndarray, paths: PathBundle,
+                     drift: np.ndarray | None = None) -> np.ndarray:
+    """The running sum of `running_sums` with its zero row S_0, (N+1, M)."""
+    out = np.empty((paths.n_steps + 1, paths.n_paths))
+    out[0] = 0.0
+    for _ in running_sums(weights, paths, drift, rows=out[1:]):
+        pass
+    return out
+
+
 def weighted_brownian_feature(weights: np.ndarray, paths: PathBundle,
                               name: str = "weighted_brownian") -> Feature:
-    """Running integral sum_{j<i} w_j dW_j of a deterministic weight grid.
-
-    The sum is built row by row in the order of `np.cumsum` along the nodes, so the
-    values are bit-identical to it, with no (N, M) array of the products w_j dW_j.
-    """
+    """Running integral sum_{j<i} w_j dW_j of a deterministic weight grid."""
     w = np.asarray(weights, dtype=float)
-    vals = np.empty((paths.n_steps + 1, paths.n_paths))
-    vals[0] = 0.0
-    for j in range(paths.n_steps):
-        np.multiply(w[j], paths.dW[j], out=vals[j + 1])
-        if j:
-            vals[j + 1] += vals[j]
     return Feature(
         name=name,
-        values=vals,
+        values=running_sum_rows(w, paths),
         brownian_sensitivity=lambda i: w[i:i + 1, None],   # (1, 1); (0, 1) at node N
         jump_shift=lambda i: 0.0,
     )

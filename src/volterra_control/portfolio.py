@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .malliavin import (
     BackwardProjector,
     Feature,
     RegressionBasis,
+    running_sum_rows,
+    running_sums,
     weighted_brownian_feature,
 )
 from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
@@ -103,28 +105,17 @@ def theta0(market: MarketModel, grid: TimeGrid) -> np.ndarray:
 
 
 def _log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """log of the exponential martingale with unit initial value, (N+1, M), summed row by
-    row in the order of `_terminal_log_martingale` (that of a cumsum along the nodes)."""
+    """log of the exponential martingale with unit initial value, (N+1, M)."""
     th = np.asarray(theta, dtype=float)[:paths.n_steps]
-    drift = 0.5 * th ** 2 * paths.grid.dt
-    out = np.empty((paths.n_steps + 1, paths.n_paths))
-    out[0] = 0.0
-    for i in range(paths.n_steps):
-        np.multiply(th[i], paths.dW[i], out=out[i + 1])
-        out[i + 1] -= drift[i]
-        if i:
-            out[i + 1] += out[i]
-    return out
+    return running_sum_rows(th, paths, 0.5 * th ** 2 * paths.grid.dt)
 
 
 def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """The last row of `_log_martingale`, (M,), with no (N+1, M) array."""
+    """The last row of `_log_martingale`, (M,), holding O(M)."""
     th = np.asarray(theta, dtype=float)[:paths.n_steps]
-    drift = 0.5 * th ** 2 * paths.grid.dt
-    out = th[0] * paths.dW[0] - drift[0]
-    for i in range(1, paths.n_steps):
-        out += th[i] * paths.dW[i] - drift[i]
-    return out
+    for total in running_sums(th, paths, 0.5 * th ** 2 * paths.grid.dt):
+        pass
+    return total
 
 
 def _terminal_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
@@ -148,14 +139,48 @@ def _bsvie_features(theta: np.ndarray, paths: PathBundle) -> list[Feature]:
     return [weighted_brownian_feature(theta[:paths.n_steps], paths, name="theta_integral")]
 
 
-def _bsvie_projector(th: np.ndarray, paths: PathBundle, basis: RegressionBasis | None,
-                     projector: BackwardProjector | None) -> BackwardProjector:
-    """A new projector on the BSVIE feature, or the given one checked against the bundle."""
-    if projector is None:
-        return BackwardProjector(_bsvie_features(th, paths), paths, basis)
-    if basis is not None or projector.dW is not paths.dW:
-        raise ConfigurationError("a given projector must come from this bundle, with no basis")
-    return projector
+def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarray:
+    """b0(t_row, s) / sigma0(t_row, s) over the nodes s."""
+    return market.drift_kernel(t_row, s) / market.vol_kernel(t_row, s)
+
+
+_N_BATCHES = 8  # disjoint path batches of the calibration stderr
+_MAX_BISECTIONS = 80  # bisection steps of `solve_c` at most
+
+
+def path_floor(basis: RegressionBasis) -> int:
+    """Fewest paths a portfolio solve takes: each of the calibration stderr's path batches
+    needs MIN_PATHS_PER_COLUMN paths per function of the one-feature basis."""
+    return _N_BATCHES * MIN_PATHS_PER_COLUMN * basis.dimension(1)
+
+
+class PortfolioProblem:
+    """What the calibration, the BSVIE rows and the batch stderr of c share, built once in
+    this order: the market is validated on the grid, a bundle below `path_floor` is refused
+    before any fit, then the loading `theta`, the BSVIE `feature` with its `projector`, the
+    unit-start martingale's terminal values `martingale` and row 0's kernel `ratios0`."""
+
+    def __init__(self, market: MarketModel, utility: UtilitySpec, paths: PathBundle,
+                 basis: RegressionBasis | None = None):
+        basis = basis or RegressionBasis()
+        market.validate(paths.grid)
+        need = path_floor(basis)
+        if paths.n_paths < need:
+            raise RegressionError(
+                f"the calibration needs monte_carlo.paths >= {need} ({_N_BATCHES} path batches "
+                f"of {MIN_PATHS_PER_COLUMN} paths per basis function, basis dimension "
+                f"{basis.dimension(1)}), got {paths.n_paths}")
+        self.market, self.utility, self.paths = market, utility, paths
+        self.theta = theta0(market, paths.grid)
+        (self.feature,) = _bsvie_features(self.theta, paths)
+        self.projector = BackwardProjector([self.feature], paths, basis)
+        self.martingale = _terminal_martingale(self.theta, paths)
+        self.ratios0 = _kernel_ratios(market, paths.grid.nodes[0],
+                                      paths.grid.nodes[:paths.n_steps])
+
+    def terminal(self, c: float, cols: slice = slice(None)) -> np.ndarray:
+        """Terminal wealth F(c) = (u')^{-1}(c M_T) on the paths, or on the columns `cols`."""
+        return _inverse_marginal(c, self.martingale[cols], self.utility)
 
 
 def martingale_feature(theta: np.ndarray, paths: PathBundle) -> Feature:
@@ -221,16 +246,7 @@ class BsvieSolution:
         return np.divide(zhat, xhat, out=xhat)
 
 
-def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarray:
-    """b0(t_row, s) / sigma0(t_row, s) over the nodes s."""
-    return market.drift_kernel(t_row, s) / market.vol_kernel(t_row, s)
-
-
-def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
-                paths: PathBundle, basis: RegressionBasis | None = None,
-                theta: np.ndarray | None = None,
-                projector: BackwardProjector | None = None,
-                martingale: np.ndarray | None = None) -> BsvieSolution:
+def bsvie_solve(problem: PortfolioProblem, c: float) -> BsvieSolution:
     """Solve the backward Volterra equation closed by the terminal wealth F(c).
 
     For each fixed t_i the recursion in s runs from T down to t_i with
@@ -238,16 +254,10 @@ def bsvie_solve(c: float, market: MarketModel, utility: UtilitySpec,
     centered one-step products, one projector march per row, and row i keeps
     its node-i coefficients of X^ and Z^ (see `BsvieSolution`). The consistency
     of Z^(t_i, s_j)/sigma0(t_i, s_j) with the diagonal is a node-Gram RMS.
-    `martingale`, the terminal values of the unit-start exponential martingale
-    of the loading, is summed here unless given.
     """
-    market.validate(paths.grid)
-    n, t = paths.n_steps, paths.grid.nodes
-    th = theta0(market, paths.grid) if theta is None else np.asarray(theta, dtype=float)
-    projector = _bsvie_projector(th, paths, basis, projector)
-    if martingale is None:
-        martingale = _terminal_martingale(th, paths)
-    f_c = _inverse_marginal(c, martingale, utility)
+    market, projector = problem.market, problem.projector
+    n, t = problem.paths.n_steps, problem.paths.grid.nodes
+    f_c = problem.terminal(c)
 
     vol_diag = market.vol_kernel(t[:n], t[:n])
     x_diag: list = [None] * n      # X^(t_j) coefficients
@@ -273,19 +283,19 @@ class CalibrationResult:
 
     `stderr` is the delta-method standard error |se / gap_slope| of c, where se is the
     standard error of the gap at c from disjoint path batches. It is computed the first
-    time it is read, by `batch_gap_stderr` (8 more projector builds), and then cached.
+    time it is read, by `_batched_gap_stderr` (8 more projector builds), and then cached.
     """
 
     c: float
     history: list  # (c, gap, gap_stderr) per evaluation
     gap_slope: float  # secant slope of the gap across c
-    batch_gap_stderr: Callable[[], float] = field(repr=False, compare=False)
+    problem: PortfolioProblem = field(repr=False, compare=False)
 
     @cached_property
     def stderr(self) -> float:
         if self.gap_slope == 0.0:
             return float("inf")
-        return abs(self.batch_gap_stderr() / self.gap_slope)
+        return abs(_batched_gap_stderr(self.problem, self.c) / self.gap_slope)
 
 
 def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
@@ -300,51 +310,31 @@ def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
     return float(phi0.mean(axis=0) @ c[0]), float(est.std(ddof=1) / math.sqrt(len(est)))
 
 
-_N_BATCHES = 8  # disjoint path batches of the calibration stderr
-
-
-def _check_batch_width(paths: PathBundle, basis: RegressionBasis) -> None:
-    """Fail before any fit when a path batch of the calibration stderr is too small."""
-    need = _N_BATCHES * MIN_PATHS_PER_COLUMN * basis.dimension(1)
-    if paths.n_paths < need:
-        raise RegressionError(
-            f"the calibration needs monte_carlo.paths >= {need} ({_N_BATCHES} path batches of "
-            f"{MIN_PATHS_PER_COLUMN} paths per basis function, basis dimension "
-            f"{basis.dimension(1)}), got {paths.n_paths}"
-        )
-
-
-def _batched_gap_stderr(c: float, market: MarketModel, utility: UtilitySpec,
-                        paths: PathBundle, basis: RegressionBasis, th: np.ndarray,
-                        martingale: np.ndarray) -> float:
+def _batched_gap_stderr(problem: PortfolioProblem, c: float) -> float:
     """Standard error of the initial-wealth gap from disjoint path batches.
 
     The backward recursion feeds fitted values into later fits, so the
     per-path dispersion at the last step understates the estimator noise;
     independent batch re-estimates capture the regression noise as well.
     Each batch's feature and terminal martingale are column slices of the
-    full ones, bit-identical to rebuilds on the batch's paths.
+    problem's, bit-identical to rebuilds on the batch's paths.
     """
+    paths, feature = problem.paths, problem.feature
     width = paths.n_paths // _N_BATCHES
-    ratios = _kernel_ratios(market, paths.grid.nodes[0], paths.grid.nodes[:paths.n_steps])
-    (feature,) = _bsvie_features(th, paths)
     gaps = []
     for b in range(_N_BATCHES):
         cols = slice(b * width, (b + 1) * width)
         batch = replace(feature, values=feature.values[:, cols])
         v0, _ = _initial_value(
-            BackwardProjector([batch], paths.subset(cols.start, cols.stop), basis),
-            _inverse_marginal(c, martingale[cols], utility), ratios)
-        gaps.append(v0 - market.initial_wealth)
+            BackwardProjector([batch], paths.subset(cols.start, cols.stop),
+                              problem.projector.basis),
+            problem.terminal(c, cols), problem.ratios0)
+        gaps.append(v0 - problem.market.initial_wealth)
     return float(np.std(gaps, ddof=1) / math.sqrt(_N_BATCHES))
 
 
-def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
-            bracket: tuple[float, float] | None = None,
-            rel_tol: float = 1e-3, max_iter: int = 80,
-            basis: RegressionBasis | None = None,
-            projector: BackwardProjector | None = None,
-            martingale: np.ndarray | None = None) -> CalibrationResult:
+def solve_c(problem: PortfolioProblem, bracket: tuple[float, float] | None = None,
+            rel_tol: float = 1e-3) -> CalibrationResult:
     """Bisection for the constant c with X^_c(0) = initial wealth.
 
     The map c -> X^_c(0) is evaluated on one fixed path bundle (common
@@ -352,21 +342,11 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
     and is additionally checked for monotonicity at its midpoint. Each gap
     is a row-0 march. The standard error of c combines the batch Monte Carlo
     error of the gap with the empirical slope of the gap near the root; it
-    is computed when first read (see `CalibrationResult`), but a bundle too
-    small for its 8 path batches is rejected here, before any fit.
-    `martingale` is as in `bsvie_solve`.
+    is computed when first read (see `CalibrationResult`).
     """
-    market.validate(paths.grid)
-    _check_batch_width(paths, projector.basis if projector is not None
-                       else basis or RegressionBasis())
-    th = theta0(market, paths.grid)
-    projector = _bsvie_projector(th, paths, basis, projector)
-    if martingale is None:
-        martingale = _terminal_martingale(th, paths)
-    ratios = _kernel_ratios(market, paths.grid.nodes[0], paths.grid.nodes[:paths.n_steps])
-    x = market.initial_wealth
+    x = problem.market.initial_wealth
     if bracket is None:
-        mstar = float(utility.u_prime(x))
+        mstar = float(problem.utility.u_prime(x))
         bracket = (1e-3 * mstar, 1e3 * mstar)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi:
@@ -374,7 +354,7 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
     history: list = []
 
     def gap(c: float) -> tuple[float, float]:
-        v0, se = _initial_value(projector, _inverse_marginal(c, martingale, utility), ratios)
+        v0, se = _initial_value(problem.projector, problem.terminal(c), problem.ratios0)
         history.append((c, v0 - x, se))
         return v0 - x, se
 
@@ -391,7 +371,7 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
             "initial-wealth gap is not monotone across the bracket; refusing to bisect"
         )
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         g_mid, se_mid = gap(mid)
         if g_mid > 0.0:
@@ -407,10 +387,7 @@ def solve_c(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
     g_a, _ = gap(max(c_star - da, 0.5 * c_star))
     g_b, _ = gap(c_star + da)
     slope = (g_b - g_a) / ((c_star + da) - max(c_star - da, 0.5 * c_star))
-    return CalibrationResult(
-        c=c_star, history=history, gap_slope=slope,
-        batch_gap_stderr=partial(_batched_gap_stderr, c_star, market, utility, paths,
-                                 projector.basis, th, martingale))
+    return CalibrationResult(c=c_star, history=history, gap_slope=slope, problem=problem)
 
 
 @dataclass
@@ -422,9 +399,7 @@ class PortfolioSolution:
     per-path fractions, for a per-path control.
     """
 
-    market: MarketModel
-    utility: UtilitySpec
-    theta: np.ndarray
+    problem: PortfolioProblem
     calibration: CalibrationResult
     bsvie: BsvieSolution
     mean_pi: np.ndarray  # (N,)
@@ -478,23 +453,17 @@ def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle
                     basis: RegressionBasis | None = None,
                     bracket: tuple[float, float] | None = None,
                     rel_tol: float = 1e-3) -> PortfolioSolution:
-    """Full construction: loading, calibration, BSVIE fields, and fraction statistics.
+    """Full construction: the problem, its calibration, BSVIE fields and fraction statistics.
 
-    One projector and one terminal martingale serve the calibration and the BSVIE.
-    Each node's fractions are formed once, for their mean and spread, and dropped.
+    One `PortfolioProblem` serves the calibration and the BSVIE. Each node's fractions
+    are formed once, for their mean and spread, and dropped.
     """
-    _check_batch_width(paths, basis or RegressionBasis())
-    th = theta0(market, paths.grid)
-    projector = BackwardProjector(_bsvie_features(th, paths), paths, basis)
-    martingale = _terminal_martingale(th, paths)
-    calibration = solve_c(market, utility, paths, bracket=bracket, rel_tol=rel_tol,
-                          projector=projector, martingale=martingale)
-    fields = bsvie_solve(calibration.c, market, utility, paths, theta=th, projector=projector,
-                         martingale=martingale)
+    problem = PortfolioProblem(market, utility, paths, basis)
+    calibration = solve_c(problem, bracket=bracket, rel_tol=rel_tol)
+    fields = bsvie_solve(problem, calibration.c)
     stats = np.array([(pi.mean(), pi.std(ddof=1))
                       for pi in map(fields.fraction, range(paths.n_steps))])
-    return PortfolioSolution(market=market, utility=utility, theta=th,
-                             calibration=calibration, bsvie=fields,
+    return PortfolioSolution(problem=problem, calibration=calibration, bsvie=fields,
                              mean_pi=stats[:, 0], std_pi=stats[:, 1])
 
 
@@ -568,7 +537,7 @@ def export_portfolio_csvs(out_dir, solution: PortfolioSolution, grid: TimeGrid) 
     """Write the strategy and calibration tables for a solved portfolio."""
     out = Path(out_dir)
     t = grid.nodes
-    rows = [(t[j], solution.theta[j], solution.mean_pi[j], solution.std_pi[j])
+    rows = [(t[j], solution.problem.theta[j], solution.mean_pi[j], solution.std_pi[j])
             for j in range(len(solution.mean_pi))]
     write_csv(out / "strategy.csv", ("t", "theta0", "mean_pi", "std_pi"), rows)
     cal_rows = [

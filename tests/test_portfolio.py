@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from volterra_control.malliavin import (
 from volterra_control import portfolio
 from volterra_control.portfolio import (
     MarketModel,
+    PortfolioProblem,
     _batched_gap_stderr,
     _bsvie_features,
     _initial_value,
@@ -180,7 +182,7 @@ def test_terminal_wealth_requires_positive_c(paths64_small, log_utility):
 
 def test_bsvie_driverless_constant_terminal(grid64, paths64_small, log_utility):
     market = MarketModel.constant(0.0, 0.2)
-    sol = bsvie_solve(0.5, market, log_utility, paths64_small)
+    sol = bsvie_solve(PortfolioProblem(market, log_utility, paths64_small), 0.5)
     # zero drift kernel and deterministic terminal: X^ == F(c), Z^ == 0
     assert np.allclose(sol.terminal, 2.0, atol=1e-12)
     xhat, zdiag = _fields(sol)
@@ -283,7 +285,7 @@ def _max_rel(a, b):
 
 @pytest.mark.parametrize("market", _ORACLE_MARKETS)
 def test_bsvie_matches_per_path_march(market, oracle_paths, log_utility):
-    sol = bsvie_solve(1.1, market, log_utility, oracle_paths)
+    sol = bsvie_solve(PortfolioProblem(market, log_utility, oracle_paths), 1.1)
     xhat, zdiag, spread = _reference_bsvie(1.1, market, log_utility, oracle_paths)
     got_x, got_z = _fields(sol)
     assert _max_rel(got_x, xhat) <= 1e-11
@@ -311,31 +313,13 @@ def test_solve_c_visits_the_oracle_sequence(oracle_paths, log_utility):
     # Bisection moves on the sign of each gap alone, so equal signs at every
     # visited c mean the per-path march would have visited the same sequence.
     market = _ORACLE_MARKETS[1].values[0]
-    cal = solve_c(market, log_utility, oracle_paths)
+    cal = solve_c(PortfolioProblem(market, log_utility, oracle_paths))
     assert len(cal.history) > 10
     for c, g, se in cal.history:
         g_ref, se_ref = _reference_gap(c, market, log_utility, oracle_paths)
         assert np.sign(g) == np.sign(g_ref)
         assert abs(g - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
         assert se == pytest.approx(se_ref, rel=1e-9)
-
-
-def test_given_projector_must_match_the_bundle(oracle_paths, log_utility):
-    market = _ORACLE_MARKETS[0].values[0]
-    other = sample_paths(oracle_paths.grid, JumpModel.none(), oracle_paths.n_paths, seed=18)
-    foreign = BackwardProjector(_bsvie_features(theta0(market, other.grid), other), other)
-    with pytest.raises(ConfigurationError, match="projector"):
-        bsvie_solve(1.1, market, log_utility, oracle_paths, projector=foreign)
-    with pytest.raises(ConfigurationError, match="projector"):
-        solve_c(market, log_utility, oracle_paths, projector=foreign)
-    own = BackwardProjector(_bsvie_features(theta0(market, other.grid), oracle_paths),
-                            oracle_paths)
-    with pytest.raises(ConfigurationError, match="basis"):
-        bsvie_solve(1.1, market, log_utility, oracle_paths, basis=RegressionBasis(), projector=own)
-    with pytest.raises(ConfigurationError, match="basis"):
-        solve_c(market, log_utility, oracle_paths, basis=RegressionBasis(), projector=own)
-    sol = bsvie_solve(1.1, market, log_utility, oracle_paths, projector=own)
-    assert _fields(sol)[0].shape == (oracle_paths.n_steps + 1, oracle_paths.n_paths)
 
 
 @pytest.mark.parametrize("market", _ORACLE_MARKETS)
@@ -382,7 +366,7 @@ def test_march_is_linear_in_the_terminal(linearity_projector, alpha, beta, stop,
 
 
 def test_bsvie_merton_initial_wealth(grid64, paths64_desk, merton_market, log_utility):
-    sol = bsvie_solve(1.0, merton_market, log_utility, paths64_desk)
+    sol = bsvie_solve(PortfolioProblem(merton_market, log_utility, paths64_desk), 1.0)
     xhat, _ = _fields(sol)
     assert abs(xhat[0].mean() - 1.0) <= 0.02
     # trivial time-zero information: fitted values are path independent
@@ -395,8 +379,8 @@ def test_bsvie_positivity_diagnostic(grid64, merton_market):
     paths = sample_paths(grid64, JumpModel.none(), 50, seed=3)
     util = UtilitySpec.log()
     with pytest.raises(RegressionError):
-        sol = bsvie_solve(1.0, merton_market, util, paths,
-                          basis=RegressionBasis(degree=1))
+        sol = bsvie_solve(PortfolioProblem(merton_market, util, paths,
+                                           basis=RegressionBasis(degree=1)), 1.0)
         for j in range(grid64.steps):
             sol.fraction(j)
         raise RegressionError("wealth stayed positive at this seed")
@@ -407,7 +391,7 @@ def test_bsvie_positivity_diagnostic(grid64, merton_market):
 def test_solve_c_deterministic_market(grid64, paths64_small, log_utility):
     # zero loading: F(c) = 1/c exactly, so X^(0) = 1/c and c = 1/x
     market = MarketModel.constant(0.0, 0.2, wealth=2.0)
-    cal = solve_c(market, log_utility, paths64_small)
+    cal = solve_c(PortfolioProblem(market, log_utility, paths64_small))
     assert cal.c == pytest.approx(0.5, rel=2e-3)
 
 
@@ -416,14 +400,14 @@ def test_solve_c_proportional_kernels(grid64, paths64_small, log_utility):
     # the first argument, so the replication budget gives c = 1/x exactly
     market = MarketModel.exponential(0.05, 0.2, decay_b=1.5, decay_sigma=1.5,
                                      wealth=1.0, floor=0.01)
-    cal = solve_c(market, log_utility, paths64_small)
+    cal = solve_c(PortfolioProblem(market, log_utility, paths64_small))
     assert abs(cal.c - 1.0) <= 0.02
 
 
 def test_solve_c_power_utility_brute_force(grid64, paths64_small):
     util = UtilitySpec.power(0.5)
     market = MarketModel.constant(0.05, 0.2, wealth=1.0)
-    cal = solve_c(market, util, paths64_small)
+    cal = solve_c(PortfolioProblem(market, util, paths64_small))
     # brute-force oracle: X^_c(0) = E[F(c) M_T] with the exponential weight
     th = theta0(market, grid64)
     y = y_martingale(th, paths64_small, 1.0)
@@ -438,21 +422,21 @@ def test_solve_c_power_utility_brute_force(grid64, paths64_small):
 
 def test_solve_c_invalid_bracket(grid64, paths64_small, merton_market, log_utility):
     with pytest.raises(CalibrationError, match="bracket"):
-        solve_c(merton_market, log_utility, paths64_small, bracket=(5.0, 50.0))
+        solve_c(PortfolioProblem(merton_market, log_utility, paths64_small), bracket=(5.0, 50.0))
 
 
 # --- recovered fractions ----------------------------------------------------------------
 
 def test_fractions_zero_integrand(grid64, paths64_small, log_utility):
     market = MarketModel.constant(0.0, 0.2)
-    sol = bsvie_solve(0.5, market, log_utility, paths64_small)
+    sol = bsvie_solve(PortfolioProblem(market, log_utility, paths64_small), 0.5)
     pi = np.array([sol.fraction(j) for j in range(grid64.steps)])
     assert np.allclose(pi, 0.0, atol=1e-8)
 
 
 def test_fractions_reject_nonpositive_wealth(grid64, paths64_small, merton_market,
                                              log_utility):
-    sol = bsvie_solve(1.0, merton_market, log_utility, paths64_small)
+    sol = bsvie_solve(PortfolioProblem(merton_market, log_utility, paths64_small), 1.0)
     # shift node 5's intercept (a column of ones) so that its lowest wealth is -1e-9
     sol.x_coef[5] = sol.x_coef[5].copy()
     sol.x_coef[5][0] -= sol.node(5)[0].min() + 1e-9
@@ -584,10 +568,10 @@ def test_full_pipeline_merton_small_scale(grid64, paths64_small, merton_market,
 
 
 def test_calibration_reproducibility(grid64, merton_market, log_utility):
-    a = solve_c(merton_market, log_utility,
-                sample_paths(grid64, JumpModel.none(), 40_000, seed=1))
-    b = solve_c(merton_market, log_utility,
-                sample_paths(grid64, JumpModel.none(), 40_000, seed=2))
+    a = solve_c(PortfolioProblem(merton_market, log_utility,
+                                 sample_paths(grid64, JumpModel.none(), 40_000, seed=1)))
+    b = solve_c(PortfolioProblem(merton_market, log_utility,
+                                 sample_paths(grid64, JumpModel.none(), 40_000, seed=2)))
     assert reproducible_within(a, b)
 
 
@@ -616,17 +600,43 @@ def test_calibration_stderr_is_computed_once_on_first_read(oracle_paths, log_uti
     assert len(projector_builds) == 9
     assert sol.calibration.stderr == first
     assert len(projector_builds) == 9
-    th = theta0(market, oracle_paths.grid)
-    direct = _batched_gap_stderr(sol.c, market, log_utility, oracle_paths, RegressionBasis(), th,
-                                 np.exp(_terminal_log_martingale(th, oracle_paths)))
+    direct = _batched_gap_stderr(PortfolioProblem(market, log_utility, oracle_paths), sol.c)
     assert first == abs(direct / sol.calibration.gap_slope)
     assert 0.0 < first < np.inf
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_solve_portfolio_builds_each_shared_object_once(oracle_paths, log_utility, monkeypatch):
+    calls = Counter()
+    for name in ("theta0", "path_floor", "_bsvie_features", "_terminal_log_martingale"):
+        monkeypatch.setattr(portfolio, name, _counted(calls, name, getattr(portfolio, name)))
+    monkeypatch.setattr(MarketModel, "validate", _counted(calls, "validate", MarketModel.validate))
+    solve_portfolio(_ORACLE_MARKETS[1].values[0], log_utility, oracle_paths)
+    assert calls == {"validate": 1, "path_floor": 1, "theta0": 1, "_bsvie_features": 1,
+                     "_terminal_log_martingale": 1}
+
+
+def test_calibration_stderr_builds_no_second_bsvie_feature(oracle_paths, log_utility,
+                                                          monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(portfolio, "weighted_brownian_feature",
+                        _counted(calls, "feature", portfolio.weighted_brownian_feature))
+    sol = solve_portfolio(_ORACLE_MARKETS[1].values[0], log_utility, oracle_paths)
+    assert calls["feature"] == 1
+    assert 0.0 < sol.calibration.stderr < np.inf
+    assert calls["feature"] == 1
 
 
 def test_too_few_paths_for_the_batches_fail_before_any_fit(log_utility, projector_builds):
     paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 200, seed=5)
     market = _ORACLE_MARKETS[1].values[0]
-    for solve in (solve_portfolio, solve_c):
+    for solve in (solve_portfolio, PortfolioProblem):
         with pytest.raises(RegressionError, match=r"monte_carlo\.paths >= 320 .* got 200"):
             solve(market, log_utility, paths)
     assert projector_builds == []
