@@ -185,25 +185,25 @@ class MaximizeResult:
     boundary: bool
 
 
-def maximize_control(objective: Callable[[float], float], bounds: tuple[float, float],
-                     n_coarse: int = 64, tol_factor: float = 1e-6) -> MaximizeResult:
+def maximize_control(objective: Callable[[float], float],
+                     bounds: tuple[float, float]) -> MaximizeResult:
     """Maximize a scalar objective over a bounded control interval.
 
-    A coarse grid scan locates the best cell, golden-section search refines
-    it to |bounds| * tol_factor. Ties break toward the smaller control value;
+    A 64-point grid scan locates the best cell, golden-section search refines
+    it to |bounds| * 1e-6. Ties break toward the smaller control value;
     the boundary flag is set when the argmax sits at an interval endpoint.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not lo < hi:
         raise ConfigurationError(f"empty control interval {bounds}")
-    grid = np.linspace(lo, hi, n_coarse)
+    grid = np.linspace(lo, hi, 64)
     vals = np.array([objective(v) for v in grid], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective is not finite on the control grid")
     best = int(np.argmax(vals))  # first index wins ties -> smallest v
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, n_coarse - 1)]
-    tol = (hi - lo) * tol_factor
+    b = grid[min(best + 1, len(grid) - 1)]
+    tol = (hi - lo) * 1e-6
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = objective(c), objective(d)
@@ -297,9 +297,10 @@ class StationarityReport:
     scale: np.ndarray
     normalized: np.ndarray
 
-    def max_interior(self, lo_frac: float = 0.25, hi_frac: float = 0.75) -> float:
+    def max_interior(self) -> float:
+        """Largest normalized statistic over the nodes of [T/4, 3T/4]."""
         n = len(self.normalized) - 1
-        lo, hi = int(math.floor(n * lo_frac)), int(math.ceil(n * hi_frac))
+        lo, hi = int(math.floor(n * 0.25)), int(math.ceil(n * 0.75))
         return float(np.max(self.normalized[lo:hi + 1]))
 
 
@@ -435,7 +436,7 @@ class ArrowReport:
 
 
 def arrow_spotcheck(kappa: Callable[[float, float], float], x_grid,
-                    bounds: tuple[float, float], tol_scale: float = 1e-6) -> ArrowReport:
+                    bounds: tuple[float, float]) -> ArrowReport:
     """Check concavity of x -> sup_v kappa(x, v) on a grid of state values.
 
     The envelope is computed with `maximize_control` per grid point; the
@@ -450,7 +451,7 @@ def arrow_spotcheck(kappa: Callable[[float, float], float], x_grid,
         for xv in x_grid
     ])
     second = env[2:] - 2.0 * env[1:-1] + env[:-2]
-    tol = tol_scale * max(1.0, float(np.max(np.abs(env))))
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(env))))
     return ArrowReport(x_grid=x_grid, envelope=env,
                        max_positive_curvature=float(np.max(second)), tolerance=tol)
 

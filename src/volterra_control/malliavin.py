@@ -36,10 +36,9 @@ def fd_step(paths: PathBundle) -> float:
     return 1e-4 * math.sqrt(paths.grid.dt)
 
 
-def d_brownian(functional: PathFunctional, paths: PathBundle, node: int,
-               step: float | None = None) -> np.ndarray:
+def d_brownian(functional: PathFunctional, paths: PathBundle, node: int) -> np.ndarray:
     """Derivative of the functional with respect to the Brownian increment at node."""
-    h = fd_step(paths) if step is None else step
+    h = fd_step(paths)
     pert = paths.perturb_brownian(node, +h)
     up = np.asarray(functional(pert), dtype=float).copy()
     pert.rebump(-h)
@@ -671,7 +670,7 @@ def check_chaos_derivative(kernel, paths: PathBundle,
     errs = np.zeros(len(node_list))
     bounds = np.zeros(len(node_list))
     for pos, i in enumerate(node_list):
-        deriv = d_brownian(functional, paths, i, step=h)
+        deriv = d_brownian(functional, paths, i)
         w = np.broadcast_to(np.asarray(kf(t, t[i]), dtype=float), (n,))
         direct = 2.0 * np.einsum("i,im->m", w, paths.dW)
         errs[pos] = np.max(np.abs(deriv - direct))

@@ -27,6 +27,7 @@ from .grids import TimeGrid
 
 _FD_SCALE = 1e-5
 _SELFTEST_RTOL = 1e-4
+_SELFTEST_SAMPLES = 8
 _KERNELS = ("drift", "diffusion", "jump")
 
 
@@ -151,8 +152,7 @@ class CoefficientModel:
         """True when the mixed time-state partials can be non-zero."""
         return not (self.x_independent or self.time_invariant_kernels)
 
-    def self_test(self, x_range=(0.5, 2.0), v_range=(-1.0, 2.0), mark_range=(-1.0, 1.0),
-                  n_samples: int = 8) -> None:
+    def self_test(self) -> None:
         """Check declared partials and decays at random arguments.
 
         Declared partials are compared with central differences. For each
@@ -162,11 +162,11 @@ class CoefficientModel:
         RegistrationError naming the first failing partial or kernel.
         """
         rng = np.random.default_rng(1234)
-        t = rng.uniform(0.0, 2.0, n_samples)
-        s = rng.uniform(0.0, 2.0, n_samples)
-        x = rng.uniform(*x_range, n_samples)
-        v = rng.uniform(*v_range, n_samples)
-        z = rng.uniform(*mark_range, n_samples)
+        t = rng.uniform(0.0, 2.0, _SELFTEST_SAMPLES)
+        s = rng.uniform(0.0, 2.0, _SELFTEST_SAMPLES)
+        x = rng.uniform(0.5, 2.0, _SELFTEST_SAMPLES)
+        v = rng.uniform(-1.0, 2.0, _SELFTEST_SAMPLES)
+        z = rng.uniform(-1.0, 1.0, _SELFTEST_SAMPLES)
         z = np.where(np.abs(z) < 0.1, 0.5, z)
         bases = {"drift": self.drift, "diffusion": self.diffusion, "jump": self.jump}
         arg_index = {"dt": 0, "dx": 2, "dv": 3}

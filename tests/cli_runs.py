@@ -1,0 +1,198 @@
+"""Every CLI run that CI makes besides tier-1 and the desk benchmark.
+
+Usage, from any directory:
+
+    python tests/cli_runs.py
+
+Each run of `RUNS` writes its config to `ci_runs/<name>/config.yaml` at the
+repository root and starts each of its stages in its own child process,
+`python -m volterra_control.cli <stage> --config ... --seed ... --out
+ci_runs/<name>/<stage dir>` with the checkout's `src` on PYTHONPATH. The peak
+RSS of a stage is read from that child alone (`os.wait4` on its pid), so a
+bound is checked against the stage it names, whatever ran before it. The
+script prints one line per stage (run, stage, exit status, wall s, peak MB,
+bound MB) and exits non-zero naming every run with a stage that exited
+non-zero or reached its bound. No run has a wall-clock bound.
+
+Five runs start from the config of a desk workload (`deskbench/workloads.py`),
+with whole sections replaced where the run's scale or information differs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "ci_runs"
+
+sys.path.insert(0, str(ROOT / "deskbench"))
+
+from workloads import WORKLOADS, stage_dir  # noqa: E402
+
+
+@dataclass(frozen=True)
+class CliRun:
+    name: str
+    stages: tuple[str, ...]
+    seed: int
+    why: str
+    # the whole config, or, with `workload`, the sections that replace the workload's
+    config: dict = field(default_factory=dict)
+    workload: str | None = None
+    bound_mb: float | None = None  # every stage's own peak RSS must stay below it
+
+    def write_config(self, path: Path) -> None:
+        config = self.config if self.workload is None \
+            else {**WORKLOADS[self.workload].config, **self.config}
+        # JSON flow style is YAML; the configs hold no bare exponent floats.
+        path.write_text(json.dumps(config, indent=1) + "\n", encoding="utf-8")
+
+
+_TWO_MARKS = {"intensity": 0.5, "marks": [-0.4, 0.6], "weights": [0.35, 0.65]}
+
+RUNS = (
+    CliRun(
+        name="report",
+        stages=("report",),
+        seed=7,
+        why="every stage on the default config, merton-test among them (about 15 s)",
+    ),
+    CliRun(
+        name="adjoint_n128",
+        stages=("solve-adjoint",),
+        seed=11,
+        workload="adjoint_memory_jumps",
+        config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 2000}},
+        bound_mb=200.0,
+        why="the state sensitivities are held one node at a time, so the stage peaks "
+            "near 71 MB; it was 455 MB when every node's block was kept",
+    ),
+    CliRun(
+        name="simulate_n1024",
+        stages=("simulate",),
+        seed=5,
+        workload="simulate_long_grid",
+        config={"grid": {"horizon": 1.0, "steps": 1024}},
+        bound_mb=300.0,
+        why="each step reads one node's jump increments, built from the int16 counts, "
+            "so no (N, M, K) float copy of the counts is made: the stage peaks near "
+            "235 MB (391 MB with that copy)",
+    ),
+    CliRun(
+        name="portfolio_memory",
+        stages=("solve-portfolio",),
+        seed=7,
+        workload="portfolio_memory",
+        bound_mb=200.0,
+        why="the BSVIE fields are kept as per-node coefficients and strategy.csv reads "
+            "per-node statistics, so the stage peaks near 151 MB (248 MB with the "
+            "(N, M) field and fraction arrays)",
+    ),
+    CliRun(
+        name="merton",
+        stages=("merton-test",),
+        seed=7,
+        bound_mb=300.0,
+        why="the fractions are formed once, for the per-path control, the solved "
+            "portfolio is dropped before verifying and one wealth run is kept at a "
+            "time, so the stage peaks near 246 MB (304 MB while the portfolio was "
+            "kept, 497 MB before that)",
+    ),
+    CliRun(
+        name="memory_adjoint_n1024",
+        stages=("solve-adjoint", "check-stationarity"),
+        seed=11,
+        config={"grid": {"horizon": 1.0, "steps": 1024}, "noise": {"intensity": 0.0},
+                "model": {"name": "exp_kernel_linear"}, "monte_carlo": {"paths": 2000}},
+        why="with an open-loop control and declared decays the Brownian field comes from "
+            "one reverse sweep and the drift's forward sums from one recursion, so "
+            "neither stage restarts the simulator and the 256-step guard does not apply",
+    ),
+    CliRun(
+        name="delayed_info",
+        stages=("check-stationarity",),
+        seed=11,
+        workload="adjoint_memory_jumps",
+        config={"info": {"mode": "delayed", "delay": 0.25}},
+        why="the paper's partial-information case, E[dH/du | G_t] with "
+            "G_t = F_(t - 0.25)+; no other run or workload uses delayed information",
+    ),
+    CliRun(
+        name="gateaux_memory_jumps",
+        stages=("gateaux",),
+        seed=11,
+        workload="adjoint_memory_jumps",
+        why="the adjoint form reads dH/du along the run through the state-sensitivity "
+            "feature and the Malliavin field of p, which report (memory-free constant "
+            "model) and the workload (no gateaux stage) never reach; all three windows "
+            "must agree",
+    ),
+    CliRun(
+        name="xind_adjoint",
+        stages=("solve-adjoint", "check-stationarity"),
+        seed=3,
+        config={"grid": {"horizon": 1.0, "steps": 128}, "noise": _TWO_MARKS,
+                "model": {"name": "x_independent_linear",
+                          "params": {"b0": 0.1, "sigma0": 0.3, "jump0": 0.1, "x0": 1.0}},
+                "performance": {"running": "zero", "terminal": "log"},
+                "control": {"kind": "constant", "value": 0.5},
+                "monte_carlo": {"paths": 20_000}},
+        why="the only CLI path through predicted_terminal_feature and the explicit "
+            "solver, whose q and r are differences of g' at X(T) shifted by that "
+            "feature's rows, with no re-simulation",
+    ),
+    CliRun(
+        name="malliavin_jumps",
+        stages=("check-malliavin",),
+        seed=3,
+        config={"grid": {"horizon": 1.0, "steps": 32}, "noise": _TWO_MARKS,
+                "monte_carlo": {"paths": 20_000}},
+        why="the only CLI path through check_duality_jump, the remarked extra-jump "
+            "bundle and the jump-free bundle (the sampled dW) behind Clark-Ocone; the "
+            "default config has no jumps",
+    ),
+)
+
+
+def run_stage(run: CliRun, stage: str, config: Path) -> tuple[int, float, float]:
+    """Exit status, wall seconds and peak RSS (MB) of one stage in its own child."""
+    argv = [sys.executable, "-m", "volterra_control.cli", stage, "--config", str(config),
+            "--seed", str(run.seed), "--out", str(config.parent / stage_dir(stage))]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, env)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0
+
+
+def main() -> int:
+    lines, failing = [], []
+    for run in RUNS:
+        run_dir = OUT / run.name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        config = run_dir / "config.yaml"
+        run.write_config(config)
+        for stage in run.stages:
+            status, wall, peak = run_stage(run, stage, config)
+            over = run.bound_mb is not None and peak >= run.bound_mb
+            if (status != 0 or over) and run.name not in failing:
+                failing.append(run.name)
+            bound = "-" if run.bound_mb is None else f"{run.bound_mb:.0f}"
+            lines.append(f"{run.name:<22} {stage:<19} {status:>4} {wall:>8.2f} "
+                         f"{peak:>8.1f} {bound:>6}{'  OVER' if over else ''}")
+    print(f"{'run':<22} {'stage':<19} {'exit':>4} {'wall s':>8} {'peak MB':>8} {'bound':>6}")
+    print("\n".join(lines))
+    if failing:
+        print(f"failing runs (non-zero exit or bound reached): {', '.join(failing)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
