@@ -423,11 +423,13 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
         else:
             features = default_features(paths, states=states.values)
     features = list(features)
+    # only a memory-coupled driver reads the field, whose rows come from restarted runs
+    # or full-history sums unless one reverse sweep without jumps gives them
     reverse = len(features) == 1 and features[0].reverse_sweep is not None
-    if n > _MAX_STEPS and (paths.jumps.active or not reverse):
+    if n > _MAX_STEPS and model.memory_state_coupling and (paths.jumps.active or not reverse):
         raise ConfigurationError(
-            f"general solver is cost-guarded to {_MAX_STEPS} steps unless its field comes "
-            "from one reverse sweep without jumps")
+            f"general solver is cost-guarded to {_MAX_STEPS} steps for a memory model unless "
+            "its field comes from one reverse sweep without jumps")
     triple = AdjointTriple(states=states, model=model, spec=spec, p=np.empty((n + 1, m)),
                            q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, paths.jumps.n_marks)),
                            regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],

@@ -364,9 +364,10 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
 def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> None:
     """Refuse, before any sampling, a grid or sample the adjoint stages cannot run.
 
-    The general solver (x-dependent models) is cost-guarded in grid.steps
-    unless the state feature of a memory model comes from one reverse sweep
-    (no jumps), with no restarted run.
+    The general solver is cost-guarded in grid.steps for a memory model whose
+    state feature restarts the simulator (`_restarts`: a feedback rule, a kernel
+    without a declared decay, or jumps), the runs whose field rows take restarted
+    runs or full-history sums. A model without memory reads no field row.
     The adjoint fits one raw feature per node; the stationarity check of an
     x-dependent model fits the default features (Brownian level, state, and
     the jump sum when jumps are active), and every fit needs
@@ -377,12 +378,13 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
         raise ConfigurationError(
             f"info.delay must be a number in [0, grid.horizon = {cfg.grid.horizon}], "
             f"got {cfg.info.delay!r}")
-    if not model.x_independent and cfg.grid.steps > _MAX_STEPS and (
-            not model.memory_state_coupling or _restarts(model, cfg.control(), cfg.jumps)):
+    if cfg.grid.steps > _MAX_STEPS and model.memory_state_coupling \
+            and _restarts(model, cfg.control(), cfg.jumps):
         raise ConfigurationError(
             f"grid.steps is {cfg.grid.steps}, but the general adjoint solver for the "
-            f"x-dependent model {model.name!r} is cost-guarded to {_MAX_STEPS} steps "
-            "with jumps or without memory")
+            f"memory model {model.name!r} is cost-guarded to {_MAX_STEPS} steps where "
+            "its state feature restarts the simulator (feedback rule, undeclared decay "
+            "or jumps)")
     n_raw = 1
     if stationarity and not model.x_independent:
         n_raw = 3 if cfg.jumps.active else 2

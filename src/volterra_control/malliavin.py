@@ -81,7 +81,7 @@ class Feature:
     """
 
     name: str
-    values: np.ndarray  # (N+1, M)
+    values: np.ndarray | RunningSumRows  # (N+1, M), or rows formed on request
     brownian_sensitivity: Optional[Callable[[int], np.ndarray | float]] = None
     jump_shift: Optional[Callable[[int], np.ndarray | float]] = None
     reverse_sweep: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
@@ -139,13 +139,51 @@ def running_sum_rows(weights: np.ndarray, paths: PathBundle,
     return out
 
 
+class RunningSumRows:
+    """The rows S_0 = 0, S_1, ..., S_N of `running_sums` without drift, formed on request.
+
+    Only the last row read and its node are held, O(M) where `running_sum_rows` holds
+    (N+1, M). `rows[j]` steps the generator forward from there to node j, and a read of
+    an earlier node restarts it from S_0, so every order of reads gives the same bits.
+    A row is handed out read-only: the next step reads it.
+    """
+
+    def __init__(self, weights: np.ndarray, paths: PathBundle):
+        self.weights, self.paths = weights, paths
+        self._restart()
+
+    def _restart(self) -> None:
+        self._sums = running_sums(self.weights, self.paths)
+        self._node, self._row = 0, np.zeros(self.paths.n_paths)
+        self._row.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.paths.n_steps + 1
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        if not 0 <= j < len(self):
+            raise IndexError(f"node {j} is outside 0..{len(self) - 1}")
+        if j < self._node:
+            self._restart()
+        while self._node < j:
+            self._row = next(self._sums)
+            self._row.flags.writeable = False
+            self._node += 1
+        return self._row
+
+    def subset(self, start: int, stop: int) -> "RunningSumRows":
+        """The same sums on the paths [start, stop), bit-identical to their columns."""
+        return RunningSumRows(self.weights, self.paths.subset(start, stop))
+
+
 def weighted_brownian_feature(weights: np.ndarray, paths: PathBundle,
                               name: str = "weighted_brownian") -> Feature:
-    """Running integral sum_{j<i} w_j dW_j of a deterministic weight grid."""
+    """Running integral sum_{j<i} w_j dW_j of a deterministic weight grid, its rows formed
+    on request (`RunningSumRows`)."""
     w = np.asarray(weights, dtype=float)
     return Feature(
         name=name,
-        values=running_sum_rows(w, paths),
+        values=RunningSumRows(w, paths),
         brownian_sensitivity=lambda i: w[i:i + 1, None],   # (1, 1); (0, 1) at node N
         jump_shift=lambda i: 0.0,
     )
@@ -239,11 +277,14 @@ class NodeRegression:
     Gram `gram` and the Cholesky factor of its ridged version are kept. With
     `retain_design` the (p, M) design rows are kept too, and `design()`
     returns them; otherwise `design()` rebuilds them from the raw features
-    with the same arithmetic, so the two are bit-identical.
+    with the same arithmetic, so the two are bit-identical. With `factor=False`
+    the Gram is left to the caller, who forms it from the kept rows and passes
+    it to `_factor` (`BackwardProjector` forms it in one product with others).
     """
 
     def __init__(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
-                 design_node: int | None = None, retain_design: bool = False):
+                 design_node: int | None = None, retain_design: bool = False,
+                 factor: bool = True):
         self.features = list(features)
         self.node = node
         self.design_node = node if design_node is None else design_node
@@ -271,15 +312,21 @@ class NodeRegression:
         self.col_mean, self.col_scale = mean[self.keep], spread[self.keep]
         rows = self._kept(rows)
         rows /= self.col_scale[:, None]
-        self.gram = rows @ rows.T / self.n_paths  # ridge-free: RMS of a fit is a form in it
+        if factor:
+            self._factor(rows @ rows.T / self.n_paths)
+        self._rows = rows if retain_design else None
+
+    def _factor(self, gram: np.ndarray) -> None:
+        """Keep the ridge-free Gram (the RMS of a fit is a form in it) and the Cholesky
+        factor of its ridged version."""
+        self.gram = gram
         try:
-            self._chol = np.linalg.cholesky(self.gram + self.basis.ridge * np.eye(len(self.gram)))
+            self._chol = np.linalg.cholesky(gram + self.basis.ridge * np.eye(len(gram)))
         except np.linalg.LinAlgError as exc:
             raise RegressionError(
                 "regression design is rank deficient even after ridge "
                 "regularization; reduce the basis degree"
             ) from exc
-        self._rows = rows if retain_design else None
 
     def raw_values(self) -> np.ndarray:
         """Raw features at the design node, (M, n_raw) over feature-major storage."""
@@ -375,12 +422,15 @@ class BackwardProjector:
     b_j = G_j^{-1} (B_j c_{j+1} - C_j a_j) / dt, c_j = a_j - r_j dt b_j, for the cross-moments
     A_j = Phi_j^T Phi_{j+1} / M, B_j = Phi_j^T diag(dW_j) Phi_{j+1} / M, C_j = Phi_j^T diag(dW_j)
     Phi_j / M, formed once and held premultiplied by G_j^{-1}. A march is two O(M p) products
-    at T, then one p x p update per node.
+    at T (`terminal_moments`), then one p x p update per node.
 
-    The nodes are built in order, and node j's design rows are dropped as soon as its
-    cross-moments with node j+1 are formed, so the build holds two designs at a time.
-    Only the designs that every march and every initial value read are kept: nodes N-1,
-    0 and 1, O(p M) memory in all. `regs[j].design()` of any other node is rebuilt on
+    Node j's design Phi_j and Phi_j o dW_j are stacked in one (2p, M) buffer, so one product
+    [Phi_j; Phi_j o dW_j] Phi_j^T gives G_j and C_j, and one product of node j-1's stack with
+    Phi_j gives A_{j-1} and B_{j-1}. The nodes are built in order, and node j-1's stack is
+    dropped as soon as its cross-moments with node j are formed, before node j's is made,
+    so the build holds two designs and their dW products at a time. Only the designs that
+    every march and every initial value read are kept: nodes N-1, 0 and 1, without their
+    dW halves, O(p M) memory in all. `regs[j].design()` of any other node is rebuilt on
     request, bit-identical to the dropped one.
     """
 
@@ -390,29 +440,45 @@ class BackwardProjector:
         self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
         kept = {0, 1, n - 1}
         self.regs, self.carry, self.carry_dw, self.centre_dw = [], [], [], []
+        stack = None  # [Phi_{j-1}; Phi_{j-1} o dW_{j-1}], (2p, M)
         for j in range(n):
-            reg = NodeRegression(features, j, self.basis, retain_design=True)
-            rows = reg._rows  # feature-major (p, M)
+            reg = NodeRegression(features, j, self.basis, retain_design=True, factor=False)
+            p = len(reg._rows)
             if j:
                 prev = self.regs[-1]
-                self.carry.append(prev._solve(prev._rows @ rows.T / m))
-                self.carry_dw.append(prev._solve(weighted @ rows.T / m))
-                if j - 1 not in kept:
-                    prev._rows = None
-            weighted = rows * self.dW[j]  # per node only: no Phi o dW is kept
-            self.centre_dw.append(reg._solve(weighted @ rows.T / m))
+                cross = stack @ reg._rows.T / m
+                # node j-1's stack goes before node j's is made; a kept node keeps Phi only
+                prev._rows = prev._rows.copy() if j - 1 in kept else None
+                stack = None
+                self.carry.append(prev._solve(cross[:len(prev.gram)]))
+                self.carry_dw.append(prev._solve(cross[len(prev.gram):]))
+            stack = np.empty((2 * p, m))
+            stack[:p] = reg._rows
+            reg._rows = stack[:p]
+            np.multiply(reg._rows, self.dW[j], out=stack[p:])
+            moments = stack @ reg._rows.T / m
+            reg._factor(moments[:p])
+            self.centre_dw.append(reg._solve(moments[p:]))
             self.regs.append(reg)
+        self.regs[-1]._rows = self.regs[-1]._rows.copy()
 
-    def march(self, terminal: np.ndarray, ratios: np.ndarray, stop: int = 0
+    def terminal_moments(self, terminal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G_{N-1}^{-1} Phi_{N-1}^T F / M and G_{N-1}^{-1} Phi_{N-1}^T diag(dW_{N-1}) F / M, the
+        march's two O(M p) products at T: the start of `march`, formed once per terminal F."""
+        f, m = np.asarray(terminal, dtype=float), self.dW.shape[1]
+        reg = self.regs[-1]
+        phi = reg.design()
+        return reg._solve(phi.T @ f / m), reg._solve(phi.T @ (f * self.dW[-1]) / m)
+
+    def march(self, start: tuple[np.ndarray, np.ndarray], ratios: np.ndarray, stop: int = 0
               ) -> tuple[list, list, list]:
-        """Per-node lists of a_j, b_j, c_j from T down to `stop` (None below); r_j = ratios[j]."""
-        n, m, f = len(self.regs), self.dW.shape[1], np.asarray(terminal, dtype=float)
+        """Per-node lists of a_j, b_j, c_j from T down to `stop` (None below), from the
+        `terminal_moments` of F; r_j = ratios[j]."""
+        n = len(self.regs)
         a, b, c = [None] * n, [None] * n, [None] * n
         for j in range(n - 1, stop - 1, -1):
             if j == n - 1:
-                reg, phi = self.regs[j], self.regs[j].design()
-                a[j] = reg._solve(phi.T @ f / m)
-                carried_dw = reg._solve(phi.T @ (f * self.dW[j]) / m)
+                a[j], carried_dw = start
             else:
                 a[j], carried_dw = self.carry[j] @ c[j + 1], self.carry_dw[j] @ c[j + 1]
             b[j] = (carried_dw - self.centre_dw[j] @ a[j]) / self.dt

@@ -258,6 +258,7 @@ def bsvie_solve(problem: PortfolioProblem, c: float) -> BsvieSolution:
     market, projector = problem.market, problem.projector
     n, t = problem.paths.n_steps, problem.paths.grid.nodes
     f_c = problem.terminal(c)
+    start = projector.terminal_moments(f_c)   # every row's march starts from F(c)
 
     vol_diag = market.vol_kernel(t[:n], t[:n])
     x_diag: list = [None] * n      # X^(t_j) coefficients
@@ -265,7 +266,7 @@ def bsvie_solve(problem: PortfolioProblem, c: float) -> BsvieSolution:
     diag_coef: list = [None] * n   # Z^(t_j, s_j) / sigma0(t_j, s_j) coefficients
     diag_rms, spread = np.empty(n), np.zeros(n)
     for row in range(n - 1, -1, -1):
-        _, z_coef, v_coef = projector.march(f_c, _kernel_ratios(market, t[row], t[:n]), row)
+        _, z_coef, v_coef = projector.march(start, _kernel_ratios(market, t[row], t[:n]), row)
         x_diag[row], z_diag[row] = v_coef[row], z_coef[row]
         diag_coef[row] = z_coef[row] / vol_diag[row]
         diag_rms[row] = projector.rms(row, diag_coef[row])
@@ -303,7 +304,7 @@ def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
     """mean(X^(0)) of the row-0 march and its stderr, the dispersion of the
     per-path estimator at the last step (fitted values lose it as features degenerate).
     """
-    a, _, c = projector.march(terminal, ratios, 0)
+    a, _, c = projector.march(projector.terminal_moments(terminal), ratios, 0)
     phi0 = projector.regs[0].design()
     v1 = terminal if len(projector.regs) == 1 else projector.regs[1].design() @ c[1]
     est = v1 - ratios[0] * (v1 - phi0 @ a[0]) * projector.dW[0]
@@ -316,17 +317,17 @@ def _batched_gap_stderr(problem: PortfolioProblem, c: float) -> float:
     The backward recursion feeds fitted values into later fits, so the
     per-path dispersion at the last step understates the estimator noise;
     independent batch re-estimates capture the regression noise as well.
-    Each batch's feature and terminal martingale are column slices of the
-    problem's, bit-identical to rebuilds on the batch's paths.
+    Each batch's feature rows are formed on the batch's paths and its terminal
+    martingale is a column slice of the problem's, both bit-identical to the
+    columns of the problem's.
     """
-    paths, feature = problem.paths, problem.feature
-    width = paths.n_paths // _N_BATCHES
+    feature, width = problem.feature, problem.paths.n_paths // _N_BATCHES
     gaps = []
     for b in range(_N_BATCHES):
         cols = slice(b * width, (b + 1) * width)
-        batch = replace(feature, values=feature.values[:, cols])
+        rows = feature.values.subset(cols.start, cols.stop)
         v0, _ = _initial_value(
-            BackwardProjector([batch], paths.subset(cols.start, cols.stop),
+            BackwardProjector([replace(feature, values=rows)], rows.paths,
                               problem.projector.basis),
             problem.terminal(c, cols), problem.ratios0)
         gaps.append(v0 - problem.market.initial_wealth)
@@ -517,7 +518,7 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
     projector = BackwardProjector([martingale_feature(theta0(market, paths.grid), paths)],
                                   paths, basis)
     marginal = np.asarray(utility.u_prime(base_terminal), dtype=float)
-    p_coef, q_coef, _ = projector.march(marginal, np.zeros(n))
+    p_coef, q_coef, _ = projector.march(projector.terminal_moments(marginal), np.zeros(n))
     normalized = np.zeros(n)
     for i in range(n):
         b_T, s_T = float(market.drift_kernel(T, t[i])), float(market.vol_kernel(T, t[i]))

@@ -88,10 +88,22 @@ RUNS = (
         stages=("solve-portfolio",),
         seed=7,
         workload="portfolio_memory",
-        bound_mb=200.0,
-        why="the BSVIE fields are kept as per-node coefficients and strategy.csv reads "
-            "per-node statistics, so the stage peaks near 151 MB (248 MB with the "
-            "(N, M) field and fraction arrays)",
+        bound_mb=130.0,
+        why="the BSVIE fields are kept as per-node coefficients, strategy.csv reads "
+            "per-node statistics and the BSVIE feature's rows are formed one node at a "
+            "time, so the stage peaks near 102 MB (151 MB with the (N+1, M) feature "
+            "array, 248 MB with the (N, M) field and fraction arrays as well)",
+    ),
+    CliRun(
+        name="portfolio_1e6",
+        stages=("solve-portfolio",),
+        seed=7,
+        workload="portfolio_memory",
+        config={"monte_carlo": {"paths": 1_000_000}},
+        bound_mb=1000.0,
+        why="large path counts in bounded memory: at N = 64, M = 1e6 the stage holds "
+            "dW, the node designs being built and a few (M,) rows, and peaks near "
+            "680 MB (1167 MB with the (N+1, M) feature array)",
     ),
     CliRun(
         name="merton",

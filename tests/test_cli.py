@@ -313,6 +313,14 @@ def test_jump_free_memory_adjoint_runs_beyond_the_cost_guard(tmp_path):
     assert len(lines) == _MAX_STEPS + 46
 
 
+def test_memory_free_adjoint_runs_beyond_the_cost_guard(tmp_path):
+    # the default `constant` model has no memory: it restarts nothing and sums no
+    # history, so the step guard does not apply
+    path = _write_config(tmp_path, {"grid": {"steps": 300}, "monte_carlo": {"paths": 2000}})
+    assert main(["solve-adjoint", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "adjoint.csv").read_text().splitlines()) == 302
+
+
 @pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])
 def test_adjoint_sample_below_the_basis_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                            command):

@@ -197,7 +197,7 @@ def test_bsvie_driverless_is_martingale_projection(grid64, paths64_small):
     f = terminal_wealth(1.0, paths64_small, util, th_fake)
     projector = BackwardProjector(_bsvie_features(th_fake, paths64_small), paths64_small,
                                   RegressionBasis())
-    _, _, coef = projector.march(f, np.zeros(64), 32)
+    _, _, coef = projector.march(projector.terminal_moments(f), np.zeros(64), 32)
     v_mid = projector.regs[32].design() @ coef[32]
     direct = projector.regs[32].fit(f)
     err = np.sqrt(np.mean((v_mid - direct) ** 2)) / np.sqrt(np.mean(direct ** 2))
@@ -355,8 +355,8 @@ def test_march_is_linear_in_the_terminal(linearity_projector, alpha, beta, stop,
     f = np.exp(0.3 * paths.brownian[-1])
     g = paths.brownian[-1] ** 2 - paths.brownian[6]
     r = np.asarray(ratios)
-    combined = projector.march(alpha * f + beta * g, r, stop)
-    parts_f, parts_g = projector.march(f, r, stop), projector.march(g, r, stop)
+    combined = projector.march(projector.terminal_moments(alpha * f + beta * g), r, stop)
+    parts_f, parts_g = (projector.march(projector.terminal_moments(h), r, stop) for h in (f, g))
     for whole, cf, cg in zip(combined, parts_f, parts_g):
         for j in range(stop, 12):
             want = alpha * cf[j] + beta * cg[j]
@@ -651,11 +651,14 @@ def test_terminal_martingale_and_batch_slices_match_rebuilds(n, m, seed):
     terminal = _terminal_log_martingale(th, paths)
     assert np.array_equal(terminal, _log_martingale(th, paths)[-1])
     (feature,) = _bsvie_features(th, paths)
+    whole = _stacked(feature.values)
     width = m // 8
     for b in range(8):
         cols = slice(b * width, (b + 1) * width)
         sub = paths.subset(cols.start, cols.stop)
-        assert np.array_equal(feature.values[:, cols], _bsvie_features(th, sub)[0].values)
+        assert np.array_equal(whole[:, cols], _stacked(_bsvie_features(th, sub)[0].values))
+        assert np.array_equal(whole[:, cols],
+                              _stacked(feature.values.subset(cols.start, cols.stop)))
         assert np.array_equal(terminal[cols], _log_martingale(th, sub)[-1])
         assert np.array_equal(np.exp(terminal)[cols], np.exp(_log_martingale(th, sub)[-1]))
 
@@ -674,18 +677,29 @@ def _cumsum_rows(increments):
     return out
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (3, 7), (5, 33), (17, 260)])
-def test_running_sums_equal_the_cumsum_bit_for_bit(n, m):
+def _stacked(rows):
+    """Every row of a feature's `values`, read in order, as one (N+1, M) array."""
+    return np.stack([rows[j] for j in range(len(rows))])
+
+
+def _signed_zero_case(n, m):
+    """dW, weights w and loading th whose running sums hold -0.0 in row 1."""
     rng = np.random.default_rng(n * 1000 + m)
     dW = rng.normal(0.0, 0.3, (n, m))
     w = rng.uniform(-1.5, 1.5, n)
     th = rng.uniform(-0.5, 0.5, n + 1)
-    # row 0 holds -0.0 in both sums: (-1) * 0.0, and 0 * (-x) - 0.0
+    # row 1 holds -0.0 in both sums: (-1) * 0.0, and 0 * (-x) - 0.0
     dW[0, :] = -np.abs(dW[0, :])
     dW[0, 0] = 0.0
     w[0], th[0] = -1.0, 0.0
+    return dW, w, th
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 7), (5, 33), (17, 260)])
+def test_running_sums_equal_the_cumsum_bit_for_bit(n, m):
+    dW, w, th = _signed_zero_case(n, m)
     paths = _bundle(dW)
-    got = weighted_brownian_feature(w, paths).values
+    got = _stacked(weighted_brownian_feature(w, paths).values)
     want = _cumsum_rows(w[:, None] * dW)
     assert np.signbit(want[1]).any() and got.tobytes() == want.tobytes()
     got = _log_martingale(th, paths)
@@ -694,6 +708,47 @@ def test_running_sums_equal_the_cumsum_bit_for_bit(n, m):
     assert _terminal_log_martingale(th, paths).tobytes() == want[-1].tobytes()
     feature = martingale_feature(th, paths)
     assert feature.values.tobytes() == np.exp(want).tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (5, 33), (17, 260)])
+def test_feature_rows_read_in_any_order_equal_the_cumsum_bit_for_bit(n, m):
+    # one feature is read forward, backward, each node twice and in a shuffled order: a
+    # later node steps the held row forward, an earlier one restarts from row 0
+    dW, w, _ = _signed_zero_case(n, m)
+    want = _cumsum_rows(w[:, None] * dW)
+    assert np.signbit(want[1]).any()
+    rows = weighted_brownian_feature(w, _bundle(dW)).values
+    assert len(rows) == n + 1
+    shuffled = np.random.default_rng(n).permutation(n + 1)
+    for order in (range(n + 1), range(n, -1, -1), np.repeat(np.arange(n + 1), 2), shuffled):
+        for j in order:
+            assert rows[j].tobytes() == want[j].tobytes()
+            assert not rows[j].flags.writeable
+    for j in (-1, n + 1):
+        with pytest.raises(IndexError):
+            rows[j]
+
+
+def test_portfolio_problem_holds_no_feature_array(log_utility):
+    # the feature rows are formed on request, so neither the build nor what the problem
+    # keeps (three node designs, the martingale, one feature row) reaches (N+1, M) floats
+    n, m = 64, 20_000
+    paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), m, seed=7)
+    market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0)
+    tracemalloc.start()
+    try:
+        problem = PortfolioProblem(market, log_utility, paths)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = m * 8
+    assert peak < (n + 1) * row, f"peak {peak / 1e6:.2f} MB"
+    p = RegressionBasis().dimension(1)
+    assert held < (3 * p + 3) * row, f"held {held / 1e6:.2f} MB"
+    kept = [reg._rows.nbytes for reg in problem.projector.regs if reg._rows is not None]
+    assert kept == [row, p * row, p * row]
+    assert all(reg._rows.base is None for reg in problem.projector.regs
+               if reg._rows is not None)
 
 
 def test_strategy_statistics_are_those_of_the_fraction_rows(oracle_paths, log_utility, tmp_path):
