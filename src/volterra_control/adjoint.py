@@ -461,7 +461,7 @@ def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> No
                 for kk in range(jumps.n_marks):
                     r[i, :, kk] = phi @ reg.coefficients(
                         centered * counts[:, kk], phi=phi) / comp_w[kk]
-            p[i] += sum(triple.terms(field, i, states.controls[i], "_dx")) * dt
+            p[i] += sum(triple.terms(field, i, states.control_at(i), "_dx")) * dt
             coefs[i] = reg.coefficients(p[i], phi=phi)
 
 

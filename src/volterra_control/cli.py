@@ -38,7 +38,12 @@ from .malliavin import (
 )
 from .models import ControlProcess, InfoMode, PerformanceSpec, UtilitySpec, registry_get
 from .reporting import write_csv, write_manifest
-from .volterra import evaluate_performance, export_trajectory_csv, simulate_integral_form
+from .volterra import (
+    export_trajectory_csv,
+    monte_carlo_estimate,
+    simulate_integral_form,
+    simulate_summary,
+)
 from .adjoint import (
     _MAX_STEPS,
     _restarts,
@@ -293,9 +298,9 @@ class ExperimentConfig:
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
     model, control, perf = cfg.model(), cfg.control(), cfg.performance()
-    states = simulate_integral_form(model, control, cfg.sample())
-    export_trajectory_csv(cfg.out_dir / "trajectory.csv", states)
-    est, se = evaluate_performance(perf, states)
+    statistics, total = simulate_summary(model, control, perf, cfg.sample())
+    export_trajectory_csv(cfg.out_dir / "trajectory.csv", statistics)
+    est, se = monte_carlo_estimate(total)
     write_csv(cfg.out_dir / "performance.csv",
               ("quantity", "estimate", "stderr"), [("J", est, se)])
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("simulate"))

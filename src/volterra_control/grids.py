@@ -20,6 +20,9 @@ from .errors import ConfigurationError
 # The block size is part of the reproducibility contract: changing it would
 # reshuffle which stream a given path index draws from.
 _BLOCK = 4096
+# Normals per draw within a block, about 1 MB of float64: a block's whole
+# (_BLOCK, N) draw would raise the peak memory of sampling by 32 KB per step.
+_DRAW = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -353,12 +356,19 @@ def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> P
     counts = np.zeros((n, n_paths, k), dtype=np.int16)
     cum_w = np.cumsum(jumps.weight_array) if k else None
     sqrt_dt = np.sqrt(dt)
+    rows = min(_BLOCK, max(1, _DRAW // n))
     for start in range(0, n_paths, _BLOCK):
         width = min(_BLOCK, n_paths - start)
         rng = np.random.default_rng(np.random.SeedSequence((seed, start // _BLOCK)))
         # Draw order is fixed: normals, Poisson counts, jump times, jump marks.
-        z = rng.standard_normal((_BLOCK, n))
-        dW[:, start:start + width] = sqrt_dt * z[:width].T
+        # The block's normals are drawn `rows` paths at a time, the same stream
+        # as one (_BLOCK, N) draw; each draw is scaled straight into dW and freed
+        # before the next is made. Paths past `width` are drawn and dropped.
+        for a in range(0, _BLOCK, rows):
+            z = rng.standard_normal((min(rows, _BLOCK - a), n))
+            kept = z[:max(0, width - a)]
+            np.multiply(kept.T, sqrt_dt, out=dW[:, start + a:start + a + len(kept)])
+            del z, kept
         if jumps.active:
             # Jump times and marks are drawn for the whole block regardless of
             # how many of its paths are kept, so trimming preserves streams.

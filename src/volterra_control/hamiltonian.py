@@ -278,7 +278,7 @@ def control_gradient(triple, field, i: int) -> tuple[np.ndarray, np.ndarray]:
     The second array is the path-wise root-sum-square of the individual
     terms, used as the cancellation scale for stationarity statistics.
     """
-    terms = triple.terms(field, i, triple.states.controls[i], "_dv")
+    terms = triple.terms(field, i, triple.states.control_at(i), "_dv")
     stacked = np.vstack([np.broadcast_to(tm, (triple.states.paths.n_paths,)) for tm in terms])
     return stacked.sum(axis=0), np.sqrt((stacked ** 2).sum(axis=0))
 

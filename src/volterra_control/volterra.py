@@ -11,11 +11,20 @@ kernel with a declared decay rate (`CoefficientModel.decays`, set by all
 registry models) the sum is updated by a one-step recursion, so a path
 costs O(N); a kernel without one is re-summed over the whole history at
 every node, O(N^2) per path.
+
+The integral form is a stream of rows, `integral_form_rows`. With every
+decay declared, the per-kernel sums are a finite Markovian lift of the
+state: step i reads row i - 1 of X and the sums alone, so the stream holds
+one row of X, and the `simulate` stage (`simulate_summary`) reads its
+statistics and objective totals from the rows as they are formed.
+`simulate_integral_form` collects the stream into the (N+1, M) state that
+the adjoint and Hamiltonian readers take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +39,8 @@ class StateEnsemble:
     """One simulated run: X(t_i) per node and path, `values` (N+1, M), of `control` on `paths`.
 
     `controls` is the (N, M) control grid the run read (`_control_grid`);
-    readers take u_i = controls[i], so only a simulation evaluates a rule.
+    readers take u_i = controls[i], or `control_at(i)`, so only a simulation
+    evaluates a rule.
     `record` holds the per-kernel memory sums S_i, i = 0..N-1, when
     `simulate_integral_form(record=True)` kept them.
     """
@@ -45,6 +55,11 @@ class StateEnsemble:
     def terminal(self) -> np.ndarray:
         return self.values[-1]
 
+    def control_at(self, i: int):
+        """u_i as the run read it: `control.at(i)` for an open-loop control (a
+        scalar unless the values are per path), else the rule's row `controls[i]`."""
+        return self.control.at(i) if self.control.rule is None else self.controls[i]
+
 
 def _check_finite(x: np.ndarray, node: int, what: str) -> None:
     if not np.all(np.isfinite(x)):
@@ -52,12 +67,13 @@ def _check_finite(x: np.ndarray, node: int, what: str) -> None:
         raise SimulationError(f"{what} produced a non-finite value at path {bad}, node {node}")
 
 
-def _control_grid(control: ControlProcess, paths: PathBundle, lead: tuple = ()) -> np.ndarray:
+def _control_grid(control: ControlProcess, paths: PathBundle, lead: tuple = (),
+                  empty=np.empty) -> np.ndarray:
     """(N, M) control values: the open-loop grid, for reading only, or for a
-    feedback rule a writable (*lead, N, M) array that the simulation fills
-    node by node."""
+    feedback rule a writable (*lead, N, M) array, made by `empty`, that the
+    simulation fills node by node."""
     if control.rule is not None:
-        return np.empty(lead + (paths.n_steps, paths.n_paths))
+        return empty(lead + (paths.n_steps, paths.n_paths))
     return control.open_loop_grid(paths.n_steps, paths.n_paths)
 
 
@@ -235,30 +251,45 @@ def reverse_memory_sums(model: CoefficientModel, paths: PathBundle, x, u, decay:
     return step
 
 
-def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
-                           paths: PathBundle, restart: tuple | None = None,
-                           record: bool = False, variants: list | None = None
-                           ) -> StateEnsemble | np.ndarray:
-    """Simulate the state from its integral representation.
+def _one_row(shape: tuple) -> np.ndarray:
+    """A writable (..., rows, M) array whose rows all share one (..., M) buffer:
+    writing row i replaces the row that a read of any other row returns."""
+    row = np.empty(shape[:-2] + shape[-1:])
+    return np.lib.stride_tricks.as_strided(row, shape, row.strides[:-1] + (0,) + row.strides[-1:])
+
+
+def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: PathBundle,
+                       restart: tuple | None = None, record: list | None = None,
+                       variants: list | None = None, rows: tuple | None = None
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Yield the rows (X_i, u_i), i = start..N, of the integral-form run, u_N None.
 
     X_i = xi(t_i) + sum_{j<i} b(t_i,t_j,X_j,u_j) dt
         + sum_{j<i} sigma(t_i,t_j,X_j,u_j) dB_j
         + sum_{j<i} sum_k gamma(t_i,t_j,X_j,u_j,z_k) dN~_{j,k}
 
-    `restart` = (i, base) continues the run `base`, made with `record=True`
-    on a bundle that agrees with `paths` before node i: rows 0..i of its
-    state, and of its control grid for a feedback rule, are copied, and the
-    memory recursion resumes from its per-kernel sums `base.record[i]`. A
-    rule is evaluated on rows i+1..N-1 only: an adapted rule gives the same
-    values on the rows the restart does not move. `record=True` keeps the
-    run's S_i on `StateEnsemble.record`.
+    start is 0, or i for `restart` = (i, base), which continues the run
+    `base`, made with `record=True` on a bundle that agrees with `paths`
+    before node i: its rows up to i, of the state and, for a feedback rule,
+    of the control grid, are copied, and the memory recursion resumes from
+    its per-kernel sums `base.record[i]`. A rule is evaluated on rows
+    i+1..N-1 only: an adapted rule gives the same values on the rows the
+    restart does not move. `record`, a list, receives the run's per-kernel
+    sums S_i, i = 0..N-1 (a restart's first i from `base.record`).
 
     `variants`, V bundles that agree with `paths` except in the increments
     of the restart row i (perturbed views of it), runs V restarts at once.
     The memory sums take the variants' row-i increments on a leading variant
     axis and read every other row from `paths`; a feedback control is
-    evaluated once per variant, on that variant's bundle. Such a run returns
-    the bare (V, N+1, M) state array, rows 0..i equal in every variant.
+    evaluated once per variant, on that variant's bundle, and the rows carry
+    the variant axis.
+
+    The rows are formed in `rows` = (x, u) when given: the (*lead, N+1, M)
+    state and the control grid of `_control_grid`. Otherwise a model whose
+    kernels all declare decays holds one row of the state and of a rule's
+    control (a step reads row i - 1 alone), so a row is overwritten by the
+    next step; a kernel without a declared decay re-sums, and so holds, the
+    whole history.
     """
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes
@@ -268,25 +299,49 @@ def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
         lead = (len(variants),)
         dw, counts = zip(*(bundle.increments_at(start) for bundle in variants))
         row = (start, {"diffusion": np.stack(dw), "jump": np.stack(counts)})
-    u = _control_grid(control, paths, lead)
+    whole = rows is not None or model.decays is None or None in model.decays
+    empty = np.empty if whole else _one_row
+    x, u = rows or (empty(lead + (n + 1, m)), _control_grid(control, paths, lead, empty))
 
-    x = np.empty(lead + (n + 1, m))
-    x[..., :start + 1, :] = model.initial_curve(t[0]) if base is None else base.values[:start + 1]
-    sums, kept = ([], []) if base is None else (list(base.record[start]), base.record[:start])
-    if base is not None and control.rule is not None:
-        u[..., :start + 1, :] = base.controls[:start + 1]
+    first = 0 if whole else start   # the rows up to the restart that the run holds
+    x[..., first:start + 1, :] = model.initial_curve(t[0]) if base is None \
+        else base.values[first:start + 1]
+    sums = [] if base is None else list(base.record[start])
+    if base is not None:
+        if record is not None:
+            record += base.record[:start]
+        if control.rule is not None:
+            u[..., first:start + 1, :] = base.controls[first:start + 1]
     memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums, row=row)
-    for i in range(start + 1, n + 1):
-        if control.rule is not None and (base is None or i > start + 1):
+    for i in range(start, n + 1):
+        if i > start:
+            if record is not None:
+                record.append(list(sums))
+            val = model.initial_curve(t[i]) + memory(i)
+            _check_finite(val, i, "integral-form state")
+            x[..., i, :] = val
+        if control.rule is not None and i < n and (base is None or i > start):
             for v, bundle in zip(np.ndindex(lead), variants or [paths]):
-                u[v + (i - 1,)] = control.at(i - 1, bundle, x=x[v + (i - 1,)])
-        if record:
-            kept.append(list(sums))
-        val = model.initial_curve(t[i]) + memory(i)
-        _check_finite(val, i, "integral-form state")
-        x[..., i, :] = val
+                u[v + (i,)] = control.at(i, bundle, x=x[v + (i,)])
+        yield x[..., i, :], (u[..., i, :] if i < n else None)
+
+
+def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
+                           paths: PathBundle, restart: tuple | None = None,
+                           record: bool = False, variants: list | None = None
+                           ) -> StateEnsemble | np.ndarray:
+    """The run of `integral_form_rows` collected into its (N+1, M) state and
+    (N, M) control grid. `record=True` keeps the run's S_i on
+    `StateEnsemble.record`; a run with `variants` returns the bare
+    (V, N+1, M) state array, rows 0..i equal in every variant."""
+    lead = (len(variants),) if variants else ()
+    x = np.empty(lead + (paths.n_steps + 1, paths.n_paths))
+    u = _control_grid(control, paths, lead)
+    kept = [] if record else None
+    for _ in integral_form_rows(model, control, paths, restart, kept, variants, rows=(x, u)):
+        pass
     return x if variants else StateEnsemble(values=x, control=control, paths=paths, controls=u,
-                                            record=kept if record else None)
+                                            record=kept)
 
 
 def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
@@ -316,50 +371,94 @@ def simulate_differential_form(model: CoefficientModel, control: ControlProcess,
     return StateEnsemble(values=x, control=control, paths=paths, controls=u)
 
 
-def performance_paths(spec: PerformanceSpec, states: StateEnsemble) -> np.ndarray:
-    """Per-path objective totals sum_i f(t_i, X_i, u_i) dt + g(X_N), shape (M,)."""
-    paths = states.paths
-    n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
-    t = paths.grid.nodes
-    total = np.zeros(m)
-    for i in range(n):
-        fi = np.asarray(spec.running(t[i], states.values[i], states.controls[i]), dtype=float)
-        total += np.broadcast_to(fi, (m,)) * dt
-    total += np.asarray(spec.terminal(states.terminal), dtype=float)
+def _add_objective(total: np.ndarray, spec: PerformanceSpec, grid, i: int, x, u) -> None:
+    """Add node i's objective term to the per-path totals in place: f(t_i, X_i, u_i) dt
+    for i < N, g(X_N) at i = N."""
+    if i < grid.steps:
+        fi = np.asarray(spec.running(grid.nodes[i], x, u), dtype=float)
+        total += np.broadcast_to(fi, total.shape) * grid.dt
+    else:
+        total += np.asarray(spec.terminal(x), dtype=float)
+
+
+def _checked_totals(total: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(total)):
         bad = int(np.flatnonzero(~np.isfinite(total))[0])
         raise SimulationError(f"performance summand is non-finite on path {bad}")
     return total
 
 
-def evaluate_performance(spec: PerformanceSpec, states: StateEnsemble) -> tuple[float, float]:
-    """Monte Carlo objective estimate and its standard error."""
-    total = performance_paths(spec, states)
+def performance_paths(spec: PerformanceSpec, states: StateEnsemble) -> np.ndarray:
+    """Per-path objective totals sum_i f(t_i, X_i, u_i) dt + g(X_N), shape (M,)."""
+    total = np.zeros(states.paths.n_paths)
+    for i, (x, u) in enumerate(zip(states.values, [*states.controls, None])):
+        _add_objective(total, spec, states.paths.grid, i, x, u)
+    return _checked_totals(total)
+
+
+def monte_carlo_estimate(total: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-path totals and its standard error."""
     m = len(total)
     est = float(total.mean())
     stderr = float(total.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return est, stderr
 
 
-# Values per block of rows in `export_trajectory_csv`: about 1 MB of float64.
+def evaluate_performance(spec: PerformanceSpec, states: StateEnsemble) -> tuple[float, float]:
+    """Monte Carlo objective estimate and its standard error."""
+    return monte_carlo_estimate(performance_paths(spec, states))
+
+
+# Values per block of rows in `trajectory_statistics`: about 1 MB of float64.
 _STATS_BLOCK = 1 << 17
 
 
-def export_trajectory_csv(path, states: StateEnsemble) -> None:
-    """Write per-node summary statistics (t, mean_X, std_X, q05, q95).
+def trajectory_statistics(nodes: np.ndarray, rows) -> list[tuple]:
+    """Per-node summary statistics (t, mean_X, std_X, q05, q95) of the states
+    X_0..X_N, read from `rows` in node order.
 
-    Each statistic is one axis-1 call per block of whole rows. Over all rows
-    at once, `std` and `quantile` would each make an (N+1, M) temporary,
-    which raises the peak memory of a simulation by the size of its state.
+    Each statistic is one axis-1 call per block of whole rows, copied into one
+    buffer of about `_STATS_BLOCK` values, so a row may be overwritten once the
+    next is read. Over all rows at once, `std` and `quantile` would each make
+    an (N+1, M) temporary, which raises the peak memory of a simulation by the
+    size of its state.
     """
-    t = states.paths.grid.nodes
-    x = states.values
-    m = x.shape[1]
-    step = max(1, _STATS_BLOCK // m)
-    rows = []
-    for a in range(0, len(t), step):
-        block = x[a:a + step]
-        std = block.std(axis=1, ddof=1) if m > 1 else np.zeros(len(block))
-        rows += zip(t[a:a + step], block.mean(axis=1), std,
-                    *np.quantile(block, [0.05, 0.95], axis=1))
-    write_csv(path, ("t", "mean_X", "std_X", "q05", "q95"), rows)
+    out, block, filled = [], None, 0
+    for x in rows:
+        if block is None:
+            block = np.empty((min(max(1, _STATS_BLOCK // len(x)), len(nodes)), len(x)))
+        block[filled] = x
+        filled += 1
+        if filled == len(block) or len(out) + filled == len(nodes):
+            held = block[:filled]
+            std = held.std(axis=1, ddof=1) if held.shape[1] > 1 else np.zeros(filled)
+            out += zip(nodes[len(out):len(out) + filled], held.mean(axis=1), std,
+                       *np.quantile(held, [0.05, 0.95], axis=1))
+            filled = 0
+    return out
+
+
+def simulate_summary(model: CoefficientModel, control: ControlProcess, spec: PerformanceSpec,
+                     paths: PathBundle) -> tuple[list[tuple], np.ndarray]:
+    """The `trajectory_statistics` and the per-path objective totals of the
+    integral-form run, read from its `integral_form_rows` as they are formed.
+
+    Besides the noise, a model whose kernels all declare decays holds one row
+    of the state, a block of about `_STATS_BLOCK` values for the statistics
+    and the (M,) totals; the values are those of `simulate_integral_form`
+    read by `trajectory_statistics` and `performance_paths`, bit for bit.
+    """
+    total = np.zeros(paths.n_paths)
+
+    def states():
+        for i, (x, u) in enumerate(integral_form_rows(model, control, paths)):
+            _add_objective(total, spec, paths.grid, i, x, u)
+            yield x
+
+    return trajectory_statistics(paths.grid.nodes, states()), _checked_totals(total)
+
+
+def export_trajectory_csv(path, statistics: list[tuple]) -> None:
+    """Write the per-node rows of `trajectory_statistics` (of `simulate_summary`
+    for a streamed run) as trajectory.csv."""
+    write_csv(path, ("t", "mean_X", "std_X", "q05", "q95"), statistics)

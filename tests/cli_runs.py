@@ -14,7 +14,7 @@ script prints one line per stage (run, stage, exit status, wall s, peak MB,
 bound MB) and exits non-zero naming every run with a stage that exited
 non-zero or reached its bound. No run has a wall-clock bound.
 
-Five runs start from the config of a desk workload (`deskbench/workloads.py`),
+Seven runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
 """
 
@@ -78,10 +78,22 @@ RUNS = (
         seed=5,
         workload="simulate_long_grid",
         config={"grid": {"horizon": 1.0, "steps": 1024}},
-        bound_mb=300.0,
-        why="each step reads one node's jump increments, built from the int16 counts, "
-            "so no (N, M, K) float copy of the counts is made: the stage peaks near "
-            "235 MB (391 MB with that copy)",
+        bound_mb=200.0,
+        why="the run is streamed: the stage holds dW, the int16 jump counts, one row "
+            "of X, a block of rows for the statistics and about 1 MB of normals while "
+            "sampling, and peaks near 158 MB (235 MB with the (N+1, M) state and each "
+            "block's whole draw, 391 MB with an (N, M, K) float copy of the counts)",
+    ),
+    CliRun(
+        name="simulate_n4096",
+        stages=("simulate",),
+        seed=5,
+        workload="simulate_long_grid",
+        config={"grid": {"horizon": 1.0, "steps": 4096}},
+        bound_mb=600.0,
+        why="a long grid in bounded memory: at N = 4096, M = 1e4 the streamed stage "
+            "holds little beyond dW (328 MB) and the counts, and peaks near 510 MB "
+            "(821 MB with the (N+1, M) state and each block's whole draw)",
     ),
     CliRun(
         name="portfolio_memory",

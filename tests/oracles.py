@@ -1,4 +1,5 @@
-"""Test oracles of the portfolio module that no CLI stage reads.
+"""Test oracles of the portfolio module that no CLI stage reads, and the path
+sampler as it drew each block's normals at once.
 
 Each was a package function or method. They are kept here, beside the tests
 that read them, with the arithmetic unchanged.
@@ -8,7 +9,8 @@ import math
 
 import numpy as np
 
-from volterra_control import ConfigurationError
+from volterra_control import ConfigurationError, PathBundle
+from volterra_control.grids import _BLOCK
 from volterra_control.portfolio import (
     CalibrationResult,
     OptimalityReport,
@@ -42,3 +44,29 @@ def max_interior_stationarity(report: OptimalityReport) -> float:
     n = len(report.stationarity_normalized)
     lo, hi = n // 4, (3 * n) // 4
     return float(np.max(report.stationarity_normalized[lo:hi + 1]))
+
+
+def sample_paths_whole_blocks(grid, jumps, n_paths: int, seed: int) -> PathBundle:
+    """`grids.sample_paths` drawing one (_BLOCK, N) array of normals per block and
+    scaling a copy of it into dW."""
+    n, dt = grid.steps, grid.dt
+    k = jumps.n_marks
+    dW = np.empty((n, n_paths))
+    counts = np.zeros((n, n_paths, k), dtype=np.int16)
+    cum_w = np.cumsum(jumps.weight_array) if k else None
+    sqrt_dt = np.sqrt(dt)
+    for start in range(0, n_paths, _BLOCK):
+        width = min(_BLOCK, n_paths - start)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, start // _BLOCK)))
+        z = rng.standard_normal((_BLOCK, n))
+        dW[:, start:start + width] = sqrt_dt * z[:width].T
+        if jumps.active:
+            per_path = rng.poisson(jumps.intensity * grid.horizon, _BLOCK)
+            total = int(per_path.sum())
+            if total:
+                node_idx = np.minimum((rng.random(total) * n).astype(np.int64), n - 1)
+                mark_idx = np.minimum(np.searchsorted(cum_w, rng.random(total)), k - 1)
+                path_idx = np.repeat(np.arange(_BLOCK), per_path)
+                keep = path_idx < width
+                np.add.at(counts, (node_idx[keep], start + path_idx[keep], mark_idx[keep]), 1)
+    return PathBundle(grid, jumps, dW, counts, seed=seed)

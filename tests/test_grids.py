@@ -13,6 +13,8 @@ from volterra_control import (
     sample_paths,
 )
 
+from oracles import sample_paths_whole_blocks
+
 
 def test_grid_validation():
     g = TimeGrid(2.0, 8)
@@ -60,6 +62,21 @@ def test_brownian_increments_do_not_depend_on_the_jump_model(grid32):
     with_jumps = sample_paths(grid32, jumps, 9000, seed=3)
     assert with_jumps.jump_counts.any()
     assert np.array_equal(with_jumps.dW, sample_paths(grid32, JumpModel.none(), 9000, seed=3).dW)
+
+
+@pytest.mark.parametrize("jumps", [JumpModel.none(), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))],
+                         ids=["no_jumps", "jumps"])
+@pytest.mark.parametrize("steps", [16, 256, 1024])
+def test_chunked_draws_equal_whole_block_draws_bit_for_bit(steps, jumps):
+    # a block's normals drawn a chunk of paths at a time are the same stream as
+    # one (_BLOCK, N) draw; 5000 paths end in a partial block, whose dropped
+    # paths are still drawn
+    grid = TimeGrid(1.0, steps)
+    new = sample_paths(grid, jumps, 5000, seed=9)
+    old = sample_paths_whole_blocks(grid, jumps, 5000, seed=9)
+    assert np.array_equal(new.dW, old.dW)
+    assert np.array_equal(new.jump_counts, old.jump_counts)
+    assert new.jump_counts.any() == jumps.active
 
 
 def test_single_path_two_steps_reproducible():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from volterra_control import (
     simulate_differential_form,
     simulate_integral_form,
 )
-from volterra_control.volterra import export_trajectory_csv, noise_sums
+from volterra_control.volterra import (
+    export_trajectory_csv,
+    noise_sums,
+    performance_paths,
+    simulate_summary,
+    trajectory_statistics,
+)
 
 
 def _zero_model(xi):
@@ -149,7 +156,7 @@ def test_trajectory_csv(tmp_path, paths64_small):
     model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
     st = simulate_integral_form(model, ControlProcess.constant(1.0), paths64_small)
     out = tmp_path / "traj.csv"
-    export_trajectory_csv(out, st)
+    export_trajectory_csv(out, trajectory_statistics(paths64_small.grid.nodes, st.values))
     lines = out.read_text().splitlines()
     assert lines[0] == "t,mean_X,std_X,q05,q95"
     assert len(lines) == 66
@@ -328,3 +335,54 @@ def test_row_readers_build_no_whole_jump_array(reader):
         solve_general(model, PerformanceSpec.log_terminal(), states,
                       features=[simulated_state_feature(model, states)])
     assert "compensated_counts" not in vars(paths)
+
+
+# --- the streamed run of the simulate stage ---
+
+_STREAM_SPEC = PerformanceSpec(running=lambda t, x, v: -0.5 * v ** 2 + 0.3 * x * v,
+                               terminal=lambda x: np.log(np.abs(x) + 1.0))
+
+
+def _custom_model():
+    """x-dependent kernels that declare no decay, so every history sum reads the
+    whole history."""
+    return registry_get("custom", dict(
+        initial_curve=lambda t: 1.0 + 0.0 * t,
+        drift=lambda t, s, x, v: 0.1 * v * x / (1.0 + t - s),
+        diffusion=lambda t, s, x, v: 0.3 * v * x / (1.0 + (t - s) ** 2),
+        jump=lambda t, s, x, v, z: 0.1 * v * x * z / (1.0 + t - s),
+    ))
+
+
+@pytest.mark.parametrize("model,control", [
+    pytest.param(registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS),
+                 ControlProcess.constant(0.5), id="exp_kernel_linear"),
+    pytest.param(_custom_model(), ControlProcess.constant(0.5), id="custom"),
+    pytest.param(registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), _feedback(),
+                 id="feedback"),
+])
+def test_streamed_summary_equals_the_in_memory_run_bit_for_bit(model, control):
+    # 300 rows of 1000 paths make three statistics blocks, the last one partial
+    paths = sample_paths(TimeGrid(1.0, 299), _MARKS, 1000, seed=21)
+    states = simulate_integral_form(model, control, paths)
+    statistics, total = simulate_summary(model, control, _STREAM_SPEC, paths)
+    assert statistics == trajectory_statistics(paths.grid.nodes, states.values)
+    assert np.array_equal(total, performance_paths(_STREAM_SPEC, states))
+
+
+def test_the_simulate_stage_holds_no_state_array():
+    # with declared decays the stream holds one row of X; a whole (N, M) draw or an
+    # (N+1, M) state beside dW and the counts would exceed the bound
+    n, m = 256, 4_000
+    model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
+    tracemalloc.start()
+    try:
+        paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
+                             seed=5)
+        simulate_summary(model, ControlProcess.constant(0.5), PerformanceSpec.log_terminal(),
+                         paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    above = peak - paths.dW.nbytes - paths.jump_counts.nbytes
+    assert above < (n + 1) * m * 8, f"{above / 1e6:.2f} MB above the noise"
