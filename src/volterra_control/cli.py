@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__
 from .errors import ConfigurationError
-from .grids import JumpModel, PathBundle, TimeGrid, sample_paths
+from .grids import JumpEvents, JumpModel, PathBundle, TimeGrid, sample_paths
 from .malliavin import (
     MIN_PATHS_PER_COLUMN,
     RegressionBasis,
@@ -320,8 +320,8 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
         reports["duality_jump"] = check_duality_jump(
             jump_sq, np.ones((cfg.grid.steps, cfg.jumps.n_marks)), paths, basis=basis)
         # the jump-free bundle of the same seed: `sample_paths` draws dW first
-        rec_paths = PathBundle(cfg.grid, JumpModel.none(), paths.dW, paths.jump_counts[..., :0],
-                               paths.seed)
+        rec_paths = PathBundle(cfg.grid, JumpModel.none(), paths.dW,
+                               JumpEvents.none(cfg.grid.steps), paths.seed)
     else:
         rec_paths = paths
     rec = clark_ocone_reconstruct(functional, rec_paths, basis=basis)

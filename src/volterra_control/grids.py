@@ -1,9 +1,10 @@
 """Time grids, jump models, and reproducible path ensembles.
 
 All process arrays are time-major: Brownian increments have shape (N, M),
-jump counts (N, M, K), cumulative paths (N+1, M). Path m of an ensemble is
-a deterministic function of (seed, m) alone, so regenerating with a larger
-or smaller path count reproduces the shared paths bit-exactly.
+cumulative paths (N+1, M), and the jumps are a list of events sorted by node
+(`JumpEvents`). Path m of an ensemble is a deterministic function of
+(seed, m) alone, so regenerating with a larger or smaller path count
+reproduces the shared paths bit-exactly.
 """
 
 from __future__ import annotations
@@ -102,33 +103,105 @@ class JumpModel:
         return self.intensity * self.weight_array * grid.dt
 
 
+@dataclass(frozen=True)
+class JumpEvents:
+    """The jumps of an ensemble as a list sorted by node.
+
+    Node i's jumps are the entries node_ptr[i]:node_ptr[i + 1] of `path` (the
+    path index of each jump) and `mark` (its mark index). A (node, path, mark)
+    cell that holds two jumps has two entries.
+    """
+
+    node_ptr: np.ndarray  # (N+1,)
+    path: np.ndarray
+    mark: np.ndarray
+
+    @classmethod
+    def of_triples(cls, steps: int, node: np.ndarray, path: np.ndarray,
+                   mark: np.ndarray) -> "JumpEvents":
+        """The events of (node, path, mark) triples in any order."""
+        node_ptr = np.zeros(steps + 1, dtype=np.intp)
+        np.cumsum(np.bincount(node, minlength=steps), out=node_ptr[1:])
+        order = np.argsort(node, kind="stable")
+        return cls(node_ptr, path[order], mark[order])
+
+    @classmethod
+    def of_counts(cls, counts: np.ndarray) -> "JumpEvents":
+        """The events of dense (N, M, K) jump counts."""
+        cells = np.nonzero(counts)
+        repeats = counts[cells]
+        return cls.of_triples(counts.shape[0], *(np.repeat(a, repeats) for a in cells))
+
+    @classmethod
+    def none(cls, steps: int) -> "JumpEvents":
+        """No jumps on a grid of `steps` steps."""
+        return cls.of_triples(steps, *[np.empty(0, dtype=np.intp)] * 3)
+
+    def dense(self, n_paths: int, n_marks: int, dtype=np.int16) -> np.ndarray:
+        """The (N, M, K) jump counts."""
+        steps = len(self.node_ptr) - 1
+        out = np.zeros((steps, n_paths, n_marks), dtype=dtype)
+        nodes = np.repeat(np.arange(steps), np.diff(self.node_ptr))
+        np.add.at(out, (nodes, self.path, self.mark), 1)
+        return out
+
+    def row(self, node: int, n_paths: int, n_marks: int) -> np.ndarray:
+        """Node `node`'s jump counts as floats, (M, K)."""
+        at = slice(self.node_ptr[node], self.node_ptr[node + 1])
+        out = np.zeros((n_paths, n_marks))
+        np.add.at(out, (self.path[at], self.mark[at]), 1.0)
+        return out
+
+    def subset(self, start: int, stop: int) -> "JumpEvents":
+        """The jumps of the paths in [start, stop), renumbered from 0."""
+        keep = (self.path >= start) & (self.path < stop)
+        kept = np.zeros(len(self.path) + 1, dtype=np.intp)
+        np.cumsum(keep, out=kept[1:])
+        return JumpEvents(kept[self.node_ptr], self.path[keep] - start, self.mark[keep])
+
+    def coarsen(self, factor: int) -> "JumpEvents":
+        """The same jumps with node i moved to node i // factor."""
+        return JumpEvents(self.node_ptr[::factor], self.path, self.mark)
+
+
 class PathBundle:
-    """A seeded ensemble of Brownian increments and compound Poisson jump counts.
+    """A seeded ensemble of Brownian increments and compound Poisson jumps.
 
     Jump times are snapped to the left node of the interval they fall in,
     matching the left-point evaluation of the Euler schemes.
 
-    The jumps are held as their int16 counts only. A reader of one node's
-    compensated increments takes `increments_at(node)`, built from that
-    node's counts; the whole float (N, M, K) array `compensated_counts` is
-    built, and kept, only by a reader of the whole history.
+    The jumps are held as their list of events, `JumpEvents`, alone. A reader
+    of one node's compensated increments takes `increments_at(node)`, built
+    from that node's events; the whole float (N, M, K) array
+    `compensated_counts` is built, and kept, only by a reader of the whole
+    history, and the dense int16 `jump_counts` is formed when read and not
+    kept.
+
+    The constructor's `jump_counts` is the dense (N, M, K) counts, converted
+    to events once, or the events themselves.
     """
 
     def __init__(self, grid: TimeGrid, jumps: JumpModel, dW: np.ndarray,
-                 jump_counts: np.ndarray, seed: int | None):
+                 jump_counts: np.ndarray | JumpEvents, seed: int | None):
         self.grid = grid
         self.jumps = jumps
         self.dW = dW                    # (N, M)
-        self.jump_counts = jump_counts  # (N, M, K) small ints
+        self.events = jump_counts if isinstance(jump_counts, JumpEvents) \
+            else JumpEvents.of_counts(jump_counts)
         self.seed = seed
 
     @property
     def n_paths(self) -> int:
-        return self.jump_counts.shape[1]
+        return self.dW.shape[1]
 
     @property
     def n_steps(self) -> int:
-        return self.jump_counts.shape[0]
+        return self.grid.steps
+
+    @property
+    def jump_counts(self) -> np.ndarray:
+        """The dense (N, M, K) int16 jump counts, formed on each read."""
+        return self.events.dense(self.n_paths, self.jumps.n_marks)
 
     @cached_property
     def brownian(self) -> np.ndarray:
@@ -142,7 +215,7 @@ class PathBundle:
     def compensated_counts(self) -> np.ndarray:
         """Jump counts minus their compensator, shape (N, M, K), for the readers of the
         whole history; a reader of one node's row takes `increments_at`."""
-        out = self.jump_counts.astype(float)
+        out = self.events.dense(self.n_paths, self.jumps.n_marks, dtype=float)
         out -= self.jumps.compensator(self.grid)[None, None, :]  # in place: one (N, M, K) array
         return out
 
@@ -163,17 +236,23 @@ class PathBundle:
         """Row `node` of dW, (M,), and of the compensated counts, (M, K).
 
         Unless the whole `compensated_counts` is already built, the row is
-        built from the node's counts by the same arithmetic, so it holds the
+        built from the node's events by the same arithmetic, so it holds the
         same bits. A perturbed view builds a perturbed row from its parent's,
         without materializing its whole arrays.
         """
         whole = self.__dict__.get("compensated_counts")
         if whole is not None:
             return self.dW[node], whole[node]
-        counts = self.jump_counts[node].astype(float)
+        return self.dW[node], self._compensated(self._counts_at(node))
+
+    def _counts_at(self, node: int) -> np.ndarray:
+        """Node `node`'s jump counts as floats, (M, K), a new array."""
+        return self.events.row(node, self.n_paths, self.jumps.n_marks)
+
+    def _compensated(self, counts: np.ndarray) -> np.ndarray:
         for k, nu in enumerate(self.jumps.compensator(self.grid)):
             counts[:, k] -= nu   # a mark at a time: 4x faster than broadcasting K-long rows
-        return self.dW[node], counts
+        return counts
 
     def perturb_brownian(self, node: int, bump: float) -> "PathBundle":
         """View of the bundle with the node-th Brownian increment shifted by `bump`.
@@ -199,7 +278,7 @@ class PathBundle:
         if not 0 <= start < stop <= self.n_paths:
             raise ConfigurationError(f"invalid path range [{start}, {stop})")
         return PathBundle(self.grid, self.jumps, self.dW[:, start:stop],
-                          self.jump_counts[:, start:stop], seed=self.seed)
+                          self.events.subset(start, stop), seed=self.seed)
 
     def coarsen(self, factor: int) -> "PathBundle":
         """Aggregate increments onto a grid with N/factor steps (same paths)."""
@@ -207,24 +286,38 @@ class PathBundle:
         if factor < 1 or n % factor:
             raise ConfigurationError(f"cannot coarsen {n} steps by factor {factor}")
         dW = self.dW.reshape(n // factor, factor, self.n_paths).sum(axis=1)
-        counts = self.jump_counts.reshape(
-            n // factor, factor, self.n_paths, max(self.jumps.n_marks, 0)
-        ).sum(axis=1)
         grid = TimeGrid(self.grid.horizon, n // factor)
-        return PathBundle(grid, self.jumps, dW, counts.astype(self.jump_counts.dtype),
-                          seed=self.seed)
+        return PathBundle(grid, self.jumps, dW, self.events.coarsen(factor), seed=self.seed)
 
 
-class _BrownianPerturbedBundle(PathBundle):
-    """Lazy view with one Brownian increment shifted; shares parent arrays."""
+class _PerturbedView(PathBundle):
+    """Lazy view of a parent bundle with one increment changed at `node`; its sizes,
+    and the arrays it does not change, are the parent's."""
 
-    def __init__(self, parent: PathBundle, node: int, bump: float):
+    def __init__(self, parent: PathBundle, node: int):
         self.grid = parent.grid
         self.jumps = parent.jumps
         self.seed = parent.seed
-        self.jump_counts = parent.jump_counts
         self._parent = parent
         self._node = node
+
+    @property
+    def n_paths(self) -> int:
+        return self._parent.n_paths
+
+    @property
+    def jump_counts(self) -> np.ndarray:
+        return self._parent.jump_counts
+
+    def _counts_at(self, node: int) -> np.ndarray:
+        return self._parent._counts_at(node)
+
+
+class _BrownianPerturbedBundle(_PerturbedView):
+    """Lazy view with one Brownian increment shifted; shares parent arrays."""
+
+    def __init__(self, parent: PathBundle, node: int, bump: float):
+        super().__init__(parent, node)
         self._bump = bump
         # every shift applied, in order: an array materialized after a rebump
         # holds the bits of one materialized before it and adjusted in place
@@ -275,31 +368,22 @@ class _BrownianPerturbedBundle(PathBundle):
         self._shifts.append(delta)
 
 
-class _JumpPerturbedBundle(PathBundle):
-    """Lazy view with one jump added at (node, mark); shares parent arrays."""
+class _JumpPerturbedBundle(_PerturbedView):
+    """Lazy view with one jump added at (node, mark) on every path; shares parent arrays."""
 
     def __init__(self, parent: PathBundle, node: int, mark: int):
-        self.grid = parent.grid
-        self.jumps = parent.jumps
-        self.seed = parent.seed
-        self.dW = parent.dW
-        self._parent = parent
-        self._node = node
+        super().__init__(parent, node)
         self._mark = mark
 
-    @cached_property
-    def jump_counts(self) -> np.ndarray:  # type: ignore[override]
-        out = self._parent.jump_counts.copy()
+    @property
+    def dW(self) -> np.ndarray:  # type: ignore[override]
+        return self._parent.dW
+
+    @property
+    def jump_counts(self) -> np.ndarray:
+        out = self._parent.jump_counts
         out[self._node, :, self._mark] += 1
         return out
-
-    @property
-    def n_paths(self) -> int:
-        return self._parent.n_paths
-
-    @property
-    def n_steps(self) -> int:
-        return self._parent.n_steps
 
     @cached_property
     def brownian(self) -> np.ndarray:
@@ -318,21 +402,20 @@ class _JumpPerturbedBundle(PathBundle):
         return out
 
     def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        dw, counts = self._parent.increments_at(node)
+        if node != self._node:
+            return self._parent.increments_at(node)
+        # the parent's counts with the added jump, compensated by the base arithmetic
+        return self.dW[node], self._compensated(self._counts_at(node))
+
+    def _counts_at(self, node: int) -> np.ndarray:
+        counts = self._parent._counts_at(node)
         if node == self._node:
-            # the parent's row with the touched slice redone by the base arithmetic
-            mark = self._mark
-            counts = counts.copy()
-            counts[:, mark] = (self._parent.jump_counts[node, :, mark] + 1).astype(float)
-            counts[:, mark] -= self.jumps.compensator(self.grid)[mark]
-        return dw, counts
+            counts[:, self._mark] += 1.0
+        return counts
 
     def remark(self, new_mark: int) -> None:
         """Swap the inserted jump's mark, adjusting materialized arrays in place."""
         caches = self.__dict__
-        if "jump_counts" in caches:
-            caches["jump_counts"][self._node, :, self._mark] -= 1
-            caches["jump_counts"][self._node, :, new_mark] += 1
         if "compensated_counts" in caches:
             del caches["compensated_counts"]
         if "jump_sum" in caches:
@@ -347,13 +430,15 @@ def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> P
     Generation runs block-by-block with one RNG stream per (seed, block),
     so path m depends only on (seed, m) and subsets are reproducible. Each
     block draws its normals first, so dW does not depend on the jump model.
+    The jumps are kept as drawn, (node, path, mark) triples, and sorted by
+    node once.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
     n, dt = grid.steps, grid.dt
     k = jumps.n_marks
     dW = np.empty((n, n_paths))
-    counts = np.zeros((n, n_paths, k), dtype=np.int16)
+    drawn = [(np.empty(0, dtype=np.intp),) * 3]   # the (node, path, mark) of each block's jumps
     cum_w = np.cumsum(jumps.weight_array) if k else None
     sqrt_dt = np.sqrt(dt)
     rows = min(_BLOCK, max(1, _DRAW // n))
@@ -379,8 +464,9 @@ def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> P
                 mark_idx = np.minimum(np.searchsorted(cum_w, rng.random(total)), k - 1)
                 path_idx = np.repeat(np.arange(_BLOCK), per_path)
                 keep = path_idx < width
-                np.add.at(counts, (node_idx[keep], start + path_idx[keep], mark_idx[keep]), 1)
-    return PathBundle(grid, jumps, dW, counts, seed=seed)
+                drawn.append((node_idx[keep], start + path_idx[keep], mark_idx[keep]))
+    return PathBundle(grid, jumps, dW, JumpEvents.of_triples(n, *map(np.concatenate, zip(*drawn))),
+                      seed=seed)
 
 
 def compensated_jump_integral(paths: PathBundle,

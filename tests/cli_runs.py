@@ -78,11 +78,12 @@ RUNS = (
         seed=5,
         workload="simulate_long_grid",
         config={"grid": {"horizon": 1.0, "steps": 1024}},
-        bound_mb=200.0,
-        why="the run is streamed: the stage holds dW, the int16 jump counts, one row "
-            "of X, a block of rows for the statistics and about 1 MB of normals while "
-            "sampling, and peaks near 158 MB (235 MB with the (N+1, M) state and each "
-            "block's whole draw, 391 MB with an (N, M, K) float copy of the counts)",
+        bound_mb=150.0,
+        why="the run is streamed and the jumps are a list of events: the stage holds "
+            "dW, one row of X, a block of rows for the statistics and about 1 MB of "
+            "normals while sampling, and peaks near 120 MB (158 MB with dense int16 "
+            "jump counts, 235 MB with the (N+1, M) state and each block's whole draw "
+            "as well)",
     ),
     CliRun(
         name="simulate_n4096",
@@ -90,10 +91,11 @@ RUNS = (
         seed=5,
         workload="simulate_long_grid",
         config={"grid": {"horizon": 1.0, "steps": 4096}},
-        bound_mb=600.0,
+        bound_mb=450.0,
         why="a long grid in bounded memory: at N = 4096, M = 1e4 the streamed stage "
-            "holds little beyond dW (328 MB) and the counts, and peaks near 510 MB "
-            "(821 MB with the (N+1, M) state and each block's whole draw)",
+            "holds little beyond dW (328 MB) and about 5000 jump events, and peaks near "
+            "355 MB (509 MB with dense int16 jump counts, 821 MB with the (N+1, M) "
+            "state and each block's whole draw as well)",
     ),
     CliRun(
         name="portfolio_memory",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from volterra_control import JumpModel, TimeGrid, sample_paths
+from volterra_control import JumpModel, PathBundle, TimeGrid, sample_paths
 
 # Every property test draws the same examples on every run and writes no
 # example database.
@@ -48,3 +48,14 @@ def jump_paths64_desk(grid64, marks_pm1):
 @pytest.fixture(scope="session")
 def jump_paths64_small(grid64, marks_pm1):
     return sample_paths(grid64, marks_pm1, 20_000, seed=DESK_SEED + 1)
+
+
+@pytest.fixture
+def no_dense_counts(monkeypatch):
+    """Make reading a bundle's dense (N, M, K) counts, or its whole compensated
+    array, fail; every view reads them through its parent."""
+    def refuse(self):
+        raise AssertionError("a dense (N, M, K) array was built")
+
+    for name in ("jump_counts", "compensated_counts"):
+        monkeypatch.setattr(PathBundle, name, property(refuse))

@@ -279,6 +279,25 @@ _MEMORY_JUMP_CONFIG = {
 }
 
 
+@pytest.mark.parametrize("workload, stages, info", [
+    ("simulate_long_grid", ("simulate",), None),
+    ("adjoint_memory_jumps", ("solve-adjoint", "check-stationarity", "gateaux"), None),
+    ("adjoint_memory_jumps", ("check-stationarity",), {"mode": "delayed", "delay": 0.25}),
+], ids=["simulate", "adjoint", "delayed"])
+def test_stages_with_jumps_build_no_dense_count_array(tmp_path, no_dense_counts, workload,
+                                                      stages, info):
+    # every reader of these stages works from the jump events, a node's row at a
+    # time: none forms the dense (N, M, K) counts or the whole compensated array
+    from cli_runs import WORKLOADS
+
+    config = {**WORKLOADS[workload].config, "monte_carlo": {"paths": 2000, "seed": 5}}
+    if info is not None:
+        config["info"] = info
+    path = _write_config(tmp_path, config)
+    for stage in stages:
+        assert main([stage, "--config", path, "--out", str(tmp_path / stage)]) == 0
+
+
 def _refuse_sampling(monkeypatch):
     from volterra_control import cli
 

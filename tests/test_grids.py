@@ -16,6 +16,10 @@ from volterra_control import (
 from oracles import sample_paths_whole_blocks
 
 
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_grid_validation():
     g = TimeGrid(2.0, 8)
     assert g.dt == 0.25
@@ -64,19 +68,52 @@ def test_brownian_increments_do_not_depend_on_the_jump_model(grid32):
     assert np.array_equal(with_jumps.dW, sample_paths(grid32, JumpModel.none(), 9000, seed=3).dW)
 
 
-@pytest.mark.parametrize("jumps", [JumpModel.none(), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))],
-                         ids=["no_jumps", "jumps"])
-@pytest.mark.parametrize("steps", [16, 256, 1024])
+@pytest.mark.parametrize("steps, jumps", [
+    *(pytest.param(steps, jumps, id=f"{steps}-{name}") for steps in (16, 256, 1024)
+      for name, jumps in (("no_jumps", JumpModel.none()),
+                          ("jumps", JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))))),
+    pytest.param(16, JumpModel(40.0, (-0.5, 0.5), (0.5, 0.5)), id="16-many_jumps"),
+])
 def test_chunked_draws_equal_whole_block_draws_bit_for_bit(steps, jumps):
     # a block's normals drawn a chunk of paths at a time are the same stream as
     # one (_BLOCK, N) draw; 5000 paths end in a partial block, whose dropped
-    # paths are still drawn
+    # paths are still drawn. The jumps kept as events give the counts, and every
+    # row, of the dense scatter; at intensity 40 on 16 steps many cells hold 2 or
+    # more jumps
     grid = TimeGrid(1.0, steps)
     new = sample_paths(grid, jumps, 5000, seed=9)
     old = sample_paths_whole_blocks(grid, jumps, 5000, seed=9)
     assert np.array_equal(new.dW, old.dW)
-    assert np.array_equal(new.jump_counts, old.jump_counts)
-    assert new.jump_counts.any() == jumps.active
+    counts = new.jump_counts
+    assert counts.dtype == np.int16 and np.array_equal(counts, old.jump_counts)
+    assert counts.any() == jumps.active
+    if jumps.intensity > 10.0:
+        assert (counts >= 2).sum() > 1000
+    whole = old.compensated_counts
+    for i in range(steps):
+        assert _same_bits(new.increments_at(i)[1], whole[i])
+    assert "compensated_counts" not in vars(new)
+
+
+def test_dense_counts_convert_to_events_and_back():
+    # the exported constructor takes dense counts: a cell with three jumps is three
+    # events, and the counts, rows, subsets and coarsenings read back from the
+    # events are the dense array's
+    rng = np.random.default_rng(5)
+    jumps = JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))
+    grid = TimeGrid(1.0, 12)
+    counts = rng.poisson(0.4, (12, 50, 3)).astype(np.int16)
+    counts[3, 7, 1] = 3
+    p = PathBundle(grid, jumps, rng.standard_normal((12, 50)), counts, seed=None)
+    assert len(p.events.path) == counts.sum()
+    assert np.array_equal(p.jump_counts, counts)
+    ref = counts.astype(float)
+    ref -= jumps.compensator(grid)[None, None, :]
+    for i in range(grid.steps):
+        assert _same_bits(p.increments_at(i)[1], ref[i])
+    assert _same_bits(p.compensated_counts, ref)
+    assert np.array_equal(p.subset(10, 31).jump_counts, counts[:, 10:31])
+    assert np.array_equal(p.coarsen(3).jump_counts, counts.reshape(4, 3, 50, 3).sum(axis=1))
 
 
 def test_single_path_two_steps_reproducible():
@@ -145,7 +182,10 @@ def test_perturbation_views(jump_paths64_small):
     assert np.allclose(pert.brownian[11:], p.brownian[11:] + 0.3)
     assert np.array_equal(pert.brownian[:11], p.brownian[:11])
     jp = p.with_extra_jump(5, 1)
-    assert np.array_equal(jp.jump_counts[5, :, 1], p.jump_counts[5, :, 1] + 1)
+    jump_counts = jp.jump_counts
+    assert np.array_equal(jump_counts[5, :, 1], p.jump_counts[5, :, 1] + 1)
+    jump_counts[5, :, 1] -= 1
+    assert np.array_equal(jump_counts, p.jump_counts)
     assert np.allclose(jp.jump_sum[6:], p.jump_sum[6:] + p.jumps.marks[1])
     assert np.array_equal(jp.jump_sum[:6], p.jump_sum[:6])
 
@@ -202,8 +242,26 @@ def test_view_rows_match_materialized_arrays_in_any_order():
         assert np.array_equal(view.increments_at(node + 1)[1], p.compensated_counts[node + 1])
 
 
-def _same_bits(a, b) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def test_views_read_their_sizes_and_rows_from_the_parent(no_dense_counts):
+    # a view's sizes come from its parent: reading them, or a row, neither copies
+    # the Brownian view's dW nor builds the parent's dense counts
+    jumps = JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))
+    p = sample_paths(TimeGrid(1.0, 16), jumps, 2_000, seed=43)
+    ref = [p.increments_at(i) for i in range(16)]
+    brownian = p.perturb_brownian(7, 1e-3)
+    jump = p.with_extra_jump(7, 2)
+    for view in (brownian, jump, jump.perturb_brownian(3, 1e-3)):
+        assert (view.n_paths, view.n_steps) == (2_000, 16)
+        for i in range(16):
+            dw, counts = view.increments_at(i)
+            assert dw.shape == (2_000,) and counts.shape == (2_000, 3)
+            if view is brownian:
+                assert _same_bits(counts, ref[i][1])
+        assert "dW" not in vars(view)
+    assert _same_bits(brownian.increments_at(7)[0], ref[7][0] + 1e-3)
+    plus_one = ref[7][1].copy()
+    plus_one[:, 2] += 1.0
+    assert np.allclose(jump.increments_at(7)[1], plus_one, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("whole_first", [False, True], ids=["rows_first", "whole_first"])

@@ -372,7 +372,7 @@ def test_streamed_summary_equals_the_in_memory_run_bit_for_bit(model, control):
 
 def test_the_simulate_stage_holds_no_state_array():
     # with declared decays the stream holds one row of X; a whole (N, M) draw or an
-    # (N+1, M) state beside dW and the counts would exceed the bound
+    # (N+1, M) state beside dW and the jump events would exceed the bound
     n, m = 256, 4_000
     model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
     tracemalloc.start()
@@ -384,5 +384,7 @@ def test_the_simulate_stage_holds_no_state_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    above = peak - paths.dW.nbytes - paths.jump_counts.nbytes
+    events = paths.events
+    above = peak - paths.dW.nbytes - sum(a.nbytes for a in (events.node_ptr, events.path,
+                                                             events.mark))
     assert above < (n + 1) * m * 8, f"{above / 1e6:.2f} MB above the noise"
