@@ -62,6 +62,7 @@ from .hamiltonian import (
 from .portfolio import (
     MarketModel,
     export_portfolio_csvs,
+    optimal_fraction,
     path_floor,
     solve_portfolio,
     verify_optimality,
@@ -252,11 +253,16 @@ class ExperimentConfig:
         return PerformanceSpec(running=_RUNNINGS[running], terminal=g,
                                terminal_prime=gp, terminal_domain=domain)
 
-    def utility(self) -> UtilitySpec:
+    def utility_exponent(self) -> float:
+        """The exponent gamma of the power utility x^gamma / gamma, 0 for log utility."""
         if self._kind("utility.kind", ("log", "power")) == "log":
-            return UtilitySpec.log()
-        return UtilitySpec.power(_field(self.raw, "utility.exponent", float,
-                                        "a number < 1 and != 0", lambda g: g < 1.0 and g != 0.0))
+            return 0.0
+        return _field(self.raw, "utility.exponent", float, "a number < 1 and != 0",
+                      lambda g: g < 1.0 and g != 0.0)
+
+    def utility(self) -> UtilitySpec:
+        exponent = self.utility_exponent()
+        return UtilitySpec.log() if exponent == 0.0 else UtilitySpec.power(exponent)
 
     def control(self) -> ControlProcess:
         self._kind("control.kind", ("constant",))   # config files give constant controls only
@@ -268,7 +274,7 @@ class ExperimentConfig:
                        lambda v: lower <= v <= upper)
         return ControlProcess.constant(value, (lower, upper))
 
-    def market_fields(self) -> dict:
+    def market(self) -> MarketModel:
         """The market section, every field read through ``_field``."""
         fields = {key: _field(self.raw, f"market.{key}", float, "a number")
                   for key in ("b0", "decay_b", "decay_sigma")}
@@ -277,10 +283,7 @@ class ExperimentConfig:
                                  lambda x: x > 0.0)
         fields["floor"] = _field(self.raw, "market.floor", lambda f: f if f is None else float(f),
                                  "a positive number or null", lambda f: f is None or f > 0.0)
-        return fields
-
-    def market(self) -> MarketModel:
-        return MarketModel.exponential(**self.market_fields(), horizon=self.grid.horizon)
+        return MarketModel.exponential(**fields, horizon=self.grid.horizon)
 
     def manifest(self, command: str) -> dict:
         return {
@@ -487,27 +490,27 @@ def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_merton_test(cfg: ExperimentConfig) -> int:
-    m = cfg.market_fields()
-    market = MarketModel.constant(m["b0"], m["sigma0"], wealth=m["wealth"])
+    market, utility, exponent = cfg.market(), cfg.utility(), cfg.utility_exponent()
     paths = _portfolio_paths(cfg)
-    utility = UtilitySpec.log()
     solution = solve_portfolio(market, utility, paths, basis=cfg.basis)
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
-    pi_ref = m["b0"] / m["sigma0"] ** 2
     n = cfg.grid.steps
-    interior = solution.mean_pi[n // 4:(3 * n) // 4]
-    worst = float(np.max(np.abs(interior - pi_ref) / pi_ref))
+    interior = slice(n // 4, (3 * n) // 4)
+    pi_ref = optimal_fraction(market, cfg.grid, exponent)[interior]
+    worst = float(np.max(np.abs(solution.mean_pi[interior] / pi_ref - 1.0)))
     control = ControlProcess.per_path(solution.fractions(), bounds=(-10.0, 10.0))
     # only c is read from here on: drop the problem, its regressions and its feature
     c = solution.c
     del solution
-    report = verify_optimality(market, utility, control, paths, basis=cfg.basis)
+    report = verify_optimality(market, utility, control, paths)
     rows = [("candidate", report.j_candidate, report.j_candidate_stderr)]
     rows += [(f"shift{delta:+g}", j, se) for delta, j, _gap, se in report.comparisons]
     write_csv(cfg.out_dir / "objective.csv", ("strategy", "J_estimate", "stderr"), rows)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("merton-test"))
-    print(f"merton-test: c = {c:.4f} (closed form {1.0 / m['wealth']:.4f}), "
-          f"interior fraction within {100 * worst:.2f}% of {pi_ref}; "
+    merton = exponent == 0.0 and market.decay_b == market.decay_sigma == 0.0
+    closed = f" (closed form {1.0 / market.initial_wealth:.4f})" if merton else ""
+    print(f"merton-test: c = {c:.4f}{closed}, interior fraction within {100 * worst:.2f}% "
+          f"of pi*(t) = b0(T,t) / ((1 - {exponent:g}) sigma0(T,t) sigma0(t,t)); "
           f"dominates shifts: {report.dominates()}")
     return 0 if (worst <= 0.05 and report.dominates()) else 1
 

@@ -490,4 +490,17 @@ def compensated_jump_integral(paths: PathBundle,
     ftz = np.broadcast_to(ftz, (paths.n_steps, k))
     if not np.all(np.isfinite(ftz)):
         raise ValueError("integrand is not finite on the (node, mark) grid")
-    return np.einsum("imk,ik->m", paths.compensated_counts, ftz)
+    return compensated_jump_sum(paths, ftz[:, None, :])
+
+
+def compensated_jump_sum(paths: PathBundle, psi: np.ndarray) -> np.ndarray:
+    """Per path, sum_i sum_k psi[i, m, k] dN~[i, m, k] for psi broadcastable to (N, M, K).
+
+    The sum runs node by node over `increments_at`, so no (N, M, K) array is
+    formed, and a perturbed view adds its own perturbed row.
+    """
+    psi = np.broadcast_to(psi, (paths.n_steps, paths.n_paths, paths.jumps.n_marks))
+    total = np.zeros(paths.n_paths)
+    for i in range(paths.n_steps):
+        total += np.einsum("mk,mk->m", psi[i], paths.increments_at(i)[1])
+    return total

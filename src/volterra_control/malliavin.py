@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, RegressionError
-from .grids import PathBundle
+from .grids import PathBundle, compensated_jump_sum
 from .models import ControlProcess, InfoMode
 from .volterra import noise_sums
 
@@ -129,20 +129,10 @@ def running_sums(weights: np.ndarray, paths: PathBundle, drift: np.ndarray | Non
         yield total
 
 
-def running_sum_rows(weights: np.ndarray, paths: PathBundle,
-                     drift: np.ndarray | None = None) -> np.ndarray:
-    """The running sum of `running_sums` with its zero row S_0, (N+1, M)."""
-    out = np.empty((paths.n_steps + 1, paths.n_paths))
-    out[0] = 0.0
-    for _ in running_sums(weights, paths, drift, rows=out[1:]):
-        pass
-    return out
-
-
 class RunningSumRows:
     """The rows S_0 = 0, S_1, ..., S_N of `running_sums` without drift, formed on request.
 
-    Only the last row read and its node are held, O(M) where `running_sum_rows` holds
+    Only the last row read and its node are held, O(M) where the whole sum holds
     (N+1, M). `rows[j]` steps the generator forward from there to node j, and a read of
     an earlier node restarts it from S_0, so every order of reads gives the same bits.
     A row is handed out read-only: the next step reads it.
@@ -583,7 +573,7 @@ def check_duality_jump(functional: PathFunctional, psi, paths: PathBundle,
         psi_arr = psi_arr[:, None, :]
     psi_arr = np.broadcast_to(psi_arr, (n, m, k))
     f_vals = np.asarray(functional(paths), dtype=float)
-    lhs_path = f_vals * np.einsum("imk,imk->m", psi_arr, paths.compensated_counts)
+    lhs_path = f_vals * compensated_jump_sum(paths, psi_arr)
     rhs_path = np.zeros(m)
     feats = list(features) if features is not None else default_features(paths)
     basis = basis or RegressionBasis()

@@ -31,7 +31,6 @@ from .malliavin import (
     BackwardProjector,
     Feature,
     RegressionBasis,
-    running_sum_rows,
     running_sums,
     weighted_brownian_feature,
 )
@@ -104,14 +103,18 @@ def theta0(market: MarketModel, grid: TimeGrid) -> np.ndarray:
     return -market.drift_kernel(grid.horizon, grid.nodes) / vol
 
 
-def _log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """log of the exponential martingale with unit initial value, (N+1, M)."""
-    th = np.asarray(theta, dtype=float)[:paths.n_steps]
-    return running_sum_rows(th, paths, 0.5 * th ** 2 * paths.grid.dt)
+def optimal_fraction(market: MarketModel, grid: TimeGrid, exponent: float = 0.0) -> np.ndarray:
+    """Closed-form fraction pi*(t_i) = b0(T,t_i) / ((1 - exponent) sigma0(T,t_i) sigma0(t_i,t_i))
+    at the nodes t_i < T, (N,), for log utility (exponent 0) or the power utility
+    x^exponent / exponent: the BSVIE diagonal of a deterministic loading (README)."""
+    t, T = grid.nodes[:-1], grid.horizon
+    return market.drift_kernel(T, t) / (
+        (1.0 - exponent) * market.vol_kernel(T, t) * market.vol_kernel(t, t))
 
 
 def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """The last row of `_log_martingale`, (M,), holding O(M)."""
+    """log of the unit-start exponential martingale at T, sum_j (theta_j dW_j
+    - theta_j^2 dt / 2), (M,), holding O(M)."""
     th = np.asarray(theta, dtype=float)[:paths.n_steps]
     for total in running_sums(th, paths, 0.5 * th ** 2 * paths.grid.dt):
         pass
@@ -181,24 +184,6 @@ class PortfolioProblem:
     def terminal(self, c: float, cols: slice = slice(None)) -> np.ndarray:
         """Terminal wealth F(c) = (u')^{-1}(c M_T) on the paths, or on the columns `cols`."""
         return _inverse_marginal(c, self.martingale[cols], self.utility)
-
-
-def martingale_feature(theta: np.ndarray, paths: PathBundle) -> Feature:
-    """Running exponential martingale of the loading theta as a feature.
-
-    The conditional marginal utility of the optimal terminal wealth is
-    linear in this feature (for every utility), so projections of U'(X_T)
-    and of its increment products are exact in its polynomial span.
-    """
-    vals = _log_martingale(theta, paths)
-    np.exp(vals, out=vals)
-    th = np.asarray(theta, dtype=float)
-    return Feature(
-        name="exp_martingale",
-        values=vals,
-        brownian_sensitivity=lambda i: th[i:i + 1, None] * vals[i + 1:],
-        jump_shift=lambda i: 0.0,
-    )
 
 
 @dataclass
@@ -470,13 +455,11 @@ def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle
 
 @dataclass
 class OptimalityReport:
-    """Objective comparisons against shifted strategies plus stationarity."""
+    """Objective comparisons against shifted strategies."""
 
     j_candidate: float
     j_candidate_stderr: float
     comparisons: list  # (shift, j_value, gap, gap_stderr)
-    stationarity_nodes: np.ndarray
-    stationarity_normalized: np.ndarray
 
     def dominates(self, n_sigma: float = 3.0) -> bool:
         return all(gap >= -n_sigma * max(se, 1e-300)
@@ -485,52 +468,35 @@ class OptimalityReport:
 
 def verify_optimality(market: MarketModel, utility: UtilitySpec,
                       control: ControlProcess, paths: PathBundle,
-                      shifts: Sequence[float] = (0.1, 0.25),
-                      basis: RegressionBasis | None = None) -> OptimalityReport:
+                      shifts: Sequence[float] = (0.1, 0.25)) -> OptimalityReport:
     """Brute-force optimality check of a candidate investment fraction.
 
     Re-simulates wealth under the candidate and under constant shifts of it
-    with common random numbers and compares expected utilities; also runs
-    the first-order stationarity residual sigma0(T,t) q + b0(T,t) p against
-    the conditional marginal utility of terminal wealth. Only the terminal
+    with common random numbers and compares expected utilities. Only the terminal
     wealth of each run is kept, so one run and one shifted control are held at a time.
+    The first-order condition is `hamiltonian.check_stationarity`'s.
     """
     m = paths.n_paths
 
-    def terminal(ctrl: ControlProcess) -> np.ndarray:
-        return simulate_wealth_positive(market, ctrl, paths).terminal.copy()
+    def j_paths(ctrl: ControlProcess) -> np.ndarray:
+        terminal = simulate_wealth_positive(market, ctrl, paths).terminal
+        return np.asarray(utility.u(terminal), dtype=float)
 
-    base_terminal = terminal(control)
-    j_base_paths = np.asarray(utility.u(base_terminal), dtype=float)
+    j_base_paths = j_paths(control)
     comparisons = []
     for delta in sorted({s for mag in shifts for s in (+abs(mag), -abs(mag))}):
-        j_paths = np.asarray(utility.u(terminal(control.shifted(delta))), dtype=float)
-        gap_paths = j_base_paths - j_paths
+        j_shift = j_paths(control.shifted(delta))
+        gap_paths = j_base_paths - j_shift
         comparisons.append((
             float(delta),
-            float(j_paths.mean()),
+            float(j_shift.mean()),
             float(gap_paths.mean()),
             float(gap_paths.std(ddof=1) / math.sqrt(m)),
         ))
-    # first-order condition: march the conditional marginal utility backward so q comes
-    # from one-step centered products (lower variance than one projection per increment)
-    n, t, T = paths.n_steps, paths.grid.nodes, paths.grid.horizon
-    projector = BackwardProjector([martingale_feature(theta0(market, paths.grid), paths)],
-                                  paths, basis)
-    marginal = np.asarray(utility.u_prime(base_terminal), dtype=float)
-    p_coef, q_coef, _ = projector.march(projector.terminal_moments(marginal), np.zeros(n))
-    normalized = np.zeros(n)
-    for i in range(n):
-        b_T, s_T = float(market.drift_kernel(T, t[i])), float(market.vol_kernel(T, t[i]))
-        residual = projector.rms(i, b_T * p_coef[i] + s_T * q_coef[i])
-        scale = math.hypot(b_T * projector.rms(i, p_coef[i]), s_T * projector.rms(i, q_coef[i]))
-        normalized[i] = residual / max(scale, 1e-300)
     return OptimalityReport(
         j_candidate=float(j_base_paths.mean()),
         j_candidate_stderr=float(j_base_paths.std(ddof=1) / math.sqrt(m)),
         comparisons=comparisons,
-        stationarity_nodes=t[:n],
-        stationarity_normalized=normalized,
     )
 
 

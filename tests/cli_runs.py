@@ -14,7 +14,7 @@ script prints one line per stage (run, stage, exit status, wall s, peak MB,
 bound MB) and exits non-zero naming every run with a stage that exited
 non-zero or reached its bound. No run has a wall-clock bound.
 
-Seven runs start from the config of a desk workload (`deskbench/workloads.py`),
+Eight runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
 """
 
@@ -126,8 +126,19 @@ RUNS = (
         bound_mb=300.0,
         why="the fractions are formed once, for the per-path control, the solved "
             "portfolio is dropped before verifying and one wealth run is kept at a "
-            "time, so the stage peaks near 246 MB (304 MB while the portfolio was "
-            "kept, 497 MB before that)",
+            "time, with no first-order march of its own, so the stage peaks near "
+            "244 MB (246 MB with that march, 304 MB while the portfolio was kept, "
+            "497 MB before that)",
+    ),
+    CliRun(
+        name="merton_memory",
+        stages=("merton-test",),
+        seed=7,
+        workload="portfolio_memory",
+        bound_mb=300.0,
+        why="merton-test on the memory market: the configured decays and utility are "
+            "read, and mean_pi is checked against the closed form pi*(t), which no "
+            "zero-decay run tests",
     ),
     CliRun(
         name="memory_adjoint_n1024",

@@ -2,7 +2,9 @@
 sampler as it drew each block's normals at once.
 
 Each was a package function or method. They are kept here, beside the tests
-that read them, with the arithmetic unchanged.
+that read them. `y_martingale` sums its log increments with `np.cumsum`, which
+`malliavin.running_sums` matches bit for bit; the others keep their arithmetic
+unchanged.
 """
 
 import math
@@ -11,20 +13,17 @@ import numpy as np
 
 from volterra_control import ConfigurationError, PathBundle
 from volterra_control.grids import _BLOCK
-from volterra_control.portfolio import (
-    CalibrationResult,
-    OptimalityReport,
-    _inverse_marginal,
-    _log_martingale,
-    _terminal_martingale,
-)
+from volterra_control.portfolio import CalibrationResult, _inverse_marginal, _terminal_martingale
 
 
 def y_martingale(theta: np.ndarray, paths, c: float) -> np.ndarray:
-    """Exponential martingale Y(t_i) = c exp(int theta dB - 1/2 int theta^2 ds)."""
+    """Exponential martingale Y(t_i) = c exp(int theta dB - 1/2 int theta^2 ds), (N+1, M)."""
     if c <= 0.0:
         raise ConfigurationError("martingale initial value must be positive")
-    return c * np.exp(_log_martingale(theta, paths))
+    th = np.asarray(theta, dtype=float)[:paths.n_steps, None]
+    log_y = np.zeros((paths.n_steps + 1, paths.n_paths))
+    np.cumsum(th * paths.dW - 0.5 * th ** 2 * paths.grid.dt, axis=0, out=log_y[1:])
+    return c * np.exp(log_y)
 
 
 def terminal_wealth(c: float, paths, utility, theta: np.ndarray) -> np.ndarray:
@@ -37,13 +36,6 @@ def reproducible_within(a: CalibrationResult, b: CalibrationResult,
     """The two calibrated constants agree within n_sigma of their combined stderr."""
     tol = n_sigma * math.hypot(a.stderr, b.stderr)
     return abs(a.c - b.c) <= tol
-
-
-def max_interior_stationarity(report: OptimalityReport) -> float:
-    """Largest normalized stationarity residual over the middle half of the nodes."""
-    n = len(report.stationarity_normalized)
-    lo, hi = n // 4, (3 * n) // 4
-    return float(np.max(report.stationarity_normalized[lo:hi + 1]))
 
 
 def sample_paths_whole_blocks(grid, jumps, n_paths: int, seed: int) -> PathBundle:

@@ -34,7 +34,8 @@ from volterra_control.malliavin import (
     state_feature,
     weighted_brownian_feature,
 )
-from volterra_control.portfolio import martingale_feature
+
+from oracles import y_martingale
 
 
 def _time_varying_linear_model():
@@ -695,9 +696,13 @@ def _predicted_terminal_blocks(paths):
 
 
 def _martingale_blocks(paths):
+    """The running exponential martingale of a loading th, whose sensitivity to dW_i
+    is th_i times its later rows."""
     th = np.linspace(0.3, 0.8, paths.n_steps)
-    feat = martingale_feature(th, paths)
-    vals = feat.values
+    vals = y_martingale(th, paths, 1.0)
+    feat = state_feature(vals, name="exp_martingale",
+                         brownian_sensitivity=lambda i: th[i:i + 1, None] * vals[i + 1:],
+                         jump_shift=lambda i: 0.0)
     return feat, lambda i, j: th[i] * vals[j], lambda i, j, k: 0.0
 
 

@@ -283,7 +283,8 @@ _MEMORY_JUMP_CONFIG = {
     ("simulate_long_grid", ("simulate",), None),
     ("adjoint_memory_jumps", ("solve-adjoint", "check-stationarity", "gateaux"), None),
     ("adjoint_memory_jumps", ("check-stationarity",), {"mode": "delayed", "delay": 0.25}),
-], ids=["simulate", "adjoint", "delayed"])
+    ("adjoint_memory_jumps", ("check-malliavin",), None),
+], ids=["simulate", "adjoint", "delayed", "malliavin"])
 def test_stages_with_jumps_build_no_dense_count_array(tmp_path, no_dense_counts, workload,
                                                       stages, info):
     # every reader of these stages works from the jump events, a node's row at a

@@ -86,6 +86,29 @@ def test_jump_derivative_of_jump_integral(jump_paths64_small):
         assert np.allclose(d, want, atol=1e-12)
 
 
+def test_compensated_jump_sums_build_no_dense_array(marks_pm1, no_dense_counts):
+    # both sums of psi against dN~ run node by node over the jump events: against the
+    # dense einsum they differ by the order of the additions alone, and on an
+    # extra-jump view they read the view's row
+    paths = sample_paths(TimeGrid(1.0, 16), marks_pm1, 4000, seed=61)
+    n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
+    dense = paths.events.dense(m, k, dtype=float) - paths.jumps.compensator(paths.grid)
+    func = lambda t, z: np.sin(3.0 * t) + z  # noqa: E731
+    psi = func(paths.grid.nodes[:-1, None], paths.jumps.mark_array[None, :])
+    got = compensated_jump_integral(paths, func)
+    assert np.allclose(got, np.einsum("imk,ik->m", dense, psi), rtol=0.0, atol=1e-13)
+    view = paths.with_extra_jump(5, 1)
+    dense[5, :, 1] += 1.0
+    assert np.allclose(compensated_jump_integral(view, func),
+                       np.einsum("imk,ik->m", dense, psi), rtol=0.0, atol=1e-13)
+    dense[5, :, 1] -= 1.0
+    terminal = lambda p: p.jump_sum[-1] ** 2  # noqa: E731
+    rep = check_duality_jump(terminal, psi, paths)
+    want = np.mean(terminal(paths) * np.einsum("imk,ik->m", dense, psi))
+    assert rep.lhs == pytest.approx(want, rel=1e-13)
+    assert rep.within()
+
+
 def test_jump_derivative_of_adapted_functional_vanishes(jump_paths64_small):
     functional = lambda p: p.jump_sum[20] ** 2  # noqa: E731
     assert np.all(d_jump(functional, jump_paths64_small, 20, 0) == 0.0)

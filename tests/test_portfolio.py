@@ -34,11 +34,10 @@ from volterra_control.portfolio import (
     _bsvie_features,
     _initial_value,
     _kernel_ratios,
-    _log_martingale,
     _terminal_log_martingale,
-    martingale_feature,
     bsvie_solve,
     export_portfolio_csvs,
+    optimal_fraction,
     simulate_wealth_positive,
     solve_c,
     solve_portfolio,
@@ -46,7 +45,7 @@ from volterra_control.portfolio import (
     verify_optimality,
 )
 
-from oracles import max_interior_stationarity, reproducible_within, terminal_wealth, y_martingale
+from oracles import reproducible_within, terminal_wealth, y_martingale
 
 
 @pytest.fixture(scope="module")
@@ -209,21 +208,20 @@ def test_bsvie_driverless_is_martingale_projection(grid64, paths64_small):
 def _reference_row(row, ratios, terminal, regs, dW, dt):
     """The per-path march of one BSVIE row, the oracle for `BackwardProjector`.
 
-    Returns V(t_row, s_row), the per-node integrands {j: Z_j}, the standard
-    error of mean(V) from the estimator contribution at the last step, and
-    the per-node projections {j: E_j[v_{j+1}]}.
+    Returns V(t_row, s_row), the per-node integrands {j: Z_j} and the standard
+    error of mean(V) from the estimator contribution at the last step.
     """
     v = terminal.copy()
-    zhat, fitted, stderr = {}, {}, None
+    zhat, stderr = {}, None
     for j in range(len(regs) - 1, row - 1, -1):
         phi = regs[j].design()
-        fitted[j] = phi @ regs[j].coefficients(v, phi=phi)
-        zhat[j] = phi @ regs[j].coefficients((v - fitted[j]) * dW[j], phi=phi) / dt
+        fitted = phi @ regs[j].coefficients(v, phi=phi)
+        zhat[j] = phi @ regs[j].coefficients((v - fitted) * dW[j], phi=phi) / dt
         if j == row:
-            est = v - ratios[j] * (v - fitted[j]) * dW[j]
+            est = v - ratios[j] * (v - fitted) * dW[j]
             stderr = float(est.std(ddof=1) / np.sqrt(len(est)))
-        v = fitted[j] - ratios[j] * zhat[j] * dt
-    return v, zhat, stderr, fitted
+        v = fitted - ratios[j] * zhat[j] * dt
+    return v, zhat, stderr
 
 
 def _reference_regressions(features, paths):
@@ -246,8 +244,8 @@ def _reference_bsvie(c, market, utility, paths):
     xhat[n] = f_c
     diag_rms, spread = np.empty(n), np.zeros(n)
     for row in range(n - 1, -1, -1):
-        xhat[row], zhat, _, _ = _reference_row(row, _reference_ratios(market, paths, row), f_c,
-                                               regs, paths.dW, paths.grid.dt)
+        xhat[row], zhat, _ = _reference_row(row, _reference_ratios(market, paths, row), f_c,
+                                            regs, paths.dW, paths.grid.dt)
         zdiag[row] = zhat[row]
         diag_rms[row] = np.sqrt(np.mean((zhat[row] / float(vol(t[row], t[row]))) ** 2))
         for j in range(row + 1, n):
@@ -261,9 +259,9 @@ def _reference_bsvie(c, market, utility, paths):
 def _reference_gap(c, market, utility, paths):
     th = theta0(market, paths.grid)
     regs = _reference_regressions(_bsvie_features(th, paths), paths)
-    v0, _, stderr, _ = _reference_row(0, _reference_ratios(market, paths, 0),
-                                      terminal_wealth(c, paths, utility, th), regs,
-                                      paths.dW, paths.grid.dt)
+    v0, _, stderr = _reference_row(0, _reference_ratios(market, paths, 0),
+                                   terminal_wealth(c, paths, utility, th), regs,
+                                   paths.dW, paths.grid.dt)
     return float(v0.mean()) - market.initial_wealth, stderr
 
 
@@ -320,25 +318,6 @@ def test_solve_c_visits_the_oracle_sequence(oracle_paths, log_utility):
         assert np.sign(g) == np.sign(g_ref)
         assert abs(g - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
         assert se == pytest.approx(se_ref, rel=1e-9)
-
-
-@pytest.mark.parametrize("market", _ORACLE_MARKETS)
-def test_stationarity_residual_matches_per_path_march(market, oracle_paths, log_utility):
-    control = ControlProcess.constant(1.25)
-    report = verify_optimality(market, log_utility, control, oracle_paths, shifts=(0.1,))
-    n, t, T = oracle_paths.n_steps, oracle_paths.grid.nodes, oracle_paths.grid.horizon
-    th = theta0(market, oracle_paths.grid)
-    regs = _reference_regressions([martingale_feature(th, oracle_paths)], oracle_paths)
-    wealth = simulate_wealth_positive(market, control, oracle_paths)
-    marginal = log_utility.u_prime(wealth.terminal)
-    _, q, _, p = _reference_row(0, np.zeros(n), marginal, regs, oracle_paths.dW,
-                                oracle_paths.grid.dt)
-    want = np.empty(n)
-    for i in range(n):
-        b_T, s_T = float(market.drift_kernel(T, t[i])), float(market.vol_kernel(T, t[i]))
-        residual = np.sqrt(np.mean((b_T * p[i] + s_T * q[i]) ** 2))
-        want[i] = residual / np.sqrt(np.mean((b_T * p[i]) ** 2 + (s_T * q[i]) ** 2))
-    assert np.max(np.abs(report.stationarity_normalized - want)) <= 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -554,7 +533,6 @@ def test_verify_optimality_interface(paths64_small, merton_market, log_utility):
     deltas = sorted(d for d, _, _, _ in report.comparisons)
     assert deltas == [-0.1, 0.1]
     assert report.dominates()
-    assert max_interior_stationarity(report) <= 0.06
 
 
 def test_full_pipeline_merton_small_scale(grid64, paths64_small, merton_market,
@@ -564,6 +542,23 @@ def test_full_pipeline_merton_small_scale(grid64, paths64_small, merton_market,
     interior = sol.mean_pi[16:48]
     assert np.max(np.abs(interior - 1.25) / 1.25) <= 0.05
     assert sol.bsvie.max_ratio_spread <= 0.05
+
+
+def test_power_utility_fractions_match_the_closed_form(grid64, paths64_small):
+    # pi*(t) = b0(T,t) / ((1 - gamma) sigma0(T,t) sigma0(t,t)) for x^gamma / gamma
+    # (README). At M = 2e4, decays (1, 0) and gamma = 0.5, mean_pi measured within
+    # 3.05-3.63 % of pi* on every node over seeds 7, 8, 9 and the desk seed (1.34-1.83 %
+    # at M = 1e5: Monte Carlo error); 5 % leaves 1.4x that. The log-utility fraction,
+    # without the 1 / (1 - gamma), is half of pi*.
+    market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0, wealth=1.0)
+    sol = solve_portfolio(market, UtilitySpec.power(0.5), paths64_small)
+    want = optimal_fraction(market, grid64, exponent=0.5)
+    assert np.array_equal(2.0 * optimal_fraction(market, grid64), want)
+    assert np.max(np.abs(sol.mean_pi / want - 1.0)) <= 0.05
+
+
+def test_optimal_fraction_without_memory_is_mertons(grid64, merton_market):
+    assert np.all(optimal_fraction(merton_market, grid64) == 0.05 / 0.2 ** 2)
 
 
 def test_calibration_reproducibility(grid64, merton_market, log_utility):
@@ -649,7 +644,7 @@ def test_terminal_martingale_and_batch_slices_match_rebuilds(n, m, seed):
     paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), m, seed=seed)
     th = np.linspace(-0.4, 0.3, n + 1)
     terminal = _terminal_log_martingale(th, paths)
-    assert np.array_equal(terminal, _log_martingale(th, paths)[-1])
+    assert np.array_equal(terminal, _log_martingale_rows(th, paths)[-1])
     (feature,) = _bsvie_features(th, paths)
     whole = _stacked(feature.values)
     width = m // 8
@@ -659,8 +654,8 @@ def test_terminal_martingale_and_batch_slices_match_rebuilds(n, m, seed):
         assert np.array_equal(whole[:, cols], _stacked(_bsvie_features(th, sub)[0].values))
         assert np.array_equal(whole[:, cols],
                               _stacked(feature.values.subset(cols.start, cols.stop)))
-        assert np.array_equal(terminal[cols], _log_martingale(th, sub)[-1])
-        assert np.array_equal(np.exp(terminal)[cols], np.exp(_log_martingale(th, sub)[-1]))
+        assert np.array_equal(terminal[cols], _log_martingale_rows(th, sub)[-1])
+        assert np.array_equal(np.exp(terminal)[cols], np.exp(_log_martingale_rows(th, sub)[-1]))
 
 
 # --- running sums row by row, and fields read one node at a time ----------------------------
@@ -675,6 +670,12 @@ def _cumsum_rows(increments):
     out = np.zeros((increments.shape[0] + 1, increments.shape[1]))
     np.cumsum(increments, axis=0, out=out[1:])
     return out
+
+
+def _log_martingale_rows(th, paths):
+    """log of the unit-start exponential martingale at every node, by `_cumsum_rows`."""
+    th = th[:paths.n_steps, None]
+    return _cumsum_rows(th * paths.dW - 0.5 * th ** 2 * paths.grid.dt)
 
 
 def _stacked(rows):
@@ -702,12 +703,9 @@ def test_running_sums_equal_the_cumsum_bit_for_bit(n, m):
     got = _stacked(weighted_brownian_feature(w, paths).values)
     want = _cumsum_rows(w[:, None] * dW)
     assert np.signbit(want[1]).any() and got.tobytes() == want.tobytes()
-    got = _log_martingale(th, paths)
-    want = _cumsum_rows(th[:n, None] * dW - 0.5 * th[:n, None] ** 2 * paths.grid.dt)
-    assert np.signbit(want[1]).any() and got.tobytes() == want.tobytes()
+    want = _log_martingale_rows(th, paths)
+    assert np.signbit(want[1]).any()
     assert _terminal_log_martingale(th, paths).tobytes() == want[-1].tobytes()
-    feature = martingale_feature(th, paths)
-    assert feature.values.tobytes() == np.exp(want).tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (5, 33), (17, 260)])
