@@ -52,8 +52,7 @@ def _restarts(model: CoefficientModel, control, jumps) -> bool:
     """True when the state feature of a run of this model (`simulated_state_feature`)
     restarts the simulator: for a feedback rule, a kernel without a declared decay, or
     active jumps. Otherwise one reverse sweep gives it, with no restarted run."""
-    return control.rule is not None or model.decays is None or None in model.decays \
-        or jumps.active
+    return control.rule is not None or not model.decays_declared or jumps.active
 
 
 @dataclass
@@ -531,7 +530,7 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
         return held[i]
 
     reverse_sweep = None
-    if control.rule is None and model.decays is not None and None not in model.decays:
+    if control.rule is None and model.decays_declared:
         t, x, u = paths.grid.nodes, None if model.x_independent else base, states.controls
 
         def reverse_sweep(decay: float):

@@ -2,9 +2,10 @@
 
 All process arrays are time-major: Brownian increments have shape (N, M),
 cumulative paths (N+1, M), and the jumps are a list of events sorted by node
-(`JumpEvents`). Path m of an ensemble is a deterministic function of
-(seed, m) alone, so regenerating with a larger or smaller path count
-reproduces the shared paths bit-exactly.
+(`JumpEvents`), read a node's row at a time (`PathBundle.increments_at`).
+Path m of an ensemble is a deterministic function of (seed, m) alone, so
+regenerating with a larger or smaller path count reproduces the shared
+paths bit-exactly.
 """
 
 from __future__ import annotations
@@ -170,12 +171,11 @@ class PathBundle:
     Jump times are snapped to the left node of the interval they fall in,
     matching the left-point evaluation of the Euler schemes.
 
-    The jumps are held as their list of events, `JumpEvents`, alone. A reader
-    of one node's compensated increments takes `increments_at(node)`, built
-    from that node's events; the whole float (N, M, K) array
-    `compensated_counts` is built, and kept, only by a reader of the whole
-    history, and the dense int16 `jump_counts` is formed when read and not
-    kept.
+    The jumps are held as their list of events, `JumpEvents`, alone. Every
+    reader of the noise takes one node's increments, `increments_at(node)`,
+    whose compensated counts are built from that node's events; no float
+    (N, M, K) array is formed, and the dense int16 `jump_counts` is formed
+    when read and not kept.
 
     The constructor's `jump_counts` is the dense (N, M, K) counts, converted
     to events once, or the events themselves.
@@ -212,14 +212,6 @@ class PathBundle:
         return out
 
     @cached_property
-    def compensated_counts(self) -> np.ndarray:
-        """Jump counts minus their compensator, shape (N, M, K), for the readers of the
-        whole history; a reader of one node's row takes `increments_at`."""
-        out = self.events.dense(self.n_paths, self.jumps.n_marks, dtype=float)
-        out -= self.jumps.compensator(self.grid)[None, None, :]  # in place: one (N, M, K) array
-        return out
-
-    @cached_property
     def jump_sum(self) -> np.ndarray:
         """Compensated mark-weighted jump path eta(t_i), shape (N+1, M).
 
@@ -233,16 +225,10 @@ class PathBundle:
         return out
 
     def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row `node` of dW, (M,), and of the compensated counts, (M, K).
-
-        Unless the whole `compensated_counts` is already built, the row is
-        built from the node's events by the same arithmetic, so it holds the
-        same bits. A perturbed view builds a perturbed row from its parent's,
-        without materializing its whole arrays.
+        """Row `node` of dW, (M,), and of the compensated counts, (M, K), the
+        latter a new array built from the node's events. A perturbed view builds
+        a perturbed row from its parent's, without materializing its whole arrays.
         """
-        whole = self.__dict__.get("compensated_counts")
-        if whole is not None:
-            return self.dW[node], whole[node]
         return self.dW[node], self._compensated(self._counts_at(node))
 
     def _counts_at(self, node: int) -> np.ndarray:
@@ -272,6 +258,13 @@ class PathBundle:
         if not (0 <= mark < self.jumps.n_marks):
             raise ConfigurationError(f"mark index {mark} out of range")
         return _JumpPerturbedBundle(self, node, mark)
+
+    def with_variants(self, node: int, variants: list) -> "PathBundle":
+        """View whose node-`node` increments are those of the `variants`, views of
+        the bundle that differ from it in that row alone, stacked on a leading
+        axis, (V, M) and (V, M, K); every other row is the bundle's. Only its
+        rows, `increments_at`, are read."""
+        return _StackedVariants(self, node, variants)
 
     def subset(self, start: int, stop: int) -> "PathBundle":
         """Bundle restricted to the path range [start, stop)."""
@@ -337,10 +330,6 @@ class _BrownianPerturbedBundle(_PerturbedView):
         return out
 
     @cached_property
-    def compensated_counts(self) -> np.ndarray:  # type: ignore[override]
-        return self._parent.compensated_counts
-
-    @cached_property
     def jump_sum(self) -> np.ndarray:
         return self._parent.jump_sum
 
@@ -390,12 +379,6 @@ class _JumpPerturbedBundle(_PerturbedView):
         return self._parent.brownian
 
     @cached_property
-    def compensated_counts(self) -> np.ndarray:  # type: ignore[override]
-        out = self._parent.compensated_counts.copy()
-        out[self._node] = self.increments_at(self._node)[1]
-        return out
-
-    @cached_property
     def jump_sum(self) -> np.ndarray:
         out = self._parent.jump_sum.copy()
         out[self._node + 1:] += self.jumps.marks[self._mark]
@@ -416,12 +399,24 @@ class _JumpPerturbedBundle(_PerturbedView):
     def remark(self, new_mark: int) -> None:
         """Swap the inserted jump's mark, adjusting materialized arrays in place."""
         caches = self.__dict__
-        if "compensated_counts" in caches:
-            del caches["compensated_counts"]
         if "jump_sum" in caches:
             delta = self.jumps.marks[new_mark] - self.jumps.marks[self._mark]
             caches["jump_sum"][self._node + 1:] += delta
         self._mark = new_mark
+
+
+class _StackedVariants(_PerturbedView):
+    """Lazy view whose row `node` stacks the rows of V variants of the parent."""
+
+    def __init__(self, parent: PathBundle, node: int, variants: list):
+        super().__init__(parent, node)
+        self._variants = variants
+
+    def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        if node != self._node:
+            return self._parent.increments_at(node)
+        dw, counts = zip(*(variant.increments_at(node) for variant in self._variants))
+        return np.stack(dw), np.stack(counts)
 
 
 def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> PathBundle:

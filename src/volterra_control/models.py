@@ -148,6 +148,12 @@ class CoefficientModel:
         return None if self.decays is None else self.decays[_KERNELS.index(kernel)]
 
     @property
+    def decays_declared(self) -> bool:
+        """True when every kernel declares a decay: the memory sums are then a
+        finite Markovian lift, one-step recursions over the per-kernel sums."""
+        return self.decays is not None and None not in self.decays
+
+    @property
     def memory_state_coupling(self) -> bool:
         """True when the mixed time-state partials can be non-zero."""
         return not (self.x_independent or self.time_invariant_kernels)
@@ -515,7 +521,9 @@ class InfoMode:
     def lag_steps(self, grid: TimeGrid) -> int:
         if self.delay > grid.horizon:
             raise ConfigurationError("information delay exceeds the horizon")
-        return int(round(self.delay / grid.dt))
+        # the latest node at or before t_i - delay, a ratio a few ulps above an
+        # integer taken as that integer
+        return math.ceil(self.delay / grid.dt * (1.0 - 4.0 * np.finfo(float).eps))
 
     def observable_node(self, i: int, grid: TimeGrid) -> int:
         """Latest node whose information is visible at node i."""

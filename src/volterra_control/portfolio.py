@@ -44,7 +44,7 @@ class MarketModel:
     """Exponential-memory market with declared decays.
 
     Drift b0(t,s) = b0 e^{-decay_b (t-s)} and volatility
-    sigma0(t,s) = sigma0 e^{-decay_sigma (t-s)} >= vol_floor on the grid.
+    sigma0(t,s) = sigma0 e^{-decay_sigma (t-s)} >= vol_floor on the grid, s <= t.
     """
 
     b0: float
@@ -69,7 +69,8 @@ class MarketModel:
     def exponential(cls, b0: float, sigma0: float, decay_b: float = 1.0,
                     decay_sigma: float = 0.0, wealth: float = 1.0,
                     floor: float | None = None, horizon: float = 1.0) -> "MarketModel":
-        floor = 0.5 * sigma0 * math.exp(-decay_sigma * horizon) if floor is None else floor
+        floor = 0.5 * sigma0 * min(1.0, math.exp(-decay_sigma * horizon)) if floor is None \
+            else floor
         return cls(b0, sigma0, decay_b, decay_sigma, floor, wealth)
 
     def drift_kernel(self, t, s):
@@ -79,8 +80,10 @@ class MarketModel:
         return self.sigma0 * np.exp(-self.decay_sigma * (np.asarray(t, dtype=float) - s))
 
     def validate(self, grid: TimeGrid) -> None:
+        """Refuse a volatility kernel below the floor at a node pair s <= t, the
+        pairs the market reads."""
         t = grid.nodes
-        vols = self.vol_kernel(t[:, None], t[None, :])
+        vols = self.vol_kernel(t[:, None], t[None, :])[np.tril_indices(len(t))]
         if float(vols.min()) < self.vol_floor:
             raise ConfigurationError(
                 f"volatility kernel falls below its floor {self.vol_floor} on the grid "

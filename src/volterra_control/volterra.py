@@ -10,7 +10,8 @@ of `noise_sums`, and every history sum goes through `history_sum`. For a
 kernel with a declared decay rate (`CoefficientModel.decays`, set by all
 registry models) the sum is updated by a one-step recursion, so a path
 costs O(N); a kernel without one is re-summed over the whole history at
-every node, O(N^2) per path.
+every node, O(N^2) per path. The noise is read a node's row at a time,
+`PathBundle.increments_at`, a restart's variants included.
 
 The integral form is a stream of rows, `integral_form_rows`. With every
 decay declared, the per-kernel sums are a finite Markovian lift of the
@@ -96,18 +97,8 @@ def history_sum(summands, decay: float | None, nodes: np.ndarray, i: int, previo
     return newest
 
 
-def _vary_row(increments: np.ndarray, offset: int, values: np.ndarray) -> np.ndarray:
-    """A new (V, j, ...) copy of the rows `increments` (j, ...) in which row
-    `offset` holds the per-variant `values` (V, ...)."""
-    lead = values.shape[:values.ndim - increments.ndim + 1]
-    varied = np.empty(lead + increments.shape)
-    varied[...] = increments
-    varied[(slice(None),) * len(lead) + (offset,)] = values
-    return varied
-
-
 def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
-               parts=(("", None),), row: tuple | None = None) -> dict:
+               parts=(("", None),)) -> dict:
     """The kernel x noise sums of the state equation, `{kernel: summands}`.
 
     summands(t, hist) = sum_{j in hist} sum_p model.<kernel><suffix_p>(t, t_j,
@@ -119,28 +110,34 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
     history slice gives a memory sum, the one-row slice(i, i + 1) at t = t_i
     a local Euler step. x (None for x-independent models), u and the weights
     are read when a summand is called, so rows a running simulation has
-    filled are seen. A one-row slice reads node j's jump increments alone,
-    `paths.increments_at(j)`; only a longer slice (a kernel without a
-    declared decay) reads the bundle's whole (N, M, K) `compensated_counts`.
+    filled are seen.
 
-    `row` = (i, {kernel: values}) replaces the node-i increments of the named
-    kernels by per-variant values on a leading variant axis, "diffusion"
-    (V, M) and "jump" (V, M, K), the layout of the bundle's compensated
-    counts; x, and u for a feedback control, then carry the same axis, and
-    so does the sum.
+    The noise is read one node at a time, `paths.increments_at(j)`, a
+    slice's rows once for all the kernels. A longer slice (a kernel without
+    a declared decay) copies its rows, the jump rows mark-last: the layout
+    its einsum has always added in. A row with a leading variant axis
+    (`PathBundle.with_variants`) gives the slice that axis; x, and u for a
+    feedback control, then carry it too, and so does the sum.
     """
     nodes, jumps = paths.grid.nodes, paths.jumps
     drift = np.broadcast_to(paths.grid.dt, (paths.n_steps, paths.n_paths))
+    read = [None, None]   # the slice read last and its (dB (..., j, M), dN~ (..., K, j, M))
 
-    def jump_increments(hist):
-        if hist.stop - hist.start == 1:
-            return paths.increments_at(hist.start)[1].T[:, None, :]
-        return np.moveaxis(paths.compensated_counts, 2, 0)[:, hist]
+    def noise(hist):
+        if read[0] != hist:
+            read[:] = hist, None   # the old rows go before the new ones are built
+            rows = [paths.increments_at(j) for j in range(hist.start, hist.stop)]
+            if len(rows) == 1:   # views of the one row
+                dw, counts = rows[0][0][..., None, :], rows[0][1][..., None, :, :]
+            else:
+                dw, counts = (np.stack(np.broadcast_arrays(*r), axis=a)
+                              for r, a in zip(zip(*rows), (-2, -3)))
+            read[1] = dw, np.moveaxis(counts, -1, -3)
+        return read[1]
 
-    incs = {"drift": lambda hist: drift[hist], "diffusion": lambda hist: paths.dW[hist]}
+    incs = {"drift": lambda hist: drift[hist], "diffusion": lambda hist: noise(hist)[0]}
     if jumps.active:
-        incs["jump"] = jump_increments
-    node, varied = row or (None, {})
+        incs["jump"] = lambda hist: noise(hist)[1]
 
     def summands_of(name, inc):
         kernels = [(getattr(model, name + suffix), w) for suffix, w in parts]
@@ -158,14 +155,6 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
                     value = value * weight[hist]
                 total = value if total is None else total + value
             increments = inc(hist)
-            if name in varied and hist.start <= node < hist.stop:
-                if marks is None:
-                    increments = _vary_row(increments, node - hist.start, varied[name])
-                else:
-                    # built mark-last, as the bundle lays out its counts, so that
-                    # einsum adds the products in the order of a plain run
-                    increments = np.moveaxis(_vary_row(np.moveaxis(increments, 0, -1),
-                                                       node - hist.start, varied[name]), -1, -3)
             if hist.stop - hist.start == 1:
                 # one row: a product, and the marks added in mark order as einsum
                 # adds them; + 0.0 turns a -0.0 into einsum's +0.0
@@ -185,7 +174,7 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
 
 
 def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
-                parts=(("", None),), sums: list | None = None, row: tuple | None = None):
+                parts=(("", None),), sums: list | None = None):
     """Total memory term at node i, as a function `memory(i)`.
 
     memory(i) = sum_{j<i} [K_b(t_i,t_j) dt + K_sigma(t_i,t_j) dB_j
@@ -194,11 +183,11 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
     kernel's declared decay, so memory must be called for i = 1, 2, ..., N
     in order. `sums`, the per-kernel sums (zeros when empty), is replaced in
     place by every call; seeded with the S_i of another run, memory
-    restarts at i + 1. `row` is passed on to `noise_sums`.
+    restarts at i + 1.
     """
     nodes = paths.grid.nodes
     kernels = [(summands, model.decay(kernel))
-               for kernel, summands in noise_sums(model, paths, x, u, parts, row).items()]
+               for kernel, summands in noise_sums(model, paths, x, u, parts).items()]
     values = [] if sums is None else sums
     values[:] = values or [0.0] * len(kernels)
 
@@ -279,10 +268,10 @@ def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: 
 
     `variants`, V bundles that agree with `paths` except in the increments
     of the restart row i (perturbed views of it), runs V restarts at once.
-    The memory sums take the variants' row-i increments on a leading variant
-    axis and read every other row from `paths`; a feedback control is
-    evaluated once per variant, on that variant's bundle, and the rows carry
-    the variant axis.
+    The memory sums read `paths.with_variants(i, variants)`, whose row i
+    stacks the variants' increments on a leading variant axis; a feedback
+    control is evaluated once per variant, on that variant's bundle, and the
+    rows carry the variant axis.
 
     The rows are formed in `rows` = (x, u) when given: the (*lead, N+1, M)
     state and the control grid of `_control_grid`. Otherwise a model whose
@@ -294,12 +283,9 @@ def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: 
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes
     start, base = restart or (0, None)
-    lead, row = (), None
-    if variants:
-        lead = (len(variants),)
-        dw, counts = zip(*(bundle.increments_at(start) for bundle in variants))
-        row = (start, {"diffusion": np.stack(dw), "jump": np.stack(counts)})
-    whole = rows is not None or model.decays is None or None in model.decays
+    lead, noise = ((len(variants),), paths.with_variants(start, variants)) if variants \
+        else ((), paths)
+    whole = rows is not None or not model.decays_declared
     empty = np.empty if whole else _one_row
     x, u = rows or (empty(lead + (n + 1, m)), _control_grid(control, paths, lead, empty))
 
@@ -312,7 +298,7 @@ def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: 
             record += base.record[:start]
         if control.rule is not None:
             u[..., first:start + 1, :] = base.controls[first:start + 1]
-    memory = memory_sums(model, paths, None if model.x_independent else x, u, sums=sums, row=row)
+    memory = memory_sums(model, noise, None if model.x_independent else x, u, sums=sums)
     for i in range(start, n + 1):
         if i > start:
             if record is not None:

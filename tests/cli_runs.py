@@ -14,7 +14,7 @@ script prints one line per stage (run, stage, exit status, wall s, peak MB,
 bound MB) and exits non-zero naming every run with a stage that exited
 non-zero or reached its bound. No run has a wall-clock bound.
 
-Eight runs start from the config of a desk workload (`deskbench/workloads.py`),
+Nine runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
 """
 
@@ -107,6 +107,18 @@ RUNS = (
             "per-node statistics and the BSVIE feature's rows are formed one node at a "
             "time, so the stage peaks near 102 MB (151 MB with the (N+1, M) feature "
             "array, 248 MB with the (N, M) field and fraction arrays as well)",
+    ),
+    CliRun(
+        name="portfolio_rising_vol",
+        stages=("solve-portfolio",),
+        seed=7,
+        workload="portfolio_memory",
+        config={"market": {"b0": 0.05, "sigma0": 0.2, "decay_b": 1.0, "decay_sigma": -0.5,
+                           "wealth": 1.0}},
+        bound_mb=130.0,
+        why="a volatility kernel that rises with the lag t - s: the market is checked at "
+            "s <= t alone, where the kernel never falls below sigma0, so the config is "
+            "accepted with the default floor sigma0 / 2",
     ),
     CliRun(
         name="portfolio_1e6",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from volterra_control import JumpModel, PathBundle, TimeGrid, sample_paths
+from volterra_control import JumpModel, TimeGrid, sample_paths
+from volterra_control.grids import JumpEvents
 
 # Every property test draws the same examples on every run and writes no
 # example database.
@@ -52,10 +53,13 @@ def jump_paths64_small(grid64, marks_pm1):
 
 @pytest.fixture
 def no_dense_counts(monkeypatch):
-    """Make reading a bundle's dense (N, M, K) counts, or its whole compensated
-    array, fail; every view reads them through its parent."""
-    def refuse(self):
+    """Make forming the dense (N, M, K) counts of any jump events fail, whether
+    through a bundle's `jump_counts` or any other reader of `JumpEvents.dense`.
+    Gives the unpatched `JumpEvents.dense`, for a test's own reference."""
+    dense = JumpEvents.dense
+
+    def refuse(*args, **kwargs):
         raise AssertionError("a dense (N, M, K) array was built")
 
-    for name in ("jump_counts", "compensated_counts"):
-        monkeypatch.setattr(PathBundle, name, property(refuse))
+    monkeypatch.setattr(JumpEvents, "dense", refuse)
+    return dense

@@ -1,5 +1,6 @@
-"""Test oracles of the portfolio module that no CLI stage reads, and the path
-sampler as it drew each block's normals at once.
+"""Test oracles of the portfolio module that no CLI stage reads, the path
+sampler as it drew each block's normals at once, and a bundle's whole array of
+compensated jump counts.
 
 Each was a package function or method. They are kept here, beside the tests
 that read them. `y_martingale` sums its log increments with `np.cumsum`, which
@@ -62,3 +63,11 @@ def sample_paths_whole_blocks(grid, jumps, n_paths: int, seed: int) -> PathBundl
                 keep = path_idx < width
                 np.add.at(counts, (node_idx[keep], start + path_idx[keep], mark_idx[keep]), 1)
     return PathBundle(grid, jumps, dW, counts, seed=seed)
+
+
+def compensated_counts(paths: PathBundle) -> np.ndarray:
+    """The bundle's jump counts minus their compensator, one float (N, M, K) array,
+    with the arithmetic of the former `PathBundle.compensated_counts`."""
+    out = paths.jump_counts.astype(float)
+    out -= paths.jumps.compensator(paths.grid)[None, None, :]
+    return out

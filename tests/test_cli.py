@@ -288,7 +288,7 @@ _MEMORY_JUMP_CONFIG = {
 def test_stages_with_jumps_build_no_dense_count_array(tmp_path, no_dense_counts, workload,
                                                       stages, info):
     # every reader of these stages works from the jump events, a node's row at a
-    # time: none forms the dense (N, M, K) counts or the whole compensated array
+    # time: none forms the dense (N, M, K) counts
     from cli_runs import WORKLOADS
 
     config = {**WORKLOADS[workload].config, "monte_carlo": {"paths": 2000, "seed": 5}}

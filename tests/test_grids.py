@@ -13,7 +13,7 @@ from volterra_control import (
     sample_paths,
 )
 
-from oracles import sample_paths_whole_blocks
+from oracles import compensated_counts, sample_paths_whole_blocks
 
 
 def _same_bits(a, b) -> bool:
@@ -89,10 +89,9 @@ def test_chunked_draws_equal_whole_block_draws_bit_for_bit(steps, jumps):
     assert counts.any() == jumps.active
     if jumps.intensity > 10.0:
         assert (counts >= 2).sum() > 1000
-    whole = old.compensated_counts
+    whole = compensated_counts(old)
     for i in range(steps):
         assert _same_bits(new.increments_at(i)[1], whole[i])
-    assert "compensated_counts" not in vars(new)
 
 
 def test_dense_counts_convert_to_events_and_back():
@@ -111,7 +110,7 @@ def test_dense_counts_convert_to_events_and_back():
     ref -= jumps.compensator(grid)[None, None, :]
     for i in range(grid.steps):
         assert _same_bits(p.increments_at(i)[1], ref[i])
-    assert _same_bits(p.compensated_counts, ref)
+    assert _same_bits(compensated_counts(p), ref)
     assert np.array_equal(p.subset(10, 31).jump_counts, counts[:, 10:31])
     assert np.array_equal(p.coarsen(3).jump_counts, counts.reshape(4, 3, 50, 3).sum(axis=1))
 
@@ -170,7 +169,7 @@ def test_brownian_and_jump_sum_cumulative(jump_paths64_small):
     assert p.brownian.shape == (65, p.n_paths)
     assert np.allclose(p.brownian[1:] - p.brownian[:-1], p.dW)
     marks = p.jumps.mark_array
-    inc = p.compensated_counts @ marks
+    inc = compensated_counts(p) @ marks
     assert np.allclose(p.jump_sum[1:] - p.jump_sum[:-1], inc)
 
 
@@ -195,25 +194,23 @@ def test_perturbation_views(jump_paths64_small):
     (16, JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))),
 ])
 def test_perturbed_views_share_compensated_counts(steps, jumps):
-    # each view's compensated counts equal the base-class recomputation from
-    # its own jump counts, bit for bit, before and after remark/rebump
+    # each view's compensated rows equal the whole array recomputed from its own
+    # jump counts, bit for bit, before and after remark/rebump
     p = sample_paths(TimeGrid(1.0, steps), jumps, 3_000, seed=41)
 
-    def recomputed(view):
-        return PathBundle(view.grid, view.jumps, view.dW, view.jump_counts,
-                          seed=view.seed).compensated_counts
+    def rows(view):
+        return np.stack([view.increments_at(i)[1] for i in range(steps)])
 
     pert = p.perturb_brownian(steps // 2, 1e-3)
-    assert pert.compensated_counts is p.compensated_counts
     pert.rebump(-1e-3)
-    assert np.array_equal(pert.compensated_counts, recomputed(pert))
+    assert np.array_equal(rows(pert), compensated_counts(pert))
     for node in (0, steps // 3, steps - 1):
         for mark in range(jumps.n_marks):
             view = p.with_extra_jump(node, mark)
-            assert np.array_equal(view.compensated_counts, recomputed(view))
+            assert np.array_equal(rows(view), compensated_counts(view))
             view.remark((mark + 1) % jumps.n_marks)
-            assert np.array_equal(view.compensated_counts, recomputed(view))
-    assert np.array_equal(p.compensated_counts, recomputed(p))
+            assert np.array_equal(rows(view), compensated_counts(view))
+    assert np.array_equal(rows(p), compensated_counts(p))
 
 
 def test_view_rows_match_materialized_arrays_in_any_order():
@@ -230,16 +227,15 @@ def test_view_rows_match_materialized_arrays_in_any_order():
     dw, counts = lazy.increments_at(node)
     assert "dW" not in vars(lazy) and "brownian" not in vars(lazy)
     assert np.array_equal(dw, eager.dW[node])
-    assert np.array_equal(counts, p.compensated_counts[node])
+    assert np.array_equal(counts, compensated_counts(p)[node])
     assert np.array_equal(lazy.dW, eager.dW)
     assert np.array_equal(lazy.brownian, eager.brownian)
     for mark in range(jumps.n_marks):
         view = p.with_extra_jump(node, mark)
         dw, counts = view.increments_at(node)
-        assert "compensated_counts" not in vars(view)
         assert np.array_equal(dw, p.dW[node])
-        assert np.array_equal(counts, view.compensated_counts[node])
-        assert np.array_equal(view.increments_at(node + 1)[1], p.compensated_counts[node + 1])
+        assert np.array_equal(counts, compensated_counts(view)[node])
+        assert np.array_equal(view.increments_at(node + 1)[1], compensated_counts(p)[node + 1])
 
 
 def test_views_read_their_sizes_and_rows_from_the_parent(no_dense_counts):
@@ -264,21 +260,17 @@ def test_views_read_their_sizes_and_rows_from_the_parent(no_dense_counts):
     assert np.allclose(jump.increments_at(7)[1], plus_one, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("whole_first", [False, True], ids=["rows_first", "whole_first"])
+@pytest.mark.parametrize("order", ["rows_first"])
 @pytest.mark.parametrize("view", ["base", "brownian", "jump"])
-def test_row_increments_hold_the_bits_of_the_whole_array(view, whole_first):
-    # a node's compensated jump row is built from its int16 counts by the arithmetic of
-    # the whole (N, M, K) array, so it holds the same bits whether that array exists or not
+def test_row_increments_hold_the_bits_of_the_whole_array(view, order):
+    # a node's compensated jump row, read first, is built from its int16 counts by the
+    # arithmetic of the whole (N, M, K) array, so it holds the same bits
     jumps = JumpModel(1.3, (-1.0, 0.25, 2.0), (0.2, 0.5, 0.3))
     p = sample_paths(TimeGrid(1.0, 12), jumps, 2_000, seed=47)
     bundle = {"base": p, "brownian": p.perturb_brownian(5, 1e-3),
               "jump": p.with_extra_jump(5, 1)}[view]
-    whole = bundle.compensated_counts if whole_first else None
     rows = [bundle.increments_at(i)[1] for i in range(p.n_steps)]
-    if not whole_first:
-        assert "compensated_counts" not in vars(p)
-        assert "compensated_counts" not in vars(bundle)
-        whole = bundle.compensated_counts
+    whole = compensated_counts(bundle)
     for i, row in enumerate(rows):
         assert _same_bits(row, whole[i])
 
@@ -290,13 +282,12 @@ def test_row_increments_hold_the_bits_of_the_whole_array(view, whole_first):
 ])
 def test_jump_sum_is_the_cumsum_of_the_whole_array_bit_for_bit(steps, n_paths, jumps):
     # the running row sum adds the node increments in the order of the cumsum over
-    # the whole array, and builds no (N, M, K) float array
+    # the whole array
     grid = TimeGrid(1.0, steps)
     p = sample_paths(grid, jumps, n_paths, seed=53)
     got = p.jump_sum
-    assert "compensated_counts" not in vars(p)
     ref = np.zeros((steps + 1, n_paths))
-    np.cumsum(sample_paths(grid, jumps, n_paths, seed=53).compensated_counts @ jumps.mark_array,
+    np.cumsum(compensated_counts(sample_paths(grid, jumps, n_paths, seed=53)) @ jumps.mark_array,
               axis=0, out=ref[1:])
     assert _same_bits(got, ref)
 

@@ -92,7 +92,7 @@ def test_compensated_jump_sums_build_no_dense_array(marks_pm1, no_dense_counts):
     # extra-jump view they read the view's row
     paths = sample_paths(TimeGrid(1.0, 16), marks_pm1, 4000, seed=61)
     n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
-    dense = paths.events.dense(m, k, dtype=float) - paths.jumps.compensator(paths.grid)
+    dense = no_dense_counts(paths.events, m, k, dtype=float) - paths.jumps.compensator(paths.grid)
     func = lambda t, z: np.sin(3.0 * t) + z  # noqa: E731
     psi = func(paths.grid.nodes[:-1, None], paths.jumps.mark_array[None, :])
     got = compensated_jump_integral(paths, func)

@@ -357,6 +357,24 @@ def test_feedback_value_outside_the_bounds_raises():
         control.shifted(0.5).at(0, x=np.array([0.1, 0.4]))
 
 
+def test_the_information_lag_never_reads_past_the_delay():
+    # G_{t_i} = F_{t_i - delay}: the latest node at or before t_i - delay, so a
+    # delay between two nodes rounds up to the next whole lag
+    g = TimeGrid(1.0, 10)
+    assert InfoMode.delayed(0.03).observable_node(5, g) == 4
+    assert InfoMode.delayed(0.13).observable_node(5, g) == 3
+    assert InfoMode.delayed(0.14).lag_steps(TimeGrid(1.0, 50)) == 7   # ratio 7.000000000000001
+    for grid in (g, TimeGrid(1.0, 64), TimeGrid(2.0, 48)):
+        t = grid.nodes
+        for delay in np.linspace(0.0, grid.horizon, 41):
+            for i in range(grid.steps + 1):
+                j = InfoMode.delayed(delay).observable_node(i, grid)
+                assert j == 0 or t[j] <= t[i] - delay + 1e-12
+                assert j == i or t[j + 1] > t[i] - delay - 1e-12
+        for k in range(grid.steps + 1):
+            assert InfoMode.delayed(k * grid.dt).lag_steps(grid) == k
+
+
 def test_info_mode_lags():
     g = TimeGrid(1.0, 10)
     assert InfoMode.full().lag_steps(g) == 0

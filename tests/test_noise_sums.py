@@ -25,6 +25,8 @@ from volterra_control.hamiltonian import perturbation_window, simulate_variation
 from volterra_control.malliavin import predicted_terminal_feature
 from volterra_control.volterra import _control_grid, memory_sums
 
+from oracles import compensated_counts
+
 _PARAMS = dict(b0=0.2, sigma0=0.3, jump0=0.15, decay_b=1.0, decay_sigma=0.6, decay_jump=0.4)
 _MODELS = {
     "exp_kernel_linear": _PARAMS,
@@ -63,7 +65,7 @@ def _old_differential_form(model, control, paths):
     t = grid.nodes
     marks = jumps.mark_array
     dW = paths.dW
-    dNt = paths.compensated_counts if jumps.n_marks else None
+    dNt = compensated_counts(paths) if jumps.n_marks else None
     u = _control_grid(control, paths)
     x = np.empty((n + 1, m))
     x[0] = model.initial_curve(t[0])
@@ -97,7 +99,7 @@ def _old_variation(model, control, beta, paths, states):
     beta_mat = np.broadcast_to(np.asarray(beta, dtype=float)[:, None], (n, m))
     k = jumps.n_marks
     marks = jumps.mark_array
-    dNt = paths.compensated_counts if k else None
+    dNt = compensated_counts(paths) if k else None
     x = None if model.x_independent else states.values
     u = np.stack([np.broadcast_to(np.asarray(control.at(i, paths, x=states.values[i]),
                                              dtype=float), (m,)) for i in range(n)])
@@ -135,7 +137,7 @@ def _old_predicted_terminal(model, control, paths):
         g = model.jump(t[n], s_h[:, :, None], None, u[:, :, None],
                        jumps.mark_array[None, None, :])
         inc += np.einsum("jmk,jmk->jm", np.broadcast_to(g, (n, m, jumps.n_marks)),
-                         paths.compensated_counts)
+                         compensated_counts(paths))
     vals = np.empty((n + 1, m))
     xi_T = np.broadcast_to(np.asarray(model.initial_curve(t[n]), dtype=float), (m,))
     vals[0] = xi_T
@@ -151,6 +153,7 @@ def _old_generic_integral_form(model, control, paths):
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
     t = paths.grid.nodes
     u = control.open_loop_grid(n, m)
+    dNt = compensated_counts(paths) if jumps.active else None
     x = np.empty((n + 1, m))
     x[0] = model.initial_curve(t[0])
     for i in range(1, n + 1):
@@ -163,7 +166,7 @@ def _old_generic_integral_form(model, control, paths):
         if jumps.active:
             g = model.jump(t[i], s[:, :, None], None if x_h is None else x_h[:, :, None],
                            u[h][:, :, None], jumps.mark_array[None, None, :])
-            inc = paths.compensated_counts[h]
+            inc = dNt[h]
             sums.append(np.einsum("jmk,jmk->m", np.broadcast_to(g, inc.shape), inc))
         x[i] = model.initial_curve(t[i]) + sum(sums)
     return x

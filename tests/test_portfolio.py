@@ -76,6 +76,21 @@ def test_market_validation():
     falling = MarketModel.exponential(0.05, 0.2, decay_sigma=3.0, floor=0.15)
     with pytest.raises(ConfigurationError):
         falling.validate(TimeGrid(1.0, 16))
+    assert MarketModel.exponential(0.05, 0.2, decay_sigma=0.5, horizon=2.0).vol_floor \
+        == 0.5 * 0.2 * np.exp(-1.0)
+
+
+@pytest.mark.parametrize("decay_sigma", [-0.5, -2.0])
+def test_a_rising_volatility_kernel_is_accepted(decay_sigma):
+    # the market reads sigma0(t, s) at s <= t alone, where a rising kernel is at
+    # least sigma0; the default floor is then half of sigma0
+    grid = TimeGrid(1.0, 64)
+    rising = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=decay_sigma)
+    assert rising.vol_floor == pytest.approx(0.1, rel=1e-15)
+    rising.validate(grid)
+    assert np.all(theta0(rising, grid) < 0.0)
+    with pytest.raises(ConfigurationError, match="floor 0.21"):
+        MarketModel.exponential(0.05, 0.2, decay_sigma=decay_sigma, floor=0.21).validate(grid)
 
 
 # --- theta0 ----------------------------------------------------------------------

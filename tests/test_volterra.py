@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from volterra_control import (
     ControlProcess,
     JumpModel,
+    PathBundle,
     PerformanceSpec,
     SimulationError,
     TimeGrid,
@@ -26,6 +27,8 @@ from volterra_control.volterra import (
     simulate_summary,
     trajectory_statistics,
 )
+
+from oracles import compensated_counts
 
 
 def _zero_model(xi):
@@ -269,13 +272,30 @@ def test_restart_from_recorded_sums_reproduces_the_base_run(generic):
         assert np.array_equal(again.values, base.values)
 
 
+@pytest.mark.parametrize("generic", [False, True], ids=["lifted", "generic"])
+def test_a_run_on_a_brownian_view_reads_its_rows_alone(generic):
+    # the noise is read a node at a time, so a run on a shifted view never copies
+    # the view's dW, and equals the run on a bundle holding the shifted dW
+    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15))
+    model = _generic(model) if generic else model
+    paths = sample_paths(TimeGrid(1.0, 12), _MARKS, 300, seed=8)
+    view = paths.perturb_brownian(5, 1e-3)
+    got = simulate_integral_form(model, ControlProcess.constant(0.7), view).values
+    assert "dW" not in vars(view)
+    dW = paths.dW.copy()
+    dW[5] += 1e-3
+    shifted = PathBundle(paths.grid, paths.jumps, dW, paths.events, seed=paths.seed)
+    assert np.array_equal(got, simulate_integral_form(model, ControlProcess.constant(0.7),
+                                                      shifted).values)
+
+
 def _mark_last_summand(model, paths, x, u, t, hist):
     """The jump history summand with the marks on the last axis, (j, M, K),
     and the per-path sum of the absolute products it adds up."""
     s, marks = paths.grid.nodes[hist, None], paths.jumps.mark_array
     g = model.jump(t, s[:, :, None], x[hist][:, :, None], u[hist][:, :, None],
                    marks[None, None, :])
-    inc = paths.compensated_counts[hist]
+    inc = compensated_counts(paths)[hist]
     summand = np.einsum("jmk,jmk->m", np.broadcast_to(g, inc.shape), inc)
     return summand, np.abs(g * inc).sum(axis=(0, 2))
 
@@ -315,9 +335,9 @@ _MEMORY_JUMP_PARAMS = dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0, decay_b=1.0,
 
 @pytest.mark.parametrize("reader", ["integral_form", "differential_form", "jump_sum",
                                     "solve_general"])
-def test_row_readers_build_no_whole_jump_array(reader):
+def test_row_readers_build_no_whole_jump_array(reader, no_dense_counts):
     # with declared decays every step reads one node's jump increments, so none of
-    # these readers builds the bundle's (N, M, K) float array of compensated counts
+    # these readers forms an (N, M, K) array of the jump counts
     from volterra_control.adjoint import simulated_state_feature, solve_general
 
     model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
@@ -334,7 +354,6 @@ def test_row_readers_build_no_whole_jump_array(reader):
         states = simulate_integral_form(model, control, paths, record=True)
         solve_general(model, PerformanceSpec.log_terminal(), states,
                       features=[simulated_state_feature(model, states)])
-    assert "compensated_counts" not in vars(paths)
 
 
 # --- the streamed run of the simulate stage ---
