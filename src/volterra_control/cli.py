@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RegressionError
 from .grids import JumpEvents, JumpModel, PathBundle, TimeGrid, sample_paths
 from .malliavin import (
     MIN_PATHS_PER_COLUMN,
@@ -61,6 +61,7 @@ from .hamiltonian import (
 )
 from .portfolio import (
     MarketModel,
+    PortfolioSolution,
     export_portfolio_csvs,
     optimal_fraction,
     path_floor,
@@ -86,14 +87,9 @@ _DEFAULTS = {
     "performance": {"running": "zero", "terminal": "log"},
     "utility": {"kind": "log", "exponent": 0.5},
     "control": {"kind": "constant", "value": 1.0, "lower": -10.0, "upper": 10.0},
-    "info": {"mode": "full", "delay": 0.0},
+    "info": {"delay": 0.0},
     "monte_carlo": {"paths": 100_000, "seed": 7},
-    "solver": {
-        "degree": 3,
-        "ridge": 1e-8,
-        "bracket": None,
-        "bisection_rel_tol": 1e-3,
-    },
+    "solver": {"degree": 3, "ridge": 1e-8},
     "market": {
         "b0": 0.05,
         "sigma0": 0.2,
@@ -214,10 +210,6 @@ class ExperimentConfig:
         basis = RegressionBasis(
             degree=_field(raw, "solver.degree", int, "an integer >= 1", lambda d: d >= 1),
             ridge=_field(raw, "solver.ridge", float, "a number >= 0", lambda r: r >= 0.0))
-        mode = _field(raw, "info.mode", str, "full or delayed", lambda m: m in ("full", "delayed"))
-        info = InfoMode.full() if mode == "full" \
-            else InfoMode.delayed(_field(raw, "info.delay", float, "a number >= 0",
-                                         lambda d: d >= 0.0))
         return cls(
             raw=raw,
             grid=grid,
@@ -225,7 +217,8 @@ class ExperimentConfig:
             seed=_field(raw, "monte_carlo.seed", int, "an integer >= 0", lambda s: s >= 0),
             n_paths=_field(raw, "monte_carlo.paths", int, "a positive integer", lambda m: m >= 1),
             basis=basis,
-            info=info,
+            # G_t = F_(t - delay)+: delay 0 is full information
+            info=InfoMode(_field(raw, "info.delay", float, "a number >= 0", lambda d: d >= 0.0)),
             out_dir=_field(raw, "output.directory", Path, "a string"),
         )
 
@@ -403,16 +396,6 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
             f"{dimension} needs at least {MIN_PATHS_PER_COLUMN * dimension} paths")
 
 
-def _portfolio_paths(cfg: ExperimentConfig):
-    """The sampled bundle, refused before sampling below the portfolio's `path_floor`."""
-    need = path_floor(cfg.basis)
-    if cfg.n_paths < need:
-        raise ConfigurationError(
-            f"monte_carlo.paths is {cfg.n_paths}, but the calibration's path batches need "
-            f"at least {need} paths")
-    return cfg.sample()
-
-
 def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
     """The solved adjoint (triple, field) of the configured run."""
     model = cfg.model()
@@ -470,18 +453,22 @@ def _cmd_gateaux(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
-    market = cfg.market()
-    utility = cfg.utility()
-    bracket = _field(cfg.raw, "solver.bracket", lambda b: b if b is None else _numbers(b),
-                     "null or a pair [low, high] with 0 < low < high",
-                     lambda b: b is None or (len(b) == 2 and 0.0 < b[0] < b[1]))
-    rel_tol = _field(cfg.raw, "solver.bisection_rel_tol", float, "a positive number",
-                     lambda r: r > 0.0)
-    paths = _portfolio_paths(cfg)
-    solution = solve_portfolio(market, utility, paths, basis=cfg.basis, bracket=bracket,
-                               rel_tol=rel_tol)
+def _solved_portfolio(cfg: ExperimentConfig) -> PortfolioSolution:
+    """The configured portfolio solved on the sampled bundle, with strategy.csv and
+    calibration.csv written; a sample below `path_floor` is refused before sampling."""
+    market, utility = cfg.market(), cfg.utility()
+    need = path_floor(cfg.basis)
+    if cfg.n_paths < need:
+        raise ConfigurationError(
+            f"monte_carlo.paths is {cfg.n_paths}, but the calibration's path batches need "
+            f"at least {need} paths")
+    solution = solve_portfolio(market, utility, cfg.sample(), basis=cfg.basis)
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
+    return solution
+
+
+def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
+    solution = _solved_portfolio(cfg)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("solve-portfolio"))
     print(f"solve-portfolio: c = {solution.c:.6g}, "
           f"consistency spread {solution.bsvie.max_ratio_spread:.4f}; "
@@ -490,15 +477,23 @@ def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_merton_test(cfg: ExperimentConfig) -> int:
-    market, utility, exponent = cfg.market(), cfg.utility(), cfg.utility_exponent()
-    paths = _portfolio_paths(cfg)
-    solution = solve_portfolio(market, utility, paths, basis=cfg.basis)
-    export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
+    solution = _solved_portfolio(cfg)
+    market, utility, paths = (solution.problem.market, solution.problem.utility,
+                              solution.problem.paths)
+    exponent = cfg.utility_exponent()
     n = cfg.grid.steps
     interior = slice(n // 4, (3 * n) // 4)
     pi_ref = optimal_fraction(market, cfg.grid, exponent)[interior]
     worst = float(np.max(np.abs(solution.mean_pi[interior] / pi_ref - 1.0)))
-    control = ControlProcess.per_path(solution.fractions(), bounds=(-10.0, 10.0))
+    fractions, bound = solution.fractions(), 10.0
+    for j, row in enumerate(fractions):
+        # a fitted fraction out of bounds is a failed solve, not a config error; the
+        # reductions make no row-sized temporaries, and a NaN fails both
+        if not (row.min() >= -bound and row.max() <= bound):
+            raise RegressionError(
+                f"merton-test: the BSVIE fraction at node {j} is not finite or leaves "
+                f"[-{bound}, {bound}] on {np.sum(~(np.abs(row) <= bound))} of {len(row)} paths")
+    control = ControlProcess.per_path(fractions, bounds=(-bound, bound))
     # only c is read from here on: drop the problem, its regressions and its feature
     c = solution.c
     del solution

@@ -251,9 +251,7 @@ def _exp_kernel_model(name, b0, sigma0, jump0, decay_b, decay_s, decay_j, x0,
 
         def fn(t, s, x, v):
             e = np.exp(-lam * (np.asarray(t, dtype=float) - s))
-            if wrt == "x":
-                if x_independent:
-                    return np.zeros(np.broadcast(t, s, v).shape) if order_t == 0 else 0.0 * e
+            if wrt == "x":   # an x-independent model takes `_zero` for every x partial
                 return c * e * v
             if wrt == "v":
                 return c * e * xf(x)

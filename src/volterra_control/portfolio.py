@@ -276,7 +276,7 @@ class CalibrationResult:
     """
 
     c: float
-    history: list  # (c, gap, gap_stderr) per evaluation
+    history: list  # (c, gap) per evaluation
     gap_slope: float  # secant slope of the gap across c
     problem: PortfolioProblem = field(repr=False, compare=False)
 
@@ -288,15 +288,10 @@ class CalibrationResult:
 
 
 def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
-                   ratios: np.ndarray) -> tuple[float, float]:
-    """mean(X^(0)) of the row-0 march and its stderr, the dispersion of the
-    per-path estimator at the last step (fitted values lose it as features degenerate).
-    """
-    a, _, c = projector.march(projector.terminal_moments(terminal), ratios, 0)
-    phi0 = projector.regs[0].design()
-    v1 = terminal if len(projector.regs) == 1 else projector.regs[1].design() @ c[1]
-    est = v1 - ratios[0] * (v1 - phi0 @ a[0]) * projector.dW[0]
-    return float(phi0.mean(axis=0) @ c[0]), float(est.std(ddof=1) / math.sqrt(len(est)))
+                   ratios: np.ndarray) -> float:
+    """mean(X^(0)) of the row-0 march."""
+    _, _, c = projector.march(projector.terminal_moments(terminal), ratios, 0)
+    return float(projector.regs[0].design().mean(axis=0) @ c[0])
 
 
 def _batched_gap_stderr(problem: PortfolioProblem, c: float) -> float:
@@ -314,7 +309,7 @@ def _batched_gap_stderr(problem: PortfolioProblem, c: float) -> float:
     for b in range(_N_BATCHES):
         cols = slice(b * width, (b + 1) * width)
         rows = feature.values.subset(cols.start, cols.stop)
-        v0, _ = _initial_value(
+        v0 = _initial_value(
             BackwardProjector([replace(feature, values=rows)], rows.paths,
                               problem.projector.basis),
             problem.terminal(c, cols), problem.ratios0)
@@ -342,28 +337,25 @@ def solve_c(problem: PortfolioProblem, bracket: tuple[float, float] | None = Non
         raise ConfigurationError(f"invalid bracket {bracket}")
     history: list = []
 
-    def gap(c: float) -> tuple[float, float]:
-        v0, se = _initial_value(problem.projector, problem.terminal(c), problem.ratios0)
-        history.append((c, v0 - x, se))
-        return v0 - x, se
+    def gap(c: float) -> float:
+        g = _initial_value(problem.projector, problem.terminal(c), problem.ratios0) - x
+        history.append((c, g))
+        return g
 
-    g_lo, _ = gap(lo)
-    g_hi, _ = gap(hi)
+    g_lo, g_hi = gap(lo), gap(hi)
     if not (g_lo > 0.0 > g_hi):
         raise CalibrationError(
             f"bracket does not straddle the root: gap({lo:.6g}) = {g_lo:.6g}, "
             f"gap({hi:.6g}) = {g_hi:.6g}"
         )
-    g_mid, _ = gap(math.sqrt(lo * hi))
-    if not (g_lo > g_mid > g_hi):
+    if not (g_lo > gap(math.sqrt(lo * hi)) > g_hi):
         raise CalibrationError(
             "initial-wealth gap is not monotone across the bracket; refusing to bisect"
         )
     a, b = lo, hi
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (a + b)
-        g_mid, se_mid = gap(mid)
-        if g_mid > 0.0:
+        if gap(mid) > 0.0:
             a = mid
         else:
             b = mid
@@ -373,9 +365,9 @@ def solve_c(problem: PortfolioProblem, bracket: tuple[float, float] | None = Non
     gap(c_star)
     # slope of the gap across a wide secant for the delta-method stderr
     da = max(0.05 * c_star, b - a)
-    g_a, _ = gap(max(c_star - da, 0.5 * c_star))
-    g_b, _ = gap(c_star + da)
-    slope = (g_b - g_a) / ((c_star + da) - max(c_star - da, 0.5 * c_star))
+    c_a = max(c_star - da, 0.5 * c_star)
+    g_a = gap(c_a)   # the history keeps this order: the lower end first
+    slope = (gap(c_star + da) - g_a) / ((c_star + da) - c_a)
     return CalibrationResult(c=c_star, history=history, gap_slope=slope, problem=problem)
 
 
@@ -439,16 +431,14 @@ def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
 
 
 def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
-                    basis: RegressionBasis | None = None,
-                    bracket: tuple[float, float] | None = None,
-                    rel_tol: float = 1e-3) -> PortfolioSolution:
+                    basis: RegressionBasis | None = None) -> PortfolioSolution:
     """Full construction: the problem, its calibration, BSVIE fields and fraction statistics.
 
     One `PortfolioProblem` serves the calibration and the BSVIE. Each node's fractions
     are formed once, for their mean and spread, and dropped.
     """
     problem = PortfolioProblem(market, utility, paths, basis)
-    calibration = solve_c(problem, bracket=bracket, rel_tol=rel_tol)
+    calibration = solve_c(problem)
     fields = bsvie_solve(problem, calibration.c)
     stats = np.array([(pi.mean(), pi.std(ddof=1))
                       for pi in map(fields.fraction, range(paths.n_steps))])
@@ -511,6 +501,6 @@ def export_portfolio_csvs(out_dir, solution: PortfolioSolution, grid: TimeGrid) 
             for j in range(len(solution.mean_pi))]
     write_csv(out / "strategy.csv", ("t", "theta0", "mean_pi", "std_pi"), rows)
     cal_rows = [
-        (idx, c, gap) for idx, (c, gap, _se) in enumerate(solution.calibration.history)
+        (idx, c, gap) for idx, (c, gap) in enumerate(solution.calibration.history)
     ]
     write_csv(out / "calibration.csv", ("c_iteration", "c_value", "G_value"), cal_rows)

@@ -113,27 +113,39 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
     filled are seen.
 
     The noise is read one node at a time, `paths.increments_at(j)`, a
-    slice's rows once for all the kernels. A longer slice (a kernel without
-    a declared decay) copies its rows, the jump rows mark-last: the layout
-    its einsum has always added in. A row with a leading variant axis
-    (`PathBundle.with_variants`) gives the slice that axis; x, and u for a
-    feedback control, then carry it too, and so does the sum.
+    slice's rows once for all the kernels. The whole-history slices of a
+    kernel without a declared decay read each row once, into (..., N, M) and
+    (..., N, M, K) buffers laid out as np.stack lays the rows, the jump rows
+    mark-last as its einsum has always added them. A row with a leading
+    variant axis (`PathBundle.with_variants`, in a restart's first history
+    slice) gives the slice that axis; x, and u for a feedback control, then
+    carry it too, and so does the sum.
     """
     nodes, jumps = paths.grid.nodes, paths.jumps
     drift = np.broadcast_to(paths.grid.dt, (paths.n_steps, paths.n_paths))
-    read = [None, None]   # the slice read last and its (dB (..., j, M), dN~ (..., K, j, M))
+    read = [None, None]   # the one-row slice read last and its (dB (..., 1, M), dN~ (..., K, 1, M))
+    held = [0, None]      # the history rows read so far and their (dB, dN~) buffers
 
     def noise(hist):
+        if hist.stop - hist.start > 1:
+            return history(hist.stop)
         if read[0] != hist:
-            read[:] = hist, None   # the old rows go before the new ones are built
-            rows = [paths.increments_at(j) for j in range(hist.start, hist.stop)]
-            if len(rows) == 1:   # views of the one row
-                dw, counts = rows[0][0][..., None, :], rows[0][1][..., None, :, :]
-            else:
-                dw, counts = (np.stack(np.broadcast_arrays(*r), axis=a)
-                              for r, a in zip(zip(*rows), (-2, -3)))
-            read[1] = dw, np.moveaxis(counts, -1, -3)
+            read[:] = hist, None   # the old row goes before the new one is built
+            dw, counts = paths.increments_at(hist.start)
+            read[1] = dw[..., None, :], np.moveaxis(counts[..., None, :, :], -1, -3)
         return read[1]
+
+    def history(stop):
+        have, bufs = held
+        rows = [paths.increments_at(j) for j in range(have, stop)]
+        if bufs is None:
+            lead = np.broadcast_shapes(*(dw.shape for dw, _ in rows))[:-1]
+            shape = lead + (paths.n_steps, paths.n_paths)
+            bufs = np.empty(shape), np.empty(shape + (jumps.n_marks,))
+        for j, (dw, counts) in enumerate(rows, have):
+            bufs[0][..., j, :], bufs[1][..., j, :, :] = dw, counts
+        held[:] = max(have, stop), bufs
+        return bufs[0][..., :stop, :], np.moveaxis(bufs[1][..., :stop, :, :], -1, -3)
 
     incs = {"drift": lambda hist: drift[hist], "diffusion": lambda hist: noise(hist)[0]}
     if jumps.active:

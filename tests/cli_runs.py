@@ -167,7 +167,7 @@ RUNS = (
         stages=("check-stationarity",),
         seed=11,
         workload="adjoint_memory_jumps",
-        config={"info": {"mode": "delayed", "delay": 0.25}},
+        config={"info": {"delay": 0.25}},
         why="the paper's partial-information case, E[dH/du | G_t] with "
             "G_t = F_(t - 0.25)+; no other run or workload uses delayed information",
     ),

@@ -35,7 +35,7 @@ def test_bad_values_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         ExperimentConfig.load(_write_config(tmp_path, {"monte_carlo": {"paths": 0}}))
     with pytest.raises(ConfigurationError):
-        ExperimentConfig.load(_write_config(tmp_path, {"info": {"mode": "psychic"}}))
+        ExperimentConfig.load(_write_config(tmp_path, {"info": {"delay": "psychic"}}))
     with pytest.raises(ConfigurationError):
         ExperimentConfig.load(_write_config(
             tmp_path, {"noise": {"intensity": 1.0, "marks": [], "weights": []}}))
@@ -62,8 +62,6 @@ _STAGE_READING = {
     "utility": "solve-portfolio",
     "market": "solve-portfolio",
     "market.sigma0": "merton-test",
-    "solver.bracket": "solve-portfolio",
-    "solver.bisection_rel_tol": "solve-portfolio",
     "info.delay": "check-stationarity",
 }
 
@@ -76,7 +74,7 @@ _STAGE_READING = {
     ("noise", {"intensity": "often"}, "noise.intensity"),
     ("solver", {"degree": 0}, "solver.degree"),
     ("solver", {"ridge": [1e-8]}, "solver.ridge"),
-    ("info", {"mode": "delayed", "delay": "soon"}, "info.delay"),
+    ("info", {"delay": "soon"}, "info.delay"),
     ("monte_carlo", {"seed": "x"}, "monte_carlo.seed"),
     ("control", {"value": "abc"}, "control.value"),
     ("control", {"value": 12.0}, "control.value"),
@@ -90,11 +88,12 @@ _STAGE_READING = {
     ("market", {"sigma0": -0.2}, "market.sigma0"),
     ("market", {"wealth": "rich"}, "market.wealth"),
     ("market", {"floor": "low"}, "market.floor"),
+    # removed fields, now refused as unknown fields (test_removed_field_is_an_unknown_field)
     ("solver", {"bracket": 3}, "solver.bracket"),
     ("solver", {"bracket": [50.0, 5.0]}, "solver.bracket"),
     ("solver", {"bisection_rel_tol": "tight"}, "solver.bisection_rel_tol"),
-    ("info", {"mode": "delayed", "delay": -0.1}, "info.delay"),
-    ("info", {"mode": "delayed", "delay": 2.0}, "info.delay"),
+    ("info", {"delay": -0.1}, "info.delay"),
+    ("info", {"delay": 2.0}, "info.delay"),
     ("model", {"name": "custom"}, "model.name"),
     ("model", {"params": {"b0": "abc"}}, "model.params.b0"),
     ("model", {"params": [1, 2]}, "model.params"),
@@ -117,6 +116,21 @@ def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, section, 
     assert main([stage, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, values, field", [
+    ("info", {"mode": "delayed", "delay": 0.25}, "info.mode"),
+    ("solver", {"bracket": [5.0, 50.0]}, "solver.bracket"),
+    ("solver", {"bisection_rel_tol": 1e-3}, "solver.bisection_rel_tol"),
+])
+def test_removed_field_is_an_unknown_field(tmp_path, capsys, section, values, field):
+    # info.delay alone sets the information, and the calibration's bracket and
+    # tolerance are fixed: the old fields are refused by name, before sampling
+    path = _write_config(tmp_path, {section: values})
+    for stage in ("solve-portfolio", "check-stationarity"):
+        assert main([stage, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config field {field!r}" in err and "Traceback" not in err
 
 
 def test_simulate_writes_artifacts_and_manifest(tmp_path):
@@ -213,6 +227,40 @@ def test_merton_subcommand_small_scale(tmp_path):
     assert (out / "objective.csv").exists()
 
 
+def test_both_portfolio_stages_write_the_same_solve(tmp_path):
+    # solve-portfolio and merton-test share one solve and export
+    path = _write_config(tmp_path, {
+        "grid": {"steps": 16},
+        "market": {"decay_b": 1.0},
+        "monte_carlo": {"paths": 4000, "seed": 2},
+    })
+    for stage in ("solve-portfolio", "merton-test"):
+        assert main([stage, "--config", path, "--out", str(tmp_path / stage)]) == 0
+    for name in ("strategy.csv", "calibration.csv"):
+        assert (tmp_path / "solve-portfolio" / name).read_bytes() == \
+            (tmp_path / "merton-test" / name).read_bytes()
+
+
+def test_info_delay_is_the_delayed_information(tmp_path):
+    # the config's info.delay is InfoMode.delayed(delay) of the Python API
+    from volterra_control.adjoint import simulated_state_feature, solve_general
+    from volterra_control.hamiltonian import check_stationarity, export_stationarity_csv
+    from volterra_control.models import InfoMode
+    from volterra_control.volterra import simulate_integral_form
+
+    path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "info": {"delay": 0.25}})
+    assert main(["check-stationarity", "--config", path, "--out", str(tmp_path / "cli")]) == 0
+    cfg = ExperimentConfig.load(_write_config(tmp_path, _MEMORY_JUMP_CONFIG))
+    model = cfg.model()
+    states = simulate_integral_form(model, cfg.control(), cfg.sample(), record=True)
+    triple, field = solve_general(model, cfg.performance(), states,
+                                  features=[simulated_state_feature(model, states)])
+    report = check_stationarity(triple, field, info=InfoMode.delayed(0.25))
+    export_stationarity_csv(tmp_path / "stationarity.csv", report, 0.05)
+    assert (tmp_path / "stationarity.csv").read_bytes() == \
+        (tmp_path / "cli" / "stationarity.csv").read_bytes()
+
+
 def test_stationarity_and_gateaux_subcommands(tmp_path):
     path = _write_config(tmp_path, {
         "grid": {"steps": 16},
@@ -282,7 +330,7 @@ _MEMORY_JUMP_CONFIG = {
 @pytest.mark.parametrize("workload, stages, info", [
     ("simulate_long_grid", ("simulate",), None),
     ("adjoint_memory_jumps", ("solve-adjoint", "check-stationarity", "gateaux"), None),
-    ("adjoint_memory_jumps", ("check-stationarity",), {"mode": "delayed", "delay": 0.25}),
+    ("adjoint_memory_jumps", ("check-stationarity",), {"delay": 0.25}),
     ("adjoint_memory_jumps", ("check-malliavin",), None),
 ], ids=["simulate", "adjoint", "delayed", "malliavin"])
 def test_stages_with_jumps_build_no_dense_count_array(tmp_path, no_dense_counts, workload,
@@ -435,14 +483,29 @@ def test_editing_loaded_config_does_not_leak(tmp_path):
     assert again.raw == before
 
 
+# a sigma-memory market on a small sample: a fitted BSVIE fraction at node 2 leaves
+# [-10, 10] on 2 of the 1000 paths
+_FRACTION_OUT_OF_BOUNDS = {
+    "grid": {"steps": 16},
+    "market": {"decay_b": 0.0, "decay_sigma": 0.5},
+    "monte_carlo": {"paths": 1000, "seed": 8},
+}
+
+
 def test_module_error_surfaces_as_nonzero_exit(tmp_path, capsys):
-    path = _write_config(tmp_path, {
-        "solver": {"bracket": [5.0, 50.0]},
-        "monte_carlo": {"paths": 2000, "seed": 5},
-    })
-    status = main(["solve-portfolio", "--config", path, "--out", str(tmp_path / "p")])
+    path = _write_config(tmp_path, _FRACTION_OUT_OF_BOUNDS)
+    status = main(["merton-test", "--config", path, "--out", str(tmp_path / "p")])
     assert status == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_a_fraction_out_of_bounds_names_the_node_and_the_stage(tmp_path, capsys):
+    # nothing in the config is wrong: the computed fraction is, so it is no config error
+    path = _write_config(tmp_path, _FRACTION_OUT_OF_BOUNDS)
+    assert main(["merton-test", "--config", path, "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert "RegressionError: merton-test:" in err and "at node 2 " in err
+    assert "config error" not in err
 
 
 def test_section_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys):
@@ -474,11 +537,9 @@ _OVERRIDES = st.fixed_dictionaries({}, optional={
                                     "params": st.dictionaries(st.sampled_from(["b0", "sigma0"]),
                                                               _NUMBERS)}),
     "solver": st.fixed_dictionaries({}, optional={
-        "degree": st.integers(1, 4), "ridge": st.floats(1e-14, 1e-2),
-        "bracket": st.one_of(st.none(), st.tuples(_NUMBERS, _NUMBERS).map(list)),
-        "bisection_rel_tol": st.floats(1e-9, 0.1)}),
+        "degree": st.integers(1, 4), "ridge": st.floats(1e-14, 1e-2)}),
     "control": st.fixed_dictionaries({"value": _NUMBERS, "lower": _NUMBERS}),
-    "info": st.sampled_from([{"mode": "full"}, {"mode": "delayed", "delay": 0.125}]),
+    "info": st.sampled_from([{"delay": 0.0}, {"delay": 0.125}]),
     "market": st.fixed_dictionaries({"b0": _NUMBERS, "floor": st.one_of(st.none(), _NUMBERS)}),
     "monte_carlo": st.fixed_dictionaries({"paths": st.integers(1, 10**6),
                                           "seed": st.integers(0, 2**32)}),

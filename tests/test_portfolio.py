@@ -223,20 +223,16 @@ def test_bsvie_driverless_is_martingale_projection(grid64, paths64_small):
 def _reference_row(row, ratios, terminal, regs, dW, dt):
     """The per-path march of one BSVIE row, the oracle for `BackwardProjector`.
 
-    Returns V(t_row, s_row), the per-node integrands {j: Z_j} and the standard
-    error of mean(V) from the estimator contribution at the last step.
+    Returns V(t_row, s_row) and the per-node integrands {j: Z_j}.
     """
     v = terminal.copy()
-    zhat, stderr = {}, None
+    zhat = {}
     for j in range(len(regs) - 1, row - 1, -1):
         phi = regs[j].design()
         fitted = phi @ regs[j].coefficients(v, phi=phi)
         zhat[j] = phi @ regs[j].coefficients((v - fitted) * dW[j], phi=phi) / dt
-        if j == row:
-            est = v - ratios[j] * (v - fitted) * dW[j]
-            stderr = float(est.std(ddof=1) / np.sqrt(len(est)))
         v = fitted - ratios[j] * zhat[j] * dt
-    return v, zhat, stderr
+    return v, zhat
 
 
 def _reference_regressions(features, paths):
@@ -259,7 +255,7 @@ def _reference_bsvie(c, market, utility, paths):
     xhat[n] = f_c
     diag_rms, spread = np.empty(n), np.zeros(n)
     for row in range(n - 1, -1, -1):
-        xhat[row], zhat, _ = _reference_row(row, _reference_ratios(market, paths, row), f_c,
+        xhat[row], zhat = _reference_row(row, _reference_ratios(market, paths, row), f_c,
                                             regs, paths.dW, paths.grid.dt)
         zdiag[row] = zhat[row]
         diag_rms[row] = np.sqrt(np.mean((zhat[row] / float(vol(t[row], t[row]))) ** 2))
@@ -274,10 +270,9 @@ def _reference_bsvie(c, market, utility, paths):
 def _reference_gap(c, market, utility, paths):
     th = theta0(market, paths.grid)
     regs = _reference_regressions(_bsvie_features(th, paths), paths)
-    v0, _, stderr = _reference_row(0, _reference_ratios(market, paths, 0),
-                                   terminal_wealth(c, paths, utility, th), regs,
-                                   paths.dW, paths.grid.dt)
-    return float(v0.mean()) - market.initial_wealth, stderr
+    v0, _ = _reference_row(0, _reference_ratios(market, paths, 0),
+                           terminal_wealth(c, paths, utility, th), regs, paths.dW, paths.grid.dt)
+    return float(v0.mean()) - market.initial_wealth
 
 
 _ORACLE_MARKETS = [
@@ -315,11 +310,10 @@ def test_gap_matches_per_path_march(market, oracle_paths, log_utility):
     t = oracle_paths.grid.nodes
     ratios = _kernel_ratios(market, t[0], t[:-1])
     for c in (0.3, 1.0, 1.05, 4.0):
-        g_ref, se_ref = _reference_gap(c, market, log_utility, oracle_paths)
+        g_ref = _reference_gap(c, market, log_utility, oracle_paths)
         f_c = terminal_wealth(c, oracle_paths, log_utility, theta0(market, oracle_paths.grid))
-        v0, se = _initial_value(projector, f_c, ratios)
+        v0 = _initial_value(projector, f_c, ratios)
         assert abs((v0 - market.initial_wealth) - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
-        assert se == pytest.approx(se_ref, rel=1e-9)
 
 
 def test_solve_c_visits_the_oracle_sequence(oracle_paths, log_utility):
@@ -328,11 +322,10 @@ def test_solve_c_visits_the_oracle_sequence(oracle_paths, log_utility):
     market = _ORACLE_MARKETS[1].values[0]
     cal = solve_c(PortfolioProblem(market, log_utility, oracle_paths))
     assert len(cal.history) > 10
-    for c, g, se in cal.history:
-        g_ref, se_ref = _reference_gap(c, market, log_utility, oracle_paths)
+    for c, g in cal.history:
+        g_ref = _reference_gap(c, market, log_utility, oracle_paths)
         assert np.sign(g) == np.sign(g_ref)
         assert abs(g - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
-        assert se == pytest.approx(se_ref, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
