@@ -486,14 +486,15 @@ def _cmd_merton_test(cfg: ExperimentConfig) -> int:
     pi_ref = optimal_fraction(market, cfg.grid, exponent)[interior]
     worst = float(np.max(np.abs(solution.mean_pi[interior] / pi_ref - 1.0)))
     fractions, bound = solution.fractions(), 10.0
-    for j, row in enumerate(fractions):
-        # a fitted fraction out of bounds is a failed solve, not a config error; the
-        # reductions make no row-sized temporaries, and a NaN fails both
-        if not (row.min() >= -bound and row.max() <= bound):
-            raise RegressionError(
-                f"merton-test: the BSVIE fraction at node {j} is not finite or leaves "
-                f"[-{bound}, {bound}] on {np.sum(~(np.abs(row) <= bound))} of {len(row)} paths")
-    control = ControlProcess.per_path(fractions, bounds=(-bound, bound))
+    try:
+        control = ControlProcess.per_path(fractions, bounds=(-bound, bound))
+    except ConfigurationError as exc:
+        # a fitted fraction out of bounds is a failed solve, not a config error
+        bad = ~(np.abs(fractions) <= bound)
+        j = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise RegressionError(
+            f"merton-test: the BSVIE fraction at node {j} is not finite or leaves "
+            f"[-{bound}, {bound}] on {int(bad[j].sum())} of {bad.shape[1]} paths") from exc
     # only c is read from here on: drop the problem, its regressions and its feature
     c = solution.c
     del solution

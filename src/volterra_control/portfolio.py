@@ -152,6 +152,7 @@ def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarr
 
 _N_BATCHES = 8  # disjoint path batches of the calibration stderr
 _MAX_BISECTIONS = 80  # bisection steps of `solve_c` at most
+_C_REL_TOL = 1e-3  # `solve_c` stops once its bracket is this fraction of c wide
 
 
 def path_floor(basis: RegressionBasis) -> int:
@@ -317,8 +318,8 @@ def _batched_gap_stderr(problem: PortfolioProblem, c: float) -> float:
     return float(np.std(gaps, ddof=1) / math.sqrt(_N_BATCHES))
 
 
-def solve_c(problem: PortfolioProblem, bracket: tuple[float, float] | None = None,
-            rel_tol: float = 1e-3) -> CalibrationResult:
+def solve_c(problem: PortfolioProblem,
+            bracket: tuple[float, float] | None = None) -> CalibrationResult:
     """Bisection for the constant c with X^_c(0) = initial wealth.
 
     The map c -> X^_c(0) is evaluated on one fixed path bundle (common
@@ -359,7 +360,7 @@ def solve_c(problem: PortfolioProblem, bracket: tuple[float, float] | None = Non
             a = mid
         else:
             b = mid
-        if (b - a) <= rel_tol * mid:
+        if (b - a) <= _C_REL_TOL * mid:
             break
     c_star = 0.5 * (a + b)
     gap(c_star)
