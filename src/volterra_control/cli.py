@@ -246,16 +246,12 @@ class ExperimentConfig:
         return PerformanceSpec(running=_RUNNINGS[running], terminal=g,
                                terminal_prime=gp, terminal_domain=domain)
 
-    def utility_exponent(self) -> float:
-        """The exponent gamma of the power utility x^gamma / gamma, 0 for log utility."""
-        if self._kind("utility.kind", ("log", "power")) == "log":
-            return 0.0
-        return _field(self.raw, "utility.exponent", float, "a number < 1 and != 0",
-                      lambda g: g < 1.0 and g != 0.0)
-
     def utility(self) -> UtilitySpec:
-        exponent = self.utility_exponent()
-        return UtilitySpec.log() if exponent == 0.0 else UtilitySpec.power(exponent)
+        """Log utility, or the power utility x^gamma / gamma of exponent gamma."""
+        if self._kind("utility.kind", ("log", "power")) == "log":
+            return UtilitySpec.log()
+        return UtilitySpec.power(_field(self.raw, "utility.exponent", float,
+                                        "a number < 1 and != 0", lambda g: g < 1.0 and g != 0.0))
 
     def control(self) -> ControlProcess:
         self._kind("control.kind", ("constant",))   # config files give constant controls only
@@ -480,7 +476,7 @@ def _cmd_merton_test(cfg: ExperimentConfig) -> int:
     solution = _solved_portfolio(cfg)
     market, utility, paths = (solution.problem.market, solution.problem.utility,
                               solution.problem.paths)
-    exponent = cfg.utility_exponent()
+    exponent = utility.exponent
     n = cfg.grid.steps
     interior = slice(n // 4, (3 * n) // 4)
     pi_ref = optimal_fraction(market, cfg.grid, exponent)[interior]
@@ -522,11 +518,22 @@ _SUBCOMMANDS = {
 }
 
 
+def _run(name: str, handler, cfg: ExperimentConfig) -> int:
+    """One command's exit status; an exception is named on stderr with the command."""
+    try:
+        return handler(cfg)
+    except ConfigurationError as exc:
+        print(f"config error: {name}: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # surface module errors with a non-zero status
+        print(f"{name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
 def _cmd_report(cfg: ExperimentConfig) -> int:
     """Run every subcommand, one after another, into per-stage subdirectories."""
-    results = []
-    for name, fn in _SUBCOMMANDS.items():
-        results.append((name, fn(replace(cfg, out_dir=cfg.out_dir / name.replace("-", "_")))))
+    results = [(name, _run(name, fn, replace(cfg, out_dir=cfg.out_dir / name.replace("-", "_"))))
+               for name, fn in _SUBCOMMANDS.items()]
     write_csv(cfg.out_dir / "report_summary.csv", ("stage", "exit_status"), results)
     write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("report"))
     bad = [name for name, status in results if status != 0]
@@ -553,14 +560,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     handler = _cmd_report if args.command == "report" else _SUBCOMMANDS[args.command]
-    try:
-        return handler(cfg)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # surface module errors with a non-zero status
-        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    return _run(args.command, handler, cfg)
 
 
 if __name__ == "__main__":

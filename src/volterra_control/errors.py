@@ -18,4 +18,4 @@ class RegressionError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """Root bracketing or bisection for the wealth constant failed."""
+    """The calibration bracket of the wealth constant does not straddle the root."""

@@ -368,12 +368,14 @@ class PerformanceSpec:
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Strictly increasing concave utility with an invertible marginal."""
+    """Strictly increasing concave utility with an invertible marginal of power law
+    (u')^{-1}(c y) = c^{1/(gamma-1)} (u')^{-1}(y), gamma = `exponent` < 1 (0 for log)."""
 
     name: str
     u: Callable
     u_prime: Callable
     u_prime_inverse: Callable
+    exponent: float
 
     def __post_init__(self):
         xs = np.geomspace(1e-3, 1e3, 61)
@@ -387,6 +389,12 @@ class UtilitySpec:
             raise RegistrationError(
                 f"utility {self.name!r}: inverse marginal round-trip failed"
             )
+        if not (self.exponent < 1.0 and all(
+                np.allclose(self.u_prime_inverse(c * mu),
+                            c ** (1.0 / (self.exponent - 1.0)) * back, rtol=1e-10, atol=0.0)
+                for c in (1e-2, 1e2))):
+            raise RegistrationError(f"utility {self.name!r}: inverse marginal is not the "
+                                    f"power law of exponent {self.exponent}")
 
     @classmethod
     def log(cls) -> "UtilitySpec":
@@ -395,6 +403,7 @@ class UtilitySpec:
             u=np.log,
             u_prime=lambda x: 1.0 / np.asarray(x, dtype=float),
             u_prime_inverse=lambda y: 1.0 / np.asarray(y, dtype=float),
+            exponent=0.0,
         )
 
     @classmethod
@@ -407,6 +416,7 @@ class UtilitySpec:
             u=lambda x: np.asarray(x, dtype=float) ** g / g,
             u_prime=lambda x: np.asarray(x, dtype=float) ** (g - 1.0),
             u_prime_inverse=lambda y: np.asarray(y, dtype=float) ** (1.0 / (g - 1.0)),
+            exponent=g,
         )
 
 

@@ -7,11 +7,11 @@ linear Volterra wealth equation, whose memory sums the wealth simulator
 carries as one-step recursions (`volterra.memory_sums`). The optimal
 terminal wealth for a concave utility is the inverse marginal utility of c
 times an exponential martingale whose loading is
-theta0(t) = -b0(T,t)/sigma0(T,t); the constant c is calibrated so that the
-backward stochastic Volterra equation closed by that terminal wealth
-reproduces the initial capital, and the optimal fraction is read off the
-diagonal of the BSVIE integrand. Every backward march runs on
-coefficients through `malliavin.BackwardProjector`.
+theta0(t) = -b0(T,t)/sigma0(T,t); the constant c, read exactly off one row-0
+march (linear in the terminal wealth), makes the backward stochastic Volterra
+equation closed by that terminal wealth reproduce the initial capital, and the
+optimal fraction is read off the diagonal of the BSVIE integrand. Every
+backward march runs on coefficients through `malliavin.BackwardProjector`.
 """
 
 from __future__ import annotations
@@ -151,8 +151,6 @@ def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarr
 
 
 _N_BATCHES = 8  # disjoint path batches of the calibration stderr
-_MAX_BISECTIONS = 80  # bisection steps of `solve_c` at most
-_C_REL_TOL = 1e-3  # `solve_c` stops once its bracket is this fraction of c wide
 
 
 def path_floor(basis: RegressionBasis) -> int:
@@ -278,7 +276,7 @@ class CalibrationResult:
 
     c: float
     history: list  # (c, gap) per evaluation
-    gap_slope: float  # secant slope of the gap across c
+    gap_slope: float  # derivative of the gap at c
     problem: PortfolioProblem = field(repr=False, compare=False)
 
     @cached_property
@@ -320,14 +318,13 @@ def _batched_gap_stderr(problem: PortfolioProblem, c: float) -> float:
 
 def solve_c(problem: PortfolioProblem,
             bracket: tuple[float, float] | None = None) -> CalibrationResult:
-    """Bisection for the constant c with X^_c(0) = initial wealth.
+    """The exact root c of X^_c(0) = initial wealth on the path bundle.
 
-    The map c -> X^_c(0) is evaluated on one fixed path bundle (common
-    random numbers); the bracket must satisfy X^(c_lo)(0) > x > X^(c_hi)(0)
-    and is additionally checked for monotonicity at its midpoint. Each gap
-    is a row-0 march. The standard error of c combines the batch Monte Carlo
-    error of the gap with the empirical slope of the gap near the root; it
-    is computed when first read (see `CalibrationResult`).
+    The row-0 march is linear in its terminal value, and a registered utility of
+    exponent gamma has F(c) = c^{1/(gamma-1)} F(1) (`UtilitySpec`), so the gap at the
+    bracket's lower end gives c = lo (x / X^_lo(0))^(gamma-1). The bracket must satisfy
+    X^_lo(0) > x > X^_hi(0); `history` holds the gaps at (lo, hi, c), the last one
+    round-off. The standard error of c is computed when first read (`CalibrationResult`).
     """
     x = problem.market.initial_wealth
     if bracket is None:
@@ -349,27 +346,11 @@ def solve_c(problem: PortfolioProblem,
             f"bracket does not straddle the root: gap({lo:.6g}) = {g_lo:.6g}, "
             f"gap({hi:.6g}) = {g_hi:.6g}"
         )
-    if not (g_lo > gap(math.sqrt(lo * hi)) > g_hi):
-        raise CalibrationError(
-            "initial-wealth gap is not monotone across the bracket; refusing to bisect"
-        )
-    a, b = lo, hi
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (a + b)
-        if gap(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-        if (b - a) <= _C_REL_TOL * mid:
-            break
-    c_star = 0.5 * (a + b)
+    power = problem.utility.exponent - 1.0
+    c_star = lo * (x / (g_lo + x)) ** power
     gap(c_star)
-    # slope of the gap across a wide secant for the delta-method stderr
-    da = max(0.05 * c_star, b - a)
-    c_a = max(c_star - da, 0.5 * c_star)
-    g_a = gap(c_a)   # the history keeps this order: the lower end first
-    slope = (gap(c_star + da) - g_a) / ((c_star + da) - c_a)
-    return CalibrationResult(c=c_star, history=history, gap_slope=slope, problem=problem)
+    return CalibrationResult(c=c_star, history=history, gap_slope=x / (power * c_star),
+                             problem=problem)
 
 
 @dataclass

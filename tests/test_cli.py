@@ -2,13 +2,15 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_control.cli import _DEFAULTS, ExperimentConfig, main
-from volterra_control.errors import ConfigurationError
+from volterra_control import cli
+from volterra_control.cli import _DEFAULTS, _SUBCOMMANDS, ExperimentConfig, main
+from volterra_control.errors import ConfigurationError, RegressionError
 from volterra_control.reporting import write_manifest
 
 
@@ -241,6 +243,32 @@ def test_both_portfolio_stages_write_the_same_solve(tmp_path):
             (tmp_path / "merton-test" / name).read_bytes()
 
 
+def test_calibration_rows_interpolate_to_the_solved_c(tmp_path, monkeypatch):
+    # calibration.csv is read by taking the largest c with G > 0 and the smallest c
+    # with G <= 0 and interpolating linearly between them; that must give the solve's c
+    solve, solved = cli.solve_portfolio, []
+
+    def kept(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_portfolio", kept)
+    path = _write_config(tmp_path, {
+        "grid": {"steps": 16},
+        "market": {"decay_b": 1.0},
+        "monte_carlo": {"paths": 4000, "seed": 2},
+    })
+    out = tmp_path / "p"
+    assert main(["solve-portfolio", "--config", path, "--out", str(out)]) == 0
+    rows = np.genfromtxt(out / "calibration.csv", delimiter=",", names=True)
+    pairs = list(zip(rows["c_value"], rows["G_value"]))
+    above, below = [p for p in pairs if p[1] > 0.0], [p for p in pairs if p[1] <= 0.0]
+    assert above and below
+    (c_lo, g_lo), (c_hi, g_hi) = max(above), min(below)
+    c = c_lo + g_lo * (c_hi - c_lo) / (g_lo - g_hi)
+    assert abs(c - solved[0].c) <= 1e-9 * solved[0].c
+
+
 def test_info_delay_is_the_delayed_information(tmp_path):
     # the config's info.delay is InfoMode.delayed(delay) of the Python API
     from volterra_control.adjoint import simulated_state_feature, solve_general
@@ -435,6 +463,35 @@ def test_report_runs_all_stages(tmp_path):
     assert len(summary) == 8  # seven stages
     assert (out / "simulate" / "trajectory.csv").exists()
     assert (out / "merton_test" / "strategy.csv").exists()
+
+
+def test_report_records_a_raising_stage_and_runs_the_rest(tmp_path, capsys, monkeypatch):
+    raising = {"check-malliavin": ConfigurationError("bad field"),
+               "solve-portfolio": RegressionError("no fit")}
+    ran = []
+
+    def stage(name):
+        def run(cfg):
+            ran.append(name)
+            if name in raising:
+                raise raising[name]
+            return 0
+        return run
+
+    for name in list(_SUBCOMMANDS):
+        monkeypatch.setitem(_SUBCOMMANDS, name, stage(name))
+    out = tmp_path / "report"
+    assert main(["report", "--out", str(out)]) == 1
+    assert ran == list(_SUBCOMMANDS)
+    summary = (out / "report_summary.csv").read_text().splitlines()
+    assert summary[0] == "stage,exit_status"
+    status = dict(line.split(",") for line in summary[1:])
+    assert status == {name: {"check-malliavin": "2", "solve-portfolio": "1"}.get(name, "0")
+                      for name in _SUBCOMMANDS}
+    assert (out / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert "config error: check-malliavin: bad field" in err
+    assert "solve-portfolio failed: RegressionError: no fit" in err
 
 
 def _assert_pristine_defaults(cfg):

@@ -194,7 +194,20 @@ def test_utility_rejects_non_concave():
     with pytest.raises(RegistrationError):
         UtilitySpec(name="bad", u=lambda x: x ** 2,
                     u_prime=lambda x: 2.0 * np.asarray(x, dtype=float),
-                    u_prime_inverse=lambda y: np.asarray(y, dtype=float) / 2.0)
+                    u_prime_inverse=lambda y: np.asarray(y, dtype=float) / 2.0,
+                    exponent=2.0)
+
+
+def test_utility_rejects_a_marginal_that_is_no_power_law():
+    # u'(x) = exp(-sqrt(x)) is positive, decreasing and inverts exactly, but
+    # (u')^{-1}(c y) is no power of c times (u')^{-1}(y), so the calibration's
+    # closed-form root would not hold
+    with pytest.raises(RegistrationError, match="power law"):
+        UtilitySpec(name="stretched_exp",
+                    u=lambda x: -2.0 * (np.sqrt(x) + 1.0) * np.exp(-np.sqrt(x)),
+                    u_prime=lambda x: np.exp(-np.sqrt(np.asarray(x, dtype=float))),
+                    u_prime_inverse=lambda y: np.log(np.asarray(y, dtype=float)) ** 2,
+                    exponent=0.0)
 
 
 def test_control_bounds_enforced():

@@ -317,15 +317,30 @@ def test_gap_matches_per_path_march(market, oracle_paths, log_utility):
 
 
 def test_solve_c_visits_the_oracle_sequence(oracle_paths, log_utility):
-    # Bisection moves on the sign of each gap alone, so equal signs at every
-    # visited c mean the per-path march would have visited the same sequence.
+    # The gaps at the default bracket's ends (10^-3, 10^3) u'(x) and at the root are
+    # those of the per-path march.
     market = _ORACLE_MARKETS[1].values[0]
     cal = solve_c(PortfolioProblem(market, log_utility, oracle_paths))
-    assert len(cal.history) > 10
+    mstar = 1.0 / market.initial_wealth
+    assert [c for c, _ in cal.history] == [1e-3 * mstar, 1e3 * mstar, cal.c]
     for c, g in cal.history:
         g_ref = _reference_gap(c, market, log_utility, oracle_paths)
-        assert np.sign(g) == np.sign(g_ref)
         assert abs(g - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
+
+
+@pytest.mark.parametrize("utility", [UtilitySpec.log(), UtilitySpec.power(0.5),
+                                     UtilitySpec.power(-2.0)], ids=lambda u: u.name)
+def test_solve_c_is_the_exact_root_whatever_the_bracket(oracle_paths, utility):
+    market = _ORACLE_MARKETS[1].values[0]
+    x = market.initial_wealth
+    problem = PortfolioProblem(market, utility, oracle_paths)
+    mstar = float(utility.u_prime(x))
+    wide = solve_c(problem)
+    narrow = solve_c(problem, bracket=(0.2 * mstar, 5.0 * mstar))
+    assert abs(narrow.c - wide.c) <= 1e-12 * wide.c
+    for cal in (wide, narrow):
+        c, g = cal.history[-1]
+        assert c == cal.c and abs(g) <= 1e-12 * x
 
 
 @pytest.fixture(scope="module")
