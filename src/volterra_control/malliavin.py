@@ -395,6 +395,30 @@ class NodeRegression:
         return np.stack([self._derivative_rows(coef, rows, r, 1)[0]
                          for r in range(len(self.features))], axis=1)
 
+    def horner(self, coef: np.ndarray) -> np.ndarray:
+        """The fitted polynomial of a one-feature regression at the node's raw values, by
+        Horner's rule in the raw feature x: (M,) for coef (p,), (q, M) for coef (p, q).
+
+        The kept standardized column (x^a - mean_a) / scale_a adds coef_a / scale_a to the
+        coefficient of x^a and -coef_a mean_a / scale_a to the constant, so no design is
+        built. The conversion is well conditioned while |mean_a| / scale_a is of order one,
+        as for a zero-mean martingale feature; the powers stop at the highest kept one.
+        """
+        if len(self.features) != 1:
+            raise ConfigurationError("Horner evaluation needs a one-feature regression")
+        coef = np.asarray(coef, dtype=float)
+        scaled = coef / self.col_scale.reshape((-1,) + (1,) * (coef.ndim - 1))
+        power = np.zeros((self.exponents[self.keep[-1]][0] + 1,) + coef.shape[1:])
+        power[[self.exponents[k][0] for k in self.keep]] = scaled
+        power[0] -= np.tensordot(self.col_mean, scaled, axes=1)
+        x = self.features[0].values[self.design_node]
+        out = np.empty(coef.shape[1:] + x.shape)
+        out[...] = power[-1][..., None]
+        for r in power[-2::-1]:
+            out *= x
+            out += r[..., None]
+        return out
+
     def taylor_rows(self, coef: np.ndarray, r: int = 0) -> np.ndarray:
         """(degree, M) rows P^(d)/d!, d = 1..degree, of the fitted polynomial P in raw
         feature r at the node's raw values, so that P(x + delta e_r) - P(x) =
@@ -416,7 +440,9 @@ class BackwardProjector:
 
     Node j's design Phi_j and Phi_j o dW_j are stacked in one (2p, M) buffer, so one product
     [Phi_j; Phi_j o dW_j] Phi_j^T gives G_j and C_j, and one product of node j-1's stack with
-    Phi_j gives A_{j-1} and B_{j-1}. The nodes are built in order, and node j-1's stack is
+    Phi_j gives A_{j-1} and B_{j-1}. Each is formed with Phi_j on the left, (Phi_j S^T)^T, and
+    divided by M into C order: on OpenBLAS the same bits as S Phi_j^T, and about 15 % faster
+    for a (p, M) by (M, 2p) shape. The nodes are built in order, and node j-1's stack is
     dropped as soon as its cross-moments with node j are formed, before node j's is made,
     so the build holds two designs and their dW products at a time. Only the designs that
     every march and every initial value read are kept: nodes N-1, 0 and 1, without their
@@ -436,7 +462,7 @@ class BackwardProjector:
             p = len(reg._rows)
             if j:
                 prev = self.regs[-1]
-                cross = stack @ reg._rows.T / m
+                cross = np.divide((reg._rows @ stack.T).T, m, order="C")
                 # node j-1's stack goes before node j's is made; a kept node keeps Phi only
                 prev._rows = prev._rows.copy() if j - 1 in kept else None
                 stack = None
@@ -446,7 +472,7 @@ class BackwardProjector:
             stack[:p] = reg._rows
             reg._rows = stack[:p]
             np.multiply(reg._rows, self.dW[j], out=stack[p:])
-            moments = stack @ reg._rows.T / m
+            moments = np.divide((reg._rows @ stack.T).T, m, order="C")
             reg._factor(moments[:p])
             self.centre_dw.append(reg._solve(moments[p:]))
             self.regs.append(reg)
@@ -463,12 +489,20 @@ class BackwardProjector:
     def march(self, start: tuple[np.ndarray, np.ndarray], ratios: np.ndarray, stop: int = 0
               ) -> tuple[list, list, list]:
         """Per-node lists of a_j, b_j, c_j from T down to `stop` (None below), from the
-        `terminal_moments` of F; r_j = ratios[j]."""
-        n = len(self.regs)
+        `terminal_moments` of F; r_j = ratios[j].
+
+        `ratios` is (N,), giving (p,) coefficients, or (N, R), giving R marches at once from
+        the same F: the start moments broadcast as (p, 1), so a_{N-1} and b_{N-1}, the same
+        for every march, are (p, 1), and every other a_j, b_j and c_j is (p, R), its column
+        r the march with ratios[:, r]. Each node then takes one p x p by p x R product per
+        cross-moment, where R separate marches take R.
+        """
+        n, ratios = len(self.regs), np.asarray(ratios, dtype=float)
+        lift = (slice(None),) + (None,) * (ratios.ndim - 1)
         a, b, c = [None] * n, [None] * n, [None] * n
         for j in range(n - 1, stop - 1, -1):
             if j == n - 1:
-                a[j], carried_dw = start
+                a[j], carried_dw = (s[lift] for s in start)
             else:
                 a[j], carried_dw = self.carry[j] @ c[j + 1], self.carry_dw[j] @ c[j + 1]
             b[j] = (carried_dw - self.centre_dw[j] @ a[j]) / self.dt

@@ -193,9 +193,11 @@ class BsvieSolution:
     """Backward solution fields as coefficients on the node designs.
 
     For j < N, X^(t_j) = V(t_j, s_j) = Phi_j x_coef[j] and Z^(t_j, s_j) = Phi_j z_coef[j],
-    with Phi_j the standardized design of `regs[j]`, which `design()` rebuilds bit for bit;
-    X^(T) is `terminal`. A field's path values are formed one node at a time, by `node`
-    and `fraction`, so no (N+1, M) or (N, M) array of a field is held.
+    with Phi_j the standardized design of `regs[j]`; X^(T) is `terminal`. Every node design
+    is a polynomial in one raw feature, the running theta-integral S_j, so `node` and
+    `fraction` evaluate both fields by Horner's rule on the row S_j (`NodeRegression.horner`)
+    and build no design. A field's path values are formed one node at a time, so no
+    (N+1, M) or (N, M) array of a field is held.
     """
 
     c: float
@@ -213,21 +215,24 @@ class BsvieSolution:
 
     def node(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """X^(t_j) and Z^(t_j, s_j) on the paths, (M,) each, for j < N."""
-        phi = self.regs[j].design()
-        return phi @ self.x_coef[j], phi @ self.z_coef[j]
+        xhat, zhat = self.regs[j].horner(np.stack([self.x_coef[j], self.z_coef[j]], axis=1))
+        return xhat, zhat
 
     def fraction(self, j: int) -> np.ndarray:
         """Investment fraction Z^(t_j, s_j) / (sigma0(t_j, t_j) X^(t_j)) on the paths, (M,).
 
         Raises when the wealth levels are not strictly positive (the inverse
         marginal utility has positive range; non-positive fits signal too few
-        paths or too low a basis degree).
+        paths or too low a basis degree), naming the node, the number of such
+        paths and the smallest fitted level.
         """
         xhat, zhat = self.node(j)
-        if np.any(xhat <= 0.0):
+        low = np.count_nonzero(xhat <= 0.0)
+        if low:
             raise RegressionError(
-                f"fitted wealth levels are not strictly positive at node {j}; increase the "
-                "path count or the basis degree"
+                f"fitted wealth levels are not strictly positive at node {j} on {low} of "
+                f"{len(xhat)} paths (smallest {xhat.min():.6g}); increase the path count or "
+                "the basis degree"
             )
         xhat *= self.vol_diag[j]
         return np.divide(zhat, xhat, out=xhat)
@@ -238,29 +243,30 @@ def bsvie_solve(problem: PortfolioProblem, c: float) -> BsvieSolution:
 
     For each fixed t_i the recursion in s runs from T down to t_i with
     regression conditional expectations; the integrand is extracted from the
-    centered one-step products, one projector march per row, and row i keeps
-    its node-i coefficients of X^ and Z^ (see `BsvieSolution`). The consistency
-    of Z^(t_i, s_j)/sigma0(t_i, s_j) with the diagonal is a node-Gram RMS.
+    centered one-step products. Every row starts from F(c) and differs only in its
+    kernel ratios, so one projector march carries all N rows as the columns of (p, N)
+    coefficients, and row i keeps its column at node i, its node-i coefficients of X^
+    and Z^ (see `BsvieSolution`). The consistency of Z^(t_i, s_j)/sigma0(t_i, s_j) with
+    the diagonal is a node-Gram RMS, one quadratic form per node over the rows i < j.
     """
     market, projector = problem.market, problem.projector
     n, t = problem.paths.n_steps, problem.paths.grid.nodes
     f_c = problem.terminal(c)
-    start = projector.terminal_moments(f_c)   # every row's march starts from F(c)
-
+    # column i of ratios[j] is row i's b0(t_i, t_j) / sigma0(t_i, t_j)
+    _, z_coef, x_coef = projector.march(projector.terminal_moments(f_c),
+                                        _kernel_ratios(market, t[None, :n], t[:n, None]))
+    vol = market.vol_kernel(t[:n, None], t[None, :n])   # [i, j]: sigma0(t_i, t_j)
     vol_diag = market.vol_kernel(t[:n], t[:n])
-    x_diag: list = [None] * n      # X^(t_j) coefficients
-    z_diag: list = [None] * n      # Z^(t_j, s_j) coefficients
-    diag_coef: list = [None] * n   # Z^(t_j, s_j) / sigma0(t_j, s_j) coefficients
-    diag_rms, spread = np.empty(n), np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        _, z_coef, v_coef = projector.march(start, _kernel_ratios(market, t[row], t[:n]), row)
-        x_diag[row], z_diag[row] = v_coef[row], z_coef[row]
-        diag_coef[row] = z_coef[row] / vol_diag[row]
-        diag_rms[row] = projector.rms(row, diag_coef[row])
-        vol_row = market.vol_kernel(t[row], t[:n])
-        for j in range(row + 1, n):
-            dev = projector.rms(j, z_coef[j] / vol_row[j] - diag_coef[j])
-            spread[j] = max(spread[j], dev / max(diag_rms[j], 1e-300))
+    x_diag, z_diag, spread = [], [], np.zeros(n)
+    for j in range(n):
+        z = np.broadcast_to(z_coef[j], x_coef[j].shape)   # b_{N-1} is one (p, 1) column
+        x_diag.append(x_coef[j][:, j])
+        z_diag.append(z[:, j])
+        if j:
+            diag = z[:, j] / vol_diag[j]
+            dev = z[:, :j] / vol[:j, j] - diag[:, None]   # one column per row i < j
+            worst = np.einsum("ki,kl,li->i", dev, projector.regs[j].gram, dev).max()
+            spread[j] = math.sqrt(max(worst, 0.0)) / max(projector.rms(j, diag), 1e-300)
     return BsvieSolution(c=c, terminal=f_c, regs=projector.regs, x_coef=x_diag, z_coef=z_diag,
                          vol_diag=vol_diag, ratio_spread=spread)
 

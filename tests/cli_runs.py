@@ -14,7 +14,7 @@ script prints one line per stage (run, stage, exit status, wall s, peak MB,
 bound MB) and exits non-zero naming every run with a stage that exited
 non-zero or reached its bound. No run has a wall-clock bound.
 
-Nine runs start from the config of a desk workload (`deskbench/workloads.py`),
+Ten runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
 """
 
@@ -119,6 +119,17 @@ RUNS = (
         why="a volatility kernel that rises with the lag t - s: the market is checked at "
             "s <= t alone, where the kernel never falls below sigma0, so the config is "
             "accepted with the default floor sigma0 / 2",
+    ),
+    CliRun(
+        name="portfolio_power",
+        stages=("solve-portfolio",),
+        seed=7,
+        workload="portfolio_memory",
+        config={"utility": {"kind": "power", "exponent": 0.5}, "monte_carlo": {"paths": 20_000}},
+        bound_mb=65.0,
+        why="the only CLI run with power utility: F(c) = (c M_T)^-2 and the calibration "
+            "root of exponent 0.5; at M = 2e4 every fitted wealth level stays positive "
+            "(seeds 7 and 11) and the stage peaks near 51 MB",
     ),
     CliRun(
         name="portfolio_1e6",

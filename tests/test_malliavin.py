@@ -326,6 +326,27 @@ def test_projector_keeps_three_designs_and_rebuilds_the_rest_bit_for_bit(jump_pa
         assert np.array_equal(reg.design(), want)
 
 
+def test_projector_moments_are_the_stack_products_bit_for_bit(jump_paths64_small):
+    # the build forms each product as (Phi_j S^T)^T; every Gram, carry and centred dW
+    # moment must keep the bits of the stacked products S Phi_j^T / M
+    paths = jump_paths64_small.subset(0, 4_000)
+    feats = [brownian_feature(paths), jump_sum_feature(paths)]
+    projector = BackwardProjector(feats, paths, RegressionBasis(degree=2))
+    m, prev = paths.n_paths, None
+    for j, reg in enumerate(projector.regs):
+        phi = NodeRegression(feats, j, projector.basis, retain_design=True)._rows
+        p = len(phi)
+        if prev is not None:
+            cross, q = prev @ phi.T / m, len(prev) // 2
+            assert np.array_equal(projector.carry[j - 1], projector.regs[j - 1]._solve(cross[:q]))
+            assert np.array_equal(projector.carry_dw[j - 1],
+                                  projector.regs[j - 1]._solve(cross[q:]))
+        prev = np.vstack([phi, phi * paths.dW[j]])
+        moments = prev @ phi.T / m
+        assert np.array_equal(reg.gram, moments[:p]) and reg.gram.flags.c_contiguous
+        assert np.array_equal(projector.centre_dw[j], reg._solve(moments[p:]))
+
+
 def _power_build(features, node, degree):
     """The column-major build with `**` powers and axis-0 moments."""
     raw = np.column_stack([f.values[node] for f in features])

@@ -302,6 +302,93 @@ def test_bsvie_matches_per_path_march(market, oracle_paths, log_utility):
     assert sol.ratio_spread[0] == 0.0
 
 
+def _loop_march(projector, start, ratios, stop):
+    """The march one (p,) coefficient vector at a time, as it was written before it took
+    a matrix of ratios: the oracle for the bits of a (N,) march."""
+    n = len(projector.regs)
+    a, b, c = [None] * n, [None] * n, [None] * n
+    for j in range(n - 1, stop - 1, -1):
+        if j == n - 1:
+            a[j], carried_dw = start
+        else:
+            a[j], carried_dw = projector.carry[j] @ c[j + 1], projector.carry_dw[j] @ c[j + 1]
+        b[j] = (carried_dw - projector.centre_dw[j] @ a[j]) / projector.dt
+        c[j] = a[j] - ratios[j] * projector.dt * b[j]
+    return a, b, c
+
+
+@pytest.mark.parametrize("market", _ORACLE_MARKETS)
+def test_one_batched_march_matches_the_per_row_marches(market, oracle_paths, log_utility):
+    # the oracle is the loop bsvie_solve made before it marched every row at once: one
+    # (N,) march per row, and the spread as one RMS per row and later node
+    problem = PortfolioProblem(market, log_utility, oracle_paths)
+    sol = bsvie_solve(problem, 1.1)
+    projector, n, t = problem.projector, oracle_paths.n_steps, oracle_paths.grid.nodes
+    start = projector.terminal_moments(problem.terminal(1.1))
+    diag_coef, diag_rms, spread = [None] * n, np.empty(n), np.zeros(n)
+    for row in range(n - 1, -1, -1):
+        ratios = _kernel_ratios(market, t[row], t[:n])
+        marched = projector.march(start, ratios, row)
+        for got, want in zip(marched, _loop_march(projector, start, ratios, row)):
+            assert all(np.array_equal(g, w) for g, w in zip(got[row:], want[row:]))
+        _, z_coef, x_coef = marched
+        assert _max_rel(sol.x_coef[row], x_coef[row]) <= 1e-12
+        assert _max_rel(sol.z_coef[row], z_coef[row]) <= 1e-12
+        diag_coef[row] = z_coef[row] / market.vol_kernel(t[row], t[row])
+        diag_rms[row] = projector.rms(row, diag_coef[row])
+        vol_row = market.vol_kernel(t[row], t[:n])
+        for j in range(row + 1, n):
+            dev = projector.rms(j, z_coef[j] / vol_row[j] - diag_coef[j])
+            spread[j] = max(spread[j], dev / max(diag_rms[j], 1e-300))
+    assert np.max(np.abs(sol.ratio_spread - spread)) <= 1e-12
+    assert sol.ratio_spread[0] == 0.0
+
+
+def test_a_matrix_march_runs_its_columns_from_one_start(oracle_paths, log_utility):
+    # column r of an (N, R) march is the (N,) march with ratios[:, r]; a_{N-1} and
+    # b_{N-1} are one (p, 1) column, bit-identical to the (N,) march's
+    market = _ORACLE_MARKETS[1].values[0]
+    problem = PortfolioProblem(market, log_utility, oracle_paths)
+    projector, n, t = problem.projector, oracle_paths.n_steps, oracle_paths.grid.nodes
+    start = projector.terminal_moments(problem.terminal(0.9))
+    ratios = _kernel_ratios(market, t[None, :3], t[:n, None])
+    batched = projector.march(start, ratios, 1)
+    assert batched[0][n - 1].shape == batched[1][n - 1].shape == (len(start[0]), 1)
+    assert all(coef[0] is None for coef in batched)
+    for r in range(3):
+        single = projector.march(start, ratios[:, r], 1)
+        assert np.array_equal(batched[0][n - 1][:, 0], single[0][n - 1])
+        assert np.array_equal(batched[1][n - 1][:, 0], single[1][n - 1])
+        for got, want in zip(batched, single):
+            for j in range(1, n):
+                col = np.broadcast_to(got[j], (len(want[j]), 3))[:, r]
+                assert np.max(np.abs(col - want[j])) <= 1e-12 * np.max(np.abs(want[j]))
+
+
+_READOUT_MARKETS = [
+    pytest.param(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0),
+                 id="desk"),
+    pytest.param(MarketModel.exponential(0.05, 0.2, decay_b=0.0, decay_sigma=0.5, floor=0.05),
+                 id="decays-0-0.5"),
+]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("market", _READOUT_MARKETS)
+def test_horner_fields_equal_the_design_products(market, degree, paths64_desk, log_utility):
+    # X^ and Z^ read by Horner on the theta-integral against the standardized design
+    # times the coefficients, at every node; node 0's design is the intercept alone
+    basis = RegressionBasis(degree=degree)
+    sol = bsvie_solve(PortfolioProblem(market, log_utility, paths64_desk, basis), 1.0)
+    assert sol.regs[0].keep == [0]
+    assert all(len(reg.keep) == degree + 1 for reg in sol.regs[1:])
+    for j in range(paths64_desk.n_steps):
+        phi = sol.regs[j].design()
+        for got, coef in zip(sol.node(j), (sol.x_coef[j], sol.z_coef[j])):
+            want = phi @ coef
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("market", _ORACLE_MARKETS)
 def test_gap_matches_per_path_march(market, oracle_paths, log_utility):
     projector = BackwardProjector(
@@ -441,8 +528,12 @@ def test_fractions_reject_nonpositive_wealth(grid64, paths64_small, merton_marke
     # shift node 5's intercept (a column of ones) so that its lowest wealth is -1e-9
     sol.x_coef[5] = sol.x_coef[5].copy()
     sol.x_coef[5][0] -= sol.node(5)[0].min() + 1e-9
-    assert np.sum(sol.node(5)[0] <= 0.0) >= 1
+    low = int(np.sum(sol.node(5)[0] <= 0.0))
+    assert low >= 1
     with pytest.raises(RegressionError):
+        sol.fraction(5)
+    with pytest.raises(RegressionError, match=f"at node 5 on {low} of {paths64_small.n_paths} "
+                                              r"paths \(smallest -1e-09\)"):
         sol.fraction(5)
 
 
