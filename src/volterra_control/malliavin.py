@@ -445,8 +445,8 @@ class BackwardProjector:
     for a (p, M) by (M, 2p) shape. The nodes are built in order, and node j-1's stack is
     dropped as soon as its cross-moments with node j are formed, before node j's is made,
     so the build holds two designs and their dW products at a time. Only the designs that
-    every march and every initial value read are kept: nodes N-1, 0 and 1, without their
-    dW halves, O(p M) memory in all. `regs[j].design()` of any other node is rebuilt on
+    every march and every initial value read are kept: nodes N-1 and 0, without their dW
+    halves, O(p M) memory in all. `regs[j].design()` of any other node is rebuilt on
     request, bit-identical to the dropped one.
     """
 
@@ -454,7 +454,7 @@ class BackwardProjector:
                  basis: RegressionBasis | None = None):
         n, m = paths.n_steps, paths.n_paths
         self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
-        kept = {0, 1, n - 1}
+        kept = {0, n - 1}
         self.regs, self.carry, self.carry_dw, self.centre_dw = [], [], [], []
         stack = None  # [Phi_{j-1}; Phi_{j-1} o dW_{j-1}], (2p, M)
         for j in range(n):

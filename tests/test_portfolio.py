@@ -843,7 +843,7 @@ def test_feature_rows_read_in_any_order_equal_the_cumsum_bit_for_bit(n, m):
 
 def test_portfolio_problem_holds_no_feature_array(log_utility):
     # the feature rows are formed on request, so neither the build nor what the problem
-    # keeps (three node designs, the martingale, one feature row) reaches (N+1, M) floats
+    # keeps (two node designs, the martingale, one feature row) reaches (N+1, M) floats
     n, m = 64, 20_000
     paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), m, seed=7)
     market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0)
@@ -856,9 +856,9 @@ def test_portfolio_problem_holds_no_feature_array(log_utility):
     row = m * 8
     assert peak < (n + 1) * row, f"peak {peak / 1e6:.2f} MB"
     p = RegressionBasis().dimension(1)
-    assert held < (3 * p + 3) * row, f"held {held / 1e6:.2f} MB"
+    assert held < (2 * p + 3) * row, f"held {held / 1e6:.2f} MB"
     kept = [reg._rows.nbytes for reg in problem.projector.regs if reg._rows is not None]
-    assert kept == [row, p * row, p * row]
+    assert kept == [row, p * row]
     assert all(reg._rows.base is None for reg in problem.projector.regs
                if reg._rows is not None)
 

@@ -20,6 +20,7 @@ from volterra_control import (
     simulate_differential_form,
     simulate_integral_form,
 )
+from volterra_control import volterra
 from volterra_control.volterra import (
     export_trajectory_csv,
     noise_sums,
@@ -387,6 +388,52 @@ def test_streamed_summary_equals_the_in_memory_run_bit_for_bit(model, control):
     statistics, total = simulate_summary(model, control, _STREAM_SPEC, paths)
     assert statistics == trajectory_statistics(paths.grid.nodes, states.values)
     assert np.array_equal(total, performance_paths(_STREAM_SPEC, states))
+
+
+def _statistics_oracle(nodes, rows):
+    # the summary by np.quantile, mean and std(ddof=1), over all rows at once
+    std = rows.std(axis=1, ddof=1) if rows.shape[1] > 1 else np.zeros(len(rows))
+    return np.column_stack([nodes, rows.mean(axis=1), std,
+                            *np.quantile(rows, [0.05, 0.95], axis=1)])
+
+
+def _statistics_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 20, 21, 301):
+        nan = rng.standard_normal((9, n))
+        nan[4, n // 2] = np.nan
+        for kind, rows in (
+                ("random", rng.standard_normal((9, n))),
+                ("ties", rng.integers(-2, 3, (9, n)).astype(float)),
+                ("constant", np.repeat(rng.standard_normal((9, 1)), n, axis=1)),
+                ("inf", rng.choice([-np.inf, -1.0, 0.5, 2.0, np.inf], (9, n))),
+                ("nan", nan),
+                ("signed-zeros", rng.choice([-1.0, -0.0, 0.0, 1.0], (9, n)))):
+            yield pytest.param(kind, rows, id=f"{kind}-{n}")
+
+
+@pytest.mark.parametrize("kind,rows", _statistics_cases())
+def test_sorted_quantiles_are_those_of_np_quantile(monkeypatch, kind, rows):
+    # 9 rows in blocks of 1, 7 and _STATS_BLOCK values: one row per block, several
+    # rows per block with a partial last block, and all 9 rows in one block
+    nodes = np.linspace(0.0, 1.0, len(rows))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = _statistics_oracle(nodes, rows.copy())
+        runs = []
+        for block in (1, 7, volterra._STATS_BLOCK):
+            monkeypatch.setattr(volterra, "_STATS_BLOCK", block)
+            runs.append(np.array(trajectory_statistics(nodes, iter(rows.copy()))))
+    for got in runs:
+        assert np.array_equal(got.view(np.int64), runs[0].view(np.int64))
+    if kind == "signed-zeros":
+        # where -0.0 and 0.0 tie at an interpolated position, which comes first depends
+        # on how the rows were ordered (np.quantile partitions, the summary sorts), so
+        # the sign of a zero quantile may differ from np.quantile's: compared by value
+        assert np.all(runs[0] == want)
+    else:
+        assert np.array_equal(runs[0].view(np.int64), want.view(np.int64))
+    nan_rows = np.isnan(rows).any(axis=1)
+    assert np.all(np.isnan(runs[0][nan_rows, 3:]))
 
 
 def test_the_simulate_stage_holds_no_state_array():
