@@ -64,7 +64,6 @@ from .portfolio import (
     PortfolioSolution,
     export_portfolio_csvs,
     optimal_fraction,
-    path_floor,
     solve_portfolio,
     verify_optimality,
 )
@@ -385,6 +384,12 @@ def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> No
     n_raw = 1
     if stationarity and not model.x_independent:
         n_raw = 3 if cfg.jumps.active else 2
+    _check_sample_floor(cfg, n_raw)
+
+
+def _check_sample_floor(cfg: ExperimentConfig, n_raw: int) -> None:
+    """Refuse, before any sampling, fewer than MIN_PATHS_PER_COLUMN paths per column of
+    the regression basis on `n_raw` raw features."""
     dimension = cfg.basis.dimension(n_raw)
     if cfg.n_paths < MIN_PATHS_PER_COLUMN * dimension:
         raise ConfigurationError(
@@ -451,13 +456,10 @@ def _cmd_gateaux(cfg: ExperimentConfig) -> int:
 
 def _solved_portfolio(cfg: ExperimentConfig) -> PortfolioSolution:
     """The configured portfolio solved on the sampled bundle, with strategy.csv and
-    calibration.csv written; a sample below `path_floor` is refused before sampling."""
+    calibration.csv written; a sample too small for its one-feature fits is refused
+    before sampling."""
     market, utility = cfg.market(), cfg.utility()
-    need = path_floor(cfg.basis)
-    if cfg.n_paths < need:
-        raise ConfigurationError(
-            f"monte_carlo.paths is {cfg.n_paths}, but the calibration's path batches need "
-            f"at least {need} paths")
+    _check_sample_floor(cfg, 1)
     solution = solve_portfolio(market, utility, cfg.sample(), basis=cfg.basis)
     export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
     return solution

@@ -88,13 +88,18 @@ def memory_terms(model: CoefficientModel, partial: str, paths: PathBundle, i: in
 
 def eval_h0(model: CoefficientModel, spec: PerformanceSpec, jumps, t, x, v,
             p, q, r) -> np.ndarray:
-    """Local Hamiltonian f + b(t,t,x,v) p + sigma(t,t,x,v) q + jump term."""
+    """Local Hamiltonian f + b(t,t,x,v) p + sigma(t,t,x,v) q + jump term.
+
+    No stage calls it; it is kept as acceptance-oracle API (criterion 07, the reduced
+    Hamiltonian against H0 + H1)."""
     return np.asarray(sum(hamiltonian_terms(model, spec, jumps, t, x, v, p, q, r)), dtype=float)
 
 
 def eval_h1(model: CoefficientModel, paths: PathBundle, i: int, x, v,
             p: np.ndarray, field) -> np.ndarray:
-    """Memory Hamiltonian at node i: forward sums of the d/dt kernel partials."""
+    """Memory Hamiltonian at node i: forward sums of the d/dt kernel partials.
+
+    No stage calls it; it is kept as acceptance-oracle API (criterion 07)."""
     return sum(memory_terms(model, "", paths, i, x, v, p, field), np.zeros(paths.n_paths))
 
 
@@ -160,6 +165,8 @@ def eval_h0_reduced(model: CoefficientModel, spec: PerformanceSpec, paths: PathB
     to first argument T:
     f(t,.,v) + b(T,t,v) g'(X_T) + sigma(T,t,v) E[D_t g'(X_T)|F_t]
     + intensity sum_k w_k gamma(T,t,v,z_k) E[D_{t,z_k} g'(X_T)|F_t].
+
+    No stage calls it; it is kept as acceptance-oracle API (criterion 07).
     """
     if not model.x_independent:
         raise ConfigurationError("reduced Hamiltonian requires an x-independent model")

@@ -15,7 +15,7 @@ features whose gradients feed the adjoint solver's Malliavin fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -112,15 +112,15 @@ def state_feature(values: np.ndarray, name: str = "state",
                    brownian_sensitivity=brownian_sensitivity, jump_shift=jump_shift)
 
 
-def running_sums(weights: np.ndarray, paths: PathBundle, drift: np.ndarray | None = None,
-                 rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def running_sums(weights: np.ndarray, paths: PathBundle,
+                 drift: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield S_1, ..., S_N of S_i = sum_{j<i} (w_j dW_j - d_j) (d = 0 without `drift`), each
     formed as (w_j dW_j - d_j) + S_j: bit-identical to `np.cumsum` along the nodes, with no
-    (N, M) array of the summands. S_{j+1} is formed in rows[j] when `rows` (N, M) is given,
-    else in a new (M,) array, so a reader of the last row alone holds O(M)."""
+    (N, M) array of the summands. Each S_{j+1} is a new (M,) array, so a reader of the last
+    row alone holds O(M)."""
     total = None
     for j in range(paths.n_steps):
-        step = np.multiply(weights[j], paths.dW[j], out=None if rows is None else rows[j])
+        step = weights[j] * paths.dW[j]
         if drift is not None:
             step -= drift[j]
         if total is not None:
@@ -160,10 +160,6 @@ class RunningSumRows:
             self._row.flags.writeable = False
             self._node += 1
         return self._row
-
-    def subset(self, start: int, stop: int) -> "RunningSumRows":
-        """The same sums on the paths [start, stop), bit-identical to their columns."""
-        return RunningSumRows(self.weights, self.paths.subset(start, stop))
 
 
 def weighted_brownian_feature(weights: np.ndarray, paths: PathBundle,

@@ -17,8 +17,7 @@ backward march runs on coefficients through `malliavin.BackwardProjector`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -150,20 +149,17 @@ def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarr
     return market.drift_kernel(t_row, s) / market.vol_kernel(t_row, s)
 
 
-_N_BATCHES = 8  # disjoint path batches of the calibration stderr
-
-
 def path_floor(basis: RegressionBasis) -> int:
-    """Fewest paths a portfolio solve takes: each of the calibration stderr's path batches
-    needs MIN_PATHS_PER_COLUMN paths per function of the one-feature basis."""
-    return _N_BATCHES * MIN_PATHS_PER_COLUMN * basis.dimension(1)
+    """Fewest paths a portfolio solve takes: MIN_PATHS_PER_COLUMN paths per function of
+    the one-feature basis that every calibration and BSVIE fit uses."""
+    return MIN_PATHS_PER_COLUMN * basis.dimension(1)
 
 
 class PortfolioProblem:
-    """What the calibration, the BSVIE rows and the batch stderr of c share, built once in
-    this order: the market is validated on the grid, a bundle below `path_floor` is refused
-    before any fit, then the loading `theta`, the BSVIE `feature` with its `projector`, the
-    unit-start martingale's terminal values `martingale` and row 0's kernel `ratios0`."""
+    """What the calibration and the BSVIE rows share, built once in this order: the market
+    is validated on the grid, a bundle below `path_floor` is refused before any fit, then
+    the loading `theta`, the BSVIE `feature` with its `projector`, the unit-start
+    martingale's terminal values `martingale` and row 0's kernel `ratios0`."""
 
     def __init__(self, market: MarketModel, utility: UtilitySpec, paths: PathBundle,
                  basis: RegressionBasis | None = None):
@@ -172,9 +168,9 @@ class PortfolioProblem:
         need = path_floor(basis)
         if paths.n_paths < need:
             raise RegressionError(
-                f"the calibration needs monte_carlo.paths >= {need} ({_N_BATCHES} path batches "
-                f"of {MIN_PATHS_PER_COLUMN} paths per basis function, basis dimension "
-                f"{basis.dimension(1)}), got {paths.n_paths}")
+                f"the portfolio fits need monte_carlo.paths >= {need} ({MIN_PATHS_PER_COLUMN} "
+                f"paths per basis function, basis dimension {basis.dimension(1)}), "
+                f"got {paths.n_paths}")
         self.market, self.utility, self.paths = market, utility, paths
         self.theta = theta0(market, paths.grid)
         (self.feature,) = _bsvie_features(self.theta, paths)
@@ -183,9 +179,9 @@ class PortfolioProblem:
         self.ratios0 = _kernel_ratios(market, paths.grid.nodes[0],
                                       paths.grid.nodes[:paths.n_steps])
 
-    def terminal(self, c: float, cols: slice = slice(None)) -> np.ndarray:
-        """Terminal wealth F(c) = (u')^{-1}(c M_T) on the paths, or on the columns `cols`."""
-        return _inverse_marginal(c, self.martingale[cols], self.utility)
+    def terminal(self, c: float) -> np.ndarray:
+        """Terminal wealth F(c) = (u')^{-1}(c M_T) on the paths."""
+        return _inverse_marginal(c, self.martingale, self.utility)
 
 
 @dataclass
@@ -273,23 +269,10 @@ def bsvie_solve(problem: PortfolioProblem, c: float) -> BsvieSolution:
 
 @dataclass
 class CalibrationResult:
-    """The calibrated constant c and every evaluated gap, with the error of c on demand.
-
-    `stderr` is the delta-method standard error |se / gap_slope| of c, where se is the
-    standard error of the gap at c from disjoint path batches. It is computed the first
-    time it is read, by `_batched_gap_stderr` (8 more projector builds), and then cached.
-    """
+    """The calibrated constant c and every evaluated gap."""
 
     c: float
     history: list  # (c, gap) per evaluation
-    gap_slope: float  # derivative of the gap at c
-    problem: PortfolioProblem = field(repr=False, compare=False)
-
-    @cached_property
-    def stderr(self) -> float:
-        if self.gap_slope == 0.0:
-            return float("inf")
-        return abs(_batched_gap_stderr(self.problem, self.c) / self.gap_slope)
 
 
 def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
@@ -297,29 +280,6 @@ def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
     """mean(X^(0)) of the row-0 march."""
     _, _, c = projector.march(projector.terminal_moments(terminal), ratios, 0)
     return float(projector.regs[0].design().mean(axis=0) @ c[0])
-
-
-def _batched_gap_stderr(problem: PortfolioProblem, c: float) -> float:
-    """Standard error of the initial-wealth gap from disjoint path batches.
-
-    The backward recursion feeds fitted values into later fits, so the
-    per-path dispersion at the last step understates the estimator noise;
-    independent batch re-estimates capture the regression noise as well.
-    Each batch's feature rows are formed on the batch's paths and its terminal
-    martingale is a column slice of the problem's, both bit-identical to the
-    columns of the problem's.
-    """
-    feature, width = problem.feature, problem.paths.n_paths // _N_BATCHES
-    gaps = []
-    for b in range(_N_BATCHES):
-        cols = slice(b * width, (b + 1) * width)
-        rows = feature.values.subset(cols.start, cols.stop)
-        v0 = _initial_value(
-            BackwardProjector([replace(feature, values=rows)], rows.paths,
-                              problem.projector.basis),
-            problem.terminal(c, cols), problem.ratios0)
-        gaps.append(v0 - problem.market.initial_wealth)
-    return float(np.std(gaps, ddof=1) / math.sqrt(_N_BATCHES))
 
 
 def solve_c(problem: PortfolioProblem,
@@ -330,7 +290,7 @@ def solve_c(problem: PortfolioProblem,
     exponent gamma has F(c) = c^{1/(gamma-1)} F(1) (`UtilitySpec`), so the gap at the
     bracket's lower end gives c = lo (x / X^_lo(0))^(gamma-1). The bracket must satisfy
     X^_lo(0) > x > X^_hi(0); `history` holds the gaps at (lo, hi, c), the last one
-    round-off. The standard error of c is computed when first read (`CalibrationResult`).
+    round-off.
     """
     x = problem.market.initial_wealth
     if bracket is None:
@@ -355,8 +315,7 @@ def solve_c(problem: PortfolioProblem,
     power = problem.utility.exponent - 1.0
     c_star = lo * (x / (g_lo + x)) ** power
     gap(c_star)
-    return CalibrationResult(c=c_star, history=history, gap_slope=x / (power * c_star),
-                             problem=problem)
+    return CalibrationResult(c=c_star, history=history)
 
 
 @dataclass
@@ -394,7 +353,8 @@ def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
     memory correction normalized by current wealth: the history sums of the
     d/dt kernels against pi X, the memory term of the differential form.
     They come from `volterra.memory_sums` on the market's declared decays,
-    one O(M) recursion step per node, so a run costs O(N M).
+    one O(M) recursion step per node, so a run costs O(N M). Kept as acceptance-oracle
+    API (criterion 14, wealth positivity); its one src reader is `verify_optimality`.
     """
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
     b_ii, s_ii = market.b0, market.sigma0  # the kernels on the diagonal t = s

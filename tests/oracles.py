@@ -1,11 +1,11 @@
-"""Test oracles of the portfolio module that no CLI stage reads, the path
-sampler as it drew each block's normals at once, and a bundle's whole array of
-compensated jump counts.
+"""Test oracles of the portfolio module that no CLI stage reads, the closed-form
+calibration constant of the portfolio scheme, the path sampler as it drew each
+block's normals at once, and a bundle's whole array of compensated jump counts.
 
-Each was a package function or method. They are kept here, beside the tests
-that read them. `y_martingale` sums its log increments with `np.cumsum`, which
-`malliavin.running_sums` matches bit for bit; the others keep their arithmetic
-unchanged.
+Each but `calibration_reference` was a package function or method. They are
+kept here, beside the tests that read them. `y_martingale` sums its log
+increments with `np.cumsum`, which `malliavin.running_sums` matches bit for bit;
+the others keep their arithmetic unchanged.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 
 from volterra_control import ConfigurationError, PathBundle
 from volterra_control.grids import _BLOCK
-from volterra_control.portfolio import CalibrationResult, _inverse_marginal, _terminal_martingale
+from volterra_control.portfolio import _inverse_marginal, _terminal_martingale
 
 
 def y_martingale(theta: np.ndarray, paths, c: float) -> np.ndarray:
@@ -32,11 +32,21 @@ def terminal_wealth(c: float, paths, utility, theta: np.ndarray) -> np.ndarray:
     return _inverse_marginal(c, _terminal_martingale(theta, paths), utility)
 
 
-def reproducible_within(a: CalibrationResult, b: CalibrationResult,
-                        n_sigma: float = 2.0) -> bool:
-    """The two calibrated constants agree within n_sigma of their combined stderr."""
-    tol = n_sigma * math.hypot(a.stderr, b.stderr)
-    return abs(a.c - b.c) <= tol
+def calibration_reference(market, utility, grid) -> float:
+    """The c of the calibration X^_c(0) = x when the scheme's conditional expectations are
+    exact (README, "The closed-form fraction of the memory market").
+
+    With p = 1/(gamma - 1), theta_l = theta0(t_l) and r_l = b0(0, t_l)/sigma0(0, t_l) for
+    l < N, the row-0 march v_l = E_l[v_{l+1}] - r_l Z_l dt from F(c) gives X^(0) = K(c) =
+    c^p exp(-p sum theta_l^2 dt / 2) prod_l exp(p^2 theta_l^2 dt / 2) (1 - r_l p theta_l dt),
+    and c solves K(c) = x.
+    """
+    p = 1.0 / (utility.exponent - 1.0)
+    t, horizon, dt = grid.nodes[:-1], grid.horizon, grid.dt
+    theta = -market.drift_kernel(horizon, t) / market.vol_kernel(horizon, t)
+    r = market.drift_kernel(0.0, t) / market.vol_kernel(0.0, t)
+    log_k1 = np.sum((p * p - p) * theta ** 2 * dt / 2.0 + np.log1p(-r * p * theta * dt))
+    return math.exp((math.log(market.initial_wealth) - log_k1) / p)
 
 
 def sample_paths_whole_blocks(grid, jumps, n_paths: int, seed: int) -> PathBundle:

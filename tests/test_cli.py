@@ -438,16 +438,16 @@ def test_adjoint_sample_at_the_basis_floor_runs(tmp_path):
 
 
 def test_portfolio_sample_below_the_batches_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # the calibration's 8 path batches each fit a one-feature basis (dimension
-    # 4 at degree 3, 10 paths per column): 320 paths; merton-test at 320 fails
-    # its 5 % gate, so the floor runs solve-portfolio only
+    # every portfolio fit is on a one-feature basis (dimension 4 at degree 3, 10 paths
+    # per column): 40 paths; merton-test at 40 fails its 5 % gate, so the floor runs
+    # solve-portfolio only
     with monkeypatch.context() as patch:
         _refuse_sampling(patch)
         for command in ("solve-portfolio", "merton-test"):
-            assert main([command, "--paths", "319", "--out", str(tmp_path / command)]) == 2
+            assert main([command, "--paths", "39", "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
             assert "config error" in err and "monte_carlo.paths" in err
-    assert main(["solve-portfolio", "--paths", "320", "--out", str(tmp_path / "floor")]) == 0
+    assert main(["solve-portfolio", "--paths", "40", "--out", str(tmp_path / "floor")]) == 0
 
 
 def test_report_runs_all_stages(tmp_path):

@@ -30,7 +30,6 @@ from volterra_control import portfolio
 from volterra_control.portfolio import (
     MarketModel,
     PortfolioProblem,
-    _batched_gap_stderr,
     _bsvie_features,
     _initial_value,
     _kernel_ratios,
@@ -45,7 +44,7 @@ from volterra_control.portfolio import (
     verify_optimality,
 )
 
-from oracles import reproducible_within, terminal_wealth, y_martingale
+from oracles import calibration_reference, terminal_wealth, y_martingale
 
 
 @pytest.fixture(scope="module")
@@ -675,12 +674,30 @@ def test_optimal_fraction_without_memory_is_mertons(grid64, merton_market):
     assert np.all(optimal_fraction(merton_market, grid64) == 0.05 / 0.2 ** 2)
 
 
-def test_calibration_reproducibility(grid64, merton_market, log_utility):
-    a = solve_c(PortfolioProblem(merton_market, log_utility,
-                                 sample_paths(grid64, JumpModel.none(), 40_000, seed=1)))
-    b = solve_c(PortfolioProblem(merton_market, log_utility,
-                                 sample_paths(grid64, JumpModel.none(), 40_000, seed=2)))
-    assert reproducible_within(a, b)
+@pytest.fixture(scope="module")
+def calibration_paths(grid64):
+    return sample_paths(grid64, JumpModel.none(), 40_000, seed=20)
+
+
+# (decay_b, decay_sigma, utility exponent, SD of c): the SD is that of solve_c's c over
+# seeds 0-11 at N = 64, M = 4e4. Over those seeds no c lay more than 2.12 SD from the
+# closed form, and the mean of the 12 lay 1.07-1.13 standard errors of the mean above it:
+# the regression's bias is below its Monte Carlo error at this scale. The test seed, 20,
+# is not one of them, and the tolerance is 4 SD.
+@pytest.mark.parametrize("decay_b,decay_sigma,exponent,sd", [
+    pytest.param(0.0, 0.0, 0.0, 1.33e-3, id="no-memory-log"),
+    pytest.param(0.0, 0.0, 0.5, 1.39e-3, id="no-memory-power"),
+    pytest.param(1.0, 0.0, 0.0, 8.8e-4, id="drift-memory-log"),
+    pytest.param(1.0, 0.0, 0.5, 8.4e-4, id="drift-memory-power"),
+    pytest.param(0.0, 0.5, 0.0, 1.86e-3, id="vol-memory-log"),
+    pytest.param(0.0, 0.5, 0.5, 2.07e-3, id="vol-memory-power"),
+])
+def test_calibrated_c_matches_the_closed_form_of_the_scheme(calibration_paths, decay_b,
+                                                             decay_sigma, exponent, sd):
+    market = MarketModel.exponential(0.05, 0.2, decay_b=decay_b, decay_sigma=decay_sigma)
+    utility = UtilitySpec.log() if exponent == 0.0 else UtilitySpec.power(exponent)
+    c = solve_c(PortfolioProblem(market, utility, calibration_paths)).c
+    assert abs(c - calibration_reference(market, utility, calibration_paths.grid)) <= 4.0 * sd
 
 
 # --- work done on demand -----------------------------------------------------------------
@@ -697,20 +714,6 @@ def projector_builds(monkeypatch):
 
     monkeypatch.setattr(portfolio, "BackwardProjector", Counted)
     return built
-
-
-def test_calibration_stderr_is_computed_once_on_first_read(oracle_paths, log_utility,
-                                                           projector_builds):
-    market = _ORACLE_MARKETS[1].values[0]
-    sol = solve_portfolio(market, log_utility, oracle_paths)
-    assert len(projector_builds) == 1
-    first = sol.calibration.stderr
-    assert len(projector_builds) == 9
-    assert sol.calibration.stderr == first
-    assert len(projector_builds) == 9
-    direct = _batched_gap_stderr(PortfolioProblem(market, log_utility, oracle_paths), sol.c)
-    assert first == abs(direct / sol.calibration.gap_slope)
-    assert 0.0 < first < np.inf
 
 
 def _counted(calls, name, fn):
@@ -730,26 +733,16 @@ def test_solve_portfolio_builds_each_shared_object_once(oracle_paths, log_utilit
                      "_terminal_log_martingale": 1}
 
 
-def test_calibration_stderr_builds_no_second_bsvie_feature(oracle_paths, log_utility,
-                                                          monkeypatch):
-    calls = Counter()
-    monkeypatch.setattr(portfolio, "weighted_brownian_feature",
-                        _counted(calls, "feature", portfolio.weighted_brownian_feature))
-    sol = solve_portfolio(_ORACLE_MARKETS[1].values[0], log_utility, oracle_paths)
-    assert calls["feature"] == 1
-    assert 0.0 < sol.calibration.stderr < np.inf
-    assert calls["feature"] == 1
-
-
 def test_too_few_paths_for_the_batches_fail_before_any_fit(log_utility, projector_builds):
-    paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 200, seed=5)
+    # the one-feature basis has dimension 4 at degree 3, 10 paths per column: 40 paths
+    paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 39, seed=5)
     market = _ORACLE_MARKETS[1].values[0]
     for solve in (solve_portfolio, PortfolioProblem):
-        with pytest.raises(RegressionError, match=r"monte_carlo\.paths >= 320 .* got 200"):
+        with pytest.raises(RegressionError, match=r"monte_carlo\.paths >= 40 .* got 39"):
             solve(market, log_utility, paths)
     assert projector_builds == []
-    enough = sample_paths(paths.grid, JumpModel.none(), 320, seed=5)
-    assert np.isfinite(solve_portfolio(market, log_utility, enough).calibration.stderr)
+    enough = sample_paths(paths.grid, JumpModel.none(), 40, seed=5)
+    assert np.isfinite(solve_portfolio(market, log_utility, enough).c)
 
 
 @settings(max_examples=25)
@@ -766,8 +759,6 @@ def test_terminal_martingale_and_batch_slices_match_rebuilds(n, m, seed):
         cols = slice(b * width, (b + 1) * width)
         sub = paths.subset(cols.start, cols.stop)
         assert np.array_equal(whole[:, cols], _stacked(_bsvie_features(th, sub)[0].values))
-        assert np.array_equal(whole[:, cols],
-                              _stacked(feature.values.subset(cols.start, cols.stop)))
         assert np.array_equal(terminal[cols], _log_martingale_rows(th, sub)[-1])
         assert np.array_equal(np.exp(terminal)[cols], np.exp(_log_martingale_rows(th, sub)[-1]))
 
