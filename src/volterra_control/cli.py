@@ -320,10 +320,7 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
     # sample mean and p coefficients per node, each off by O(1/sqrt(M))
     grid_rms, rest_rms = rec.relative_split(brownian_square_grid_term(rec_paths))
     rest_bound = 3.0 * np.sqrt((1 + basis.dimension(1)) / rec_paths.n_paths)
-    i2 = iterated_integral(1.0, 2, rec_paths)
-    m = rec_paths.n_paths
-    iso_mean = float((i2 ** 2).mean())
-    iso_se = float((i2 ** 2).std(ddof=1) / np.sqrt(m))
+    iso_mean, iso_se = monte_carlo_estimate(iterated_integral(1.0, 2, rec_paths) ** 2)
     # E[I_2^2] on the grid: I_2 = 2 sum_{i<j} dW_i dW_j has no diagonal terms
     target = 2.0 * cfg.grid.horizon ** 2 * (1.0 - 1.0 / cfg.grid.steps)
     rows = [(name, rep.lhs, rep.rhs, rep.combined_stderr, rep.within())
@@ -443,7 +440,7 @@ def _cmd_gateaux(cfg: ExperimentConfig) -> int:
     windows = (("early", n // 16), ("middle", (n - width) // 2), ("late", n - width - n // 16))
     reports = gateaux_check(triple, field, [perturbation_window(n, start, width, alpha=1.0)
                                             for _, start in windows])
-    rows = [(name, rep.finite_difference, rep.fd_stderr, rep.adjoint_form, rep.adjoint_stderr,
+    rows = [(name, rep.lhs, rep.stderr_lhs, rep.rhs, rep.stderr_rhs,
              rep.within(GATEAUX_WINDOWS_SIGMA)) for (name, _), rep in zip(windows, reports)]
     write_csv(cfg.out_dir / "gateaux.csv",
               ("window", "fd_derivative", "fd_stderr", "adjoint_form",

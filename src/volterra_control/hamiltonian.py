@@ -24,13 +24,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import PathBundle
-from .malliavin import Feature, RegressionBasis, conditional_expectation
+from .malliavin import Feature, IdentityReport, RegressionBasis, conditional_expectation
 from .models import CoefficientModel, InfoMode, PerformanceSpec
 from .reporting import write_csv
 from .volterra import (
     StateEnsemble,
     decay_weights,
     memory_sums,
+    monte_carlo_estimate,
     noise_sums,
     performance_paths,
     simulate_integral_form,
@@ -377,31 +378,14 @@ def maximum_condition_check(triple, field, nodes: Sequence[int], v_grid,
 GATEAUX_WINDOWS_SIGMA = 3.3200752035216
 
 
-@dataclass
-class GateauxReport:
-    """Two independent estimates of the directional derivative of J."""
-
-    finite_difference: float
-    fd_stderr: float
-    adjoint_form: float
-    adjoint_stderr: float
-
-    @property
-    def gap(self) -> float:
-        return self.finite_difference - self.adjoint_form
-
-    @property
-    def combined_stderr(self) -> float:
-        return math.hypot(self.fd_stderr, self.adjoint_stderr)
-
-    def within(self, n_sigma: float = 3.0) -> bool:
-        return abs(self.gap) <= n_sigma * max(self.combined_stderr, 1e-300)
+# The step of the central difference dJ/d(lambda) = (J(+lambda) - J(-lambda)) / 2 lambda.
+GATEAUX_STEP = 1e-3
 
 
-def gateaux_check(triple, field, betas: Sequence, lam: float = 1e-3,
-                  simulate=simulate_integral_form) -> list[GateauxReport]:
-    """Compare dJ/d(lambda) by finite differences against E[int dH/du beta dt], one
-    report per direction beta in `betas`.
+def gateaux_check(triple, field, betas: Sequence,
+                  simulate=simulate_integral_form) -> list[IdentityReport]:
+    """Compare dJ/d(lambda) by finite differences (`lhs`) against E[int dH/du beta dt]
+    (`rhs`), one report per direction beta in `betas`.
 
     Both sides run on the triple's path bundle (common random numbers). The
     adjoint form reads each node's dH/du once, for every direction.
@@ -414,18 +398,15 @@ def gateaux_check(triple, field, betas: Sequence, lam: float = 1e-3,
         return performance_paths(triple.spec, run)
 
     betas = [np.asarray(beta, dtype=float) for beta in betas]   # (N,) or per path (N, M)
-    fd_paths = [(performance(b, +lam) - performance(b, -lam)) / (2.0 * lam) for b in betas]
+    fd_paths = [(performance(b, +GATEAUX_STEP) - performance(b, -GATEAUX_STEP))
+                / (2.0 * GATEAUX_STEP) for b in betas]
     adj_paths = [np.zeros(m) for _ in betas]
     for i in range(n):
         grad, _ = control_gradient(triple, field, i)
         for adj, beta in zip(adj_paths, betas):
             adj += grad * beta[i] * dt
-    return [GateauxReport(
-        finite_difference=float(fd.mean()),
-        fd_stderr=float(fd.std(ddof=1) / math.sqrt(m)),
-        adjoint_form=float(adj.mean()),
-        adjoint_stderr=float(adj.std(ddof=1) / math.sqrt(m)),
-    ) for fd, adj in zip(fd_paths, adj_paths)]
+    return [IdentityReport(*monte_carlo_estimate(fd), *monte_carlo_estimate(adj))
+            for fd, adj in zip(fd_paths, adj_paths)]
 
 
 @dataclass

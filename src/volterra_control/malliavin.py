@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, RegressionError
 from .grids import PathBundle, compensated_jump_sum
 from .models import ControlProcess, InfoMode
-from .volterra import noise_sums
+from .volterra import monte_carlo_estimate, noise_sums
 
 # A path functional maps a PathBundle to one scalar per path, and must be
 # re-evaluable on perturbed copies of the bundle.
@@ -534,10 +534,14 @@ def conditional_expectation(values: np.ndarray, node: int, paths: PathBundle,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DualityReport:
+class IdentityReport:
+    """Two Monte Carlo estimates of the sides of one identity, each with its standard
+    error (`volterra.monte_carlo_estimate`). A degenerate report, whose sides vanish
+    identically, always holds."""
+
     lhs: float
-    rhs: float
     stderr_lhs: float
+    rhs: float
     stderr_rhs: float
     degenerate: bool = False
 
@@ -555,14 +559,8 @@ class DualityReport:
         return abs(self.gap) <= n_sigma * max(self.combined_stderr, 1e-300)
 
 
-def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
-    m = len(x)
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-
-
 def check_duality_brownian(functional: PathFunctional, u, paths: PathBundle,
-                           basis: RegressionBasis | None = None,
-                           features: Sequence[Feature] | None = None) -> DualityReport:
+                           basis: RegressionBasis | None = None) -> IdentityReport:
     """Monte Carlo check of E[F int u dB] = E[int E[D_t F|F_t] u(t) dt].
 
     `u` is an adapted integrand: an array of shape (N,) or (N, M), or a
@@ -574,29 +572,24 @@ def check_duality_brownian(functional: PathFunctional, u, paths: PathBundle,
     f_vals = np.asarray(functional(paths), dtype=float)
     lhs_path = f_vals * np.einsum("im,im->m", u_arr, paths.dW)
     rhs_path = np.zeros(m)
-    feats = list(features) if features is not None else default_features(paths)
-    basis = basis or RegressionBasis()
     for i in range(n):
-        deriv = d_brownian(functional, paths, i)
-        proj = NodeRegression(feats, i, basis, retain_design=True).fit(deriv)
+        proj = conditional_expectation(d_brownian(functional, paths, i), i, paths, basis)
         rhs_path += proj * u_arr[i] * dt
-    lhs, se_l = _mean_stderr(lhs_path)
-    rhs, se_r = _mean_stderr(rhs_path)
-    return DualityReport(lhs, rhs, se_l, se_r)
+    return IdentityReport(*monte_carlo_estimate(lhs_path), *monte_carlo_estimate(rhs_path))
 
 
 def check_duality_jump(functional: PathFunctional, psi, paths: PathBundle,
-                       basis: RegressionBasis | None = None,
-                       features: Sequence[Feature] | None = None) -> DualityReport:
+                       basis: RegressionBasis | None = None) -> IdentityReport:
     """Jump analogue: E[F int int Psi dN~] = E[int int Psi E[D_{t,z}F|F_t] nu(dz) dt].
 
     `psi` is adapted and mark-indexed: (N, K), (N, M, K), or callable. With
     zero jump intensity both sides vanish; the report is flagged degenerate.
+    Each node's regression is built once and fits all K marks.
     """
     jumps = paths.jumps
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
     if not jumps.active:
-        return DualityReport(0.0, 0.0, 0.0, 0.0, degenerate=True)
+        return IdentityReport(0.0, 0.0, 0.0, 0.0, degenerate=True)
     k = jumps.n_marks
     psi_arr = np.asarray(psi(paths) if callable(psi) else psi, dtype=float)
     if psi_arr.ndim == 2:
@@ -605,7 +598,7 @@ def check_duality_jump(functional: PathFunctional, psi, paths: PathBundle,
     f_vals = np.asarray(functional(paths), dtype=float)
     lhs_path = f_vals * compensated_jump_sum(paths, psi_arr)
     rhs_path = np.zeros(m)
-    feats = list(features) if features is not None else default_features(paths)
+    feats = default_features(paths)
     basis = basis or RegressionBasis()
     weights = jumps.intensity * jumps.weight_array * dt
     for i in range(n):
@@ -618,9 +611,7 @@ def check_duality_jump(functional: PathFunctional, psi, paths: PathBundle,
             if not np.all(np.isfinite(deriv)):
                 raise ValueError(f"functional is not finite with an extra jump at node {i}")
             rhs_path += reg.fit(deriv) * psi_arr[i, :, kk] * weights[kk]
-    lhs, se_l = _mean_stderr(lhs_path)
-    rhs, se_r = _mean_stderr(rhs_path)
-    return DualityReport(lhs, rhs, se_l, se_r)
+    return IdentityReport(*monte_carlo_estimate(lhs_path), *monte_carlo_estimate(rhs_path))
 
 
 @dataclass
@@ -648,9 +639,7 @@ def brownian_square_grid_term(paths: PathBundle) -> np.ndarray:
 
 
 def clark_ocone_reconstruct(functional: PathFunctional, paths: PathBundle,
-                            basis: RegressionBasis | None = None,
-                            features: Sequence[Feature] | None = None
-                            ) -> ReconstructionReport:
+                            basis: RegressionBasis | None = None) -> ReconstructionReport:
     """Reconstruct F from its predictable projection integrand.
 
     residual_m = F_m - mean(F) - sum_i E[D_{t_i}F | F_{t_i}]_m dW_i^m, with
@@ -659,15 +648,11 @@ def clark_ocone_reconstruct(functional: PathFunctional, paths: PathBundle,
     """
     if paths.jumps.active:
         raise ConfigurationError("reconstruction check requires a Brownian-only bundle")
-    n, m = paths.n_steps, paths.n_paths
     f_vals = np.asarray(functional(paths), dtype=float)
     resid = f_vals - f_vals.mean()
-    feats = list(features) if features is not None else default_features(paths)
-    basis = basis or RegressionBasis()
-    for i in range(n):
-        integrand = NodeRegression(feats, i, basis, retain_design=True).fit(
-            d_brownian(functional, paths, i))
-        resid -= integrand * paths.dW[i]
+    for i in range(paths.n_steps):
+        resid -= conditional_expectation(d_brownian(functional, paths, i), i, paths,
+                                         basis) * paths.dW[i]
     sd = f_vals.std()
     if sd == 0.0:
         return ReconstructionReport(resid, 0.0, degenerate=True)

@@ -35,7 +35,7 @@ from .malliavin import (
 )
 from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
 from .reporting import write_csv
-from .volterra import StateEnsemble, _control_grid, memory_sums
+from .volterra import StateEnsemble, _control_grid, memory_sums, monte_carlo_estimate
 
 
 @dataclass(frozen=True)
@@ -417,8 +417,6 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
     wealth of each run is kept, so one run and one shifted control are held at a time.
     The first-order condition is `hamiltonian.check_stationarity`'s.
     """
-    m = paths.n_paths
-
     def j_paths(ctrl: ControlProcess) -> np.ndarray:
         terminal = simulate_wealth_positive(market, ctrl, paths).terminal
         return np.asarray(utility.u(terminal), dtype=float)
@@ -427,18 +425,9 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
     comparisons = []
     for delta in sorted({s for mag in shifts for s in (+abs(mag), -abs(mag))}):
         j_shift = j_paths(control.shifted(delta))
-        gap_paths = j_base_paths - j_shift
-        comparisons.append((
-            float(delta),
-            float(j_shift.mean()),
-            float(gap_paths.mean()),
-            float(gap_paths.std(ddof=1) / math.sqrt(m)),
-        ))
-    return OptimalityReport(
-        j_candidate=float(j_base_paths.mean()),
-        j_candidate_stderr=float(j_base_paths.std(ddof=1) / math.sqrt(m)),
-        comparisons=comparisons,
-    )
+        comparisons.append((float(delta), float(j_shift.mean()),
+                            *monte_carlo_estimate(j_base_paths - j_shift)))
+    return OptimalityReport(*monte_carlo_estimate(j_base_paths), comparisons)
 
 
 def export_portfolio_csvs(out_dir, solution: PortfolioSolution, grid: TimeGrid) -> None:

@@ -389,10 +389,10 @@ def test_memory_state_driver_satisfies_gateaux_identity():
         triple, field = solve_general(model, spec, states, features=feats)
         beta = perturbation_window(n, n // 4, n // 4, alpha=1.0)
         (rep,) = gateaux_check(triple, field, [beta])
-        gaps[n] = abs(rep.gap / rep.finite_difference)
+        gaps[n] = abs(rep.gap / rep.lhs)
         if n == 32:
-            assert abs(rep.finite_difference) > 5.0 * rep.fd_stderr
-            assert rep.within(3.0), (rep.finite_difference, rep.adjoint_form,
+            assert abs(rep.lhs) > 5.0 * rep.stderr_lhs
+            assert rep.within(3.0), (rep.lhs, rep.rhs,
                                      rep.combined_stderr)
     assert gaps[32] <= gaps[16] / 1.2, gaps
 

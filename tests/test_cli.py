@@ -8,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_control import cli
+from volterra_control import cli, reporting
 from volterra_control.cli import _DEFAULTS, _SUBCOMMANDS, ExperimentConfig, main
 from volterra_control.errors import ConfigurationError, RegressionError
 from volterra_control.reporting import write_manifest
@@ -109,6 +109,7 @@ _STAGE_READING = {
     ("noise", {"intensity": 1.0, "marks": [-1.0, 1.0], "weights": [1.5, -0.5]}, "noise.weights"),
     ("noise", {"intensity": 1.0, "marks": [-1.0, 0.0], "weights": [0.5, 0.5]}, "noise.marks"),
     ("grid", {"horizon": float("inf")}, "grid.horizon"),
+    ("model", {"params": {"b1": 0.1}}, "'b1'"),
 ])
 def test_malformed_field_is_a_config_error_naming_it(tmp_path, capsys, section, values, field):
     # a value of the wrong type or outside its domain exits 2 without a
@@ -560,6 +561,19 @@ def test_module_error_surfaces_as_nonzero_exit(tmp_path, capsys):
     assert "config error" not in err
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(reporting.os, "replace", refuse)
+    for write, payload in ((reporting.write_csv, (("a",), [(1.0,)])),
+                           (reporting.write_manifest, ({"a": 1},))):
+        target = tmp_path / f"{write.__name__}.out"
+        with pytest.raises(OSError, match=write.__name__):
+            write(target, *payload)
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_section_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys):
     # a bare `grid:` line loads as grid: None
     path = tmp_path / "config.yaml"
@@ -572,6 +586,12 @@ def test_section_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys):
     path.write_text("solver: [3, 1.0e-8]\n")
     with pytest.raises(ConfigurationError, match="'solver'"):
         ExperimentConfig.load(str(path))
+    # nor may the root
+    path.write_text("- grid\n- monte_carlo\n")
+    with pytest.raises(ConfigurationError, match="config root must be a mapping.*list"):
+        ExperimentConfig.load(str(path))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config root must be a mapping" in capsys.readouterr().err
 
 
 _NUMBERS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from volterra_control import (
     compensated_jump_integral,
     sample_paths,
 )
+from volterra_control.volterra import monte_carlo_estimate
 
 from oracles import compensated_counts, sample_paths_whole_blocks
 
@@ -238,6 +241,16 @@ def test_view_rows_match_materialized_arrays_in_any_order():
         assert np.array_equal(view.increments_at(node + 1)[1], compensated_counts(p)[node + 1])
 
 
+def test_mark_index_and_path_range_out_of_bounds_are_refused(jump_paths64_small):
+    p = jump_paths64_small
+    for mark in (-1, p.jumps.n_marks):
+        with pytest.raises(ConfigurationError, match=f"mark index {mark} out of range"):
+            p.with_extra_jump(3, mark)
+    for start, stop in ((5, 5), (-1, 3), (0, p.n_paths + 1)):
+        with pytest.raises(ConfigurationError, match=re.escape(f"[{start}, {stop})")):
+            p.subset(start, stop)
+
+
 def test_views_read_their_sizes_and_rows_from_the_parent(no_dense_counts):
     # a view's sizes come from its parent: reading them, or a row, neither copies
     # the Brownian view's dW nor builds the parent's dense counts
@@ -342,5 +355,5 @@ def test_jump_integral_no_jumps(paths64_small):
 def test_jump_integral_martingale(grid64, marks_pm1):
     paths = sample_paths(grid64, marks_pm1, 100_000, seed=11)
     out = compensated_jump_integral(paths, lambda t, z: z + 0.0 * t)
-    se = out.std(ddof=1) / np.sqrt(len(out))
+    _, se = monte_carlo_estimate(out)
     assert abs(out.mean()) <= 3.0 * se

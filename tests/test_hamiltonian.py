@@ -424,8 +424,8 @@ def test_gateaux_zero_direction(paths64_small):
     states = simulate_integral_form(model, control, paths64_small)
     triple, field = solve_general(model, spec, states, features=[state_feature(states.values)])
     (rep,) = gateaux_check(triple, field, [np.zeros(64)])
-    assert rep.finite_difference == pytest.approx(0.0, abs=1e-12)
-    assert rep.adjoint_form == pytest.approx(0.0, abs=1e-12)
+    assert rep.lhs == pytest.approx(0.0, abs=1e-12)
+    assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gateaux_memory_kernel_agreement(grid32):
@@ -439,9 +439,9 @@ def test_gateaux_memory_kernel_agreement(grid32):
     triple, field = solve_explicit_x_independent(model, spec, states)
     beta = perturbation_window(32, 10, 6, alpha=1.0)
     (rep,) = gateaux_check(triple, field, [beta])
-    assert rep.within(3.0), (rep.finite_difference, rep.adjoint_form,
+    assert rep.within(3.0), (rep.lhs, rep.rhs,
                              rep.combined_stderr)
-    assert abs(rep.finite_difference) > 5.0 * rep.fd_stderr  # informative signal
+    assert abs(rep.lhs) > 5.0 * rep.stderr_lhs  # informative signal
 
 
 def test_gateaux_windows_share_each_node_gradient(monkeypatch):
@@ -491,7 +491,7 @@ def test_gateaux_window_moved_by_six_standard_errors_fails(grid32):
         assert rep.within(n_sigma)
         for sign in (1.0, -1.0):
             moved = dataclasses.replace(
-                rep, adjoint_form=rep.finite_difference + sign * 6.0 * rep.combined_stderr)
+                rep, rhs=rep.lhs + sign * 6.0 * rep.combined_stderr)
             assert not moved.within(n_sigma)
 
 

@@ -35,6 +35,7 @@ from volterra_control.malliavin import (
     weighted_brownian_feature,
 )
 from volterra_control.models import InfoMode
+from volterra_control.volterra import monte_carlo_estimate
 
 
 # --- Brownian derivative -----------------------------------------------------
@@ -588,26 +589,25 @@ def test_second_order_identity_and_mean(paths64_desk):
     i2 = iterated_integral(1.0, 2, paths64_desk)
     direct = paths64_desk.brownian[-1] ** 2 - (paths64_desk.dW ** 2).sum(axis=0)
     assert np.allclose(i2, direct, atol=1e-10)
-    se = i2.std(ddof=1) / np.sqrt(paths64_desk.n_paths)
+    _, se = monte_carlo_estimate(i2)
     assert abs(i2.mean()) <= 3.0 * se
 
 
 def test_second_order_isometry(paths64_desk):
     i2 = iterated_integral(1.0, 2, paths64_desk)
     sq = i2 ** 2
-    se = sq.std(ddof=1) / np.sqrt(len(sq))
+    _, se = monte_carlo_estimate(sq)
     # grid value: I_2 = 2 sum_{i<j} dW_i dW_j has no diagonal, E[I_2^2] = 2T^2 (1 - 1/N)
     assert abs(sq.mean() - 2.0 * (1.0 - 1.0 / 64)) <= 3.0 * se
 
 
 def test_third_order_integral_moments(paths64_small):
     i3 = iterated_integral(1.0, 3, paths64_small)
-    m = len(i3)
-    se = i3.std(ddof=1) / np.sqrt(m)
+    _, se = monte_carlo_estimate(i3)
     assert abs(i3.mean()) <= 3.0 * se
     # E[I3(1)^2] = 3! ||1||^2 = 6 T^3 up to the discrete diagonal deficit
     sq = i3 ** 2
-    se2 = sq.std(ddof=1) / np.sqrt(m)
+    _, se2 = monte_carlo_estimate(sq)
     assert abs(sq.mean() - 6.0) <= 3.0 * se2 + 6.0 * 3.0 / 64.0
 
 

@@ -263,6 +263,10 @@ def test_per_path_control_validation():
     assert np.allclose(c.at(2), 0.5)
     with pytest.raises(ConfigurationError):
         ControlProcess.per_path(np.full((4, 3), 2.0), bounds=(0.0, 1.0))
+    with pytest.raises(ConfigurationError, match=r"per-path control needs a \(steps, paths\)"):
+        ControlProcess.per_path(np.full(4, 0.5))
+    with pytest.raises(ConfigurationError, match=r"deterministic control needs a \(steps,\)"):
+        ControlProcess.deterministic(vals)
 
 
 @pytest.mark.parametrize("make", [

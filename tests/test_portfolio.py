@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -43,6 +44,7 @@ from volterra_control.portfolio import (
     theta0,
     verify_optimality,
 )
+from volterra_control.volterra import monte_carlo_estimate
 
 from oracles import calibration_reference, terminal_wealth, y_martingale
 
@@ -123,7 +125,7 @@ def test_martingale_unit_mean(grid64, paths64_desk):
     y = y_martingale(th, paths64_desk, c=1.0)
     assert np.all(y > 0.0)
     terminal = y[-1]
-    se = terminal.std(ddof=1) / np.sqrt(len(terminal))
+    _, se = monte_carlo_estimate(terminal)
     assert abs(terminal.mean() - 1.0) <= 3.0 * se
 
 
@@ -508,8 +510,13 @@ def test_solve_c_power_utility_brute_force(grid64, paths64_small):
 
 
 def test_solve_c_invalid_bracket(grid64, paths64_small, merton_market, log_utility):
+    problem = PortfolioProblem(merton_market, log_utility, paths64_small)
     with pytest.raises(CalibrationError, match="bracket"):
-        solve_c(PortfolioProblem(merton_market, log_utility, paths64_small), bracket=(5.0, 50.0))
+        solve_c(problem, bracket=(5.0, 50.0))
+    # a bracket that is not increasing and positive is refused before any march
+    for bracket in ((5.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(ConfigurationError, match=re.escape(f"invalid bracket {bracket}")):
+            solve_c(problem, bracket=bracket)
 
 
 # --- recovered fractions ----------------------------------------------------------------
@@ -547,8 +554,7 @@ def test_wealth_zero_fraction_stays_at_initial(paths64_small, merton_market):
 def test_wealth_constant_kernels_gbm_moment(paths64_desk, merton_market):
     st = simulate_wealth_positive(merton_market, ControlProcess.constant(1.0),
                                   paths64_desk)
-    m = paths64_desk.n_paths
-    se = st.terminal.std(ddof=1) / np.sqrt(m)
+    _, se = monte_carlo_estimate(st.terminal)
     assert abs(st.terminal.mean() - np.exp(0.05)) <= 3.0 * se + 2e-4
     assert np.all(st.values > 0.0)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from volterra_control import (
 from volterra_control import volterra
 from volterra_control.volterra import (
     export_trajectory_csv,
+    monte_carlo_estimate,
     noise_sums,
     performance_paths,
     simulate_summary,
@@ -65,9 +67,8 @@ def test_gbm_terminal_moment(paths64_desk):
     model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
     ctrl = ControlProcess.constant(1.0)
     st = simulate_integral_form(model, ctrl, paths64_desk)
-    m = paths64_desk.n_paths
     target = np.exp(0.05)
-    se = st.terminal.std(ddof=1) / np.sqrt(m)
+    _, se = monte_carlo_estimate(st.terminal)
     # Euler weak error at N=64 is far below the Monte Carlo band here
     assert abs(st.terminal.mean() - target) <= 3.0 * se + 2e-4
 
@@ -111,6 +112,14 @@ def test_performance_trivial_cases(paths64_small):
         st)
     assert est == pytest.approx(1.0, abs=1e-12)  # Riemann sum of 1 over [0, T]
     assert se == pytest.approx(0.0, abs=1e-12)
+
+
+def test_monte_carlo_estimate_is_the_mean_and_its_standard_error():
+    # sample variance of 1..4 is 5/3, so the standard error is sqrt(5/12)
+    est, se = monte_carlo_estimate(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert est == 2.5 and se == pytest.approx(math.sqrt(5.0 / 12.0), rel=1e-15)
+    # one path has no spread to estimate: the standard error is 0, not NaN
+    assert monte_carlo_estimate(np.array([3.0])) == (3.0, 0.0)
 
 
 def test_log_gbm_performance_oracle(paths64_desk):
