@@ -184,7 +184,8 @@ def predicted_terminal_feature(model, control: ControlProcess,
     because the remaining increments are independent of F_{t_i}.
     """
     if not model.x_independent:
-        raise ConfigurationError("predicted terminal feature needs an x-independent model")
+        raise ConfigurationError(
+            f"predicted terminal feature needs an x-independent model, got {model.name!r}")
     n, m, jumps = paths.n_steps, paths.n_paths, paths.jumps
     t = paths.grid.nodes
     u = control.open_loop_grid(n, m)
@@ -401,7 +402,7 @@ class NodeRegression:
         as for a zero-mean martingale feature; the powers stop at the highest kept one.
         """
         if len(self.features) != 1:
-            raise ConfigurationError("Horner evaluation needs a one-feature regression")
+            raise ConfigurationError(f"Horner's rule needs one feature, got {len(self.features)}")
         coef = np.asarray(coef, dtype=float)
         scaled = coef / self.col_scale.reshape((-1,) + (1,) * (coef.ndim - 1))
         power = np.zeros((self.exponents[self.keep[-1]][0] + 1,) + coef.shape[1:])

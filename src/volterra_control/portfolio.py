@@ -7,10 +7,11 @@ linear Volterra wealth equation, whose memory sums the wealth simulator
 carries as one-step recursions (`volterra.memory_sums`). The optimal
 terminal wealth for a concave utility is the inverse marginal utility of c
 times an exponential martingale whose loading is
-theta0(t) = -b0(T,t)/sigma0(T,t); the constant c, read exactly off one row-0
-march (linear in the terminal wealth), makes the backward stochastic Volterra
-equation closed by that terminal wealth reproduce the initial capital, and the
-optimal fraction is read off the diagonal of the BSVIE integrand. Every
+theta0(t) = -b0(T,t)/sigma0(T,t). One backward stochastic Volterra equation
+(BSVIE) march, closed by the terminal wealth at a reference constant, gives
+both: the constant c that reproduces the initial capital is read exactly off
+its row 0 (the march is linear in the terminal wealth), and the optimal
+fraction, which does not depend on c, off the diagonal of its integrand. Every
 backward march runs on coefficients through `malliavin.BackwardProjector`.
 """
 
@@ -55,7 +56,7 @@ class MarketModel:
 
     def __post_init__(self):
         if self.vol_floor <= 0.0:
-            raise ConfigurationError("volatility floor must be positive")
+            raise ConfigurationError(f"volatility floor must be positive, got {self.vol_floor}")
         if self.initial_wealth <= 0.0:
             raise ConfigurationError("initial wealth must be positive")
 
@@ -101,7 +102,7 @@ def theta0(market: MarketModel, grid: TimeGrid) -> np.ndarray:
     """Exponential-martingale loading theta0(t_i) = -b0(T,t_i)/sigma0(T,t_i)."""
     vol = market.vol_kernel(grid.horizon, grid.nodes)
     if float(vol.min()) < market.vol_floor:
-        raise ConfigurationError("volatility kernel below floor at the horizon slice")
+        raise ConfigurationError(f"volatility kernel below floor {market.vol_floor} at the horizon")
     return -market.drift_kernel(grid.horizon, grid.nodes) / vol
 
 
@@ -158,8 +159,8 @@ def path_floor(basis: RegressionBasis) -> int:
 class PortfolioProblem:
     """What the calibration and the BSVIE rows share, built once in this order: the market
     is validated on the grid, a bundle below `path_floor` is refused before any fit, then
-    the loading `theta`, the BSVIE `feature` with its `projector`, the unit-start
-    martingale's terminal values `martingale` and row 0's kernel `ratios0`."""
+    the loading `theta`, the BSVIE `feature` with its `projector` and the unit-start
+    martingale's terminal values `martingale`."""
 
     def __init__(self, market: MarketModel, utility: UtilitySpec, paths: PathBundle,
                  basis: RegressionBasis | None = None):
@@ -176,8 +177,6 @@ class PortfolioProblem:
         (self.feature,) = _bsvie_features(self.theta, paths)
         self.projector = BackwardProjector([self.feature], paths, basis)
         self.martingale = _terminal_martingale(self.theta, paths)
-        self.ratios0 = _kernel_ratios(market, paths.grid.nodes[0],
-                                      paths.grid.nodes[:paths.n_steps])
 
     def terminal(self, c: float) -> np.ndarray:
         """Terminal wealth F(c) = (u')^{-1}(c M_T) on the paths."""
@@ -196,7 +195,7 @@ class BsvieSolution:
     (N+1, M) or (N, M) array of a field is held.
     """
 
-    c: float
+    c: float                      # the c the march was closed by
     terminal: np.ndarray          # F(c), (M,)
     regs: list                    # (N,) node regressions of the march
     x_coef: list                  # (N,) coefficients of X^(t_j)
@@ -275,47 +274,29 @@ class CalibrationResult:
     history: list  # (c, gap) per evaluation
 
 
-def _initial_value(projector: BackwardProjector, terminal: np.ndarray,
-                   ratios: np.ndarray) -> float:
-    """mean(X^(0)) of the row-0 march."""
-    _, _, c = projector.march(projector.terminal_moments(terminal), ratios, 0)
-    return float(projector.regs[0].design().mean(axis=0) @ c[0])
+def solve_c(problem: PortfolioProblem, fields: BsvieSolution) -> CalibrationResult:
+    """The exact root c of X^_c(0) = initial wealth, read off row 0 of `fields`.
 
-
-def solve_c(problem: PortfolioProblem,
-            bracket: tuple[float, float] | None = None) -> CalibrationResult:
-    """The exact root c of X^_c(0) = initial wealth on the path bundle.
-
-    The row-0 march is linear in its terminal value, and a registered utility of
-    exponent gamma has F(c) = c^{1/(gamma-1)} F(1) (`UtilitySpec`), so the gap at the
-    bracket's lower end gives c = lo (x / X^_lo(0))^(gamma-1). The bracket must satisfy
-    X^_lo(0) > x > X^_hi(0); `history` holds the gaps at (lo, hi, c), the last one
-    round-off.
+    The march is linear in its terminal value, and a registered utility of exponent gamma
+    has F(c) = c^{1/(gamma-1)} F(1) (`UtilitySpec`), so the march closed by F(c_f) at
+    c_f = `fields.c` gives X^_c(0) = (c/c_f)^{1/(gamma-1)} X^_{c_f}(0). `history` holds
+    the gaps X^_c(0) - x at (lo, hi, c), lo = 1e-3 c_f and hi = 1e3 c_f, which must
+    straddle 0, and the root c = c_f (x / X^_{c_f}(0))^(gamma-1), its gap round-off.
     """
-    x = problem.market.initial_wealth
-    if bracket is None:
-        mstar = float(problem.utility.u_prime(x))
-        bracket = (1e-3 * mstar, 1e3 * mstar)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise ConfigurationError(f"invalid bracket {bracket}")
-    history: list = []
-
-    def gap(c: float) -> float:
-        g = _initial_value(problem.projector, problem.terminal(c), problem.ratios0) - x
-        history.append((c, g))
-        return g
-
-    g_lo, g_hi = gap(lo), gap(hi)
-    if not (g_lo > 0.0 > g_hi):
-        raise CalibrationError(
-            f"bracket does not straddle the root: gap({lo:.6g}) = {g_lo:.6g}, "
-            f"gap({hi:.6g}) = {g_hi:.6g}"
-        )
+    x, c_f = problem.market.initial_wealth, fields.c
     power = problem.utility.exponent - 1.0
-    c_star = lo * (x / (g_lo + x)) ** power
-    gap(c_star)
-    return CalibrationResult(c=c_star, history=history)
+    v0 = float(fields.regs[0].design().mean(axis=0) @ fields.x_coef[0])
+
+    def gap(c: float) -> tuple[float, float]:
+        return c, (c / c_f) ** (1.0 / power) * v0 - x
+
+    history = [gap(1e-3 * c_f), gap(1e3 * c_f)]
+    (lo, g_lo), (hi, g_hi) = history
+    if not (g_lo > 0.0 > g_hi):
+        raise CalibrationError(f"bracket does not straddle the root: gap({lo:.6g}) = "
+                               f"{g_lo:.6g}, gap({hi:.6g}) = {g_hi:.6g}")
+    history.append(gap(c_f * (x / v0) ** power))
+    return CalibrationResult(c=history[-1][0], history=history)
 
 
 @dataclass
@@ -380,14 +361,15 @@ def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
 
 def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle,
                     basis: RegressionBasis | None = None) -> PortfolioSolution:
-    """Full construction: the problem, its calibration, BSVIE fields and fraction statistics.
+    """Full construction: the problem, its BSVIE fields, calibration and fraction statistics.
 
-    One `PortfolioProblem` serves the calibration and the BSVIE. Each node's fractions
-    are formed once, for their mean and spread, and dropped.
+    One BSVIE march, closed by F(u'(x)), serves the calibration and the fractions, which
+    do not depend on c. Each node's fractions are formed once, for their mean and
+    spread, and dropped.
     """
     problem = PortfolioProblem(market, utility, paths, basis)
-    calibration = solve_c(problem)
-    fields = bsvie_solve(problem, calibration.c)
+    fields = bsvie_solve(problem, float(utility.u_prime(market.initial_wealth)))
+    calibration = solve_c(problem, fields)
     stats = np.array([(pi.mean(), pi.std(ddof=1))
                       for pi in map(fields.fraction, range(paths.n_steps))])
     return PortfolioSolution(problem=problem, calibration=calibration, bsvie=fields,

@@ -1,10 +1,10 @@
 """Test oracles of the portfolio module that no CLI stage reads, the closed-form
-calibration constant of the portfolio scheme, the path sampler as it drew each
-block's normals at once, and a bundle's whole array of compensated jump counts.
+calibration constant and fractions of the portfolio scheme, the path sampler as it
+drew each block's normals at once, and a bundle's whole array of compensated jump counts.
 
-Each but `calibration_reference` was a package function or method. They are
-kept here, beside the tests that read them. `y_martingale` sums its log
-increments with `np.cumsum`, which `malliavin.running_sums` matches bit for bit;
+Each but `calibration_reference` and `fraction_reference` was a package function or
+method. They are kept here, beside the tests that read them. `y_martingale` sums its
+log increments with `np.cumsum`, which `malliavin.running_sums` matches bit for bit;
 the others keep their arithmetic unchanged.
 """
 
@@ -47,6 +47,24 @@ def calibration_reference(market, utility, grid) -> float:
     r = market.drift_kernel(0.0, t) / market.vol_kernel(0.0, t)
     log_k1 = np.sum((p * p - p) * theta ** 2 * dt / 2.0 + np.log1p(-r * p * theta * dt))
     return math.exp((math.log(market.initial_wealth) - log_k1) / p)
+
+
+def fraction_reference(market, utility, grid) -> np.ndarray:
+    """The fractions of the portfolio scheme at the nodes t_j < T, (N,), when its
+    conditional expectations are exact (README, "The closed-form fraction of the memory
+    market").
+
+    Row j's march from F(c) has v_l = K_l exp(p S_l) and Z_l = p theta_l K_{l+1}
+    exp(p S_l) exp(p^2 theta_l^2 dt / 2), so on the diagonal Z^/X^ = p theta_j /
+    (1 - r_jj p theta_j dt), free of c, with r_jj = b0(t_j, t_j)/sigma0(t_j, t_j); the
+    fraction divides it by sigma0(t_j, t_j).
+    """
+    p = 1.0 / (utility.exponent - 1.0)
+    t, horizon, dt = grid.nodes[:-1], grid.horizon, grid.dt
+    theta = -market.drift_kernel(horizon, t) / market.vol_kernel(horizon, t)
+    vol = market.vol_kernel(t, t)
+    r = market.drift_kernel(t, t) / vol
+    return p * theta / ((1.0 - r * p * theta * dt) * vol)
 
 
 def sample_paths_whole_blocks(grid, jumps, n_paths: int, seed: int) -> PathBundle:

@@ -1052,3 +1052,17 @@ def test_drift_forward_sums_follow_the_recursion(memory_jump_setup):
         want = decay_weights(t, i, lam) @ triple.p[i + 1:]
         got = triple.p_sums(i, lam)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(triple.p).max() * (paths.n_steps - i))
+
+
+def test_brownian_blocks_of_an_unrecorded_reverse_path_run_are_refused():
+    # a jump-free open-loop model with declared decays takes the reverse sweep, so its
+    # feature is built from a run made without a record; a Brownian block restarts it
+    from volterra_control.adjoint import simulated_state_feature
+
+    model = _exp_model()
+    paths = sample_paths(TimeGrid(1.0, 4), JumpModel.none(), 100, seed=3)
+    states = simulate_integral_form(model, ControlProcess.constant(0.7), paths)
+    feature = simulated_state_feature(model, states)
+    assert feature.reverse_sweep is not None
+    with pytest.raises(ConfigurationError, match="record=True"):
+        feature.brownian_sensitivity(1)

@@ -4,10 +4,15 @@ A renamed config field, subcommand or desk workload fails here rather than
 only when CI runs the table.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from cli_runs import RUNS
-from workloads import WORKLOADS
+from cli_runs import ROOT, RUNS
+from workloads import WORKLOADS, stage_dir
 
 from volterra_control.cli import _SUBCOMMANDS, ExperimentConfig
 
@@ -29,3 +34,24 @@ def test_cli_run_resolves(run, tmp_path):
     assert cfg.seed == run.seed
     # the sections that the stages resolve later, model parameters included
     cfg.model(), cfg.performance(), cfg.control(), cfg.utility(), cfg.market()
+
+
+def test_solve_portfolio_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The portfolio's regressions have p = 4, where OpenBLAS sums over paths in one
+    # order whatever its thread count. `check-stationarity` and `solve-adjoint` still
+    # write different bytes under 1 and 2 threads (ROADMAP, Fix first, item 3).
+    workload = WORKLOADS["portfolio_memory"]
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps(workload.config) + "\n", encoding="utf-8")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "volterra_control.cli", "solve-portfolio",
+                        "--config", str(config), "--seed", str(workload.default_seed),
+                        "--paths", "50000", "--out", str(out / stage_dir("solve-portfolio"))],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out / stage_dir("solve-portfolio"))
+    for name in ("strategy.csv", "calibration.csv"):
+        one, two = ((out / name).read_bytes() for out in outs)
+        assert one == two, name

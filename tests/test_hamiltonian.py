@@ -9,7 +9,6 @@ from volterra_control import (
     ControlProcess,
     JumpModel,
     PerformanceSpec,
-    RegressionBasis,
     TimeGrid,
     UtilitySpec,
     registry_get,
@@ -26,7 +25,6 @@ from volterra_control.hamiltonian import (
     GATEAUX_WINDOWS_SIGMA,
     arrow_spotcheck,
     check_stationarity,
-    control_gradient,
     eval_h0,
     eval_h0_reduced,
     eval_h1,

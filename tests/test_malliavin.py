@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from volterra_control import (
     ConfigurationError,
+    ControlProcess,
     JumpModel,
     RegressionBasis,
     TimeGrid,
@@ -18,6 +20,7 @@ from volterra_control import (
     d_brownian,
     d_jump,
     iterated_integral,
+    registry_get,
     sample_paths,
 )
 from volterra_control.errors import RegressionError
@@ -31,6 +34,7 @@ from volterra_control.malliavin import (
     default_features,
     fubini_exchange,
     jump_sum_feature,
+    predicted_terminal_feature,
     state_feature,
     weighted_brownian_feature,
 )
@@ -668,3 +672,30 @@ def test_fubini_exchange_is_exact():
     a = rng.normal(size=(40, 40))
     lhs, rhs = fubini_exchange(a, dt=1.0 / 40.0)
     assert lhs == rhs  # bitwise, via exactly rounded summation
+
+
+# --- refusals ------------------------------------------------------------------------------
+
+def test_predicted_terminal_feature_refuses_an_x_dependent_model():
+    paths = sample_paths(TimeGrid(1.0, 4), JumpModel.none(), 50, seed=1)
+    model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
+    assert not model.x_independent
+    with pytest.raises(ConfigurationError, match="x-independent model, got 'constant'"):
+        predicted_terminal_feature(model, ControlProcess.constant(0.5), paths)
+
+
+def test_horner_refuses_a_two_feature_regression():
+    paths = sample_paths(TimeGrid(1.0, 4), JumpModel.none(), 400, seed=2)
+    level = np.exp(np.vstack([np.zeros((1, 400)), np.cumsum(paths.dW, axis=0)]))
+    reg = NodeRegression([brownian_feature(paths), state_feature(level)], 2, RegressionBasis())
+    with pytest.raises(ConfigurationError, match="needs one feature, got 2"):
+        reg.horner(np.ones(len(reg.keep)))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(degree=0), "basis degree must be >= 1, got 0"),
+    (dict(ridge=-1.0), "ridge parameter must be >= 0, got -1.0"),
+])
+def test_regression_basis_refuses_a_value_out_of_range(kwargs, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        RegressionBasis(**kwargs)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -403,3 +405,17 @@ def test_info_mode_lags():
         InfoMode.delayed(2.0).lag_steps(g)
     with pytest.raises(ConfigurationError):
         InfoMode.delayed(-0.1)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, -1.0)])
+def test_control_refuses_an_empty_admissible_interval(bounds):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"empty admissible interval {bounds}")):
+        ControlProcess(0.5, bounds=bounds)
+
+
+def test_utility_refuses_a_non_positive_marginal():
+    with pytest.raises(RegistrationError, match="utility 'flat': marginal must be positive"):
+        UtilitySpec(name="flat", u=lambda x: 0.0 * np.asarray(x),
+                    u_prime=lambda x: 0.0 * np.asarray(x), u_prime_inverse=lambda y: y,
+                    exponent=0.0)

@@ -14,7 +14,6 @@ from volterra_control import (
     PerformanceSpec,
     SimulationError,
     TimeGrid,
-    UtilitySpec,
     evaluate_performance,
     registry_get,
     sample_paths,
@@ -463,3 +462,14 @@ def test_the_simulate_stage_holds_no_state_array():
     above = peak - paths.dW.nbytes - sum(a.nbytes for a in (events.node_ptr, events.path,
                                                              events.mark))
     assert above < (n + 1) * m * 8, f"{above / 1e6:.2f} MB above the noise"
+
+
+@pytest.mark.parametrize("reward", [np.inf, np.nan])
+def test_a_non_finite_reward_is_refused_naming_its_path(reward):
+    paths = sample_paths(TimeGrid(1.0, 4), JumpModel.none(), 20, seed=3)
+    model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths)
+    spec = PerformanceSpec.terminal_only(
+        lambda x: np.where(np.arange(np.size(x)) == 7, reward, np.asarray(x, dtype=float)))
+    with pytest.raises(SimulationError, match="non-finite on path 7"):
+        evaluate_performance(spec, states)
