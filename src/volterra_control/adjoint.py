@@ -16,6 +16,7 @@ node i is reached, so a second sweep reproduces the first bit for bit.
 
 A solve is one object: the triple carries the run, model and performance
 functional it was solved for, and every reader takes the triple and its field.
+`solve_adjoint` makes the run and picks the solver and the state feature for it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .malliavin import (
     default_features,
     fd_step,
     predicted_terminal_feature,
+    state_feature,
 )
 from .models import CoefficientModel, PerformanceSpec
 from .reporting import write_csv
@@ -53,6 +55,18 @@ def _restarts(model: CoefficientModel, control, jumps) -> bool:
     restarts the simulator: for a feedback rule, a kernel without a declared decay, or
     active jumps. Otherwise one reverse sweep gives it, with no restarted run."""
     return control.rule is not None or not model.decays_declared or jumps.active
+
+
+def check_steps(model: CoefficientModel, control, jumps, steps: int) -> None:
+    """The general solver's cost guard in grid steps: refuse more than `_MAX_STEPS` for a
+    memory model whose state feature restarts the simulator (`_restarts`), the runs whose
+    field rows take one restarted run per node. A model without memory reads no field
+    row, and one reverse sweep restarts nothing, so neither is guarded."""
+    if steps > _MAX_STEPS and model.memory_state_coupling and _restarts(model, control, jumps):
+        raise ConfigurationError(
+            f"grid.steps is {steps}, but the general adjoint solver for the memory model "
+            f"{model.name!r} is cost-guarded to {_MAX_STEPS} steps where its state feature "
+            "restarts the simulator (feedback rule, undeclared decay or jumps)")
 
 
 @dataclass
@@ -416,19 +430,13 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
     basis = basis or RegressionBasis()
     paths = states.paths
     n, m = paths.n_steps, paths.n_paths
+    check_steps(model, states.control, paths.jumps, n)
     if features is None:
         if model.x_independent:
             features = [predicted_terminal_feature(model, states.control, paths)]
         else:
             features = default_features(paths, states=states.values)
     features = list(features)
-    # only a memory-coupled driver reads the field, whose rows come from restarted runs
-    # or full-history sums unless one reverse sweep without jumps gives them
-    reverse = len(features) == 1 and features[0].reverse_sweep is not None
-    if n > _MAX_STEPS and model.memory_state_coupling and (paths.jumps.active or not reverse):
-        raise ConfigurationError(
-            f"general solver is cost-guarded to {_MAX_STEPS} steps for a memory model unless "
-            "its field comes from one reverse sweep without jumps")
     triple = AdjointTriple(states=states, model=model, spec=spec, p=np.empty((n + 1, m)),
                            q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, paths.jumps.n_marks)),
                            regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],
@@ -436,6 +444,22 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
     field = SurrogateMalliavinField(triple)
     _backward_sweep(triple, field)
     return triple, field
+
+
+def solve_adjoint(model: CoefficientModel, spec: PerformanceSpec, control, paths,
+                  basis: RegressionBasis | None = None):
+    """The adjoint (triple, field) of `control` on `paths`: one integral-form run, recorded
+    where the state feature restarts it, then the explicit solver for an x-independent
+    model or the general one. A memory-coupled driver reads the state's noise
+    sensitivities (`simulated_state_feature`: one reverse sweep for the Brownian ones, one
+    restarted run per node otherwise); a model without memory fits the state alone."""
+    restarts = model.memory_state_coupling and _restarts(model, control, paths.jumps)
+    states = simulate_integral_form(model, control, paths, record=restarts)
+    if model.x_independent:
+        return solve_explicit_x_independent(model, spec, states, basis=basis)
+    feats = [simulated_state_feature(model, states) if model.memory_state_coupling
+             else state_feature(states.values)]
+    return solve_general(model, spec, states, basis=basis, features=feats)
 
 
 def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> None:

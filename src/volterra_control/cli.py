@@ -34,24 +34,11 @@ from .malliavin import (
     d_brownian,
     d_jump,
     iterated_integral,
-    state_feature,
 )
 from .models import ControlProcess, InfoMode, PerformanceSpec, UtilitySpec, registry_get
 from .reporting import write_csv, write_manifest
-from .volterra import (
-    export_trajectory_csv,
-    monte_carlo_estimate,
-    simulate_integral_form,
-    simulate_summary,
-)
-from .adjoint import (
-    _MAX_STEPS,
-    _restarts,
-    export_adjoint_csv,
-    simulated_state_feature,
-    solve_explicit_x_independent,
-    solve_general,
-)
+from .volterra import export_trajectory_csv, monte_carlo_estimate, simulate_summary
+from .adjoint import check_steps, export_adjoint_csv, solve_adjoint
 from .hamiltonian import (
     GATEAUX_WINDOWS_SIGMA,
     check_stationarity,
@@ -354,36 +341,6 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
     return 0 if n_pass == len(rows) else 1
 
 
-def _check_adjoint_scale(cfg: ExperimentConfig, model, stationarity: bool) -> None:
-    """Refuse, before any sampling, a grid or sample the adjoint stages cannot run.
-
-    The general solver is cost-guarded in grid.steps for a memory model whose
-    state feature restarts the simulator (`_restarts`: a feedback rule, a kernel
-    without a declared decay, or jumps), the runs whose field rows take restarted
-    runs or full-history sums. A model without memory reads no field row.
-    The adjoint fits one raw feature per node; the stationarity check of an
-    x-dependent model fits the default features (Brownian level, state, and
-    the jump sum when jumps are active), and every fit needs
-    MIN_PATHS_PER_COLUMN paths per basis column. The stationarity check's
-    information delay must lie within the horizon.
-    """
-    if stationarity and cfg.info.delay > cfg.grid.horizon:
-        raise ConfigurationError(
-            f"info.delay must be a number in [0, grid.horizon = {cfg.grid.horizon}], "
-            f"got {cfg.info.delay!r}")
-    if cfg.grid.steps > _MAX_STEPS and model.memory_state_coupling \
-            and _restarts(model, cfg.control(), cfg.jumps):
-        raise ConfigurationError(
-            f"grid.steps is {cfg.grid.steps}, but the general adjoint solver for the "
-            f"memory model {model.name!r} is cost-guarded to {_MAX_STEPS} steps where "
-            "its state feature restarts the simulator (feedback rule, undeclared decay "
-            "or jumps)")
-    n_raw = 1
-    if stationarity and not model.x_independent:
-        n_raw = 3 if cfg.jumps.active else 2
-    _check_sample_floor(cfg, n_raw)
-
-
 def _check_sample_floor(cfg: ExperimentConfig, n_raw: int) -> None:
     """Refuse, before any sampling, fewer than MIN_PATHS_PER_COLUMN paths per column of
     the regression basis on `n_raw` raw features."""
@@ -395,21 +352,24 @@ def _check_sample_floor(cfg: ExperimentConfig, n_raw: int) -> None:
 
 
 def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
-    """The solved adjoint (triple, field) of the configured run."""
+    """The solved adjoint (triple, field) of the configured run.
+
+    Refused before any sampling: the stationarity check's information delay beyond the
+    horizon, a grid beyond the solver's cost guard (`check_steps`), and fewer than
+    MIN_PATHS_PER_COLUMN paths per basis column. The adjoint fits one raw feature per
+    node; the stationarity check of an x-dependent model fits the default features
+    (Brownian level, state, and the jump sum when jumps are active).
+    """
     model = cfg.model()
-    _check_adjoint_scale(cfg, model, stationarity)
-    perf = cfg.performance()
+    if stationarity and cfg.info.delay > cfg.grid.horizon:
+        raise ConfigurationError(
+            f"info.delay must be a number in [0, grid.horizon = {cfg.grid.horizon}], "
+            f"got {cfg.info.delay!r}")
     control = cfg.control()
-    # a restart (with jumps) reads the run's memory sums; the reverse sweep does not
-    states = simulate_integral_form(model, control, cfg.sample(), record=(
-        model.memory_state_coupling and _restarts(model, control, cfg.jumps)))
-    if model.x_independent:
-        return solve_explicit_x_independent(model, perf, states, basis=cfg.basis)
-    # a memory-coupled driver reads the state's noise sensitivities: one reverse sweep
-    # for the Brownian ones, one restarted run per node for the jump shifts
-    feats = [simulated_state_feature(model, states) if model.memory_state_coupling
-             else state_feature(states.values)]
-    return solve_general(model, perf, states, basis=cfg.basis, features=feats)
+    check_steps(model, control, cfg.jumps, cfg.grid.steps)
+    _check_sample_floor(cfg, 2 + cfg.jumps.active if stationarity and not model.x_independent
+                        else 1)
+    return solve_adjoint(model, cfg.performance(), control, cfg.sample(), cfg.basis)
 
 
 def _cmd_solve_adjoint(cfg: ExperimentConfig) -> int:

@@ -441,17 +441,15 @@ class BackwardProjector:
     divided by M into C order: on OpenBLAS the same bits as S Phi_j^T, and about 15 % faster
     for a (p, M) by (M, 2p) shape. The nodes are built in order, and node j-1's stack is
     dropped as soon as its cross-moments with node j are formed, before node j's is made,
-    so the build holds two designs and their dW products at a time. Only the designs that
-    every march and every initial value read are kept: nodes N-1 and 0, without their dW
-    halves, O(p M) memory in all. `regs[j].design()` of any other node is rebuilt on
-    request, bit-identical to the dropped one.
+    so the build holds two designs and their dW products at a time. No design is kept:
+    `regs[j].design()` rebuilds node j's on request, bit-identical to the dropped one
+    (`terminal_moments` rebuilds node N-1's once per terminal F).
     """
 
     def __init__(self, features: Sequence[Feature], paths: PathBundle,
                  basis: RegressionBasis | None = None):
         n, m = paths.n_steps, paths.n_paths
         self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
-        kept = {0, n - 1}
         self.regs, self.carry, self.carry_dw, self.centre_dw = [], [], [], []
         stack = None  # [Phi_{j-1}; Phi_{j-1} o dW_{j-1}], (2p, M)
         for j in range(n):
@@ -460,9 +458,8 @@ class BackwardProjector:
             if j:
                 prev = self.regs[-1]
                 cross = np.divide((reg._rows @ stack.T).T, m, order="C")
-                # node j-1's stack goes before node j's is made; a kept node keeps Phi only
-                prev._rows = prev._rows.copy() if j - 1 in kept else None
-                stack = None
+                # node j-1's stack goes before node j's is made
+                prev._rows = stack = None
                 self.carry.append(prev._solve(cross[:len(prev.gram)]))
                 self.carry_dw.append(prev._solve(cross[len(prev.gram):]))
             stack = np.empty((2 * p, m))
@@ -473,7 +470,7 @@ class BackwardProjector:
             reg._factor(moments[:p])
             self.centre_dw.append(reg._solve(moments[p:]))
             self.regs.append(reg)
-        self.regs[-1]._rows = self.regs[-1]._rows.copy()
+        self.regs[-1]._rows = None
 
     def terminal_moments(self, terminal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G_{N-1}^{-1} Phi_{N-1}^T F / M and G_{N-1}^{-1} Phi_{N-1}^T diag(dW_{N-1}) F / M, the

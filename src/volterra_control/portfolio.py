@@ -134,8 +134,10 @@ def _inverse_marginal(c: float, martingale: np.ndarray, utility: UtilitySpec) ->
     if c <= 0.0:
         raise ConfigurationError("calibration constant must be positive")
     arg = c * martingale
-    if np.any(arg <= 0.0) or not np.all(np.isfinite(arg)):
-        raise SimulationError("marginal-utility argument left the positive domain")
+    bad = np.flatnonzero(~((arg > 0.0) & np.isfinite(arg)))
+    if bad.size:
+        raise SimulationError(f"marginal-utility argument left the positive domain: "
+                              f"{arg[bad[0]]:.6g} on path {bad[0]}")
     return np.asarray(utility.u_prime_inverse(arg), dtype=float)
 
 
@@ -285,7 +287,8 @@ def solve_c(problem: PortfolioProblem, fields: BsvieSolution) -> CalibrationResu
     """
     x, c_f = problem.market.initial_wealth, fields.c
     power = problem.utility.exponent - 1.0
-    v0 = float(fields.regs[0].design().mean(axis=0) @ fields.x_coef[0])
+    assert fields.regs[0].keep == [0]   # S_0 = 0 on every path: node 0 fits the intercept
+    v0 = float(fields.x_coef[0][0])
 
     def gap(c: float) -> tuple[float, float]:
         return c, (c / c_f) ** (1.0 / power) * v0 - x

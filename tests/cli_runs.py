@@ -20,6 +20,7 @@ with whole sections replaced where the run's scale or information differs.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -231,7 +232,10 @@ def run_stage(run: CliRun, stage: str, config: Path) -> tuple[int, float, float]
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    # no options: the parser gives --help its usage and refuses anything else
+    argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                            epilog="Writes ci_runs/ at the repository root.").parse_args(argv)
     lines, failing = [], []
     for run in RUNS:
         run_dir = OUT / run.name

@@ -1041,6 +1041,96 @@ def test_the_step_guard_holds_where_restarts_run(jumps):
         assert np.all(np.isfinite(triple.p))
 
 
+_JUMPS = JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))
+
+
+def _restart_case(reason):
+    """(model, control, jumps) of the memory-with-jumps model for one restart reason of
+    its state feature, or for none: one reverse sweep, with no restarted run."""
+    model, control, jumps = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
+        ControlProcess.constant(0.5), JumpModel.none()
+    if reason == "feedback":
+        control = _FEEDBACK
+    elif reason == "undeclared-decay":
+        model = dataclasses.replace(model, decays=None)
+    elif reason == "jumps":
+        jumps = _JUMPS
+    return model, control, jumps
+
+
+@pytest.mark.parametrize("reason", ["feedback", "undeclared-decay", "jumps"])
+def test_check_steps_refuses_each_restart_reason_beyond_the_guard(reason):
+    from volterra_control.adjoint import _MAX_STEPS, check_steps
+
+    model, control, jumps = _restart_case(reason)
+    check_steps(model, control, jumps, _MAX_STEPS)
+    with pytest.raises(ConfigurationError, match=rf"^grid.steps is {_MAX_STEPS + 1}, .* "
+                                                 rf"cost-guarded to {_MAX_STEPS} steps"):
+        check_steps(model, control, jumps, _MAX_STEPS + 1)
+    # solve_general applies the same guard to the run's control and jumps
+    paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 1), jumps, 200, seed=5)
+    states = simulate_integral_form(model, control, paths)
+    with pytest.raises(ConfigurationError, match="cost-guarded"):
+        solve_general(model, PerformanceSpec.log_terminal(), states)
+
+
+def test_check_steps_lets_through_what_restarts_nothing():
+    from volterra_control.adjoint import _MAX_STEPS, check_steps
+
+    model, control, _ = _restart_case(None)
+    check_steps(model, control, JumpModel.none(), 4 * _MAX_STEPS)   # one reverse sweep
+    for name in ("constant", "x_independent_linear"):   # no memory coupling
+        check_steps(registry_get(name, dict(b0=0.1, sigma0=0.3)), _FEEDBACK, _JUMPS,
+                    4 * _MAX_STEPS)
+
+
+def test_an_analytic_feature_runs_beyond_the_guard_where_nothing_restarts():
+    # a jump-free open-loop memory model with declared decays restarts nothing, so the
+    # guard lets solve_general through with a feature other than the simulated state
+    from volterra_control.adjoint import _MAX_STEPS
+
+    model, control, jumps = _restart_case(None)
+    paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 8), jumps, 400, seed=5)
+    states = simulate_integral_form(model, control, paths)
+    triple, _ = solve_general(model, PerformanceSpec.log_terminal(), states,
+                              features=[brownian_feature(paths)])
+    assert np.all(np.isfinite(triple.p)) and np.all(np.isfinite(triple.q))
+
+
+@pytest.mark.parametrize("reason", [None, "feedback", "undeclared-decay", "jumps"])
+def test_solve_adjoint_records_the_run_exactly_where_it_restarts(reason, monkeypatch):
+    from volterra_control import adjoint
+
+    model, control, jumps = _restart_case(reason)
+    paths = sample_paths(TimeGrid(1.0, 8), jumps, 2_000, seed=5)
+    runs, simulate = [], adjoint.simulate_integral_form
+
+    def run(*args, **kwargs):
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(adjoint, "simulate_integral_form", run)
+    triple, _ = adjoint.solve_adjoint(model, PerformanceSpec.log_terminal(), control, paths)
+    assert runs[0] is triple.states
+    assert (triple.states.record is not None) == adjoint._restarts(model, control, jumps) \
+        == (reason is not None)
+    assert len(runs) == (1 if reason is None else 1 + paths.n_steps)
+
+
+@pytest.mark.parametrize("name", ["constant", "x_independent_linear"])
+def test_solve_adjoint_records_no_run_of_a_model_without_memory_coupling(name):
+    # neither the explicit solver nor a fit on the state alone restarts the run
+    from volterra_control.adjoint import solve_adjoint
+
+    model = registry_get(name, dict(b0=0.1, sigma0=0.3))
+    paths = sample_paths(TimeGrid(1.0, 8), _JUMPS, 2_000, seed=5)
+    triple, _ = solve_adjoint(model, PerformanceSpec.log_terminal(),
+                              ControlProcess.constant(0.5), paths)
+    assert triple.states.record is None
+    assert [f.name for f in triple.features] == [
+        "predicted_terminal" if model.x_independent else "state"]
+
+
 def test_drift_forward_sums_follow_the_recursion(memory_jump_setup):
     # P_i = sum_{j>i} e^{-lambda (t_j - t_i)} p_j, built downward by one O(M) step per
     # node, agrees with the weighted product over the later rows to round-off

@@ -397,6 +397,22 @@ def test_adjoint_grid_beyond_the_cost_guard_is_a_config_error(tmp_path, capsys, 
     assert "config error" in err and "grid.steps" in err and str(_MAX_STEPS) in err
 
 
+@pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])
+def test_each_adjoint_stage_solves_the_adjoint_once(tmp_path, monkeypatch, command):
+    from volterra_control import cli
+
+    calls, solve = [], cli.solve_adjoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_adjoint", counted)
+    path = _write_config(tmp_path, _MEMORY_JUMP_CONFIG)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_jump_free_memory_adjoint_runs_beyond_the_cost_guard(tmp_path):
     # without jumps the state feature of an open-loop memory model is one reverse
     # sweep, with no restarted run, so the step guard does not apply

@@ -17,6 +17,20 @@ from workloads import WORKLOADS, stage_dir
 from volterra_control.cli import _SUBCOMMANDS, ExperimentConfig
 
 
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["--bogus"], 2), (["extra"], 2)])
+def test_arguments_are_parsed_before_any_run_starts(argv, status, monkeypatch):
+    import cli_runs
+
+    def refuse(*args):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli_runs, "run_stage", refuse)
+    monkeypatch.setattr(cli_runs.CliRun, "write_config", refuse)
+    with pytest.raises(SystemExit) as exit_:
+        cli_runs.main(argv)
+    assert exit_.value.code == status
+
+
 def test_run_names_are_unique():
     names = [run.name for run in RUNS]
     assert len(names) == len(set(names))

@@ -352,6 +352,14 @@ def test_jump_integral_no_jumps(paths64_small):
     assert np.all(out == 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_jump_integral_refuses_an_integrand_not_finite_on_the_grid(jump_paths64_small, bad):
+    # not finite at one mark only
+    with pytest.raises(ValueError, match=re.escape("integrand is not finite on the (node, mark) "
+                                                   "grid")):
+        compensated_jump_integral(jump_paths64_small, lambda t, z: np.where(z > 0, bad, t))
+
+
 def test_jump_integral_martingale(grid64, marks_pm1):
     paths = sample_paths(grid64, marks_pm1, 100_000, seed=11)
     out = compensated_jump_integral(paths, lambda t, z: z + 0.0 * t)

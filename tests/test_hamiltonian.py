@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volterra_control import (
+    ConfigurationError,
     ControlProcess,
     JumpModel,
     PerformanceSpec,
@@ -333,6 +335,18 @@ def test_maximize_ties_break_toward_smaller():
     assert res.boundary
 
 
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, -1.0)])
+def test_maximize_refuses_an_empty_control_interval(bounds):
+    with pytest.raises(ConfigurationError, match=re.escape(f"empty control interval {bounds}")):
+        maximize_control(lambda v: v, bounds)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_maximize_refuses_an_objective_not_finite_on_the_grid(bad):
+    with pytest.raises(ValueError, match="objective is not finite on the control grid"):
+        maximize_control(lambda v: bad if v > 0.5 else -v * v, (-1.0, 1.0))
+
+
 def test_argmax_invariant_under_v_independent_shift():
     rng = np.random.default_rng(5)
     for _ in range(4):
@@ -578,6 +592,11 @@ def test_arrow_detects_convexity():
     rep = arrow_spotcheck(lambda x, v: (x ** 2) * (1.0 + 0.1 * v),
                           np.linspace(0.2, 2.0, 20), (0.0, 1.0))
     assert not rep.passed
+
+
+def test_arrow_refuses_fewer_than_16_state_points():
+    with pytest.raises(ConfigurationError, match="needs at least 16 state points"):
+        arrow_spotcheck(lambda x, v: -v * v, np.linspace(0.2, 2.0, 15), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("name,params", [

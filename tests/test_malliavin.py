@@ -319,13 +319,12 @@ def test_constant_monomials_are_dropped_at_their_round_off(jump_paths64_small, d
     assert np.all(np.linalg.eigvalsh(reg.gram) > 0.0)
 
 
-def test_projector_keeps_two_designs_and_rebuilds_the_rest_bit_for_bit(jump_paths64_small):
+def test_projector_keeps_no_design_and_rebuilds_the_rest_bit_for_bit(jump_paths64_small):
     paths = jump_paths64_small.subset(0, 4_000)
     feats = [brownian_feature(paths), jump_sum_feature(paths)]
     projector = BackwardProjector(feats, paths, RegressionBasis(degree=2))
-    n = paths.n_steps
     held = [j for j, reg in enumerate(projector.regs) if reg._rows is not None]
-    assert held == [0, n - 1]
+    assert held == []
     for j, reg in enumerate(projector.regs):
         want = NodeRegression(feats, j, projector.basis, retain_design=True).design()
         assert np.array_equal(reg.design(), want)
@@ -533,6 +532,38 @@ def test_duality_jump_degenerate_without_jumps(paths64_small):
     rep = check_duality_jump(lambda p: p.brownian[-1], np.ones((64, 1)), paths64_small)
     assert rep.degenerate and rep.within()
     assert rep.lhs == rep.rhs == 0.0
+
+
+def _log_of_zero(level):
+    # log 0 = -inf on every path, so each difference of two evaluations is nan
+    def functional(paths):
+        with np.errstate(divide="ignore"):
+            return np.log(0.0 * level(paths))
+    return functional
+
+
+def test_derivatives_refuse_a_functional_that_is_not_finite(jump_paths64_small):
+    paths = jump_paths64_small.subset(0, 400)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError,
+                           match="functional is not finite under perturbation at node 5"):
+            d_brownian(_log_of_zero(lambda p: p.brownian[-1]), paths, 5)
+        with pytest.raises(ValueError,
+                           match="functional is not finite with an extra jump at node 5"):
+            d_jump(_log_of_zero(lambda p: p.jump_sum[-1]), paths, 5, 1)
+        with pytest.raises(ValueError,
+                           match="functional is not finite with an extra jump at node 0"):
+            check_duality_jump(_log_of_zero(lambda p: p.jump_sum[-1]), np.ones((64, 2)), paths)
+
+
+def test_regression_refuses_a_design_singular_after_the_ridge(paths64_small):
+    # two copies of one feature give two equal columns: without a ridge the Gram is
+    # singular and its Cholesky factor fails
+    paths = paths64_small.subset(0, 400)
+    feats = [brownian_feature(paths)] * 2
+    with pytest.raises(RegressionError, match="rank deficient even after ridge regularization; "
+                                              "reduce the basis degree"):
+        NodeRegression(feats, 3, RegressionBasis(degree=1, ridge=0.0))
 
 
 # --- reconstruction -----------------------------------------------------------

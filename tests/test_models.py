@@ -419,3 +419,11 @@ def test_utility_refuses_a_non_positive_marginal():
         UtilitySpec(name="flat", u=lambda x: 0.0 * np.asarray(x),
                     u_prime=lambda x: 0.0 * np.asarray(x), u_prime_inverse=lambda y: y,
                     exponent=0.0)
+
+
+def test_utility_refuses_an_inverse_marginal_that_does_not_invert():
+    # (u')^{-1}(y) = 2 / y maps u'(x) = 1 / x back to 2 x
+    with pytest.raises(RegistrationError,
+                       match="utility 'twice': inverse marginal round-trip failed"):
+        UtilitySpec(name="twice", u=np.log, u_prime=lambda x: 1.0 / np.asarray(x),
+                    u_prime_inverse=lambda y: 2.0 / np.asarray(y), exponent=0.0)
