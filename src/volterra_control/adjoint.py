@@ -39,7 +39,6 @@ from .malliavin import (
     state_feature,
 )
 from .models import CoefficientModel, PerformanceSpec
-from .reporting import write_csv
 from .volterra import (
     StateEnsemble,
     decay_weights,
@@ -574,16 +573,3 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
         jump_shift=lambda i: node_blocks(i, False)[1],
         reverse_sweep=reverse_sweep,
     )
-
-
-def export_adjoint_csv(path, triple: AdjointTriple) -> None:
-    """Per-node summary on the run's grid: (t, mean_p, mean_q, mean_r_k..., picard_iters)."""
-    k = triple.r.shape[2]
-    header = ["t", "mean_p", "mean_q"] + [f"mean_r_{kk}" for kk in range(k)] + ["picard_iters"]
-    rows = []
-    for i, t in enumerate(triple.states.paths.grid.nodes):
-        row = [t, triple.p[i].mean(), triple.q[i].mean()]
-        row += [triple.r[i, :, kk].mean() for kk in range(k)]
-        row.append(triple.picard_iterations)
-        rows.append(row)
-    write_csv(path, header, rows)

@@ -13,7 +13,7 @@ import argparse
 import copy
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
 
@@ -37,19 +37,17 @@ from .malliavin import (
 )
 from .models import ControlProcess, InfoMode, PerformanceSpec, UtilitySpec, registry_get
 from .reporting import write_csv, write_manifest
-from .volterra import export_trajectory_csv, monte_carlo_estimate, simulate_summary
-from .adjoint import check_steps, export_adjoint_csv, solve_adjoint
+from .volterra import monte_carlo_estimate, simulate_summary
+from .adjoint import check_steps, solve_adjoint
 from .hamiltonian import (
     GATEAUX_WINDOWS_SIGMA,
     check_stationarity,
-    export_stationarity_csv,
     gateaux_check,
     perturbation_window,
 )
 from .portfolio import (
     MarketModel,
     PortfolioSolution,
-    export_portfolio_csvs,
     optimal_fraction,
     solve_portfolio,
     verify_optimality,
@@ -274,19 +272,29 @@ class ExperimentConfig:
         }
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
+@dataclass
+class StageResult:
+    """What one stage hands `_run` to write: its CSV tables (file name -> (header,
+    rows), in write order), the line printed after "<command>: ", its exit status
+    and the manifest fields it adds to `ExperimentConfig.manifest`."""
+
+    tables: dict
+    line: str
+    status: int = 0
+    manifest: dict = field(default_factory=dict)
+
+
+def _cmd_simulate(cfg: ExperimentConfig) -> StageResult:
     model, control, perf = cfg.model(), cfg.control(), cfg.performance()
     statistics, total = simulate_summary(model, control, perf, cfg.sample())
-    export_trajectory_csv(cfg.out_dir / "trajectory.csv", statistics)
     est, se = monte_carlo_estimate(total)
-    write_csv(cfg.out_dir / "performance.csv",
-              ("quantity", "estimate", "stderr"), [("J", est, se)])
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("simulate"))
-    print(f"simulate: J = {est:.6g} +- {se:.3g}; trajectory.csv written")
-    return 0
+    return StageResult(
+        {"trajectory.csv": (("t", "mean_X", "std_X", "q05", "q95"), statistics),
+         "performance.csv": (("quantity", "estimate", "stderr"), [("J", est, se)])},
+        f"J = {est:.6g} +- {se:.3g}; trajectory.csv written")
 
 
-def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
+def _cmd_check_malliavin(cfg: ExperimentConfig) -> StageResult:
     paths = cfg.sample()
     basis = cfg.basis
     reports = {}
@@ -330,15 +338,13 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> int:
     worst = int(np.argmax(chaos.per_node))
     rows.append(("chaos_derivative_max_err", chaos.max_abs_error, chaos.bounds[worst], 0.0,
                  chaos.within()))
-    write_csv(cfg.out_dir / "malliavin_checks.csv",
-              ("check_name", "lhs", "rhs", "stderr", "pass"), rows)
     split = {"relative_rms": rec.relative_rms, "grid_term_rms": grid_rms,
              "remainder_rms": rest_rms, "remainder_bound": float(rest_bound)}
-    write_manifest(cfg.out_dir / "manifest.json",
-                   {**cfg.manifest("check-malliavin"), "clark_ocone": split})
     n_pass = sum(1 for r in rows if r[-1])
-    print(f"check-malliavin: {n_pass}/{len(rows)} checks passed; malliavin_checks.csv written")
-    return 0 if n_pass == len(rows) else 1
+    return StageResult(
+        {"malliavin_checks.csv": (("check_name", "lhs", "rhs", "stderr", "pass"), rows)},
+        f"{n_pass}/{len(rows)} checks passed; malliavin_checks.csv written",
+        status=0 if n_pass == len(rows) else 1, manifest={"clark_ocone": split})
 
 
 def _check_sample_floor(cfg: ExperimentConfig, n_raw: int) -> None:
@@ -372,28 +378,35 @@ def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
     return solve_adjoint(model, cfg.performance(), control, cfg.sample(), cfg.basis)
 
 
-def _cmd_solve_adjoint(cfg: ExperimentConfig) -> int:
+def _cmd_solve_adjoint(cfg: ExperimentConfig) -> StageResult:
+    """Per node of the run's grid: t, the path means of p, q and each mark's r, and the
+    sweep count."""
     triple, _ = _adjoint_pipeline(cfg)
-    export_adjoint_csv(cfg.out_dir / "adjoint.csv", triple)
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("solve-adjoint"))
-    print(f"solve-adjoint: {triple.picard_iterations} sweeps; adjoint.csv written")
-    return 0
+    k = triple.r.shape[2]
+    header = ("t", "mean_p", "mean_q", *(f"mean_r_{kk}" for kk in range(k)), "picard_iters")
+    rows = [(t, triple.p[i].mean(), triple.q[i].mean(),
+             *(triple.r[i, :, kk].mean() for kk in range(k)), triple.picard_iterations)
+            for i, t in enumerate(cfg.grid.nodes)]
+    return StageResult({"adjoint.csv": (header, rows)},
+                       f"{triple.picard_iterations} sweeps; adjoint.csv written")
 
 
-def _cmd_check_stationarity(cfg: ExperimentConfig) -> int:
+def _cmd_check_stationarity(cfg: ExperimentConfig) -> StageResult:
+    """Exits 0 whatever the statistic: the verdict is stationarity.csv's `pass` column,
+    since no config is known to sit at an optimum of its adjoint."""
     triple, field = _adjoint_pipeline(cfg, stationarity=True)
     feats = triple.features if triple.model.x_independent else None
     report = check_stationarity(triple, field, info=cfg.info, basis=cfg.basis, features=feats)
     threshold = 0.05
-    export_stationarity_csv(cfg.out_dir / "stationarity.csv", report, threshold)
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("check-stationarity"))
-    stat = report.max_interior()
-    print(f"check-stationarity: max interior statistic {stat:.4f} "
-          f"(threshold {threshold}); stationarity.csv written")
-    return 0
+    rows = [(t, stat, threshold, stat <= threshold)
+            for t, stat in zip(report.nodes, report.normalized)]
+    return StageResult(
+        {"stationarity.csv": (("t", "statistic", "threshold", "pass"), rows)},
+        f"max interior statistic {report.max_interior():.4f} "
+        f"(threshold {threshold}); stationarity.csv written")
 
 
-def _cmd_gateaux(cfg: ExperimentConfig) -> int:
+def _cmd_gateaux(cfg: ExperimentConfig) -> StageResult:
     triple, field = _adjoint_pipeline(cfg)
     n = cfg.grid.steps
     width = max(n // 8, 1)
@@ -402,37 +415,37 @@ def _cmd_gateaux(cfg: ExperimentConfig) -> int:
                                             for _, start in windows])
     rows = [(name, rep.lhs, rep.stderr_lhs, rep.rhs, rep.stderr_rhs,
              rep.within(GATEAUX_WINDOWS_SIGMA)) for (name, _), rep in zip(windows, reports)]
-    write_csv(cfg.out_dir / "gateaux.csv",
-              ("window", "fd_derivative", "fd_stderr", "adjoint_form",
-               "adjoint_stderr", "pass"), rows)
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("gateaux"))
-    ok = all(r[-1] for r in rows)
-    print(f"gateaux: {sum(1 for r in rows if r[-1])}/{len(rows)} windows agree; gateaux.csv written")
-    return 0 if ok else 1
+    n_pass = sum(1 for r in rows if r[-1])
+    return StageResult(
+        {"gateaux.csv": (("window", "fd_derivative", "fd_stderr", "adjoint_form",
+                          "adjoint_stderr", "pass"), rows)},
+        f"{n_pass}/{len(rows)} windows agree; gateaux.csv written",
+        status=0 if n_pass == len(rows) else 1)
 
 
-def _solved_portfolio(cfg: ExperimentConfig) -> PortfolioSolution:
-    """The configured portfolio solved on the sampled bundle, with strategy.csv and
-    calibration.csv written; a sample too small for its one-feature fits is refused
+def _solved_portfolio(cfg: ExperimentConfig) -> tuple[PortfolioSolution, dict]:
+    """The configured portfolio solved on the sampled bundle, with its strategy.csv and
+    calibration.csv tables; a sample too small for its one-feature fits is refused
     before sampling."""
     market, utility = cfg.market(), cfg.utility()
     _check_sample_floor(cfg, 1)
     solution = solve_portfolio(market, utility, cfg.sample(), basis=cfg.basis)
-    export_portfolio_csvs(cfg.out_dir, solution, cfg.grid)
-    return solution
+    strategy = list(zip(cfg.grid.nodes, solution.problem.theta, solution.mean_pi,
+                        solution.std_pi))
+    calibration = [(idx, c, gap) for idx, (c, gap) in enumerate(solution.calibration.history)]
+    return solution, {"strategy.csv": (("t", "theta0", "mean_pi", "std_pi"), strategy),
+                      "calibration.csv": (("c_iteration", "c_value", "G_value"), calibration)}
 
 
-def _cmd_solve_portfolio(cfg: ExperimentConfig) -> int:
-    solution = _solved_portfolio(cfg)
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("solve-portfolio"))
-    print(f"solve-portfolio: c = {solution.c:.6g}, "
-          f"consistency spread {solution.bsvie.max_ratio_spread:.4f}; "
-          "strategy.csv and calibration.csv written")
-    return 0
+def _cmd_solve_portfolio(cfg: ExperimentConfig) -> StageResult:
+    solution, tables = _solved_portfolio(cfg)
+    return StageResult(tables, f"c = {solution.c:.6g}, "
+                               f"consistency spread {solution.bsvie.max_ratio_spread:.4f}; "
+                               "strategy.csv and calibration.csv written")
 
 
-def _cmd_merton_test(cfg: ExperimentConfig) -> int:
-    solution = _solved_portfolio(cfg)
+def _cmd_merton_test(cfg: ExperimentConfig) -> StageResult:
+    solution, tables = _solved_portfolio(cfg)
     market, utility, paths = (solution.problem.market, solution.problem.utility,
                               solution.problem.paths)
     exponent = utility.exponent
@@ -456,14 +469,14 @@ def _cmd_merton_test(cfg: ExperimentConfig) -> int:
     report = verify_optimality(market, utility, control, paths)
     rows = [("candidate", report.j_candidate, report.j_candidate_stderr)]
     rows += [(f"shift{delta:+g}", j, se) for delta, j, _gap, se in report.comparisons]
-    write_csv(cfg.out_dir / "objective.csv", ("strategy", "J_estimate", "stderr"), rows)
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("merton-test"))
+    tables["objective.csv"] = (("strategy", "J_estimate", "stderr"), rows)
     merton = exponent == 0.0 and market.decay_b == market.decay_sigma == 0.0
     closed = f" (closed form {1.0 / market.initial_wealth:.4f})" if merton else ""
-    print(f"merton-test: c = {c:.4f}{closed}, interior fraction within {100 * worst:.2f}% "
-          f"of pi*(t) = b0(T,t) / ((1 - {exponent:g}) sigma0(T,t) sigma0(t,t)); "
-          f"dominates shifts: {report.dominates()}")
-    return 0 if (worst <= 0.05 and report.dominates()) else 1
+    return StageResult(
+        tables, f"c = {c:.4f}{closed}, interior fraction within {100 * worst:.2f}% "
+                f"of pi*(t) = b0(T,t) / ((1 - {exponent:g}) sigma0(T,t) sigma0(t,t)); "
+                f"dominates shifts: {report.dominates()}",
+        status=0 if (worst <= 0.05 and report.dominates()) else 1)
 
 
 _SUBCOMMANDS = {
@@ -478,9 +491,20 @@ _SUBCOMMANDS = {
 
 
 def _run(name: str, handler, cfg: ExperimentConfig) -> int:
-    """One command's exit status; an exception is named on stderr with the command."""
+    """Run one command and write what it returns: each table as a CSV in ``cfg.out_dir``,
+    then manifest.json, then its line on stdout; return its exit status.
+
+    This is the only place outputs are written. An exception, from the command or a
+    write, is named on stderr with the command; a command that raises writes none of
+    its files.
+    """
     try:
-        return handler(cfg)
+        result = handler(cfg)
+        for file, (header, rows) in result.tables.items():
+            write_csv(cfg.out_dir / file, header, rows)
+        write_manifest(cfg.out_dir / "manifest.json", {**cfg.manifest(name), **result.manifest})
+        print(f"{name}: {result.line}")
+        return result.status
     except ConfigurationError as exc:
         print(f"config error: {name}: {exc}", file=sys.stderr)
         return 2
@@ -489,15 +513,14 @@ def _run(name: str, handler, cfg: ExperimentConfig) -> int:
         return 1
 
 
-def _cmd_report(cfg: ExperimentConfig) -> int:
+def _cmd_report(cfg: ExperimentConfig) -> StageResult:
     """Run every subcommand, one after another, into per-stage subdirectories."""
     results = [(name, _run(name, fn, replace(cfg, out_dir=cfg.out_dir / name.replace("-", "_"))))
                for name, fn in _SUBCOMMANDS.items()]
-    write_csv(cfg.out_dir / "report_summary.csv", ("stage", "exit_status"), results)
-    write_manifest(cfg.out_dir / "manifest.json", cfg.manifest("report"))
     bad = [name for name, status in results if status != 0]
-    print("report: all stages passed" if not bad else f"report: failing stages: {bad}")
-    return 0 if not bad else 1
+    return StageResult({"report_summary.csv": (("stage", "exit_status"), results)},
+                       "all stages passed" if not bad else f"failing stages: {bad}",
+                       status=0 if not bad else 1)
 
 
 def main(argv=None) -> int:

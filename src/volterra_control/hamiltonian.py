@@ -26,7 +26,6 @@ from .errors import ConfigurationError
 from .grids import PathBundle
 from .malliavin import Feature, IdentityReport, RegressionBasis, conditional_expectation
 from .models import CoefficientModel, InfoMode, PerformanceSpec
-from .reporting import write_csv
 from .volterra import (
     StateEnsemble,
     decay_weights,
@@ -306,10 +305,10 @@ class StationarityReport:
     normalized: np.ndarray
 
     def max_interior(self) -> float:
-        """Largest normalized statistic over the nodes of [T/4, 3T/4]."""
-        n = len(self.normalized) - 1
-        lo, hi = int(math.floor(n * 0.25)), int(math.ceil(n * 0.75))
-        return float(np.max(self.normalized[lo:hi + 1]))
+        """Largest normalized statistic over the nodes t_i = iT/N of [T/4, 3T/4], N the
+        number of nodes checked: i from ceil(N/4) to floor(3N/4)."""
+        n = len(self.normalized)
+        return float(np.max(self.normalized[math.ceil(n / 4):3 * n // 4 + 1]))
 
 
 def check_stationarity(triple, field, info: InfoMode | None = None,
@@ -442,12 +441,3 @@ def arrow_spotcheck(kappa: Callable[[float, float], float], x_grid,
     tol = 1e-6 * max(1.0, float(np.max(np.abs(env))))
     return ArrowReport(x_grid=x_grid, envelope=env,
                        max_positive_curvature=float(np.max(second)), tolerance=tol)
-
-
-def export_stationarity_csv(path, report: StationarityReport, threshold: float) -> None:
-    rows = [
-        (report.nodes[i], report.normalized[i], threshold,
-         report.normalized[i] <= threshold)
-        for i in range(len(report.nodes))
-    ]
-    write_csv(path, ("t", "statistic", "threshold", "pass"), rows)

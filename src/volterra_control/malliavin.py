@@ -181,7 +181,9 @@ def predicted_terminal_feature(model, control: ControlProcess,
 
     values[i] = xi(T) + sum_{j<i} [b(T,t_j,u_j) dt + sigma(T,t_j,u_j) dW_j
     + sum_k gamma(T,t_j,u_j,z_k) dN~_{j,k}], which equals E[X(T) | F_{t_i}]
-    because the remaining increments are independent of F_{t_i}.
+    because the remaining increments are independent of F_{t_i}. That needs an
+    open-loop control that is the same on every path, so one whose values vary across
+    paths is refused, as is a feedback rule.
     """
     if not model.x_independent:
         raise ConfigurationError(
@@ -189,6 +191,10 @@ def predicted_terminal_feature(model, control: ControlProcess,
     n, m, jumps = paths.n_steps, paths.n_paths, paths.jumps
     t = paths.grid.nodes
     u = control.open_loop_grid(n, m)
+    if np.ptp(u, axis=1).any():  # values that vary across paths may read the noise
+        raise ConfigurationError("predicted terminal feature needs a control that is the "
+                                 "same on every path: a per-path control's dependence on "
+                                 "the noise would be left out of E[X(T) | F_t]")
     sums = noise_sums(model, paths, None, u).values()
     vals = np.zeros((n + 1, m))
     np.cumsum([sum(s(t[n], slice(j, j + 1)) for s in sums) for j in range(n)],

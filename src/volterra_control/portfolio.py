@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .malliavin import (
     weighted_brownian_feature,
 )
 from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
-from .reporting import write_csv
 from .volterra import StateEnsemble, _control_grid, memory_sums, monte_carlo_estimate
 
 
@@ -413,16 +411,3 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
         comparisons.append((float(delta), float(j_shift.mean()),
                             *monte_carlo_estimate(j_base_paths - j_shift)))
     return OptimalityReport(*monte_carlo_estimate(j_base_paths), comparisons)
-
-
-def export_portfolio_csvs(out_dir, solution: PortfolioSolution, grid: TimeGrid) -> None:
-    """Write the strategy and calibration tables for a solved portfolio."""
-    out = Path(out_dir)
-    t = grid.nodes
-    rows = [(t[j], solution.problem.theta[j], solution.mean_pi[j], solution.std_pi[j])
-            for j in range(len(solution.mean_pi))]
-    write_csv(out / "strategy.csv", ("t", "theta0", "mean_pi", "std_pi"), rows)
-    cal_rows = [
-        (idx, c, gap) for idx, (c, gap) in enumerate(solution.calibration.history)
-    ]
-    write_csv(out / "calibration.csv", ("c_iteration", "c_value", "G_value"), cal_rows)

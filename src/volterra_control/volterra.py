@@ -33,7 +33,6 @@ import numpy as np
 from .errors import SimulationError
 from .grids import PathBundle
 from .models import CoefficientModel, ControlProcess, PerformanceSpec
-from .reporting import write_csv
 
 
 @dataclass
@@ -486,9 +485,3 @@ def simulate_summary(model: CoefficientModel, control: ControlProcess, spec: Per
             yield x
 
     return trajectory_statistics(paths.grid.nodes, states()), _checked_totals(total)
-
-
-def export_trajectory_csv(path, statistics: list[tuple]) -> None:
-    """Write the per-node rows of `trajectory_statistics` (of `simulate_summary`
-    for a streamed run) as trajectory.csv."""
-    write_csv(path, ("t", "mean_X", "std_X", "q05", "q95"), statistics)

@@ -7,12 +7,14 @@ Usage, from any directory:
 Each run of `RUNS` writes its config to `ci_runs/<name>/config.yaml` at the
 repository root and starts each of its stages in its own child process,
 `python -m volterra_control.cli <stage> --config ... --seed ... --out
-ci_runs/<name>/<stage dir>` with the checkout's `src` on PYTHONPATH. The peak
-RSS of a stage is read from that child alone (`os.wait4` on its pid), so a
-bound is checked against the stage it names, whatever ran before it. The
-script prints one line per stage (run, stage, exit status, wall s, peak MB,
-bound MB) and exits non-zero naming every run with a stage that exited
-non-zero or reached its bound. No run has a wall-clock bound.
+ci_runs/<name>/<stage dir>` with the checkout's `src` on PYTHONPATH, after
+removing what an earlier run left in that stage directory. The peak RSS of a
+stage is read from that child alone (`os.wait4` on its pid), so a bound is
+checked against the stage it names, whatever ran before it. The script prints
+one line per stage (run, stage, exit status, wall s, peak MB, bound MB) and
+exits non-zero naming every run with a stage that exited non-zero, reached its
+bound, or exited 0 without leaving a `manifest.json` whose `command` is that
+stage. No run has a wall-clock bound.
 
 Ten runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -220,16 +223,24 @@ RUNS = (
 )
 
 
-def run_stage(run: CliRun, stage: str, config: Path) -> tuple[int, float, float]:
+def run_stage(run: CliRun, stage: str, config: Path, out: Path) -> tuple[int, float, float]:
     """Exit status, wall seconds and peak RSS (MB) of one stage in its own child."""
     argv = [sys.executable, "-m", "volterra_control.cli", stage, "--config", str(config),
-            "--seed", str(run.seed), "--out", str(config.parent / stage_dir(stage))]
+            "--seed", str(run.seed), "--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     start = time.perf_counter()
     pid = os.posix_spawn(sys.executable, argv, env)
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0
+
+
+def manifest_command(out: Path) -> str | None:
+    """The `command` of the manifest in `out`; None if there is no readable one."""
+    try:
+        return json.loads((out / "manifest.json").read_text(encoding="utf-8"))["command"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 def main(argv=None) -> int:
@@ -243,17 +254,22 @@ def main(argv=None) -> int:
         config = run_dir / "config.yaml"
         run.write_config(config)
         for stage in run.stages:
-            status, wall, peak = run_stage(run, stage, config)
+            out = run_dir / stage_dir(stage)
+            shutil.rmtree(out, ignore_errors=True)  # an earlier run's manifest proves nothing
+            status, wall, peak = run_stage(run, stage, config, out)
             over = run.bound_mb is not None and peak >= run.bound_mb
-            if (status != 0 or over) and run.name not in failing:
+            unrecorded = status == 0 and manifest_command(out) != stage
+            if (status != 0 or over or unrecorded) and run.name not in failing:
                 failing.append(run.name)
             bound = "-" if run.bound_mb is None else f"{run.bound_mb:.0f}"
             lines.append(f"{run.name:<22} {stage:<19} {status:>4} {wall:>8.2f} "
-                         f"{peak:>8.1f} {bound:>6}{'  OVER' if over else ''}")
+                         f"{peak:>8.1f} {bound:>6}{'  OVER' if over else ''}"
+                         f"{'  NO MANIFEST' if unrecorded else ''}")
     print(f"{'run':<22} {'stage':<19} {'exit':>4} {'wall s':>8} {'peak MB':>8} {'bound':>6}")
     print("\n".join(lines))
     if failing:
-        print(f"failing runs (non-zero exit or bound reached): {', '.join(failing)}")
+        print("failing runs (non-zero exit, bound reached or no manifest of the stage): "
+              f"{', '.join(failing)}")
         return 1
     return 0
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,11 @@ from volterra_control import (
 from volterra_control.adjoint import (
     SurrogateMalliavinField,
     _backward_sweep,
-    export_adjoint_csv,
+    solve_adjoint,
     solve_explicit_x_independent,
     solve_general,
 )
+from volterra_control.cli import ExperimentConfig, main
 from volterra_control.malliavin import (
     NodeRegression,
     brownian_feature,
@@ -993,14 +995,49 @@ def test_state_sensitivities_and_field_rows_are_adapted(memory_jump_setup, data)
     assert np.all(field.djump_rows(i)[:i] == 0.0)
 
 
-def test_adjoint_csv_export(tmp_path, xindep_setup):
-    model, control, states, paths = xindep_setup
-    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states)
-    out = tmp_path / "adjoint.csv"
-    export_adjoint_csv(out, triple)
+def test_explicit_adjoint_refuses_a_control_that_reads_the_noise():
+    # the predicted-terminal feature is E[X(T) | F_t] under an open-loop control; one
+    # that reads B moves X(T) through the control too, so it is refused, while a
+    # per-path copy of a deterministic control is that control
+    paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 4000, seed=5)
+    model = registry_get("x_independent_linear", {"b0": 0.1, "sigma0": 0.3})
+    values = np.linspace(0.4, 0.6, 16)
+    reading = ControlProcess.per_path(values[:, None] + 0.1 * np.tanh(paths.brownian[:-1]))
+    with pytest.raises(ConfigurationError, match="same on every path"):
+        solve_adjoint(model, _square_terminal(), reading, paths)
+    flat = ControlProcess.per_path(np.repeat(values[:, None], paths.n_paths, axis=1))
+    (want, _), (got, _) = (solve_adjoint(model, _square_terminal(), control, paths)
+                           for control in (ControlProcess.deterministic(values), flat))
+    assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+
+
+def test_adjoint_csv_export(tmp_path):
+    # the solve-adjoint stage's adjoint.csv holds, per node, the path means of the
+    # solved p, q and each mark's r, and the sweep count
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "grid": {"steps": 16},
+        "noise": {"intensity": 0.5, "marks": [-0.2, 0.3], "weights": [0.5, 0.5]},
+        "model": {"name": "x_independent_linear", "params": {"b0": 0.1, "sigma0": 0.3}},
+        "performance": {"terminal": "square"},
+        "control": {"kind": "constant", "value": 0.5},
+        "monte_carlo": {"paths": 4000, "seed": 3},
+    }))
+    assert main(["solve-adjoint", "--config", str(config), "--out", str(tmp_path / "adj")]) == 0
+    out = tmp_path / "adj" / "adjoint.csv"
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("t,mean_p,mean_q")
-    assert len(lines) == paths.n_steps + 2
+    assert lines[0] == "t,mean_p,mean_q,mean_r_0,mean_r_1,picard_iters"
+    assert len(lines) == 16 + 2
+    cfg = ExperimentConfig.load(str(config))
+    states = simulate_integral_form(cfg.model(), cfg.control(), cfg.sample())
+    triple, _ = solve_explicit_x_independent(cfg.model(), cfg.performance(), states,
+                                             basis=cfg.basis)
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], cfg.grid.nodes)
+    assert np.array_equal(table[:, 1], triple.p.mean(axis=1))
+    assert np.array_equal(table[:, 2], triple.q.mean(axis=1))
+    assert np.array_equal(table[:, 3:5], triple.r.mean(axis=1))
+    assert np.all(table[:, 5] == triple.picard_iterations)
 
 
 def test_no_surrogate_row_outlives_the_sweep():

@@ -140,7 +140,9 @@ def test_simulate_writes_artifacts_and_manifest(tmp_path):
     out = tmp_path / "run"
     status = main(["simulate", "--paths", "2000", "--seed", "5", "--out", str(out)])
     assert status == 0
-    assert (out / "trajectory.csv").exists()
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,mean_X,std_X,q05,q95"
+    assert len(lines) == 66  # header + 65 nodes
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert manifest["config"]["monte_carlo"]["paths"] == 2000
@@ -214,7 +216,9 @@ def test_solve_adjoint_x_independent(tmp_path):
     })
     out = tmp_path / "adj"
     assert main(["solve-adjoint", "--config", path, "--out", str(out)]) == 0
-    assert (out / "adjoint.csv").exists()
+    lines = (out / "adjoint.csv").read_text().splitlines()
+    assert lines[0] == "t,mean_p,mean_q,picard_iters"  # no marks, so no mean_r columns
+    assert len(lines) == 16 + 2  # header + N + 1 nodes
 
 
 def test_merton_subcommand_small_scale(tmp_path):
@@ -231,7 +235,10 @@ def test_merton_subcommand_small_scale(tmp_path):
 
 
 def test_both_portfolio_stages_write_the_same_solve(tmp_path):
-    # solve-portfolio and merton-test share one solve and export
+    # solve-portfolio and merton-test share one solve and its tables, and strategy.csv
+    # holds the solve's per-node statistics
+    from volterra_control.portfolio import solve_portfolio
+
     path = _write_config(tmp_path, {
         "grid": {"steps": 16},
         "market": {"decay_b": 1.0},
@@ -242,6 +249,12 @@ def test_both_portfolio_stages_write_the_same_solve(tmp_path):
     for name in ("strategy.csv", "calibration.csv"):
         assert (tmp_path / "solve-portfolio" / name).read_bytes() == \
             (tmp_path / "merton-test" / name).read_bytes()
+    cfg = ExperimentConfig.load(path)
+    solution = solve_portfolio(cfg.market(), cfg.utility(), cfg.sample(), basis=cfg.basis)
+    table = np.genfromtxt(tmp_path / "solve-portfolio" / "strategy.csv", delimiter=",",
+                          names=True)
+    assert np.array_equal(table["mean_pi"], solution.mean_pi)
+    assert np.array_equal(table["std_pi"], solution.std_pi)
 
 
 def test_calibration_rows_interpolate_to_the_solved_c(tmp_path, monkeypatch):
@@ -273,7 +286,7 @@ def test_calibration_rows_interpolate_to_the_solved_c(tmp_path, monkeypatch):
 def test_info_delay_is_the_delayed_information(tmp_path):
     # the config's info.delay is InfoMode.delayed(delay) of the Python API
     from volterra_control.adjoint import simulated_state_feature, solve_general
-    from volterra_control.hamiltonian import check_stationarity, export_stationarity_csv
+    from volterra_control.hamiltonian import check_stationarity
     from volterra_control.models import InfoMode
     from volterra_control.volterra import simulate_integral_form
 
@@ -285,9 +298,12 @@ def test_info_delay_is_the_delayed_information(tmp_path):
     triple, field = solve_general(model, cfg.performance(), states,
                                   features=[simulated_state_feature(model, states)])
     report = check_stationarity(triple, field, info=InfoMode.delayed(0.25))
-    export_stationarity_csv(tmp_path / "stationarity.csv", report, 0.05)
-    assert (tmp_path / "stationarity.csv").read_bytes() == \
-        (tmp_path / "cli" / "stationarity.csv").read_bytes()
+    # .17g round-trips a float, so the columns read back are the report's exactly
+    table = np.genfromtxt(tmp_path / "cli" / "stationarity.csv", delimiter=",", names=True,
+                          dtype=None, encoding="utf-8")
+    assert np.array_equal(table["t"], report.nodes)
+    assert np.array_equal(table["statistic"], report.normalized)
+    assert np.array_equal(table["pass"], report.normalized <= 0.05)
 
 
 def test_stationarity_and_gateaux_subcommands(tmp_path):
@@ -478,8 +494,25 @@ def test_report_runs_all_stages(tmp_path):
     summary = (out / "report_summary.csv").read_text().splitlines()
     assert summary[0] == "stage,exit_status"
     assert len(summary) == 8  # seven stages
-    assert (out / "simulate" / "trajectory.csv").exists()
-    assert (out / "merton_test" / "strategy.csv").exists()
+    files = {
+        "simulate": {"trajectory.csv", "performance.csv"},
+        "check-malliavin": {"malliavin_checks.csv"},
+        "solve-adjoint": {"adjoint.csv"},
+        "check-stationarity": {"stationarity.csv"},
+        "gateaux": {"gateaux.csv"},
+        "solve-portfolio": {"strategy.csv", "calibration.csv"},
+        "merton-test": {"strategy.csv", "calibration.csv", "objective.csv"},
+    }
+    assert set(files) == set(_SUBCOMMANDS)
+    report = json.loads((out / "manifest.json").read_text())
+    assert {p.name for p in out.iterdir()} == \
+        {"report_summary.csv", "manifest.json"} | {s.replace("-", "_") for s in files}
+    for stage, names in files.items():
+        stage_out = out / stage.replace("-", "_")
+        assert {p.name for p in stage_out.iterdir()} == names | {"manifest.json"}
+        manifest = json.loads((stage_out / "manifest.json").read_text())
+        assert manifest["command"] == stage
+        assert manifest["config"] == report["config"]
 
 
 def test_report_records_a_raising_stage_and_runs_the_rest(tmp_path, capsys, monkeypatch):
@@ -492,7 +525,7 @@ def test_report_records_a_raising_stage_and_runs_the_rest(tmp_path, capsys, monk
             ran.append(name)
             if name in raising:
                 raise raising[name]
-            return 0
+            return cli.StageResult({}, "ran")
         return run
 
     for name in list(_SUBCOMMANDS):
@@ -570,6 +603,8 @@ def test_module_error_surfaces_as_nonzero_exit(tmp_path, capsys):
     path = _write_config(tmp_path, _FRACTION_OUT_OF_BOUNDS)
     status = main(["merton-test", "--config", path, "--out", str(tmp_path / "p")])
     assert status == 1
+    # a stage that raises writes none of its files, not even the solved strategy.csv
+    assert not (tmp_path / "p").exists()
     err = capsys.readouterr().err
     assert "failed" in err
     # nothing in the config is wrong: the computed fraction is, so it is no config error

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from cli_runs import ROOT, RUNS
+from cli_runs import ROOT, RUNS, CliRun
 from workloads import WORKLOADS, stage_dir
 
 from volterra_control.cli import _SUBCOMMANDS, ExperimentConfig
@@ -29,6 +29,30 @@ def test_arguments_are_parsed_before_any_run_starts(argv, status, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         cli_runs.main(argv)
     assert exit_.value.code == status
+
+
+@pytest.mark.parametrize("manifest, status", [
+    (None, 1), ({"command": "simulate"}, 1), ({"command": "solve-adjoint"}, 0)])
+def test_a_stage_that_exits_0_must_leave_its_manifest(manifest, status, tmp_path,
+                                                      monkeypatch, capsys):
+    # an earlier run's manifest is removed first, so it cannot stand in for the stage's
+    import cli_runs
+
+    def stage(run, name, config, out):
+        if manifest is not None:
+            out.mkdir()
+            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        return 0, 0.0, 1.0
+
+    run = CliRun(name="one", stages=("solve-adjoint",), seed=1, why="")
+    stale = tmp_path / "one" / stage_dir("solve-adjoint")
+    stale.mkdir(parents=True)
+    (stale / "manifest.json").write_text('{"command": "solve-adjoint"}', encoding="utf-8")
+    monkeypatch.setattr(cli_runs, "OUT", tmp_path)
+    monkeypatch.setattr(cli_runs, "RUNS", (run,))
+    monkeypatch.setattr(cli_runs, "run_stage", stage)
+    assert cli_runs.main([]) == status
+    assert ("NO MANIFEST" in capsys.readouterr().out) == bool(status)
 
 
 def test_run_names_are_unique():

@@ -25,6 +25,7 @@ from volterra_control.adjoint import (
 )
 from volterra_control.hamiltonian import (
     GATEAUX_WINDOWS_SIGMA,
+    StationarityReport,
     arrow_spotcheck,
     check_stationarity,
     eval_h0,
@@ -522,6 +523,19 @@ def test_stationarity_delayed_information(paths64_small):
     triple, field = solve_general(model, spec, states, features=feats)
     rep = check_stationarity(triple, field, info=InfoMode.delayed(0.25), features=feats)
     assert rep.max_interior() <= 0.06
+
+
+def test_max_interior_reads_the_nodes_of_the_middle_half():
+    # node i sits at t_i = iT/N, so [T/4, 3T/4] holds nodes ceil(N/4) to floor(3N/4)
+    def spiked(n, node):
+        stat = np.zeros(n)
+        stat[node] = 1.0
+        return StationarityReport(np.arange(n) / n, stat, stat, stat).max_interior()
+
+    n = 64
+    assert spiked(n, n // 4 - 1) == 0.0 and spiked(n, 3 * n // 4 + 1) == 0.0
+    assert spiked(n, n // 4) == 1.0 and spiked(n, 3 * n // 4) == 1.0
+    assert [i for i in range(10) if spiked(10, i) == 1.0] == [3, 4, 5, 6, 7]
 
 
 def test_maximum_condition_margin_discriminates_at_merton(paths64_small):

@@ -35,7 +35,6 @@ from volterra_control.portfolio import (
     _kernel_ratios,
     _terminal_log_martingale,
     bsvie_solve,
-    export_portfolio_csvs,
     optimal_fraction,
     simulate_wealth_positive,
     solve_c,
@@ -918,16 +917,13 @@ def test_portfolio_problem_holds_no_feature_array(log_utility):
     assert kept == []
 
 
-def test_strategy_statistics_are_those_of_the_fraction_rows(oracle_paths, log_utility, tmp_path):
+def test_strategy_statistics_are_those_of_the_fraction_rows(oracle_paths, log_utility):
     market = _ORACLE_MARKETS[1].values[0]
     sol = solve_portfolio(market, log_utility, oracle_paths)
-    export_portfolio_csvs(tmp_path, sol, oracle_paths.grid)
-    table = np.genfromtxt(tmp_path / "strategy.csv", delimiter=",", names=True)
     fractions = sol.fractions()
     assert fractions.shape == (oracle_paths.n_steps, oracle_paths.n_paths)
     for j, row in enumerate(fractions):
         assert sol.mean_pi[j] == row.mean() and sol.std_pi[j] == row.std(ddof=1)
-        assert table["mean_pi"][j] == row.mean() and table["std_pi"][j] == row.std(ddof=1)
 
 
 def test_solve_portfolio_forms_no_per_path_field_array():

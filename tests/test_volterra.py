@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +22,8 @@ from volterra_control import (
     simulate_integral_form,
 )
 from volterra_control import volterra
+from volterra_control.cli import ExperimentConfig, main
 from volterra_control.volterra import (
-    export_trajectory_csv,
     monte_carlo_estimate,
     noise_sums,
     performance_paths,
@@ -164,14 +165,23 @@ def test_feedback_control_enters_simulation(paths64_small):
     assert np.all(np.isfinite(st.values))
 
 
-def test_trajectory_csv(tmp_path, paths64_small):
-    model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
-    st = simulate_integral_form(model, ControlProcess.constant(1.0), paths64_small)
-    out = tmp_path / "traj.csv"
-    export_trajectory_csv(out, trajectory_statistics(paths64_small.grid.nodes, st.values))
+def test_trajectory_csv(tmp_path):
+    # the simulate stage's trajectory.csv is trajectory_statistics of the run's
+    # states, one row per node; .17g round-trips a float, so it reads back exactly
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "model": {"name": "constant", "params": {"b0": 0.05, "sigma0": 0.2}},
+        "monte_carlo": {"paths": 2000, "seed": 5},
+    }))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    out = tmp_path / "run" / "trajectory.csv"
     lines = out.read_text().splitlines()
     assert lines[0] == "t,mean_X,std_X,q05,q95"
     assert len(lines) == 66
+    cfg = ExperimentConfig.load(str(config))
+    states = simulate_integral_form(cfg.model(), cfg.control(), cfg.sample())
+    want = np.array(trajectory_statistics(cfg.grid.nodes, states.values))
+    assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), want)
 
 
 # --- lifted (declared-decay) history sums against the generic full-history sum ---
