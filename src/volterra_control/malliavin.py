@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, RegressionError
-from .grids import PathBundle, compensated_jump_sum
+from .grids import _BLOCK, PathBundle, compensated_jump_sum
 from .models import ControlProcess, InfoMode
 from .volterra import monte_carlo_estimate, noise_sums
 
@@ -262,7 +262,8 @@ class NodeRegression:
     column; results differ from power-built designs by round-off only. The
     means and spreads are one pass of contiguous row reductions, and the
     same spreads drop every monomial that is constant up to the round-off of
-    its mean (spread at most M eps |mean|).
+    its mean (spread at most M eps |mean|). The intercept row is neither
+    centred nor scaled: its mean is held at 0 and its spread is exactly 1.
 
     The fitted object doubles as an explicit surrogate: `predict` evaluates
     the fitted polynomial at any raw-feature values and `gradient_raw` its
@@ -272,7 +273,7 @@ class NodeRegression:
     returns them; otherwise `design()` rebuilds them from the raw features
     with the same arithmetic, so the two are bit-identical. With `factor=False`
     the Gram is left to the caller, who forms it from the kept rows and passes
-    it to `_factor` (`BackwardProjector` forms it in one product with others).
+    it to `_factor` (`BackwardProjector` forms it in its block sums).
     """
 
     def __init__(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
@@ -294,7 +295,7 @@ class NodeRegression:
         rows = self._monomial_rows(raw)
         mean = rows.mean(axis=1)
         mean[0] = 0.0
-        rows -= mean[:, None]
+        rows[1:] -= mean[1:, None]   # row 0, the intercept, keeps mean 0: nothing to subtract
         spread = np.sqrt(np.einsum("ij,ij->i", rows, rows) / self.n_paths)
         # A monomial equal to c on every path has spread |c - mean|, the error of the
         # computed mean: about M u |c| at worst (u = eps / 2) for any summation order,
@@ -304,7 +305,7 @@ class NodeRegression:
         self.keep = [0] + [k for k in range(1, len(rows)) if spread[k] > noise[k]]
         self.col_mean, self.col_scale = mean[self.keep], spread[self.keep]
         rows = self._kept(rows)
-        rows /= self.col_scale[:, None]
+        rows[1:] /= self.col_scale[1:, None]   # the intercept's spread is sqrt(M / M) = 1.0
         if factor:
             self._factor(rows @ rows.T / self.n_paths)
         self._rows = rows if retain_design else None
@@ -348,8 +349,8 @@ class NodeRegression:
         if raw is None and self._rows is not None:
             return self._rows.T
         rows = self._kept(self._monomial_rows(self.raw_values() if raw is None else raw))
-        rows -= self.col_mean[:, None]
-        rows /= self.col_scale[:, None]
+        rows[1:] -= self.col_mean[1:, None]
+        rows[1:] /= self.col_scale[1:, None]
         return rows.T
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -430,6 +431,41 @@ class NodeRegression:
         return self._derivative_rows(coef, rows, r, self.basis.degree)
 
 
+# Paths per block of `BackwardProjector`'s moment sums: a whole number of the sampler's
+# blocks. A stacked block of a p = 4 design is (8, 8192) floats, 0.5 MB.
+_MOMENT_BLOCK = 2 * _BLOCK
+
+
+def _stacked(rows: np.ndarray, dw: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """[rows; rows o dw], (2p, w) and C-contiguous, formed in the front of the flat `buffer`."""
+    p, w = rows.shape
+    out = buffer[:2 * p * w].reshape(2 * p, w)
+    out[:p] = rows
+    np.multiply(rows, dw, out=out[p:])
+    return out
+
+
+def _block_sums(phi: np.ndarray, dw: np.ndarray, prev: np.ndarray | None = None,
+                prev_dw: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Phi [Phi; Phi o dW]^T, (p, 2p), and Phi [P; P o dW']^T, (p, 2q), for the (p, M) design
+    Phi and the (q, M) design `prev` = P (None without it), each a sum over the blocks of
+    `_MOMENT_BLOCK` paths added in block order. A block's two stacks are formed in two
+    buffers of one block each."""
+    (p, m), width = phi.shape, min(phi.shape[1], _MOMENT_BLOCK)
+    here_buf = np.empty(2 * p * width)
+    prev_buf = None if prev is None else np.empty(2 * len(prev) * width)
+    moments = cross = None
+    for start in range(0, m, width):
+        cols = slice(start, start + width)
+        here = _stacked(phi[:, cols], dw[cols], here_buf)
+        part = here[:p] @ here.T
+        moments = part if moments is None else np.add(moments, part, out=moments)
+        if prev is not None:
+            part = here[:p] @ _stacked(prev[:, cols], prev_dw[cols], prev_buf).T
+            cross = part if cross is None else np.add(cross, part, out=cross)
+    return moments, cross
+
+
 class BackwardProjector:
     """Backward regression march on coefficients (LSMDP, Gobet, Lemor & Warin 2005).
 
@@ -441,15 +477,17 @@ class BackwardProjector:
     Phi_j / M, formed once and held premultiplied by G_j^{-1}. A march is two O(M p) products
     at T (`terminal_moments`), then one p x p update per node.
 
-    Node j's design Phi_j and Phi_j o dW_j are stacked in one (2p, M) buffer, so one product
-    [Phi_j; Phi_j o dW_j] Phi_j^T gives G_j and C_j, and one product of node j-1's stack with
-    Phi_j gives A_{j-1} and B_{j-1}. Each is formed with Phi_j on the left, (Phi_j S^T)^T, and
-    divided by M into C order: on OpenBLAS the same bits as S Phi_j^T, and about 15 % faster
-    for a (p, M) by (M, 2p) shape. The nodes are built in order, and node j-1's stack is
-    dropped as soon as its cross-moments with node j are formed, before node j's is made,
-    so the build holds two designs and their dW products at a time. No design is kept:
-    `regs[j].design()` rebuilds node j's on request, bit-identical to the dropped one
-    (`terminal_moments` rebuilds node N-1's once per terminal F).
+    The moments are path sums over blocks of `_MOMENT_BLOCK` paths, added in block order
+    (`_block_sums`). For each block, node j's stack S_j = [Phi_j; Phi_j o dW_j] and node j-1's
+    S_{j-1} are formed in two buffers of one block each, and Phi_j S_j^T (G_j and C_j) and
+    Phi_j S_{j-1}^T (A_{j-1} and B_{j-1}, transposed) are added into p x 2p and p x 2q sums,
+    each divided by M into C order at the end. With M at most one block these are the
+    full-width products bit for bit (on OpenBLAS the same bits as S Phi_j^T); above it they
+    differ from them by round-off only. No (2p, M) array exists: node j-1 keeps its (p, M)
+    design until its cross-moments with node j are formed, so the build holds two designs
+    and two blocks at a time. No design is kept: `regs[j].design()` rebuilds node j's on
+    request, bit-identical to the dropped one (`terminal_moments` rebuilds node N-1's once
+    per terminal F).
     """
 
     def __init__(self, features: Sequence[Feature], paths: PathBundle,
@@ -457,22 +495,17 @@ class BackwardProjector:
         n, m = paths.n_steps, paths.n_paths
         self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
         self.regs, self.carry, self.carry_dw, self.centre_dw = [], [], [], []
-        stack = None  # [Phi_{j-1}; Phi_{j-1} o dW_{j-1}], (2p, M)
         for j in range(n):
             reg = NodeRegression(features, j, self.basis, retain_design=True, factor=False)
-            p = len(reg._rows)
-            if j:
-                prev = self.regs[-1]
-                cross = np.divide((reg._rows @ stack.T).T, m, order="C")
-                # node j-1's stack goes before node j's is made
-                prev._rows = stack = None
-                self.carry.append(prev._solve(cross[:len(prev.gram)]))
-                self.carry_dw.append(prev._solve(cross[len(prev.gram):]))
-            stack = np.empty((2 * p, m))
-            stack[:p] = reg._rows
-            reg._rows = stack[:p]
-            np.multiply(reg._rows, self.dW[j], out=stack[p:])
-            moments = np.divide((reg._rows @ stack.T).T, m, order="C")
+            prev = self.regs[-1] if j else None
+            moments, cross = _block_sums(reg._rows, self.dW[j],
+                                         None if prev is None else prev._rows, self.dW[j - 1])
+            if prev is not None:
+                prev._rows = None  # node j-1's design goes once its cross-moments are formed
+                cross, q = np.divide(cross.T, m, order="C"), len(prev.gram)
+                self.carry.append(prev._solve(cross[:q]))
+                self.carry_dw.append(prev._solve(cross[q:]))
+            p, moments = len(reg._rows), np.divide(moments.T, m, order="C")
             reg._factor(moments[:p])
             self.centre_dw.append(reg._solve(moments[p:]))
             self.regs.append(reg)

@@ -498,6 +498,9 @@ class ControlProcess:
         return ControlProcess(vals + lam * beta, self.bounds)
 
     def shifted(self, delta: float) -> "ControlProcess":
+        """The control plus delta, refused where it leaves the bounds. Kept as the
+        acceptance oracles' whole shifted control (criterion 14); `portfolio.wealth_rows`
+        forms a shifted run's rows one node at a time instead."""
         if self.rule is None:
             return ControlProcess(self.values + delta, self.bounds)
         return ControlProcess(None, self.bounds,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .malliavin import (
     weighted_brownian_feature,
 )
 from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
-from .volterra import StateEnsemble, _control_grid, memory_sums, monte_carlo_estimate
+from .volterra import (StateEnsemble, _control_grid, _one_row, memory_sums,
+                       monte_carlo_estimate)
 
 
 @dataclass(frozen=True)
@@ -327,36 +328,55 @@ class PortfolioSolution:
         return out
 
 
-def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
-                             paths: PathBundle) -> StateEnsemble:
-    """Positivity-preserving wealth simulation in log space.
+def wealth_rows(market: MarketModel, control: ControlProcess, paths: PathBundle,
+                shift: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Yield the rows (X_i, u_i), i = 0..N (u_N None), of the positivity-preserving wealth
+    scheme in log space under `control` shifted by `shift`.
 
     The log increments carry the diagonal drift/volatility terms plus the
     memory correction normalized by current wealth: the history sums of the
     d/dt kernels against pi X, the memory term of the differential form.
     They come from `volterra.memory_sums` on the market's declared decays,
-    one O(M) recursion step per node, so a run costs O(N M). Kept as acceptance-oracle
-    API (criterion 14, wealth positivity); its one src reader is `verify_optimality`.
+    one O(M) recursion step per node, so a run costs O(N M). A step reads row
+    i - 1 alone, so one row of the wealth and of the control is held, and
+    node i's control row is formed when the run reaches it; a shifted row
+    that leaves the control's bounds is refused.
     """
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
     b_ii, s_ii = market.b0, market.sigma0  # the kernels on the diagonal t = s
-    x = np.empty((n + 1, m))
-    x[0] = market.initial_wealth
-    log_x = np.full(m, math.log(market.initial_wealth))  # log X(t_i), one node at a time
-    u = _control_grid(control, paths)
+    x, u = _one_row((n + 1, m)), _one_row((n, m))
     memory = memory_sums(market.to_coefficient_model(), paths, x, u, parts=(("_dt", None),))
+    log_x = np.full(m, math.log(market.initial_wealth))  # log X(t_i), one node at a time
+    x_i = np.full(m, market.initial_wealth)
     for i in range(n):
-        if control.rule is not None:
-            u[i] = control.at(i, paths, x=x[i])
-        alpha = memory(i) if i > 0 else np.zeros(m)
+        alpha = memory(i) if i > 0 else np.zeros(m)   # reads rows i - 1 of x and u
         if not np.all(np.isfinite(alpha)):
             raise SimulationError(f"memory correction is non-finite at node {i}")
+        x[i] = x_i
+        u[i] = control.at(i, paths, x=x_i)
+        if shift:
+            u[i] = control._admissible(u[i] + shift)
+        yield x_i, u[i]
         log_x = log_x + s_ii * u[i] * paths.dW[i] + (
-            b_ii * u[i] - 0.5 * (s_ii * u[i]) ** 2 + alpha / x[i]
+            b_ii * u[i] - 0.5 * (s_ii * u[i]) ** 2 + alpha / x_i
         ) * dt
-        x[i + 1] = np.exp(log_x)
-        if not np.all(np.isfinite(x[i + 1])):
+        x_i = np.exp(log_x)
+        if not np.all(np.isfinite(x_i)):
             raise SimulationError(f"wealth is non-finite at node {i + 1}")
+    yield x_i, None
+
+
+def simulate_wealth_positive(market: MarketModel, control: ControlProcess,
+                             paths: PathBundle) -> StateEnsemble:
+    """The rows of `wealth_rows` collected into the (N+1, M) wealth and (N, M) control
+    grid (an open-loop control's own grid). Kept as acceptance-oracle API (criterion 14,
+    wealth positivity); `verify_optimality` reads the rows' terminal wealth alone."""
+    x = np.empty((paths.n_steps + 1, paths.n_paths))
+    u = _control_grid(control, paths)
+    for i, (x_i, u_i) in enumerate(wealth_rows(market, control, paths)):
+        x[i] = x_i
+        if control.rule is not None and u_i is not None:
+            u[i] = u_i
     return StateEnsemble(values=x, control=control, paths=paths, controls=u)
 
 
@@ -396,18 +416,20 @@ def verify_optimality(market: MarketModel, utility: UtilitySpec,
     """Brute-force optimality check of a candidate investment fraction.
 
     Re-simulates wealth under the candidate and under constant shifts of it
-    with common random numbers and compares expected utilities. Only the terminal
-    wealth of each run is kept, so one run and one shifted control are held at a time.
-    The first-order condition is `hamiltonian.check_stationarity`'s.
+    with common random numbers and compares expected utilities. Each run is
+    `wealth_rows`, which forms the shifted control one row at a time and holds one
+    wealth row, and only its terminal wealth is read. The first-order condition is
+    `hamiltonian.check_stationarity`'s.
     """
-    def j_paths(ctrl: ControlProcess) -> np.ndarray:
-        terminal = simulate_wealth_positive(market, ctrl, paths).terminal
+    def j_paths(delta: float) -> np.ndarray:
+        for terminal, _ in wealth_rows(market, control, paths, delta):
+            pass
         return np.asarray(utility.u(terminal), dtype=float)
 
-    j_base_paths = j_paths(control)
+    j_base_paths = j_paths(0.0)
     comparisons = []
     for delta in sorted({s for mag in shifts for s in (+abs(mag), -abs(mag))}):
-        j_shift = j_paths(control.shifted(delta))
+        j_shift = j_paths(delta)
         comparisons.append((float(delta), float(j_shift.mean()),
                             *monte_carlo_estimate(j_base_paths - j_shift)))
     return OptimalityReport(*monte_carlo_estimate(j_base_paths), comparisons)

@@ -108,9 +108,11 @@ RUNS = (
         workload="portfolio_memory",
         bound_mb=130.0,
         why="the BSVIE fields are kept as per-node coefficients, strategy.csv reads "
-            "per-node statistics and the BSVIE feature's rows are formed one node at a "
-            "time, so the stage peaks near 102 MB (151 MB with the (N+1, M) feature "
-            "array, 248 MB with the (N, M) field and fraction arrays as well)",
+            "per-node statistics, the BSVIE feature's rows are formed one node at a "
+            "time and the projector's moments are summed over blocks of paths, so the "
+            "stage peaks near 95 MB (100 MB with a (2p, M) stack per node, 151 MB with "
+            "the (N+1, M) feature array, 248 MB with the (N, M) field and fraction "
+            "arrays as well)",
     ),
     CliRun(
         name="portfolio_rising_vol",
@@ -144,7 +146,8 @@ RUNS = (
         bound_mb=1000.0,
         why="large path counts in bounded memory: at N = 64, M = 1e6 the stage holds "
             "dW, the node designs being built and a few (M,) rows, and peaks near "
-            "680 MB (1167 MB with the (N+1, M) feature array)",
+            "603 MB (648 MB with a (2p, M) stack per node, 1167 MB with the (N+1, M) "
+            "feature array)",
     ),
     CliRun(
         name="merton",
@@ -152,10 +155,10 @@ RUNS = (
         seed=7,
         bound_mb=300.0,
         why="the fractions are formed once, for the per-path control, the solved "
-            "portfolio is dropped before verifying and one wealth run is kept at a "
-            "time, with no first-order march of its own, so the stage peaks near "
-            "244 MB (246 MB with that march, 304 MB while the portfolio was kept, "
-            "497 MB before that)",
+            "portfolio is dropped before verifying, and each wealth run forms its "
+            "shifted control row by row and holds one wealth row, so the stage peaks "
+            "near 149 MB (245 MB with a whole shifted control and wealth per run, "
+            "304 MB while the portfolio was kept, 497 MB before that)",
     ),
     CliRun(
         name="merton_memory",

@@ -26,6 +26,7 @@ from volterra_control import (
 from volterra_control.errors import RegressionError
 from volterra_control.grids import compensated_jump_integral
 from volterra_control.malliavin import (
+    _MOMENT_BLOCK,
     BackwardProjector,
     NodeRegression,
     _monomial_exponents,
@@ -347,6 +348,45 @@ def test_projector_moments_are_the_stack_products_bit_for_bit(jump_paths64_small
                                   projector.regs[j - 1]._solve(cross[q:]))
         prev = np.vstack([phi, phi * paths.dW[j]])
         moments = prev @ phi.T / m
+        assert np.array_equal(reg.gram, moments[:p]) and reg.gram.flags.c_contiguous
+        assert np.array_equal(projector.centre_dw[j], reg._solve(moments[p:]))
+
+
+def test_projector_moments_are_the_block_sums_of_the_stack_products(marks_pm1):
+    # Above one block, every Gram, carry and centred dW moment must keep the bits of the
+    # stacked products S_b Phi_b^T added in block order, and differ from the full-width
+    # product S Phi^T by at most 2 gamma_M (|S| |Phi|^T) elementwise before the division
+    # by M, gamma_M = M u / (1 - M u), u = eps / 2: the bound on the round-off of either
+    # sum of M products, in any order.
+    m = 5 * _MOMENT_BLOCK // 2
+    paths = sample_paths(TimeGrid(1.0, 6), marks_pm1, m, seed=20240813)
+    feats = [brownian_feature(paths), jump_sum_feature(paths)]
+    projector = BackwardProjector(feats, paths, RegressionBasis(degree=2))
+    blocks = [slice(start, start + _MOMENT_BLOCK) for start in range(0, m, _MOMENT_BLOCK)]
+    assert len(blocks) == 3 and blocks[-1].stop > m
+    u = np.finfo(float).eps / 2
+    gamma = m * u / (1 - m * u)
+
+    def block_sum(stack, phi):
+        total = None
+        for cols in blocks:
+            part = np.ascontiguousarray(stack[:, cols]) @ np.ascontiguousarray(phi[:, cols]).T
+            total = part if total is None else total + part
+        bound = 2 * gamma * (np.abs(stack) @ np.abs(phi).T)
+        assert np.all(np.abs(total - stack @ phi.T) <= bound)
+        return total / m
+
+    prev = None
+    for j, reg in enumerate(projector.regs):
+        phi = NodeRegression(feats, j, projector.basis, retain_design=True)._rows
+        p = len(phi)
+        if prev is not None:
+            cross, q = block_sum(prev, phi), len(prev) // 2
+            assert np.array_equal(projector.carry[j - 1], projector.regs[j - 1]._solve(cross[:q]))
+            assert np.array_equal(projector.carry_dw[j - 1],
+                                  projector.regs[j - 1]._solve(cross[q:]))
+        prev = np.vstack([phi, phi * paths.dW[j]])
+        moments = block_sum(prev, phi)
         assert np.array_equal(reg.gram, moments[:p]) and reg.gram.flags.c_contiguous
         assert np.array_equal(projector.centre_dw[j], reg._solve(moments[p:]))
 

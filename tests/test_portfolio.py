@@ -686,6 +686,56 @@ def test_verify_optimality_interface(paths64_small, merton_market, log_utility):
     assert report.dominates()
 
 
+@pytest.mark.parametrize("control", [
+    ControlProcess.constant(1.25),
+    ControlProcess.feedback(lambda i, t, paths, x: 1.0 + 0.1 * np.tanh(x - 1.0)),
+], ids=["constant", "feedback"])
+def test_verify_optimality_is_the_full_state_run_of_each_shifted_control(paths64_small,
+                                                                          log_utility,
+                                                                          control):
+    # each run forms its control rows as it goes and keeps only its terminal wealth; the
+    # objectives must be those of `simulate_wealth_positive` under `control.shifted`
+    market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.5)
+
+    def j_paths(ctrl):
+        return log_utility.u(simulate_wealth_positive(market, ctrl, paths64_small).terminal)
+
+    per_path = ControlProcess.per_path(
+        np.array(simulate_wealth_positive(market, control, paths64_small).controls))
+    for ctrl in (control, per_path):
+        report = verify_optimality(market, log_utility, ctrl, paths64_small, shifts=(0.25,))
+        base = j_paths(ctrl)
+        assert (report.j_candidate, report.j_candidate_stderr) == monte_carlo_estimate(base)
+        for delta, j, gap, se in report.comparisons:
+            shifted = j_paths(ctrl.shifted(delta))
+            assert j == shifted.mean()
+            assert (gap, se) == monte_carlo_estimate(base - shifted)
+
+
+def test_verify_optimality_refuses_a_shift_that_leaves_the_bounds(paths64_small,
+                                                                  merton_market, log_utility):
+    control = ControlProcess.constant(0.95, bounds=(-1.0, 1.0))
+    with pytest.raises(ConfigurationError, match=r"leave the admissible interval \[-1.0, 1.0\]"):
+        verify_optimality(merton_market, log_utility, control, paths64_small, shifts=(0.1,))
+
+
+def test_verify_optimality_holds_a_few_rows_per_run(log_utility):
+    # A shifted run holds one row of the wealth and of the control at a time; a copy of
+    # the shifted (N, M) control and the (N+1, M) wealth would be 2N + 1 rows.
+    n, m = 64, 20_000
+    paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), m, seed=7)
+    market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0)
+    control = ControlProcess.per_path(np.full((n, m), 1.0) + paths.dW)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        verify_optimality(market, log_utility, control, paths, shifts=(0.25,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 20 * m * 8, f"peak {(peak - entry) / (m * 8):.2f} rows"
+
+
 def test_full_pipeline_merton_small_scale(grid64, paths64_small, merton_market,
                                           log_utility):
     sol = solve_portfolio(merton_market, log_utility, paths64_small)
@@ -915,6 +965,26 @@ def test_portfolio_problem_holds_no_feature_array(log_utility):
     assert held < (p + 3) * row, f"held {held / 1e6:.2f} MB"
     kept = [reg._rows.nbytes for reg in problem.projector.regs if reg._rows is not None]
     assert kept == []
+
+
+def test_projector_build_peaks_at_two_designs_and_two_blocks():
+    # Building node j holds node j-1's (p, M) design and node j's rows; the moment sums
+    # add two stacked blocks of paths. The peak above the build's entry stays within
+    # 2p + 3 rows of M at p = 4, M = 1e5, where one (2p, M) stack per node went above it.
+    m = 100_000
+    paths = sample_paths(TimeGrid(1.0, 8), JumpModel.none(), m, seed=7)
+    market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0)
+    feats = _bsvie_features(theta0(market, paths.grid), paths)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        projector = BackwardProjector(feats, paths, RegressionBasis())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = len(projector.regs[-1].gram)
+    assert p == 4
+    assert peak - entry <= (2 * p + 3) * m * 8, f"peak {(peak - entry) / (m * 8):.2f} rows"
 
 
 def test_strategy_statistics_are_those_of_the_fraction_rows(oracle_paths, log_utility):
