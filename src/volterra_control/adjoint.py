@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .models import CoefficientModel, PerformanceSpec
 from .volterra import (
     StateEnsemble,
     decay_weights,
+    integral_form_rows,
     reverse_memory_sums,
     simulate_integral_form,
 )
@@ -145,19 +146,17 @@ class SurrogateMalliavinField:
     and rebuilt per path as design_i @ coef. The design of the node last
     asked for is held, so a sweep builds each node's design once.
 
-    One read per block: the features' node-i blocks (see `Feature`) are read
-    once, when node i's coefficients are first built, at node i of the sweep,
-    and before its targets are allocated. So a feature may hold one node's
-    blocks at a time (`simulated_state_feature` does) without any node being
-    simulated twice. Surrogate rows are kept for earlier nodes only while the
-    sweep runs (`sweep`); when it ends they and the blocks the features hold
-    are dropped, and every later reader takes the memoized coefficients.
+    One pass per read: the features' node-i rows (see `Feature`) are read once
+    per kind, at node i of the sweep, and each is added into the node's
+    targets as it arrives, so a feature may form its rows as they are read
+    and hold none. Surrogate rows are kept for earlier nodes only while the
+    sweep runs (`sweep`); later readers take the memoized coefficients.
 
     The reverse path: when the surrogates read one feature and it has a
     `reverse_sweep` (the simulated state of an open-loop control on a model
     whose kernels all declare their decays), `weighted_rows` projects one
     target column per node and decay, Brownian or per mark, and reads no
-    Brownian block. The Brownian column is the reverse sweep's, fed the
+    Brownian row. The Brownian column is the reverse sweep's, fed the
     surrogate gradients g_l for l = N, N - 1, ... as far as node i, and the
     coefficients of every node it passes are kept. The jump column is
     sum_{j>i} e^{-decay (t_j - t_i)} [P_j(X_j + delta) - P_j(X_j)], with delta
@@ -202,63 +201,58 @@ class SurrogateMalliavinField:
 
     @contextmanager
     def sweep(self):
-        """The span of a backward sweep, the only reader that keeps surrogate rows. On
-        leaving it, drop what only the sweep reads: the kept rows of every node, and the
-        node blocks the features hold, by asking for node N's (empty) blocks."""
+        """The span of a backward sweep, the only reader that keeps surrogate rows, which
+        are dropped on leaving it."""
         self._sweeping = True
         try:
             yield
         finally:
             self._sweeping = False
             self._node_rows.clear()
-            for feat in self.triple.features:
-                if feat.jump_shift is not None:
-                    feat.jump_shift(self.triple.n_nodes - 1)
 
-    def _blocks(self, i: int, attr: str, *lead: int) -> list:
-        """Every feature's node-i `attr` block, broadcast to (*lead, N - i, M)."""
+    def _rows(self, i: int, attr: str) -> Iterator[tuple]:
+        """(j, every feature's `attr` row j) for j = i+1..N, in node order."""
         feats = self.triple.features
         for feat in feats:
             if getattr(feat, attr) is None:
                 raise ConfigurationError(
                     f"feature {feat.name!r} has no {attr}; supply one (for simulated states, "
                     "a finite-difference pass through the simulator) to build Malliavin fields")
-        shape = (*lead, self.triple.n_nodes - i - 1, self.paths.n_paths)
-        return [np.broadcast_to(getattr(feat, attr)(i), shape) for feat in feats]
+        rows = zip(*(getattr(feat, attr)(i) for feat in feats), strict=True)
+        return zip(range(i + 1, self.triple.n_nodes), rows, strict=True)
 
     def _coefs(self, i: int, jump: bool = False):
         """Node-i coefficients, p x (N - i), of the rows j > i of dp_rows(i), or with
         `jump` a list of them, one per mark of djump_rows(i)."""
         if (i, jump) not in self._row_coefs:
-            later, fit = range(i + 1, self.triple.n_nodes), self.triple.regressions[i].coefficients
+            fit = self.triple.regressions[i].coefficients
             if jump:
-                k = self.paths.jumps.n_marks
-                blocks = self._blocks(i, "jump_shift", k)
-                coefs = [fit(self._shifted_deltas(later, [b[kk] for b in blocks]),
-                             phi=self.design(i)) for kk in range(k)]
+                coefs = [fit(target, phi=self.design(i)) for target in self._shifted_deltas(i)]
             else:
-                coefs = fit(self._chain_rule(later, self._blocks(i, "brownian_sensitivity")),
-                            phi=self.design(i))
+                coefs = fit(self._chain_rule(i), phi=self.design(i))
             self._row_coefs[i, jump] = coefs
         return self._row_coefs[i, jump]
 
-    def _chain_rule(self, later: range, blocks: list) -> np.ndarray:
-        """(M, N - i) targets: column c is sum_f dP_j/dx_f times row c of f's block,
-        j = later[c]."""
-        out = np.zeros((self.paths.n_paths, len(later)))
-        for c, j in enumerate(later):
-            for pos, block in enumerate(blocks):
-                out[:, c] += self._surrogate("gradient", j)[:, pos] * block[c]
+    def _chain_rule(self, i: int) -> np.ndarray:
+        """(M, N - i) targets: column c is sum_f dP_j/dx_f times f's Brownian row j,
+        j = i + 1 + c."""
+        out = np.zeros((self.paths.n_paths, self.triple.n_nodes - i - 1))
+        for c, (j, rows) in enumerate(self._rows(i, "brownian_sensitivity")):
+            for pos, row in enumerate(rows):
+                out[:, c] += self._surrogate("gradient", j)[:, pos] * row
         return out
 
-    def _shifted_deltas(self, later: range, shifts: list) -> np.ndarray:
-        """(M, N - i) targets: column c is P_j(raw_j + the shifts' rows c) - P_j(raw_j)
-        of the node-j surrogate (exact), j = later[c]."""
-        out = np.empty((self.paths.n_paths, len(later)))
-        for c, j in enumerate(later):
+    def _shifted_deltas(self, i: int) -> list:
+        """K (M, N - i) targets, one per mark k: column c is P_j(raw_j + the features'
+        mark-k shift rows j) - P_j(raw_j) of the node-j surrogate (exact), j = i + 1 + c."""
+        m, k = self.paths.n_paths, self.paths.jumps.n_marks
+        out = [np.empty((m, self.triple.n_nodes - i - 1)) for _ in range(k)]
+        for c, (j, rows) in enumerate(self._rows(i, "jump_shift")):
             reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
-            out[:, c] = reg.predict(reg.raw_values() + np.column_stack([s[c] for s in shifts]),
-                                    coef) - self._surrogate("value", j)
+            shifts = [np.broadcast_to(row, (k, m)) for row in rows]
+            for kk in range(k):
+                out[kk][:, c] = reg.predict(reg.raw_values() + np.column_stack(
+                    [s[kk] for s in shifts]), coef) - self._surrogate("value", j)
         return out
 
     def _reverse_to(self, i: int, decay: float) -> None:
@@ -277,15 +271,16 @@ class SurrogateMalliavinField:
         """(M, K) targets: column k is sum_{j>i} e^{-decay (t_j - t_i)} [P_j(X_j + delta)
         - P_j(X_j)], delta the node-i shift of X_j by a jump of mark k, from the Taylor
         rows: delta (a_1 + delta (a_2 + delta a_3)) for degree 3."""
-        shifts = self._blocks(i, "jump_shift", self.paths.jumps.n_marks)[0]
         weights = decay_weights(self.paths.grid.nodes, i, decay)
-        out = np.zeros(shifts.shape[::2])
-        for c, j in enumerate(range(i + 1, self.triple.n_nodes)):
-            rows, delta = self._surrogate("taylor", j), shifts[:, c]
-            poly = rows[-1]
-            for row in rows[-2::-1]:
-                poly = row + delta * poly
-            out += weights[c] * (delta * poly)
+        out = np.zeros((self.paths.jumps.n_marks, self.paths.n_paths))
+        for c, (j, (shift,)) in enumerate(self._rows(i, "jump_shift")):
+            rows, delta = self._surrogate("taylor", j), np.broadcast_to(shift, out.shape)
+            term = delta * rows[-1]
+            for row in rows[-2::-1]:   # in place, the same products and sums
+                term += row
+                term *= delta
+            term *= weights[c]
+            out += term
         return out.T
 
     def weighted_rows(self, i: int, decay: float, jump: bool = False) -> np.ndarray:
@@ -364,7 +359,7 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
 
     Under an open-loop control X_T is affine in every increment: dW_i moves it
     by sigma(T, t_i, u_i) and a jump of mark z_k by gamma(T, t_i, u_i, z_k),
-    the node-i blocks of the predicted-terminal feature. So both derivatives
+    the node-i rows of the predicted-terminal feature (all equal). So both derivatives
     are differences of g' at shifted X_T, O(M) per node with no re-simulation.
     A feedback control has no such feature and is refused.
     """
@@ -396,12 +391,12 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
         phi = reg.design()
         c = reg.coefficients(g_term, phi=phi)
         p[i] = phi @ c
-        shift = h * np.broadcast_to(feature.brownian_sensitivity(i), (1, m))[0]
+        shift = h * np.broadcast_to(next(feature.brownian_sensitivity(i)), (m,))
         central = (g_prime(x_t + shift) - g_prime(x_t - shift)) / (2.0 * h)
         q[i] = reg.fit(finite(central, i, "under perturbation"), phi=phi)
-        jumps = np.broadcast_to(feature.jump_shift(i), (k, 1, m))
+        jumps = np.broadcast_to(next(feature.jump_shift(i)), (k, m))
         for kk in range(k):
-            bumped = g_prime(x_t + jumps[kk, 0]) - g_term
+            bumped = g_prime(x_t + jumps[kk]) - g_term
             r[i, :, kk] = reg.fit(finite(bumped, i, "with an extra jump"), phi=phi)
         regs.append(reg)
         coefs.append(c)
@@ -490,35 +485,25 @@ def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> No
 def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> Feature:
     """State feature of the run `states`, its noise sensitivities run through the simulator.
 
-    The sensitivity of X(t_j) to the increment at node i, and to a jump of
-    each mark inserted there, is measured by one re-simulation per node. It
-    restarts at node i from `states`, made with `simulate_integral_form(...,
-    record=True)`, since rows 0..i do not move. The perturbed bundles ride it
-    on a variant axis: for the Brownian blocks dW_i + h, then (dW_i + h) - 2h
-    (a central difference), and one inserted jump per mark k. A
-    `jump_shift(i)` read made before node i's Brownian blocks are asked for
-    runs the K jump variants only. The variants are lazy views that differ
-    only in row i, so no noise array is copied unless a feedback rule reads
-    the noise.
-
-    Only the blocks of the node last asked for are held, rows i+1..N of
-    dX/dW_i and of the K jump shifts, and handed out as they are; the
-    restarted (V, N + 1, M) run is dropped once they are cut from it.
-    The adjoint reads each node's blocks at one node of its sweep (see
-    `SurrogateMalliavinField`), so no node is simulated twice there. Blocks
-    asked for again after another node's are simulated again, bit for bit;
-    node N's are empty, with no run, and asking for them drops the held ones
-    (the sweep does so when it ends).
-    Time: N simulations, of O(V (N - i) M) each with declared kernel decays
-    (O(V N^2 M) in all) and of O(V N^2 M) each otherwise, V = 2 + K with the
-    Brownian blocks and K without. Memory held: one node's blocks, O((1 + K) N M).
-    A run that no block restarts (see below) needs no `record`.
+    Each sensitivity read at node i restarts the run there from `states`, made with
+    `simulate_integral_form(..., record=True)`, since rows 0..i do not move. The
+    perturbed bundles ride the restart on a variant axis: dW_i + h and (dW_i + h) - 2h
+    (a central difference) for a Brownian read, one inserted jump per mark for a jump
+    read. They are lazy views that differ only in row i, so no noise array is copied
+    unless a feedback rule reads the noise. The restart hands out rows i+1..N in node
+    order as it forms them (`integral_form_rows`). Memory held: with declared decays one
+    (V, M) row, V = 2 or K, and none between reads; otherwise the (V, N+1, M) run, whose
+    history each row re-sums. Node N has no rows, and a jump read without jumps runs
+    nothing. A restart at node i releases the record entries >= i once it has read S_i:
+    the sweep goes down, and a later restart above a released entry resumes the base
+    recursion, the same bits. Time: O(V (N - i) M) per read with declared decays,
+    O(V N^2 M) otherwise. A run that no read restarts needs no record.
 
     For an open-loop control on a model whose kernels all declare their
     decays, the feature also has a `reverse_sweep` (`volterra.reverse_memory_sums`):
     node i's column is diffusion(t_i, t_i, X_i, u_i) R^diffusion_i, O(M) per
     node, with no run. A feedback rule would need du/dx, which `ControlProcess`
-    does not declare, so it keeps the restarted Brownian blocks.
+    does not declare, so it keeps the restarted Brownian rows.
     """
     control, paths = states.control, states.paths
     unrecorded = "simulated_state_feature restarts this run, which needs to be made with " \
@@ -527,30 +512,27 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
         raise ConfigurationError(unrecorded)
     h = fd_step(paths)
     n, base, k = paths.n_steps, states.values, paths.jumps.n_marks
-    held: dict[int, tuple] = {}   # the blocks of one node; None for blocks not simulated
 
-    def node_blocks(i: int, brownian: bool) -> tuple:
-        """Rows i+1..N of dX/dW_i, (N - i, M), with `brownian`, and of the jump
-        shifts, (K, N - i, M)."""
-        if i == n:
-            held.clear()
-        if i == n or not (brownian or k):   # nothing moves, or no variant to run
-            return base[n + 1:], np.empty((k, n - i, paths.n_paths))
-        if i not in held or (brownian and held[i][0] is None):
-            if states.record is None:   # Brownian blocks asked for on the reverse path
-                raise ConfigurationError(unrecorded)
-            held.clear()   # the old blocks go before the new run is made
-            variants = [paths.with_extra_jump(i, kk) for kk in range(k)]
-            if brownian:
-                up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
-                down.rebump(-h)
-                variants = [up, down] + variants
-            x = simulate_integral_form(model, control, paths, restart=(i, states),
-                                       variants=variants)
-            lead = 2 if brownian else 0
-            held[i] = ((x[0, i + 1:] - x[1, i + 1:]) / (2.0 * h) if brownian else None,
-                       x[lead:, i + 1:] - base[i + 1:])
-        return held[i]
+    def restarted(i: int, variants: list) -> Iterator[np.ndarray]:
+        if i == n:   # nothing moves
+            return iter(())
+        if states.record is None:   # Brownian rows asked for on the reverse path
+            raise ConfigurationError(unrecorded)
+        rows = integral_form_rows(model, control, paths, restart=(i, states), variants=variants)
+        next(rows)   # row i: the restart has read S_i
+        states.record[i:] = [None] * (n - i)
+        return (x for x, _ in rows)
+
+    def brownian_rows(i: int) -> Iterator[np.ndarray]:
+        up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
+        down.rebump(-h)
+        return ((x[0] - x[1]) / (2.0 * h) for x in restarted(i, [up, down]))
+
+    def jump_rows(i: int) -> Iterator[np.ndarray]:
+        if not k:   # no variant to run
+            return iter([np.empty((0, paths.n_paths))] * (n - i))
+        variants = [paths.with_extra_jump(i, kk) for kk in range(k)]
+        return (x - base[j] for j, x in enumerate(restarted(i, variants), i + 1))
 
     reverse_sweep = None
     if control.rule is None and model.decays_declared:
@@ -569,7 +551,7 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
     return Feature(
         name="simulated_state",
         values=states.values,
-        brownian_sensitivity=lambda i: node_blocks(i, True)[0],
-        jump_shift=lambda i: node_blocks(i, False)[1],
+        brownian_sensitivity=brownian_rows,
+        jump_shift=jump_rows,
         reverse_sweep=reverse_sweep,
     )

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import combinations_with_replacement, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,13 +65,14 @@ def d_jump(functional: PathFunctional, paths: PathBundle, node: int, mark: int) 
 
 @dataclass
 class Feature:
-    """A per-node path feature with optional noise sensitivities, one block per node.
+    """A per-node path feature with optional noise sensitivities, read as rows in node order.
 
     values[j] must be F_{t_j}-measurable, so only rows j > i move with the
-    noise at node i. brownian_sensitivity(i) is rows i+1..N of d values/dW_i,
-    broadcastable to (N - i, M); jump_shift(i) is the change of those rows when
-    one jump of mark k is added at node i, broadcastable to (K, N - i, M).
-    Node N's blocks are empty. Either may be None when unknown; the Malliavin
+    noise at node i. brownian_sensitivity(i) gives rows i+1..N of d values/dW_i
+    in node order, each broadcastable to (M,); jump_shift(i) the change of those
+    rows when one jump of mark k is added at node i, each broadcastable to (K, M).
+    A call is one pass, whose rows may be formed as they are read; a reader that
+    needs a matrix stacks them. Either may be None when unknown; the Malliavin
     field builder raises if it needs a missing sensitivity.
 
     reverse_sweep(decay), when given, starts a reverse pass over the Brownian
@@ -82,27 +83,32 @@ class Feature:
 
     name: str
     values: np.ndarray | RunningSumRows  # (N+1, M), or rows formed on request
-    brownian_sensitivity: Optional[Callable[[int], np.ndarray | float]] = None
-    jump_shift: Optional[Callable[[int], np.ndarray | float]] = None
+    brownian_sensitivity: Optional[Callable[[int], Iterable[np.ndarray | float]]] = None
+    jump_shift: Optional[Callable[[int], Iterable[np.ndarray | float]]] = None
     reverse_sweep: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
+
+
+def _repeated(paths: PathBundle, row: Callable[[int], np.ndarray | float]) -> Callable:
+    """Node-i sensitivity rows that all equal row(i)."""
+    return lambda i: repeat(row(i), paths.n_steps - i) if i < paths.n_steps else iter(())
 
 
 def brownian_feature(paths: PathBundle) -> Feature:
     return Feature(
         name="brownian",
         values=paths.brownian,
-        brownian_sensitivity=lambda i: 1.0,
-        jump_shift=lambda i: 0.0,
+        brownian_sensitivity=_repeated(paths, lambda i: 1.0),
+        jump_shift=_repeated(paths, lambda i: 0.0),
     )
 
 
 def jump_sum_feature(paths: PathBundle) -> Feature:
-    marks = paths.jumps.mark_array[:, None, None]
+    marks = paths.jumps.mark_array[:, None]
     return Feature(
         name="jump_sum",
         values=paths.jump_sum,
-        brownian_sensitivity=lambda i: 0.0,
-        jump_shift=lambda i: marks,
+        brownian_sensitivity=_repeated(paths, lambda i: 0.0),
+        jump_shift=_repeated(paths, lambda i: marks),
     )
 
 
@@ -170,8 +176,8 @@ def weighted_brownian_feature(weights: np.ndarray, paths: PathBundle,
     return Feature(
         name=name,
         values=RunningSumRows(w, paths),
-        brownian_sensitivity=lambda i: w[i:i + 1, None],   # (1, 1); (0, 1) at node N
-        jump_shift=lambda i: 0.0,
+        brownian_sensitivity=_repeated(paths, lambda i: w[i]),
+        jump_shift=_repeated(paths, lambda i: 0.0),
     )
 
 
@@ -201,11 +207,11 @@ def predicted_terminal_feature(model, control: ControlProcess,
               axis=0, out=vals[1:])
     vals += model.initial_curve(t[n])
 
-    marks = jumps.mark_array[:, None, None]
-    # u[i:i + 1] is node i's (1, M) control row, and empty at node N
+    marks = jumps.mark_array[:, None]
     return Feature(name="predicted_terminal", values=vals,
-                   brownian_sensitivity=lambda i: model.diffusion(t[n], t[i], None, u[i:i + 1]),
-                   jump_shift=lambda i: model.jump(t[n], t[i], None, u[i:i + 1], marks))
+                   brownian_sensitivity=_repeated(
+                       paths, lambda i: model.diffusion(t[n], t[i], None, u[i])),
+                   jump_shift=_repeated(paths, lambda i: model.jump(t[n], t[i], None, u[i], marks)))
 
 
 def default_features(paths: PathBundle, states=None) -> list[Feature]:
@@ -358,9 +364,12 @@ class NodeRegression:
         return np.linalg.solve(self._chol.T, y)
 
     def coefficients(self, targets: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
-        """Standardized-column coefficients for the given targets, (p,) or (p, q)."""
-        phi = self.design() if phi is None else phi
-        return self._solve(phi.T @ np.asarray(targets, dtype=float) / self.n_paths)
+        """Standardized-column coefficients for the given targets, (p,) or (p, q), from einsum
+        path sums Phi^T targets, whose bits (unlike a BLAS product's) do not depend on threads."""
+        phi, targets = self.design() if phi is None else phi, np.asarray(targets, dtype=float)
+        sums = np.einsum("pm,m->p", phi.T, targets) if targets.ndim == 1 else \
+            np.einsum("pm,qm->pq", phi.T, np.ascontiguousarray(targets.T))
+        return self._solve(sums / self.n_paths)
 
     def fit(self, targets: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
         """Fitted values of the ridge projection; targets (M,) or (M, q)."""

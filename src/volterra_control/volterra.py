@@ -43,7 +43,7 @@ class StateEnsemble:
     readers take u_i = controls[i], or `control_at(i)`, so only a simulation
     evaluates a rule.
     `record` holds the per-kernel memory sums S_i, i = 0..N-1, when
-    `simulate_integral_form(record=True)` kept them.
+    `simulate_integral_form(record=True)` kept them; None marks a released one.
     """
 
     values: np.ndarray
@@ -168,14 +168,16 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
                 total = value if total is None else total + value
             increments = inc(hist)
             if hist.stop - hist.start == 1:
-                # one row: a product, and the marks added in mark order as einsum
-                # adds them; + 0.0 turns a -0.0 into einsum's +0.0
-                product = total * increments
+                # one row: a product per mark, formed alone and added in mark order as
+                # einsum adds them; + 0.0 turns a -0.0 into einsum's +0.0
                 if marks is None:
-                    return product[..., 0, :] + 0.0
-                out = product[..., 0, 0, :] + 0.0
-                for k in range(1, product.shape[-3]):
-                    out += product[..., k, 0, :]
+                    return (total * increments)[..., 0, :] + 0.0
+                if np.ndim(total) < 3 or np.shape(total)[-3] != len(marks):   # no mark axis
+                    shape = np.broadcast_shapes(np.shape(total), increments.shape)
+                    total = np.broadcast_to(total, shape)
+                out = total[..., 0, 0, :] * increments[..., 0, 0, :] + 0.0
+                for k in range(1, len(marks)):
+                    out += total[..., k, 0, :] * increments[..., k, 0, :]
                 return out
             subscripts = "...jm,...jm->...m" if marks is None else "...kjm,...kjm->...m"
             return np.einsum(subscripts, *np.broadcast_arrays(total, increments))
@@ -204,8 +206,8 @@ def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
     values[:] = values or [0.0] * len(kernels)
 
     def memory(i: int) -> np.ndarray:
-        values[:] = [history_sum(summands, decay, nodes, i, previous)
-                     for (summands, decay), previous in zip(kernels, values)]
+        for k, (summands, decay) in enumerate(kernels):   # an old sum goes before the next
+            values[k] = history_sum(summands, decay, nodes, i, values[k])
         return sum(values)
 
     return memory
@@ -252,6 +254,18 @@ def reverse_memory_sums(model: CoefficientModel, paths: PathBundle, x, u, decay:
     return step
 
 
+def _recorded_sums(model: CoefficientModel, base: StateEnsemble, i: int) -> list:
+    """S_i of the recorded run `base`: `base.record[i]`, or where that entry was released the
+    base recursion resumed from the highest entry still held (S_0 = 0 if none is)."""
+    held = next((h for h in range(i, -1, -1) if base.record[h] is not None), None)
+    sums = [] if held is None else list(base.record[held])
+    memory = memory_sums(model, base.paths, None if model.x_independent else base.values,
+                         base.controls, sums=sums)
+    for j in range(1 if held is None else held + 1, i + 1):
+        memory(j)
+    return sums
+
+
 def _one_row(shape: tuple) -> np.ndarray:
     """A writable (..., rows, M) array whose rows all share one (..., M) buffer:
     writing row i replaces the row that a read of any other row returns."""
@@ -273,7 +287,7 @@ def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: 
     `base`, made with `record=True` on a bundle that agrees with `paths`
     before node i: its rows up to i, of the state and, for a feedback rule,
     of the control grid, are copied, and the memory recursion resumes from
-    its per-kernel sums `base.record[i]`. A rule is evaluated on rows
+    its per-kernel sums S_i (`_recorded_sums`). A rule is evaluated on rows
     i+1..N-1 only: an adapted rule gives the same values on the rows the
     restart does not move. `record`, a list, receives the run's per-kernel
     sums S_i, i = 0..N-1 (a restart's first i from `base.record`).
@@ -304,7 +318,7 @@ def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: 
     first = 0 if whole else start   # the rows up to the restart that the run holds
     x[..., first:start + 1, :] = model.initial_curve(t[0]) if base is None \
         else base.values[first:start + 1]
-    sums = [] if base is None else list(base.record[start])
+    sums = [] if base is None else _recorded_sums(model, base, start)
     if base is not None:
         if record is not None:
             record += base.record[:start]
@@ -325,21 +339,16 @@ def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: 
 
 
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
-                           paths: PathBundle, restart: tuple | None = None,
-                           record: bool = False, variants: list | None = None
-                           ) -> StateEnsemble | np.ndarray:
+                           paths: PathBundle, record: bool = False) -> StateEnsemble:
     """The run of `integral_form_rows` collected into its (N+1, M) state and
     (N, M) control grid. `record=True` keeps the run's S_i on
-    `StateEnsemble.record`; a run with `variants` returns the bare
-    (V, N+1, M) state array, rows 0..i equal in every variant."""
-    lead = (len(variants),) if variants else ()
-    x = np.empty(lead + (paths.n_steps + 1, paths.n_paths))
-    u = _control_grid(control, paths, lead)
+    `StateEnsemble.record`."""
+    x = np.empty((paths.n_steps + 1, paths.n_paths))
+    u = _control_grid(control, paths)
     kept = [] if record else None
-    for _ in integral_form_rows(model, control, paths, restart, kept, variants, rows=(x, u)):
+    for _ in integral_form_rows(model, control, paths, record=kept, rows=(x, u)):
         pass
-    return x if variants else StateEnsemble(values=x, control=control, paths=paths, controls=u,
-                                            record=kept)
+    return StateEnsemble(values=x, control=control, paths=paths, controls=u, record=kept)
 
 
 def simulate_differential_form(model: CoefficientModel, control: ControlProcess,

@@ -16,7 +16,7 @@ exits non-zero naming every run with a stage that exited non-zero, reached its
 bound, or exited 0 without leaving a `manifest.json` whose `command` is that
 stage. No run has a wall-clock bound.
 
-Ten runs start from the config of a desk workload (`deskbench/workloads.py`),
+Eleven runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
 """
 
@@ -73,8 +73,21 @@ RUNS = (
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 2000}},
         bound_mb=200.0,
-        why="the state sensitivities are held one node at a time, so the stage peaks "
-            "near 71 MB; it was 455 MB when every node's block was kept",
+        why="each restart hands its rows to the jump targets as they are formed and the "
+            "recorded sums are released behind the sweep, so the stage peaks near 57 MB "
+            "(71 MB holding one node's sensitivity blocks, 455 MB holding every node's)",
+    ),
+    CliRun(
+        name="adjoint_n128_m1e4",
+        stages=("solve-adjoint",),
+        seed=11,
+        workload="adjoint_memory_jumps",
+        config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 10_000}},
+        bound_mb=160.0,
+        why="the restarts at scale: 128 restarts of K = 2 jump variants at M = 1e4 hold one "
+            "(K, M) row each, and the record shrinks as the sweep descends, so the stage "
+            "peaks near 131 MB (199 MB with each restart's whole run and (K, N - i, M) "
+            "block and the whole record)",
     ),
     CliRun(
         name="simulate_n1024",

@@ -453,6 +453,13 @@ def test_single_sweep_is_a_fixed_point(setup, request, xindep_setup):
         assert np.array_equal(old, new)
 
 
+def _stacked(rows, shape):
+    """A feature's sensitivity rows at one node (see `Feature`), each broadcast to
+    `shape`, stacked in node order: (N - i, *shape)."""
+    rows = [np.broadcast_to(row, shape) for row in rows]
+    return np.stack(rows) if rows else np.empty((0, *shape))
+
+
 def _unmemoized_rows(triple, paths, i):
     """Off-diagonal field rows of node i by the plain arithmetic: `fit` per request."""
     regs, coefs, feats = triple.regressions, triple.surrogate_coefs, triple.features
@@ -461,11 +468,13 @@ def _unmemoized_rows(triple, paths, i):
     later = range(i + 1, n1)
     if not later:
         return dp, dj
+    dx = [_stacked(f.brownian_sensitivity(i), (m,)) for f in feats]
+    shifts = [_stacked(f.jump_shift(i), (k, m)) for f in feats]
     cols = []
     for j in later:
         grad, col = regs[j].gradient_raw(coefs[j]), np.zeros(m)
-        for pos, feat in enumerate(feats):
-            sens = feat.brownian_sensitivity(i)[j - i - 1]
+        for pos in range(len(feats)):
+            sens = dx[pos][j - i - 1]
             if np.any(np.asarray(sens) != 0.0):
                 col += grad[:, pos] * sens
         cols.append(col)
@@ -474,8 +483,7 @@ def _unmemoized_rows(triple, paths, i):
         deltas = []
         for j in later:
             raw = regs[j].raw_values()
-            shift = np.column_stack([np.broadcast_to(f.jump_shift(i)[kk, j - i - 1], (m,))
-                                     for f in feats])
+            shift = np.column_stack([rows[j - i - 1, kk] for rows in shifts])
             deltas.append(regs[j].predict(raw + shift, coefs[j])
                           - regs[j].predict(raw, coefs[j]))
         dj[i + 1:, :, kk] = regs[i].fit(np.column_stack(deltas)).T
@@ -568,18 +576,19 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
     states = simulate_integral_form(model, control, paths, record=True)
     feat = simulated_state_feature(model, states)
     h = 1e-4 * np.sqrt(paths.grid.dt)
+    m, marks = paths.n_paths, paths.jumps.n_marks
     for i in range(paths.n_steps):
         pert = paths.perturb_brownian(i, +h)
         up = simulate_integral_form(model, control, pert).values
         pert.rebump(-h)
         full = (up - simulate_integral_form(model, control, pert).values) / (2.0 * h)
         shifts = [simulate_integral_form(model, control, paths.with_extra_jump(i, k)).values
-                  - states.values for k in range(paths.jumps.n_marks)]
-        for j in range(i + 1, paths.n_steps + 1):
-            assert np.array_equal(feat.brownian_sensitivity(i)[j - i - 1], full[j])
-            for k, shift in enumerate(shifts):
-                assert np.array_equal(feat.jump_shift(i)[k, j - i - 1], shift[j])
-    assert np.any(feat.brownian_sensitivity(0)[paths.n_steps - 1] != 0.0)
+                  - states.values for k in range(marks)]
+        assert np.array_equal(_stacked(feat.brownian_sensitivity(i), (m,)), full[i + 1:])
+        rows = _stacked(feat.jump_shift(i), (marks, m))
+        for k, shift in enumerate(shifts):
+            assert np.array_equal(rows[:, k], shift[i + 1:])
+    assert np.any(_stacked(feat.brownian_sensitivity(0), (m,))[paths.n_steps - 1] != 0.0)
 
 
 def test_a_feedback_rule_is_evaluated_by_the_simulations_only():
@@ -628,45 +637,38 @@ def test_simulated_state_feature_needs_a_recorded_run():
 
 
 def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
-    # every node's 2 + K perturbations ride one restarted run, and the base
-    # run is the caller's: building every block simulates N times, not (2 + K) N
-    from volterra_control import adjoint
+    # the perturbations of one read ride one restarted run, the 2 Brownian ones or the
+    # K jump ones, and the base run is the caller's: reading every node's rows of both
+    # kinds simulates 2N times, not (2 + K) N
     from volterra_control.adjoint import simulated_state_feature
 
     model, control = _exp_model(), ControlProcess.constant(0.7)
     paths = sample_paths(TimeGrid(1.0, 8), _THREE_MARKS, 300, seed=41)
-    n, marks = paths.n_steps, range(paths.jumps.n_marks)
+    n, marks = paths.n_steps, paths.jumps.n_marks
     states = simulate_integral_form(model, control, paths, record=True)
-    starts = []
-    simulate = adjoint.simulate_integral_form
-
-    def counted(*args, **kwargs):
-        starts.append(kwargs["restart"][0])
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
+    runs = _counted_restarts(monkeypatch, with_variants=True)
     feat = simulated_state_feature(model, states)
     for i in range(n):
-        for j in range(i + 1, n + 1):
-            feat.brownian_sensitivity(i)[j - i - 1]
-            for k in marks:
-                feat.jump_shift(i)[k, j - i - 1]
-    assert sorted(starts) == list(range(n))
+        assert len(list(feat.brownian_sensitivity(i))) == n - i
+        assert len(list(feat.jump_shift(i))) == n - i
+    assert runs == [(i, v) for i in range(n) for v in (2, marks)]
 
 
-def _counted_restarts(monkeypatch) -> list:
-    """Patch the adjoint's simulator so that the node of every restarted run is recorded."""
+def _counted_restarts(monkeypatch, with_variants: bool = False) -> list:
+    """Patch the adjoint's row stream so that the node of every restarted run is recorded,
+    with its number of variants when `with_variants`."""
     from volterra_control import adjoint
 
     starts = []
-    simulate = adjoint.simulate_integral_form
+    rows = adjoint.integral_form_rows
 
     def counted(*args, **kwargs):
         if kwargs.get("restart") is not None:
-            starts.append(kwargs["restart"][0])
-        return simulate(*args, **kwargs)
+            node = kwargs["restart"][0]
+            starts.append((node, len(kwargs["variants"])) if with_variants else node)
+        return rows(*args, **kwargs)
 
-    monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
+    monkeypatch.setattr(adjoint, "integral_form_rows", counted)
     return starts
 
 
@@ -703,8 +705,8 @@ def _martingale_blocks(paths):
     th = np.linspace(0.3, 0.8, paths.n_steps)
     vals = y_martingale(th, paths, 1.0)
     feat = state_feature(vals, name="exp_martingale",
-                         brownian_sensitivity=lambda i: th[i:i + 1, None] * vals[i + 1:],
-                         jump_shift=lambda i: 0.0)
+                         brownian_sensitivity=lambda i: (th[i] * row for row in vals[i + 1:]),
+                         jump_shift=lambda i: (0.0 for _ in vals[i + 1:]))
     return feat, lambda i, j: th[i] * vals[j], lambda i, j, k: 0.0
 
 
@@ -731,30 +733,31 @@ def _simulated_state_blocks(paths):
     _brownian_blocks, _jump_sum_blocks, _weighted_brownian_blocks, _predicted_terminal_blocks,
     _martingale_blocks, _simulated_state_blocks], ids=lambda f: f.__name__[1:-len("_blocks")])
 def test_node_blocks_equal_the_per_pair_sensitivities(build, monkeypatch):
-    # row j - i - 1 of node i's blocks is the sensitivity of values[j] alone,
-    # for every j > i and mark k; the blocks broadcast to (N - i, M) and
-    # (K, N - i, M), and node N's are empty, with no restarted run
+    # row j of node i's rows is the sensitivity of values[j] alone, for every j > i
+    # and mark k; the rows come in node order, broadcast to (M,) and (K, M), and node N
+    # has none, with no restarted run
     paths = sample_paths(TimeGrid(1.0, 6), _RESTART_JUMPS, 300, seed=53)
     n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
     feat, brownian, jump = build(paths)
     starts = _counted_restarts(monkeypatch)
     for i in range(n + 1):
-        dx = np.broadcast_to(feat.brownian_sensitivity(i), (n - i, m))
-        shift = np.broadcast_to(feat.jump_shift(i), (k, n - i, m))
+        dx = _stacked(feat.brownian_sensitivity(i), (m,))
+        shift = _stacked(feat.jump_shift(i), (k, m))
+        assert len(dx) == len(shift) == n - i
         for j in range(i + 1, n + 1):
             assert np.array_equal(dx[j - i - 1], np.broadcast_to(brownian(i, j), (m,)))
             for kk in range(k):
-                assert np.array_equal(shift[kk, j - i - 1],
+                assert np.array_equal(shift[j - i - 1, kk],
                                       np.broadcast_to(jump(i, j, kk), (m,)))
-    assert dx.size == 0 and shift.size == 0
-    assert starts == (list(range(n)) if feat.name == "simulated_state" else [])
+    assert starts == ([i for i in range(n) for _ in "bj"] if feat.name == "simulated_state"
+                      else [])
 
 
 @pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
 def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
-    # the feature holds one node's block at a time: the sweep reads each node's
-    # block once, and the stationarity and Gateaux checks read only the kept
-    # first rows (the diagonals of the generic path) and memoized coefficients
+    # the sweep reads each node's rows once per kind (the jump rows alone on the
+    # reverse path of declared decays, the Brownian rows too on the generic path), and
+    # the stationarity and Gateaux checks read only memoized coefficients
     import dataclasses
 
     from volterra_control.adjoint import simulated_state_feature
@@ -776,12 +779,13 @@ def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
     triple, field = solve_general(model, spec, states, features=feats)
     check_stationarity(triple, field)
     gateaux_check(triple, field, [perturbation_window(8, 2, 2)])
-    assert sorted(starts) == list(range(paths.n_steps))
+    kinds = 1 if lifted else 2
+    assert starts == [i for i in range(paths.n_steps - 1, -1, -1) for _ in range(kinds)]
 
 
 @pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
 def test_the_solve_keeps_no_node_block(monkeypatch, lifted):
-    # the feature's node blocks and the field's per-node surrogate rows (Taylor
+    # the feature's sensitivity rows and the field's per-node surrogate rows (Taylor
     # rows, gradients, unshifted values) are read by the sweep only: once
     # solve_general returns, none that was made during it is still alive
     import gc
@@ -798,6 +802,13 @@ def test_the_solve_keeps_no_node_block(monkeypatch, lifted):
             return out
         return wrapper
 
+    def recorded_rows(read):
+        def wrapper(i):
+            for row in read(i):
+                made.append(weakref.ref(row))
+                yield row
+        return wrapper
+
     for name in ("taylor_rows", "gradient_raw", "predict"):
         monkeypatch.setattr(NodeRegression, name, recorded(getattr(NodeRegression, name)))
     model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
@@ -807,8 +818,8 @@ def test_the_solve_keeps_no_node_block(monkeypatch, lifted):
                          600, seed=43)
     states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
     feat = simulated_state_feature(model, states)
-    feat.brownian_sensitivity = recorded(feat.brownian_sensitivity)
-    feat.jump_shift = recorded(feat.jump_shift)
+    feat.brownian_sensitivity = recorded_rows(feat.brownian_sensitivity)
+    feat.jump_shift = recorded_rows(feat.jump_shift)
     solve = solve_general(model, PerformanceSpec.log_terminal(), states, features=[feat])
     gc.collect()
     assert len(made) > paths.n_steps
@@ -845,6 +856,61 @@ def test_reverse_rows_equal_the_restart_block_weighted_sums(jumps, n, m):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (i, name)
 
 
+def _resimulated_jump_target(triple, i, decay):
+    """Node i's (M, K) jump target by full re-simulations on paths.with_extra_jump(i, k):
+    the decay-weighted Taylor sum of `SurrogateMalliavinField._jump_target`, with every
+    shift taken from a whole run."""
+    from volterra_control.volterra import decay_weights
+
+    states, paths = triple.states, triple.states.paths
+    runs = [simulate_integral_form(triple.model, states.control,
+                                   paths.with_extra_jump(i, k)).values
+            for k in range(paths.jumps.n_marks)]
+    weights = decay_weights(paths.grid.nodes, i, decay)
+    out = np.zeros((paths.jumps.n_marks, paths.n_paths))
+    for c, j in enumerate(range(i + 1, triple.n_nodes)):
+        delta = np.stack([run[j] - states.values[j] for run in runs])
+        rows = triple.regressions[j].taylor_rows(triple.surrogate_coefs[j])
+        poly = rows[-1]
+        for row in rows[-2::-1]:
+            poly = row + delta * poly
+        out += weights[c] * (delta * poly)
+    return out.T
+
+
+def test_streamed_jump_targets_equal_full_resimulation_sums(monkeypatch):
+    # each jump target adds the restart's shift rows as they arrive; it equals the same
+    # sum over full re-simulations bit for bit, in the sweep's order, where a restart at
+    # node i has released the record entries >= i and no lower one, and in a scrambled
+    # order that reads nodes above released entries again
+    model, _, _, states, paths, triple, field = _memory_setup(
+        JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 16, 1_000, 13, _MEMORY_JUMP_PARAMS, 0.5,
+        PerformanceSpec.log_terminal())
+    lam, n = model.decay("jump"), paths.n_steps
+    record = states.record
+    assert all(entry is None for entry in record), "the sweep released the record"
+    states.record = simulate_integral_form(model, states.control, paths, record=True).record
+    target, swept = SurrogateMalliavinField._jump_target, []
+
+    def watched(self, i, decay):
+        out = target(self, i, decay)
+        swept.append(i)
+        assert all(entry is None for entry in states.record[i:])
+        assert all(entry is not None for entry in states.record[:i])
+        assert np.array_equal(out, _resimulated_jump_target(triple, i, decay)), i
+        return out
+
+    monkeypatch.setattr(SurrogateMalliavinField, "_jump_target", watched)
+    _backward_sweep(triple, SurrogateMalliavinField(triple))
+    assert swept == list(range(n - 1, -1, -1))
+    monkeypatch.undo()
+    states.record = simulate_integral_form(model, states.control, paths, record=True).record
+    scrambled = [int(i) for i in np.random.default_rng(5).permutation(n)] + [n - 1, 3, 12]
+    fresh = SurrogateMalliavinField(triple)
+    for i in scrambled:
+        assert np.array_equal(fresh._jump_target(i, lam), _resimulated_jump_target(triple, i, lam))
+
+
 @pytest.mark.parametrize("control", [
     ControlProcess.constant(0.5), ControlProcess.deterministic(np.linspace(0.3, 0.7, 16))],
     ids=["constant", "deterministic"])
@@ -873,69 +939,60 @@ def test_jump_free_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control
 @pytest.mark.parametrize("make_model,control,jumps", RESTART_CASES)
 def test_jump_shift_read_first_runs_the_jump_variants_only(make_model, control, jumps,
                                                            monkeypatch):
-    # a jump_shift(i) read before node i's Brownian blocks restarts with the K
-    # jump variants only, and its blocks equal full re-simulation bit for bit;
-    # a Brownian read after it makes the 2 + K run, bit for bit too
-    from volterra_control import adjoint
+    # a jump_shift(i) read restarts with the K jump variants only, and its rows equal
+    # full re-simulation bit for bit; a Brownian read after it restarts with the 2
+    # Brownian variants, bit for bit too
     from volterra_control.adjoint import simulated_state_feature
 
     model = make_model()
     paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
-    n, k = paths.n_steps, paths.jumps.n_marks
+    n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
     states = simulate_integral_form(model, control, paths, record=True)
-    runs = []
-    simulate = adjoint.simulate_integral_form
-
-    def counted(*args, **kwargs):
-        runs.append((kwargs["restart"][0], len(kwargs["variants"])))
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(adjoint, "simulate_integral_form", counted)
+    runs = _counted_restarts(monkeypatch, with_variants=True)
     feat = simulated_state_feature(model, states)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     for i in range(n):
-        shift = feat.jump_shift(i)
+        shift = _stacked(feat.jump_shift(i), (k, m))
         assert runs[-1] == (i, k)
         for kk in range(k):
             full = simulate_integral_form(model, control, paths.with_extra_jump(i, kk)).values
-            assert np.array_equal(shift[kk], (full - states.values)[i + 1:])
+            assert np.array_equal(shift[:, kk], (full - states.values)[i + 1:])
         pert = paths.perturb_brownian(i, +h)
         up = simulate_integral_form(model, control, pert).values
         pert.rebump(-h)
         full = (up - simulate_integral_form(model, control, pert).values) / (2.0 * h)
-        assert np.array_equal(feat.brownian_sensitivity(i), full[i + 1:])
-        assert runs[-1] == (i, 2 + k)
+        assert np.array_equal(_stacked(feat.brownian_sensitivity(i), (m,)), full[i + 1:])
+        assert runs[-1] == (i, 2)
     assert len(runs) == 2 * n
 
 
 @pytest.fixture(scope="module")
 def restart_reads():
-    """A memory-with-jumps run and its sensitivities read node by node, in order."""
+    """A memory-with-jumps run and its sensitivities read node by node, from the last
+    node down, as the adjoint sweep reads them."""
     from volterra_control.adjoint import simulated_state_feature
 
     model, control = _exp_model(), ControlProcess.constant(0.7)
     paths = sample_paths(TimeGrid(1.0, 8), _RESTART_JUMPS, 300, seed=47)
     states = simulate_integral_form(model, control, paths, record=True)
     feat = simulated_state_feature(model, states)
-    n, marks = paths.n_steps, paths.jumps.n_marks
-    want = {}
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            want[i, j] = (np.array(feat.brownian_sensitivity(i)[j - i - 1]),
-                          [np.array(feat.jump_shift(i)[k, j - i - 1]) for k in range(marks)])
+    m, marks = paths.n_paths, paths.jumps.n_marks
+    want = {i: (_stacked(feat.brownian_sensitivity(i), (m,)),
+                _stacked(feat.jump_shift(i), (marks, m)))
+            for i in range(paths.n_steps - 1, -1, -1)}
     return model, control, states, paths, want
 
 
 @settings(max_examples=25)
 @given(data=st.data())
 def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
-    # reads in any (i, j > i, k) order, each evicting the held block of another
-    # node, give the in-order values bit for bit; the last reads go back to a
-    # node whose block was evicted, so it is simulated again
+    # reads in any (i, j > i, k) order, each restarting the run and releasing the
+    # record entries >= i, give the values of the sweep's order bit for bit; the last
+    # reads go back above a released entry, where the restart resumes the recursion
     from volterra_control.adjoint import simulated_state_feature
 
     model, control, states, paths, want = restart_reads
-    n, marks = paths.n_steps, paths.jumps.n_marks
+    n, m, marks = paths.n_steps, paths.n_paths, paths.jumps.n_marks
     read = st.integers(0, n - 1).flatmap(lambda i: st.tuples(
         st.just(i), st.integers(i + 1, n), st.integers(0, marks - 1)))
     reads = data.draw(st.lists(read, min_size=1, max_size=12), label="reads")
@@ -947,8 +1004,10 @@ def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
         starts = _counted_restarts(patch)
         feat = simulated_state_feature(model, states)
         for i, j, k in reads:
-            assert np.array_equal(feat.brownian_sensitivity(i)[j - i - 1], want[i, j][0])
-            assert np.array_equal(feat.jump_shift(i)[k, j - i - 1], want[i, j][1][k])
+            assert np.array_equal(_stacked(feat.brownian_sensitivity(i), (m,))[j - i - 1],
+                                  want[i][0][j - i - 1])
+            assert np.array_equal(_stacked(feat.jump_shift(i), (marks, m))[j - i - 1, k],
+                                  want[i][1][j - i - 1, k])
     assert starts.count(first) >= 2
 
 
@@ -983,14 +1042,16 @@ def test_state_sensitivity_memory_is_linear_in_the_grid():
 @settings(max_examples=30)
 @given(data=st.data())
 def test_state_sensitivities_and_field_rows_are_adapted(memory_jump_setup, data):
-    # D_{t_i} X(t_j) = 0 for j <= i, so node i's blocks hold the N - i rows
-    # j > i only, and the field rows j < i vanish exactly
+    # D_{t_i} X(t_j) = 0 for j <= i, so node i's rows are the N - i rows j > i only,
+    # and the field rows j < i vanish exactly
     *_, paths, triple, field = memory_jump_setup
     n, m, marks = paths.n_steps, paths.n_paths, paths.jumps.n_marks
     i = data.draw(st.integers(0, n), label="i")
     feat = triple.features[0]
-    assert feat.brownian_sensitivity(i).shape == (n - i, m)
-    assert feat.jump_shift(i).shape == (marks, n - i, m)
+    dx, shifts = list(feat.brownian_sensitivity(i)), list(feat.jump_shift(i))
+    assert len(dx) == len(shifts) == n - i
+    assert all(row.shape == (m,) for row in dx)
+    assert all(row.shape == (marks, m) for row in shifts)
     assert np.all(field.dp_rows(i)[:i] == 0.0)
     assert np.all(field.djump_rows(i)[:i] == 0.0)
 
@@ -1147,11 +1208,12 @@ def test_solve_adjoint_records_the_run_exactly_where_it_restarts(reason, monkeyp
         return runs[-1]
 
     monkeypatch.setattr(adjoint, "simulate_integral_form", run)
+    restarts = _counted_restarts(monkeypatch)
     triple, _ = adjoint.solve_adjoint(model, PerformanceSpec.log_terminal(), control, paths)
-    assert runs[0] is triple.states
+    assert runs == [triple.states]
     assert (triple.states.record is not None) == adjoint._restarts(model, control, jumps) \
         == (reason is not None)
-    assert len(runs) == (1 if reason is None else 1 + paths.n_steps)
+    assert len(restarts) == (0 if reason is None else paths.n_steps)
 
 
 @pytest.mark.parametrize("name", ["constant", "x_independent_linear"])

@@ -77,21 +77,26 @@ def test_cli_run_resolves(run, tmp_path):
 def test_solve_portfolio_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # The portfolio's regressions have p = 4, where OpenBLAS sums over paths in one
     # order whatever its thread count, and the BSVIE moments are sums over fixed blocks
-    # of paths. `check-stationarity` and `solve-adjoint` still write different bytes
-    # under 1 and 2 threads (ROADMAP, Fix first, item 3).
-    workload = WORKLOADS["portfolio_memory"]
-    config = tmp_path / "config.yaml"
-    config.write_text(json.dumps(workload.config) + "\n", encoding="utf-8")
-    written = {"solve-portfolio": ("strategy.csv", "calibration.csv"),
-               "merton-test": ("strategy.csv", "calibration.csv", "objective.csv")}
-    for stage, names in written.items():
+    # of paths. Every node regression's path sums are einsum sums, so the adjoint stages
+    # keep their bytes too: node 0's intercept-only fit on the adjoint workload (a dot
+    # product over 2e4 paths) is one BLAS may split over its threads.
+    written = {("portfolio_memory", "solve-portfolio"): ("strategy.csv", "calibration.csv"),
+               ("portfolio_memory", "merton-test"): ("strategy.csv", "calibration.csv",
+                                                     "objective.csv"),
+               ("adjoint_memory_jumps", "solve-adjoint"): ("adjoint.csv",),
+               ("adjoint_memory_jumps", "check-stationarity"): ("stationarity.csv",)}
+    for (key, stage), names in written.items():
+        workload = WORKLOADS[key]
+        config = tmp_path / f"{key}.yaml"
+        config.write_text(json.dumps(workload.config) + "\n", encoding="utf-8")
+        paths = ["--paths", "50000"] if key == "portfolio_memory" else []
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}" / stage_dir(stage)
             env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
             subprocess.run([sys.executable, "-m", "volterra_control.cli", stage,
                             "--config", str(config), "--seed", str(workload.default_seed),
-                            "--paths", "50000", "--out", str(out)],
+                            *paths, "--out", str(out)],
                            env=env, check=True, capture_output=True, timeout=300)
             outs.append(out)
         for name in names:

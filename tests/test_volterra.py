@@ -24,6 +24,7 @@ from volterra_control import (
 from volterra_control import volterra
 from volterra_control.cli import ExperimentConfig, main
 from volterra_control.volterra import (
+    integral_form_rows,
     monte_carlo_estimate,
     noise_sums,
     performance_paths,
@@ -287,8 +288,9 @@ def test_restart_from_recorded_sums_reproduces_the_base_run(generic):
     base = simulate_integral_form(model, _feedback(), paths, record=True)
     assert len(base.record) == paths.n_steps and len(base.record[0]) == 3
     for i in range(paths.n_steps):
-        again = simulate_integral_form(model, _feedback(), paths, restart=(i, base))
-        assert np.array_equal(again.values, base.values)
+        again = [x.copy() for x, _ in integral_form_rows(model, _feedback(), paths,
+                                                           restart=(i, base))]
+        assert np.array_equal(again, base.values[i:])
 
 
 @pytest.mark.parametrize("generic", [False, True], ids=["lifted", "generic"])
