@@ -22,9 +22,8 @@ import yaml
 
 from . import __version__
 from .errors import ConfigurationError, RegressionError
-from .grids import JumpEvents, JumpModel, PathBundle, TimeGrid, sample_paths
+from .grids import JumpEvents, JumpModel, PathBundle, TimeGrid, interior_nodes, sample_paths
 from .malliavin import (
-    MIN_PATHS_PER_COLUMN,
     RegressionBasis,
     brownian_square_grid_term,
     check_chaos_derivative,
@@ -348,21 +347,21 @@ def _cmd_check_malliavin(cfg: ExperimentConfig) -> StageResult:
 
 
 def _check_sample_floor(cfg: ExperimentConfig, n_raw: int) -> None:
-    """Refuse, before any sampling, fewer than MIN_PATHS_PER_COLUMN paths per column of
-    the regression basis on `n_raw` raw features."""
-    dimension = cfg.basis.dimension(n_raw)
-    if cfg.n_paths < MIN_PATHS_PER_COLUMN * dimension:
+    """Refuse, before any sampling, a sample below the regression basis's `path_floor` on
+    `n_raw` raw features."""
+    need = cfg.basis.path_floor(n_raw)
+    if cfg.n_paths < need:
         raise ConfigurationError(
             f"monte_carlo.paths is {cfg.n_paths}, but a regression basis of dimension "
-            f"{dimension} needs at least {MIN_PATHS_PER_COLUMN * dimension} paths")
+            f"{cfg.basis.dimension(n_raw)} needs at least {need} paths")
 
 
 def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
     """The solved adjoint (triple, field) of the configured run.
 
     Refused before any sampling: the stationarity check's information delay beyond the
-    horizon, a grid beyond the solver's cost guard (`check_steps`), and fewer than
-    MIN_PATHS_PER_COLUMN paths per basis column. The adjoint fits one raw feature per
+    horizon, a grid beyond the solver's cost guard (`check_steps`), and a sample below
+    the basis's `path_floor`. The adjoint fits one raw feature per
     node; the stationarity check of an x-dependent model fits the default features
     (Brownian level, state, and the jump sum when jumps are active).
     """
@@ -449,8 +448,7 @@ def _cmd_merton_test(cfg: ExperimentConfig) -> StageResult:
     market, utility, paths = (solution.problem.market, solution.problem.utility,
                               solution.problem.paths)
     exponent = utility.exponent
-    n = cfg.grid.steps
-    interior = slice(n // 4, (3 * n) // 4)
+    interior = interior_nodes(cfg.grid.steps)
     pi_ref = optimal_fraction(market, cfg.grid, exponent)[interior]
     worst = float(np.max(np.abs(solution.mean_pi[interior] / pi_ref - 1.0)))
     fractions, bound = solution.fractions(), 10.0

@@ -50,6 +50,11 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
+def interior_nodes(steps: int) -> slice:
+    """The nodes t_i = iT/N of [T/4, 3T/4] on an N-step grid: i from ceil(N/4) to floor(3N/4)."""
+    return slice(-(-steps // 4), 3 * steps // 4 + 1)
+
+
 @dataclass(frozen=True)
 class JumpModel:
     """Finite-activity compound Poisson noise with a discrete mark set.

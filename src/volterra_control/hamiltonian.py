@@ -23,8 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import PathBundle
-from .malliavin import Feature, IdentityReport, RegressionBasis, conditional_expectation
+from .grids import PathBundle, interior_nodes
+from .malliavin import (Feature, IdentityReport, RegressionBasis, conditional_expectation,
+                        default_features)
 from .models import CoefficientModel, InfoMode, PerformanceSpec
 from .volterra import (
     StateEnsemble,
@@ -305,23 +306,23 @@ class StationarityReport:
     normalized: np.ndarray
 
     def max_interior(self) -> float:
-        """Largest normalized statistic over the nodes t_i = iT/N of [T/4, 3T/4], N the
-        number of nodes checked: i from ceil(N/4) to floor(3N/4)."""
-        n = len(self.normalized)
-        return float(np.max(self.normalized[math.ceil(n / 4):3 * n // 4 + 1]))
+        """Largest normalized statistic over the `interior_nodes` of the N nodes checked."""
+        return float(np.max(self.normalized[interior_nodes(len(self.normalized))]))
 
 
 def check_stationarity(triple, field, info: InfoMode | None = None,
                        basis: RegressionBasis | None = None,
                        features: Sequence[Feature] | None = None) -> StationarityReport:
-    """Conditional stationarity check E[dH/du | G_t] = 0 along the triple's run."""
+    """Conditional stationarity check E[dH/du | G_t] = 0 along the triple's run, on
+    `features` (by default `default_features` with the run's state)."""
     paths = triple.states.paths
     n = paths.n_steps
+    if features is None:
+        features = default_features(paths, triple.states.values)
     cond, scale = np.zeros(n), np.zeros(n)
     for i in range(n):
         grad, rss = control_gradient(triple, field, i)
-        fitted = conditional_expectation(grad, i, paths, basis, features=features, info=info,
-                                         states=triple.states.values)
+        fitted = conditional_expectation(grad, i, paths, basis, features=features, info=info)
         cond[i] = float(np.sqrt(np.mean(fitted ** 2)))
         scale[i] = float(np.sqrt(np.mean(rss ** 2)))
     normalized = cond / np.maximum(scale, 1e-300)
@@ -356,13 +357,15 @@ def maximum_condition_check(triple, field, nodes: Sequence[int], v_grid,
     states = triple.states
     paths = states.paths
     v_grid = np.asarray(v_grid, dtype=float)
+    if features is None:
+        features = default_features(paths, states.values)
     rows = []
     for i in nodes:
         surface = np.empty((len(v_grid) + 1, paths.n_paths))   # the last row: at the control
         for pos, v in enumerate((*v_grid, states.controls[i])):
             surface[pos] = sum(triple.terms(field, i, v))
         conditioned = conditional_expectation(surface.T, i, paths, basis, features=features,
-                                              info=info, states=states.values).T
+                                              info=info).T
         argmax_cond = v_grid[np.argmax(conditioned[:-1], axis=0)]
         argmax_path = v_grid[np.argmax(surface[:-1], axis=0)]
         rows.append(MaximumConditionRow(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -94,21 +94,18 @@ def _repeated(paths: PathBundle, row: Callable[[int], np.ndarray | float]) -> Ca
 
 
 def brownian_feature(paths: PathBundle) -> Feature:
-    return Feature(
-        name="brownian",
-        values=paths.brownian,
-        brownian_sensitivity=_repeated(paths, lambda i: 1.0),
-        jump_shift=_repeated(paths, lambda i: 0.0),
-    )
+    """The Brownian level B(t_i), its rows formed on request."""
+    return weighted_brownian_feature(np.ones(paths.n_steps), paths, name="brownian")
 
 
 def jump_sum_feature(paths: PathBundle) -> Feature:
-    marks = paths.jumps.mark_array[:, None]
+    """The compensated mark-weighted jump sum eta(t_i), its rows formed on request."""
+    marks = paths.jumps.mark_array
     return Feature(
         name="jump_sum",
-        values=paths.jump_sum,
+        values=RunningSumRows(lambda j: paths.increments_at(j)[1] @ marks, paths),
         brownian_sensitivity=_repeated(paths, lambda i: 0.0),
-        jump_shift=_repeated(paths, lambda i: marks),
+        jump_shift=_repeated(paths, lambda i: marks[:, None]),
     )
 
 
@@ -118,40 +115,20 @@ def state_feature(values: np.ndarray, name: str = "state",
                    brownian_sensitivity=brownian_sensitivity, jump_shift=jump_shift)
 
 
-def running_sums(weights: np.ndarray, paths: PathBundle,
-                 drift: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Yield S_1, ..., S_N of S_i = sum_{j<i} (w_j dW_j - d_j) (d = 0 without `drift`), each
-    formed as (w_j dW_j - d_j) + S_j: bit-identical to `np.cumsum` along the nodes, with no
-    (N, M) array of the summands. Each S_{j+1} is a new (M,) array, so a reader of the last
-    row alone holds O(M)."""
-    total = None
-    for j in range(paths.n_steps):
-        step = weights[j] * paths.dW[j]
-        if drift is not None:
-            step -= drift[j]
-        if total is not None:
-            step += total
-        total = step
-        yield total
-
-
 class RunningSumRows:
-    """The rows S_0 = 0, S_1, ..., S_N of `running_sums` without drift, formed on request.
+    """The rows S_0 = 0, S_1, ..., S_N of S_{j+1} = step(j) + S_j, formed on request.
 
-    Only the last row read and its node are held, O(M) where the whole sum holds
-    (N+1, M). `rows[j]` steps the generator forward from there to node j, and a read of
-    an earlier node restarts it from S_0, so every order of reads gives the same bits.
+    `step(j)` returns a new (M,) array; row j+1 is that array with S_j added in place,
+    and row 1 is step(0) itself, so the rows are bit-identical to `np.cumsum` of the
+    steps along the nodes, with no (N, M) array of them. Only the last row read and its
+    node are held, O(M). `rows[j]` steps forward from there to node j, and a read of an
+    earlier node starts again from S_0, so every order of reads gives the same bits.
     A row is handed out read-only: the next step reads it.
     """
 
-    def __init__(self, weights: np.ndarray, paths: PathBundle):
-        self.weights, self.paths = weights, paths
-        self._restart()
-
-    def _restart(self) -> None:
-        self._sums = running_sums(self.weights, self.paths)
-        self._node, self._row = 0, np.zeros(self.paths.n_paths)
-        self._row.flags.writeable = False
+    def __init__(self, step: Callable[[int], np.ndarray], paths: PathBundle):
+        self.step, self.paths = step, paths
+        self._node, self._row = 0, None
 
     def __len__(self) -> int:
         return self.paths.n_steps + 1
@@ -159,12 +136,16 @@ class RunningSumRows:
     def __getitem__(self, j: int) -> np.ndarray:
         if not 0 <= j < len(self):
             raise IndexError(f"node {j} is outside 0..{len(self) - 1}")
-        if j < self._node:
-            self._restart()
+        if j < self._node or j == 0:
+            self._node, self._row = 0, None
         while self._node < j:
-            self._row = next(self._sums)
-            self._row.flags.writeable = False
-            self._node += 1
+            row = self.step(self._node)
+            if self._node:
+                row += self._row
+            self._node, self._row = self._node + 1, row
+        if self._row is None:
+            self._row = np.zeros(self.paths.n_paths)
+        self._row.flags.writeable = False
         return self._row
 
 
@@ -175,7 +156,7 @@ def weighted_brownian_feature(weights: np.ndarray, paths: PathBundle,
     w = np.asarray(weights, dtype=float)
     return Feature(
         name=name,
-        values=RunningSumRows(w, paths),
+        values=RunningSumRows(lambda j: w[j] * paths.dW[j], paths),
         brownian_sensitivity=_repeated(paths, lambda i: w[i]),
         jump_shift=_repeated(paths, lambda i: 0.0),
     )
@@ -215,13 +196,19 @@ def predicted_terminal_feature(model, control: ControlProcess,
 
 
 def default_features(paths: PathBundle, states=None) -> list[Feature]:
-    """Spec default feature set: Brownian level, state if supplied, jump sum."""
+    """Spec default feature set: Brownian level, state if supplied, jump sum. The first and
+    the last form their rows on request (`RunningSumRows`), so a check that fits node
+    after node builds the set once and reads it in node order."""
     feats = [brownian_feature(paths)]
     if states is not None:
         feats.append(state_feature(np.asarray(states, dtype=float)))
     if paths.jumps.active:
         feats.append(jump_sum_feature(paths))
     return feats
+
+
+# A node regression needs at least this many paths per basis monomial.
+MIN_PATHS_PER_COLUMN = 10
 
 
 @dataclass
@@ -242,6 +229,11 @@ class RegressionBasis:
             math.comb(n_raw + d - 1, d) for d in range(0, self.degree + 1)
         )
 
+    def path_floor(self, n_raw: int) -> int:
+        """Fewest paths a fit on `n_raw` raw features takes: MIN_PATHS_PER_COLUMN paths
+        per column of the basis."""
+        return MIN_PATHS_PER_COLUMN * self.dimension(n_raw)
+
 
 def _monomial_exponents(n_raw: int, degree: int) -> list[tuple[int, ...]]:
     out = [(0,) * n_raw]
@@ -252,10 +244,6 @@ def _monomial_exponents(n_raw: int, degree: int) -> list[tuple[int, ...]]:
                 e[idx] += 1
             out.append(tuple(e))
     return out
-
-
-# A node regression needs at least this many paths per basis monomial.
-MIN_PATHS_PER_COLUMN = 10
 
 
 class NodeRegression:
@@ -293,9 +281,10 @@ class NodeRegression:
         self.n_paths = raw.shape[0]
         self.exponents = _monomial_exponents(len(self.features), basis.degree)
         self._index = {e: k for k, e in enumerate(self.exponents)}
-        if self.n_paths < MIN_PATHS_PER_COLUMN * len(self.exponents):
+        need = basis.path_floor(len(self.features))
+        if self.n_paths < need:
             raise RegressionError(
-                f"need at least {MIN_PATHS_PER_COLUMN * len(self.exponents)} paths for a basis of "
+                f"need at least {need} paths for a basis of "
                 f"dimension {len(self.exponents)}, got {self.n_paths}"
             )
         rows = self._monomial_rows(raw)
@@ -559,15 +548,15 @@ class BackwardProjector:
 def conditional_expectation(values: np.ndarray, node: int, paths: PathBundle,
                             basis: RegressionBasis | None = None,
                             features: Sequence[Feature] | None = None,
-                            info: InfoMode | None = None,
-                            states=None) -> np.ndarray:
-    """Per-path regression estimate of E[values | F_{t_node}].
+                            info: InfoMode | None = None) -> np.ndarray:
+    """Per-path regression estimate of E[values | F_{t_node}], on `features` (by default
+    `default_features(paths)`, built for this one call).
 
     Under delayed information the design features are taken at the lagged
     node (t - delay)+ instead, realizing E[. | G_t].
     """
     basis = basis or RegressionBasis()
-    feats = list(features) if features is not None else default_features(paths, states)
+    feats = list(features) if features is not None else default_features(paths)
     design_node = node
     if info is not None and not info.is_full:
         design_node = info.observable_node(node, paths.grid)
@@ -618,8 +607,10 @@ def check_duality_brownian(functional: PathFunctional, u, paths: PathBundle,
     f_vals = np.asarray(functional(paths), dtype=float)
     lhs_path = f_vals * np.einsum("im,im->m", u_arr, paths.dW)
     rhs_path = np.zeros(m)
+    feats = default_features(paths)
     for i in range(n):
-        proj = conditional_expectation(d_brownian(functional, paths, i), i, paths, basis)
+        proj = conditional_expectation(d_brownian(functional, paths, i), i, paths, basis,
+                                       features=feats)
         rhs_path += proj * u_arr[i] * dt
     return IdentityReport(*monte_carlo_estimate(lhs_path), *monte_carlo_estimate(rhs_path))
 
@@ -696,9 +687,10 @@ def clark_ocone_reconstruct(functional: PathFunctional, paths: PathBundle,
         raise ConfigurationError("reconstruction check requires a Brownian-only bundle")
     f_vals = np.asarray(functional(paths), dtype=float)
     resid = f_vals - f_vals.mean()
+    feats = default_features(paths)
     for i in range(paths.n_steps):
         resid -= conditional_expectation(d_brownian(functional, paths, i), i, paths,
-                                         basis) * paths.dW[i]
+                                         basis, features=feats) * paths.dW[i]
     sd = f_vals.std()
     if sd == 0.0:
         return ReconstructionReport(resid, 0.0, degenerate=True)

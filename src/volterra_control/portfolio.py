@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import isub
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .malliavin import (
     BackwardProjector,
     Feature,
     RegressionBasis,
-    running_sums,
+    RunningSumRows,
     weighted_brownian_feature,
 )
 from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
@@ -118,9 +119,9 @@ def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray
     """log of the unit-start exponential martingale at T, sum_j (theta_j dW_j
     - theta_j^2 dt / 2), (M,), holding O(M)."""
     th = np.asarray(theta, dtype=float)[:paths.n_steps]
-    for total in running_sums(th, paths, 0.5 * th ** 2 * paths.grid.dt):
-        pass
-    return total
+    drift = 0.5 * th ** 2 * paths.grid.dt
+    # th_j dW_j - drift_j, the difference taken in place: no second (M,) temporary
+    return RunningSumRows(lambda j: isub(th[j] * paths.dW[j], drift[j]), paths)[paths.n_steps]
 
 
 def _terminal_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
@@ -151,23 +152,18 @@ def _kernel_ratios(market: MarketModel, t_row: float, s: np.ndarray) -> np.ndarr
     return market.drift_kernel(t_row, s) / market.vol_kernel(t_row, s)
 
 
-def path_floor(basis: RegressionBasis) -> int:
-    """Fewest paths a portfolio solve takes: MIN_PATHS_PER_COLUMN paths per function of
-    the one-feature basis that every calibration and BSVIE fit uses."""
-    return MIN_PATHS_PER_COLUMN * basis.dimension(1)
-
-
 class PortfolioProblem:
     """What the calibration and the BSVIE rows share, built once in this order: the market
-    is validated on the grid, a bundle below `path_floor` is refused before any fit, then
-    the loading `theta`, the BSVIE `feature` with its `projector` and the unit-start
-    martingale's terminal values `martingale`."""
+    is validated on the grid, a bundle below the basis's `path_floor` for the one feature
+    of every calibration and BSVIE fit is refused before any fit, then the loading
+    `theta`, the BSVIE `feature` with its `projector` and the unit-start martingale's
+    terminal values `martingale`."""
 
     def __init__(self, market: MarketModel, utility: UtilitySpec, paths: PathBundle,
                  basis: RegressionBasis | None = None):
         basis = basis or RegressionBasis()
         market.validate(paths.grid)
-        need = path_floor(basis)
+        need = basis.path_floor(1)
         if paths.n_paths < need:
             raise RegressionError(
                 f"the portfolio fits need monte_carlo.paths >= {need} ({MIN_PATHS_PER_COLUMN} "

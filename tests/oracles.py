@@ -4,7 +4,7 @@ drew each block's normals at once, and a bundle's whole array of compensated jum
 
 Each but `calibration_reference` and `fraction_reference` was a package function or
 method. They are kept here, beside the tests that read them. `y_martingale` sums its
-log increments with `np.cumsum`, which `malliavin.running_sums` matches bit for bit;
+log increments with `np.cumsum`, which `malliavin.RunningSumRows` matches bit for bit;
 the others keep their arithmetic unchanged.
 """
 

@@ -1039,6 +1039,33 @@ def test_state_sensitivity_memory_is_linear_in_the_grid():
     assert peak < 8 * unit, f"peak {peak / unit:.1f} x (1 + K)(N + 1)M doubles"
 
 
+def test_stationarity_check_holds_no_brownian_or_jump_sum_array():
+    # the default features' Brownian level and jump sum form their rows as the check
+    # reads them, node after node: the check peaks near 1.7 (N + 1)M doubles at N = 64,
+    # the one array of forward sums p_sums keeps among them, where the bundle's two
+    # cached (N + 1, M) arrays alone would add 2
+    import tracemalloc
+
+    from volterra_control.adjoint import simulated_state_feature
+    from volterra_control.hamiltonian import check_stationarity
+
+    n, m = 64, 1000
+    model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
+    paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
+                         seed=31)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    triple, field = solve_general(model, PerformanceSpec.log_terminal(), states,
+                                  features=[simulated_state_feature(model, states)])
+    tracemalloc.start()
+    try:
+        check_stationarity(triple, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = 8 * (n + 1) * m
+    assert peak < 2.5 * unit, f"peak {peak / unit:.2f} x (N + 1)M doubles"
+
+
 @settings(max_examples=30)
 @given(data=st.data())
 def test_state_sensitivities_and_field_rows_are_adapted(memory_jump_setup, data):

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,28 @@ def test_both_portfolio_stages_write_the_same_solve(tmp_path):
                           names=True)
     assert np.array_equal(table["mean_pi"], solution.mean_pi)
     assert np.array_equal(table["std_pi"], solution.std_pi)
+
+
+def test_merton_interior_holds_both_quarter_nodes(tmp_path, monkeypatch, capsys):
+    # the interior is [T/4, 3T/4] with both ends: a fraction off by 100 % at node N/4 or
+    # 3N/4 fails the stage, and one at the node just outside either end does not count
+    path = _write_config(tmp_path, {
+        "grid": {"steps": 16},
+        "market": {"decay_b": 1.0},
+        "monte_carlo": {"paths": 4000, "seed": 2},
+    })
+    solve = cli.solve_portfolio
+    for node, inside in ((3, False), (4, True), (12, True), (13, False)):
+        def doubled(*args, node=node, **kwargs):
+            solution = solve(*args, **kwargs)
+            solution.mean_pi[node] *= 2.0
+            return solution
+
+        monkeypatch.setattr(cli, "solve_portfolio", doubled)
+        status = main(["merton-test", "--config", path, "--out", str(tmp_path / str(node))])
+        worst = float(re.search(r"interior fraction within ([0-9.]+)%",
+                                capsys.readouterr().out).group(1))
+        assert (status, worst > 90.0) == ((1, True) if inside else (0, False)), node
 
 
 def test_calibration_rows_interpolate_to_the_solved_c(tmp_path, monkeypatch):

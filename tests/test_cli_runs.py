@@ -84,7 +84,10 @@ def test_solve_portfolio_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                ("portfolio_memory", "merton-test"): ("strategy.csv", "calibration.csv",
                                                      "objective.csv"),
                ("adjoint_memory_jumps", "solve-adjoint"): ("adjoint.csv",),
-               ("adjoint_memory_jumps", "check-stationarity"): ("stationarity.csv",)}
+               ("adjoint_memory_jumps", "check-stationarity"): ("stationarity.csv",),
+               ("adjoint_memory_jumps", "gateaux"): ("gateaux.csv",),
+               ("adjoint_memory_jumps", "check-malliavin"): ("malliavin_checks.csv",),
+               ("simulate_long_grid", "simulate"): ("trajectory.csv", "performance.csv")}
     for (key, stage), names in written.items():
         workload = WORKLOADS[key]
         config = tmp_path / f"{key}.yaml"

@@ -430,6 +430,44 @@ def test_stationarity_zero_when_control_absent(paths64_small):
     assert np.allclose(rep.conditional_rms, 0.0, atol=1e-10)
 
 
+def test_each_check_builds_its_default_features_once(monkeypatch):
+    # a running-sum feature starts again from S_0 when read at an earlier node, so each
+    # check builds the default set once and reads it node after node for every fit
+    from volterra_control import hamiltonian, malliavin
+    from volterra_control.adjoint import simulated_state_feature
+    from volterra_control.malliavin import check_duality_brownian, clark_ocone_reconstruct
+
+    builds = []
+    build = malliavin.default_features
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    for module in (hamiltonian, malliavin):
+        monkeypatch.setattr(module, "default_features", counted)
+    model = registry_get("exp_kernel_linear", dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0,
+                                                   decay_b=1.0, decay_sigma=0.8, decay_jump=0.5))
+    grid = TimeGrid(1.0, 8)
+    paths = sample_paths(grid, JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 2_000, seed=5)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    triple, field = solve_general(model, PerformanceSpec.log_terminal(), states,
+                                  features=[simulated_state_feature(model, states)])
+    plain = sample_paths(grid, JumpModel.none(), 2_000, seed=5)
+    square = lambda p: p.brownian[-1] ** 2  # noqa: E731
+    checks = {
+        "check_stationarity": lambda: check_stationarity(triple, field),
+        "maximum_condition_check": lambda: maximum_condition_check(
+            triple, field, nodes=range(8), v_grid=np.linspace(0.0, 1.0, 5)),
+        "check_duality_brownian": lambda: check_duality_brownian(square, np.ones(8), plain),
+        "clark_ocone_reconstruct": lambda: clark_ocone_reconstruct(square, plain),
+    }
+    for name, check in checks.items():
+        builds.clear()
+        check()
+        assert len(builds) == 1, name
+
+
 def test_gateaux_zero_direction(paths64_small):
     model = registry_get("constant", dict(b0=0.05, sigma0=0.2))
     spec = PerformanceSpec.log_terminal()

@@ -25,6 +25,7 @@ from volterra_control.malliavin import (
     NodeRegression,
     brownian_feature,
     d_brownian,
+    jump_sum_feature,
     weighted_brownian_feature,
 )
 from volterra_control import portfolio
@@ -837,15 +838,18 @@ def _counted(calls, name, fn):
 
 def test_solve_portfolio_builds_each_shared_object_once(oracle_paths, log_utility, monkeypatch):
     calls = Counter()
-    for name in ("theta0", "path_floor", "_bsvie_features", "_terminal_log_martingale"):
+    for name in ("theta0", "_bsvie_features", "_terminal_log_martingale"):
         monkeypatch.setattr(portfolio, name, _counted(calls, name, getattr(portfolio, name)))
-    monkeypatch.setattr(MarketModel, "validate", _counted(calls, "validate", MarketModel.validate))
     # one backward march, closed by one terminal wealth, serves c and the fractions
-    for cls, name in ((BackwardProjector, "march"), (PortfolioProblem, "terminal")):
+    for cls, name in ((MarketModel, "validate"), (RegressionBasis, "path_floor"),
+                      (BackwardProjector, "march"), (PortfolioProblem, "terminal")):
         monkeypatch.setattr(cls, name, _counted(calls, name, getattr(cls, name)))
     solve_portfolio(_ORACLE_MARKETS[1].values[0], log_utility, oracle_paths)
-    assert calls == {"validate": 1, "path_floor": 1, "theta0": 1, "_bsvie_features": 1,
-                     "_terminal_log_martingale": 1, "march": 1, "terminal": 1}
+    # the floor is read by the problem's refusal, then by each of the projector's N node
+    # regressions as it is built
+    assert calls == {"validate": 1, "path_floor": 1 + oracle_paths.n_steps, "theta0": 1,
+                     "_bsvie_features": 1, "_terminal_log_martingale": 1, "march": 1,
+                     "terminal": 1}
 
 
 def test_too_few_paths_for_the_batches_fail_before_any_fit(log_utility, projector_builds):
@@ -926,6 +930,17 @@ def test_running_sums_equal_the_cumsum_bit_for_bit(n, m):
     want = _log_martingale_rows(th, paths)
     assert np.signbit(want[1]).any()
     assert _terminal_log_martingale(th, paths).tobytes() == want[-1].tobytes()
+    # the Brownian level and the jump sum, read in node order and in a scrambled one, are
+    # the bundle's cumsum arrays
+    jumpy = sample_paths(TimeGrid(1.0, n), JumpModel(2.0, (-0.5, 0.3, 0.8), (0.3, 0.3, 0.4)),
+                         m, seed=n * m)
+    scrambled = np.random.default_rng(m).permutation(n + 1)
+    for feature, want in ((brownian_feature(paths), paths.brownian),
+                          (brownian_feature(jumpy), jumpy.brownian),
+                          (jump_sum_feature(jumpy), jumpy.jump_sum)):
+        for order in (range(n + 1), scrambled):
+            for j in order:
+                assert feature.values[j].tobytes() == want[j].tobytes(), (feature.name, j)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (5, 33), (17, 260)])
