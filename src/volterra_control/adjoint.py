@@ -5,14 +5,15 @@ g'(X(T)) and a driver equal to the state-gradient of the full Hamiltonian,
 which couples node i to every later node through the memory kernels and the
 conditional Malliavin derivatives E[D_{t_i} p(t_j) | F_{t_i}].
 
-Two solvers are provided. For x-independent coefficients the driver
-vanishes and the triple is the conditional-expectation solution: p is the
-martingale closed by g'(X(T)), q its Brownian Malliavin derivative and r
-its add-one-jump derivative, all realized by node regressions. The general
-solver marches backward with regression conditional expectations in one
-sweep. That sweep is exact, not a first Picard iterate: the driver at node i
-reads p and the surrogates of nodes j > i only, which are final by the time
-node i is reached, so a second sweep reproduces the first bit for bit.
+Two solvers are provided. For x-independent coefficients and a running
+reward with f_x = 0 on the run the driver vanishes and the triple is the
+conditional-expectation solution: p is the martingale closed by g'(X(T)),
+q its Brownian Malliavin derivative and r its add-one-jump derivative, all
+realized by node regressions. The general solver marches backward with
+regression conditional expectations in one sweep. That sweep is exact, not
+a first Picard iterate: the driver at node i reads p and the surrogates of
+nodes j > i only, which are final by the time node i is reached, so a
+second sweep reproduces the first bit for bit.
 
 A solve is one object: the triple carries the run, model and performance
 functional it was solved for, and every reader takes the triple and its field.
@@ -22,7 +23,7 @@ functional it was solved for, and every reader takes the triple and its field.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -361,10 +362,14 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     by sigma(T, t_i, u_i) and a jump of mark z_k by gamma(T, t_i, u_i, z_k),
     the node-i rows of the predicted-terminal feature (all equal). So both derivatives
     are differences of g' at shifted X_T, O(M) per node with no re-simulation.
-    A feedback control has no such feature and is refused.
+    A feedback control has no such feature and is refused, and so is a run on which
+    the running reward reads x: its f_x is a driver this solver leaves out.
     """
     if not model.x_independent:
         raise ConfigurationError("explicit adjoint solver requires an x-independent model")
+    if _running_reads_x(spec, states):
+        raise ConfigurationError("explicit adjoint solver requires spec.running_dx = 0 on the "
+                                 "run, the driver dH/dx of an x-independent model")
     basis = basis or RegressionBasis()
     paths = states.paths
     feature = predicted_terminal_feature(model, states.control, paths)
@@ -408,6 +413,13 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     return triple, ExplicitXIndependentField(q, r, paths.grid.nodes)
 
 
+def _running_reads_x(spec: PerformanceSpec, states: StateEnsemble) -> bool:
+    """True when f_x(t_i, X_i, u_i), i < N, is non-zero on some path of the run."""
+    t = states.paths.grid.nodes
+    return any(np.any(np.asarray(spec.running_dx(t[i], x, states.control_at(i))) != 0.0)
+               for i, x in enumerate(states.values[:-1]))
+
+
 def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateEnsemble,
                   basis: RegressionBasis | None = None,
                   features: Sequence[Feature] | None = None
@@ -419,7 +431,8 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
     then p_i = E[p_{i+1}|F_i] + dH/dx(t_i) dt. The driver's memory terms
     read p and the surrogates of nodes j > i only, all fitted earlier in the
     same sweep, so the sweep is its own fixed point: a second sweep over the
-    result reproduces p, q and r bit for bit.
+    result reproduces p, q and r bit for bit. A feature whose rows are formed on
+    request (`RunningSumRows`) has them formed once, in node order, before the sweep.
     """
     basis = basis or RegressionBasis()
     paths = states.paths
@@ -430,7 +443,9 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
             features = [predicted_terminal_feature(model, states.control, paths)]
         else:
             features = default_features(paths, states=states.values)
-    features = list(features)
+    features = [f if isinstance(f.values, np.ndarray)
+                else replace(f, values=np.array([f.values[j] for j in range(n + 1)]))
+                for f in features]
     triple = AdjointTriple(states=states, model=model, spec=spec, p=np.empty((n + 1, m)),
                            q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, paths.jumps.n_marks)),
                            regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],
@@ -446,10 +461,13 @@ def solve_adjoint(model: CoefficientModel, spec: PerformanceSpec, control, paths
     where the state feature restarts it, then the explicit solver for an x-independent
     model or the general one. A memory-coupled driver reads the state's noise
     sensitivities (`simulated_state_feature`: one reverse sweep for the Brownian ones, one
-    restarted run per node otherwise); a model without memory fits the state alone."""
+    restarted run per node otherwise); a model without memory fits the state alone. An
+    x-independent run with f_x != 0 takes the general solver on its default feature."""
     restarts = model.memory_state_coupling and _restarts(model, control, paths.jumps)
     states = simulate_integral_form(model, control, paths, record=restarts)
     if model.x_independent:
+        if _running_reads_x(spec, states):
+            return solve_general(model, spec, states, basis=basis)
         return solve_explicit_x_independent(model, spec, states, basis=basis)
     feats = [simulated_state_feature(model, states) if model.memory_state_coupling
              else state_feature(states.values)]

@@ -30,11 +30,11 @@ from .models import CoefficientModel, InfoMode, PerformanceSpec
 from .volterra import (
     StateEnsemble,
     decay_weights,
+    integral_form_rows,
     memory_sums,
     monte_carlo_estimate,
     noise_sums,
     performance_paths,
-    simulate_integral_form,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -385,19 +385,21 @@ GATEAUX_STEP = 1e-3
 
 
 def gateaux_check(triple, field, betas: Sequence,
-                  simulate=simulate_integral_form) -> list[IdentityReport]:
+                  rows=integral_form_rows) -> list[IdentityReport]:
     """Compare dJ/d(lambda) by finite differences (`lhs`) against E[int dH/du beta dt]
     (`rhs`), one report per direction beta in `betas`.
 
-    Both sides run on the triple's path bundle (common random numbers). The
+    Both sides run on the triple's path bundle (common random numbers). Each
+    objective J(+-lambda) is summed off the row stream rows(model, control, paths)
+    of the perturbed run, (X_i, u_i) in node order, as it is formed. The
     adjoint form reads each node's dH/du once, for every direction.
     """
     states, paths = triple.states, triple.states.paths
     n, m, dt = paths.n_steps, paths.n_paths, paths.grid.dt
 
     def performance(beta, step):
-        run = simulate(triple.model, states.control.perturbed(beta, step), paths)
-        return performance_paths(triple.spec, run)
+        run = rows(triple.model, states.control.perturbed(beta, step), paths)
+        return performance_paths(triple.spec, paths, run)
 
     betas = [np.asarray(beta, dtype=float) for beta in betas]   # (N,) or per path (N, M)
     fd_paths = [(performance(b, +GATEAUX_STEP) - performance(b, -GATEAUX_STEP))

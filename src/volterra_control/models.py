@@ -114,34 +114,27 @@ class CoefficientModel:
 
     @staticmethod
     def _partial_names():
-        return (
-            "drift_dt", "diffusion_dt", "jump_dt",
-            "drift_dx", "drift_dv", "diffusion_dx", "diffusion_dv",
-            "jump_dx", "jump_dv",
-            "drift_dtdx", "drift_dtdv", "diffusion_dtdx", "diffusion_dtdv",
-            "jump_dtdx", "jump_dtdv",
-        )
+        # the d/dt partials, then the x and v partials, then the mixed ones
+        return tuple(f"{kernel}_{part}" for parts in (("dt",), ("dx", "dv"), ("dtdx", "dtdv"))
+                     for kernel in _KERNELS for part in parts)
+
+    def _reference(self, name: str) -> Callable:
+        """The central difference partial `name` is checked against: of its kernel in t,
+        x or v, or of the kernel's d/dt partial for a mixed one."""
+        kernel, part = name.split("_", 1)
+        base = getattr(self, f"{kernel}_dt" if part in ("dtdx", "dtdv") else kernel)
+        return _central_difference(base, {"dt": 0, "dx": 2, "dv": 3}[part[-2:]])
 
     def _fill_missing(self):
+        """Fill each missing partial with its reference, in `_partial_names` order, so
+        that a mixed partial differentiates the filled d/dt one. The x partials of an
+        x-independent model are `_zero` instead."""
         if self.initial_slope is None:
             self.initial_slope = _central_difference(self.initial_curve, 0)
-        bases = {"drift": self.drift, "diffusion": self.diffusion, "jump": self.jump}
-        for kernel, fn in bases.items():
-            if getattr(self, f"{kernel}_dt") is None:
-                setattr(self, f"{kernel}_dt", _central_difference(fn, 0))
-            if getattr(self, f"{kernel}_dx") is None:
-                fdx = _zero if self.x_independent else _central_difference(fn, 2)
-                setattr(self, f"{kernel}_dx", fdx)
-            if getattr(self, f"{kernel}_dv") is None:
-                setattr(self, f"{kernel}_dv", _central_difference(fn, 3))
-        # Mixed partials differentiate the (possibly finite-difference) d/dt partial.
-        for kernel in bases:
-            ddt = getattr(self, f"{kernel}_dt")
-            if getattr(self, f"{kernel}_dtdx") is None:
-                fdx = _zero if self.x_independent else _central_difference(ddt, 2)
-                setattr(self, f"{kernel}_dtdx", fdx)
-            if getattr(self, f"{kernel}_dtdv") is None:
-                setattr(self, f"{kernel}_dtdv", _central_difference(ddt, 3))
+        for name in self._partial_names():
+            if getattr(self, name) is None:
+                zero = self.x_independent and name.endswith("dx")
+                setattr(self, name, _zero if zero else self._reference(name))
 
     def decay(self, kernel: str) -> float | None:
         """Declared decay rate of the drift, diffusion or jump kernel, or None."""
@@ -161,76 +154,65 @@ class CoefficientModel:
     def self_test(self) -> None:
         """Check declared partials and decays at random arguments.
 
-        Declared partials are compared with central differences. For each
-        declared decay lambda, the kernel and its d/dt, x and v partials must
-        satisfy k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for t >= s (the reverse
-        sweep of the adjoint reads the x partials at (s, s) only). Raises
+        Declared partials are compared with the central differences they would
+        be filled with (`_reference`). For each declared decay lambda, the
+        kernel and its d/dt, x and v partials must satisfy
+        k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for t >= s (the reverse sweep of
+        the adjoint reads the x partials at (s, s) only). Raises
         RegistrationError naming the first failing partial or kernel.
         """
-        rng = np.random.default_rng(1234)
-        t = rng.uniform(0.0, 2.0, _SELFTEST_SAMPLES)
-        s = rng.uniform(0.0, 2.0, _SELFTEST_SAMPLES)
-        x = rng.uniform(0.5, 2.0, _SELFTEST_SAMPLES)
-        v = rng.uniform(-1.0, 2.0, _SELFTEST_SAMPLES)
-        z = rng.uniform(-1.0, 1.0, _SELFTEST_SAMPLES)
-        z = np.where(np.abs(z) < 0.1, 0.5, z)
-        bases = {"drift": self.drift, "diffusion": self.diffusion, "jump": self.jump}
-        arg_index = {"dt": 0, "dx": 2, "dv": 3}
+        t, s, x, v, z = _self_test_samples()
+        args = {kernel: (t, s, x, v, z) if kernel == "jump" else (t, s, x, v)
+                for kernel in _KERNELS}
         for name in self.declared:
-            kernel, part = name.split("_", 1)
-            base = bases[kernel]
-            if part in arg_index:
-                reference = _central_difference(base, arg_index[part])
-            elif part in ("dtdx", "dtdv"):
-                reference = _central_difference(
-                    getattr(self, f"{kernel}_dt"), arg_index[part[2:]]
-                )
-            else:  # pragma: no cover
-                continue
-            args = (t, s, x, v, z) if kernel == "jump" else (t, s, x, v)
-            got = np.asarray(getattr(self, name)(*args), dtype=float)
-            want = np.asarray(reference(*args), dtype=float)
-            got, want = np.broadcast_arrays(got, want)
-            tol = _SELFTEST_RTOL * (1.0 + np.maximum(np.abs(got), np.abs(want)))
-            if np.any(np.abs(got - want) > tol):
-                worst = np.argmax(np.abs(got - want) - tol)
-                raise RegistrationError(
+            kernel_args = args[name.split("_")[0]]
+            _refuse_worst_sample(
+                getattr(self, name)(*kernel_args), self._reference(name)(*kernel_args),
+                lambda worst, got, want: (
                     f"model {self.name!r}: declared partial {name} disagrees with "
-                    f"finite difference (sample {worst}: declared {got.flat[worst]:.6g}, "
-                    f"finite difference {want.flat[worst]:.6g})"
-                )
-        if self.x_independent:
-            for kernel, base in bases.items():
-                args = (t, s, x, v, z) if kernel == "jump" else (t, s, x, v)
-                dx = np.asarray(getattr(self, f"{kernel}_dx")(*args), dtype=float)
-                if np.any(np.abs(dx) > 1e-12):
-                    raise RegistrationError(
-                        f"model {self.name!r} is flagged x-independent but "
-                        f"{kernel}_dx is not identically zero"
-                    )
+                    f"finite difference (sample {worst}: declared {got:.6g}, "
+                    f"finite difference {want:.6g})"))
+        for kernel in _KERNELS if self.x_independent else ():
+            if np.any(np.abs(getattr(self, f"{kernel}_dx")(*args[kernel])) > 1e-12):
+                raise RegistrationError(f"model {self.name!r} is flagged x-independent but "
+                                        f"{kernel}_dx is not identically zero")
         late, early = np.maximum(t, s), np.minimum(t, s)
         for kernel in _KERNELS:
             lam = self.decay(kernel)
             if lam is None:
                 continue
-            factor = np.exp(-lam * (late - early))
-            tail = (x, v, z) if kernel == "jump" else (x, v)
+            factor, tail = np.exp(-lam * (late - early)), args[kernel][2:]
             for name in (kernel, f"{kernel}_dt", f"{kernel}_dx", f"{kernel}_dv",
                          f"{kernel}_dtdx", f"{kernel}_dtdv"):
                 fn = getattr(self, name)
-                got, want = np.broadcast_arrays(
-                    np.asarray(fn(late, early, *tail), dtype=float),
+                _refuse_worst_sample(
+                    fn(late, early, *tail),
                     factor * np.asarray(fn(early, early, *tail), dtype=float),
-                )
-                tol = _SELFTEST_RTOL * np.maximum(np.abs(got), np.abs(want)) + 1e-12
-                if np.any(np.abs(got - want) > tol):
-                    worst = np.argmax(np.abs(got - want) - tol)
-                    raise RegistrationError(
+                    lambda worst, got, want: (
                         f"model {self.name!r}: {name} does not decay at the declared "
                         f"rate {lam} of the {kernel} kernel (sample {worst}: "
-                        f"k(t,s) {got.flat[worst]:.6g}, "
-                        f"e^(-rate (t-s)) k(s,s) {want.flat[worst]:.6g})"
-                    )
+                        f"k(t,s) {got:.6g}, e^(-rate (t-s)) k(s,s) {want:.6g})"),
+                    floor=1e-8)
+
+
+def _self_test_samples() -> tuple:
+    """The (t, s, x, v, z) samples at which registration checks a model's partials and
+    decays; z keeps away from 0."""
+    rng = np.random.default_rng(1234)
+    t, s, x, v, z = (rng.uniform(lo, hi, _SELFTEST_SAMPLES) for lo, hi in
+                     ((0.0, 2.0), (0.0, 2.0), (0.5, 2.0), (-1.0, 2.0), (-1.0, 1.0)))
+    return t, s, x, v, np.where(np.abs(z) < 0.1, 0.5, z)
+
+
+def _refuse_worst_sample(got, want, message: Callable[[int, float, float], str],
+                         floor: float = 1.0) -> None:
+    """Raise RegistrationError(message(sample, got, want)) at the sample where `got` is
+    furthest beyond _SELFTEST_RTOL * (floor + max(|got|, |want|)) of `want`, if any is."""
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    excess = np.abs(got - want) - _SELFTEST_RTOL * (floor + np.maximum(np.abs(got), np.abs(want)))
+    if np.any(excess > 0.0):
+        worst = int(np.argmax(excess))
+        raise RegistrationError(message(worst, got.flat[worst], want.flat[worst]))
 
 
 def _exp_kernel_model(name, b0, sigma0, jump0, decay_b, decay_s, decay_j, x0,
@@ -246,7 +228,6 @@ def _exp_kernel_model(name, b0, sigma0, jump0, decay_b, decay_s, decay_j, x0,
         return 1.0 if x_independent else x
 
     def kfun(amp, lam, order_t=0, wrt=None):
-        # order_t: number of d/dt applications; wrt: None, "x" or "v"
         c = amp * (-lam) ** order_t
 
         def fn(t, s, x, v):
@@ -263,28 +244,20 @@ def _exp_kernel_model(name, b0, sigma0, jump0, decay_b, decay_s, decay_j, x0,
         base = kfun(amp, lam, order_t, wrt)
         return lambda t, s, x, v, z: base(t, s, x, v) * z
 
+    kernels = {"drift": (kfun, b0, decay_b), "diffusion": (kfun, sigma0, decay_s),
+               "jump": (jfun, jump0, decay_j)}
+    # partial -> (number of d/dt applications, None or the argument "x" or "v" differentiated)
+    parts = {"dt": (1, None), "dx": (0, "x"), "dv": (0, "v"), "dtdx": (1, "x"), "dtdv": (1, "v")}
+    partials = {f"{kernel}_{part}": _zero if x_independent and wrt == "x"
+                else make(amp, lam, order_t, wrt)
+                for kernel, (make, amp, lam) in kernels.items()
+                for part, (order_t, wrt) in parts.items()}
     return CoefficientModel(
         name=name,
         initial_curve=lambda t: x0 + 0.0 * np.asarray(t, dtype=float),
         initial_slope=lambda t: 0.0 * np.asarray(t, dtype=float),
-        drift=kfun(b0, decay_b),
-        diffusion=kfun(sigma0, decay_s),
-        jump=jfun(jump0, decay_j),
-        drift_dt=kfun(b0, decay_b, order_t=1),
-        diffusion_dt=kfun(sigma0, decay_s, order_t=1),
-        jump_dt=jfun(jump0, decay_j, order_t=1),
-        drift_dx=_zero if x_independent else kfun(b0, decay_b, wrt="x"),
-        diffusion_dx=_zero if x_independent else kfun(sigma0, decay_s, wrt="x"),
-        jump_dx=_zero if x_independent else jfun(jump0, decay_j, wrt="x"),
-        drift_dv=kfun(b0, decay_b, wrt="v"),
-        diffusion_dv=kfun(sigma0, decay_s, wrt="v"),
-        jump_dv=jfun(jump0, decay_j, wrt="v"),
-        drift_dtdx=_zero if x_independent else kfun(b0, decay_b, order_t=1, wrt="x"),
-        diffusion_dtdx=_zero if x_independent else kfun(sigma0, decay_s, order_t=1, wrt="x"),
-        jump_dtdx=_zero if x_independent else jfun(jump0, decay_j, order_t=1, wrt="x"),
-        drift_dtdv=kfun(b0, decay_b, order_t=1, wrt="v"),
-        diffusion_dtdv=kfun(sigma0, decay_s, order_t=1, wrt="v"),
-        jump_dtdv=jfun(jump0, decay_j, order_t=1, wrt="v"),
+        **{kernel: make(amp, lam) for kernel, (make, amp, lam) in kernels.items()},
+        **partials,
         x_independent=x_independent,
         time_invariant_kernels=(decay_b == 0.0 and decay_s == 0.0 and decay_j == 0.0),
         decays=(decay_b, decay_s, decay_j),
@@ -338,23 +311,22 @@ class PerformanceSpec:
     terminal_domain: tuple[float, float] = (0.25, 4.0)
 
     def __post_init__(self):
-        declared_prime = self.terminal_prime is not None
-        if self.terminal_prime is None:
-            self.terminal_prime = _central_difference(self.terminal, 0)
-        if self.running_dx is None:
-            self.running_dx = _central_difference(self.running, 1)
-        if self.running_dv is None:
-            self.running_dv = _central_difference(self.running, 2)
-        if declared_prime:
-            xs = np.linspace(*self.terminal_domain, 33)
-            got = np.asarray(self.terminal_prime(xs), dtype=float)
-            want = _central_difference(self.terminal, 0)(xs)
-            got, want = np.broadcast_arrays(got, want)
-            tol = _SELFTEST_RTOL * (1.0 + np.maximum(np.abs(got), np.abs(want)))
-            if np.any(np.abs(got - want) > tol):
-                raise RegistrationError(
-                    "terminal_prime disagrees with finite difference of terminal"
-                )
+        """Fill each missing derivative by a central difference, and check each declared
+        one against it: g' with x spread over `terminal_domain`, f's x and v partials
+        with x spread there too and t and v drawn as in `CoefficientModel.self_test`."""
+        t, _, _, v, _ = _self_test_samples()
+        running_args = (t, np.linspace(*self.terminal_domain, _SELFTEST_SAMPLES), v)
+        for name, of, arg, args in (
+                ("terminal_prime", "terminal", 0, (np.linspace(*self.terminal_domain, 33),)),
+                ("running_dx", "running", 1, running_args),
+                ("running_dv", "running", 2, running_args)):
+            reference = _central_difference(getattr(self, of), arg)
+            if getattr(self, name) is None:
+                setattr(self, name, reference)
+            else:
+                _refuse_worst_sample(
+                    getattr(self, name)(*args), reference(*args),
+                    lambda *_: f"{name} disagrees with finite difference of {of}")
 
     @classmethod
     def terminal_only(cls, g: Callable, g_prime: Callable | None = None,

@@ -395,11 +395,13 @@ def _checked_totals(total: np.ndarray) -> np.ndarray:
     return total
 
 
-def performance_paths(spec: PerformanceSpec, states: StateEnsemble) -> np.ndarray:
-    """Per-path objective totals sum_i f(t_i, X_i, u_i) dt + g(X_N), shape (M,)."""
-    total = np.zeros(states.paths.n_paths)
-    for i, (x, u) in enumerate(zip(states.values, [*states.controls, None])):
-        _add_objective(total, spec, states.paths.grid, i, x, u)
+def performance_paths(spec: PerformanceSpec, paths: PathBundle, rows) -> np.ndarray:
+    """Per-path objective totals sum_i f(t_i, X_i, u_i) dt + g(X_N), shape (M,), of the
+    rows (X_i, u_i), i = 0..N (u_N None), read in node order as a simulator forms them
+    (`integral_form_rows`, `portfolio.wealth_rows`) or from a whole run's arrays."""
+    total = np.zeros(paths.n_paths)
+    for i, (x, u) in enumerate(rows):
+        _add_objective(total, spec, paths.grid, i, x, u)
     return _checked_totals(total)
 
 
@@ -413,7 +415,8 @@ def monte_carlo_estimate(total: np.ndarray) -> tuple[float, float]:
 
 def evaluate_performance(spec: PerformanceSpec, states: StateEnsemble) -> tuple[float, float]:
     """Monte Carlo objective estimate and its standard error."""
-    return monte_carlo_estimate(performance_paths(spec, states))
+    rows = zip(states.values, [*states.controls, None])
+    return monte_carlo_estimate(performance_paths(spec, states.paths, rows))
 
 
 # Values per block of rows in `trajectory_statistics`: about 1 MB of float64.

@@ -54,6 +54,7 @@ from volterra_control.portfolio import (
     simulate_wealth_positive,
     solve_portfolio,
     verify_optimality,
+    wealth_rows,
 )
 from volterra_control.volterra import monte_carlo_estimate
 
@@ -270,15 +271,14 @@ def test_criterion_11_gateaux_identity(paths64_desk):
     states = simulate_wealth_positive(market, control, paths64_desk)
     feats = [state_feature(utility.u_prime(states.values), name="marginal_wealth")]
     triple, field = solve_general(model, spec, states, features=feats)
-    simulate = lambda _model, ctrl, paths: simulate_wealth_positive(  # noqa: E731
-        market, ctrl, paths)
+    rows = lambda _model, ctrl, paths: wealth_rows(market, ctrl, paths)  # noqa: E731
     details = []
     ok = True
     width = DESK_N // 8
     for name, start in (("early", 4), ("middle", (DESK_N - width) // 2),
                         ("late", DESK_N - width - 4)):
         beta = perturbation_window(DESK_N, start, width, alpha=-1.0)
-        (rep,) = gateaux_check(triple, field, [beta], simulate=simulate)
+        (rep,) = gateaux_check(triple, field, [beta], rows=rows)
         ok = ok and rep.within(3.0)
         details.append(f"{name}: fd={rep.lhs:.5f} "
                        f"adj={rep.rhs:.5f} 3se={3 * rep.combined_stderr:.5f}")

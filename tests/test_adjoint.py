@@ -28,9 +28,11 @@ from volterra_control.adjoint import (
 from volterra_control.cli import ExperimentConfig, main
 from volterra_control.malliavin import (
     NodeRegression,
+    RunningSumRows,
     brownian_feature,
     d_brownian,
     d_jump,
+    default_features,
     jump_sum_feature,
     predicted_terminal_feature,
     state_feature,
@@ -1097,6 +1099,42 @@ def test_explicit_adjoint_refuses_a_control_that_reads_the_noise():
     (want, _), (got, _) = (solve_adjoint(model, _square_terminal(), control, paths)
                            for control in (ControlProcess.deterministic(values), flat))
     assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+
+
+def test_a_running_reward_that_reads_x_takes_the_general_solver():
+    # for an x-independent model dH/dx = f_x, so with f = g = -x^2 the mean of p_0 is
+    # E[g'(X_T) + sum_i f_x(X_i) dt] (-4.09 here), where the explicit solver's p is
+    # E[g'(X_T) | F_t] alone (-2.06): the explicit solver refuses such a run, and
+    # solve_adjoint sends it to the general one
+    paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 20_000, seed=3)
+    model = registry_get("x_independent_linear", {"b0": 0.1, "sigma0": 0.3})
+    spec = PerformanceSpec(running=lambda t, x, v: -np.asarray(x, dtype=float) ** 2,
+                           terminal=lambda x: -np.asarray(x, dtype=float) ** 2)
+    control = ControlProcess.constant(0.5)
+    with pytest.raises(ConfigurationError, match="running_dx"):
+        solve_explicit_x_independent(model, spec, simulate_integral_form(model, control, paths))
+    triple, _ = solve_adjoint(model, spec, control, paths)
+    x, dt = triple.states.values, paths.grid.dt
+    want = np.mean(-2.0 * x[-1] - 2.0 * x[:-1].sum(axis=0) * dt)
+    assert triple.p[0].mean() == pytest.approx(want, rel=1e-6)
+    assert [f.name for f in triple.features] == ["predicted_terminal"]
+
+
+def test_the_general_sweep_forms_each_running_sum_feature_once():
+    # the sweep reads nodes N..0, and a feature whose rows are formed on request starts
+    # again from S_0 at each earlier read, so solve_general forms those rows once, in
+    # node order: N steps per feature
+    paths = sample_paths(TimeGrid(1.0, 16), _RESTART_JUMPS, 2000, seed=13)
+    model = registry_get("constant", {"jump0": 0.1})
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths)
+    features, steps = default_features(paths, states.values), []
+    for feature in features:
+        if isinstance(feature.values, RunningSumRows):
+            feature.values.step = (lambda j, _step=feature.values.step, _name=feature.name:
+                                   steps.append(_name) or _step(j))
+    triple, _ = solve_general(model, _square_terminal(), states, features=features)
+    assert sorted(steps) == ["brownian"] * 16 + ["jump_sum"] * 16
+    assert all(isinstance(f.values, np.ndarray) for f in triple.features)
 
 
 def test_adjoint_csv_export(tmp_path):

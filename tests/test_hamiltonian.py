@@ -20,6 +20,7 @@ from volterra_control import (
 )
 from volterra_control.adjoint import (
     ExplicitXIndependentField,
+    solve_adjoint,
     solve_explicit_x_independent,
     solve_general,
 )
@@ -466,6 +467,27 @@ def test_each_check_builds_its_default_features_once(monkeypatch):
         builds.clear()
         check()
         assert len(builds) == 1, name
+
+
+@pytest.mark.parametrize("decays", ["declared", "none"])
+def test_gateaux_objectives_off_the_row_stream_equal_the_whole_runs(decays):
+    # the objectives J(+-lambda) summed off the perturbed runs' rows as they are formed
+    # are those of the whole (N+1, M) runs, bit for bit, with memory and two marks
+    paths = sample_paths(TimeGrid(1.0, 8), JumpModel(1.0, (-0.4, 0.6), (0.35, 0.65)),
+                         2000, seed=23)
+    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15))
+    if decays == "none":
+        model = dataclasses.replace(model, decays=None)
+    spec = PerformanceSpec(running=lambda t, x, v: -0.5 * v ** 2 + 0.3 * x * v,
+                           terminal=np.log, terminal_prime=lambda x: 1.0 / x)
+    triple, field = solve_adjoint(model, spec, ControlProcess.constant(0.5), paths)
+    betas = [perturbation_window(8, 2, 3, alpha=1.0), np.linspace(-1.0, 1.0, 8)]
+    def whole_run(*run):
+        states = simulate_integral_form(*run)
+        return zip(states.values, [*states.controls, None])
+
+    whole = gateaux_check(triple, field, betas, rows=whole_run)
+    assert gateaux_check(triple, field, betas) == whole
 
 
 def test_gateaux_zero_direction(paths64_small):

@@ -176,6 +176,18 @@ def test_performance_spec_validates_terminal_prime():
                                       domain=(-2, 2))
 
 
+@pytest.mark.parametrize("name", ["running_dx", "running_dv"])
+def test_performance_spec_validates_declared_running_partials(name):
+    # f = 0.3 x v - v^2 / 2 with its partials accepted, then one of them with a sign error
+    running = lambda t, x, v: 0.3 * x * v - 0.5 * v ** 2  # noqa: E731
+    right = {"running_dx": lambda t, x, v: 0.3 * v, "running_dv": lambda t, x, v: 0.3 * x - v}
+    wrong = {"running_dx": lambda t, x, v: -0.3 * v, "running_dv": lambda t, x, v: v - 0.3 * x}
+    PerformanceSpec(running=running, **right)
+    with pytest.raises(RegistrationError,
+                       match=f"^{name} disagrees with finite difference of running$"):
+        PerformanceSpec(running=running, **{**right, name: wrong[name]})
+
+
 def test_log_utility_inverse_is_reciprocal():
     u = UtilitySpec.log()
     ys = np.geomspace(0.01, 100.0, 13)

@@ -407,7 +407,8 @@ def test_streamed_summary_equals_the_in_memory_run_bit_for_bit(model, control):
     states = simulate_integral_form(model, control, paths)
     statistics, total = simulate_summary(model, control, _STREAM_SPEC, paths)
     assert statistics == trajectory_statistics(paths.grid.nodes, states.values)
-    assert np.array_equal(total, performance_paths(_STREAM_SPEC, states))
+    rows = zip(states.values, [*states.controls, None])
+    assert np.array_equal(total, performance_paths(_STREAM_SPEC, paths, rows))
 
 
 def _statistics_oracle(nodes, rows):
