@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -54,20 +55,24 @@ _MAX_STEPS = 256
 def _restarts(model: CoefficientModel, control, jumps) -> bool:
     """True when the state feature of a run of this model (`simulated_state_feature`)
     restarts the simulator: for a feedback rule, a kernel without a declared decay, or
-    active jumps. Otherwise one reverse sweep gives it, with no restarted run."""
-    return control.rule is not None or not model.decays_declared or jumps.active
+    active jumps on a model not affine in x. Otherwise reverse sweeps give it, the
+    Brownian columns and the jump columns alike, with no restarted run."""
+    return control.rule is not None or not model.decays_declared \
+        or (jumps.active and not model.affine_in_x)
 
 
 def check_steps(model: CoefficientModel, control, jumps, steps: int) -> None:
     """The general solver's cost guard in grid steps: refuse more than `_MAX_STEPS` for a
-    memory model whose state feature restarts the simulator (`_restarts`), the runs whose
-    field rows take one restarted run per node. A model without memory reads no field
-    row, and one reverse sweep restarts nothing, so neither is guarded."""
+    memory model whose state feature restarts the simulator (`_restarts`: a feedback
+    rule, an undeclared decay, or jumps on a model not affine in x), the runs whose field
+    rows take one restarted run per node. A model without memory reads no field row, and
+    the reverse sweeps restart nothing, so neither is guarded."""
     if steps > _MAX_STEPS and model.memory_state_coupling and _restarts(model, control, jumps):
         raise ConfigurationError(
             f"grid.steps is {steps}, but the general adjoint solver for the memory model "
             f"{model.name!r} is cost-guarded to {_MAX_STEPS} steps where its state feature "
-            "restarts the simulator (feedback rule, undeclared decay or jumps)")
+            "restarts the simulator (feedback rule, undeclared decay, or jumps on a model "
+            "not affine in x)")
 
 
 @dataclass
@@ -157,12 +162,15 @@ class SurrogateMalliavinField:
     `reverse_sweep` (the simulated state of an open-loop control on a model
     whose kernels all declare their decays), `weighted_rows` projects one
     target column per node and decay, Brownian or per mark, and reads no
-    Brownian row. The Brownian column is the reverse sweep's, fed the
-    surrogate gradients g_l for l = N, N - 1, ... as far as node i, and the
-    coefficients of every node it passes are kept. The jump column is
-    sum_{j>i} e^{-decay (t_j - t_i)} [P_j(X_j + delta) - P_j(X_j)], with delta
-    the node-i jump shift of X_j, summed before projection from the Taylor
-    rows P_j^(d)/d! of each node j (`NodeRegression.taylor_rows`).
+    sensitivity row. Each column is a reverse sweep's, one per decay and kind,
+    fed the surrogates' Taylor rows P_l^(d)/d! (`NodeRegression.taylor_rows`)
+    for l = N, N - 1, ... as far as node i, and the coefficients of every node
+    it passes are kept. The Brownian sweep reads the gradients P_l'. The jump
+    sweep (`reverse_jump_sweep`, on a model affine in x) gives sum_{j>i}
+    e^{-decay (t_j - t_i)} [P_j(X_j + delta) - P_j(X_j)], with delta the node-i
+    jump shift of X_j, by the Taylor powers of delta (`volterra.reverse_memory_sums`),
+    O(M) per node and no restarted run. A feature without it has its jump
+    column summed from the projected rows of its `jump_shift` blocks.
     """
 
     def __init__(self, triple: AdjointTriple):
@@ -173,9 +181,10 @@ class SurrogateMalliavinField:
         self._row_coefs: dict = {}   # (i, False) -> dp coefficients, (i, True) -> djump's K
         self._node_design: tuple = (None, None)   # (i, design of node i)
         feats = triple.features
-        self._reverse = len(feats) == 1 and feats[0].reverse_sweep is not None
+        self._reverse = {False: feats[0].reverse_sweep, True: feats[0].reverse_jump_sweep} \
+            if len(feats) == 1 else {}   # jump -> the feature's reverse sweep, or None
         self._weighted: dict = {}    # (i, decay, jump) -> weighted_rows coefficients
-        self._sweeps: dict = {}      # decay -> (next node to feed, the sweep's step)
+        self._sweeps: dict = {}      # (decay, jump) -> (next node to feed, the sweep's column)
 
     def design(self, i: int) -> np.ndarray:
         """The node-i regression design (M, p), held until another node's is asked for."""
@@ -185,8 +194,8 @@ class SurrogateMalliavinField:
 
     def _surrogate(self, kind: str, j: int) -> np.ndarray:
         """Node j's surrogate `gradient` (M, F), unshifted `value` (M,) or `taylor` rows
-        (degree, M), kept for the nodes i < j while a sweep runs (without jumps, one node
-        reads Taylor rows)."""
+        (degree, M). The gradient and value rows are kept for the nodes i < j while a
+        sweep runs; the Taylor rows, which each reverse sweep reads once, are not."""
         if (kind, j) in self._node_rows:
             return self._node_rows[kind, j]
         reg, coef = self.triple.regressions[j], self.triple.surrogate_coefs[j]
@@ -196,7 +205,7 @@ class SurrogateMalliavinField:
             rows = reg.predict(reg.raw_values(), coef)
         else:
             rows = reg.taylor_rows(coef)
-        if self._sweeping and (kind != "taylor" or self.paths.jumps.active):
+        if self._sweeping and kind != "taylor":
             self._node_rows[kind, j] = rows
         return rows
 
@@ -256,33 +265,19 @@ class SurrogateMalliavinField:
                     [s[kk] for s in shifts]), coef) - self._surrogate("value", j)
         return out
 
-    def _reverse_to(self, i: int, decay: float) -> None:
-        """Run the reverse sweep of `decay` down to node i, keeping the coefficients
-        of the Brownian column of every node it passes."""
-        node, step = self._sweeps.get(decay) or (
-            self.triple.n_nodes - 1, self.triple.features[0].reverse_sweep(decay))
+    def _reverse_to(self, i: int, decay: float, jump: bool) -> None:
+        """Run the reverse sweep of `decay`, over the jump shifts with `jump` and else the
+        Brownian sensitivities, down to node i, keeping the coefficients of the column of
+        every node it passes. A sweep that has reached node 0 is let go."""
+        node, column = self._sweeps.pop((decay, jump), None) or (
+            self.triple.n_nodes - 1, self._reverse[jump](decay))
         while node > i:
-            target = step(self._surrogate("taylor", node)[0])
+            target = column(self._surrogate("taylor", node))
             node -= 1
-            self._weighted[node, decay, False] = self.triple.regressions[node].coefficients(
+            self._weighted[node, decay, jump] = self.triple.regressions[node].coefficients(
                 target, phi=self.design(node))
-        self._sweeps[decay] = (node, step)
-
-    def _jump_target(self, i: int, decay: float) -> np.ndarray:
-        """(M, K) targets: column k is sum_{j>i} e^{-decay (t_j - t_i)} [P_j(X_j + delta)
-        - P_j(X_j)], delta the node-i shift of X_j by a jump of mark k, from the Taylor
-        rows: delta (a_1 + delta (a_2 + delta a_3)) for degree 3."""
-        weights = decay_weights(self.paths.grid.nodes, i, decay)
-        out = np.zeros((self.paths.jumps.n_marks, self.paths.n_paths))
-        for c, (j, (shift,)) in enumerate(self._rows(i, "jump_shift")):
-            rows, delta = self._surrogate("taylor", j), np.broadcast_to(shift, out.shape)
-            term = delta * rows[-1]
-            for row in rows[-2::-1]:   # in place, the same products and sums
-                term += row
-                term *= delta
-            term *= weights[c]
-            out += term
-        return out.T
+        if node:
+            self._sweeps[decay, jump] = (node, column)
 
     def weighted_rows(self, i: int, decay: float, jump: bool = False) -> np.ndarray:
         """sum_{j>i} e^{-decay (t_j - t_i)} dp_rows(i)[j], (M,), or of djump_rows(i),
@@ -292,7 +287,7 @@ class SurrogateMalliavinField:
         one product with the held design, no (N - i, M) rows. On the reverse path
         (see the class) the coefficients are those of the one projected column.
         """
-        if not self._reverse:
+        if self._reverse.get(jump) is None:
             weights = decay_weights(self.paths.grid.nodes, i, decay)
             if jump:
                 coef = np.stack([c @ weights for c in self._coefs(i, jump=True)], axis=1)
@@ -300,11 +295,7 @@ class SurrogateMalliavinField:
                 coef = self._coefs(i) @ weights
             return self.design(i) @ coef
         if (i, decay, jump) not in self._weighted:
-            if jump:
-                self._weighted[i, decay, True] = self.triple.regressions[i].coefficients(
-                    self._jump_target(i, decay), phi=self.design(i))
-            else:
-                self._reverse_to(i, decay)
+            self._reverse_to(i, decay, jump)
         return self.design(i) @ self._weighted[i, decay, jump]
 
     def dp_rows(self, i: int) -> np.ndarray:
@@ -460,9 +451,10 @@ def solve_adjoint(model: CoefficientModel, spec: PerformanceSpec, control, paths
     """The adjoint (triple, field) of `control` on `paths`: one integral-form run, recorded
     where the state feature restarts it, then the explicit solver for an x-independent
     model or the general one. A memory-coupled driver reads the state's noise
-    sensitivities (`simulated_state_feature`: one reverse sweep for the Brownian ones, one
-    restarted run per node otherwise); a model without memory fits the state alone. An
-    x-independent run with f_x != 0 takes the general solver on its default feature."""
+    sensitivities (`simulated_state_feature`: reverse sweeps for the Brownian ones and, on
+    a model affine in x, the jump ones; one restarted run per node otherwise); a model
+    without memory fits the state alone. An x-independent run with f_x != 0 takes the
+    general solver on its default feature."""
     restarts = model.memory_state_coupling and _restarts(model, control, paths.jumps)
     states = simulate_integral_form(model, control, paths, record=restarts)
     if model.x_independent:
@@ -519,9 +511,14 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
 
     For an open-loop control on a model whose kernels all declare their
     decays, the feature also has a `reverse_sweep` (`volterra.reverse_memory_sums`):
-    node i's column is diffusion(t_i, t_i, X_i, u_i) R^diffusion_i, O(M) per
-    node, with no run. A feedback rule would need du/dx, which `ControlProcess`
-    does not declare, so it keeps the restarted Brownian rows.
+    node i's column is diffusion(t_i, t_i, X_i, u_i) R^(1)_i[diffusion], O(M) per
+    node, with no run. On such a model that is affine in x (`affine_in_x`), a jump's
+    shift of the later states solves the variation's linear recursion exactly, so it
+    has a `reverse_jump_sweep` too: node i's mark-k column is sum_d R^(d)_i[jump, ...,
+    jump] gamma(t_i, t_i, X_i, u_i, z_k)^d, O(M) per node at degree 3, with no run. A
+    run that reads neither kind's rows needs no record. A feedback rule would need du/dx,
+    which `ControlProcess` does not declare, so it keeps the restarted rows, and so does
+    a model not affine in x with jumps.
     """
     control, paths = states.control, states.paths
     unrecorded = "simulated_state_feature restarts this run, which needs to be made with " \
@@ -552,19 +549,31 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
         variants = [paths.with_extra_jump(i, kk) for kk in range(k)]
         return (x - base[j] for j, x in enumerate(restarted(i, variants), i + 1))
 
-    reverse_sweep = None
+    reverse_sweep = reverse_jump_sweep = None
     if control.rule is None and model.decays_declared:
         t, x, u = paths.grid.nodes, None if model.x_independent else base, states.controls
 
-        def reverse_sweep(decay: float):
+        def reverse_sweep(decay: float, jump: bool = False):
             step = reverse_memory_sums(model, paths, x, u, decay)
 
-            def column(g: np.ndarray) -> np.ndarray:
-                i, sums = step(g)
-                return model.diffusion(t[i], t[i], None if x is None else x[i], u[i]) \
-                    * sums["diffusion"]
+            def column(rows: np.ndarray) -> np.ndarray:
+                i, sums = step(rows if jump else rows[:1])
+                x_i = None if x is None else x[i]
+                if not jump:
+                    return model.diffusion(t[i], t[i], x_i, u[i]) * sums["diffusion"][0]
+                gamma = model.jump(t[i], t[i], None if x_i is None else x_i[:, None],
+                                   u[i][:, None], paths.jumps.mark_array)
+                powers = sums["jump"]
+                out = powers[-1][:, None] * gamma
+                for row in powers[-2::-1]:
+                    out += row[:, None]
+                    out *= gamma
+                return out
 
             return column
+
+        if model.affine_in_x:
+            reverse_jump_sweep = partial(reverse_sweep, jump=True)
 
     return Feature(
         name="simulated_state",
@@ -572,4 +581,5 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
         brownian_sensitivity=brownian_rows,
         jump_shift=jump_rows,
         reverse_sweep=reverse_sweep,
+        reverse_jump_sweep=reverse_jump_sweep,
     )

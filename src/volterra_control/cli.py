@@ -37,7 +37,7 @@ from .malliavin import (
 from .models import ControlProcess, InfoMode, PerformanceSpec, UtilitySpec, registry_get
 from .reporting import write_csv, write_manifest
 from .volterra import monte_carlo_estimate, simulate_summary
-from .adjoint import check_steps, solve_adjoint
+from .adjoint import solve_adjoint
 from .hamiltonian import (
     GATEAUX_WINDOWS_SIGMA,
     check_stationarity,
@@ -360,10 +360,9 @@ def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
     """The solved adjoint (triple, field) of the configured run.
 
     Refused before any sampling: the stationarity check's information delay beyond the
-    horizon, a grid beyond the solver's cost guard (`check_steps`), and a sample below
-    the basis's `path_floor`. The adjoint fits one raw feature per
-    node; the stationarity check of an x-dependent model fits the default features
-    (Brownian level, state, and the jump sum when jumps are active).
+    horizon, and a sample below the basis's `path_floor`. The adjoint fits one raw
+    feature per node; the stationarity check of an x-dependent model fits the default
+    features (Brownian level, state, and the jump sum when jumps are active).
     """
     model = cfg.model()
     if stationarity and cfg.info.delay > cfg.grid.horizon:
@@ -371,7 +370,6 @@ def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
             f"info.delay must be a number in [0, grid.horizon = {cfg.grid.horizon}], "
             f"got {cfg.info.delay!r}")
     control = cfg.control()
-    check_steps(model, control, cfg.jumps, cfg.grid.steps)
     _check_sample_floor(cfg, 2 + cfg.jumps.active if stationarity and not model.x_independent
                         else 1)
     return solve_adjoint(model, cfg.performance(), control, cfg.sample(), cfg.basis)

@@ -167,10 +167,16 @@ def eval_h0_reduced(model: CoefficientModel, spec: PerformanceSpec, paths: PathB
     f(t,.,v) + b(T,t,v) g'(X_T) + sigma(T,t,v) E[D_t g'(X_T)|F_t]
     + intensity sum_k w_k gamma(T,t,v,z_k) E[D_{t,z_k} g'(X_T)|F_t].
 
+    The fold, like the explicit adjoint, holds for f_x = 0 only, and f is read with no
+    state: a spec whose `running_dx` is non-zero at its check samples is refused.
+
     No stage calls it; it is kept as acceptance-oracle API (criterion 07).
     """
     if not model.x_independent:
         raise ConfigurationError("reduced Hamiltonian requires an x-independent model")
+    if spec.running_reads_x():
+        raise ConfigurationError("reduced Hamiltonian requires spec.running_dx = 0, the "
+                                 "driver dH/dx of an x-independent model")
     t = paths.grid.nodes
     T = t[-1]
     jumps = paths.jumps

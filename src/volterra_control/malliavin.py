@@ -76,9 +76,14 @@ class Feature:
     field builder raises if it needs a missing sensitivity.
 
     reverse_sweep(decay), when given, starts a reverse pass over the Brownian
-    sensitivities: a function that takes per-path weights g_N, g_{N-1}, ...,
-    g_1 in turn, and whose call with g_l returns node l - 1's (M,) column
-    sum_{j >= l} e^{-decay (t_j - t_{l-1})} g_j d values[j]/dW_{l-1}, in O(M).
+    sensitivities: a function that takes the (degree, M) Taylor rows a_{d,l} =
+    P_l^(d)/d! of per-node polynomials P_l of values[l], l = N, N-1, ..., 1, in
+    turn, and whose call with node l's returns node l - 1's (M,) column
+    sum_{j >= l} e^{-decay (t_j - t_{l-1})} a_{1,j} d values[j]/dW_{l-1}, in O(M).
+    reverse_jump_sweep(decay), when given, is the same pass over the jump
+    shifts: node l - 1's (M, K) column is sum_{j >= l} e^{-decay (t_j - t_{l-1})}
+    [P_j(values[j] + shift) - P_j(values[j])], shift the mark-k jump shift of
+    values[j] at node l - 1 (exact for the polynomials of the Taylor rows).
     """
 
     name: str
@@ -86,6 +91,7 @@ class Feature:
     brownian_sensitivity: Optional[Callable[[int], Iterable[np.ndarray | float]]] = None
     jump_shift: Optional[Callable[[int], Iterable[np.ndarray | float]]] = None
     reverse_sweep: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
+    reverse_jump_sweep: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
 
 
 def _repeated(paths: PathBundle, row: Callable[[int], np.ndarray | float]) -> Callable:

@@ -62,6 +62,11 @@ class CoefficientModel:
     `decays` is None or a (drift, diffusion, jump) tuple of decay rates; an
     entry lambda declares k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for that kernel
     and for its d/dt partials, an entry None leaves the kernel generic.
+
+    `affine_in_x=True` declares every kernel affine in x, so that each x partial
+    is free of x: a shift of the state then moves the later states by the
+    variation's linear recursion exactly, and the adjoint reads its jump field
+    from one reverse sweep (`volterra.reverse_memory_sums`) with no restarted run.
     """
 
     name: str
@@ -89,6 +94,7 @@ class CoefficientModel:
     jump_dtdx: Optional[Callable] = None
     jump_dtdv: Optional[Callable] = None
     x_independent: bool = False
+    affine_in_x: bool = False
     time_invariant_kernels: bool = False
     decays: Optional[tuple] = None
     declared: tuple[str, ...] = ()
@@ -152,11 +158,12 @@ class CoefficientModel:
         return not (self.x_independent or self.time_invariant_kernels)
 
     def self_test(self) -> None:
-        """Check declared partials and decays at random arguments.
+        """Check declared partials, affinity in x and decays at random arguments.
 
         Declared partials are compared with the central differences they would
-        be filled with (`_reference`). For each declared decay lambda, the
-        kernel and its d/dt, x and v partials must satisfy
+        be filled with (`_reference`). A model flagged `affine_in_x` must have
+        each x partial take the same values at x and at x + 1. For each declared
+        decay lambda, the kernel and its d/dt, x and v partials must satisfy
         k(t,s,.) = e^{-lambda (t-s)} k(s,s,.) for t >= s (the reverse sweep of
         the adjoint reads the x partials at (s, s) only). Raises
         RegistrationError naming the first failing partial or kernel.
@@ -176,6 +183,13 @@ class CoefficientModel:
             if np.any(np.abs(getattr(self, f"{kernel}_dx")(*args[kernel])) > 1e-12):
                 raise RegistrationError(f"model {self.name!r} is flagged x-independent but "
                                         f"{kernel}_dx is not identically zero")
+        for kernel in _KERNELS if self.affine_in_x else ():
+            dx, tail = getattr(self, f"{kernel}_dx"), args[kernel][3:]
+            _refuse_worst_sample(
+                dx(t, s, x + 1.0, *tail), dx(t, s, x, *tail),
+                lambda worst, got, want: (
+                    f"model {self.name!r} is flagged affine in x but {kernel}_dx moves with x "
+                    f"(sample {worst}: {got:.6g} at x + 1, {want:.6g} at x)"))
         late, early = np.maximum(t, s), np.minimum(t, s)
         for kernel in _KERNELS:
             lam = self.decay(kernel)
@@ -259,6 +273,7 @@ def _exp_kernel_model(name, b0, sigma0, jump0, decay_b, decay_s, decay_j, x0,
         **{kernel: make(amp, lam) for kernel, (make, amp, lam) in kernels.items()},
         **partials,
         x_independent=x_independent,
+        affine_in_x=True,
         time_invariant_kernels=(decay_b == 0.0 and decay_s == 0.0 and decay_j == 0.0),
         decays=(decay_b, decay_s, decay_j),
     )
@@ -314,8 +329,7 @@ class PerformanceSpec:
         """Fill each missing derivative by a central difference, and check each declared
         one against it: g' with x spread over `terminal_domain`, f's x and v partials
         with x spread there too and t and v drawn as in `CoefficientModel.self_test`."""
-        t, _, _, v, _ = _self_test_samples()
-        running_args = (t, np.linspace(*self.terminal_domain, _SELFTEST_SAMPLES), v)
+        running_args = self._running_samples()
         for name, of, arg, args in (
                 ("terminal_prime", "terminal", 0, (np.linspace(*self.terminal_domain, 33),)),
                 ("running_dx", "running", 1, running_args),
@@ -327,6 +341,16 @@ class PerformanceSpec:
                 _refuse_worst_sample(
                     getattr(self, name)(*args), reference(*args),
                     lambda *_: f"{name} disagrees with finite difference of {of}")
+
+    def _running_samples(self) -> tuple:
+        """The (t, x, v) samples of f's partials: x spread over `terminal_domain`, t and v
+        drawn as in `CoefficientModel.self_test`."""
+        t, _, _, v, _ = _self_test_samples()
+        return t, np.linspace(*self.terminal_domain, _SELFTEST_SAMPLES), v
+
+    def running_reads_x(self) -> bool:
+        """True when f_x = running_dx is non-zero at some of the samples it is checked at."""
+        return bool(np.any(np.asarray(self.running_dx(*self._running_samples())) != 0.0))
 
     @classmethod
     def terminal_only(cls, g: Callable, g_prime: Callable | None = None,

@@ -24,6 +24,7 @@ the adjoint and Hamiltonian readers take.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -220,38 +221,106 @@ def decay_weights(nodes: np.ndarray, i: int, decay: float) -> np.ndarray:
 
 
 def reverse_memory_sums(model: CoefficientModel, paths: PathBundle, x, u, decay: float):
-    """The reverse (cotangent) sweep of `memory_sums`, as a function `step(g)`.
+    """The reverse (cotangent) sweep of `memory_sums` and of its Taylor powers, as a
+    function `step(rows)`.
 
-    The sweep differentiates F = sum_j e^{-decay t_j} g_j X_j, with the
-    weights g frozen, through the integral scheme of a model whose kernels
-    all declare their decays lambda_k, for an open-loop control u. The calls
-    take g_N, g_{N-1}, ..., g_1 in turn; the call that takes g_l returns
-    (l - 1, {kernel: R^k_{l-1}}), where
+    On a model whose kernels all declare their decays lambda_k, under an open-loop
+    control u, a shift of the per-kernel sums S_l (X_l = xi(t_l) + 1^T S_l) moves
+    S_{l+1} by D_l (I + e_l 1^T) times it, D_l = diag(e^{-lambda_k (t_{l+1} - t_l)}),
+    with e^k_l = k_x(t_l, t_l, X_l, u_l) inc^k_l the one-row `_dx` summands of
+    `noise_sums` (dt, dW_l, the marks' dN~_{l,k} summed): to first order, and exactly
+    when every kernel is affine in x. The calls take the Taylor rows a_{d,l}, d =
+    1..degree (the degree of the first call), of l = N, N-1, ..., 1 in turn; the call
+    that takes node l's returns (l - 1, {kernel k: [R^(d)_{l-1}[k, ..., k] for d =
+    1..degree]}), diagonal entries of the symmetric d-forms
 
-        abar_l = g_l + sum_k k_x(t_l, t_l, X_l, u_l) inc^k_l R^k_l,
-        R^k_{l-1} = e^{-(lambda_k + decay)(t_l - t_{l-1})} (abar_l + R^k_l),  R^k_N = 0,
+        R^(d)_{l-1} = e^{-decay (t_l - t_{l-1})} D_{l-1}^{(x)d} [a_{d,l} 1^{(x)d}
+                      + (I + 1 e_l^T)^{(x)d} R^(d)_l],   R^(d)_N = 0,
 
-    with inc^k_l the `noise_sums` increments (dt, dW_l, and dN~_{l,k} with the
-    marks summed). abar_l is e^{decay t_l} dF/dX_l, so e^{decay t_i} dF/dinc^k_i
-    = k(t_i, t_i, X_i, u_i) R^k_i (for a jump of mark z, gamma at z). Scaled so,
-    every factor is a decay over some t_j - t_i, and nothing underflows. x is
-    None for an x-independent model. One step is O(M).
+    so R^(d)_i[v, ..., v] = sum_{j>i} e^{-decay (t_j - t_i)} a_{d,j} (1^T delta S_j)^d for
+    the shift delta S_{i+1} = D_i v. So e^{decay t_i} dF/dW_i = sigma_ii R^(1)_i[diffusion]
+    for F = sum_j e^{-decay t_j} a_{1,j} X_j with a frozen, and for the shift delta X_j
+    by one more jump of mark z at node i, sum_{j>i} e^{-decay (t_j - t_i)} sum_d a_{d,j}
+    (delta X_j)^d = sum_d R^(d)_i[jump, ..., jump] gamma(t_i, t_i, X_i, u_i, z)^d. Scaled so, every
+    factor is a decay over some t_j - t_i, and nothing underflows. x is None for an
+    x-independent model. One step is O(M) (`_SymmetricForms`).
     """
     nodes, n = paths.grid.nodes, paths.n_steps
     local = noise_sums(model, paths, x, u, parts=(("_dx", None),))
-    sums = dict.fromkeys(local, 0.0)
+    rates = [model.decay(k) for k in local]
+    forms = []   # the `_SymmetricForms`, made at the first call
     node = [n]
 
-    def step(g: np.ndarray) -> tuple[int, dict]:
+    def step(rows: np.ndarray) -> tuple[int, dict]:
         l = node[0]
-        abar = g if l == n else \
-            g + sum(sums[k] * summands(nodes[l], slice(l, l + 1)) for k, summands in local.items())
-        for k in sums:
-            sums[k] = np.exp(-(model.decay(k) + decay) * (nodes[l] - nodes[l - 1])) * (abar + sums[k])
+        if not forms:
+            forms.append(_SymmetricForms(rates, len(rows), rows.shape[1]))
+        e = [summands(nodes[l], slice(l, l + 1)) for summands in local.values()] \
+            if l < n else None
+        forms[0].step(rows, e, decay, nodes[l] - nodes[l - 1])
         node[0] = l - 1
-        return l - 1, dict(sums)
+        return l - 1, {k: forms[0].diagonal(b) for b, k in enumerate(local)}
 
     return step
+
+
+class _SymmetricForms:
+    """The symmetric d-forms R^(d), d = 1..degree, of `reverse_memory_sums` over its n
+    kernels. R^(d) is kept as its distinct entries R^(d)[a], a a sorted index d-tuple,
+    one (M,) row each: C(d + n - 1, d) rows, 19 for degrees 1..3 of three kernels. The
+    rows of every degree are stacked in one array, which each step updates in place.
+
+    The contraction of (I + 1 e^T)^{(x)d} with R^(d) at the entry a is the sum, over the
+    nonempty subsets P of the d slots, of u_{|P|} at the indices of a outside P, where
+    u_0 = R^(d) and u_r(J) = sum_b e_b u_{r-1}(J + b). The u_r of one degree take
+    C(d - r + n - 1, d - r) scratch rows each.
+    """
+
+    def __init__(self, rates: list, degree: int, m: int):
+        n = len(rates)
+        tuples = [list(itertools.combinations_with_replacement(range(n), d))
+                  for d in range(degree + 1)]
+        index = [{a: k for k, a in enumerate(level)} for level in tuples]
+        sizes = [len(level) for level in tuples]
+        self.forms = np.split(np.zeros((sum(sizes[1:]), m)), np.cumsum(sizes[1:-1]))
+        self._scratch = np.empty((sum(sizes[:-1]) + 2, m))   # the u_r, then two rows
+        self._sizes = sizes
+        self._rates = [[sum(rates[b] for b in a) for a in level] for level in tuples[1:]]
+        # per J of size s < degree: the index of J + b in the tuples of size s + 1, per b
+        self._contract = [[[index[s + 1][tuple(sorted(j + (b,)))] for b in range(n)]
+                           for j in level] for s, level in enumerate(tuples[:-1])]
+        # per entry a of degree d: (|P|, the index of a outside P), P the nonempty slot sets
+        self._update = [[[(r, index[d - r][tuple(c for s, c in enumerate(a) if s not in p)])
+                          for r in range(1, d + 1)
+                          for p in itertools.combinations(range(d), r)]
+                         for a in tuples[d]] for d in range(1, degree + 1)]
+        self._diagonal = [[index[d][(b,) * d] for d in range(1, degree + 1)] for b in range(n)]
+
+    def step(self, rows: np.ndarray, e: list | None, decay: float, dt: float) -> None:
+        """R^(d) <- e^{-decay dt} D^{(x)d} [rows[d - 1] 1^{(x)d} + (I + 1 e^T)^{(x)d} R^(d)]
+        for every degree d, D = diag(e^{-lambda_k dt}); with e None (node N) no e-term."""
+        acc, tmp = self._scratch[-2], self._scratch[-1]
+        for d, form in enumerate(self.forms, 1):
+            u, start = [form], 0
+            for r in range(1, d + 1) if e is not None else ():
+                level = self._scratch[start:start + self._sizes[d - r]]
+                start += len(level)
+                for out, up in zip(level, self._contract[d - r]):
+                    np.multiply(e[0], u[-1][up[0]], out=out)
+                    for b in range(1, len(e)):
+                        np.multiply(e[b], u[-1][up[b]], out=tmp)
+                        out += tmp
+                u.append(level)
+            for row, rate, terms in zip(form, self._rates[d - 1], self._update[d - 1]):
+                acc[...] = rows[d - 1]
+                for r, j in terms if e is not None else ():
+                    acc += u[r][j]
+                acc += row
+                np.multiply(np.exp(-(rate + decay) * dt), acc, out=row)
+
+    def diagonal(self, b: int) -> list:
+        """The rows R^(d)[b, ..., b], d = 1..degree, views that the next step overwrites."""
+        return [form[k] for form, k in zip(self.forms, self._diagonal[b])]
 
 
 def _recorded_sums(model: CoefficientModel, base: StateEnsemble, i: int) -> list:

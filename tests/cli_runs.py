@@ -16,7 +16,7 @@ exits non-zero naming every run with a stage that exited non-zero, reached its
 bound, or exited 0 without leaving a `manifest.json` whose `command` is that
 stage. No run has a wall-clock bound.
 
-Eleven runs start from the config of a desk workload (`deskbench/workloads.py`),
+Twelve runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
 """
 
@@ -77,9 +77,10 @@ RUNS = (
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 2000}},
         bound_mb=200.0,
-        why="each restart hands its rows to the jump targets as they are formed and the "
-            "recorded sums are released behind the sweep, so the stage peaks near 57 MB "
-            "(71 MB holding one node's sensitivity blocks, 455 MB holding every node's)",
+        why="the jump targets come from one reverse sweep of their Taylor powers, with no "
+            "restarted run and no recorded sums, so the stage peaks near 51 MB (57 MB "
+            "restarting once per node, 71 MB holding one node's sensitivity blocks, "
+            "455 MB holding every node's)",
     ),
     CliRun(
         name="adjoint_n128_m1e4",
@@ -87,11 +88,23 @@ RUNS = (
         seed=11,
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 10_000}},
-        bound_mb=160.0,
-        why="the restarts at scale: 128 restarts of K = 2 jump variants at M = 1e4 hold one "
-            "(K, M) row each, and the record shrinks as the sweep descends, so the stage "
-            "peaks near 131 MB (199 MB with each restart's whole run and (K, N - i, M) "
-            "block and the whole record)",
+        bound_mb=125.0,
+        why="the jump field at scale: at M = 1e4 the reverse sweep of the jump shifts' "
+            "Taylor powers holds 19 rows of its symmetric forms and a few scratch rows, "
+            "and restarts nothing, so the stage peaks near 102 MB in 0.7 s (131 MB in "
+            "4.5 s with 128 restarts of K = 2 jump variants, 199 MB with each restart's "
+            "whole run and (K, N - i, M) block and the whole record)",
+    ),
+    CliRun(
+        name="adjoint_n512",
+        stages=("solve-adjoint", "check-stationarity"),
+        seed=11,
+        workload="adjoint_memory_jumps",
+        config={"grid": {"horizon": 1.0, "steps": 512}, "monte_carlo": {"paths": 2000}},
+        bound_mb=115.0,
+        why="the memory-jump model past the 256 steps that the restarts were guarded to: "
+            "both stages take O(N M) sweeps and no restarted run, and peak near 88 and "
+            "95 MB",
     ),
     CliRun(
         name="simulate_n1024",

@@ -533,6 +533,19 @@ def _exp_model():
     return registry_get("exp_kernel_linear", _EXP_PARAMS)
 
 
+def _squared_jump_model():
+    """The memory-with-jumps model of the desk benchmark with x^2 in its jump kernel: its
+    decays are declared, but it is not affine in x, so its jump shifts restart."""
+    def kernel(amp, lam, power):
+        return lambda t, s, x, v: \
+            amp * np.exp(-lam * (np.asarray(t, dtype=float) - s)) * v * np.asarray(x) ** power
+    jump = kernel(0.1, 0.5, 2)
+    return registry_get("custom", dict(
+        initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+        drift=kernel(0.1, 1.0, 1), diffusion=kernel(0.3, 0.8, 1),
+        jump=lambda t, s, x, v, z: jump(t, s, x, v) * z, decays=(1.0, 0.8, 0.5)))
+
+
 def _x_independent_model():
     return registry_get("x_independent_linear", _EXP_PARAMS)
 
@@ -630,12 +643,14 @@ def test_a_feedback_rule_is_evaluated_by_the_simulations_only():
 
 
 def test_simulated_state_feature_needs_a_recorded_run():
+    # with jumps, a model not affine in x restarts its jump shifts
     from volterra_control.adjoint import simulated_state_feature
 
     paths = sample_paths(TimeGrid(1.0, 4), _RESTART_JUMPS, 100, seed=3)
-    states = simulate_integral_form(_exp_model(), ControlProcess.constant(0.7), paths)
+    model = _squared_jump_model()
+    states = simulate_integral_form(model, ControlProcess.constant(0.7), paths)
     with pytest.raises(ConfigurationError, match="record=True"):
-        simulated_state_feature(_exp_model(), states)
+        simulated_state_feature(model, states)
 
 
 def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
@@ -758,8 +773,9 @@ def test_node_blocks_equal_the_per_pair_sensitivities(build, monkeypatch):
 @pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
 def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
     # the sweep reads each node's rows once per kind (the jump rows alone on the
-    # reverse path of declared decays, the Brownian rows too on the generic path), and
-    # the stationarity and Gateaux checks read only memoized coefficients
+    # reverse path of declared decays, where the model is not affine in x; the Brownian
+    # rows too on the generic path), and the stationarity and Gateaux checks read only
+    # memoized coefficients
     import dataclasses
 
     from volterra_control.adjoint import simulated_state_feature
@@ -769,9 +785,8 @@ def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
         perturbation_window,
     )
 
-    model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
-    if not lifted:
-        model = dataclasses.replace(model, decays=None)
+    model = _squared_jump_model() if lifted else dataclasses.replace(
+        registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), decays=None)
     spec, control = PerformanceSpec.log_terminal(), ControlProcess.constant(0.5)
     paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)),
                          600, seed=43)
@@ -830,9 +845,10 @@ def test_the_solve_keeps_no_node_block(monkeypatch, lifted):
 
 
 def _without_reverse_hook(triple):
-    """The same surrogates read through features without a reverse sweep: the
+    """The same surrogates read through features without reverse sweeps: the
     field then sums the rows of the restarted blocks."""
-    feats = [dataclasses.replace(f, reverse_sweep=None) for f in triple.features]
+    feats = [dataclasses.replace(f, reverse_sweep=None, reverse_jump_sweep=None)
+             for f in triple.features]
     return dataclasses.replace(triple, features=feats)
 
 
@@ -841,9 +857,9 @@ def _without_reverse_hook(triple):
     pytest.param(JumpModel.none(), 128, 2_000, id="jump-free-128"),
 ])
 def test_reverse_rows_equal_the_restart_block_weighted_sums(jumps, n, m):
-    # an open-loop control on a declared-decay model: the field projects one
-    # reverse-swept Brownian column and one Taylor-row jump column per node and
-    # decay; the decay-weighted sums of the projected rows of the restarted
+    # an open-loop control on a declared-decay model affine in x: the field projects
+    # one reverse-swept Brownian column and one reverse-swept jump column per node
+    # and decay; the decay-weighted sums of the projected rows of the restarted
     # blocks agree up to the round-off of their difference quotient
     model, _, _, _, paths, triple, field = _memory_setup(
         jumps, n, m, 11, _MEMORY_JUMP_PARAMS, 0.5, PerformanceSpec.log_terminal())
@@ -860,8 +876,8 @@ def test_reverse_rows_equal_the_restart_block_weighted_sums(jumps, n, m):
 
 def _resimulated_jump_target(triple, i, decay):
     """Node i's (M, K) jump target by full re-simulations on paths.with_extra_jump(i, k):
-    the decay-weighted Taylor sum of `SurrogateMalliavinField._jump_target`, with every
-    shift taken from a whole run."""
+    sum_{j>i} e^{-decay (t_j - t_i)} [P_j(X_j + delta) - P_j(X_j)] of the node surrogates
+    P_j, summed from their Taylor rows, with every shift delta taken from a whole run."""
     from volterra_control.volterra import decay_weights
 
     states, paths = triple.states, triple.states.paths
@@ -880,45 +896,81 @@ def _resimulated_jump_target(triple, i, decay):
     return out.T
 
 
-def test_streamed_jump_targets_equal_full_resimulation_sums(monkeypatch):
-    # each jump target adds the restart's shift rows as they arrive; it equals the same
-    # sum over full re-simulations bit for bit, in the sweep's order, where a restart at
-    # node i has released the record entries >= i and no lower one, and in a scrambled
-    # order that reads nodes above released entries again
-    model, _, _, states, paths, triple, field = _memory_setup(
-        JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 16, 1_000, 13, _MEMORY_JUMP_PARAMS, 0.5,
-        PerformanceSpec.log_terminal())
-    lam, n = model.decay("jump"), paths.n_steps
-    record = states.record
-    assert all(entry is None for entry in record), "the sweep released the record"
-    states.record = simulate_integral_form(model, states.control, paths, record=True).record
-    target, swept = SurrogateMalliavinField._jump_target, []
+def test_streamed_jump_targets_equal_full_resimulation_sums():
+    # on a model affine in x, one reverse sweep gives every node's jump target from the
+    # Taylor powers of the shift, restarting nothing (the record is left whole). Each
+    # target equals the sum over full re-simulations up to the round-off of the two
+    # orders of summation, within 1e-12 of the largest target (1.3e-15 of 0.28 at
+    # N = 16 and 2.0e-14 of 1.47 at N = 128 measured). A fresh field read in a scrambled
+    # order sweeps the same targets and gives the solve's rows bit for bit, the nodes the
+    # sweep has passed from their kept coefficients
+    for n, m in ((16, 1_000), (128, 2_000)):
+        model, _, _, states, paths, triple, field = _memory_setup(
+            JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), n, m, 13, _MEMORY_JUMP_PARAMS, 0.5,
+            PerformanceSpec.log_terminal())
+        assert all(entry is not None for entry in states.record)
+        lam, feat = model.decay("jump"), triple.features[0]
+        wants = [_resimulated_jump_target(triple, i, lam) for i in range(n)]
+        bound = 1e-12 * max(np.abs(want).max() for want in wants)
+        sweep, swept = feat.reverse_jump_sweep, []
 
-    def watched(self, i, decay):
-        out = target(self, i, decay)
-        swept.append(i)
-        assert all(entry is None for entry in states.record[i:])
-        assert all(entry is not None for entry in states.record[:i])
-        assert np.array_equal(out, _resimulated_jump_target(triple, i, decay)), i
-        return out
+        def watched(decay):
+            column, node = sweep(decay), [n]
 
-    monkeypatch.setattr(SurrogateMalliavinField, "_jump_target", watched)
-    _backward_sweep(triple, SurrogateMalliavinField(triple))
-    assert swept == list(range(n - 1, -1, -1))
-    monkeypatch.undo()
-    states.record = simulate_integral_form(model, states.control, paths, record=True).record
-    scrambled = [int(i) for i in np.random.default_rng(5).permutation(n)] + [n - 1, 3, 12]
-    fresh = SurrogateMalliavinField(triple)
-    for i in scrambled:
-        assert np.array_equal(fresh._jump_target(i, lam), _resimulated_jump_target(triple, i, lam))
+            def checked(rows):
+                out = column(rows)
+                node[0] -= 1
+                swept.append(node[0])
+                assert np.abs(out - wants[node[0]]).max() <= bound, (n, node[0])
+                return out
+
+            return checked
+
+        feat.reverse_jump_sweep = watched
+        try:
+            _backward_sweep(triple, SurrogateMalliavinField(triple))
+            assert swept == list(range(n - 1, -1, -1))
+            scrambled = [int(i) for i in np.random.default_rng(5).permutation(n)] + [n - 1, 3, 12]
+            fresh = SurrogateMalliavinField(triple)
+            for i in scrambled:
+                assert np.array_equal(fresh.weighted_rows(i, lam, jump=True),
+                                      field.weighted_rows(i, lam, jump=True)), (n, i)
+            assert swept == 2 * list(range(n - 1, -1, -1))
+        finally:
+            feat.reverse_jump_sweep = sweep
 
 
+def test_a_model_not_affine_in_x_restarts_its_jump_shifts(monkeypatch):
+    # x^2 in the jump kernel: solve_adjoint records the run and restarts it once per node
+    # for the jump shifts (the Brownian column is still swept), and the jump column is
+    # the projection of the re-simulated targets up to the round-off of the surrogates'
+    # differences
+    from volterra_control import adjoint
+
+    model, n = _squared_jump_model(), 16
+    paths = sample_paths(TimeGrid(1.0, n), _RESTART_JUMPS, 1_000, seed=13)
+    restarts = _counted_restarts(monkeypatch)
+    triple, field = adjoint.solve_adjoint(model, PerformanceSpec.log_terminal(),
+                                          ControlProcess.constant(0.5), paths)
+    assert triple.states.record is not None
+    assert restarts == list(range(n - 1, -1, -1))
+    lam = model.decay("jump")
+    for i in range(n):
+        want = triple.regressions[i].fit(_resimulated_jump_target(triple, i, lam))
+        got = field.weighted_rows(i, lam, jump=True)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), i
+    assert len(restarts) == n   # the reads after the solve take the kept coefficients
+
+
+@pytest.mark.parametrize("jumps", [JumpModel.none(), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))],
+                         ids=["jump-free", "jumps"])
 @pytest.mark.parametrize("control", [
     ControlProcess.constant(0.5), ControlProcess.deterministic(np.linspace(0.3, 0.7, 16))],
     ids=["constant", "deterministic"])
-def test_jump_free_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control):
-    # the reverse sweep gives every Brownian column, and without jumps no
-    # jump shift is read: the adjoint and both checks never restart the simulator
+def test_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control, jumps):
+    # reverse sweeps give every Brownian column and, the model being affine in x, every
+    # jump column: the adjoint and both checks never restart the simulator, so the run
+    # needs no record
     from volterra_control.adjoint import simulated_state_feature
     from volterra_control.hamiltonian import (
         check_stationarity,
@@ -928,8 +980,8 @@ def test_jump_free_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control
 
     model, spec = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
         PerformanceSpec.log_terminal()
-    paths = sample_paths(TimeGrid(1.0, 16), JumpModel.none(), 600, seed=43)
-    states = simulate_integral_form(model, control, paths, record=True)
+    paths = sample_paths(TimeGrid(1.0, 16), jumps, 600, seed=43)
+    states = simulate_integral_form(model, control, paths)
     starts = _counted_restarts(monkeypatch)
     feats = [simulated_state_feature(model, states)]
     triple, field = solve_general(model, spec, states, features=feats)
@@ -1184,11 +1236,13 @@ def test_no_surrogate_row_outlives_the_sweep():
                          ids=["jump-free", "jumps"])
 def test_the_step_guard_holds_where_restarts_run(jumps):
     # a jump-free open-loop memory model takes one reverse sweep and no restarted
-    # run, so neither the guard nor the restart record applies; jumps restart
+    # run, so neither the guard nor the restart record applies; jumps on a model not
+    # affine in x restart
     from volterra_control.adjoint import _MAX_STEPS, simulated_state_feature
 
-    model, control = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
-        ControlProcess.constant(0.5)
+    model = _squared_jump_model() if jumps.active else \
+        registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
+    control = ControlProcess.constant(0.5)
     paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 8), jumps, 400, seed=5)
     states = simulate_integral_form(model, control, paths)
     if jumps.active:
@@ -1209,7 +1263,8 @@ _JUMPS = JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))
 
 def _restart_case(reason):
     """(model, control, jumps) of the memory-with-jumps model for one restart reason of
-    its state feature, or for none: one reverse sweep, with no restarted run."""
+    its state feature, or for none: reverse sweeps, with no restarted run. Jumps restart
+    on the model with x^2 in its jump kernel."""
     model, control, jumps = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
         ControlProcess.constant(0.5), JumpModel.none()
     if reason == "feedback":
@@ -1217,7 +1272,7 @@ def _restart_case(reason):
     elif reason == "undeclared-decay":
         model = dataclasses.replace(model, decays=None)
     elif reason == "jumps":
-        jumps = _JUMPS
+        model, jumps = _squared_jump_model(), _JUMPS
     return model, control, jumps
 
 
@@ -1241,7 +1296,8 @@ def test_check_steps_lets_through_what_restarts_nothing():
     from volterra_control.adjoint import _MAX_STEPS, check_steps
 
     model, control, _ = _restart_case(None)
-    check_steps(model, control, JumpModel.none(), 4 * _MAX_STEPS)   # one reverse sweep
+    for jumps in (JumpModel.none(), _JUMPS):   # reverse sweeps, the model affine in x
+        check_steps(model, control, jumps, 4 * _MAX_STEPS)
     for name in ("constant", "x_independent_linear"):   # no memory coupling
         check_steps(registry_get(name, dict(b0=0.1, sigma0=0.3)), _FEEDBACK, _JUMPS,
                     4 * _MAX_STEPS)

@@ -425,15 +425,27 @@ def _refuse_sampling(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])
-def test_adjoint_grid_beyond_the_cost_guard_is_a_config_error(tmp_path, capsys, monkeypatch,
-                                                               command):
+def test_memory_jump_adjoint_runs_beyond_the_old_guard(tmp_path, monkeypatch, command):
+    # a config model is affine in x with its decays declared and a config control is
+    # constant, so reverse sweeps give the jump field too: no stage records its run or
+    # restarts it, and none is guarded in grid steps
+    from volterra_control import adjoint
     from volterra_control.adjoint import _MAX_STEPS
 
-    _refuse_sampling(monkeypatch)
+    simulate, rows = adjoint.simulate_integral_form, adjoint.integral_form_rows
+
+    def unrecorded(*args, record=False, **kwargs):
+        assert not record
+        return simulate(*args, **kwargs)
+
+    def unrestarted(*args, restart=None, **kwargs):
+        assert restart is None
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(adjoint, "simulate_integral_form", unrecorded)
+    monkeypatch.setattr(adjoint, "integral_form_rows", unrestarted)
     path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "grid": {"steps": _MAX_STEPS + 44}})
-    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "grid.steps" in err and str(_MAX_STEPS) in err
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])

@@ -317,6 +317,17 @@ def test_h0_reduced_trivial_cases(jump_paths64_small):
                         np.zeros(m), np.zeros((m, 2)))
 
 
+def test_h0_reduced_refuses_a_running_reward_that_reads_x(jump_paths64_small):
+    # the fold into the diagonal holds for f_x = 0 only, and f is read with no state:
+    # f = -x^2 is refused by name instead of giving NaN on every path
+    model = registry_get("x_independent_linear", dict(b0=0.1, sigma0=0.3))
+    spec = PerformanceSpec(running=lambda t, x, v: -np.asarray(x, dtype=float) ** 2)
+    m = jump_paths64_small.n_paths
+    with pytest.raises(ConfigurationError, match="running_dx"):
+        eval_h0_reduced(model, spec, jump_paths64_small, 12, 0.5, np.ones(m),
+                        np.zeros(m), np.zeros((m, 2)))
+
+
 # --- control maximization --------------------------------------------------------
 
 def test_maximize_concave_quadratic():

@@ -74,6 +74,23 @@ def test_self_test_catches_false_x_independent_flag():
         ))
 
 
+def test_self_test_catches_false_affine_in_x_flag():
+    # x^2 in the jump kernel: jump_dx is 2 x (...), which moves with x
+    with pytest.raises(RegistrationError, match="affine in x but jump_dx moves with x"):
+        registry_get("custom", dict(
+            initial_curve=lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float),
+            drift=lambda t, s, x, v: 0.1 * v * x,
+            diffusion=lambda t, s, x, v: 0.3 * v * x,
+            jump=lambda t, s, x, v, z: 0.1 * v * np.asarray(x, dtype=float) ** 2 * z,
+            affine_in_x=True,
+        ))
+
+
+@pytest.mark.parametrize("name", ["constant", "exp_kernel_linear", "x_independent_linear"])
+def test_registry_models_are_affine_in_x(name):
+    assert registry_get(name, dict(b0=0.1, sigma0=0.3, jump0=0.1)).affine_in_x
+
+
 def _decaying_custom(decays, drift_rate=1.0):
     """Custom model whose drift kernel decays at drift_rate, diffusion constant in the lag."""
     return registry_get("custom", dict(
