@@ -22,6 +22,7 @@ functional it was solved for, and every reader takes the triple and its field.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -54,24 +55,25 @@ _MAX_STEPS = 256
 
 def _restarts(model: CoefficientModel, control, jumps) -> bool:
     """True when the state feature of a run of this model (`simulated_state_feature`)
-    restarts the simulator: for a feedback rule, a kernel without a declared decay, or
+    re-runs the simulator: for a feedback rule, a kernel without a declared decay, or
     active jumps on a model not affine in x. Otherwise reverse sweeps give it, the
-    Brownian columns and the jump columns alike, with no restarted run."""
+    Brownian columns and the jump columns alike, with no re-run."""
     return control.rule is not None or not model.decays_declared \
         or (jumps.active and not model.affine_in_x)
 
 
 def check_steps(model: CoefficientModel, control, jumps, steps: int) -> None:
-    """The general solver's cost guard in grid steps: refuse more than `_MAX_STEPS` for a
-    memory model whose state feature restarts the simulator (`_restarts`: a feedback
-    rule, an undeclared decay, or jumps on a model not affine in x), the runs whose field
-    rows take one restarted run per node. A model without memory reads no field row, and
-    the reverse sweeps restart nothing, so neither is guarded."""
+    """The state feature's cost guard in grid steps, applied by `simulated_state_feature`:
+    refuse more than `_MAX_STEPS` for a memory model whose state feature re-runs the
+    simulator (`_restarts`: a feedback rule, an undeclared decay, or jumps on a model not
+    affine in x), the runs whose field rows take re-runs from node 0 at every node,
+    O(N^2 M) per solve. A model without memory reads no field row, the reverse sweeps
+    re-run nothing, and a solve on other features re-runs nothing, so none is guarded."""
     if steps > _MAX_STEPS and model.memory_state_coupling and _restarts(model, control, jumps):
         raise ConfigurationError(
             f"grid.steps is {steps}, but the general adjoint solver for the memory model "
             f"{model.name!r} is cost-guarded to {_MAX_STEPS} steps where its state feature "
-            "restarts the simulator (feedback rule, undeclared decay, or jumps on a model "
+            "re-runs the simulator (feedback rule, undeclared decay, or jumps on a model "
             "not affine in x)")
 
 
@@ -169,7 +171,7 @@ class SurrogateMalliavinField:
     sweep (`reverse_jump_sweep`, on a model affine in x) gives sum_{j>i}
     e^{-decay (t_j - t_i)} [P_j(X_j + delta) - P_j(X_j)], with delta the node-i
     jump shift of X_j, by the Taylor powers of delta (`volterra.reverse_memory_sums`),
-    O(M) per node and no restarted run. A feature without it has its jump
+    O(M) per node and no re-run. A feature without it has its jump
     column summed from the projected rows of its `jump_shift` blocks.
     """
 
@@ -428,7 +430,6 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
     basis = basis or RegressionBasis()
     paths = states.paths
     n, m = paths.n_steps, paths.n_paths
-    check_steps(model, states.control, paths.jumps, n)
     if features is None:
         if model.x_independent:
             features = [predicted_terminal_feature(model, states.control, paths)]
@@ -448,15 +449,13 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
 
 def solve_adjoint(model: CoefficientModel, spec: PerformanceSpec, control, paths,
                   basis: RegressionBasis | None = None):
-    """The adjoint (triple, field) of `control` on `paths`: one integral-form run, recorded
-    where the state feature restarts it, then the explicit solver for an x-independent
-    model or the general one. A memory-coupled driver reads the state's noise
-    sensitivities (`simulated_state_feature`: reverse sweeps for the Brownian ones and, on
-    a model affine in x, the jump ones; one restarted run per node otherwise); a model
-    without memory fits the state alone. An x-independent run with f_x != 0 takes the
-    general solver on its default feature."""
-    restarts = model.memory_state_coupling and _restarts(model, control, paths.jumps)
-    states = simulate_integral_form(model, control, paths, record=restarts)
+    """The adjoint (triple, field) of `control` on `paths`: one integral-form run, then
+    the explicit solver for an x-independent model or the general one. A memory-coupled
+    driver reads the state's noise sensitivities (`simulated_state_feature`: reverse
+    sweeps for the Brownian ones and, on a model affine in x, the jump ones; re-runs of
+    the perturbed bundles otherwise); a model without memory fits the state alone. An
+    x-independent run with f_x != 0 takes the general solver on its default feature."""
+    states = simulate_integral_form(model, control, paths)
     if model.x_independent:
         if _running_reads_x(spec, states):
             return solve_general(model, spec, states, basis=basis)
@@ -495,19 +494,18 @@ def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> No
 def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> Feature:
     """State feature of the run `states`, its noise sensitivities run through the simulator.
 
-    Each sensitivity read at node i restarts the run there from `states`, made with
-    `simulate_integral_form(..., record=True)`, since rows 0..i do not move. The
-    perturbed bundles ride the restart on a variant axis: dW_i + h and (dW_i + h) - 2h
-    (a central difference) for a Brownian read, one inserted jump per mark for a jump
-    read. They are lazy views that differ only in row i, so no noise array is copied
-    unless a feedback rule reads the noise. The restart hands out rows i+1..N in node
-    order as it forms them (`integral_form_rows`). Memory held: with declared decays one
-    (V, M) row, V = 2 or K, and none between reads; otherwise the (V, N+1, M) run, whose
-    history each row re-sums. Node N has no rows, and a jump read without jumps runs
-    nothing. A restart at node i releases the record entries >= i once it has read S_i:
-    the sweep goes down, and a later restart above a released entry resumes the base
-    recursion, the same bits. Time: O(V (N - i) M) per read with declared decays,
-    O(V N^2 M) otherwise. A run that no read restarts needs no record.
+    Each sensitivity read at node i re-runs the simulator from node 0 on perturbed views
+    of the bundle, side by side (`integral_form_rows`): dW_i + h and (dW_i + h) - 2h (a
+    central difference) for a Brownian read, one inserted jump per mark for a jump read.
+    The views are lazy and differ from the bundle only in row i, so no noise array is
+    copied unless a feedback rule reads the noise. Rows 0..i of every view repeat the
+    base run's bits and are skipped; rows i+1..N go to the reader in node order as the
+    runs form them. Each row equals that of a full re-simulation on the perturbed bundle
+    bit for bit. Memory held: with declared decays one (M,) row per view, and none
+    between reads; otherwise each view's whole run, whose history each row re-sums.
+    Node N has no rows, and a jump read without jumps runs nothing. Time: O(V N M) per
+    read with declared decays, V = 2 or K views, O(V N^2 M) otherwise; the runs that
+    read these rows are cost-guarded in grid steps (`check_steps`, applied here).
 
     For an open-loop control on a model whose kernels all declare their
     decays, the feature also has a `reverse_sweep` (`volterra.reverse_memory_sums`):
@@ -516,38 +514,32 @@ def simulated_state_feature(model: CoefficientModel, states: StateEnsemble) -> F
     shift of the later states solves the variation's linear recursion exactly, so it
     has a `reverse_jump_sweep` too: node i's mark-k column is sum_d R^(d)_i[jump, ...,
     jump] gamma(t_i, t_i, X_i, u_i, z_k)^d, O(M) per node at degree 3, with no run. A
-    run that reads neither kind's rows needs no record. A feedback rule would need du/dx,
-    which `ControlProcess` does not declare, so it keeps the restarted rows, and so does
-    a model not affine in x with jumps.
+    feedback rule would need du/dx, which `ControlProcess` does not declare, so it keeps
+    the re-run rows, and so does a model not affine in x with jumps.
     """
     control, paths = states.control, states.paths
-    unrecorded = "simulated_state_feature restarts this run, which needs to be made with " \
-        "record=True"
-    if states.record is None and _restarts(model, control, paths.jumps):
-        raise ConfigurationError(unrecorded)
+    check_steps(model, control, paths.jumps, paths.n_steps)
     h = fd_step(paths)
     n, base, k = paths.n_steps, states.values, paths.jumps.n_marks
 
-    def restarted(i: int, variants: list) -> Iterator[np.ndarray]:
+    def rerun(i: int, views: list) -> Iterator[tuple]:
+        """The rows X_j of the runs on `views`, side by side, for j = i+1..N."""
         if i == n:   # nothing moves
             return iter(())
-        if states.record is None:   # Brownian rows asked for on the reverse path
-            raise ConfigurationError(unrecorded)
-        rows = integral_form_rows(model, control, paths, restart=(i, states), variants=variants)
-        next(rows)   # row i: the restart has read S_i
-        states.record[i:] = [None] * (n - i)
-        return (x for x, _ in rows)
+        runs = [itertools.islice(integral_form_rows(model, control, view), i + 1, None)
+                for view in views]
+        return (tuple(x for x, _ in rows) for rows in zip(*runs))
 
     def brownian_rows(i: int) -> Iterator[np.ndarray]:
         up, down = paths.perturb_brownian(i, +h), paths.perturb_brownian(i, +h)
         down.rebump(-h)
-        return ((x[0] - x[1]) / (2.0 * h) for x in restarted(i, [up, down]))
+        return ((x[0] - x[1]) / (2.0 * h) for x in rerun(i, [up, down]))
 
     def jump_rows(i: int) -> Iterator[np.ndarray]:
-        if not k:   # no variant to run
+        if not k:   # no view to run
             return iter([np.empty((0, paths.n_paths))] * (n - i))
-        variants = [paths.with_extra_jump(i, kk) for kk in range(k)]
-        return (x - base[j] for j, x in enumerate(restarted(i, variants), i + 1))
+        views = [paths.with_extra_jump(i, kk) for kk in range(k)]
+        return (np.stack(x) - base[j] for j, x in enumerate(rerun(i, views), i + 1))
 
     reverse_sweep = reverse_jump_sweep = None
     if control.rule is None and model.decays_declared:

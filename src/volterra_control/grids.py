@@ -264,13 +264,6 @@ class PathBundle:
             raise ConfigurationError(f"mark index {mark} out of range")
         return _JumpPerturbedBundle(self, node, mark)
 
-    def with_variants(self, node: int, variants: list) -> "PathBundle":
-        """View whose node-`node` increments are those of the `variants`, views of
-        the bundle that differ from it in that row alone, stacked on a leading
-        axis, (V, M) and (V, M, K); every other row is the bundle's. Only its
-        rows, `increments_at`, are read."""
-        return _StackedVariants(self, node, variants)
-
     def subset(self, start: int, stop: int) -> "PathBundle":
         """Bundle restricted to the path range [start, stop)."""
         if not 0 <= start < stop <= self.n_paths:
@@ -408,20 +401,6 @@ class _JumpPerturbedBundle(_PerturbedView):
             delta = self.jumps.marks[new_mark] - self.jumps.marks[self._mark]
             caches["jump_sum"][self._node + 1:] += delta
         self._mark = new_mark
-
-
-class _StackedVariants(_PerturbedView):
-    """Lazy view whose row `node` stacks the rows of V variants of the parent."""
-
-    def __init__(self, parent: PathBundle, node: int, variants: list):
-        super().__init__(parent, node)
-        self._variants = variants
-
-    def increments_at(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        if node != self._node:
-            return self._parent.increments_at(node)
-        dw, counts = zip(*(variant.increments_at(node) for variant in self._variants))
-        return np.stack(dw), np.stack(counts)
 
 
 def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> PathBundle:

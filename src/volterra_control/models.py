@@ -66,7 +66,7 @@ class CoefficientModel:
     `affine_in_x=True` declares every kernel affine in x, so that each x partial
     is free of x: a shift of the state then moves the later states by the
     variation's linear recursion exactly, and the adjoint reads its jump field
-    from one reverse sweep (`volterra.reverse_memory_sums`) with no restarted run.
+    from one reverse sweep (`volterra.reverse_memory_sums`) with no re-run.
     """
 
     name: str

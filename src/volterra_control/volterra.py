@@ -11,7 +11,8 @@ kernel with a declared decay rate (`CoefficientModel.decays`, set by all
 registry models) the sum is updated by a one-step recursion, so a path
 costs O(N); a kernel without one is re-summed over the whole history at
 every node, O(N^2) per path. The noise is read a node's row at a time,
-`PathBundle.increments_at`, a restart's variants included.
+`PathBundle.increments_at`, so a run on a perturbed view (`perturb_brownian`,
+`with_extra_jump`) reads the perturbed row and copies no noise array.
 
 The integral form is a stream of rows, `integral_form_rows`. With every
 decay declared, the per-kernel sums are a finite Markovian lift of the
@@ -43,15 +44,12 @@ class StateEnsemble:
     `controls` is the (N, M) control grid the run read (`_control_grid`);
     readers take u_i = controls[i], or `control_at(i)`, so only a simulation
     evaluates a rule.
-    `record` holds the per-kernel memory sums S_i, i = 0..N-1, when
-    `simulate_integral_form(record=True)` kept them; None marks a released one.
     """
 
     values: np.ndarray
     control: ControlProcess
     paths: PathBundle
     controls: np.ndarray
-    record: list | None = None
 
     @property
     def terminal(self) -> np.ndarray:
@@ -69,13 +67,12 @@ def _check_finite(x: np.ndarray, node: int, what: str) -> None:
         raise SimulationError(f"{what} produced a non-finite value at path {bad}, node {node}")
 
 
-def _control_grid(control: ControlProcess, paths: PathBundle, lead: tuple = (),
-                  empty=np.empty) -> np.ndarray:
+def _control_grid(control: ControlProcess, paths: PathBundle, empty=np.empty) -> np.ndarray:
     """(N, M) control values: the open-loop grid, for reading only, or for a
-    feedback rule a writable (*lead, N, M) array, made by `empty`, that the
-    simulation fills node by node."""
+    feedback rule a writable array, made by `empty`, that the simulation fills
+    node by node."""
     if control.rule is not None:
-        return empty(lead + (paths.n_steps, paths.n_paths))
+        return empty((paths.n_steps, paths.n_paths))
     return control.open_loop_grid(paths.n_steps, paths.n_paths)
 
 
@@ -91,10 +88,7 @@ def history_sum(summands, decay: float | None, nodes: np.ndarray, i: int, previo
     if decay is None:
         return summands(nodes[i], slice(0, i))
     newest = summands(nodes[i], slice(i - 1, i))
-    carried = np.exp(-decay * (nodes[i] - nodes[i - 1])) * previous
-    if np.ndim(carried) > newest.ndim:  # only the carried sum has a variant axis
-        return carried + newest
-    newest += carried
+    newest += np.exp(-decay * (nodes[i] - nodes[i - 1])) * previous
     return newest
 
 
@@ -115,12 +109,9 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
 
     The noise is read one node at a time, `paths.increments_at(j)`, a
     slice's rows once for all the kernels. The whole-history slices of a
-    kernel without a declared decay read each row once, into (..., N, M) and
-    (..., N, M, K) buffers laid out as np.stack lays the rows, the jump rows
-    mark-last as its einsum has always added them. A row with a leading
-    variant axis (`PathBundle.with_variants`, in a restart's first history
-    slice) gives the slice that axis; x, and u for a feedback control, then
-    carry it too, and so does the sum.
+    kernel without a declared decay read each row once, into (N, M) and
+    (N, M, K) buffers laid out as np.stack lays the rows, the jump rows
+    mark-last as its einsum has always added them.
     """
     nodes, jumps = paths.grid.nodes, paths.jumps
     drift = np.broadcast_to(paths.grid.dt, (paths.n_steps, paths.n_paths))
@@ -138,15 +129,13 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
 
     def history(stop):
         have, bufs = held
-        rows = [paths.increments_at(j) for j in range(have, stop)]
         if bufs is None:
-            lead = np.broadcast_shapes(*(dw.shape for dw, _ in rows))[:-1]
-            shape = lead + (paths.n_steps, paths.n_paths)
+            shape = (paths.n_steps, paths.n_paths)
             bufs = np.empty(shape), np.empty(shape + (jumps.n_marks,))
-        for j, (dw, counts) in enumerate(rows, have):
-            bufs[0][..., j, :], bufs[1][..., j, :, :] = dw, counts
+        for j in range(have, stop):
+            bufs[0][j], bufs[1][j] = paths.increments_at(j)
         held[:] = max(have, stop), bufs
-        return bufs[0][..., :stop, :], np.moveaxis(bufs[1][..., :stop, :, :], -1, -3)
+        return bufs[0][:stop], np.moveaxis(bufs[1][:stop], -1, -3)
 
     incs = {"drift": lambda hist: drift[hist], "diffusion": lambda hist: noise(hist)[0]}
     if jumps.active:
@@ -188,23 +177,19 @@ def noise_sums(model: CoefficientModel, paths: PathBundle, x, u,
     return {name: summands_of(name, inc) for name, inc in incs.items()}
 
 
-def memory_sums(model: CoefficientModel, paths: PathBundle, x, u,
-                parts=(("", None),), sums: list | None = None):
+def memory_sums(model: CoefficientModel, paths: PathBundle, x, u, parts=(("", None),)):
     """Total memory term at node i, as a function `memory(i)`.
 
     memory(i) = sum_{j<i} [K_b(t_i,t_j) dt + K_sigma(t_i,t_j) dB_j
     + sum_k K_gamma(t_i,t_j,z_k) dN~_{j,k}], the `noise_sums` of `parts`
     over the history. Each kernel's sum runs through `history_sum` with the
-    kernel's declared decay, so memory must be called for i = 1, 2, ..., N
-    in order. `sums`, the per-kernel sums (zeros when empty), is replaced in
-    place by every call; seeded with the S_i of another run, memory
-    restarts at i + 1.
+    kernel's declared decay, from S_0 = 0, so memory must be called for
+    i = 1, 2, ..., N in order.
     """
     nodes = paths.grid.nodes
     kernels = [(summands, model.decay(kernel))
                for kernel, summands in noise_sums(model, paths, x, u, parts).items()]
-    values = [] if sums is None else sums
-    values[:] = values or [0.0] * len(kernels)
+    values = [0.0] * len(kernels)
 
     def memory(i: int) -> np.ndarray:
         for k, (summands, decay) in enumerate(kernels):   # an old sum goes before the next
@@ -323,101 +308,53 @@ class _SymmetricForms:
         return [form[k] for form, k in zip(self.forms, self._diagonal[b])]
 
 
-def _recorded_sums(model: CoefficientModel, base: StateEnsemble, i: int) -> list:
-    """S_i of the recorded run `base`: `base.record[i]`, or where that entry was released the
-    base recursion resumed from the highest entry still held (S_0 = 0 if none is)."""
-    held = next((h for h in range(i, -1, -1) if base.record[h] is not None), None)
-    sums = [] if held is None else list(base.record[held])
-    memory = memory_sums(model, base.paths, None if model.x_independent else base.values,
-                         base.controls, sums=sums)
-    for j in range(1 if held is None else held + 1, i + 1):
-        memory(j)
-    return sums
-
-
 def _one_row(shape: tuple) -> np.ndarray:
-    """A writable (..., rows, M) array whose rows all share one (..., M) buffer:
+    """A writable (rows, M) array whose rows all share one (M,) buffer:
     writing row i replaces the row that a read of any other row returns."""
-    row = np.empty(shape[:-2] + shape[-1:])
-    return np.lib.stride_tricks.as_strided(row, shape, row.strides[:-1] + (0,) + row.strides[-1:])
+    row = np.empty(shape[-1])
+    return np.lib.stride_tricks.as_strided(row, shape, (0,) + row.strides)
 
 
 def integral_form_rows(model: CoefficientModel, control: ControlProcess, paths: PathBundle,
-                       restart: tuple | None = None, record: list | None = None,
-                       variants: list | None = None, rows: tuple | None = None
+                       rows: tuple | None = None
                        ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Yield the rows (X_i, u_i), i = start..N, of the integral-form run, u_N None.
+    """Yield the rows (X_i, u_i), i = 0..N, of the integral-form run, u_N None.
 
     X_i = xi(t_i) + sum_{j<i} b(t_i,t_j,X_j,u_j) dt
         + sum_{j<i} sigma(t_i,t_j,X_j,u_j) dB_j
         + sum_{j<i} sum_k gamma(t_i,t_j,X_j,u_j,z_k) dN~_{j,k}
 
-    start is 0, or i for `restart` = (i, base), which continues the run
-    `base`, made with `record=True` on a bundle that agrees with `paths`
-    before node i: its rows up to i, of the state and, for a feedback rule,
-    of the control grid, are copied, and the memory recursion resumes from
-    its per-kernel sums S_i (`_recorded_sums`). A rule is evaluated on rows
-    i+1..N-1 only: an adapted rule gives the same values on the rows the
-    restart does not move. `record`, a list, receives the run's per-kernel
-    sums S_i, i = 0..N-1 (a restart's first i from `base.record`).
-
-    `variants`, V bundles that agree with `paths` except in the increments
-    of the restart row i (perturbed views of it), runs V restarts at once.
-    The memory sums read `paths.with_variants(i, variants)`, whose row i
-    stacks the variants' increments on a leading variant axis; a feedback
-    control is evaluated once per variant, on that variant's bundle, and the
-    rows carry the variant axis.
-
-    The rows are formed in `rows` = (x, u) when given: the (*lead, N+1, M)
-    state and the control grid of `_control_grid`. Otherwise a model whose
-    kernels all declare decays holds one row of the state and of a rule's
-    control (a step reads row i - 1 alone), so a row is overwritten by the
-    next step; a kernel without a declared decay re-sums, and so holds, the
-    whole history.
+    The rows are formed in `rows` = (x, u) when given: the (N+1, M) state
+    and the control grid of `_control_grid`. Otherwise a model whose kernels
+    all declare decays holds one row of the state and of a rule's control (a
+    step reads row i - 1 alone), so a row is overwritten by the next step; a
+    kernel without a declared decay re-sums, and so holds, the whole history.
     """
     n, m = paths.n_steps, paths.n_paths
     t = paths.grid.nodes
-    start, base = restart or (0, None)
-    lead, noise = ((len(variants),), paths.with_variants(start, variants)) if variants \
-        else ((), paths)
-    whole = rows is not None or not model.decays_declared
-    empty = np.empty if whole else _one_row
-    x, u = rows or (empty(lead + (n + 1, m)), _control_grid(control, paths, lead, empty))
-
-    first = 0 if whole else start   # the rows up to the restart that the run holds
-    x[..., first:start + 1, :] = model.initial_curve(t[0]) if base is None \
-        else base.values[first:start + 1]
-    sums = [] if base is None else _recorded_sums(model, base, start)
-    if base is not None:
-        if record is not None:
-            record += base.record[:start]
-        if control.rule is not None:
-            u[..., first:start + 1, :] = base.controls[first:start + 1]
-    memory = memory_sums(model, noise, None if model.x_independent else x, u, sums=sums)
-    for i in range(start, n + 1):
-        if i > start:
-            if record is not None:
-                record.append(list(sums))
+    empty = np.empty if rows is not None or not model.decays_declared else _one_row
+    x, u = rows or (empty((n + 1, m)), _control_grid(control, paths, empty))
+    x[0] = model.initial_curve(t[0])
+    memory = memory_sums(model, paths, None if model.x_independent else x, u)
+    for i in range(n + 1):
+        if i:
             val = model.initial_curve(t[i]) + memory(i)
             _check_finite(val, i, "integral-form state")
-            x[..., i, :] = val
-        if control.rule is not None and i < n and (base is None or i > start):
-            for v, bundle in zip(np.ndindex(lead), variants or [paths]):
-                u[v + (i,)] = control.at(i, bundle, x=x[v + (i,)])
-        yield x[..., i, :], (u[..., i, :] if i < n else None)
+            x[i] = val
+        if control.rule is not None and i < n:
+            u[i] = control.at(i, paths, x=x[i])
+        yield x[i], (u[i] if i < n else None)
 
 
 def simulate_integral_form(model: CoefficientModel, control: ControlProcess,
-                           paths: PathBundle, record: bool = False) -> StateEnsemble:
+                           paths: PathBundle) -> StateEnsemble:
     """The run of `integral_form_rows` collected into its (N+1, M) state and
-    (N, M) control grid. `record=True` keeps the run's S_i on
-    `StateEnsemble.record`."""
+    (N, M) control grid."""
     x = np.empty((paths.n_steps + 1, paths.n_paths))
     u = _control_grid(control, paths)
-    kept = [] if record else None
-    for _ in integral_form_rows(model, control, paths, record=kept, rows=(x, u)):
+    for _ in integral_form_rows(model, control, paths, rows=(x, u)):
         pass
-    return StateEnsemble(values=x, control=control, paths=paths, controls=u, record=kept)
+    return StateEnsemble(values=x, control=control, paths=paths, controls=u)
 
 
 def simulate_differential_form(model: CoefficientModel, control: ControlProcess,

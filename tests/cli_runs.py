@@ -76,11 +76,11 @@ RUNS = (
         seed=11,
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 2000}},
-        bound_mb=200.0,
+        bound_mb=62.0,
         why="the jump targets come from one reverse sweep of their Taylor powers, with no "
-            "restarted run and no recorded sums, so the stage peaks near 51 MB (57 MB "
-            "restarting once per node, 71 MB holding one node's sensitivity blocks, "
-            "455 MB holding every node's)",
+            "re-run of the simulator, so the stage peaks near 51 MB (57 MB when it "
+            "restarted the run once per node, 71 MB holding one node's sensitivity "
+            "blocks, 455 MB holding every node's)",
     ),
     CliRun(
         name="adjoint_n128_m1e4",
@@ -91,9 +91,10 @@ RUNS = (
         bound_mb=125.0,
         why="the jump field at scale: at M = 1e4 the reverse sweep of the jump shifts' "
             "Taylor powers holds 19 rows of its symmetric forms and a few scratch rows, "
-            "and restarts nothing, so the stage peaks near 102 MB in 0.7 s (131 MB in "
-            "4.5 s with 128 restarts of K = 2 jump variants, 199 MB with each restart's "
-            "whole run and (K, N - i, M) block and the whole record)",
+            "and re-runs nothing, so the stage peaks near 102 MB in 0.7 s (131 MB in "
+            "4.5 s when it restarted the run 128 times with K = 2 jump variants, 199 MB "
+            "holding each restart's whole run, its (K, N - i, M) block and a record of "
+            "the run's memory sums)",
     ),
     CliRun(
         name="adjoint_n512",
@@ -102,9 +103,8 @@ RUNS = (
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 512}, "monte_carlo": {"paths": 2000}},
         bound_mb=115.0,
-        why="the memory-jump model past the 256 steps that the restarts were guarded to: "
-            "both stages take O(N M) sweeps and no restarted run, and peak near 88 and "
-            "95 MB",
+        why="the memory-jump model past the 256 steps that the re-runs are guarded to: "
+            "both stages take O(N M) sweeps and no re-run, and peak near 88 and 95 MB",
     ),
     CliRun(
         name="simulate_n1024",
@@ -183,7 +183,7 @@ RUNS = (
         name="merton",
         stages=("merton-test",),
         seed=7,
-        bound_mb=300.0,
+        bound_mb=178.0,
         why="the fractions are formed once, for the per-path control, the solved "
             "portfolio is dropped before verifying, and each wealth run forms its "
             "shifted control row by row and holds one wealth row, so the stage peaks "
@@ -195,10 +195,10 @@ RUNS = (
         stages=("merton-test",),
         seed=7,
         workload="portfolio_memory",
-        bound_mb=300.0,
+        bound_mb=178.0,
         why="merton-test on the memory market: the configured decays and utility are "
             "read, and mean_pi is checked against the closed form pi*(t), which no "
-            "zero-decay run tests",
+            "zero-decay run tests; the stage peaks near 148 MB",
     ),
     CliRun(
         name="memory_adjoint_n1024",
@@ -206,9 +206,11 @@ RUNS = (
         seed=11,
         config={"grid": {"horizon": 1.0, "steps": 1024}, "noise": {"intensity": 0.0},
                 "model": {"name": "exp_kernel_linear"}, "monte_carlo": {"paths": 2000}},
+        bound_mb=143.0,
         why="with an open-loop control and declared decays the Brownian field comes from "
             "one reverse sweep and the drift's forward sums from one recursion, so "
-            "neither stage restarts the simulator and the 256-step guard does not apply",
+            "neither stage re-runs the simulator and the 256-step guard does not apply; "
+            "the stages peak near 103 and 119 MB",
     ),
     CliRun(
         name="delayed_info",
@@ -216,18 +218,21 @@ RUNS = (
         seed=11,
         workload="adjoint_memory_jumps",
         config={"info": {"delay": 0.25}},
+        bound_mb=76.0,
         why="the paper's partial-information case, E[dH/du | G_t] with "
-            "G_t = F_(t - 0.25)+; no other run or workload uses delayed information",
+            "G_t = F_(t - 0.25)+; no other run or workload uses delayed information; "
+            "the stage peaks near 64 MB",
     ),
     CliRun(
         name="gateaux_memory_jumps",
         stages=("gateaux",),
         seed=11,
         workload="adjoint_memory_jumps",
+        bound_mb=77.0,
         why="the adjoint form reads dH/du along the run through the state-sensitivity "
             "feature and the Malliavin field of p, which report (memory-free constant "
             "model) and the workload (no gateaux stage) never reach; all three windows "
-            "must agree",
+            "must agree, and the stage peaks near 64 MB",
     ),
     CliRun(
         name="xind_adjoint",
@@ -239,9 +244,10 @@ RUNS = (
                 "performance": {"running": "zero", "terminal": "log"},
                 "control": {"kind": "constant", "value": 0.5},
                 "monte_carlo": {"paths": 20_000}},
+        bound_mb=240.0,
         why="the only CLI path through predicted_terminal_feature and the explicit "
             "solver, whose q and r are differences of g' at X(T) shifted by that "
-            "feature's rows, with no re-simulation",
+            "feature's rows, with no re-simulation; the stages peak near 179 and 200 MB",
     ),
     CliRun(
         name="malliavin_jumps",
@@ -249,9 +255,10 @@ RUNS = (
         seed=3,
         config={"grid": {"horizon": 1.0, "steps": 32}, "noise": _TWO_MARKS,
                 "monte_carlo": {"paths": 20_000}},
+        bound_mb=78.0,
         why="the only CLI path through check_duality_jump, the remarked extra-jump "
             "bundle and the jump-free bundle (the sampled dW) behind Clark-Ocone; the "
-            "default config has no jumps",
+            "default config has no jumps; the stage peaks near 65 MB",
     ),
 )
 

@@ -388,7 +388,7 @@ def test_memory_state_driver_satisfies_gateaux_identity():
     gaps = {}
     for n in (16, 32):
         paths = sample_paths(TimeGrid(1.0, n), JumpModel.none(), 10_000, seed=97)
-        states = simulate_integral_form(model, control, paths, record=True)
+        states = simulate_integral_form(model, control, paths)
         feats = [simulated_state_feature(model, states)]
         triple, field = solve_general(model, spec, states, features=feats)
         beta = perturbation_window(n, n // 4, n // 4, alpha=1.0)
@@ -408,7 +408,7 @@ def _memory_setup(jumps, n, m, seed, model_params, control_value, spec):
     model = registry_get("exp_kernel_linear", model_params)
     control = ControlProcess.constant(control_value)
     paths = sample_paths(TimeGrid(1.0, n), jumps, m, seed=seed)
-    states = simulate_integral_form(model, control, paths, record=True)
+    states = simulate_integral_form(model, control, paths)
     feats = [simulated_state_feature(model, states)]
     triple, field = solve_general(model, spec, states, features=feats)
     return model, spec, control, states, paths, triple, field
@@ -588,7 +588,7 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
 
     model = make_model()
     paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
-    states = simulate_integral_form(model, control, paths, record=True)
+    states = simulate_integral_form(model, control, paths)
     feat = simulated_state_feature(model, states)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     m, marks = paths.n_paths, paths.jumps.n_marks
@@ -607,9 +607,10 @@ def test_restarted_sensitivities_equal_full_resimulation(make_model, control, ju
 
 
 def test_a_feedback_rule_is_evaluated_by_the_simulations_only():
-    # the run's readers take u from states.controls; a restart at node i copies
-    # rows 0..i and evaluates the rule once per variant on rows i+1..N-1, so the
-    # sweep's 2 + K = 4 variant runs make 4 sum_i (15 - i) = 480 calls at N = 16
+    # the run's readers take u from states.controls; a read at node i re-runs each of
+    # its perturbed views from node 0 and evaluates the rule on rows 0..N-1 of each, so
+    # the sweep's 2 + K = 4 runs per node make 4 x 16 rows x 16 nodes = 1024 calls at
+    # N = 16
     from volterra_control.adjoint import simulated_state_feature
     from volterra_control.hamiltonian import check_stationarity, simulate_variation
     from volterra_control.volterra import evaluate_performance
@@ -632,61 +633,64 @@ def test_a_feedback_rule_is_evaluated_by_the_simulations_only():
         counts[name] = len(calls) - before
         return out
 
-    states = counted("simulate", simulate_integral_form, model, control, paths, record=True)
+    states = counted("simulate", simulate_integral_form, model, control, paths)
     counted("evaluate_performance", evaluate_performance, spec, states)
     triple, field = counted("solve_general", solve_general, model, spec, states,
                             features=[simulated_state_feature(model, states)])
     counted("check_stationarity", check_stationarity, triple, field)
     counted("simulate_variation", simulate_variation, model, np.ones(16), states)
-    assert counts == {"simulate": 16, "evaluate_performance": 0, "solve_general": 480,
+    assert counts == {"simulate": 16, "evaluate_performance": 0, "solve_general": 1024,
                       "check_stationarity": 0, "simulate_variation": 0}
 
 
-def test_simulated_state_feature_needs_a_recorded_run():
-    # with jumps, a model not affine in x restarts its jump shifts
-    from volterra_control.adjoint import simulated_state_feature
-
-    paths = sample_paths(TimeGrid(1.0, 4), _RESTART_JUMPS, 100, seed=3)
-    model = _squared_jump_model()
-    states = simulate_integral_form(model, ControlProcess.constant(0.7), paths)
-    with pytest.raises(ConfigurationError, match="record=True"):
-        simulated_state_feature(model, states)
-
-
 def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
-    # the perturbations of one read ride one restarted run, the 2 Brownian ones or the
-    # K jump ones, and the base run is the caller's: reading every node's rows of both
-    # kinds simulates 2N times, not (2 + K) N
+    # a read re-runs each of its perturbed views once, the 2 Brownian ones or the K
+    # jump ones, and the base run is the caller's: reading every node's rows of both
+    # kinds simulates (2 + K) N times
     from volterra_control.adjoint import simulated_state_feature
 
     model, control = _exp_model(), ControlProcess.constant(0.7)
     paths = sample_paths(TimeGrid(1.0, 8), _THREE_MARKS, 300, seed=41)
     n, marks = paths.n_steps, paths.jumps.n_marks
-    states = simulate_integral_form(model, control, paths, record=True)
-    runs = _counted_restarts(monkeypatch, with_variants=True)
+    states = simulate_integral_form(model, control, paths)
+    runs = _counted_reruns(monkeypatch)
     feat = simulated_state_feature(model, states)
     for i in range(n):
         assert len(list(feat.brownian_sensitivity(i))) == n - i
         assert len(list(feat.jump_shift(i))) == n - i
     assert runs == [(i, v) for i in range(n) for v in (2, marks)]
+    assert sum(v for _, v in runs) == (2 + marks) * n
 
 
-def _counted_restarts(monkeypatch, with_variants: bool = False) -> list:
-    """Patch the adjoint's row stream so that the node of every restarted run is recorded,
-    with its number of variants when `with_variants`."""
+def _counted_reruns(monkeypatch) -> list:
+    """Patch the adjoint's row stream so that every sensitivity read is recorded as
+    (node, views): the node of the perturbed views that the read passes to
+    `integral_form_rows`, and their number. A read passes all its views before it draws
+    a row of any, so a view passed after a row was drawn starts the next read."""
     from volterra_control import adjoint
 
-    starts = []
+    reads, drawn = [], [True]
     rows = adjoint.integral_form_rows
 
-    def counted(*args, **kwargs):
-        if kwargs.get("restart") is not None:
-            node = kwargs["restart"][0]
-            starts.append((node, len(kwargs["variants"])) if with_variants else node)
-        return rows(*args, **kwargs)
+    def watched(run):
+        for row in run:
+            drawn[0] = True
+            yield row
+
+    def counted(model, control, view, **kwargs):
+        if drawn[0]:
+            reads.append((view._node, 0))
+            drawn[0] = False
+        reads[-1] = (view._node, reads[-1][1] + 1)
+        return watched(rows(model, control, view, **kwargs))
 
     monkeypatch.setattr(adjoint, "integral_form_rows", counted)
-    return starts
+    return reads
+
+
+def _reread_nodes(reads: list) -> list:
+    """The node of each read that `_counted_reruns` recorded."""
+    return [node for node, _ in reads]
 
 
 # --- every feature constructor's node blocks against per-pair oracles --------
@@ -732,7 +736,7 @@ def _simulated_state_blocks(paths):
     from volterra_control.adjoint import simulated_state_feature
 
     model, control = _exp_model(), _BLOCK_CONTROL
-    states = simulate_integral_form(model, control, paths, record=True)
+    states = simulate_integral_form(model, control, paths)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     full, shifts = {}, {}
     for i in range(paths.n_steps):
@@ -752,11 +756,11 @@ def _simulated_state_blocks(paths):
 def test_node_blocks_equal_the_per_pair_sensitivities(build, monkeypatch):
     # row j of node i's rows is the sensitivity of values[j] alone, for every j > i
     # and mark k; the rows come in node order, broadcast to (M,) and (K, M), and node N
-    # has none, with no restarted run
+    # has none, with no re-run
     paths = sample_paths(TimeGrid(1.0, 6), _RESTART_JUMPS, 300, seed=53)
     n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
     feat, brownian, jump = build(paths)
-    starts = _counted_restarts(monkeypatch)
+    starts = _counted_reruns(monkeypatch)
     for i in range(n + 1):
         dx = _stacked(feat.brownian_sensitivity(i), (m,))
         shift = _stacked(feat.jump_shift(i), (k, m))
@@ -766,8 +770,8 @@ def test_node_blocks_equal_the_per_pair_sensitivities(build, monkeypatch):
             for kk in range(k):
                 assert np.array_equal(shift[j - i - 1, kk],
                                       np.broadcast_to(jump(i, j, kk), (m,)))
-    assert starts == ([i for i in range(n) for _ in "bj"] if feat.name == "simulated_state"
-                      else [])
+    assert _reread_nodes(starts) == ([i for i in range(n) for _ in "bj"]
+                                     if feat.name == "simulated_state" else [])
 
 
 @pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
@@ -790,21 +794,24 @@ def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
     spec, control = PerformanceSpec.log_terminal(), ControlProcess.constant(0.5)
     paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)),
                          600, seed=43)
-    states = simulate_integral_form(model, control, paths, record=True)
-    starts = _counted_restarts(monkeypatch)
+    states = simulate_integral_form(model, control, paths)
+    starts = _counted_reruns(monkeypatch)
     feats = [simulated_state_feature(model, states)]
     triple, field = solve_general(model, spec, states, features=feats)
     check_stationarity(triple, field)
     gateaux_check(triple, field, [perturbation_window(8, 2, 2)])
     kinds = 1 if lifted else 2
-    assert starts == [i for i in range(paths.n_steps - 1, -1, -1) for _ in range(kinds)]
+    assert _reread_nodes(starts) == [i for i in range(paths.n_steps - 1, -1, -1)
+                                     for _ in range(kinds)]
 
 
-@pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
-def test_the_solve_keeps_no_node_block(monkeypatch, lifted):
+@pytest.mark.parametrize("case", ["declared-decays", "generic", "feedback"])
+def test_the_solve_keeps_no_node_block(monkeypatch, case):
     # the feature's sensitivity rows and the field's per-node surrogate rows (Taylor
     # rows, gradients, unshifted values) are read by the sweep only: once
-    # solve_general returns, none that was made during it is still alive
+    # solve_general returns, none that was made during it is still alive. The
+    # constant control takes the reverse sweeps on declared decays; the feedback rule
+    # re-runs its views at every node
     import gc
     import weakref
 
@@ -829,11 +836,12 @@ def test_the_solve_keeps_no_node_block(monkeypatch, lifted):
     for name in ("taylor_rows", "gradient_raw", "predict"):
         monkeypatch.setattr(NodeRegression, name, recorded(getattr(NodeRegression, name)))
     model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
-    if not lifted:
+    if case == "generic":
         model = dataclasses.replace(model, decays=None)
+    control = _FEEDBACK if case == "feedback" else ControlProcess.constant(0.5)
     paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)),
                          600, seed=43)
-    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    states = simulate_integral_form(model, control, paths)
     feat = simulated_state_feature(model, states)
     feat.brownian_sensitivity = recorded_rows(feat.brownian_sensitivity)
     feat.jump_shift = recorded_rows(feat.jump_shift)
@@ -898,7 +906,7 @@ def _resimulated_jump_target(triple, i, decay):
 
 def test_streamed_jump_targets_equal_full_resimulation_sums():
     # on a model affine in x, one reverse sweep gives every node's jump target from the
-    # Taylor powers of the shift, restarting nothing (the record is left whole). Each
+    # Taylor powers of the shift, re-running nothing. Each
     # target equals the sum over full re-simulations up to the round-off of the two
     # orders of summation, within 1e-12 of the largest target (1.3e-15 of 0.28 at
     # N = 16 and 2.0e-14 of 1.47 at N = 128 measured). A fresh field read in a scrambled
@@ -908,7 +916,6 @@ def test_streamed_jump_targets_equal_full_resimulation_sums():
         model, _, _, states, paths, triple, field = _memory_setup(
             JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), n, m, 13, _MEMORY_JUMP_PARAMS, 0.5,
             PerformanceSpec.log_terminal())
-        assert all(entry is not None for entry in states.record)
         lam, feat = model.decay("jump"), triple.features[0]
         wants = [_resimulated_jump_target(triple, i, lam) for i in range(n)]
         bound = 1e-12 * max(np.abs(want).max() for want in wants)
@@ -941,25 +948,24 @@ def test_streamed_jump_targets_equal_full_resimulation_sums():
 
 
 def test_a_model_not_affine_in_x_restarts_its_jump_shifts(monkeypatch):
-    # x^2 in the jump kernel: solve_adjoint records the run and restarts it once per node
-    # for the jump shifts (the Brownian column is still swept), and the jump column is
+    # x^2 in the jump kernel: solve_adjoint re-runs the K jump views once per node for
+    # the jump shifts (the Brownian column is still swept), and the jump column is
     # the projection of the re-simulated targets up to the round-off of the surrogates'
     # differences
     from volterra_control import adjoint
 
     model, n = _squared_jump_model(), 16
     paths = sample_paths(TimeGrid(1.0, n), _RESTART_JUMPS, 1_000, seed=13)
-    restarts = _counted_restarts(monkeypatch)
+    reads = _counted_reruns(monkeypatch)
     triple, field = adjoint.solve_adjoint(model, PerformanceSpec.log_terminal(),
                                           ControlProcess.constant(0.5), paths)
-    assert triple.states.record is not None
-    assert restarts == list(range(n - 1, -1, -1))
+    assert reads == [(i, paths.jumps.n_marks) for i in range(n - 1, -1, -1)]
     lam = model.decay("jump")
     for i in range(n):
         want = triple.regressions[i].fit(_resimulated_jump_target(triple, i, lam))
         got = field.weighted_rows(i, lam, jump=True)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), i
-    assert len(restarts) == n   # the reads after the solve take the kept coefficients
+    assert len(reads) == n   # the reads after the solve take the kept coefficients
 
 
 @pytest.mark.parametrize("jumps", [JumpModel.none(), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))],
@@ -969,8 +975,7 @@ def test_a_model_not_affine_in_x_restarts_its_jump_shifts(monkeypatch):
     ids=["constant", "deterministic"])
 def test_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control, jumps):
     # reverse sweeps give every Brownian column and, the model being affine in x, every
-    # jump column: the adjoint and both checks never restart the simulator, so the run
-    # needs no record
+    # jump column: the adjoint and both checks never re-run the simulator
     from volterra_control.adjoint import simulated_state_feature
     from volterra_control.hamiltonian import (
         check_stationarity,
@@ -982,7 +987,7 @@ def test_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control, jumps):
         PerformanceSpec.log_terminal()
     paths = sample_paths(TimeGrid(1.0, 16), jumps, 600, seed=43)
     states = simulate_integral_form(model, control, paths)
-    starts = _counted_restarts(monkeypatch)
+    starts = _counted_reruns(monkeypatch)
     feats = [simulated_state_feature(model, states)]
     triple, field = solve_general(model, spec, states, features=feats)
     check_stationarity(triple, field)
@@ -993,16 +998,16 @@ def test_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control, jumps):
 @pytest.mark.parametrize("make_model,control,jumps", RESTART_CASES)
 def test_jump_shift_read_first_runs_the_jump_variants_only(make_model, control, jumps,
                                                            monkeypatch):
-    # a jump_shift(i) read restarts with the K jump variants only, and its rows equal
-    # full re-simulation bit for bit; a Brownian read after it restarts with the 2
-    # Brownian variants, bit for bit too
+    # a jump_shift(i) read re-runs the K jump views only, and its rows equal full
+    # re-simulation bit for bit; a Brownian read after it re-runs the 2 Brownian views,
+    # bit for bit too
     from volterra_control.adjoint import simulated_state_feature
 
     model = make_model()
     paths = sample_paths(TimeGrid(1.0, 8), jumps, 600, seed=41)
     n, m, k = paths.n_steps, paths.n_paths, paths.jumps.n_marks
-    states = simulate_integral_form(model, control, paths, record=True)
-    runs = _counted_restarts(monkeypatch, with_variants=True)
+    states = simulate_integral_form(model, control, paths)
+    runs = _counted_reruns(monkeypatch)
     feat = simulated_state_feature(model, states)
     h = 1e-4 * np.sqrt(paths.grid.dt)
     for i in range(n):
@@ -1028,7 +1033,7 @@ def restart_reads():
 
     model, control = _exp_model(), ControlProcess.constant(0.7)
     paths = sample_paths(TimeGrid(1.0, 8), _RESTART_JUMPS, 300, seed=47)
-    states = simulate_integral_form(model, control, paths, record=True)
+    states = simulate_integral_form(model, control, paths)
     feat = simulated_state_feature(model, states)
     m, marks = paths.n_paths, paths.jumps.n_marks
     want = {i: (_stacked(feat.brownian_sensitivity(i), (m,)),
@@ -1040,9 +1045,9 @@ def restart_reads():
 @settings(max_examples=25)
 @given(data=st.data())
 def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
-    # reads in any (i, j > i, k) order, each restarting the run and releasing the
-    # record entries >= i, give the values of the sweep's order bit for bit; the last
-    # reads go back above a released entry, where the restart resumes the recursion
+    # reads in any (i, j > i, k) order, each re-running its views from node 0, give the
+    # values of the sweep's order bit for bit; the last reads go back to a node read
+    # before
     from volterra_control.adjoint import simulated_state_feature
 
     model, control, states, paths, want = restart_reads
@@ -1055,42 +1060,44 @@ def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
                       label="other node")
     reads += [(first, n, 0), (other, n, 0), (first, n, marks - 1), (first, first + 2, 0)]
     with pytest.MonkeyPatch.context() as patch:
-        starts = _counted_restarts(patch)
+        starts = _counted_reruns(patch)
         feat = simulated_state_feature(model, states)
         for i, j, k in reads:
             assert np.array_equal(_stacked(feat.brownian_sensitivity(i), (m,))[j - i - 1],
                                   want[i][0][j - i - 1])
             assert np.array_equal(_stacked(feat.jump_shift(i), (marks, m))[j - i - 1, k],
                                   want[i][1][j - i - 1, k])
-    assert starts.count(first) >= 2
+    assert _reread_nodes(starts).count(first) >= 2
 
 
 def test_state_sensitivity_memory_is_linear_in_the_grid():
     # building the feature, the sweep and the stationarity check together
     # allocate O((1 + K) N M) doubles at peak: one node's block is held at a
-    # time, not the (N - i, M) blocks of every node (35.6 units at N = 64)
+    # time, not the (N - i, M) blocks of every node (35.6 units at N = 64). The
+    # constant control takes the reverse sweeps; the feedback rule re-runs its views
+    # at every node (4.3 units at N = 20, where holding every node's blocks would add
+    # about N/2)
     import tracemalloc
 
     from volterra_control.adjoint import simulated_state_feature
     from volterra_control.hamiltonian import check_stationarity
 
-    n, m = 64, 1000
     model, spec = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
         PerformanceSpec.log_terminal()
-    control = ControlProcess.constant(0.5)
-    paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
-                         seed=31)
-    states = simulate_integral_form(model, control, paths, record=True)
-    tracemalloc.start()
-    try:
-        feats = [simulated_state_feature(model, states)]
-        triple, field = solve_general(model, spec, states, features=feats)
-        check_stationarity(triple, field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    unit = 8 * (1 + paths.jumps.n_marks) * (n + 1) * m
-    assert peak < 8 * unit, f"peak {peak / unit:.1f} x (1 + K)(N + 1)M doubles"
+    for control, n, m in ((ControlProcess.constant(0.5), 64, 1000), (_FEEDBACK, 20, 400)):
+        paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
+                             seed=31)
+        states = simulate_integral_form(model, control, paths)
+        tracemalloc.start()
+        try:
+            feats = [simulated_state_feature(model, states)]
+            triple, field = solve_general(model, spec, states, features=feats)
+            check_stationarity(triple, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = 8 * (1 + paths.jumps.n_marks) * (n + 1) * m
+        assert peak < 8 * unit, f"peak {peak / unit:.1f} x (1 + K)(N + 1)M doubles at N = {n}"
 
 
 def test_stationarity_check_holds_no_brownian_or_jump_sum_array():
@@ -1107,7 +1114,7 @@ def test_stationarity_check_holds_no_brownian_or_jump_sum_array():
     model = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS)
     paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
                          seed=31)
-    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths)
     triple, field = solve_general(model, PerformanceSpec.log_terminal(), states,
                                   features=[simulated_state_feature(model, states)])
     tracemalloc.start()
@@ -1235,9 +1242,8 @@ def test_no_surrogate_row_outlives_the_sweep():
 @pytest.mark.parametrize("jumps", [JumpModel.none(), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5))],
                          ids=["jump-free", "jumps"])
 def test_the_step_guard_holds_where_restarts_run(jumps):
-    # a jump-free open-loop memory model takes one reverse sweep and no restarted
-    # run, so neither the guard nor the restart record applies; jumps on a model not
-    # affine in x restart
+    # a jump-free open-loop memory model takes one reverse sweep and no re-run, so
+    # the guard does not apply; jumps on a model not affine in x re-run
     from volterra_control.adjoint import _MAX_STEPS, simulated_state_feature
 
     model = _squared_jump_model() if jumps.active else \
@@ -1246,9 +1252,6 @@ def test_the_step_guard_holds_where_restarts_run(jumps):
     paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 8), jumps, 400, seed=5)
     states = simulate_integral_form(model, control, paths)
     if jumps.active:
-        with pytest.raises(ConfigurationError, match="record=True"):
-            simulated_state_feature(model, states)
-        states = simulate_integral_form(model, control, paths, record=True)
         with pytest.raises(ConfigurationError, match="cost"):
             solve_general(model, PerformanceSpec.log_terminal(), states,
                           features=[simulated_state_feature(model, states)])
@@ -1278,18 +1281,19 @@ def _restart_case(reason):
 
 @pytest.mark.parametrize("reason", ["feedback", "undeclared-decay", "jumps"])
 def test_check_steps_refuses_each_restart_reason_beyond_the_guard(reason):
-    from volterra_control.adjoint import _MAX_STEPS, check_steps
+    from volterra_control.adjoint import _MAX_STEPS, check_steps, simulated_state_feature
 
     model, control, jumps = _restart_case(reason)
     check_steps(model, control, jumps, _MAX_STEPS)
     with pytest.raises(ConfigurationError, match=rf"^grid.steps is {_MAX_STEPS + 1}, .* "
                                                  rf"cost-guarded to {_MAX_STEPS} steps"):
         check_steps(model, control, jumps, _MAX_STEPS + 1)
-    # solve_general applies the same guard to the run's control and jumps
+    # simulated_state_feature, the one code that re-runs, applies the same guard to the
+    # run's control and jumps
     paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 1), jumps, 200, seed=5)
     states = simulate_integral_form(model, control, paths)
     with pytest.raises(ConfigurationError, match="cost-guarded"):
-        solve_general(model, PerformanceSpec.log_terminal(), states)
+        simulated_state_feature(model, states)
 
 
 def test_check_steps_lets_through_what_restarts_nothing():
@@ -1304,16 +1308,18 @@ def test_check_steps_lets_through_what_restarts_nothing():
 
 
 def test_an_analytic_feature_runs_beyond_the_guard_where_nothing_restarts():
-    # a jump-free open-loop memory model with declared decays restarts nothing, so the
-    # guard lets solve_general through with a feature other than the simulated state
+    # a solve on a feature other than the simulated state re-runs nothing, so the guard
+    # lets solve_general through: on a jump-free open-loop memory model with declared
+    # decays, and under a feedback rule, whose state feature would re-run
     from volterra_control.adjoint import _MAX_STEPS
 
-    model, control, jumps = _restart_case(None)
-    paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 8), jumps, 400, seed=5)
-    states = simulate_integral_form(model, control, paths)
-    triple, _ = solve_general(model, PerformanceSpec.log_terminal(), states,
-                              features=[brownian_feature(paths)])
-    assert np.all(np.isfinite(triple.p)) and np.all(np.isfinite(triple.q))
+    for reason in (None, "feedback"):
+        model, control, jumps = _restart_case(reason)
+        paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 8), jumps, 400, seed=5)
+        states = simulate_integral_form(model, control, paths)
+        triple, _ = solve_general(model, PerformanceSpec.log_terminal(), states,
+                                  features=[brownian_feature(paths)])
+        assert np.all(np.isfinite(triple.p)) and np.all(np.isfinite(triple.q)), reason
 
 
 @pytest.mark.parametrize("reason", [None, "feedback", "undeclared-decay", "jumps"])
@@ -1329,24 +1335,22 @@ def test_solve_adjoint_records_the_run_exactly_where_it_restarts(reason, monkeyp
         return runs[-1]
 
     monkeypatch.setattr(adjoint, "simulate_integral_form", run)
-    restarts = _counted_restarts(monkeypatch)
+    reads = _counted_reruns(monkeypatch)
     triple, _ = adjoint.solve_adjoint(model, PerformanceSpec.log_terminal(), control, paths)
     assert runs == [triple.states]
-    assert (triple.states.record is not None) == adjoint._restarts(model, control, jumps) \
-        == (reason is not None)
-    assert len(restarts) == (0 if reason is None else paths.n_steps)
+    assert adjoint._restarts(model, control, jumps) == (reason is not None)
+    assert len(reads) == (0 if reason is None else paths.n_steps)
 
 
 @pytest.mark.parametrize("name", ["constant", "x_independent_linear"])
 def test_solve_adjoint_records_no_run_of_a_model_without_memory_coupling(name):
-    # neither the explicit solver nor a fit on the state alone restarts the run
+    # neither the explicit solver nor a fit on the state alone re-runs the simulator
     from volterra_control.adjoint import solve_adjoint
 
     model = registry_get(name, dict(b0=0.1, sigma0=0.3))
     paths = sample_paths(TimeGrid(1.0, 8), _JUMPS, 2_000, seed=5)
     triple, _ = solve_adjoint(model, PerformanceSpec.log_terminal(),
                               ControlProcess.constant(0.5), paths)
-    assert triple.states.record is None
     assert [f.name for f in triple.features] == [
         "predicted_terminal" if model.x_independent else "state"]
 
@@ -1362,17 +1366,3 @@ def test_drift_forward_sums_follow_the_recursion(memory_jump_setup):
         want = decay_weights(t, i, lam) @ triple.p[i + 1:]
         got = triple.p_sums(i, lam)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(triple.p).max() * (paths.n_steps - i))
-
-
-def test_brownian_blocks_of_an_unrecorded_reverse_path_run_are_refused():
-    # a jump-free open-loop model with declared decays takes the reverse sweep, so its
-    # feature is built from a run made without a record; a Brownian block restarts it
-    from volterra_control.adjoint import simulated_state_feature
-
-    model = _exp_model()
-    paths = sample_paths(TimeGrid(1.0, 4), JumpModel.none(), 100, seed=3)
-    states = simulate_integral_form(model, ControlProcess.constant(0.7), paths)
-    feature = simulated_state_feature(model, states)
-    assert feature.reverse_sweep is not None
-    with pytest.raises(ConfigurationError, match="record=True"):
-        feature.brownian_sensitivity(1)

@@ -317,7 +317,7 @@ def test_info_delay_is_the_delayed_information(tmp_path):
     assert main(["check-stationarity", "--config", path, "--out", str(tmp_path / "cli")]) == 0
     cfg = ExperimentConfig.load(_write_config(tmp_path, _MEMORY_JUMP_CONFIG))
     model = cfg.model()
-    states = simulate_integral_form(model, cfg.control(), cfg.sample(), record=True)
+    states = simulate_integral_form(model, cfg.control(), cfg.sample())
     triple, field = solve_general(model, cfg.performance(), states,
                                   features=[simulated_state_feature(model, states)])
     report = check_stationarity(triple, field, info=InfoMode.delayed(0.25))
@@ -427,23 +427,15 @@ def _refuse_sampling(monkeypatch):
 @pytest.mark.parametrize("command", ["solve-adjoint", "check-stationarity", "gateaux"])
 def test_memory_jump_adjoint_runs_beyond_the_old_guard(tmp_path, monkeypatch, command):
     # a config model is affine in x with its decays declared and a config control is
-    # constant, so reverse sweeps give the jump field too: no stage records its run or
-    # restarts it, and none is guarded in grid steps
+    # constant, so reverse sweeps give the jump field too: no stage re-runs the
+    # simulator for a state sensitivity, and none is guarded in grid steps
     from volterra_control import adjoint
     from volterra_control.adjoint import _MAX_STEPS
 
-    simulate, rows = adjoint.simulate_integral_form, adjoint.integral_form_rows
+    def rerun(*args, **kwargs):
+        raise AssertionError("a state sensitivity re-ran the simulator")
 
-    def unrecorded(*args, record=False, **kwargs):
-        assert not record
-        return simulate(*args, **kwargs)
-
-    def unrestarted(*args, restart=None, **kwargs):
-        assert restart is None
-        return rows(*args, **kwargs)
-
-    monkeypatch.setattr(adjoint, "simulate_integral_form", unrecorded)
-    monkeypatch.setattr(adjoint, "integral_form_rows", unrestarted)
+    monkeypatch.setattr(adjoint, "integral_form_rows", rerun)
     path = _write_config(tmp_path, {**_MEMORY_JUMP_CONFIG, "grid": {"steps": _MAX_STEPS + 44}})
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
 

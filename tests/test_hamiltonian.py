@@ -462,7 +462,7 @@ def test_each_check_builds_its_default_features_once(monkeypatch):
                                                    decay_b=1.0, decay_sigma=0.8, decay_jump=0.5))
     grid = TimeGrid(1.0, 8)
     paths = sample_paths(grid, JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 2_000, seed=5)
-    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths)
     triple, field = solve_general(model, PerformanceSpec.log_terminal(), states,
                                   features=[simulated_state_feature(model, states)])
     plain = sample_paths(grid, JumpModel.none(), 2_000, seed=5)
@@ -537,7 +537,7 @@ def test_gateaux_windows_share_each_node_gradient(monkeypatch):
     model = registry_get("exp_kernel_linear", dict(b0=0.1, sigma0=0.3, jump0=0.1, x0=1.0,
                                                    decay_b=1.0, decay_sigma=0.8, decay_jump=0.5))
     paths = sample_paths(TimeGrid(1.0, 8), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), 2_000, seed=5)
-    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths, record=True)
+    states = simulate_integral_form(model, ControlProcess.constant(0.5), paths)
     triple, field = solve_general(model, PerformanceSpec.log_terminal(), states,
                                   features=[simulated_state_feature(model, states)])
     betas = [perturbation_window(8, start, 2, alpha=1.0) for start in (0, 3, 6)]

@@ -24,7 +24,6 @@ from volterra_control import (
 from volterra_control import volterra
 from volterra_control.cli import ExperimentConfig, main
 from volterra_control.volterra import (
-    integral_form_rows,
     monte_carlo_estimate,
     noise_sums,
     performance_paths,
@@ -278,20 +277,7 @@ def test_a_run_carries_the_control_grid_it_read(simulator, kind):
                               [control.at(i, paths, x=states.values[i]) for i in range(n)])
 
 
-# --- restarts and the mark-major jump summand ---
-
-@pytest.mark.parametrize("generic", [False, True], ids=["lifted", "generic"])
-def test_restart_from_recorded_sums_reproduces_the_base_run(generic):
-    model = registry_get("exp_kernel_linear", dict(b0=0.2, sigma0=0.3, jump0=0.15))
-    model = _generic(model) if generic else model
-    paths = sample_paths(TimeGrid(1.0, 12), _MARKS, 300, seed=8)
-    base = simulate_integral_form(model, _feedback(), paths, record=True)
-    assert len(base.record) == paths.n_steps and len(base.record[0]) == 3
-    for i in range(paths.n_steps):
-        again = [x.copy() for x, _ in integral_form_rows(model, _feedback(), paths,
-                                                           restart=(i, base))]
-        assert np.array_equal(again, base.values[i:])
-
+# --- perturbed views and the mark-major jump summand ---
 
 @pytest.mark.parametrize("generic", [False, True], ids=["lifted", "generic"])
 def test_a_run_on_a_brownian_view_reads_its_rows_alone(generic):
@@ -372,7 +358,7 @@ def test_row_readers_build_no_whole_jump_array(reader, no_dense_counts):
     elif reader == "jump_sum":
         paths.jump_sum
     else:
-        states = simulate_integral_form(model, control, paths, record=True)
+        states = simulate_integral_form(model, control, paths)
         solve_general(model, PerformanceSpec.log_terminal(), states,
                       features=[simulated_state_feature(model, states)])
 
