@@ -79,11 +79,14 @@ def check_steps(model: CoefficientModel, control, jumps, steps: int) -> None:
 
 @dataclass
 class AdjointTriple:
-    """Adjoint fields on the grid: p (N+1, M), q (N+1, M), r (N+1, M, K).
+    """Adjoint fields on the grid: p (N+1, M), and q and r as node coefficients.
 
-    q and r live on [0, T); their terminal rows are zero by convention.
-    `surrogate_coefs[j]` are the regression coefficients that express p(t_j)
-    as an explicit polynomial in the path features, which is what makes the
+    `qr_coefs[i]`, for node i < N, are node i's regression coefficients of q_i and
+    then of r_i per mark (none for r where the solver leaves it zero), and `qr_scales`
+    the divisors of their rows, q's first: `qr_rows` forms node i's q (M,) and r
+    (M, K) on node i's design. q and r live on [0, T); their terminal rows are zero
+    by convention. `surrogate_coefs[j]` are the regression coefficients that express
+    p(t_j) as an explicit polynomial in the path features, which is what makes the
     Malliavin fields computable in closed form. `picard_iterations` is the
     number of backward sweeps, always 1, read by the `picard_iters` CSV column.
     `states`, `model` and `spec` are the run, the coefficients and the
@@ -94,8 +97,8 @@ class AdjointTriple:
     model: CoefficientModel
     spec: PerformanceSpec
     p: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
+    qr_coefs: list
+    qr_scales: tuple
     regressions: list
     surrogate_coefs: list
     features: list
@@ -103,16 +106,36 @@ class AdjointTriple:
 
     def __post_init__(self):
         self._p_sums: dict = {}   # decay -> (lowest node built, its `p_sums` row or all rows)
+        self._qr: tuple = (None, None, None)   # (i, q_i, r_i) of the node last asked for
 
     @property
     def n_nodes(self) -> int:
         return self.p.shape[0]
 
+    def qr_rows(self, i: int, field) -> tuple[np.ndarray, np.ndarray]:
+        """q_i (M,) and r_i (M, K): (design_i @ c) / scale for each of node i's
+        coefficients, on the node-i design `field.design(i)`; zero rows at node N.
+
+        The rows of the node last asked for are held, so a reader that asks node by
+        node, as the sweep and the checks do, forms each node's rows once.
+        """
+        if self._qr[0] != i:
+            m, k = self.p.shape[1], self.states.paths.jumps.n_marks
+            q, r = np.zeros(m), np.zeros((m, k))
+            if i < self.n_nodes - 1:
+                phi = field.design(i)
+                (c, *c_marks), (scale, *scale_marks) = self.qr_coefs[i], self.qr_scales
+                q = (phi @ c) / scale
+                for kk, (c, scale) in enumerate(zip(c_marks, scale_marks)):
+                    r[:, kk] = (phi @ c) / scale
+            self._qr = (i, q, r)
+        return self._qr[1:]
+
     def terms(self, field, i: int, v, partial: str = "") -> list:
         """`hamiltonian_terms` of H<partial> at node i of the run for the control value v."""
         paths = self.states.paths
         return hamiltonian_terms(self.model, self.spec, paths.jumps, paths.grid.nodes[i],
-                                 self.states.values[i], v, self.p[i], self.q[i], self.r[i],
+                                 self.states.values[i], v, self.p[i], *self.qr_rows(i, field),
                                  partial, memory=(paths, i, self.p, field), p_sums=self.p_sums)
 
     def p_sums(self, i: int, decay: float) -> np.ndarray:
@@ -317,29 +340,33 @@ class ExplicitXIndependentField:
 
     For p(t) = E[g'(X(T)) | F_t] the commutation of D with conditional
     expectation gives E[D_{t_i} p(t_j) | F_{t_i}] = E[D_{t_i} g'(X(T)) |
-    F_{t_i}] for every j >= i, so one projected derivative per node suffices.
+    F_{t_i}] for every j >= i, so one projected derivative per node suffices:
+    the triple's q_i and r_i (`AdjointTriple.qr_rows`).
     """
 
-    def __init__(self, dp_terminal: np.ndarray, dj_terminal: np.ndarray, nodes: np.ndarray):
-        self._dp = dp_terminal    # (N+1, M): projected D_{t_i} g'(X_T)
-        self._dj = dj_terminal    # (N+1, M, K)
-        self._nodes = nodes
+    def __init__(self, triple: AdjointTriple):
+        self.triple = triple
+
+    def design(self, i: int) -> np.ndarray:
+        """The node-i regression design (M, p)."""
+        return self.triple.regressions[i].design()
 
     def dp_rows(self, i: int) -> np.ndarray:
-        out = np.zeros_like(self._dp)
-        out[i:] = self._dp[i]
+        out = np.zeros_like(self.triple.p)
+        out[i:] = self.triple.qr_rows(i, self)[0]
         return out
 
     def djump_rows(self, i: int) -> np.ndarray:
-        out = np.zeros_like(self._dj)
-        out[i:] = self._dj[i]
+        r = self.triple.qr_rows(i, self)[1]
+        out = np.zeros((self.triple.n_nodes, *r.shape))
+        out[i:] = r
         return out
 
     def weighted_rows(self, i: int, decay: float, jump: bool = False) -> np.ndarray:
         """sum_{j>i} e^{-decay (t_j - t_i)} dp_rows(i)[j] (or djump_rows): (sum of the
         weights) * row i."""
-        weights = decay_weights(self._nodes, i, decay)
-        return weights.sum() * (self._dj[i] if jump else self._dp[i])
+        weights = decay_weights(self.triple.states.paths.grid.nodes, i, decay)
+        return weights.sum() * self.triple.qr_rows(i, self)[jump]
 
 
 def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
@@ -380,9 +407,7 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
     g_term = g_prime(x_t)
 
     p = np.empty((n + 1, m))
-    q = np.zeros((n + 1, m))
-    r = np.zeros((n + 1, m, k))
-    regs, coefs = [], []
+    regs, coefs, qr_coefs = [], [], []
     p[n] = g_term
     for i in range(n):
         reg = NodeRegression([feature], i, basis)
@@ -391,19 +416,22 @@ def solve_explicit_x_independent(model: CoefficientModel, spec: PerformanceSpec,
         p[i] = phi @ c
         shift = h * np.broadcast_to(next(feature.brownian_sensitivity(i)), (m,))
         central = (g_prime(x_t + shift) - g_prime(x_t - shift)) / (2.0 * h)
-        q[i] = reg.fit(finite(central, i, "under perturbation"), phi=phi)
+        node = [reg.coefficients(finite(central, i, "under perturbation"), phi=phi)]
         jumps = np.broadcast_to(next(feature.jump_shift(i)), (k, m))
         for kk in range(k):
             bumped = g_prime(x_t + jumps[kk]) - g_term
-            r[i, :, kk] = reg.fit(finite(bumped, i, "with an extra jump"), phi=phi)
+            node.append(reg.coefficients(finite(bumped, i, "with an extra jump"), phi=phi))
         regs.append(reg)
         coefs.append(c)
+        qr_coefs.append(node)
     reg_n = NodeRegression([feature], n, basis)
     regs.append(reg_n)
     coefs.append(reg_n.coefficients(g_term))
-    triple = AdjointTriple(states=states, model=model, spec=spec, p=p, q=q, r=r,
-                           regressions=regs, surrogate_coefs=coefs, features=[feature])
-    return triple, ExplicitXIndependentField(q, r, paths.grid.nodes)
+    # the rows are design_i @ c, a fit's values: x / 1.0 is x
+    triple = AdjointTriple(states=states, model=model, spec=spec, p=p, qr_coefs=qr_coefs,
+                           qr_scales=(1.0,) * (1 + k), regressions=regs,
+                           surrogate_coefs=coefs, features=[feature])
+    return triple, ExplicitXIndependentField(triple)
 
 
 def _running_reads_x(spec: PerformanceSpec, states: StateEnsemble) -> bool:
@@ -439,7 +467,8 @@ def solve_general(model: CoefficientModel, spec: PerformanceSpec, states: StateE
                 else replace(f, values=np.array([f.values[j] for j in range(n + 1)]))
                 for f in features]
     triple = AdjointTriple(states=states, model=model, spec=spec, p=np.empty((n + 1, m)),
-                           q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, paths.jumps.n_marks)),
+                           qr_coefs=[None] * n,
+                           qr_scales=(paths.grid.dt, *paths.jumps.compensator(paths.grid)),
                            regressions=[NodeRegression(features, i, basis) for i in range(n + 1)],
                            surrogate_coefs=[None] * (n + 1), features=features)
     field = SurrogateMalliavinField(triple)
@@ -466,13 +495,15 @@ def solve_adjoint(model: CoefficientModel, spec: PerformanceSpec, control, paths
 
 
 def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> None:
-    """One backward regression sweep over the triple's run, writing p, q, r and the
-    surrogates in place. Row p_i holds E[p_{i+1} | F_i] while the node-i driver reads it."""
+    """One backward regression sweep over the triple's run, writing p, the coefficients
+    of q and r and the surrogates in place. Row p_i holds E[p_{i+1} | F_i] while the
+    node-i driver reads it, and the driver reads node i's q and r rows as `qr_rows`
+    forms them from the coefficients just fitted."""
     states, paths = triple.states, triple.states.paths
     n, dt, jumps = paths.n_steps, paths.grid.dt, paths.jumps
-    p, q, r, regs, coefs = triple.p, triple.q, triple.r, triple.regressions, triple.surrogate_coefs
-    comp_w = jumps.compensator(paths.grid)
+    p, regs, coefs = triple.p, triple.regressions, triple.surrogate_coefs
     triple._p_sums.clear()
+    triple._qr = (None, None, None)
     p[n] = np.asarray(triple.spec.terminal_prime(states.terminal), dtype=float)
     coefs[n] = regs[n].coefficients(p[n])
     with field.sweep():
@@ -481,12 +512,12 @@ def _backward_sweep(triple: AdjointTriple, field: SurrogateMalliavinField) -> No
             phi = field.design(i)
             p[i] = phi @ reg.coefficients(p[i + 1], phi=phi)
             centered = p[i + 1] - p[i]
-            q[i] = phi @ reg.coefficients(centered * paths.dW[i], phi=phi) / dt
+            node = [reg.coefficients(centered * paths.dW[i], phi=phi)]
             if jumps.active:
                 counts = paths.increments_at(i)[1]
-                for kk in range(jumps.n_marks):
-                    r[i, :, kk] = phi @ reg.coefficients(
-                        centered * counts[:, kk], phi=phi) / comp_w[kk]
+                node += [reg.coefficients(centered * counts[:, kk], phi=phi)
+                         for kk in range(jumps.n_marks)]
+            triple.qr_coefs[i] = node
             p[i] += sum(triple.terms(field, i, states.control_at(i), "_dx")) * dt
             coefs[i] = reg.coefficients(p[i], phi=phi)
 

@@ -378,12 +378,14 @@ def _adjoint_pipeline(cfg: ExperimentConfig, stationarity: bool = False):
 def _cmd_solve_adjoint(cfg: ExperimentConfig) -> StageResult:
     """Per node of the run's grid: t, the path means of p, q and each mark's r, and the
     sweep count."""
-    triple, _ = _adjoint_pipeline(cfg)
-    k = triple.r.shape[2]
+    triple, field = _adjoint_pipeline(cfg)
+    k = triple.states.paths.jumps.n_marks
     header = ("t", "mean_p", "mean_q", *(f"mean_r_{kk}" for kk in range(k)), "picard_iters")
-    rows = [(t, triple.p[i].mean(), triple.q[i].mean(),
-             *(triple.r[i, :, kk].mean() for kk in range(k)), triple.picard_iterations)
-            for i, t in enumerate(cfg.grid.nodes)]
+    rows = []
+    for i, t in enumerate(cfg.grid.nodes):
+        q, r = triple.qr_rows(i, field)
+        rows.append((t, triple.p[i].mean(), q.mean(), *(r[:, kk].mean() for kk in range(k)),
+                     triple.picard_iterations))
     return StageResult({"adjoint.csv": (header, rows)},
                        f"{triple.picard_iterations} sweeps; adjoint.csv written")
 

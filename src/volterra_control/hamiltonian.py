@@ -292,9 +292,14 @@ def control_gradient(triple, field, i: int) -> tuple[np.ndarray, np.ndarray]:
     The second array is the path-wise root-sum-square of the individual
     terms, used as the cancellation scale for stationarity statistics.
     """
-    terms = triple.terms(field, i, triple.states.control_at(i), "_dv")
-    stacked = np.vstack([np.broadcast_to(tm, (triple.states.paths.n_paths,)) for tm in terms])
-    return stacked.sum(axis=0), np.sqrt((stacked ** 2).sum(axis=0))
+    m = triple.states.paths.n_paths
+    first, *rest = triple.terms(field, i, triple.states.control_at(i), "_dv")
+    total = np.array(np.broadcast_to(first, (m,)), dtype=float)
+    squares = total ** 2
+    for term in rest:   # in term order, as an axis-0 sum of the stacked terms adds them
+        total += term
+        squares += term ** 2
+    return total, np.sqrt(squares)
 
 
 @dataclass

@@ -64,11 +64,12 @@ RUNS = (
         name="report",
         stages=("report",),
         seed=7,
-        bound_mb=270.0,
+        bound_mb=250.0,
         why="every stage on the default config, merton-test among them (about 10 s); the "
-            "default features form their rows as the checks read them, and gateaux sums "
-            "its perturbed objectives off their row streams, so the stage peaks near "
-            "254 MB (294 MB when gateaux held six whole (N+1, M) runs)",
+            "default features form their rows as the checks read them, gateaux sums "
+            "its perturbed objectives off their row streams, and the adjoint keeps q and "
+            "r as node coefficients, so the stage peaks near 209 MB (254 MB with (N+1, M) "
+            "q and r arrays, 294 MB when gateaux held six whole (N+1, M) runs)",
     ),
     CliRun(
         name="adjoint_n128",
@@ -76,9 +77,10 @@ RUNS = (
         seed=11,
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 2000}},
-        bound_mb=62.0,
+        bound_mb=55.0,
         why="the jump targets come from one reverse sweep of their Taylor powers, with no "
-            "re-run of the simulator, so the stage peaks near 51 MB (57 MB when it "
+            "re-run of the simulator, and q and r are node coefficients, so the stage "
+            "peaks near 46 MB (51 MB with (N+1, M) q and r arrays, 57 MB when it "
             "restarted the run once per node, 71 MB holding one node's sensitivity "
             "blocks, 455 MB holding every node's)",
     ),
@@ -88,10 +90,11 @@ RUNS = (
         seed=11,
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 128}, "monte_carlo": {"paths": 10_000}},
-        bound_mb=125.0,
+        bound_mb=88.0,
         why="the jump field at scale: at M = 1e4 the reverse sweep of the jump shifts' "
             "Taylor powers holds 19 rows of its symmetric forms and a few scratch rows, "
-            "and re-runs nothing, so the stage peaks near 102 MB in 0.7 s (131 MB in "
+            "re-runs nothing, and q and r are node coefficients, so the stage peaks near "
+            "73 MB in 0.9 s (102 MB with (N+1, M) q and (N+1, M, K) r arrays, 131 MB in "
             "4.5 s when it restarted the run 128 times with K = 2 jump variants, 199 MB "
             "holding each restart's whole run, its (K, N - i, M) block and a record of "
             "the run's memory sums)",
@@ -102,9 +105,10 @@ RUNS = (
         seed=11,
         workload="adjoint_memory_jumps",
         config={"grid": {"horizon": 1.0, "steps": 512}, "monte_carlo": {"paths": 2000}},
-        bound_mb=115.0,
+        bound_mb=87.0,
         why="the memory-jump model past the 256 steps that the re-runs are guarded to: "
-            "both stages take O(N M) sweeps and no re-run, and peak near 88 and 95 MB",
+            "both stages take O(N M) sweeps and no re-run, and peak near 64 and 72 MB "
+            "(88 and 95 MB with (N+1, M) q and (N+1, M, K) r arrays)",
     ),
     CliRun(
         name="simulate_n1024",
@@ -206,11 +210,11 @@ RUNS = (
         seed=11,
         config={"grid": {"horizon": 1.0, "steps": 1024}, "noise": {"intensity": 0.0},
                 "model": {"name": "exp_kernel_linear"}, "monte_carlo": {"paths": 2000}},
-        bound_mb=143.0,
+        bound_mb=124.0,
         why="with an open-loop control and declared decays the Brownian field comes from "
             "one reverse sweep and the drift's forward sums from one recursion, so "
             "neither stage re-runs the simulator and the 256-step guard does not apply; "
-            "the stages peak near 103 and 119 MB",
+            "the stages peak near 88 and 104 MB (103 and 119 MB with an (N+1, M) q)",
     ),
     CliRun(
         name="delayed_info",
@@ -218,21 +222,21 @@ RUNS = (
         seed=11,
         workload="adjoint_memory_jumps",
         config={"info": {"delay": 0.25}},
-        bound_mb=76.0,
+        bound_mb=69.0,
         why="the paper's partial-information case, E[dH/du | G_t] with "
             "G_t = F_(t - 0.25)+; no other run or workload uses delayed information; "
-            "the stage peaks near 64 MB",
+            "the stage peaks near 57 MB",
     ),
     CliRun(
         name="gateaux_memory_jumps",
         stages=("gateaux",),
         seed=11,
         workload="adjoint_memory_jumps",
-        bound_mb=77.0,
+        bound_mb=68.0,
         why="the adjoint form reads dH/du along the run through the state-sensitivity "
             "feature and the Malliavin field of p, which report (memory-free constant "
             "model) and the workload (no gateaux stage) never reach; all three windows "
-            "must agree, and the stage peaks near 64 MB",
+            "must agree, and the stage peaks near 57 MB",
     ),
     CliRun(
         name="xind_adjoint",
@@ -244,10 +248,12 @@ RUNS = (
                 "performance": {"running": "zero", "terminal": "log"},
                 "control": {"kind": "constant", "value": 0.5},
                 "monte_carlo": {"paths": 20_000}},
-        bound_mb=240.0,
+        bound_mb=168.0,
         why="the only CLI path through predicted_terminal_feature and the explicit "
             "solver, whose q and r are differences of g' at X(T) shifted by that "
-            "feature's rows, with no re-simulation; the stages peak near 179 and 200 MB",
+            "feature's rows, with no re-simulation, kept as node coefficients; the "
+            "stages peak near 137 and 140 MB (179 and 200 MB with (N+1, M) q and "
+            "(N+1, M, K) r arrays)",
     ),
     CliRun(
         name="malliavin_jumps",

@@ -208,11 +208,10 @@ def test_criterion_07_reduced_hamiltonian(xindep_run):
     n = paths.n_steps
     for i in range(n // 4, (3 * n) // 4 + 1, 2):
         v = r["control"].at(i, paths)
-        h0 = eval_h0(model, spec, paths.jumps, t[i], None, v,
-                     triple.p[i], triple.q[i], triple.r[i])
+        q_i, r_i = triple.qr_rows(i, field)
+        h0 = eval_h0(model, spec, paths.jumps, t[i], None, v, triple.p[i], q_i, r_i)
         h1 = eval_h1(model, paths, i, None, v, triple.p, field)
-        reduced = eval_h0_reduced(model, spec, paths, i, v, g_term,
-                                  field._dp[i], field._dj[i])
+        reduced = eval_h0_reduced(model, spec, paths, i, v, g_term, q_i, r_i)
         reg = NodeRegression(triple.features, i, basis)
         lhs = reg.fit(h0 + h1)
         rhs = reg.fit(reduced)

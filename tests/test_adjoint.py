@@ -79,19 +79,20 @@ def test_explicit_constant_terminal_slope(xindep_setup):
         domain=(-2.0, 4.0),
     )
     triple, field = solve_explicit_x_independent(model, spec, states)
+    q, r = _adjoint_rows(triple, field)
     assert np.allclose(triple.p, 1.0, atol=1e-7)
-    assert np.allclose(triple.q, 0.0, atol=1e-7)
-    assert np.allclose(triple.r, 0.0, atol=1e-12)
+    assert np.allclose(q, 0.0, atol=1e-7)
+    assert np.allclose(r, 0.0, atol=1e-12)
     assert np.allclose(field.dp_rows(5), 0.0, atol=1e-7)
     assert [reg.node for reg in triple.regressions] == list(range(paths.n_steps + 1))
     # the field reads q itself: every row from i on is q_i, row N included
     for i in range(paths.n_steps + 1):
-        assert all(np.array_equal(row, triple.q[i]) for row in field.dp_rows(i)[i:])
+        assert all(np.array_equal(row, q[i]) for row in field.dp_rows(i)[i:])
 
 
 def test_explicit_matches_martingale_projection(xindep_setup):
     model, control, states, paths = xindep_setup
-    triple, _ = solve_explicit_x_independent(model, _square_terminal(), states)
+    triple, field = solve_explicit_x_independent(model, _square_terminal(), states)
     # oracle: p(t) = E[2 X_T | F_t] = 2 (1 + int_0^t (1 + s/2) dB)
     t = paths.grid.nodes
     u = 1.0 + 0.5 * t[:-1]
@@ -103,7 +104,7 @@ def test_explicit_matches_martingale_projection(xindep_setup):
     assert err.max() <= 0.05
     # q(t) = 2 (1 + t/2) is deterministic and recovered almost exactly
     for i in (0, 10, 31):
-        assert np.allclose(triple.q[i], 2.0 * u[i], rtol=1e-6)
+        assert np.allclose(triple.qr_rows(i, field)[0], 2.0 * u[i], rtol=1e-6)
     # terminal condition holds exactly
     assert np.array_equal(triple.p[-1], 2.0 * states.terminal)
 
@@ -135,12 +136,13 @@ def test_explicit_jump_derivative_field(grid32):
     states = simulate_integral_form(model, control, paths)
     triple, field = solve_explicit_x_independent(model, _square_terminal(), states)
     # add-one-jump difference of the conditional mean 2 eta(t): r(t, z) = 2 z
+    _, r = _adjoint_rows(triple, field)
     for k, mark in enumerate(jumps.marks):
         for i in (4, 20):
-            err = np.abs(triple.r[i, :, k] - 2.0 * mark).max()
+            err = np.abs(r[i, :, k] - 2.0 * mark).max()
             assert err <= 0.05 * abs(2.0 * mark)
     for i in range(paths.n_steps + 1):
-        assert all(np.array_equal(row, triple.r[i]) for row in field.djump_rows(i)[i:])
+        assert all(np.array_equal(row, r[i]) for row in field.djump_rows(i)[i:])
 
 
 def test_explicit_requires_x_independent(paths64_small):
@@ -176,7 +178,7 @@ def test_explicit_derivatives_equal_finite_differences_through_the_simulator(dec
     # with X(T) simulated again on every perturbed bundle
     model, states = _explicit_setup(decays)
     paths, spec = states.paths, PerformanceSpec.log_terminal()
-    triple, _ = solve_explicit_x_independent(model, spec, states)
+    triple, field = solve_explicit_x_independent(model, spec, states)
 
     def functional(bundle):
         return spec.terminal_prime(simulate_integral_form(model, _BLOCK_CONTROL, bundle).terminal)
@@ -185,10 +187,10 @@ def test_explicit_derivatives_equal_finite_differences_through_the_simulator(dec
         return np.abs(new - oracle).max() / np.abs(oracle).max()
 
     for i in range(paths.n_steps):
-        fit = triple.regressions[i].fit
-        assert relative(triple.q[i], fit(d_brownian(functional, paths, i))) <= 1e-9
+        fit, (q, r) = triple.regressions[i].fit, triple.qr_rows(i, field)
+        assert relative(q, fit(d_brownian(functional, paths, i))) <= 1e-9
         for k in range(paths.jumps.n_marks):
-            assert relative(triple.r[i, :, k], fit(d_jump(functional, paths, i, k))) <= 1e-9
+            assert relative(r[:, k], fit(d_jump(functional, paths, i, k))) <= 1e-9
 
 
 def test_the_explicit_solve_makes_no_perturbed_bundle(monkeypatch):
@@ -231,10 +233,11 @@ def test_explicit_names_the_node_where_the_shifted_derivative_is_not_finite(nois
 def test_general_zero_data_gives_zero_triple(xindep_setup):
     model, control, states, paths = xindep_setup
     spec = PerformanceSpec()  # zero running and terminal rewards
-    triple, _ = solve_general(model, spec, states)
+    triple, field = solve_general(model, spec, states)
+    q, r = _adjoint_rows(triple, field)
     assert np.allclose(triple.p, 0.0, atol=1e-12)
-    assert np.allclose(triple.q, 0.0, atol=1e-12)
-    assert np.allclose(triple.r, 0.0, atol=1e-12)
+    assert np.allclose(q, 0.0, atol=1e-12)
+    assert np.allclose(r, 0.0, atol=1e-12)
 
 
 def test_general_matches_explicit_x_independent(xindep_setup):
@@ -286,8 +289,8 @@ def test_general_cost_guard():
     assert not model.memory_state_coupling
     control = ControlProcess.constant(1.0)
     states = simulate_integral_form(model, control, paths)
-    triple, _ = solve_general(model, _square_terminal(), states)
-    assert np.all(np.isfinite(triple.p)) and np.all(np.isfinite(triple.q))
+    triple, field = solve_general(model, _square_terminal(), states)
+    assert np.all(np.isfinite(triple.p)) and np.all(np.isfinite(_adjoint_rows(triple, field)[0]))
 
 
 # --- Malliavin field of the adjoint ---------------------------------------------
@@ -308,7 +311,7 @@ def _field_with_manual_surrogates(paths, coefs_builder):
     model, control = registry_get("constant", {}), ControlProcess.constant(1.0)
     triple = AdjointTriple(states=simulate_integral_form(model, control, paths), model=model,
                            spec=PerformanceSpec.log_terminal(), p=np.zeros((n + 1, m)),
-                           q=np.zeros((n + 1, m)), r=np.zeros((n + 1, m, 0)), regressions=regs,
+                           qr_coefs=[None] * n, qr_scales=(paths.grid.dt,), regressions=regs,
                            surrogate_coefs=coefs, features=feats)
     return SurrogateMalliavinField(triple)
 
@@ -441,18 +444,25 @@ def test_single_sweep_is_a_fixed_point(setup, request, xindep_setup):
     if setup == "xindep":
         model, control, states, paths = xindep_setup
         spec = _square_terminal()
-        triple, _ = solve_general(model, spec, states)
+        triple, field = solve_general(model, spec, states)
     else:
-        model, spec, control, states, paths, triple, _ = request.getfixturevalue(
+        model, spec, control, states, paths, triple, field = request.getfixturevalue(
             f"{setup}_setup")
     assert triple.picard_iterations == 1
-    before = [a.copy() for a in (triple.p, triple.q, triple.r)]
+    before = [triple.p.copy(), *_adjoint_rows(triple, field)]
     coefs = [c.copy() for c in triple.surrogate_coefs]
-    _backward_sweep(triple, SurrogateMalliavinField(triple))
-    for old, new in zip(before, (triple.p, triple.q, triple.r)):
+    field = SurrogateMalliavinField(triple)
+    _backward_sweep(triple, field)
+    for old, new in zip(before, (triple.p, *_adjoint_rows(triple, field))):
         assert np.array_equal(old, new)
     for old, new in zip(coefs, triple.surrogate_coefs):
         assert np.array_equal(old, new)
+
+
+def _adjoint_rows(triple, field):
+    """q (N+1, M) and r (N+1, M, K) of a solved triple, stacked from its `qr_rows`."""
+    rows = [triple.qr_rows(i, field) for i in range(triple.n_nodes)]
+    return np.stack([q for q, _ in rows]), np.stack([r for _, r in rows])
 
 
 def _stacked(rows, shape):
@@ -1026,7 +1036,7 @@ def test_jump_shift_read_first_runs_the_jump_variants_only(make_model, control, 
 
 
 @pytest.fixture(scope="module")
-def restart_reads():
+def sweep_order_reads():
     """A memory-with-jumps run and its sensitivities read node by node, from the last
     node down, as the adjoint sweep reads them."""
     from volterra_control.adjoint import simulated_state_feature
@@ -1044,13 +1054,13 @@ def restart_reads():
 
 @settings(max_examples=25)
 @given(data=st.data())
-def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
+def test_out_of_order_sensitivity_reads_are_bit_exact(sweep_order_reads, data):
     # reads in any (i, j > i, k) order, each re-running its views from node 0, give the
     # values of the sweep's order bit for bit; the last reads go back to a node read
     # before
     from volterra_control.adjoint import simulated_state_feature
 
-    model, control, states, paths, want = restart_reads
+    model, control, states, paths, want = sweep_order_reads
     n, m, marks = paths.n_steps, paths.n_paths, paths.jumps.n_marks
     read = st.integers(0, n - 1).flatmap(lambda i: st.tuples(
         st.just(i), st.integers(i + 1, n), st.integers(0, marks - 1)))
@@ -1073,10 +1083,11 @@ def test_out_of_order_sensitivity_reads_are_bit_exact(restart_reads, data):
 def test_state_sensitivity_memory_is_linear_in_the_grid():
     # building the feature, the sweep and the stationarity check together
     # allocate O((1 + K) N M) doubles at peak: one node's block is held at a
-    # time, not the (N - i, M) blocks of every node (35.6 units at N = 64). The
-    # constant control takes the reverse sweeps; the feedback rule re-runs its views
-    # at every node (4.3 units at N = 20, where holding every node's blocks would add
-    # about N/2)
+    # time, not the (N - i, M) blocks of every node (35.6 units at N = 64), and q
+    # and r are node coefficients, not (N + 1, M) and (N + 1, M, K) arrays (which
+    # add 1 unit). The constant control takes the reverse sweeps (1.05 units at
+    # N = 64); the feedback rule re-runs its views at every node (3.4 units at
+    # N = 20, where holding every node's blocks would add about N/2)
     import tracemalloc
 
     from volterra_control.adjoint import simulated_state_feature
@@ -1084,7 +1095,8 @@ def test_state_sensitivity_memory_is_linear_in_the_grid():
 
     model, spec = registry_get("exp_kernel_linear", _MEMORY_JUMP_PARAMS), \
         PerformanceSpec.log_terminal()
-    for control, n, m in ((ControlProcess.constant(0.5), 64, 1000), (_FEEDBACK, 20, 400)):
+    for control, n, m, bound in ((ControlProcess.constant(0.5), 64, 1000, 1.5),
+                                 (_FEEDBACK, 20, 400, 4.0)):
         paths = sample_paths(TimeGrid(1.0, n), JumpModel(0.5, (-0.5, 0.5), (0.5, 0.5)), m,
                              seed=31)
         states = simulate_integral_form(model, control, paths)
@@ -1097,7 +1109,41 @@ def test_state_sensitivity_memory_is_linear_in_the_grid():
         finally:
             tracemalloc.stop()
         unit = 8 * (1 + paths.jumps.n_marks) * (n + 1) * m
-        assert peak < 8 * unit, f"peak {peak / unit:.1f} x (1 + K)(N + 1)M doubles at N = {n}"
+        assert peak < bound * unit, f"peak {peak / unit:.1f} x (1 + K)(N + 1)M doubles at N = {n}"
+
+
+@pytest.mark.parametrize("name", ["exp_kernel_linear", "x_independent_linear"],
+                         ids=["general", "explicit"])
+def test_a_solved_adjoint_holds_no_path_array_but_p_and_the_run(name):
+    # q and r are kept as node coefficients, their rows formed per node on request: once
+    # solve_adjoint returns, no array of (N + 1)M or more elements is reachable from the
+    # triple or its field besides p, the run and the features' values
+    from volterra_control.adjoint import solve_adjoint
+    from volterra_control.grids import PathBundle
+    from volterra_control.volterra import StateEnsemble
+
+    model = registry_get(name, _MEMORY_JUMP_PARAMS)
+    paths = sample_paths(TimeGrid(1.0, 16), _JUMPS, 400, seed=5)
+    triple, field = solve_adjoint(model, PerformanceSpec.log_terminal(),
+                                  ControlProcess.constant(0.5), paths)
+    assert isinstance(field, SurrogateMalliavinField) == (name == "exp_kernel_linear")
+    allowed = {id(triple.p), *(id(feat.values) for feat in triple.features)}
+    large, seen, todo = [], set(), [triple, field]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (StateEnsemble, PathBundle)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.size >= triple.n_nodes * paths.n_paths and id(obj) not in allowed:
+                large.append(obj.shape)
+        elif isinstance(obj, dict):
+            todo += obj.values()
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif hasattr(obj, "__dict__"):
+            todo += vars(obj).values()
+    assert large == []
 
 
 def test_stationarity_check_holds_no_brownian_or_jump_sum_array():
@@ -1155,9 +1201,11 @@ def test_explicit_adjoint_refuses_a_control_that_reads_the_noise():
     with pytest.raises(ConfigurationError, match="same on every path"):
         solve_adjoint(model, _square_terminal(), reading, paths)
     flat = ControlProcess.per_path(np.repeat(values[:, None], paths.n_paths, axis=1))
-    (want, _), (got, _) = (solve_adjoint(model, _square_terminal(), control, paths)
-                           for control in (ControlProcess.deterministic(values), flat))
-    assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+    (want, want_field), (got, got_field) = (
+        solve_adjoint(model, _square_terminal(), control, paths)
+        for control in (ControlProcess.deterministic(values), flat))
+    assert np.array_equal(got.p, want.p) and np.array_equal(
+        _adjoint_rows(got, got_field)[0], _adjoint_rows(want, want_field)[0])
 
 
 def test_a_running_reward_that_reads_x_takes_the_general_solver():
@@ -1215,13 +1263,14 @@ def test_adjoint_csv_export(tmp_path):
     assert len(lines) == 16 + 2
     cfg = ExperimentConfig.load(str(config))
     states = simulate_integral_form(cfg.model(), cfg.control(), cfg.sample())
-    triple, _ = solve_explicit_x_independent(cfg.model(), cfg.performance(), states,
-                                             basis=cfg.basis)
+    triple, field = solve_explicit_x_independent(cfg.model(), cfg.performance(), states,
+                                                 basis=cfg.basis)
+    q, r = _adjoint_rows(triple, field)
     table = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 0], cfg.grid.nodes)
     assert np.array_equal(table[:, 1], triple.p.mean(axis=1))
-    assert np.array_equal(table[:, 2], triple.q.mean(axis=1))
-    assert np.array_equal(table[:, 3:5], triple.r.mean(axis=1))
+    assert np.array_equal(table[:, 2], q.mean(axis=1))
+    assert np.array_equal(table[:, 3:5], r.mean(axis=1))
     assert np.all(table[:, 5] == triple.picard_iterations)
 
 
@@ -1317,13 +1366,14 @@ def test_an_analytic_feature_runs_beyond_the_guard_where_nothing_restarts():
         model, control, jumps = _restart_case(reason)
         paths = sample_paths(TimeGrid(1.0, _MAX_STEPS + 8), jumps, 400, seed=5)
         states = simulate_integral_form(model, control, paths)
-        triple, _ = solve_general(model, PerformanceSpec.log_terminal(), states,
-                                  features=[brownian_feature(paths)])
-        assert np.all(np.isfinite(triple.p)) and np.all(np.isfinite(triple.q)), reason
+        triple, field = solve_general(model, PerformanceSpec.log_terminal(), states,
+                                      features=[brownian_feature(paths)])
+        q = _adjoint_rows(triple, field)[0]
+        assert np.all(np.isfinite(triple.p)) and np.all(np.isfinite(q)), reason
 
 
 @pytest.mark.parametrize("reason", [None, "feedback", "undeclared-decay", "jumps"])
-def test_solve_adjoint_records_the_run_exactly_where_it_restarts(reason, monkeypatch):
+def test_solve_adjoint_runs_once_and_reruns_only_for_a_reason(reason, monkeypatch):
     from volterra_control import adjoint
 
     model, control, jumps = _restart_case(reason)
@@ -1343,7 +1393,7 @@ def test_solve_adjoint_records_the_run_exactly_where_it_restarts(reason, monkeyp
 
 
 @pytest.mark.parametrize("name", ["constant", "x_independent_linear"])
-def test_solve_adjoint_records_no_run_of_a_model_without_memory_coupling(name):
+def test_solve_adjoint_fits_a_memoryless_model_on_one_feature(name):
     # neither the explicit solver nor a fit on the state alone re-runs the simulator
     from volterra_control.adjoint import solve_adjoint
 

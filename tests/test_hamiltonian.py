@@ -165,9 +165,11 @@ def lift_setups():
         states = simulate_integral_form(model, control, paths)
         triple, field = solve_general(model, _square_terminal(), states,
                                       features=default_features(paths))
-        n1, m = triple.n_nodes, paths.n_paths
-        explicit = ExplicitXIndependentField(rng.normal(size=(n1, m)),
-                                             rng.normal(size=(n1, m, k)), paths.grid.nodes)
+        # random q and r rows, one coefficient vector each on the node's design
+        rows = dataclasses.replace(triple, qr_coefs=[
+            [rng.normal(size=len(reg.keep)) for _ in range(1 + k)]
+            for reg in triple.regressions[:-1]], qr_scales=(1.0,) * (1 + k))
+        explicit = ExplicitXIndependentField(rows)
         setups.append((paths, states.values, triple.p, (field, explicit)))
     return setups
 
