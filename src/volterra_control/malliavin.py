@@ -260,10 +260,9 @@ class NodeRegression:
     transposed view. Every monomial is its parent (one power fewer of its
     last raw feature) times that raw feature, so no power function touches a
     column; results differ from power-built designs by round-off only. The
-    means and spreads are one pass of contiguous row reductions, and the
-    same spreads drop every monomial that is constant up to the round-off of
-    its mean (spread at most M eps |mean|). The intercept row is neither
-    centred nor scaled: its mean is held at 0 and its spread is exactly 1.
+    means and spreads are one pass of contiguous row reductions, and drop
+    each monomial constant to round-off (`_standardize`); the intercept row
+    has mean 0 and spread exactly 1.
 
     The fitted object doubles as an explicit surrogate: `predict` evaluates
     the fitted polynomial at any raw-feature values and `gradient_raw` its
@@ -271,49 +270,67 @@ class NodeRegression:
     Gram `gram` and the Cholesky factor of its ridged version are kept. With
     `retain_design` the (p, M) design rows are kept too, and `design()`
     returns them; otherwise `design()` rebuilds them from the raw features
-    with the same arithmetic, so the two are bit-identical. With `factor=False`
-    the Gram is left to the caller, who forms it from the kept rows and passes
-    it to `_factor` (`BackwardProjector` forms it in its block sums).
+    with the same arithmetic, so the two are bit-identical.
     """
 
     def __init__(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
-                 design_node: int | None = None, retain_design: bool = False,
-                 factor: bool = True):
-        self.features = list(features)
-        self.node = node
-        self.design_node = node if design_node is None else design_node
-        self.basis = basis
+                 design_node: int | None = None, retain_design: bool = False):
+        self._bind(features, node, basis, design_node)
         raw = self.raw_values()
         self.n_paths = raw.shape[0]
-        self.exponents = _monomial_exponents(len(self.features), basis.degree)
-        self._index = {e: k for k, e in enumerate(self.exponents)}
-        need = basis.path_floor(len(self.features))
-        if self.n_paths < need:
-            raise RegressionError(
-                f"need at least {need} paths for a basis of "
-                f"dimension {len(self.exponents)}, got {self.n_paths}"
-            )
+        if self.n_paths < (need := basis.path_floor(len(self.features))):
+            raise RegressionError(f"need at least {need} paths for a basis of dimension "
+                                  f"{len(self.exponents)}, got {self.n_paths}")
         rows = self._monomial_rows(raw)
         mean = rows.mean(axis=1)
-        mean[0] = 0.0
         rows[1:] -= mean[1:, None]   # row 0, the intercept, keeps mean 0: nothing to subtract
-        spread = np.sqrt(np.einsum("ij,ij->i", rows, rows) / self.n_paths)
-        # A monomial equal to c on every path has spread |c - mean|, the error of the
-        # computed mean: about M u |c| at worst (u = eps / 2) for any summation order,
-        # so within M eps |mean|. Such a spread is round-off, and the standardized
-        # column would repeat the intercept; no varying monomial is that flat.
-        noise = self.n_paths * np.finfo(float).eps * np.abs(mean)
-        self.keep = [0] + [k for k in range(1, len(rows)) if spread[k] > noise[k]]
-        self.col_mean, self.col_scale = mean[self.keep], spread[self.keep]
+        self._standardize(mean, np.sqrt(np.einsum("ij,ij->i", rows, rows) / self.n_paths))
         rows = self._kept(rows)
         rows[1:] /= self.col_scale[1:, None]   # the intercept's spread is sqrt(M / M) = 1.0
-        if factor:
-            self._factor(rows @ rows.T / self.n_paths)
+        self._factor(rows @ rows.T / self.n_paths)
         self._rows = rows if retain_design else None
 
+    @classmethod
+    def from_power_means(cls, feature: Feature, node: int, basis: RegressionBasis,
+                         n_paths: int, means: np.ndarray) -> "NodeRegression":
+        """`NodeRegression([feature], node, basis)` from the means of x^0..x^(2 degree) over
+        `n_paths` paths, x the feature's row, with no design or `__init__` (the caller checks
+        the path floor): mean_a = means[a], spread_a = sqrt(means[2a] - mean_a^2), and the
+        Gram `_lift` H `_lift`^T, H[a, b] = means[a + b]."""
+        reg, degree, mean = cls.__new__(cls), basis.degree, means[:basis.degree + 1].copy()
+        reg._bind([feature], node, basis)
+        reg.n_paths, reg._rows = n_paths, None
+        reg._standardize(mean, np.sqrt(np.maximum(means[:2 * degree + 1:2] - mean * mean, 0.0)))
+        reg._factor(reg._lift() @ means[np.add.outer(*[np.arange(degree + 1)] * 2)]
+                    @ reg._lift().T)
+        return reg
+
+    def _bind(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
+              design_node: int | None = None) -> None:
+        self.features, self.node, self.basis = list(features), node, basis
+        self.design_node = node if design_node is None else design_node
+        self.exponents = _monomial_exponents(len(self.features), basis.degree)
+        self._index = {e: k for k, e in enumerate(self.exponents)}
+
+    def _standardize(self, mean: np.ndarray, spread: np.ndarray) -> None:
+        """Keep the intercept (mean 0, spread 1) and each monomial not constant to round-off."""
+        mean[0], spread[0] = 0.0, 1.0
+        # A monomial equal to c on every path has spread |c - mean|, the error of the computed
+        # mean: at most about M u |c| (u = eps / 2) in any summation order, so within M eps
+        # |mean|; its column would repeat the intercept, and no varying monomial is that flat.
+        noise = self.n_paths * np.finfo(float).eps * np.abs(mean)
+        self.keep = [0] + [k for k in range(1, len(mean)) if spread[k] > noise[k]]
+        self.col_mean, self.col_scale = mean[self.keep], spread[self.keep]
+
+    def _lift(self) -> np.ndarray:
+        """(p, degree + 1) map of a one-feature basis from (1, x, ..., x^degree) to its columns."""
+        lift, pos = np.zeros((len(self.keep), self.basis.degree + 1)), np.arange(len(self.keep))
+        lift[pos, self.keep] = 1.0 / self.col_scale
+        lift[pos[1:], 0] = -self.col_mean[1:] / self.col_scale[1:]
+        return lift
+
     def _factor(self, gram: np.ndarray) -> None:
-        """Keep the ridge-free Gram (the RMS of a fit is a form in it) and the Cholesky
-        factor of its ridged version."""
+        """Keep the ridge-free Gram (an RMS is a form in it) and the factor of its ridged one."""
         self.gram = gram
         try:
             self._chol = np.linalg.cholesky(gram + self.basis.ridge * np.eye(len(gram)))
@@ -408,20 +425,16 @@ class NodeRegression:
         Horner's rule in the raw feature x: (M,) for coef (p,), (q, M) for coef (p, q).
 
         The kept standardized column (x^a - mean_a) / scale_a adds coef_a / scale_a to the
-        coefficient of x^a and -coef_a mean_a / scale_a to the constant, so no design is
-        built. The conversion is well conditioned while |mean_a| / scale_a is of order one,
+        coefficient of x^a and -coef_a mean_a / scale_a to the constant (`_lift`^T coef), so
+        no design is built. This is well conditioned while |mean_a| / scale_a is of order one,
         as for a zero-mean martingale feature; the powers stop at the highest kept one.
         """
         if len(self.features) != 1:
             raise ConfigurationError(f"Horner's rule needs one feature, got {len(self.features)}")
         coef = np.asarray(coef, dtype=float)
-        scaled = coef / self.col_scale.reshape((-1,) + (1,) * (coef.ndim - 1))
-        power = np.zeros((self.exponents[self.keep[-1]][0] + 1,) + coef.shape[1:])
-        power[[self.exponents[k][0] for k in self.keep]] = scaled
-        power[0] -= np.tensordot(self.col_mean, scaled, axes=1)
+        power = np.tensordot(self._lift()[:, :self.keep[-1] + 1], coef, axes=(0, 0))
         x = self.features[0].values[self.design_node]
-        out = np.empty(coef.shape[1:] + x.shape)
-        out[...] = power[-1][..., None]
+        out = np.repeat(power[-1][..., None], len(x), axis=-1)
         for r in power[-2::-1]:
             out *= x
             out += r[..., None]
@@ -435,39 +448,27 @@ class NodeRegression:
         return self._derivative_rows(coef, rows, r, self.basis.degree)
 
 
-# Paths per block of `BackwardProjector`'s moment sums: a whole number of the sampler's
-# blocks. A stacked block of a p = 4 design is (8, 8192) floats, 0.5 MB.
+# Paths per block of `BackwardProjector`'s power tables: a whole number of the sampler's
+# blocks. At degree 3 a block's power buffers are (12, 8192) floats, 0.8 MB.
 _MOMENT_BLOCK = 2 * _BLOCK
 
 
-def _stacked(rows: np.ndarray, dw: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """[rows; rows o dw], (2p, w) and C-contiguous, formed in the front of the flat `buffer`."""
-    p, w = rows.shape
-    out = buffer[:2 * p * w].reshape(2 * p, w)
-    out[:p] = rows
-    np.multiply(rows, dw, out=out[p:])
-    return out
-
-
-def _block_sums(phi: np.ndarray, dw: np.ndarray, prev: np.ndarray | None = None,
-                prev_dw: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Phi [Phi; Phi o dW]^T, (p, 2p), and Phi [P; P o dW']^T, (p, 2q), for the (p, M) design
-    Phi and the (q, M) design `prev` = P (None without it), each a sum over the blocks of
-    `_MOMENT_BLOCK` paths added in block order. A block's two stacks are formed in two
-    buffers of one block each."""
-    (p, m), width = phi.shape, min(phi.shape[1], _MOMENT_BLOCK)
-    here_buf = np.empty(2 * p * width)
-    prev_buf = None if prev is None else np.empty(2 * len(prev) * width)
-    moments = cross = None
+def _power_table(s: np.ndarray, dw: np.ndarray, s_buffer: np.ndarray,
+                 dw_buffer: np.ndarray) -> np.ndarray:
+    """T[k, c] = sum_m s^k dw^c / M, k < len(s_buffer), c < len(dw_buffer), summed in block
+    order over blocks of the buffers' width in paths, each block one product of the powers
+    formed in the buffers (row 0 holds 1, each other row the one before times the row)."""
+    m, width, table = len(s), s_buffer.shape[1], None
     for start in range(0, m, width):
-        cols = slice(start, start + width)
-        here = _stacked(phi[:, cols], dw[cols], here_buf)
-        part = here[:p] @ here.T
-        moments = part if moments is None else np.add(moments, part, out=moments)
-        if prev is not None:
-            part = here[:p] @ _stacked(prev[:, cols], prev_dw[cols], prev_buf).T
-            cross = part if cross is None else np.add(cross, part, out=cross)
-    return moments, cross
+        w = min(width, m - start)
+        for x, out in ((s[start:start + w], s_buffer[:, :w]),
+                       (dw[start:start + w], dw_buffer[:, :w])):
+            out[1] = x
+            for k in range(2, len(out)):
+                np.multiply(out[k - 1], x, out=out[k])
+        part = s_buffer[:, :w] @ dw_buffer[:, :w].T
+        table = part if table is None else np.add(table, part, out=table)
+    return table / m
 
 
 class BackwardProjector:
@@ -481,39 +482,44 @@ class BackwardProjector:
     Phi_j / M, formed once and held premultiplied by G_j^{-1}. A march is two O(M p) products
     at T (`terminal_moments`), then one p x p update per node.
 
-    The moments are path sums over blocks of `_MOMENT_BLOCK` paths, added in block order
-    (`_block_sums`). For each block, node j's stack S_j = [Phi_j; Phi_j o dW_j] and node j-1's
-    S_{j-1} are formed in two buffers of one block each, and Phi_j S_j^T (G_j and C_j) and
-    Phi_j S_{j-1}^T (A_{j-1} and B_{j-1}, transposed) are added into p x 2p and p x 2q sums,
-    each divided by M into C order at the end. With M at most one block these are the
-    full-width products bit for bit (on OpenBLAS the same bits as S Phi_j^T); above it they
-    differ from them by round-off only. No (2p, M) array exists: node j-1 keeps its (p, M)
-    design until its cross-moments with node j are formed, so the build holds two designs
-    and two blocks at a time. No design is kept: `regs[j].design()` rebuilds node j's on
-    request, bit-identical to the dropped one (`terminal_moments` rebuilds node N-1's once
-    per terminal F).
+    The basis is the degree-d polynomials in the running theta-integral S_j = sum_{l<j}
+    theta_l dW_l, the rows of `feature` (`weighted_brownian_feature(theta, paths)`):
+    Phi_j = L_j (1, S_j, ..., S_j^d), L_j = `_lift`. As S_{j+1} = S_j + theta_j dW_j, each
+    moment maps node j's power table T_j[k, c] = sum_m S_j^k dW_j^c / M, k <= 2d, c <= d + 1
+    (`_power_table`). With H(v)[a, b] = v[a + b]: G_j = L_j H(T_j[:, 0]) L_j^T, C_j = L_j
+    H(T_j[:, 1]) L_j^T, A_j = L_j Ahat_j L_{j+1}^T, Ahat_j[a, b] = sum_{c <= b} C(b, c)
+    theta_j^c T_j[a + b - c, c] (S_{j+1}^b expanded), and B_j that with T_j[a + b - c, c + 1]:
+    the design products in exact arithmetic, off by round-off that L's entries |mean_a| /
+    scale_a scale, of order one for this centred feature. The build holds a feature row, two
+    block buffers and the tables; `regs[j].design()` forms a design on request.
     """
 
-    def __init__(self, features: Sequence[Feature], paths: PathBundle,
+    def __init__(self, theta: np.ndarray, feature: Feature, paths: PathBundle,
                  basis: RegressionBasis | None = None):
         n, m = paths.n_steps, paths.n_paths
         self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
+        theta, degree = np.asarray(theta, dtype=float)[:n], self.basis.degree
+        self.feature = feature
+        if m < (need := self.basis.path_floor(1)):
+            raise RegressionError(f"need at least {need} paths, got {m}")
+        s_buffer, dw_buffer = (np.ones((rows, min(m, _MOMENT_BLOCK)))
+                               for rows in (2 * degree + 1, degree + 2))
+        # Ahat_j[a, b] = sum_c theta_j^c binom[a, b, c] T_j[power[a, b, c], c], binom = C(b, c);
+        # power[:, :, 0] = a + b indexes the Hankel matrices
+        a, b, c = np.ogrid[:degree + 1, :degree + 1, :degree + 1]
+        binom, power = np.vectorize(math.comb)(b, c).astype(float), np.maximum(a + b - c, 0)
         self.regs, self.carry, self.carry_dw, self.centre_dw = [], [], [], []
         for j in range(n):
-            reg = NodeRegression(features, j, self.basis, retain_design=True, factor=False)
-            prev = self.regs[-1] if j else None
-            moments, cross = _block_sums(reg._rows, self.dW[j],
-                                         None if prev is None else prev._rows, self.dW[j - 1])
-            if prev is not None:
-                prev._rows = None  # node j-1's design goes once its cross-moments are formed
-                cross, q = np.divide(cross.T, m, order="C"), len(prev.gram)
-                self.carry.append(prev._solve(cross[:q]))
-                self.carry_dw.append(prev._solve(cross[q:]))
-            p, moments = len(reg._rows), np.divide(moments.T, m, order="C")
-            reg._factor(moments[:p])
-            self.centre_dw.append(reg._solve(moments[p:]))
+            table = _power_table(self.feature.values[j], self.dW[j], s_buffer, dw_buffer)
+            reg = NodeRegression.from_power_means(self.feature, j, self.basis, m, table[:, 0])
+            lift = reg._lift()
+            for held, hat in zip((self.carry, self.carry_dw), cross if j else ()):   # Ahat, Bhat
+                held.append(prev._solve(prev_lift @ hat @ lift.T))
+            self.centre_dw.append(reg._solve(lift @ table[power[:, :, 0], 1] @ lift.T))
+            cross = [(binom * theta[j] ** c * table[power, c + shift]).sum(axis=2)
+                     for shift in (0, 1)]
             self.regs.append(reg)
-        self.regs[-1]._rows = None
+            prev, prev_lift = reg, lift
 
     def terminal_moments(self, terminal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G_{N-1}^{-1} Phi_{N-1}^T F / M and G_{N-1}^{-1} Phi_{N-1}^T diag(dW_{N-1}) F / M, the

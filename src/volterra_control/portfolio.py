@@ -124,11 +124,6 @@ def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray
     return RunningSumRows(lambda j: isub(th[j] * paths.dW[j], drift[j]), paths)[paths.n_steps]
 
 
-def _terminal_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """Terminal values of the exponential martingale with unit initial value, (M,)."""
-    return np.exp(_terminal_log_martingale(theta, paths))
-
-
 def _inverse_marginal(c: float, martingale: np.ndarray, utility: UtilitySpec) -> np.ndarray:
     """(u')^{-1}(c M_T) for the unit-start martingale's terminal values M_T."""
     if c <= 0.0:
@@ -156,24 +151,23 @@ class PortfolioProblem:
     """What the calibration and the BSVIE rows share, built once in this order: the market
     is validated on the grid, a bundle below the basis's `path_floor` for the one feature
     of every calibration and BSVIE fit is refused before any fit, then the loading
-    `theta`, the BSVIE `feature` with its `projector` and the unit-start martingale's
+    `theta`, the `projector` on the BSVIE feature and the unit-start martingale's
     terminal values `martingale`."""
 
     def __init__(self, market: MarketModel, utility: UtilitySpec, paths: PathBundle,
                  basis: RegressionBasis | None = None):
         basis = basis or RegressionBasis()
         market.validate(paths.grid)
-        need = basis.path_floor(1)
-        if paths.n_paths < need:
+        if paths.n_paths < (need := basis.path_floor(1)):
             raise RegressionError(
                 f"the portfolio fits need monte_carlo.paths >= {need} ({MIN_PATHS_PER_COLUMN} "
                 f"paths per basis function, basis dimension {basis.dimension(1)}), "
                 f"got {paths.n_paths}")
         self.market, self.utility, self.paths = market, utility, paths
         self.theta = theta0(market, paths.grid)
-        (self.feature,) = _bsvie_features(self.theta, paths)
-        self.projector = BackwardProjector([self.feature], paths, basis)
-        self.martingale = _terminal_martingale(self.theta, paths)
+        self.projector = BackwardProjector(self.theta, *_bsvie_features(self.theta, paths),
+                                           paths, basis)
+        self.martingale = np.exp(_terminal_log_martingale(self.theta, paths))
 
     def terminal(self, c: float) -> np.ndarray:
         """Terminal wealth F(c) = (u')^{-1}(c M_T) on the paths."""

@@ -16,7 +16,7 @@ exits non-zero naming every run with a stage that exited non-zero, reached its
 bound, or exited 0 without leaving a `manifest.json` whose `command` is that
 stage. No run has a wall-clock bound.
 
-Twelve runs start from the config of a desk workload (`deskbench/workloads.py`),
+Thirteen runs start from the config of a desk workload (`deskbench/workloads.py`),
 with whole sections replaced where the run's scale or information differs.
 """
 
@@ -140,13 +140,25 @@ RUNS = (
         stages=("solve-portfolio",),
         seed=7,
         workload="portfolio_memory",
-        bound_mb=130.0,
+        bound_mb=122.0,
         why="the BSVIE fields are kept as per-node coefficients, strategy.csv reads "
             "per-node statistics, the BSVIE feature's rows are formed one node at a "
-            "time and the projector's moments are summed over blocks of paths, so the "
-            "stage peaks near 95 MB (100 MB with a (2p, M) stack per node, 151 MB with "
-            "the (N+1, M) feature array, 248 MB with the (N, M) field and fraction "
-            "arrays as well)",
+            "time and the projector's moments come from one power table per node, "
+            "summed over blocks of paths with no design formed, so the stage peaks near "
+            "94 MB (95 MB building the node designs, 100 MB with a (2p, M) stack per "
+            "node, 151 MB with the (N+1, M) feature array, 248 MB with the (N, M) field "
+            "and fraction arrays as well)",
+    ),
+    CliRun(
+        name="portfolio_degree5",
+        stages=("solve-portfolio",),
+        seed=7,
+        workload="portfolio_memory",
+        config={"solver": {"degree": 5}},
+        bound_mb=114.0,
+        why="the widest power table a CLI run builds: at degree 5 each node's table is "
+            "11 x 7 block sums of powers of S_j and dW_j, formed in two buffers of one "
+            "block of paths, and the stage peaks near 95 MB",
     ),
     CliRun(
         name="portfolio_rising_vol",
@@ -155,7 +167,7 @@ RUNS = (
         workload="portfolio_memory",
         config={"market": {"b0": 0.05, "sigma0": 0.2, "decay_b": 1.0, "decay_sigma": -0.5,
                            "wealth": 1.0}},
-        bound_mb=130.0,
+        bound_mb=122.0,
         why="a volatility kernel that rises with the lag t - s: the market is checked at "
             "s <= t alone, where the kernel never falls below sigma0, so the config is "
             "accepted with the default floor sigma0 / 2",
@@ -177,11 +189,11 @@ RUNS = (
         seed=7,
         workload="portfolio_memory",
         config={"monte_carlo": {"paths": 1_000_000}},
-        bound_mb=1000.0,
+        bound_mb=765.0,
         why="large path counts in bounded memory: at N = 64, M = 1e6 the stage holds "
-            "dW, the node designs being built and a few (M,) rows, and peaks near "
-            "603 MB (648 MB with a (2p, M) stack per node, 1167 MB with the (N+1, M) "
-            "feature array)",
+            "dW, a few (M,) rows and two blocks of powers, and peaks near 589 MB "
+            "(603 MB building the node designs, 648 MB with a (2p, M) stack per node, "
+            "1167 MB with the (N+1, M) feature array)",
     ),
     CliRun(
         name="merton",

@@ -14,7 +14,7 @@ import numpy as np
 
 from volterra_control import ConfigurationError, PathBundle
 from volterra_control.grids import _BLOCK
-from volterra_control.portfolio import _inverse_marginal, _terminal_martingale
+from volterra_control.portfolio import _inverse_marginal, _terminal_log_martingale
 
 
 def y_martingale(theta: np.ndarray, paths, c: float) -> np.ndarray:
@@ -29,7 +29,7 @@ def y_martingale(theta: np.ndarray, paths, c: float) -> np.ndarray:
 
 def terminal_wealth(c: float, paths, utility, theta: np.ndarray) -> np.ndarray:
     """Candidate optimal terminal wealth: inverse marginal utility of c * martingale."""
-    return _inverse_marginal(c, _terminal_martingale(theta, paths), utility)
+    return _inverse_marginal(c, np.exp(_terminal_log_martingale(theta, paths)), utility)
 
 
 def calibration_reference(market, utility, grid) -> float:

@@ -653,7 +653,7 @@ def test_a_feedback_rule_is_evaluated_by_the_simulations_only():
                       "check_stationarity": 0, "simulate_variation": 0}
 
 
-def test_state_sensitivities_take_one_restarted_run_per_node(monkeypatch):
+def test_state_sensitivities_rerun_from_node_0_once_per_node_and_kind(monkeypatch):
     # a read re-runs each of its perturbed views once, the 2 Brownian ones or the K
     # jump ones, and the base run is the caller's: reading every node's rows of both
     # kinds simulates (2 + K) N times
@@ -785,7 +785,7 @@ def test_node_blocks_equal_the_per_pair_sensitivities(build, monkeypatch):
 
 
 @pytest.mark.parametrize("lifted", [True, False], ids=["declared-decays", "generic"])
-def test_adjoint_checks_take_one_restart_per_node(monkeypatch, lifted):
+def test_adjoint_checks_rerun_from_node_0_once_per_node_and_kind(monkeypatch, lifted):
     # the sweep reads each node's rows once per kind (the jump rows alone on the
     # reverse path of declared decays, where the model is not affine in x; the Brownian
     # rows too on the generic path), and the stationarity and Gateaux checks read only

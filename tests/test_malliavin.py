@@ -30,6 +30,7 @@ from volterra_control.malliavin import (
     BackwardProjector,
     NodeRegression,
     _monomial_exponents,
+    _power_table,
     brownian_feature,
     brownian_square_grid_term,
     default_features,
@@ -320,75 +321,41 @@ def test_constant_monomials_are_dropped_at_their_round_off(jump_paths64_small, d
     assert np.all(np.linalg.eigvalsh(reg.gram) > 0.0)
 
 
-def test_projector_keeps_no_design_and_rebuilds_the_rest_bit_for_bit(jump_paths64_small):
-    paths = jump_paths64_small.subset(0, 4_000)
-    feats = [brownian_feature(paths), jump_sum_feature(paths)]
-    projector = BackwardProjector(feats, paths, RegressionBasis(degree=2))
-    held = [j for j, reg in enumerate(projector.regs) if reg._rows is not None]
-    assert held == []
-    for j, reg in enumerate(projector.regs):
-        want = NodeRegression(feats, j, projector.basis, retain_design=True).design()
-        assert np.array_equal(reg.design(), want)
-
-
-def test_projector_moments_are_the_stack_products_bit_for_bit(jump_paths64_small):
-    # the build forms each product as (Phi_j S^T)^T; every Gram, carry and centred dW
-    # moment must keep the bits of the stacked products S Phi_j^T / M
-    paths = jump_paths64_small.subset(0, 4_000)
-    feats = [brownian_feature(paths), jump_sum_feature(paths)]
-    projector = BackwardProjector(feats, paths, RegressionBasis(degree=2))
-    m, prev = paths.n_paths, None
-    for j, reg in enumerate(projector.regs):
-        phi = NodeRegression(feats, j, projector.basis, retain_design=True)._rows
-        p = len(phi)
-        if prev is not None:
-            cross, q = prev @ phi.T / m, len(prev) // 2
-            assert np.array_equal(projector.carry[j - 1], projector.regs[j - 1]._solve(cross[:q]))
-            assert np.array_equal(projector.carry_dw[j - 1],
-                                  projector.regs[j - 1]._solve(cross[q:]))
-        prev = np.vstack([phi, phi * paths.dW[j]])
-        moments = prev @ phi.T / m
-        assert np.array_equal(reg.gram, moments[:p]) and reg.gram.flags.c_contiguous
-        assert np.array_equal(projector.centre_dw[j], reg._solve(moments[p:]))
-
-
-def test_projector_moments_are_the_block_sums_of_the_stack_products(marks_pm1):
-    # Above one block, every Gram, carry and centred dW moment must keep the bits of the
-    # stacked products S_b Phi_b^T added in block order, and differ from the full-width
-    # product S Phi^T by at most 2 gamma_M (|S| |Phi|^T) elementwise before the division
-    # by M, gamma_M = M u / (1 - M u), u = eps / 2: the bound on the round-off of either
-    # sum of M products, in any order.
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_power_tables_are_the_block_order_sums_of_their_block_products(degree):
+    # Node j's table T_j[k, c] = sum_m S_j^k dW_j^c / M, k <= 2d, c <= d + 1, must keep the
+    # bits of the block products of its powers, each power the one before times the row
+    # (np.cumprod), added in block order and divided by M; the node's standardization and
+    # Gram must be read off its column c = 0.
     m = 5 * _MOMENT_BLOCK // 2
-    paths = sample_paths(TimeGrid(1.0, 6), marks_pm1, m, seed=20240813)
-    feats = [brownian_feature(paths), jump_sum_feature(paths)]
-    projector = BackwardProjector(feats, paths, RegressionBasis(degree=2))
+    paths = sample_paths(TimeGrid(1.0, 6), JumpModel.none(), m, seed=20240813)
+    theta = np.linspace(-0.3, -0.1, paths.n_steps)
+    projector = BackwardProjector(theta, weighted_brownian_feature(theta, paths), paths,
+                                  RegressionBasis(degree=degree))
     blocks = [slice(start, start + _MOMENT_BLOCK) for start in range(0, m, _MOMENT_BLOCK)]
     assert len(blocks) == 3 and blocks[-1].stop > m
-    u = np.finfo(float).eps / 2
-    gamma = m * u / (1 - m * u)
 
-    def block_sum(stack, phi):
+    def powers(row, top):
+        return np.vstack([np.ones(len(row)), np.cumprod(np.tile(row, (top, 1)), axis=0)])
+
+    s_buffer, dw_buffer = (np.ones((k, _MOMENT_BLOCK)) for k in (2 * degree + 1, degree + 2))
+    rows = weighted_brownian_feature(theta, paths).values
+    for j, reg in enumerate(projector.regs):
         total = None
         for cols in blocks:
-            part = np.ascontiguousarray(stack[:, cols]) @ np.ascontiguousarray(phi[:, cols]).T
+            part = powers(rows[j][cols], 2 * degree) @ powers(paths.dW[j, cols], degree + 1).T
             total = part if total is None else total + part
-        bound = 2 * gamma * (np.abs(stack) @ np.abs(phi).T)
-        assert np.all(np.abs(total - stack @ phi.T) <= bound)
-        return total / m
-
-    prev = None
-    for j, reg in enumerate(projector.regs):
-        phi = NodeRegression(feats, j, projector.basis, retain_design=True)._rows
-        p = len(phi)
-        if prev is not None:
-            cross, q = block_sum(prev, phi), len(prev) // 2
-            assert np.array_equal(projector.carry[j - 1], projector.regs[j - 1]._solve(cross[:q]))
-            assert np.array_equal(projector.carry_dw[j - 1],
-                                  projector.regs[j - 1]._solve(cross[q:]))
-        prev = np.vstack([phi, phi * paths.dW[j]])
-        moments = block_sum(prev, phi)
-        assert np.array_equal(reg.gram, moments[:p]) and reg.gram.flags.c_contiguous
-        assert np.array_equal(projector.centre_dw[j], reg._solve(moments[p:]))
+        table = _power_table(rows[j], paths.dW[j], s_buffer, dw_buffer)
+        assert table.tobytes() == (total / m).tobytes()
+        means = table[:, 0]
+        assert np.array_equal(reg.col_mean[1:], means[reg.keep[1:]])
+        assert np.array_equal(reg.col_scale[1:], np.sqrt(
+            means[2 * np.array(reg.keep[1:], dtype=int)] - means[reg.keep[1:]] ** 2))
+        lift = reg._lift()
+        hankel = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+        assert np.array_equal(reg.gram, lift @ means[hankel] @ lift.T)
+    assert projector.regs[0].keep == [0]
+    assert all(reg.keep == list(range(degree + 1)) for reg in projector.regs[1:])
 
 
 def _power_build(features, node, degree):

@@ -21,6 +21,7 @@ from volterra_control import (
 )
 from volterra_control.errors import RegressionError
 from volterra_control.malliavin import (
+    _MOMENT_BLOCK,
     BackwardProjector,
     NodeRegression,
     brownian_feature,
@@ -209,8 +210,8 @@ def test_bsvie_driverless_is_martingale_projection(grid64, paths64_small):
     util = UtilitySpec.log()
     th_fake = np.full(65, -0.25)  # loading used only to build F
     f = terminal_wealth(1.0, paths64_small, util, th_fake)
-    projector = BackwardProjector(_bsvie_features(th_fake, paths64_small), paths64_small,
-                                  RegressionBasis())
+    projector = BackwardProjector(th_fake, *_bsvie_features(th_fake, paths64_small),
+                                  paths64_small, RegressionBasis())
     _, _, coef = projector.march(projector.terminal_moments(f), np.zeros(64), 32)
     v_mid = projector.regs[32].design() @ coef[32]
     direct = projector.regs[32].fit(f)
@@ -389,6 +390,117 @@ def test_horner_fields_equal_the_design_products(market, degree, paths64_desk, l
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class _DesignRouteProjector(BackwardProjector):
+    """The projector with its node regressions and moments formed from design rows, as
+    products of the (p, M) rows of `NodeRegression`s: the route that the power tables
+    replace, and their oracle."""
+
+    def __init__(self, theta, feature, paths, basis=None):
+        super().__init__(theta, feature, paths, basis)
+        m, dw = paths.n_paths, paths.dW
+        self.regs = [NodeRegression([self.feature], j, self.basis, retain_design=True)
+                     for j in range(paths.n_steps)]
+        rows = [reg._rows for reg in self.regs]
+        self.centre_dw = [reg._solve((phi * dw[j]) @ phi.T / m)
+                          for j, (reg, phi) in enumerate(zip(self.regs, rows))]
+        self.carry = [reg._solve(phi @ nxt.T / m)
+                      for reg, phi, nxt in zip(self.regs, rows, rows[1:])]
+        self.carry_dw = [reg._solve((phi * dw[j]) @ nxt.T / m)
+                         for j, (reg, phi, nxt) in enumerate(zip(self.regs, rows, rows[1:]))]
+        for reg in self.regs:
+            reg._rows = None
+
+
+_MOMENT_MARKETS = [
+    pytest.param(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0), id="desk"),
+    pytest.param(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=-0.5),
+                 id="rising-vol"),
+]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+@pytest.mark.parametrize("market", _MOMENT_MARKETS)
+def test_projector_moments_match_the_design_products_to_round_off(market, degree,
+                                                                   monkeypatch):
+    """G, C, A and B of the power tables against the products of design rows.
+
+    The build's right-hand sides are recorded as it solves them, so the carries and the
+    centred dW moments are checked unsolved. Each route is L X L'^T for its own
+    standardizations L (node j) and L' (node j + 1, or L for G and C), X the raw moment
+    sum_m x^a y^b (dW) / M with x = S_j, y = S_j or S_{j+1}. Let Mag be sum_m |x|^a (|x| +
+    |theta_j dW_j|)^b (|dW|) / M, at least |X|. Every path's term passes through at most
+    n = M + 8d + 12 roundings in either route (powers, the products, the block sums over M
+    paths, the division by M, the binomial expansion of S_{j+1} = S_j + theta_j dW_j and the
+    products by L), so a route is within gamma_n |L| Mag |L'|^T of its L in exact arithmetic,
+    gamma_n = n u / (1 - n u), u = eps / 2. The two exact values differ by dL X L'^T +
+    L X dL'^T for dL = L_tables - L_design, at most |dL| Mag |L'|^T + |L| Mag |dL'|^T.
+    """
+    paths = sample_paths(TimeGrid(1.0, 8), JumpModel.none(), 5 * _MOMENT_BLOCK // 2, seed=31)
+    m, basis, theta = paths.n_paths, RegressionBasis(degree=degree), theta0(market, paths.grid)
+    solve, solved = NodeRegression._solve, {}
+    monkeypatch.setattr(NodeRegression, "_solve", lambda reg, rhs: solved.setdefault(
+        reg.node, []).append(rhs) or solve(reg, rhs))
+    projector = BackwardProjector(theta, *_bsvie_features(theta, paths), paths, basis)
+    monkeypatch.undo()
+    n_round = m + 8 * degree + 12
+    gamma = n_round * (np.finfo(float).eps / 2) / (1 - n_round * np.finfo(float).eps / 2)
+    rows = weighted_brownian_feature(theta[:paths.n_steps], paths).values
+    design = [NodeRegression([projector.feature], j, basis, retain_design=True)
+              for j in range(paths.n_steps)]
+
+    def bound(mag, lift, ref, lift_next, ref_next):
+        return (gamma * (np.abs(lift) @ mag @ np.abs(lift_next).T
+                         + np.abs(ref) @ mag @ np.abs(ref_next).T)
+                + np.abs(lift - ref) @ mag @ np.abs(lift_next).T
+                + np.abs(ref) @ mag @ np.abs(lift_next - ref_next).T)
+
+    for j, (reg, ref) in enumerate(zip(projector.regs, design)):
+        assert reg.keep == ref.keep
+        phi, dw = ref._rows, paths.dW[j]
+        x = np.abs(rows[j])
+        y = x + np.abs(theta[j] * dw)
+        px = np.cumprod(np.vstack([np.ones(m), np.tile(x, (degree, 1))]), axis=0)
+        py = np.cumprod(np.vstack([np.ones(m), np.tile(y, (degree, 1))]), axis=0)
+        lift, ref_lift = reg._lift(), ref._lift()
+        checks = [(reg.gram, phi @ phi.T / m, px @ px.T / m, lift, ref_lift),
+                  (solved[j][0], (phi * dw) @ phi.T / m, (px * np.abs(dw)) @ px.T / m,
+                   lift, ref_lift)]
+        assert np.array_equal(projector.centre_dw[j], solve(reg, solved[j][0]))
+        if j + 1 < paths.n_steps:
+            nxt = design[j + 1]._rows
+            nxt_lift, ref_nxt = projector.regs[j + 1]._lift(), design[j + 1]._lift()
+            checks += [(solved[j][1], phi @ nxt.T / m, px @ py.T / m, nxt_lift, ref_nxt),
+                       (solved[j][2], (phi * dw) @ nxt.T / m, (px * np.abs(dw)) @ py.T / m,
+                        nxt_lift, ref_nxt)]
+            assert np.array_equal(projector.carry[j], solve(reg, solved[j][1]))
+            assert np.array_equal(projector.carry_dw[j], solve(reg, solved[j][2]))
+        for got, want, mag, lift_next, ref_next in checks:
+            assert np.all(np.abs(got - want) <= bound(mag, lift, ref_lift, lift_next, ref_next)), j
+    assert len(solved[paths.n_steps - 1]) == 1   # node N-1 solves its C_j alone
+
+
+def test_a_zero_drift_market_keeps_the_intercept_and_the_design_route_bits(
+        oracle_paths, log_utility, monkeypatch):
+    """b0 = 0: theta = 0, so S_j = 0 on every path and node, and each node fits the
+    intercept alone. Then G_j = A_j = 1 and B_j = C_j = mean(dW_j) in both routes, the
+    same bits, so c and every mean_pi but node N-1's are the design route's bit for bit.
+    Node N-1's Z is (Phi^T diag(dW) F / M - C a) / dt from its own C, a block-ordered sum
+    of M terms in one route and a full-width one in the other: they differ by at most
+    2 gamma_M mean|dW| |a|, and the fraction Z / (sigma0 X^), X^ = a (r = 0 and the
+    intercept alone), by 2 gamma_M mean|dW| / (dt sigma0)."""
+    market = MarketModel.exponential(0.0, 0.2, decay_b=1.0, decay_sigma=0.0)
+    got = solve_portfolio(market, log_utility, oracle_paths)
+    assert all(reg.keep == [0] for reg in got.bsvie.regs)
+    monkeypatch.setattr(portfolio, "BackwardProjector", _DesignRouteProjector)
+    want = solve_portfolio(market, log_utility, oracle_paths)
+    assert got.c == want.c
+    assert got.mean_pi[:-1].tobytes() == want.mean_pi[:-1].tobytes()
+    m, u = oracle_paths.n_paths, np.finfo(float).eps / 2
+    limit = 2 * m * u / (1 - m * u) * np.abs(oracle_paths.dW[-1]).mean() / (
+        oracle_paths.grid.dt * market.sigma0)
+    assert abs(got.mean_pi[-1] - want.mean_pi[-1]) <= limit
+
+
 def _solve_c(problem):
     """`solve_c` on the BSVIE closed at the reference c_f = u'(x), as `solve_portfolio`
     calls it."""
@@ -437,7 +549,8 @@ def test_solve_c_is_the_exact_root_whatever_c_f(oracle_paths, utility):
 @pytest.fixture(scope="module")
 def linearity_projector():
     paths = sample_paths(TimeGrid(1.0, 12), JumpModel.none(), 2_000, seed=23)
-    return paths, BackwardProjector([brownian_feature(paths)], paths, RegressionBasis())
+    return paths, BackwardProjector(np.ones(paths.n_steps), brownian_feature(paths), paths,
+                                    RegressionBasis())
 
 
 @settings(max_examples=20)
@@ -845,9 +958,9 @@ def test_solve_portfolio_builds_each_shared_object_once(oracle_paths, log_utilit
                       (BackwardProjector, "march"), (PortfolioProblem, "terminal")):
         monkeypatch.setattr(cls, name, _counted(calls, name, getattr(cls, name)))
     solve_portfolio(_ORACLE_MARKETS[1].values[0], log_utility, oracle_paths)
-    # the floor is read by the problem's refusal, then by each of the projector's N node
-    # regressions as it is built
-    assert calls == {"validate": 1, "path_floor": 1 + oracle_paths.n_steps, "theta0": 1,
+    # the floor is read by the problem's refusal, then once by the projector, whose node
+    # regressions are made from its power tables
+    assert calls == {"validate": 1, "path_floor": 2, "theta0": 1,
                      "_bsvie_features": 1, "_terminal_log_martingale": 1, "march": 1,
                      "terminal": 1}
 
@@ -983,23 +1096,29 @@ def test_portfolio_problem_holds_no_feature_array(log_utility):
 
 
 def test_projector_build_peaks_at_two_designs_and_two_blocks():
-    # Building node j holds node j-1's (p, M) design and node j's rows; the moment sums
-    # add two stacked blocks of paths. The peak above the build's entry stays within
-    # 2p + 3 rows of M at p = 4, M = 1e5, where one (2p, M) stack per node went above it.
+    # The build once held node j-1's (p, M) design, node j's rows and two stacked blocks of
+    # paths, within 2p + 3 rows of M at p = 4, M = 1e5. From power tables it holds no
+    # design: the feature's row S_j while S_{j+1} is formed, and two block buffers of
+    # 2d + 1 and d + 2 rows of `_MOMENT_BLOCK` paths, about 3 rows of M in all (a quarter
+    # row is left for the tables, the node regressions and numpy's temporaries).
     m = 100_000
     paths = sample_paths(TimeGrid(1.0, 8), JumpModel.none(), m, seed=7)
     market = MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0)
-    feats = _bsvie_features(theta0(market, paths.grid), paths)
+    theta = theta0(market, paths.grid)
+    (feature,) = _bsvie_features(theta, paths)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        projector = BackwardProjector(feats, paths, RegressionBasis())
+        projector = BackwardProjector(theta, feature, paths, RegressionBasis())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     p = len(projector.regs[-1].gram)
     assert p == 4
     assert peak - entry <= (2 * p + 3) * m * 8, f"peak {(peak - entry) / (m * 8):.2f} rows"
+    buffers = (2 * 3 + 1 + 3 + 2) * _MOMENT_BLOCK * 8
+    assert peak - entry <= (2 + 1 / 4) * m * 8 + buffers, \
+        f"peak {(peak - entry) / (m * 8):.2f} rows"
 
 
 def test_strategy_statistics_are_those_of_the_fraction_rows(oracle_paths, log_utility):
