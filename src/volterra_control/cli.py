@@ -517,7 +517,7 @@ def _cmd_report(cfg: ExperimentConfig) -> StageResult:
                for name, fn in _SUBCOMMANDS.items()]
     bad = [name for name, status in results if status != 0]
     return StageResult({"report_summary.csv": (("stage", "exit_status"), results)},
-                       "all stages passed" if not bad else f"failing stages: {bad}",
+                       "all stages exited 0" if not bad else f"stages exiting non-zero: {bad}",
                        status=0 if not bad else 1)
 
 

@@ -5,11 +5,14 @@ cumulative paths (N+1, M), and the jumps are a list of events sorted by node
 (`JumpEvents`), read a node's row at a time (`PathBundle.increments_at`).
 Path m of an ensemble is a deterministic function of (seed, m) alone, so
 regenerating with a larger or smaller path count reproduces the shared
-paths bit-exactly.
+paths bit-exactly. The path blocks are drawn on every usable CPU, and the
+bits do not depend on how many there are.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -22,8 +25,11 @@ from .errors import ConfigurationError
 # The block size is part of the reproducibility contract: changing it would
 # reshuffle which stream a given path index draws from.
 _BLOCK = 4096
-# Normals per draw within a block, about 1 MB of float64: a block's whole
-# (_BLOCK, N) draw would raise the peak memory of sampling by 32 KB per step.
+# Normals per draw of each sampling worker, about 1 MB of float64: a block's
+# whole (_BLOCK, N) draw would raise the peak memory of sampling by 32 KB per
+# step. Not split over the workers: freeing a 1 MB buffer lifts glibc's mmap
+# threshold past the (M,) temporaries that follow at M = 1e5, which half of it
+# left mapped afresh, about 30 ms more at N = 64.
 _DRAW = 1 << 17
 
 
@@ -409,30 +415,36 @@ def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> P
     Generation runs block-by-block with one RNG stream per (seed, block),
     so path m depends only on (seed, m) and subsets are reproducible. Each
     block draws its normals first, so dW does not depend on the jump model.
-    The jumps are kept as drawn, (node, path, mark) triples, and sorted by
-    node once.
+    The blocks are drawn on every usable CPU, each into its own dW columns
+    and jump slot, so the bits depend on neither the CPU count nor the thread
+    schedule. The jumps are kept as drawn, (node, path, mark) triples, and
+    sorted by node once.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
     n, dt = grid.steps, grid.dt
     k = jumps.n_marks
+    n_blocks = -(-n_paths // _BLOCK)
+    workers = min(_usable_cpus(), n_blocks)
     dW = np.empty((n, n_paths))
-    drawn = [(np.empty(0, dtype=np.intp),) * 3]   # the (node, path, mark) of each block's jumps
+    drawn = [(np.empty(0, dtype=np.intp),) * 3] * n_blocks   # each block's (node, path, mark)
     cum_w = np.cumsum(jumps.weight_array) if k else None
     sqrt_dt = np.sqrt(dt)
     rows = min(_BLOCK, max(1, _DRAW // n))
-    for start in range(0, n_paths, _BLOCK):
+
+    def draw(block: int, z: np.ndarray) -> None:
+        start = block * _BLOCK
         width = min(_BLOCK, n_paths - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, start // _BLOCK)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
         # Draw order is fixed: normals, Poisson counts, jump times, jump marks.
-        # The block's normals are drawn `rows` paths at a time, the same stream
-        # as one (_BLOCK, N) draw; each draw is scaled straight into dW and freed
-        # before the next is made. Paths past `width` are drawn and dropped.
+        # The block's normals are drawn `rows` paths at a time into the worker's
+        # buffer, the same stream as one (_BLOCK, N) draw, and scaled straight
+        # into dW. Paths past `width` are drawn and dropped.
         for a in range(0, _BLOCK, rows):
-            z = rng.standard_normal((min(rows, _BLOCK - a), n))
-            kept = z[:max(0, width - a)]
+            chunk = z[:min(rows, _BLOCK - a)]
+            rng.standard_normal(out=chunk)
+            kept = chunk[:max(0, width - a)]
             np.multiply(kept.T, sqrt_dt, out=dW[:, start + a:start + a + len(kept)])
-            del z, kept
         if jumps.active:
             # Jump times and marks are drawn for the whole block regardless of
             # how many of its paths are kept, so trimming preserves streams.
@@ -443,9 +455,35 @@ def sample_paths(grid: TimeGrid, jumps: JumpModel, n_paths: int, seed: int) -> P
                 mark_idx = np.minimum(np.searchsorted(cum_w, rng.random(total)), k - 1)
                 path_idx = np.repeat(np.arange(_BLOCK), per_path)
                 keep = path_idx < width
-                drawn.append((node_idx[keep], start + path_idx[keep], mark_idx[keep]))
+                drawn[block] = (node_idx[keep], start + path_idx[keep], mark_idx[keep])
+
+    errors: list[Exception | None] = [None] * workers
+
+    def work(w: int) -> None:
+        try:
+            z = np.empty((rows, n))
+            for block in range(w, n_blocks, workers):
+                draw(block, z)
+        except Exception as exc:  # raised in the caller once every worker has joined
+            errors[w] = exc
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if any(errors):
+        raise next(filter(None, errors))
     return PathBundle(grid, jumps, dW, JumpEvents.of_triples(n, *map(np.concatenate, zip(*drawn))),
                       seed=seed)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def compensated_jump_integral(paths: PathBundle,

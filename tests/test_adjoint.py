@@ -521,7 +521,7 @@ def test_reused_field_rows_equal_fresh_field_rows(setup, request):
         assert np.any(field.djump_rows(0) != 0.0)
 
 
-# --- restarted state re-simulations against full re-simulations from node 0 ---
+# --- state sensitivities re-run from node 0 against full re-simulations ---
 
 _RESTART_JUMPS = JumpModel(1.0, (-0.5, 0.5), (0.5, 0.5))
 _EXP_PARAMS = dict(b0=0.2, sigma0=0.3, jump0=0.15, decay_b=1.0, decay_sigma=0.8,
@@ -574,7 +574,7 @@ _THREE_MARKS = JumpModel(1.5, (-0.5, 0.25, 0.5), (0.25, 0.5, 0.25))
 
 # The generic path re-sums the history from the copied rows, so a feedback
 # control there also needs its prefix values, copied from the base run.
-RESTART_CASES = [
+RERUN_CASES = [
     pytest.param(_exp_model, ControlProcess.constant(0.7), _RESTART_JUMPS, id="lifted-jumps"),
     pytest.param(_power_law_model, ControlProcess.constant(0.7), _RESTART_JUMPS,
                  id="generic-custom"),
@@ -592,8 +592,8 @@ RESTART_CASES = [
 ]
 
 
-@pytest.mark.parametrize("make_model,control,jumps", RESTART_CASES)
-def test_restarted_sensitivities_equal_full_resimulation(make_model, control, jumps):
+@pytest.mark.parametrize("make_model,control,jumps", RERUN_CASES)
+def test_rerun_sensitivities_equal_full_resimulation(make_model, control, jumps):
     from volterra_control.adjoint import simulated_state_feature
 
     model = make_model()
@@ -1005,7 +1005,7 @@ def test_open_loop_adjoint_makes_no_restarted_run(monkeypatch, control, jumps):
     assert starts == []
 
 
-@pytest.mark.parametrize("make_model,control,jumps", RESTART_CASES)
+@pytest.mark.parametrize("make_model,control,jumps", RERUN_CASES)
 def test_jump_shift_read_first_runs_the_jump_variants_only(make_model, control, jumps,
                                                            monkeypatch):
     # a jump_shift(i) read re-runs the K jump views only, and its rows equal full

@@ -510,14 +510,16 @@ def test_portfolio_sample_below_the_batches_is_a_config_error(tmp_path, capsys, 
     assert main(["solve-portfolio", "--paths", "40", "--out", str(tmp_path / "floor")]) == 0
 
 
-def test_report_runs_all_stages(tmp_path):
-    # the merton stage carries a 5% accuracy gate, so give it a real sample
+def test_report_runs_all_stages(tmp_path, capsys):
+    # the merton stage carries a 5% accuracy gate, so give it a real sample; the
+    # line says what the summary measures, exit statuses, not the checks' verdicts
     path = _write_config(tmp_path, {
         "grid": {"steps": 32},
         "monte_carlo": {"paths": 20_000, "seed": 12},
     })
     out = tmp_path / "report"
     assert main(["report", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "report: all stages exited 0"
     summary = (out / "report_summary.csv").read_text().splitlines()
     assert summary[0] == "stage,exit_status"
     assert len(summary) == 8  # seven stages
@@ -566,7 +568,10 @@ def test_report_records_a_raising_stage_and_runs_the_rest(tmp_path, capsys, monk
     assert status == {name: {"check-malliavin": "2", "solve-portfolio": "1"}.get(name, "0")
                       for name in _SUBCOMMANDS}
     assert (out / "manifest.json").exists()
-    err = capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert printed.out.splitlines()[-1] == \
+        "report: stages exiting non-zero: ['check-malliavin', 'solve-portfolio']"
+    err = printed.err
     assert "config error: check-malliavin: bad field" in err
     assert "solve-portfolio failed: RegressionError: no fit" in err
 

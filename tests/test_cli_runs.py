@@ -74,12 +74,28 @@ def test_cli_run_resolves(run, tmp_path):
     cfg.model(), cfg.performance(), cfg.control(), cfg.utility(), cfg.market()
 
 
+# One child per setting runs every stage in turn, the three children side by side;
+# "pinned" restricts its child, before numpy loads, to one CPU, so path sampling runs
+# on one worker and OpenBLAS's two threads share that CPU.
+_STAGES_CHILD = """
+import json, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from volterra_control.cli import main
+for argv in json.loads(sys.argv[2]):
+    if main(argv):
+        sys.exit(f"{argv[0]} exited non-zero")
+"""
+
+
 def test_solve_portfolio_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # The portfolio's regressions have p = 4, where OpenBLAS sums over paths in one
     # order whatever its thread count, and the BSVIE moments are sums over fixed blocks
     # of paths. Every node regression's path sums are einsum sums, so the adjoint stages
     # keep their bytes too: node 0's intercept-only fit on the adjoint workload (a dot
-    # product over 2e4 paths) is one BLAS may split over its threads.
+    # product over 2e4 paths) is one BLAS may split over its threads. Path sampling
+    # draws each block from its own stream into its own columns, so the bytes do not
+    # depend on the usable CPU count either.
     written = {("portfolio_memory", "solve-portfolio"): ("strategy.csv", "calibration.csv"),
                ("portfolio_memory", "merton-test"): ("strategy.csv", "calibration.csv",
                                                      "objective.csv"),
@@ -88,20 +104,31 @@ def test_solve_portfolio_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                ("adjoint_memory_jumps", "gateaux"): ("gateaux.csv",),
                ("adjoint_memory_jumps", "check-malliavin"): ("malliavin_checks.csv",),
                ("simulate_long_grid", "simulate"): ("trajectory.csv", "performance.csv")}
-    for (key, stage), names in written.items():
-        workload = WORKLOADS[key]
-        config = tmp_path / f"{key}.yaml"
-        config.write_text(json.dumps(workload.config) + "\n", encoding="utf-8")
-        paths = ["--paths", "50000"] if key == "portfolio_memory" else []
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}" / stage_dir(stage)
+    settings = {"threads1": ("1", "all"), "threads2": ("2", "all"), "pinned2": ("2", "pinned")}
+    for key in {key for key, _ in written}:
+        (tmp_path / f"{key}.yaml").write_text(json.dumps(WORKLOADS[key].config) + "\n",
+                                              encoding="utf-8")
+    children = []
+    try:
+        for setting, (threads, cpus) in settings.items():
+            runs = [[stage, "--config", str(tmp_path / f"{key}.yaml"),
+                     "--seed", str(WORKLOADS[key].default_seed),
+                     *(["--paths", "50000"] if key == "portfolio_memory" else []),
+                     "--out", str(tmp_path / setting / key / stage_dir(stage))]
+                    for key, stage in written]
             env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
-            subprocess.run([sys.executable, "-m", "volterra_control.cli", stage,
-                            "--config", str(config), "--seed", str(workload.default_seed),
-                            *paths, "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=300)
-            outs.append(out)
+            children.append(subprocess.Popen(
+                [sys.executable, "-c", _STAGES_CHILD, cpus, json.dumps(runs)], env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+        for child in children:
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err.decode()
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    for (key, stage), names in written.items():
         for name in names:
-            one, two = ((out / name).read_bytes() for out in outs)
-            assert one == two, (stage, name)
+            one, *rest = ((tmp_path / setting / key / stage_dir(stage) / name).read_bytes()
+                          for setting in settings)
+            assert all(one == other for other in rest), (stage, name)

@@ -1,4 +1,9 @@
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from volterra_control import (
     compensated_jump_integral,
     sample_paths,
 )
+from volterra_control import grids
+from volterra_control.grids import JumpEvents
 from volterra_control.volterra import monte_carlo_estimate
 
 from oracles import compensated_counts, sample_paths_whole_blocks
@@ -95,6 +102,87 @@ def test_chunked_draws_equal_whole_block_draws_bit_for_bit(steps, jumps):
     whole = compensated_counts(old)
     for i in range(steps):
         assert _same_bits(new.increments_at(i)[1], whole[i])
+
+
+# 9 blocks, the last one partial: worker w of W draws blocks w, w + W, ...
+_NINE_BLOCKS = 8 * 4096 + 1234
+
+_PINNED_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from volterra_control import JumpModel, TimeGrid, sample_paths
+steps, intensity, n_paths, out = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+p = sample_paths(TimeGrid(1.0, steps), JumpModel(intensity, (-0.5, 0.5), (0.5, 0.5)), n_paths, seed=9)
+e = p.events
+np.savez(out, dW=p.dW, node_ptr=e.node_ptr, path=e.path, mark=e.mark,
+         cpus=len(os.sched_getaffinity(0)))
+"""
+
+
+def _assert_whole_block_bits(new, old, events):
+    # `events` are one worker's: the events' order within a node is block order
+    assert _same_bits(new.dW, old.dW)
+    assert all(np.array_equal(getattr(new.events, name), getattr(events, name))
+               for name in ("node_ptr", "path", "mark"))
+    counts = new.jump_counts
+    assert counts.any() and np.array_equal(counts, old.jump_counts)
+    whole = compensated_counts(old)
+    for i in range(new.n_steps):
+        dw, row = new.increments_at(i)
+        assert _same_bits(dw, old.dW[i]) and _same_bits(row, whole[i])
+
+
+@pytest.mark.parametrize("steps, intensity", [(16, 0.5), (8, 40.0)], ids=["jumps", "many_jumps"])
+def test_blocks_drawn_across_workers_equal_whole_block_draws_bit_for_bit(steps, intensity,
+                                                                          tmp_path, monkeypatch):
+    # the same bits with one worker, with every usable CPU, with more workers than CPUs
+    # under a short switch interval, and in a child pinned to one CPU
+    grid = TimeGrid(1.0, steps)
+    jumps = JumpModel(intensity, (-0.5, 0.5), (0.5, 0.5))
+    old = sample_paths_whole_blocks(grid, jumps, _NINE_BLOCKS, seed=9)
+    monkeypatch.setattr(grids, "_usable_cpus", lambda: 1)
+    events = sample_paths(grid, jumps, _NINE_BLOCKS, seed=9).events
+    monkeypatch.undo()
+    _assert_whole_block_bits(sample_paths(grid, jumps, _NINE_BLOCKS, seed=9), old, events)
+
+    monkeypatch.setattr(grids, "_usable_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_whole_block_bits(sample_paths(grid, jumps, _NINE_BLOCKS, seed=9), old, events)
+    finally:
+        sys.setswitchinterval(interval)
+
+    out = tmp_path / "pinned.npz"
+    subprocess.run([sys.executable, "-c", _PINNED_CHILD, str(steps), str(intensity),
+                    str(_NINE_BLOCKS), str(out)],
+                   env={**os.environ, "PYTHONPATH": str(Path(grids.__file__).parents[1])},
+                   check=True, timeout=120)
+    with np.load(out) as pinned:
+        assert pinned["cpus"] == 1
+        pinned_events = JumpEvents(pinned["node_ptr"], pinned["path"], pinned["mark"])
+        _assert_whole_block_bits(PathBundle(grid, jumps, pinned["dW"], pinned_events, seed=9),
+                                 old, events)
+
+
+@pytest.mark.parametrize("bad_block", [0, 5])
+def test_an_error_in_any_block_reaches_the_caller_after_every_worker_joins(bad_block,
+                                                                           monkeypatch):
+    # with 3 workers block 5 is drawn by the third worker's thread, block 0 by the caller
+    real = np.random.SeedSequence
+
+    def seeds(entropy):
+        if entropy[1] == bad_block:
+            raise RuntimeError(f"block {bad_block}")
+        return real(entropy)
+
+    monkeypatch.setattr(grids, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(np.random, "SeedSequence", seeds)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"block {bad_block}"):
+        sample_paths(TimeGrid(1.0, 8), JumpModel.none(), _NINE_BLOCKS, seed=1)
+    assert threading.active_count() == before
 
 
 def test_dense_counts_convert_to_events_and_back():
