@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, RegressionError
-from .grids import _BLOCK, PathBundle, compensated_jump_sum
+from .grids import PathBundle, compensated_jump_sum
 from .models import ControlProcess, InfoMode
 from .volterra import monte_carlo_estimate, noise_sums
 
@@ -291,18 +291,16 @@ class NodeRegression:
         self._rows = rows if retain_design else None
 
     @classmethod
-    def from_power_means(cls, feature: Feature, node: int, basis: RegressionBasis,
-                         n_paths: int, means: np.ndarray) -> "NodeRegression":
-        """`NodeRegression([feature], node, basis)` from the means of x^0..x^(2 degree) over
-        `n_paths` paths, x the feature's row, with no design or `__init__` (the caller checks
-        the path floor): mean_a = means[a], spread_a = sqrt(means[2a] - mean_a^2), and the
-        Gram `_lift` H `_lift`^T, H[a, b] = means[a + b]."""
-        reg, degree, mean = cls.__new__(cls), basis.degree, means[:basis.degree + 1].copy()
+    def scaled_powers(cls, feature: Feature, node: int, basis: RegressionBasis,
+                      n_paths: int, sd: float, gram: np.ndarray) -> "NodeRegression":
+        """The regression on the uncentred powers (x / sd)^a, a <= degree, of the feature's
+        row x, with the Gram `gram`[keep, keep] of a known law: no design, no pass over the
+        paths and no `__init__`. sd = 0 keeps the intercept alone."""
+        reg = cls.__new__(cls)
         reg._bind([feature], node, basis)
         reg.n_paths, reg._rows = n_paths, None
-        reg._standardize(mean, np.sqrt(np.maximum(means[:2 * degree + 1:2] - mean * mean, 0.0)))
-        reg._factor(reg._lift() @ means[np.add.outer(*[np.arange(degree + 1)] * 2)]
-                    @ reg._lift().T)
+        reg._standardize(np.zeros(basis.degree + 1), sd ** np.arange(basis.degree + 1.0))
+        reg._factor(gram[np.ix_(reg.keep, reg.keep)])
         return reg
 
     def _bind(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
@@ -448,86 +446,72 @@ class NodeRegression:
         return self._derivative_rows(coef, rows, r, self.basis.degree)
 
 
-# Paths per block of `BackwardProjector`'s power tables: a whole number of the sampler's
-# blocks. At degree 3 a block's power buffers are (12, 8192) floats, 0.8 MB.
-_MOMENT_BLOCK = 2 * _BLOCK
-
-
-def _power_table(s: np.ndarray, dw: np.ndarray, s_buffer: np.ndarray,
-                 dw_buffer: np.ndarray) -> np.ndarray:
-    """T[k, c] = sum_m s^k dw^c / M, k < len(s_buffer), c < len(dw_buffer), summed in block
-    order over blocks of the buffers' width in paths, each block one product of the powers
-    formed in the buffers (row 0 holds 1, each other row the one before times the row)."""
-    m, width, table = len(s), s_buffer.shape[1], None
-    for start in range(0, m, width):
-        w = min(width, m - start)
-        for x, out in ((s[start:start + w], s_buffer[:, :w]),
-                       (dw[start:start + w], dw_buffer[:, :w])):
-            out[1] = x
-            for k in range(2, len(out)):
-                np.multiply(out[k - 1], x, out=out[k])
-        part = s_buffer[:, :w] @ dw_buffer[:, :w].T
-        table = part if table is None else np.add(table, part, out=table)
-    return table / m
+def _normal_moments(top: int) -> np.ndarray:
+    """E[Z^k], k = 0..top, of a standard normal Z: (k - 1)!! for even k, 0 for odd k."""
+    out = np.zeros(top + 1)
+    out[0] = 1.0
+    for k in range(2, top + 1, 2):
+        out[k] = (k - 1) * out[k - 2]
+    return out
 
 
 class BackwardProjector:
-    """Backward regression march on coefficients (LSMDP, Gobet, Lemor & Warin 2005).
+    """Backward march on coefficients with exact one-step Gaussian moments ("regression
+    later": Glasserman & Yu 2004; Bender & Steiner 2012).
 
-    v_N = F, v_j = E_j[v_{j+1}] - r_j Z_j dt, with Z_j = E_j[(v_{j+1} - E_j[v_{j+1}]) dW_j] / dt
-    and E_j the ridge projection on the node basis Phi_j (ridge Gram G_j), is linear in F.
-    With E_j[v_{j+1}] = Phi_j a_j, Z_j = Phi_j b_j, v_j = Phi_j c_j: a_j = G_j^{-1} A_j c_{j+1},
-    b_j = G_j^{-1} (B_j c_{j+1} - C_j a_j) / dt, c_j = a_j - r_j dt b_j, for the cross-moments
-    A_j = Phi_j^T Phi_{j+1} / M, B_j = Phi_j^T diag(dW_j) Phi_{j+1} / M, C_j = Phi_j^T diag(dW_j)
-    Phi_j / M, formed once and held premultiplied by G_j^{-1}. A march is two O(M p) products
-    at T (`terminal_moments`), then one p x p update per node.
+    v_N = F, v_j = E_j[v_{j+1}] - r_j Z_j dt, Z_j = E_j[v_{j+1} dW_j] / dt, on the basis
+    u_j^b = (S_j / sd_j)^b, b <= d, of the running theta-integral S_j = sum_{l<j} theta_l dW_l,
+    the rows of `feature` (`weighted_brownian_feature(theta, paths)`), with sd_j^2 =
+    sum_{l<j} theta_l^2 dt. The loading is deterministic and dW_j ~ N(0, dt) is independent of
+    F_j, so E_j maps the degree-d polynomials of S_{j+1} = S_j + theta_j dW_j to those of S_j
+    exactly. With rho_j = sd_j / sd_{j+1}, kappa_j = theta_j sqrt(dt) / sd_{j+1} and nu_k =
+    E[Z^k] of a standard normal,
 
-    The basis is the degree-d polynomials in the running theta-integral S_j = sum_{l<j}
-    theta_l dW_l, the rows of `feature` (`weighted_brownian_feature(theta, paths)`):
-    Phi_j = L_j (1, S_j, ..., S_j^d), L_j = `_lift`. As S_{j+1} = S_j + theta_j dW_j, each
-    moment maps node j's power table T_j[k, c] = sum_m S_j^k dW_j^c / M, k <= 2d, c <= d + 1
-    (`_power_table`). With H(v)[a, b] = v[a + b]: G_j = L_j H(T_j[:, 0]) L_j^T, C_j = L_j
-    H(T_j[:, 1]) L_j^T, A_j = L_j Ahat_j L_{j+1}^T, Ahat_j[a, b] = sum_{c <= b} C(b, c)
-    theta_j^c T_j[a + b - c, c] (S_{j+1}^b expanded), and B_j that with T_j[a + b - c, c + 1]:
-    the design products in exact arithmetic, off by round-off that L's entries |mean_a| /
-    scale_a scale, of order one for this centred feature. The build holds a feature row, two
-    block buffers and the tables; `regs[j].design()` forms a design on request.
+        E_j[u_{j+1}^b] = sum_a A_j[a, b] u_j^a,   A_j[a, b] = C(b, a) rho_j^a kappa_j^(b-a) nu_(b-a),
+
+    that is C(b, a) theta_j^(b-a) mu_(b-a) sd_j^a / sd_{j+1}^b with mu_k = E[dW^k]; B_j, of
+    E_j[u_{j+1}^b dW_j] / sqrt(dt), is the same with nu_(b-a+1). So v_{j+1} = u_{j+1} . c_{j+1}
+    gives a_j = A_j c_{j+1} (`carry`), b_j = B_j c_{j+1} / sqrt(dt) (`carry_z`) and c_j = a_j -
+    r_j dt b_j, and E_j[v_{j+1}] is F_j-measurable, so the centred product needs no
+    correction. The paths enter once, at T: `terminal_moments` fits F by least squares on
+    the powers of S_N (`terminal_reg`, a `NodeRegression`, the build's one walk of the rows),
+    then one p x p update per node follows. Node j's regression `regs[j]` is
+    `NodeRegression.scaled_powers` on sd_j with the exact Gram E[u^(a+b)] = nu_(a+b); node 0
+    (sd_0 = 0), and every node before the loading's first non-zero value, keeps the intercept
+    alone.
     """
 
     def __init__(self, theta: np.ndarray, feature: Feature, paths: PathBundle,
                  basis: RegressionBasis | None = None):
-        n, m = paths.n_steps, paths.n_paths
-        self.basis, self.dW, self.dt = basis or RegressionBasis(), paths.dW, paths.grid.dt
+        n, self.dt = paths.n_steps, paths.grid.dt
+        self.basis, self.feature = basis or RegressionBasis(), feature
         theta, degree = np.asarray(theta, dtype=float)[:n], self.basis.degree
-        self.feature = feature
-        if m < (need := self.basis.path_floor(1)):
-            raise RegressionError(f"need at least {need} paths, got {m}")
-        s_buffer, dw_buffer = (np.ones((rows, min(m, _MOMENT_BLOCK)))
-                               for rows in (2 * degree + 1, degree + 2))
-        # Ahat_j[a, b] = sum_c theta_j^c binom[a, b, c] T_j[power[a, b, c], c], binom = C(b, c);
-        # power[:, :, 0] = a + b indexes the Hankel matrices
-        a, b, c = np.ogrid[:degree + 1, :degree + 1, :degree + 1]
-        binom, power = np.vectorize(math.comb)(b, c).astype(float), np.maximum(a + b - c, 0)
-        self.regs, self.carry, self.carry_dw, self.centre_dw = [], [], [], []
+        self.terminal_reg = NodeRegression([feature], n, self.basis)   # refuses too few paths
+        self.sd = np.sqrt(np.concatenate(([0.0], np.cumsum(theta ** 2 * self.dt))))
+        nu = _normal_moments(2 * degree + 1)
+        a, b = np.ogrid[:degree + 1, :degree + 1]
+        gap, binom = np.maximum(b - a, 0), np.vectorize(math.comb)(b, a).astype(float)
+        self.regs = [NodeRegression.scaled_powers(feature, j, self.basis, paths.n_paths, sd,
+                                                  nu[a + b]) for j, sd in enumerate(self.sd[:n])]
+        # node N's columns are every power: the fit's coefficients on them are 0 when sd_N = 0
+        keep = [reg.keep for reg in self.regs] + [list(range(degree + 1))]
+        self.carry, self.carry_z = [], []
         for j in range(n):
-            table = _power_table(self.feature.values[j], self.dW[j], s_buffer, dw_buffer)
-            reg = NodeRegression.from_power_means(self.feature, j, self.basis, m, table[:, 0])
-            lift = reg._lift()
-            for held, hat in zip((self.carry, self.carry_dw), cross if j else ()):   # Ahat, Bhat
-                held.append(prev._solve(prev_lift @ hat @ lift.T))
-            self.centre_dw.append(reg._solve(lift @ table[power[:, :, 0], 1] @ lift.T))
-            cross = [(binom * theta[j] ** c * table[power, c + shift]).sum(axis=2)
-                     for shift in (0, 1)]
-            self.regs.append(reg)
-            prev, prev_lift = reg, lift
+            nxt = self.sd[j + 1]
+            rho, kappa = (self.sd[j] / nxt, theta[j] * math.sqrt(self.dt) / nxt) if nxt \
+                else (1.0, 0.0)
+            terms, block = binom * rho ** a * kappa ** gap, np.ix_(keep[j], keep[j + 1])
+            self.carry.append((terms * nu[gap])[block])
+            self.carry_z.append((terms * nu[gap + 1])[block] / math.sqrt(self.dt))
 
     def terminal_moments(self, terminal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G_{N-1}^{-1} Phi_{N-1}^T F / M and G_{N-1}^{-1} Phi_{N-1}^T diag(dW_{N-1}) F / M, the
-        march's two O(M p) products at T: the start of `march`, formed once per terminal F."""
-        f, m = np.asarray(terminal, dtype=float), self.dW.shape[1]
-        reg = self.regs[-1]
-        phi = reg.design()
-        return reg._solve(phi.T @ f / m), reg._solve(phi.T @ (f * self.dW[-1]) / m)
+        """a_{N-1} and b_{N-1} of the least-squares fit of F on the powers of S_N, the march's
+        one pass over the paths (einsum path sums, `NodeRegression.coefficients`): the start
+        of `march`, formed once per terminal F."""
+        reg = self.terminal_reg
+        raw = reg._lift().T @ reg.coefficients(terminal)   # on (1, S_N, ..., S_N^d)
+        coef = raw * self.sd[-1] ** np.arange(len(raw))      # on the powers of S_N / sd_N
+        return self.carry[-1] @ coef, self.carry_z[-1] @ coef
 
     def march(self, start: tuple[np.ndarray, np.ndarray], ratios: np.ndarray, stop: int = 0
               ) -> tuple[list, list, list]:
@@ -538,17 +522,16 @@ class BackwardProjector:
         the same F: the start moments broadcast as (p, 1), so a_{N-1} and b_{N-1}, the same
         for every march, are (p, 1), and every other a_j, b_j and c_j is (p, R), its column
         r the march with ratios[:, r]. Each node then takes one p x p by p x R product per
-        cross-moment, where R separate marches take R.
+        carry, where R separate marches take R.
         """
         n, ratios = len(self.regs), np.asarray(ratios, dtype=float)
         lift = (slice(None),) + (None,) * (ratios.ndim - 1)
         a, b, c = [None] * n, [None] * n, [None] * n
         for j in range(n - 1, stop - 1, -1):
             if j == n - 1:
-                a[j], carried_dw = (s[lift] for s in start)
+                a[j], b[j] = (s[lift] for s in start)
             else:
-                a[j], carried_dw = self.carry[j] @ c[j + 1], self.carry_dw[j] @ c[j + 1]
-            b[j] = (carried_dw - self.centre_dw[j] @ a[j]) / self.dt
+                a[j], b[j] = self.carry[j] @ c[j + 1], self.carry_z[j] @ c[j + 1]
             c[j] = a[j] - ratios[j] * self.dt * b[j]
         return a, b, c
 

@@ -11,15 +11,16 @@ theta0(t) = -b0(T,t)/sigma0(T,t). One backward stochastic Volterra equation
 (BSVIE) march, closed by the terminal wealth at a reference constant, gives
 both: the constant c that reproduces the initial capital is read exactly off
 its row 0 (the march is linear in the terminal wealth), and the optimal
-fraction, which does not depend on c, off the diagonal of its integrand. Every
-backward march runs on coefficients through `malliavin.BackwardProjector`.
+fraction, which does not depend on c, off the diagonal of its integrand. The march
+runs on coefficients through `malliavin.BackwardProjector`: the loading is
+deterministic, so its one-step conditional expectations are exact Gaussian moments,
+and the paths enter once, in the least-squares fit of the terminal wealth at T.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import isub
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .malliavin import (
     BackwardProjector,
     Feature,
     RegressionBasis,
-    RunningSumRows,
     weighted_brownian_feature,
 )
 from .models import CoefficientModel, ControlProcess, UtilitySpec, _exp_kernel_model
@@ -115,15 +115,6 @@ def optimal_fraction(market: MarketModel, grid: TimeGrid, exponent: float = 0.0)
         (1.0 - exponent) * market.vol_kernel(T, t) * market.vol_kernel(t, t))
 
 
-def _terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
-    """log of the unit-start exponential martingale at T, sum_j (theta_j dW_j
-    - theta_j^2 dt / 2), (M,), holding O(M)."""
-    th = np.asarray(theta, dtype=float)[:paths.n_steps]
-    drift = 0.5 * th ** 2 * paths.grid.dt
-    # th_j dW_j - drift_j, the difference taken in place: no second (M,) temporary
-    return RunningSumRows(lambda j: isub(th[j] * paths.dW[j], drift[j]), paths)[paths.n_steps]
-
-
 def _inverse_marginal(c: float, martingale: np.ndarray, utility: UtilitySpec) -> np.ndarray:
     """(u')^{-1}(c M_T) for the unit-start martingale's terminal values M_T."""
     if c <= 0.0:
@@ -152,7 +143,8 @@ class PortfolioProblem:
     is validated on the grid, a bundle below the basis's `path_floor` for the one feature
     of every calibration and BSVIE fit is refused before any fit, then the loading
     `theta`, the `projector` on the BSVIE feature and the unit-start martingale's
-    terminal values `martingale`."""
+    terminal values `martingale`, exp(S_N - sd_N^2 / 2), read off the row S_N that the
+    projector's fit at T walked to."""
 
     def __init__(self, market: MarketModel, utility: UtilitySpec, paths: PathBundle,
                  basis: RegressionBasis | None = None):
@@ -167,7 +159,8 @@ class PortfolioProblem:
         self.theta = theta0(market, paths.grid)
         self.projector = BackwardProjector(self.theta, *_bsvie_features(self.theta, paths),
                                            paths, basis)
-        self.martingale = np.exp(_terminal_log_martingale(self.theta, paths))
+        log_m = self.projector.feature.values[paths.n_steps] - 0.5 * self.projector.sd[-1] ** 2
+        self.martingale = np.exp(log_m, out=log_m)
 
     def terminal(self, c: float) -> np.ndarray:
         """Terminal wealth F(c) = (u')^{-1}(c M_T) on the paths."""
@@ -179,11 +172,12 @@ class BsvieSolution:
     """Backward solution fields as coefficients on the node designs.
 
     For j < N, X^(t_j) = V(t_j, s_j) = Phi_j x_coef[j] and Z^(t_j, s_j) = Phi_j z_coef[j],
-    with Phi_j the standardized design of `regs[j]`; X^(T) is `terminal`. Every node design
-    is a polynomial in one raw feature, the running theta-integral S_j, so `node` and
-    `fraction` evaluate both fields by Horner's rule on the row S_j (`NodeRegression.horner`)
-    and build no design. A field's path values are formed one node at a time, so no
-    (N+1, M) or (N, M) array of a field is held.
+    with Phi_j the basis of `regs[j]`, the powers (S_j / sd_j)^a of the running
+    theta-integral S_j (the intercept alone at node 0); X^(T) is `terminal`. The
+    coefficients come from the exact march, so only the fit of `terminal` at T carries
+    Monte Carlo error. `node` and `fraction` evaluate both fields by Horner's rule on the
+    row S_j (`NodeRegression.horner`) and build no design. A field's path values are formed
+    one node at a time, so no (N+1, M) or (N, M) array of a field is held.
     """
 
     c: float                      # the c the march was closed by
@@ -203,6 +197,12 @@ class BsvieSolution:
         """X^(t_j) and Z^(t_j, s_j) on the paths, (M,) each, for j < N."""
         xhat, zhat = self.regs[j].horner(np.stack([self.x_coef[j], self.z_coef[j]], axis=1))
         return xhat, zhat
+
+    def fraction_moments(self, j: int) -> tuple[float, float]:
+        """Mean and std(ddof=1) over paths of `fraction(j)`, whose rows are dropped on
+        return, before another node's are formed."""
+        pi = self.fraction(j)
+        return pi.mean(), pi.std(ddof=1)
 
     def fraction(self, j: int) -> np.ndarray:
         """Investment fraction Z^(t_j, s_j) / (sigma0(t_j, t_j) X^(t_j)) on the paths, (M,).
@@ -227,13 +227,13 @@ class BsvieSolution:
 def bsvie_solve(problem: PortfolioProblem, c: float) -> BsvieSolution:
     """Solve the backward Volterra equation closed by the terminal wealth F(c).
 
-    For each fixed t_i the recursion in s runs from T down to t_i with
-    regression conditional expectations; the integrand is extracted from the
-    centered one-step products. Every row starts from F(c) and differs only in its
-    kernel ratios, so one projector march carries all N rows as the columns of (p, N)
-    coefficients, and row i keeps its column at node i, its node-i coefficients of X^
-    and Z^ (see `BsvieSolution`). The consistency of Z^(t_i, s_j)/sigma0(t_i, s_j) with
-    the diagonal is a node-Gram RMS, one quadratic form per node over the rows i < j.
+    For each fixed t_i the recursion in s runs from T down to t_i with the exact one-step
+    Gaussian moments of the projector, from the least-squares fit of F(c) at T. Every row
+    starts from F(c) and differs only in its kernel ratios, so one projector march carries
+    all N rows as the columns of (p, N) coefficients, and row i keeps its column at node i,
+    its node-i coefficients of X^ and Z^ (see `BsvieSolution`). The consistency of
+    Z^(t_i, s_j)/sigma0(t_i, s_j) with the diagonal is an RMS under the law of S_j (the node
+    Gram), one quadratic form per node over the rows i < j.
     """
     market, projector = problem.market, problem.projector
     n, t = problem.paths.n_steps, problem.paths.grid.nodes
@@ -276,8 +276,7 @@ def solve_c(problem: PortfolioProblem, fields: BsvieSolution) -> CalibrationResu
     """
     x, c_f = problem.market.initial_wealth, fields.c
     power = problem.utility.exponent - 1.0
-    assert fields.regs[0].keep == [0]   # S_0 = 0 on every path: node 0 fits the intercept
-    v0 = float(fields.x_coef[0][0])
+    v0 = float(fields.x_coef[0][0])   # node 0's basis is the intercept alone: sd_0 = 0
 
     def gap(c: float) -> tuple[float, float]:
         return c, (c / c_f) ** (1.0 / power) * v0 - x
@@ -376,13 +375,12 @@ def solve_portfolio(market: MarketModel, utility: UtilitySpec, paths: PathBundle
 
     One BSVIE march, closed by F(u'(x)), serves the calibration and the fractions, which
     do not depend on c. Each node's fractions are formed once, for their mean and
-    spread, and dropped.
+    spread, and dropped before the next node's (`BsvieSolution.fraction_moments`).
     """
     problem = PortfolioProblem(market, utility, paths, basis)
     fields = bsvie_solve(problem, float(utility.u_prime(market.initial_wealth)))
     calibration = solve_c(problem, fields)
-    stats = np.array([(pi.mean(), pi.std(ddof=1))
-                      for pi in map(fields.fraction, range(paths.n_steps))])
+    stats = np.array([fields.fraction_moments(j) for j in range(paths.n_steps)])
     return PortfolioSolution(problem=problem, calibration=calibration, bsvie=fields,
                              mean_pi=stats[:, 0], std_pi=stats[:, 1])
 

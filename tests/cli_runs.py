@@ -68,8 +68,10 @@ RUNS = (
         why="every stage on the default config, merton-test among them (about 10 s); the "
             "default features form their rows as the checks read them, gateaux sums "
             "its perturbed objectives off their row streams, and the adjoint keeps q and "
-            "r as node coefficients, so the stage peaks near 209 MB (254 MB with (N+1, M) "
-            "q and r arrays, 294 MB when gateaux held six whole (N+1, M) runs)",
+            "r as node coefficients, so the stage peaks near 210 MB (254 MB with (N+1, M) "
+            "q and r arrays, 294 MB when gateaux held six whole (N+1, M) runs); its "
+            "portfolio stages print c = 0.99997 (closed form of the scheme 0.99997, "
+            "0.99982 with sampled node moments) and consistency spread 0.0000",
     ),
     CliRun(
         name="adjoint_n128",
@@ -142,12 +144,12 @@ RUNS = (
         workload="portfolio_memory",
         bound_mb=122.0,
         why="the BSVIE fields are kept as per-node coefficients, strategy.csv reads "
-            "per-node statistics, the BSVIE feature's rows are formed one node at a "
-            "time and the projector's moments come from one power table per node, "
-            "summed over blocks of paths with no design formed, so the stage peaks near "
-            "94 MB (95 MB building the node designs, 100 MB with a (2p, M) stack per "
-            "node, 151 MB with the (N+1, M) feature array, 248 MB with the (N, M) field "
-            "and fraction arrays as well)",
+            "per-node statistics one node at a time, the BSVIE feature's rows are formed "
+            "one node at a time and the projector's one-step moments are exact Gaussian "
+            "ones, with one fit of the paths at T, so the stage peaks near 94 MB (95 MB "
+            "with a power table per node, 100 MB with a (2p, M) stack per node, 151 MB "
+            "with the (N+1, M) feature array, 248 MB with the (N, M) field and fraction "
+            "arrays as well); it prints c = 0.955268 and consistency spread 0.0204",
     ),
     CliRun(
         name="portfolio_degree5",
@@ -156,9 +158,9 @@ RUNS = (
         workload="portfolio_memory",
         config={"solver": {"degree": 5}},
         bound_mb=114.0,
-        why="the widest power table a CLI run builds: at degree 5 each node's table is "
-            "11 x 7 block sums of powers of S_j and dW_j, formed in two buffers of one "
-            "block of paths, and the stage peaks near 95 MB",
+        why="the widest basis a CLI run fits: at degree 5 the exact carries take normal "
+            "moments to order 11 and the fit at T six design rows, and the stage peaks "
+            "near 96 MB; it prints c = 0.95527 and consistency spread 0.0204",
     ),
     CliRun(
         name="portfolio_rising_vol",
@@ -170,7 +172,8 @@ RUNS = (
         bound_mb=122.0,
         why="a volatility kernel that rises with the lag t - s: the market is checked at "
             "s <= t alone, where the kernel never falls below sigma0, so the config is "
-            "accepted with the default floor sigma0 / 2",
+            "accepted with the default floor sigma0 / 2; it prints c = 0.934801 and "
+            "consistency spread 0.6359",
     ),
     CliRun(
         name="portfolio_power",
@@ -181,7 +184,8 @@ RUNS = (
         bound_mb=65.0,
         why="the only CLI run with power utility: F(c) = (c M_T)^-2 and the calibration "
             "root of exponent 0.5; at M = 2e4 every fitted wealth level stays positive "
-            "(seeds 7 and 11) and the stage peaks near 51 MB",
+            "(seeds 7 and 11) and the stage peaks near 50 MB; it prints c = 0.968021 and "
+            "consistency spread 0.0403",
     ),
     CliRun(
         name="portfolio_1e6",
@@ -191,9 +195,10 @@ RUNS = (
         config={"monte_carlo": {"paths": 1_000_000}},
         bound_mb=765.0,
         why="large path counts in bounded memory: at N = 64, M = 1e6 the stage holds "
-            "dW, a few (M,) rows and two blocks of powers, and peaks near 589 MB "
+            "dW, a few (M,) rows and the one fit's design at T, and peaks near 589 MB "
             "(603 MB building the node designs, 648 MB with a (2p, M) stack per node, "
-            "1167 MB with the (N+1, M) feature array)",
+            "1167 MB with the (N+1, M) feature array); it prints c = 0.955269 and "
+            "consistency spread 0.0204",
     ),
     CliRun(
         name="merton",
@@ -204,7 +209,8 @@ RUNS = (
             "portfolio is dropped before verifying, and each wealth run forms its "
             "shifted control row by row and holds one wealth row, so the stage peaks "
             "near 149 MB (245 MB with a whole shifted control and wealth per run, "
-            "304 MB while the portfolio was kept, 497 MB before that)",
+            "304 MB while the portfolio was kept, 497 MB before that); its portfolio "
+            "has c = 0.99997 and consistency spread 0.0000",
     ),
     CliRun(
         name="merton_memory",
@@ -214,7 +220,8 @@ RUNS = (
         bound_mb=178.0,
         why="merton-test on the memory market: the configured decays and utility are "
             "read, and mean_pi is checked against the closed form pi*(t), which no "
-            "zero-decay run tests; the stage peaks near 148 MB",
+            "zero-decay run tests; the stage peaks near 149 MB, and its portfolio has "
+            "c = 0.955268 and consistency spread 0.0204",
     ),
     CliRun(
         name="memory_adjoint_n1024",

@@ -4,17 +4,30 @@ drew each block's normals at once, and a bundle's whole array of compensated jum
 
 Each but `calibration_reference` and `fraction_reference` was a package function or
 method. They are kept here, beside the tests that read them. `y_martingale` sums its
-log increments with `np.cumsum`, which `malliavin.RunningSumRows` matches bit for bit;
-the others keep their arithmetic unchanged.
+log increments with `np.cumsum`, which `malliavin.RunningSumRows` matches bit for bit,
+and `terminal_log_martingale` walks them with `RunningSumRows`; the others keep their
+arithmetic unchanged.
 """
 
 import math
+from operator import isub
 
 import numpy as np
 
 from volterra_control import ConfigurationError, PathBundle
 from volterra_control.grids import _BLOCK
-from volterra_control.portfolio import _inverse_marginal, _terminal_log_martingale
+from volterra_control.malliavin import RunningSumRows
+from volterra_control.portfolio import _inverse_marginal
+
+
+def terminal_log_martingale(theta: np.ndarray, paths: PathBundle) -> np.ndarray:
+    """log of the unit-start exponential martingale at T, sum_j (theta_j dW_j
+    - theta_j^2 dt / 2), (M,), holding O(M): its own walk of the log increments, where
+    `PortfolioProblem` reads S_N - sd_N^2 / 2 off the projector's row S_N."""
+    th = np.asarray(theta, dtype=float)[:paths.n_steps]
+    drift = 0.5 * th ** 2 * paths.grid.dt
+    # th_j dW_j - drift_j, the difference taken in place: no second (M,) temporary
+    return RunningSumRows(lambda j: isub(th[j] * paths.dW[j], drift[j]), paths)[paths.n_steps]
 
 
 def y_martingale(theta: np.ndarray, paths, c: float) -> np.ndarray:
@@ -29,7 +42,7 @@ def y_martingale(theta: np.ndarray, paths, c: float) -> np.ndarray:
 
 def terminal_wealth(c: float, paths, utility, theta: np.ndarray) -> np.ndarray:
     """Candidate optimal terminal wealth: inverse marginal utility of c * martingale."""
-    return _inverse_marginal(c, np.exp(_terminal_log_martingale(theta, paths)), utility)
+    return _inverse_marginal(c, np.exp(terminal_log_martingale(theta, paths)), utility)
 
 
 def calibration_reference(market, utility, grid) -> float:

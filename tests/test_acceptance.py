@@ -294,11 +294,11 @@ def test_criterion_12_optimality_memory_market(memory_market_run):
 
 def test_memory_market_fractions_match_the_closed_form(memory_market_run):
     # pi*(t) = b0(T,t) / (sigma0(T,t) sigma0(t,t)) under log utility (README). At
-    # N = 64, M = 1e5 and decays (1, 0), mean_pi measured within 1.05-1.52 % of pi*
-    # on [T/4, 3T/4] and 1.34-1.83 % on every node (seeds 7, 8, 9 and the desk seed,
-    # log and power utility), the interior mean within -0.14..+0.61 %: Monte Carlo and
-    # regression error. 3 % on every node leaves 1.6x that; b0/sigma0^2, the fraction
-    # without memory, is e times pi*(0).
+    # N = 64, M = 1e5 and decays (1, 0), mean_pi measured within 0.074-0.077 % of pi*
+    # on [T/4, 3T/4] and 0.096-0.098 % on every node under log utility (0.15-0.18 % and
+    # 0.22-0.24 % under power 0.5; seeds 7, 8, 9 and the desk seed): the O(dt) gap of the
+    # scheme's own closed form to pi*. 3 % on every node leaves 30x that; b0/sigma0^2,
+    # the fraction without memory, is e times pi*(0).
     run = memory_market_run
     want = optimal_fraction(run["market"], run["paths"].grid)
     err = float(np.max(np.abs(run["solution"].mean_pi / want - 1.0)))

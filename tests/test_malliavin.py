@@ -26,11 +26,9 @@ from volterra_control import (
 from volterra_control.errors import RegressionError
 from volterra_control.grids import compensated_jump_integral
 from volterra_control.malliavin import (
-    _MOMENT_BLOCK,
     BackwardProjector,
     NodeRegression,
     _monomial_exponents,
-    _power_table,
     brownian_feature,
     brownian_square_grid_term,
     default_features,
@@ -321,41 +319,43 @@ def test_constant_monomials_are_dropped_at_their_round_off(jump_paths64_small, d
     assert np.all(np.linalg.eigvalsh(reg.gram) > 0.0)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 5])
-def test_power_tables_are_the_block_order_sums_of_their_block_products(degree):
-    # Node j's table T_j[k, c] = sum_m S_j^k dW_j^c / M, k <= 2d, c <= d + 1, must keep the
-    # bits of the block products of its powers, each power the one before times the row
-    # (np.cumprod), added in block order and divided by M; the node's standardization and
-    # Gram must be read off its column c = 0.
-    m = 5 * _MOMENT_BLOCK // 2
-    paths = sample_paths(TimeGrid(1.0, 6), JumpModel.none(), m, seed=20240813)
-    theta = np.linspace(-0.3, -0.1, paths.n_steps)
+def _carry_z_scores(degree, seed, m=20_000):
+    """Worst |sample - exact| / SE over the entries of the projector's node Gram G_j, G_j A_j
+    and G_j B_j dt (A_j and B_j dt its `carry` and `carry_z` times dt) at every node, and
+    their sample moments E[u_j u_j^T], E[u_j u_{j+1}^T] and E[u_j dW_j u_{j+1}^T] over the
+    paths, u_j = (S_j / sd_j)^(0..d), formed here from the rows S_j and dW_j; each entry's SE
+    is the sample SD of its per-path product over sqrt(M). An entry of SE 0 (node 0's
+    intercept) must match exactly."""
+    paths = sample_paths(TimeGrid(1.0, 6), JumpModel.none(), m, seed=seed)
+    theta, dt = np.linspace(-0.3, -0.1, paths.n_steps), paths.grid.dt
     projector = BackwardProjector(theta, weighted_brownian_feature(theta, paths), paths,
                                   RegressionBasis(degree=degree))
-    blocks = [slice(start, start + _MOMENT_BLOCK) for start in range(0, m, _MOMENT_BLOCK)]
-    assert len(blocks) == 3 and blocks[-1].stop > m
-
-    def powers(row, top):
-        return np.vstack([np.ones(len(row)), np.cumprod(np.tile(row, (top, 1)), axis=0)])
-
-    s_buffer, dw_buffer = (np.ones((k, _MOMENT_BLOCK)) for k in (2 * degree + 1, degree + 2))
-    rows = weighted_brownian_feature(theta, paths).values
+    rows, sd = weighted_brownian_feature(theta, paths).values, projector.sd
+    powers, worst = np.arange(degree + 1)[:, None], 0.0
     for j, reg in enumerate(projector.regs):
-        total = None
-        for cols in blocks:
-            part = powers(rows[j][cols], 2 * degree) @ powers(paths.dW[j, cols], degree + 1).T
-            total = part if total is None else total + part
-        table = _power_table(rows[j], paths.dW[j], s_buffer, dw_buffer)
-        assert table.tobytes() == (total / m).tobytes()
-        means = table[:, 0]
-        assert np.array_equal(reg.col_mean[1:], means[reg.keep[1:]])
-        assert np.array_equal(reg.col_scale[1:], np.sqrt(
-            means[2 * np.array(reg.keep[1:], dtype=int)] - means[reg.keep[1:]] ** 2))
-        lift = reg._lift()
-        hankel = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
-        assert np.array_equal(reg.gram, lift @ means[hankel] @ lift.T)
-    assert projector.regs[0].keep == [0]
-    assert all(reg.keep == list(range(degree + 1)) for reg in projector.regs[1:])
+        u = (rows[j] / sd[j]) ** powers[reg.keep] if sd[j] else np.ones((1, m))
+        nxt = (rows[j + 1] / sd[j + 1]) ** powers
+        if j + 1 < paths.n_steps:
+            nxt = nxt[projector.regs[j + 1].keep]
+        for exact, right in ((reg.gram, u), (reg.gram @ projector.carry[j], nxt),
+                             (reg.gram @ projector.carry_z[j] * dt, paths.dW[j] * nxt)):
+            per_path = u[:, None] * right[None]
+            gap = np.abs(per_path.mean(axis=2) - exact)
+            se = per_path.std(axis=2, ddof=1) / np.sqrt(m)
+            assert np.all(gap[se == 0.0] == 0.0)
+            worst = max(worst, float((gap[se > 0.0] / se[se > 0.0]).max(initial=0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("degree,bound", [(1, 4.0), (2, 4.0), (3, 4.0), (5, 6.0)])
+def test_exact_carries_match_the_sample_moments_of_the_paths(degree, bound):
+    # The exact one-step Gaussian moments of the projector against Monte Carlo moments of
+    # the same law (`_carry_z_scores`). Over seeds 0-19 at M = 2e4 the worst entry's |z|
+    # was 1.24-3.11 at degree 1, 1.62-3.11 at 2, 1.89-3.11 at 3 and 2.10-4.72 at 5 (the
+    # moments of u^10 have heavy tails); the bound is about 1.25x the largest. The test
+    # seed is not one of them (1.94, 1.94, 1.94 and 3.39). A wrong moment order in a carry
+    # is off by O(1), hundreds of SE.
+    assert _carry_z_scores(degree, seed=20240813) <= bound
 
 
 def _power_build(features, node, degree):
