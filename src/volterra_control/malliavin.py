@@ -253,16 +253,17 @@ def _monomial_exponents(n_raw: int, degree: int) -> list[tuple[int, ...]]:
 
 
 class NodeRegression:
-    """Ridge projection onto polynomial features observable at one node.
+    """Ridge least-squares projection onto polynomial features observable at one node,
+    fitted on the paths.
 
     The standardized design is kept feature-major: one C-contiguous (p, M)
     array, one row per kept monomial, and `design()` returns its (M, p)
     transposed view. Every monomial is its parent (one power fewer of its
     last raw feature) times that raw feature, so no power function touches a
     column; results differ from power-built designs by round-off only. The
-    means and spreads are one pass of contiguous row reductions, and drop
-    each monomial constant to round-off (`_standardize`); the intercept row
-    has mean 0 and spread exactly 1.
+    means and spreads are one pass of contiguous row reductions, and each
+    monomial constant to round-off is dropped; the intercept row has mean 0
+    and spread exactly 1.
 
     The fitted object doubles as an explicit surrogate: `predict` evaluates
     the fitted polynomial at any raw-feature values and `gradient_raw` its
@@ -275,7 +276,10 @@ class NodeRegression:
 
     def __init__(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
                  design_node: int | None = None, retain_design: bool = False):
-        self._bind(features, node, basis, design_node)
+        self.features, self.node, self.basis = list(features), node, basis
+        self.design_node = node if design_node is None else design_node
+        self.exponents = _monomial_exponents(len(self.features), basis.degree)
+        self._index = {e: k for k, e in enumerate(self.exponents)}
         raw = self.raw_values()
         self.n_paths = raw.shape[0]
         if self.n_paths < (need := basis.path_floor(len(self.features))):
@@ -284,34 +288,7 @@ class NodeRegression:
         rows = self._monomial_rows(raw)
         mean = rows.mean(axis=1)
         rows[1:] -= mean[1:, None]   # row 0, the intercept, keeps mean 0: nothing to subtract
-        self._standardize(mean, np.sqrt(np.einsum("ij,ij->i", rows, rows) / self.n_paths))
-        rows = self._kept(rows)
-        rows[1:] /= self.col_scale[1:, None]   # the intercept's spread is sqrt(M / M) = 1.0
-        self._factor(rows @ rows.T / self.n_paths)
-        self._rows = rows if retain_design else None
-
-    @classmethod
-    def scaled_powers(cls, feature: Feature, node: int, basis: RegressionBasis,
-                      n_paths: int, sd: float, gram: np.ndarray) -> "NodeRegression":
-        """The regression on the uncentred powers (x / sd)^a, a <= degree, of the feature's
-        row x, with the Gram `gram`[keep, keep] of a known law: no design, no pass over the
-        paths and no `__init__`. sd = 0 keeps the intercept alone."""
-        reg = cls.__new__(cls)
-        reg._bind([feature], node, basis)
-        reg.n_paths, reg._rows = n_paths, None
-        reg._standardize(np.zeros(basis.degree + 1), sd ** np.arange(basis.degree + 1.0))
-        reg._factor(gram[np.ix_(reg.keep, reg.keep)])
-        return reg
-
-    def _bind(self, features: Sequence[Feature], node: int, basis: RegressionBasis,
-              design_node: int | None = None) -> None:
-        self.features, self.node, self.basis = list(features), node, basis
-        self.design_node = node if design_node is None else design_node
-        self.exponents = _monomial_exponents(len(self.features), basis.degree)
-        self._index = {e: k for k, e in enumerate(self.exponents)}
-
-    def _standardize(self, mean: np.ndarray, spread: np.ndarray) -> None:
-        """Keep the intercept (mean 0, spread 1) and each monomial not constant to round-off."""
+        spread = np.sqrt(np.einsum("ij,ij->i", rows, rows) / self.n_paths)
         mean[0], spread[0] = 0.0, 1.0
         # A monomial equal to c on every path has spread |c - mean|, the error of the computed
         # mean: at most about M u |c| (u = eps / 2) in any summation order, so within M eps
@@ -319,6 +296,17 @@ class NodeRegression:
         noise = self.n_paths * np.finfo(float).eps * np.abs(mean)
         self.keep = [0] + [k for k in range(1, len(mean)) if spread[k] > noise[k]]
         self.col_mean, self.col_scale = mean[self.keep], spread[self.keep]
+        rows = self._kept(rows)
+        rows[1:] /= self.col_scale[1:, None]   # the intercept's spread is sqrt(M / M) = 1.0
+        self.gram = rows @ rows.T / self.n_paths   # ridge-free: an RMS is a form in it
+        try:
+            self._chol = np.linalg.cholesky(self.gram + basis.ridge * np.eye(len(self.keep)))
+        except np.linalg.LinAlgError as exc:
+            raise RegressionError(
+                "regression design is rank deficient even after ridge "
+                "regularization; reduce the basis degree"
+            ) from exc
+        self._rows = rows if retain_design else None
 
     def _lift(self) -> np.ndarray:
         """(p, degree + 1) map of a one-feature basis from (1, x, ..., x^degree) to its columns."""
@@ -326,17 +314,6 @@ class NodeRegression:
         lift[pos, self.keep] = 1.0 / self.col_scale
         lift[pos[1:], 0] = -self.col_mean[1:] / self.col_scale[1:]
         return lift
-
-    def _factor(self, gram: np.ndarray) -> None:
-        """Keep the ridge-free Gram (an RMS is a form in it) and the factor of its ridged one."""
-        self.gram = gram
-        try:
-            self._chol = np.linalg.cholesky(gram + self.basis.ridge * np.eye(len(gram)))
-        except np.linalg.LinAlgError as exc:
-            raise RegressionError(
-                "regression design is rank deficient even after ridge "
-                "regularization; reduce the basis degree"
-            ) from exc
 
     def raw_values(self) -> np.ndarray:
         """Raw features at the design node, (M, n_raw) over feature-major storage."""
@@ -418,26 +395,6 @@ class NodeRegression:
         return np.stack([self._derivative_rows(coef, rows, r, 1)[0]
                          for r in range(len(self.features))], axis=1)
 
-    def horner(self, coef: np.ndarray) -> np.ndarray:
-        """The fitted polynomial of a one-feature regression at the node's raw values, by
-        Horner's rule in the raw feature x: (M,) for coef (p,), (q, M) for coef (p, q).
-
-        The kept standardized column (x^a - mean_a) / scale_a adds coef_a / scale_a to the
-        coefficient of x^a and -coef_a mean_a / scale_a to the constant (`_lift`^T coef), so
-        no design is built. This is well conditioned while |mean_a| / scale_a is of order one,
-        as for a zero-mean martingale feature; the powers stop at the highest kept one.
-        """
-        if len(self.features) != 1:
-            raise ConfigurationError(f"Horner's rule needs one feature, got {len(self.features)}")
-        coef = np.asarray(coef, dtype=float)
-        power = np.tensordot(self._lift()[:, :self.keep[-1] + 1], coef, axes=(0, 0))
-        x = self.features[0].values[self.design_node]
-        out = np.repeat(power[-1][..., None], len(x), axis=-1)
-        for r in power[-2::-1]:
-            out *= x
-            out += r[..., None]
-        return out
-
     def taylor_rows(self, coef: np.ndarray, r: int = 0) -> np.ndarray:
         """(degree, M) rows P^(d)/d!, d = 1..degree, of the fitted polynomial P in raw
         feature r at the node's raw values, so that P(x + delta e_r) - P(x) =
@@ -475,10 +432,10 @@ class BackwardProjector:
     r_j dt b_j, and E_j[v_{j+1}] is F_j-measurable, so the centred product needs no
     correction. The paths enter once, at T: `terminal_moments` fits F by least squares on
     the powers of S_N (`terminal_reg`, a `NodeRegression`, the build's one walk of the rows),
-    then one p x p update per node follows. Node j's regression `regs[j]` is
-    `NodeRegression.scaled_powers` on sd_j with the exact Gram E[u^(a+b)] = nu_(a+b); node 0
-    (sd_0 = 0), and every node before the loading's first non-zero value, keeps the intercept
-    alone.
+    then one p x p update per node follows. No earlier node fits anything. Node j keeps sd_j,
+    its powers `keep[j]` (every power while sd_j > 0, else the intercept alone: node 0 and
+    every node j with theta_l = 0 for all l < j), the exact Gram `gram[j]` = E[u^(a+b)] =
+    nu_(a+b) on those powers, which `rms` reads, and `evaluate` reads u_j . c on the paths.
     """
 
     def __init__(self, theta: np.ndarray, feature: Feature, paths: PathBundle,
@@ -491,10 +448,10 @@ class BackwardProjector:
         nu = _normal_moments(2 * degree + 1)
         a, b = np.ogrid[:degree + 1, :degree + 1]
         gap, binom = np.maximum(b - a, 0), np.vectorize(math.comb)(b, a).astype(float)
-        self.regs = [NodeRegression.scaled_powers(feature, j, self.basis, paths.n_paths, sd,
-                                                  nu[a + b]) for j, sd in enumerate(self.sd[:n])]
+        self.keep = [list(range(degree + 1)) if sd else [0] for sd in self.sd[:n]]
+        self.gram = [nu[a + b][np.ix_(k, k)] for k in self.keep]
         # node N's columns are every power: the fit's coefficients on them are 0 when sd_N = 0
-        keep = [reg.keep for reg in self.regs] + [list(range(degree + 1))]
+        keep = self.keep + [list(range(degree + 1))]
         self.carry, self.carry_z = [], []
         for j in range(n):
             nxt = self.sd[j + 1]
@@ -524,7 +481,7 @@ class BackwardProjector:
         r the march with ratios[:, r]. Each node then takes one p x p by p x R product per
         carry, where R separate marches take R.
         """
-        n, ratios = len(self.regs), np.asarray(ratios, dtype=float)
+        n, ratios = len(self.carry), np.asarray(ratios, dtype=float)
         lift = (slice(None),) + (None,) * (ratios.ndim - 1)
         a, b, c = [None] * n, [None] * n, [None] * n
         for j in range(n - 1, stop - 1, -1):
@@ -536,8 +493,21 @@ class BackwardProjector:
         return a, b, c
 
     def rms(self, node: int, coef: np.ndarray) -> float:
-        """Root mean square over paths of Phi_node coef, from the ridge-free Gram."""
-        return math.sqrt(max(float(coef @ self.regs[node].gram @ coef), 0.0))
+        """Root mean square of u_node . coef under the law of S_node, from the node's Gram."""
+        return math.sqrt(max(float(coef @ self.gram[node] @ coef), 0.0))
+
+    def evaluate(self, node: int, coef: np.ndarray) -> np.ndarray:
+        """u_node . coef on the paths, (M,) for coef (p,) and (q, M) for coef (p, q), by
+        Horner's rule on the row S_node with the power-basis coefficients coef_a / sd_node^a:
+        no design is formed. At an intercept-only node that is coef_0 itself."""
+        coef = np.asarray(coef, dtype=float)
+        power = (coef.T * (1.0 / self.sd[node] ** np.arange(len(coef)))).T
+        x = self.feature.values[node]
+        out = np.repeat(power[-1][..., None], len(x), axis=-1)
+        for r in power[-2::-1]:
+            out *= x
+            out += r[..., None]
+        return out
 
 
 def conditional_expectation(values: np.ndarray, node: int, paths: PathBundle,

@@ -169,20 +169,20 @@ class PortfolioProblem:
 
 @dataclass
 class BsvieSolution:
-    """Backward solution fields as coefficients on the node designs.
+    """Backward solution fields as coefficients on the projector's node bases.
 
-    For j < N, X^(t_j) = V(t_j, s_j) = Phi_j x_coef[j] and Z^(t_j, s_j) = Phi_j z_coef[j],
-    with Phi_j the basis of `regs[j]`, the powers (S_j / sd_j)^a of the running
+    For j < N, X^(t_j) = V(t_j, s_j) = u_j . x_coef[j] and Z^(t_j, s_j) = u_j . z_coef[j],
+    with u_j the powers (S_j / sd_j)^a, a in `projector.keep[j]`, of the running
     theta-integral S_j (the intercept alone at node 0); X^(T) is `terminal`. The
     coefficients come from the exact march, so only the fit of `terminal` at T carries
     Monte Carlo error. `node` and `fraction` evaluate both fields by Horner's rule on the
-    row S_j (`NodeRegression.horner`) and build no design. A field's path values are formed
-    one node at a time, so no (N+1, M) or (N, M) array of a field is held.
+    row S_j (`BackwardProjector.evaluate`) and build no design. A field's path values are
+    formed one node at a time, so no (N+1, M) or (N, M) array of a field is held.
     """
 
     c: float                      # the c the march was closed by
     terminal: np.ndarray          # F(c), (M,)
-    regs: list                    # (N,) node regressions of the march
+    projector: BackwardProjector  # the march's node bases
     x_coef: list                  # (N,) coefficients of X^(t_j)
     z_coef: list                  # (N,) coefficients of Z^(t_j, s_j)
     vol_diag: np.ndarray          # (N,): sigma0(t_j, t_j)
@@ -195,7 +195,7 @@ class BsvieSolution:
 
     def node(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """X^(t_j) and Z^(t_j, s_j) on the paths, (M,) each, for j < N."""
-        xhat, zhat = self.regs[j].horner(np.stack([self.x_coef[j], self.z_coef[j]], axis=1))
+        xhat, zhat = self.projector.evaluate(j, np.stack([self.x_coef[j], self.z_coef[j]], axis=1))
         return xhat, zhat
 
     def fraction_moments(self, j: int) -> tuple[float, float]:
@@ -251,10 +251,10 @@ def bsvie_solve(problem: PortfolioProblem, c: float) -> BsvieSolution:
         if j:
             diag = z[:, j] / vol_diag[j]
             dev = z[:, :j] / vol[:j, j] - diag[:, None]   # one column per row i < j
-            worst = np.einsum("ki,kl,li->i", dev, projector.regs[j].gram, dev).max()
+            worst = np.einsum("ki,kl,li->i", dev, projector.gram[j], dev).max()
             spread[j] = math.sqrt(max(worst, 0.0)) / max(projector.rms(j, diag), 1e-300)
-    return BsvieSolution(c=c, terminal=f_c, regs=projector.regs, x_coef=x_diag, z_coef=z_diag,
-                         vol_diag=vol_diag, ratio_spread=spread)
+    return BsvieSolution(c=c, terminal=f_c, projector=projector, x_coef=x_diag,
+                         z_coef=z_diag, vol_diag=vol_diag, ratio_spread=spread)
 
 
 @dataclass

@@ -332,13 +332,12 @@ def _carry_z_scores(degree, seed, m=20_000):
                                   RegressionBasis(degree=degree))
     rows, sd = weighted_brownian_feature(theta, paths).values, projector.sd
     powers, worst = np.arange(degree + 1)[:, None], 0.0
-    for j, reg in enumerate(projector.regs):
-        u = (rows[j] / sd[j]) ** powers[reg.keep] if sd[j] else np.ones((1, m))
-        nxt = (rows[j + 1] / sd[j + 1]) ** powers
-        if j + 1 < paths.n_steps:
-            nxt = nxt[projector.regs[j + 1].keep]
-        for exact, right in ((reg.gram, u), (reg.gram @ projector.carry[j], nxt),
-                             (reg.gram @ projector.carry_z[j] * dt, paths.dW[j] * nxt)):
+    keep = projector.keep + [list(range(degree + 1))]
+    for j, gram in enumerate(projector.gram):
+        u = (rows[j] / sd[j]) ** powers[keep[j]] if sd[j] else np.ones((1, m))
+        nxt = (rows[j + 1] / sd[j + 1]) ** powers[keep[j + 1]]
+        for exact, right in ((gram, u), (gram @ projector.carry[j], nxt),
+                             (gram @ projector.carry_z[j] * dt, paths.dW[j] * nxt)):
             per_path = u[:, None] * right[None]
             gap = np.abs(per_path.mean(axis=2) - exact)
             se = per_path.std(axis=2, ddof=1) / np.sqrt(m)
@@ -720,14 +719,6 @@ def test_predicted_terminal_feature_refuses_an_x_dependent_model():
     assert not model.x_independent
     with pytest.raises(ConfigurationError, match="x-independent model, got 'constant'"):
         predicted_terminal_feature(model, ControlProcess.constant(0.5), paths)
-
-
-def test_horner_refuses_a_two_feature_regression():
-    paths = sample_paths(TimeGrid(1.0, 4), JumpModel.none(), 400, seed=2)
-    level = np.exp(np.vstack([np.zeros((1, 400)), np.cumsum(paths.dW, axis=0)]))
-    reg = NodeRegression([brownian_feature(paths), state_feature(level)], 2, RegressionBasis())
-    with pytest.raises(ConfigurationError, match="needs one feature, got 2"):
-        reg.horner(np.ones(len(reg.keep)))
 
 
 @pytest.mark.parametrize("kwargs, message", [

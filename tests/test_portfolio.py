@@ -69,6 +69,13 @@ def _fields(sol):
     return xhat, zdiag
 
 
+def _node_design(projector, j):
+    """The (M, p) basis (S_j / sd_j)^a, a in `keep[j]`, of the projector's node j: the
+    intercept alone where sd_j = 0."""
+    s, sd = projector.feature.values[j], projector.sd[j]
+    return (s[:, None] / sd) ** np.array(projector.keep[j]) if sd else np.ones((len(s), 1))
+
+
 # --- market validation ----------------------------------------------------------
 
 def test_market_validation():
@@ -213,7 +220,7 @@ def test_bsvie_driverless_is_martingale_projection(grid64, paths64_small):
     projector = BackwardProjector(th_fake, *_bsvie_features(th_fake, paths64_small),
                                   paths64_small, RegressionBasis())
     _, _, coef = projector.march(projector.terminal_moments(f), np.zeros(64), 32)
-    v_mid = projector.regs[32].design() @ coef[32]
+    v_mid = _node_design(projector, 32) @ coef[32]
     direct = NodeRegression([projector.feature], 32, RegressionBasis()).fit(f)
     err = np.sqrt(np.mean((v_mid - direct) ** 2)) / np.sqrt(np.mean(direct ** 2))
     assert err <= 0.01
@@ -325,7 +332,7 @@ def test_bsvie_matches_per_path_march(market, oracle_paths, log_utility):
 def _loop_march(projector, start, ratios, stop):
     """The march one (p,) coefficient vector at a time, as it was written before it took
     a matrix of ratios: the oracle for the bits of a (N,) march."""
-    n = len(projector.regs)
+    n = len(projector.carry)
     a, b, c = [None] * n, [None] * n, [None] * n
     for j in range(n - 1, stop - 1, -1):
         if j == n - 1:
@@ -395,29 +402,33 @@ _READOUT_MARKETS = [
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("market", _READOUT_MARKETS)
 def test_horner_fields_equal_the_design_products(market, degree, paths64_desk, log_utility):
-    # X^ and Z^ read by Horner on the theta-integral against the standardized design
-    # times the coefficients, at every node; node 0's design is the intercept alone
+    # X^ and Z^ read by Horner on the theta-integral against the node design
+    # (S_j / sd_j)^a times the coefficients, at every node; node 0's is the intercept alone
     basis = RegressionBasis(degree=degree)
     sol = bsvie_solve(PortfolioProblem(market, log_utility, paths64_desk, basis), 1.0)
-    assert sol.regs[0].keep == [0]
-    assert all(len(reg.keep) == degree + 1 for reg in sol.regs[1:])
+    assert sol.projector.keep[0] == [0]
+    assert all(len(keep) == degree + 1 for keep in sol.projector.keep[1:])
     for j in range(paths64_desk.n_steps):
-        phi = sol.regs[j].design()
+        phi = _node_design(sol.projector, j)
         for got, coef in zip(sol.node(j), (sol.x_coef[j], sol.z_coef[j])):
             want = phi @ coef
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-_MOMENT_MARKETS = [
-    pytest.param(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0), id="desk"),
-    pytest.param(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=-0.5),
-                 id="rising-vol"),
+_MOMENT_GRID = TimeGrid(1.0, 8)
+_MOMENT_LOADINGS = [
+    pytest.param(theta0(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=0.0),
+                        _MOMENT_GRID), id="desk"),
+    pytest.param(theta0(MarketModel.exponential(0.05, 0.2, decay_b=1.0, decay_sigma=-0.5),
+                        _MOMENT_GRID), id="rising-vol"),
+    # no market has it: zero on nodes 0-2, so sd_j = 0 and the intercept alone at nodes 0-3
+    pytest.param(np.r_[np.zeros(3), np.linspace(-0.3, -0.1, 6)], id="zero-prefix"),
 ]
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
-@pytest.mark.parametrize("market", _MOMENT_MARKETS)
-def test_projector_moments_match_the_design_products_to_round_off(market, degree):
+@pytest.mark.parametrize("theta", _MOMENT_LOADINGS)
+def test_projector_moments_match_the_design_products_to_round_off(theta, degree):
     """G, A and B of the exact march against the design products of the exact law.
 
     (S_j / sd_j, dW_j / sqrt(dt)) are two independent standard normals, and the tensor
@@ -425,14 +436,15 @@ def test_projector_moments_match_the_design_products_to_round_off(market, degree
     exactly (degree <= 2d in S_j and <= d + 1 in dW_j, below 2k - 1). So on its k^2 weighted
     nodes, Phi_j W Phi_j^T is the node Gram G_j, Phi_j W Phi_{j+1}^T = G_j A_j and Phi_j W
     diag(dW_j) Phi_{j+1}^T = G_j B_j dt in exact arithmetic, A_j and B_j dt the solved
-    carries (`carry`, `carry_z` times dt). Every term of either side passes through at most
-    n = k^2 + 4d + 8 roundings (the powers, the binomial terms of a carry, the quadrature
-    sums and the products by G), so the two agree within 2 gamma_n, gamma_n = n u / (1 - n u),
-    u = eps / 2, times the sum of their terms' magnitudes.
+    carries (`carry`, `carry_z` times dt). Where sd_j = 0, S_j = 0 and Phi_j is the
+    intercept alone; where sd_{j+1} = 0 too, so is Phi_{j+1}, not the 0/0 of its powers.
+    Every term of either side passes through at most n = k^2 + 4d + 8 roundings (the
+    powers, the binomial terms of a carry, the quadrature sums and the products by G), so
+    the two agree within 2 gamma_n, gamma_n = n u / (1 - n u), u = eps / 2, times the sum of
+    their terms' magnitudes.
     """
-    paths = sample_paths(TimeGrid(1.0, 8), JumpModel.none(), 200, seed=31)
+    paths = sample_paths(_MOMENT_GRID, JumpModel.none(), 200, seed=31)
     n, dt, basis = paths.n_steps, paths.grid.dt, RegressionBasis(degree=degree)
-    theta = theta0(market, paths.grid)
     projector = BackwardProjector(theta, *_bsvie_features(theta, paths), paths, basis)
     k = degree + 2
     n_round, u = k * k + 4 * degree + 8, np.finfo(float).eps / 2
@@ -440,18 +452,18 @@ def test_projector_moments_match_the_design_products_to_round_off(market, degree
     z, w = _gauss_hermite(k)
     x, dw, weight = np.repeat(z, k), np.sqrt(dt) * np.tile(z, k), np.repeat(w, k) * np.tile(w, k)
     powers, sd = np.arange(degree + 1)[:, None], projector.sd
-    assert projector.regs[0].keep == [0]
-    assert all(reg.keep == list(range(degree + 1)) for reg in projector.regs[1:])
-    for j, reg in enumerate(projector.regs):
-        phi = x ** powers[reg.keep]
-        nxt = ((sd[j] * x + theta[j] * dw) / sd[j + 1]) ** powers
-        if j + 1 < n:
-            nxt = nxt[projector.regs[j + 1].keep]
+    first = np.flatnonzero(theta)[0]
+    assert projector.keep == [[0]] * (first + 1) + [list(range(degree + 1))] * (n - first - 1)
+    keep = projector.keep + [list(range(degree + 1))]
+    for j, gram in enumerate(projector.gram):
+        phi = x ** powers[keep[j]]
+        nxt = ((sd[j] * x + theta[j] * dw) / sd[j + 1]) ** powers[keep[j + 1]] if sd[j + 1] \
+            else np.ones((1, k * k))
         for got, right, mag in (
-                (reg.gram, phi, np.abs(reg.gram)),
-                (reg.gram @ projector.carry[j], nxt, np.abs(reg.gram) @ np.abs(projector.carry[j])),
-                (reg.gram @ projector.carry_z[j] * dt, dw * nxt,
-                 np.abs(reg.gram) @ np.abs(projector.carry_z[j]) * dt)):
+                (gram, phi, np.abs(gram)),
+                (gram @ projector.carry[j], nxt, np.abs(gram) @ np.abs(projector.carry[j])),
+                (gram @ projector.carry_z[j] * dt, dw * nxt,
+                 np.abs(gram) @ np.abs(projector.carry_z[j]) * dt)):
             want = (phi * weight) @ right.T
             bound = 2 * gamma * (mag + (np.abs(phi) * weight) @ np.abs(right).T)
             assert np.all(np.abs(got - want) <= bound), j
@@ -470,7 +482,7 @@ def test_a_zero_drift_market_keeps_the_intercept_and_c_in_closed_form(oracle_pat
     got = solve_portfolio(market, utility, oracle_paths)
     projector = got.problem.projector
     assert projector.terminal_reg.keep == [0]
-    assert all(reg.keep == [0] for reg in projector.regs)
+    assert all(keep == [0] for keep in projector.keep)
     want = calibration_reference(market, utility, oracle_paths.grid) * (
         1.0 + RegressionBasis().ridge) ** (utility.exponent - 1.0)
     assert abs(got.c / want - 1.0) <= 16 * np.finfo(float).eps
@@ -491,7 +503,7 @@ def test_gap_matches_per_path_march(market, oracle_paths, log_utility):
     for c in (0.3, 1.0, 1.05, 4.0):
         g_ref = _reference_gap(c, market, log_utility, oracle_paths)
         sol = bsvie_solve(problem, c)
-        v0 = float(sol.regs[0].design().mean(axis=0) @ sol.x_coef[0])
+        v0 = float(_node_design(sol.projector, 0).mean(axis=0) @ sol.x_coef[0])
         assert abs((v0 - market.initial_wealth) - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
 
 
@@ -1073,8 +1085,7 @@ def test_portfolio_problem_holds_no_feature_array(log_utility):
     assert peak < (n + 1) * row, f"peak {peak / 1e6:.2f} MB"
     p = RegressionBasis().dimension(1)
     assert held < (p + 3) * row, f"held {held / 1e6:.2f} MB"
-    kept = [reg._rows.nbytes for reg in problem.projector.regs if reg._rows is not None]
-    assert kept == []
+    assert problem.projector.terminal_reg._rows is None
 
 
 def test_projector_build_and_fraction_pass_hold_one_node_of_rows():
@@ -1099,7 +1110,7 @@ def test_projector_build_and_fraction_pass_hold_one_node_of_rows():
         p = len(projector.terminal_reg.keep)
         problem = PortfolioProblem(market, UtilitySpec.log(), paths)
         fields = bsvie_solve(problem, 1.0)
-        feature_rows = fields.regs[0].features[0].values
+        feature_rows = fields.projector.feature.values
         feature_rows[0]   # the walk starts again at S_0, as the pass's first read does
         tracemalloc.reset_peak()
         entry = tracemalloc.get_traced_memory()[0]
